@@ -12,8 +12,7 @@
 //
 // Every finding is a Diagnostic; errors mean the program would misbehave or
 // crash under the interpreter, warnings are advisory (dead state, maybe-
-// uninitialized locals).  check_or_throw() is the executor-facing gate: it
-// throws on errors and stays silent on warnings.
+// uninitialized locals).
 
 #include <vector>
 
@@ -31,16 +30,5 @@ struct AnalysisResult {
 };
 
 AnalysisResult analyze(const ir::NodeP& root);
-
-// Throws std::runtime_error listing every error diagnostic; warnings pass.
-//
-// Deprecated shim for whole-program compilation: the `validate` and
-// `analysis-gate` passes (opt/pass_manager.h) wrap ir::check and analyze()
-// with the same throw-on-error contract while also collecting the warnings
-// into the PassContext; opt::compile() runs them by default.
-[[deprecated(
-    "gate through opt::compile() (validate + analysis-gate passes), or call "
-    "analyze() and inspect the result")]]
-void check_or_throw(const ir::NodeP& root);
 
 }  // namespace sit::analysis

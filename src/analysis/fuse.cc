@@ -34,10 +34,6 @@ FusePlan fuse_plan(const runtime::FlatGraph& g, const sched::Schedule& s) {
     plan.refusal = std::string("bounds-unavailable (") + e.what() + ")";
     return plan;
   }
-  if (!bounds.single_appearance) {
-    plan.refusal = "not-single-appearance:" + bounds.blocker;
-    return plan;
-  }
 
   plan.carry = bounds.post_init;
   plan.traffic = bounds.traffic;

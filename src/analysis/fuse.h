@@ -2,8 +2,9 @@
 // Steady-state fusion admissibility + trace-buffer sizing.
 //
 // The fused engine (runtime/fused.h) compiles one whole steady-state
-// iteration into a single flat bytecode trace: every actor's firings are
-// inlined in single-appearance schedule order and every fully-internal
+// iteration into a single flat bytecode trace: every firing run of the
+// schedule's steady-state sequence (sched::Schedule::steady_runs) becomes one
+// firing loop over the actor's inlined template, and every fully-internal
 // channel is lowered to a flat array indexed by statically-known cursors.
 // fuse_plan() decides, before any code is generated, whether that trace
 // would be *exactly* equivalent to the per-actor execution, and sizes the
@@ -17,15 +18,13 @@
 //                   write cursor starts at carry and must end at
 //                   carry + traffic every iteration (checked at runtime).
 //
+// Any valid firing sequence pushes exactly `traffic` items per edge per
+// iteration, so these sizes hold for interleaved runs (a tight feedback
+// loop) as well as for single-appearance ones.
+//
 // Refusal reasons are stable kebab-case strings (they surface through
 // streamc --report and obs::MetricsSnapshot.fallback_detail):
 //
-//   not-single-appearance:<actor>  the steady state does not admit firing
-//                                  each actor's full repetition count in
-//                                  topological order (e.g. a tight feedback
-//                                  loop whose delay cannot cover a whole
-//                                  iteration) -- the trace fires actors that
-//                                  way, so its firing order would deadlock.
 //   vm-fallback:<filter>           the filter's work function is outside the
 //                                  bytecode subset (compile_filter refused),
 //                                  so there is no template to inline.

@@ -1,7 +1,9 @@
 #include "linear/cost.h"
 
-#include <map>
+#include <algorithm>
+#include <memory>
 #include <mutex>
+#include <unordered_map>
 
 #include "obs/costmodel.h"
 #include "runtime/channel.h"
@@ -35,19 +37,26 @@ double ast_size(const ir::ExprP& e) {
 }  // namespace
 
 runtime::OpCounts estimate_work(const ir::FilterSpec& spec) {
-  // Memoize on the work AST.  The cache must hold a shared_ptr to the AST:
-  // keying on a raw pointer alone would let a freed AST's address be reused
-  // by a fresh allocation and serve a stale estimate.
+  // Memoize on the work AST.  Each entry watches its AST through a weak_ptr:
+  // a freed AST's address can be reused by a fresh allocation, and its
+  // expired entry then misses instead of serving a stale estimate.  The
+  // cache must not own the AST either -- optimization selection builds and
+  // drops thousands of candidate filters per compile, and pinning them all
+  // leaked their ASTs.  Expired entries are swept whenever the table has
+  // doubled since the last sweep.
   struct Entry {
-    ir::StmtP pin;
+    std::weak_ptr<const ir::Stmt> ast;
     runtime::OpCounts counts;
   };
-  static std::map<const ir::Stmt*, Entry> cache;
+  static std::unordered_map<const ir::Stmt*, Entry> cache;
+  static std::size_t sweep_at = 64;
   static std::mutex mu;
   {
     std::lock_guard<std::mutex> lock(mu);
     auto it = cache.find(spec.work.get());
-    if (it != cache.end()) return it->second.counts;
+    if (it != cache.end() && !it->second.ast.expired()) {
+      return it->second.counts;
+    }
   }
 
   runtime::OpCounts counts;
@@ -63,6 +72,11 @@ runtime::OpCounts estimate_work(const ir::FilterSpec& spec) {
   {
     std::lock_guard<std::mutex> lock(mu);
     cache[spec.work.get()] = Entry{spec.work, counts};
+    if (cache.size() >= sweep_at) {
+      std::erase_if(cache,
+                    [](const auto& kv) { return kv.second.ast.expired(); });
+      sweep_at = std::max<std::size_t>(64, 2 * cache.size());
+    }
   }
   return counts;
 }

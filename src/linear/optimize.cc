@@ -47,12 +47,16 @@ class Optimizer {
  private:
   void refuse(const std::string& pass, const std::string& site,
               const std::string& why) {
-    if (stats_) stats_->records.push_back({pass, site, 0.0, 0.0, false, why});
+    if (stats_) {
+      stats_->records.push_back({pass, site, 0.0, 0.0, false, why, {}});
+    }
   }
 
   void select(const std::string& pass, const std::string& site, double before,
               double after) {
-    if (stats_) stats_->records.push_back({pass, site, before, after, true, {}});
+    if (stats_) {
+      stats_->records.push_back({pass, site, before, after, true, {}, {}});
+    }
   }
 
   double cpi_of(const NodeP& node) const {
@@ -264,11 +268,14 @@ class Optimizer {
 
 std::string RewriteRecord::to_string() const {
   std::ostringstream os;
+  if (!by_pass.empty() && by_pass != pass) os << by_pass << ": ";
   os << pass << " [" << site << "] ";
-  if (applied) {
-    os << "cost/item " << cost_before << " -> " << cost_after << " (selected)";
-  } else {
+  if (!applied) {
     os << note;
+  } else if (!note.empty()) {
+    os << "applied: " << note;
+  } else {
+    os << "cost/item " << cost_before << " -> " << cost_after << " (selected)";
   }
   return os.str();
 }
@@ -306,11 +313,6 @@ NodeP optimize_selection(const NodeP& root, const OptimizeOptions& opts,
     });
   }
   return ir::clone(b.node);
-}
-
-NodeP optimize(const NodeP& root, const OptimizeOptions& opts,
-               OptimizeStats* stats) {
-  return optimize_selection(root, opts, stats);
 }
 
 std::optional<LinearRep> extract_tree(const NodeP& node,

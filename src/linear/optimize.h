@@ -42,6 +42,9 @@ struct RewriteRecord {
   double cost_after{0.0};   // modeled cost/item of the candidate
   bool applied{false};
   std::string note;   // refusal reason when !applied
+  // The pipeline pass that recorded the decision (opt::PassManager stamps
+  // it; empty outside a pipeline).
+  std::string by_pass;
 
   [[nodiscard]] std::string to_string() const;  // one line
 };
@@ -69,13 +72,6 @@ struct OptimizeStats {
 ir::NodeP optimize_selection(const ir::NodeP& root,
                              const OptimizeOptions& opts = {},
                              OptimizeStats* stats = nullptr);
-
-// Deprecated alias of optimize_selection (the historical entry-point name).
-[[deprecated(
-    "use opt::compile() with the linear-combine / frequency passes, or "
-    "linear::optimize_selection for a bare graph-to-graph rewrite")]]
-ir::NodeP optimize(const ir::NodeP& root, const OptimizeOptions& opts = {},
-                   OptimizeStats* stats = nullptr);
 
 // Extraction over a whole subtree: the linear rep of the subtree's stream
 // function if every leaf is linear and the structure is combinable.

@@ -165,10 +165,14 @@ ir::NodeP PassManager::run(const ir::NodeP& root,
     if (pass == nullptr) {
       throw std::invalid_argument("unknown pass '" + name + "'");
     }
+    const std::size_t decided = ctx.rewrites.size();
     const auto t0 = clock::now();
     PassResult res = pass->run(g, ctx);
     const auto t1 = clock::now();
     if (res.graph == nullptr) res.graph = g;  // gate passes leave it null
+    for (std::size_t i = decided; i < ctx.rewrites.size(); ++i) {
+      if (ctx.rewrites[i].by_pass.empty()) ctx.rewrites[i].by_pass = name;
+    }
 
     obs::PassSnapshot snap;
     snap.name = name;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "analysis/analyze.h"
 #include "analysis/constprop.h"
@@ -172,13 +173,22 @@ PassResult run_linear(const NodeP& root, PassContext& ctx, bool combination,
   o.enable_frequency = frequency;
   linear::OptimizeStats stats;
   NodeP out = linear::optimize_selection(root, o, &stats);
-  ctx.rewrites.insert(ctx.rewrites.end(), stats.records.begin(),
-                      stats.records.end());
+  // Both linear passes run the whole selection, so the later one re-derives
+  // decisions the earlier one already recorded (e.g. every extract refusal);
+  // each decision is recorded once, by the pass that made it first.
+  const auto key = [](const linear::RewriteRecord& r) {
+    return r.pass + '\n' + r.site + '\n' + r.note + (r.applied ? "+" : "-");
+  };
+  std::unordered_set<std::string> recorded;
+  for (const linear::RewriteRecord& r : ctx.rewrites) recorded.insert(key(r));
+  for (linear::RewriteRecord& r : stats.records) {
+    if (recorded.insert(key(r)).second) ctx.rewrites.push_back(std::move(r));
+  }
   const bool changed =
       (combination && stats.combinations > 0) ||
       (frequency && stats.frequency_nodes > 0);
-  // optimize() clones even when it rewrites nothing; keep the input tree in
-  // that case so unchanged passes are identity on the artifact.
+  // optimize_selection() clones even when it rewrites nothing; keep the input
+  // tree in that case so unchanged passes are identity on the artifact.
   return {changed ? std::move(out) : root, changed};
 }
 
@@ -245,7 +255,7 @@ class ThreadedPrepPass final : public Pass {
   }
   PassResult run(const NodeP& root, PassContext& ctx) override {
     if (ctx.options.threads <= 1) return {root, false};
-    // The historical prepare_threaded recipe: selective fusion only when an
+    // The historical threaded-runtime recipe: selective fusion only when an
     // explicit actor budget asks for it, then fiss with a permissive share
     // gate.  The `coarsen` pass below is the batched runtime's stricter
     // successor.
@@ -312,7 +322,7 @@ class FuseSteadyPass final : public Pass {
       }
       std::string reason;
       const runtime::FusedProgramP prog =
-          runtime::build_fused(g, s.order, s.reps, plan.carry, plan.traffic,
+          runtime::build_fused(g, s.steady_runs, plan.carry, plan.traffic,
                                &reason);
       if (!prog) {
         rec.note = reason;
@@ -322,7 +332,8 @@ class FuseSteadyPass final : public Pass {
       rec.applied = true;
       rec.note = std::to_string(prog->eliminated_channels) +
                  " channel(s) lowered, " + std::to_string(prog->code.size()) +
-                 " trace instruction(s)";
+                 " trace instruction(s), " + std::to_string(prog->runs.size()) +
+                 " firing run(s)";
       ctx.rewrites.push_back(std::move(rec));
       for (const auto& [sname, count] : prog->super) {
         linear::RewriteRecord sr;

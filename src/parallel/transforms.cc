@@ -592,13 +592,4 @@ NodeP coarsen_for_threads(const NodeP& root, int threads, int max_actors) {
   return data_parallelize(g, threads, 0.25 / static_cast<double>(threads));
 }
 
-NodeP prepare_threaded(const NodeP& root, int threads, int max_actors) {
-  if (threads <= 1) return ir::clone(root);
-  NodeP g = ir::clone(root);
-  if (max_actors > 0 && ir::count_filters(g) > max_actors) {
-    g = selective_fusion(g, max_actors);
-  }
-  return data_parallelize(g, threads);
-}
-
 }  // namespace sit::parallel

@@ -11,12 +11,20 @@
 // (a program whose top-level stream consumes/produces data); fully closed
 // source-to-sink programs have neither.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "ir/graph.h"
 
 namespace sit::runtime {
+
+// `count` consecutive firings of actor `actor`: one entry of a steady-state
+// firing sequence (sched::Schedule::steady_runs).
+struct FiringRun {
+  int actor{-1};
+  std::int64_t count{0};
+};
 
 struct FlatActor {
   enum class Kind { Filter, Native, Splitter, Joiner };

@@ -48,20 +48,17 @@ struct BuildFail {
 
 class TraceBuilder {
  public:
-  TraceBuilder(const FlatGraph& g, const std::vector<int>& order,
-               const std::vector<std::int64_t>& reps,
+  TraceBuilder(const FlatGraph& g, const std::vector<FiringRun>& runs,
                const std::vector<std::int64_t>& carry,
                const std::vector<std::int64_t>& traffic,
                const FusedBuildOptions& opts)
-      : g_(g), order_(order), reps_(reps), carry_(carry), traffic_(traffic),
-        opts_(opts) {}
+      : g_(g), runs_(runs), carry_(carry), traffic_(traffic), opts_(opts) {}
 
   FusedProgramP build() {
     auto P = std::make_shared<FusedProgram>();
     prog_ = P.get();
     prog_->graph = &g_;
-    prog_->order = order_;
-    prog_->reps = reps_;
+    prog_->runs = runs_;
 
     prog_->edges.resize(g_.edges.size());
     for (std::size_t e = 0; e < g_.edges.size(); ++e) {
@@ -78,7 +75,7 @@ class TraceBuilder {
     }
 
     layout_actors();
-    for (const int actor : order_) emit_actor(actor);
+    for (const FiringRun& run : runs_) emit_run(run);
     prog_->code.push_back(FInstr{});  // Halt
 
     count_super();
@@ -140,51 +137,81 @@ class TraceBuilder {
     }
   }
 
-  void emit_actor(int actor) {
-    const auto ai = static_cast<std::size_t>(actor);
-    const FlatActor& a = g_.actors[ai];
+  // One firing run: SetActor (which also loads the first firing's register
+  // template), the actor's firing template once, and for more than one
+  // firing a FireLoop back-edge that reloads the template and re-enters it.
+  // A splitter/joiner firing that collapses to a single copy-run instead
+  // moves the whole run's items in that one instruction.
+  void emit_run(const FiringRun& run) {
+    if (run.actor < 0 ||
+        static_cast<std::size_t>(run.actor) >= g_.actors.size() ||
+        run.count < 1) {
+      fail("malformed firing run");
+    }
+    if (run.count > INT32_MAX) fail("firing-count overflow");
+    const FlatActor& a = g_.actors[static_cast<std::size_t>(run.actor)];
     FInstr set{};
     set.op = FOp::SetActor;
-    set.a = static_cast<std::uint16_t>(actor);
+    set.a = static_cast<std::uint16_t>(run.actor);
     prog_->code.push_back(set);
 
+    const std::size_t body = prog_->code.size();
     switch (a.kind) {
-      case FlatActor::Kind::Filter: {
-        std::vector<FInstr> tmpl = translate_filter(actor);
-        if (opts_.superinstructions) peephole(tmpl);
-        for (std::int64_t r = 0; r < reps_[ai]; ++r) {
-          FInstr reset{};
-          reset.op = FOp::ResetRegs;
-          reset.a = static_cast<std::uint16_t>(actor);
-          prog_->code.push_back(reset);
-          append_template(tmpl);
-        }
+      case FlatActor::Kind::Filter:
+        append_template(filter_template(run.actor));
         break;
-      }
-      case FlatActor::Kind::Native: {
-        NativeFireArgs nf;
-        nf.actor = actor;
-        nf.in_edge = a.in_edges.empty() ? -1 : a.in_edges[0];
-        nf.out_edge = a.out_edges.empty() ? -1 : a.out_edges[0];
-        nf.in_real = nf.in_edge >= 0 && !edge_internal(nf.in_edge);
-        nf.out_real = nf.out_edge >= 0 && !edge_internal(nf.out_edge);
-        nf.flops = static_cast<std::int64_t>(a.node->native.cost_flops);
-        nf.int_ops = static_cast<std::int64_t>(a.node->native.cost_ops -
-                                               a.node->native.cost_flops);
-        nf.channel = a.pop_rate() + a.push_rate();
-        if (prog_->nats.size() >= 0xFFFF) fail("args-table overflow");
-        FInstr I{};
-        I.op = FOp::NativeFire;
-        I.a = static_cast<std::uint16_t>(prog_->nats.size());
-        prog_->nats.push_back(nf);
-        for (std::int64_t r = 0; r < reps_[ai]; ++r) prog_->code.push_back(I);
+      case FlatActor::Kind::Native:
+        emit_native_firing(run.actor);
         break;
-      }
       case FlatActor::Kind::Splitter:
       case FlatActor::Kind::Joiner:
-        for (std::int64_t r = 0; r < reps_[ai]; ++r) emit_sj_firing(actor);
+        emit_sj_firing(run.actor);
+        if (prog_->code.size() == body + 1 &&
+            prog_->code.back().op == FOp::CopyRun) {
+          prog_->copies[prog_->code.back().a].n *= run.count;
+          return;
+        }
         break;
     }
+    if (run.count == 1) return;
+    FInstr loop{};
+    loop.op = FOp::FireLoop;
+    loop.a = set.a;
+    loop.jump = static_cast<std::int32_t>(body);
+    loop.edge = static_cast<std::int32_t>(run.count);
+    prog_->code.push_back(loop);
+  }
+
+  // The peepholed template of a filter, translated once per actor (a
+  // feedback loop's actors appear in several runs).
+  const std::vector<FInstr>& filter_template(int actor) {
+    auto it = templates_.find(actor);
+    if (it == templates_.end()) {
+      std::vector<FInstr> tmpl = translate_filter(actor);
+      if (opts_.superinstructions) peephole(tmpl);
+      it = templates_.emplace(actor, std::move(tmpl)).first;
+    }
+    return it->second;
+  }
+
+  void emit_native_firing(int actor) {
+    const FlatActor& a = g_.actors[static_cast<std::size_t>(actor)];
+    NativeFireArgs nf;
+    nf.actor = actor;
+    nf.in_edge = a.in_edges.empty() ? -1 : a.in_edges[0];
+    nf.out_edge = a.out_edges.empty() ? -1 : a.out_edges[0];
+    nf.in_real = nf.in_edge >= 0 && !edge_internal(nf.in_edge);
+    nf.out_real = nf.out_edge >= 0 && !edge_internal(nf.out_edge);
+    nf.flops = static_cast<std::int64_t>(a.node->native.cost_flops);
+    nf.int_ops = static_cast<std::int64_t>(a.node->native.cost_ops -
+                                           a.node->native.cost_flops);
+    nf.channel = a.pop_rate() + a.push_rate();
+    if (prog_->nats.size() >= 0xFFFF) fail("args-table overflow");
+    FInstr I{};
+    I.op = FOp::NativeFire;
+    I.a = static_cast<std::uint16_t>(prog_->nats.size());
+    prog_->nats.push_back(nf);
+    prog_->code.push_back(I);
   }
 
   [[nodiscard]] bool edge_internal(int e) const {
@@ -506,7 +533,7 @@ class TraceBuilder {
   // splitter counts 2 per item even on a dangling branch; a duplicate
   // splitter counts 1 + fan-out per firing; a joiner skips dangling inputs
   // entirely.  Runs of identical item moves become copy-run/dup-run
-  // superinstructions and merge across adjacent firings.
+  // superinstructions (emit_run scales a lone one by the run's firings).
   void emit_sj_firing(int actor) {
     const auto ai = static_cast<std::size_t>(actor);
     const FlatActor& a = g_.actors[ai];
@@ -613,18 +640,7 @@ class TraceBuilder {
     }
   }
 
-  // Append a copy-run, merging into the previous instruction when it is an
-  // identical run (adjacent firings of the same splitter/joiner port).
   void append_copy(CopyRunArgs args) {
-    if (!prog_->code.empty() && prog_->code.back().op == FOp::CopyRun) {
-      CopyRunArgs& prev = prog_->copies[prog_->code.back().a];
-      if (prev.src == args.src && prev.src_real == args.src_real &&
-          prev.dst == args.dst && prev.dst_real == args.dst_real &&
-          prev.reg == args.reg) {
-        prev.n += args.n;
-        return;
-      }
-    }
     if (prog_->copies.size() >= 0xFFFF) fail("args-table overflow");
     FInstr I{};
     I.op = FOp::CopyRun;
@@ -633,37 +649,49 @@ class TraceBuilder {
     prog_->code.push_back(I);
   }
 
+  // Instances per iteration: an instruction inside a firing loop counts once
+  // per firing.
   void count_super() {
-    for (const FInstr& I : prog_->code) {
+    const std::vector<FInstr>& code = prog_->code;
+    std::vector<std::int64_t> times(code.size(), 1);
+    for (std::size_t pc = 0; pc < code.size(); ++pc) {
+      if (code[pc].op != FOp::FireLoop) continue;
+      for (auto k = static_cast<std::size_t>(code[pc].jump); k < pc; ++k) {
+        times[k] = code[pc].edge;
+      }
+    }
+    for (std::size_t pc = 0; pc < code.size(); ++pc) {
+      const FInstr& I = code[pc];
+      const char* name = nullptr;
       switch (I.op) {
         case FOp::MacLoop:
-          ++prog_->super[prog_->macs[I.a].has_array ? "mac-loop" : "sum-loop"];
+          name = prog_->macs[I.a].has_array ? "mac-loop" : "sum-loop";
           break;
         case FOp::PopComputePush:
           switch (prog_->pcps[I.a].kind) {
-            case PcpArgs::Kind::Plain: ++prog_->super["pop-push"]; break;
-            case PcpArgs::Kind::Bin: ++prog_->super["pop-bin-push"]; break;
-            case PcpArgs::Kind::Un: ++prog_->super["pop-un-push"]; break;
+            case PcpArgs::Kind::Plain: name = "pop-push"; break;
+            case PcpArgs::Kind::Bin: name = "pop-bin-push"; break;
+            case PcpArgs::Kind::Un: name = "pop-un-push"; break;
           }
           break;
         case FOp::CopyRun:
-          ++prog_->super[prog_->copies[I.a].dst.size() > 1 ? "dup-run"
-                                                           : "copy-run"];
+          name = prog_->copies[I.a].dst.size() > 1 ? "dup-run" : "copy-run";
           break;
         default:
           break;
       }
+      if (name != nullptr) prog_->super[name] += times[pc];
     }
   }
 
   const FlatGraph& g_;
-  const std::vector<int>& order_;
-  const std::vector<std::int64_t>& reps_;
+  const std::vector<FiringRun>& runs_;
   const std::vector<std::int64_t>& carry_;
   const std::vector<std::int64_t>& traffic_;
   FusedBuildOptions opts_;
   FusedProgram* prog_{nullptr};
   std::vector<CompiledFilterP> compiled_;
+  std::map<int, std::vector<FInstr>> templates_;
 };
 
 // Tape stubs for natives at the graph boundary with no edge at all.
@@ -689,13 +717,12 @@ NullOut g_null_out;
 
 }  // namespace
 
-FusedProgramP build_fused(const FlatGraph& g, const std::vector<int>& order,
-                          const std::vector<std::int64_t>& reps,
+FusedProgramP build_fused(const FlatGraph& g, const std::vector<FiringRun>& runs,
                           const std::vector<std::int64_t>& carry,
                           const std::vector<std::int64_t>& traffic,
                           std::string* reason, const FusedBuildOptions& opts) {
   try {
-    return TraceBuilder(g, order, reps, carry, traffic, opts).build();
+    return TraceBuilder(g, runs, carry, traffic, opts).build();
   } catch (const BuildFail& f) {
     if (reason) *reason = f.reason;
     return nullptr;
@@ -863,7 +890,16 @@ void FusedExec::run(OpCounts* actor_counts) {
   const FusedActorMeta* meta = nullptr;
   std::int64_t window = 0;
   std::int64_t pops = 0;
+  std::int32_t firing = 0;  // completed firings of the current run's loop
   std::int32_t pc = 0;
+
+  // Start a firing of the current actor: its register template, exactly the
+  // per-invocation copy the VM does.
+  const auto reload = [&]() {
+    std::copy(meta->reg_init.begin(), meta->reg_init.end(),
+              regs + meta->reg_base);
+    pops = 0;
+  };
 
   const auto tally = [&](CountTag tag, const Value& r) {
     if constexpr (kCount) {
@@ -1069,15 +1105,18 @@ void FusedExec::run(OpCounts* actor_counts) {
         meta = &prog_->actors[I.a];
         window = meta->peek_window;
         if constexpr (kCount) cur = &actor_counts[I.a];
+        reload();
         ++pc;
         break;
-      case FOp::ResetRegs: {
-        const FusedActorMeta& m = prog_->actors[I.a];
-        std::copy(m.reg_init.begin(), m.reg_init.end(), regs + m.reg_base);
-        pops = 0;
-        ++pc;
+      case FOp::FireLoop:
+        if (++firing < I.edge) {
+          reload();
+          pc = I.jump;
+        } else {
+          firing = 0;
+          ++pc;
+        }
         break;
-      }
       case FOp::MacLoop: {
         const MacLoopArgs& M = prog_->macs[I.a];
         std::int64_t i = regs[M.ri].as_int();
@@ -1288,7 +1327,7 @@ const char* fop_name(FOp op) {
     case FOp::TPopN: return "t.popn";
     case FOp::TPush: return "t.push";
     case FOp::SetActor: return "setactor";
-    case FOp::ResetRegs: return "resetregs";
+    case FOp::FireLoop: return "fireloop";
     case FOp::MacLoop: return "macloop";
     case FOp::PopComputePush: return "pcp";
     case FOp::CopyRun: return "copyrun";
@@ -1303,7 +1342,8 @@ const char* fop_name(FOp op) {
 std::string FusedProgram::disassemble() const {
   std::string out;
   out += "; fused steady-state trace: " + std::to_string(code.size()) +
-         " instruction(s), " + std::to_string(num_regs) + " register(s), " +
+         " instruction(s), " + std::to_string(runs.size()) +
+         " firing run(s), " + std::to_string(num_regs) + " register(s), " +
          std::to_string(eliminated_channels) + " channel(s) lowered\n";
   for (const auto& [name, n] : super) {
     out += ";   super " + name + " x " + std::to_string(n) + "\n";
@@ -1319,8 +1359,10 @@ std::string FusedProgram::disassemble() const {
         out += " " + std::string(ir::to_string(static_cast<UnOp>(I.sub)));
         break;
       case FOp::SetActor:
-      case FOp::ResetRegs:
         out += " " + actors[I.a].name;
+        break;
+      case FOp::FireLoop:
+        out += " " + actors[I.a].name + " x" + std::to_string(I.edge);
         break;
       case FOp::MacLoop: {
         const MacLoopArgs& M = macs[I.a];
@@ -1367,7 +1409,9 @@ std::string FusedProgram::disassemble() const {
         break;
     }
     if (I.jump >= 0) out += " ->" + std::to_string(I.jump);
-    if (I.edge >= 0) out += " edge=" + std::to_string(I.edge);
+    if (I.edge >= 0 && I.op != FOp::FireLoop) {
+      out += " edge=" + std::to_string(I.edge);
+    }
     out += "\n";
   }
   return out;
@@ -1476,7 +1520,7 @@ TypedFusedExec::TypedFusedExec(
     : prog_(std::move(prog)) {
   const FusedProgram& base = *prog_->base;
   // Registers start as the tagged engine's do: Value() == int 0 in both
-  // planes.  Every actor's ResetRegs re-templates its slice before any read.
+  // planes.  Every run's SetActor re-templates its slice before any read.
   dregs_.assign(base.num_regs, 0.0);
   iregs_.assign(base.num_regs, 0);
   scalar_vals_.resize(base.scalar_names.size());
@@ -1656,7 +1700,20 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
   const FusedActorMeta* meta = nullptr;
   std::int64_t window = 0;
   std::int64_t pops = 0;
+  std::int32_t firing = 0;  // completed firings of the current run's loop
   std::int32_t pc = 0;
+
+  // Start a firing of the current actor: re-template both plane slices
+  // (typed_lower split reg_init across them; the off-plane cells are zero,
+  // which no read can observe).
+  const double* const dinit = prog_->code.dreg_init.data();
+  const std::int64_t* const iinit = prog_->code.ireg_init.data();
+  const auto reload = [&]() {
+    const std::size_t nr = meta->reg_init.size();
+    std::copy_n(dinit + meta->reg_base, nr, dr + meta->reg_base);
+    std::copy_n(iinit + meta->reg_base, nr, ir_ + meta->reg_base);
+    pops = 0;
+  };
 
   // ByResult was resolved at lowering, so every tally is a single add.
   const auto tally = [&](CountTag tag) {
@@ -1892,21 +1949,18 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
         meta = &base.actors[I.a];
         window = meta->peek_window;
         if constexpr (kCount) cur = &actor_counts[I.a];
+        reload();
         ++pc;
         break;
-      case FOp::ResetRegs: {
-        const FusedActorMeta& m = base.actors[I.a];
-        // Re-template both plane slices (typed_lower split m.reg_init across
-        // them; the off-plane cells are zero, which no read can observe).
-        const std::size_t nr = m.reg_init.size();
-        std::copy_n(prog_->code.dreg_init.data() + m.reg_base, nr,
-                    dr + m.reg_base);
-        std::copy_n(prog_->code.ireg_init.data() + m.reg_base, nr,
-                    ir_ + m.reg_base);
-        pops = 0;
-        ++pc;
+      case FOp::FireLoop:
+        if (++firing < I.edge) {
+          reload();
+          pc = I.jump;
+        } else {
+          firing = 0;
+          ++pc;
+        }
         break;
-      }
       case FOp::MacLoop: {
         const MacLoopArgs& M = base.macs[I.a];
         std::int64_t i = ir_[M.ri];

@@ -3,24 +3,30 @@
 //
 // The per-actor VM (vm.h) still pays, on every steady-state iteration, one
 // work-function dispatch per firing and a ring-buffer round trip per item.
-// This engine removes both: build_fused() inlines every actor's compiled
-// work template, repeated its full repetition count, into ONE flat bytecode
-// trace in single-appearance schedule order, and lowers every fully-internal
-// channel to a flat array ("trace buffer") indexed by cursors whose motion
-// is statically known.  Ring channels survive only at the program boundary
-// (external input/output edges), where the feeder/drainer needs them.
+// This engine removes both: build_fused() compiles the schedule's
+// steady-state firing sequence -- runs of consecutive firings of one actor
+// (sched::Schedule::steady_runs) -- into ONE flat bytecode trace, and lowers
+// every fully-internal channel to a flat array ("trace buffer") indexed by
+// cursors whose motion is statically known.  Ring channels survive only at
+// the program boundary (external input/output edges), where the
+// feeder/drainer needs them.
 //
-// Layout of one iteration's trace, per actor in schedule order:
+// Layout of one iteration's trace, per firing run (actor a, n firings):
 //
-//   SetActor a            switch OpCounts attribution + peek window
-//   reps[a] x {
-//     ResetRegs a         reload the actor's register template (exactly the
-//                         per-invocation copy the VM does)
-//     <work template>     the filter's compiled bytecode, registers rebased
+//   SetActor a            switch OpCounts attribution + peek window, and
+//                         load the actor's register template for the first
+//                         firing (exactly the per-invocation copy the VM does)
+//   <work template>       the filter's compiled bytecode, registers rebased
 //                         into one flat register file, Peek/Pop/Push lowered
 //                         to TPeek/TPop/TPush (trace buffer) or RPeek/RPop/
 //                         RPush (boundary ring)
-//   }
+//   FireLoop a, n         (n > 1 only) reload the template and jump back to
+//                         the template for the next firing, n times in all
+//
+// So the trace holds each template once per run: its length is set by the
+// number of runs (one per actor on a single-appearance schedule), not by the
+// repetition counts.  The back-edge doubles as the per-firing register
+// reset, so a firing dispatches its template plus that one instruction.
 //
 // Splitters/joiners are synthesized as explicit pop/push templates and
 // native filters as NativeFire calls through tape adapters, so any graph the
@@ -39,6 +45,11 @@
 //   pop-un-push    push(<op>(pop()))                 (rectifiers)
 //   copy-run       n x { pop(src); push(dst) }       (round-robin routing)
 //   dup-run        n x { pop(src); push(all dsts) }  (duplicate splitters)
+//
+// A splitter/joiner run whose firing collapses to one copy-run/dup-run stays
+// one instruction moving the whole run's items, with no firing loop.
+// Superinstruction counts (FusedProgram::super) are per iteration: an
+// instance inside a firing loop counts once per firing.
 //
 // Bit-equality contract: for any admissible program, running the trace
 // produces outputs, per-actor FilterState, per-actor OpCounts, and per-edge
@@ -81,8 +92,11 @@ enum class FOp : std::uint8_t {
   // Lowered channel ops: the edge is a flat trace buffer (`edge` field).
   TPeek, TPop, TPopN, TPush,
   // Firing structure.
-  SetActor,    // a = actor id: OpCounts attribution + peek window
-  ResetRegs,   // a = actor id: reload the actor's register template
+  SetActor,  // a = actor id: OpCounts attribution + peek window, and load
+             // the actor's register template
+  FireLoop,  // a = actor id, jump = first template instruction, edge =
+             // firings in the run: reload the template and jump back until
+             // the run's last firing, then fall through
   // Superinstructions (`a` indexes the matching args table).
   MacLoop,         // mac-loop / sum-loop
   PopComputePush,  // pop-push / pop-bin-push / pop-un-push
@@ -162,8 +176,7 @@ struct FusedEdgeMeta {
 
 struct FusedProgram {
   const FlatGraph* graph{nullptr};  // non-owning; must outlive the program
-  std::vector<int> order;           // single-appearance firing order
-  std::vector<std::int64_t> reps;
+  std::vector<FiringRun> runs;      // the steady-state firing sequence
   std::vector<FInstr> code;
   std::vector<MacLoopArgs> macs;
   std::vector<PcpArgs> pcps;
@@ -196,13 +209,12 @@ struct FusedBuildOptions {
   bool superinstructions{true};  // peephole selection (off: plain flat trace)
 };
 
-// Build the fused trace for one steady-state iteration.  `order`/`reps` are
-// the single-appearance schedule; `carry`/`traffic` are the per-edge sizing
-// from analysis::fuse_plan (carry < 0 marks a boundary edge).  Returns
-// nullptr with `reason` filled when some construct cannot be traced (the
-// caller falls back to the per-actor VM).
-FusedProgramP build_fused(const FlatGraph& g, const std::vector<int>& order,
-                          const std::vector<std::int64_t>& reps,
+// Build the fused trace for one steady-state iteration.  `runs` is the
+// steady-state firing sequence (sched::Schedule::steady_runs); `carry`/
+// `traffic` are the per-edge sizing from analysis::fuse_plan (carry < 0
+// marks a boundary edge).  Returns nullptr with `reason` filled when some
+// construct cannot be traced (the caller falls back to the per-actor VM).
+FusedProgramP build_fused(const FlatGraph& g, const std::vector<FiringRun>& runs,
                           const std::vector<std::int64_t>& carry,
                           const std::vector<std::int64_t>& traffic,
                           std::string* reason = nullptr,

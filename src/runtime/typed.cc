@@ -83,7 +83,17 @@ struct Flow {
   }
 };
 
-// Mutate `s` from the IN state of `I` to its OUT state.
+// A fused firing starts on the actor's register template (SetActor, and the
+// FireLoop back-edge).
+void load_template(const Flow& F, std::uint16_t actor, TagVec& s) {
+  const FusedActorMeta& m = F.in->fused->actors[actor];
+  for (std::size_t k = 0; k < m.reg_init.size(); ++k) {
+    s[m.reg_base + k] = value_tag(m.reg_init[k]);
+  }
+}
+
+// Mutate `s` from the IN state of `I` to its OUT state.  (FireLoop's two
+// edges leave different states; run_flow handles it.)
 void transfer(Flow& F, const FInstr& I, TagVec& s) {
   switch (I.op) {
     case FOp::Move:
@@ -117,13 +127,9 @@ void transfer(Flow& F, const FInstr& I, TagVec& s) {
     case FOp::TPop:
       s[I.dst] = Tag::Double;
       break;
-    case FOp::ResetRegs: {
-      const FusedActorMeta& m = F.in->fused->actors[I.a];
-      for (std::size_t k = 0; k < m.reg_init.size(); ++k) {
-        s[m.reg_base + k] = value_tag(m.reg_init[k]);
-      }
+    case FOp::SetActor:
+      load_template(F, I.a, s);
       break;
-    }
     case FOp::MacLoop: {
       const MacLoopArgs& M = F.in->fused->macs[I.a];
       // Zero-trip leaves acc/slot untouched, so their OUT tag is the join.
@@ -148,8 +154,8 @@ void transfer(Flow& F, const FInstr& I, TagVec& s) {
       break;
     }
     default:
-      // RPopN/TPopN/RPush/TPush, jumps, CheckStep, Tally, SetActor,
-      // NativeFire, Halt: no register writes.
+      // RPopN/TPopN/RPush/TPush, jumps, CheckStep, Tally, NativeFire, Halt:
+      // no register writes.
       break;
   }
 }
@@ -214,6 +220,14 @@ bool run_flow(Flow& F) {
     queued[static_cast<std::size_t>(pc)] = 0;
     const FInstr& I = (*F.code)[static_cast<std::size_t>(pc)];
     TagVec s = F.states[static_cast<std::size_t>(pc)];
+    if (I.op == FOp::FireLoop) {
+      // The run's last firing falls through with its registers as they are;
+      // every other one re-enters the template on a fresh register template.
+      join_into(pc + 1, s);
+      load_template(F, I.a, s);
+      join_into(I.jump, s);
+      continue;
+    }
     transfer(F, I, s);
     int succ[2];
     const int ns = successors(I, pc, succ);
@@ -255,6 +269,15 @@ struct Lower {
       out->reg_tag[r] = t;
     } else {
       out->reg_tag[r] = join_tag(out->reg_tag[r], t);
+    }
+  }
+
+  // A register-template load (SetActor, FireLoop) writes the actor's slice.
+  void note_template(std::uint16_t actor) {
+    const FusedActorMeta& m = F->in->fused->actors[actor];
+    for (std::size_t k = 0; k < m.reg_init.size(); ++k) {
+      note_write(static_cast<std::uint16_t>(m.reg_base + k),
+                 value_tag(m.reg_init[k]));
     }
   }
 };
@@ -374,18 +397,13 @@ bool lower_one(Lower& L, const FInstr& I, const TagVec& s, TyInstr* T) {
       if (dd) T->mode = kModeDD;
       break;
     }
-    case FOp::SetActor: {
-      if (F.in->fused) L.actor = F.in->fused->actors[I.a].name;
+    case FOp::SetActor:
+      L.actor = F.in->fused->actors[I.a].name;
+      L.note_template(I.a);
       break;
-    }
-    case FOp::ResetRegs: {
-      const FusedActorMeta& m = F.in->fused->actors[I.a];
-      for (std::size_t k = 0; k < m.reg_init.size(); ++k) {
-        L.note_write(static_cast<std::uint16_t>(m.reg_base + k),
-                     value_tag(m.reg_init[k]));
-      }
+    case FOp::FireLoop:
+      L.note_template(I.a);
       break;
-    }
     case FOp::MacLoop: {
       const MacLoopArgs& M = F.in->fused->macs[I.a];
       if (s[M.ri] == Tag::Mixed || s[M.rhi] == Tag::Mixed ||

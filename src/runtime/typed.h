@@ -103,9 +103,10 @@ struct TypedCode {
 // Lowering input.  For a VM work program, `code` is the VmInstr stream
 // re-expressed as FInstr (Peek -> RPeek with edge -1, etc.) and `fused` is
 // null.  For a fused trace, `fused` supplies the superinstruction argument
-// tables and per-actor register templates, and `loop` makes the analysis
-// join the Halt-exit state back into the entry state (fused registers
-// persist across iterations; VM registers are re-templated every firing).
+// tables and per-actor register templates (loaded by SetActor and on each
+// FireLoop back-edge), and `loop` makes the analysis join the Halt-exit
+// state back into the entry state (fused registers persist across
+// iterations; VM registers are re-templated every firing).
 struct TypedLowerInput {
   const std::vector<FInstr>* code{nullptr};
   std::size_t num_regs{0};

@@ -172,7 +172,7 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
       if (!plan.admissible) {
         fused_refusal_ = plan.refusal;
       } else {
-        fprog_ = runtime::build_fused(g_, sched_.order, sched_.reps, plan.carry,
+        fprog_ = runtime::build_fused(g_, sched_.steady_runs, plan.carry,
                                       plan.traffic, &fused_refusal_);
         if (fprog_) {
           fexec_ = std::make_unique<runtime::FusedExec>(fprog_, fstate_, chans_,

@@ -176,9 +176,11 @@ Schedule make_schedule(const FlatGraph& g) {
     level[i] = static_cast<std::int64_t>(g.edges[i].initial_items.size());
     high[i] = level[i];
   }
-  // External input is modeled as always available.
+  // External input is modeled as always available.  `runs`, when given,
+  // records the firing sequence.
   auto run_epoch = [&](const std::vector<std::int64_t>& quota_in,
-                       const char* epoch) {
+                       const char* epoch,
+                       std::vector<runtime::FiringRun>* runs) {
     std::vector<std::int64_t> quota = quota_in;
     bool progress = true;
     while (progress) {
@@ -218,6 +220,13 @@ Schedule make_schedule(const FlatGraph& g) {
           }
           --quota[ai];
           progress = true;
+          if (runs != nullptr) {
+            if (!runs->empty() && runs->back().actor == a) {
+              ++runs->back().count;
+            } else {
+              runs->push_back({a, 1});
+            }
+          }
         }
       }
     }
@@ -228,9 +237,9 @@ Schedule make_schedule(const FlatGraph& g) {
       }
     }
   };
-  run_epoch(s.init_fires, "init");
-  run_epoch(s.reps, "steady-1");
-  run_epoch(s.reps, "steady-2");
+  run_epoch(s.init_fires, "init", nullptr);
+  run_epoch(s.reps, "steady-1", &s.steady_runs);
+  run_epoch(s.reps, "steady-2", nullptr);
   s.buffer_bound = high;
 
   return s;

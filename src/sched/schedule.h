@@ -8,7 +8,8 @@
 //     filter's input with its extra peek window buffered, so that thereafter
 //     every steady state can execute with each actor firing exactly its
 //     repetition count;
-//   * per-edge steady-state traffic and buffer bounds.
+//   * per-edge steady-state traffic and buffer bounds;
+//   * the steady-state firing sequence, as runs of consecutive firings.
 
 #include <cstdint>
 #include <string>
@@ -30,6 +31,13 @@ struct Schedule {
   // Upper bound on live items per edge when executing in `order`
   // (init epoch + one steady state), from static simulation of counts.
   std::vector<std::int64_t> buffer_bound;
+  // The firings of one steady state in the order the data-driven sweep
+  // (Executor::run_epoch) performs them, merged into runs of consecutive
+  // firings of one actor.  Every steady state starts from the same post-init
+  // channel levels, so every one repeats this sequence.  A single-appearance
+  // graph yields one run per actor (order x reps); a tight feedback loop
+  // interleaves shorter runs.
+  std::vector<runtime::FiringRun> steady_runs;
 
   // Items consumed from the external input / pushed to the external output
   // per steady state (0 if the graph is closed).

@@ -1,12 +1,13 @@
 // Fused-engine tests: superinstruction selection pins, every refusal
-// reason, and fallback equivalence.
+// reason, fallback equivalence, feedback loops that fuse as interleaved
+// firing runs, and trace-size bounds.
 //
 // The bit-equality contract itself (outputs / OpCounts / channel counters /
 // filter state across all apps x all optimization levels) lives in
 // test_pipeline_diff.cc; this file pins the *static* artifacts -- which
 // superinstructions the peephole selects on the flagship apps, how many
-// channels are lowered -- and exercises each path that must refuse fusion
-// and degrade to the per-actor VM.
+// channels are lowered, how long the traces are -- and exercises each path
+// that must refuse fusion and degrade to the per-actor VM.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/bounds_chan.h"
 #include "analysis/fuse.h"
 #include "apps/apps.h"
 #include "ir/dsl.h"
+#include "opt/compile.h"
 #include "runtime/fused.h"
 #include "sched/exec.h"
 #include "sched/schedule.h"
@@ -124,7 +127,7 @@ TEST(FusedSuper, SelectionCanBeDisabled) {
   runtime::FusedBuildOptions off;
   off.superinstructions = false;
   std::string reason;
-  const auto fp = runtime::build_fused(g, s.order, s.reps, plan.carry,
+  const auto fp = runtime::build_fused(g, s.steady_runs, plan.carry,
                                        plan.traffic, &reason, off);
   ASSERT_NE(fp, nullptr) << reason;
   EXPECT_TRUE(fp->super.empty());
@@ -152,18 +155,21 @@ NodeP tiny_snk(const std::string& name) {
   return filter(name).rates(1, 1, 0).work(seq({discard(1)})).node();
 }
 
+// The for variable shadows a state scalar, which compile_filter refuses;
+// there is no bytecode template to inline, so fusion refuses too (and the
+// actor runs on the tree interpreter as usual).
+NodeP vm_fallback_filter() {
+  return filter("bad")
+      .rates(1, 1, 1)
+      .scalar("i", ir::Value(0.0))
+      .work(seq({let("x", pop_()), for_("i", 0, 1, let("y", v("x"))),
+                 push_(v("x"))}))
+      .node();
+}
+
 TEST(FusedRefusal, WorkOutsideBytecodeSubsetIsVmFallback) {
-  // The for variable shadows a state scalar, which compile_filter refuses;
-  // there is no bytecode template to inline, so fusion refuses too (and the
-  // actor runs on the tree interpreter as usual).
-  auto bad = filter("bad")
-                 .rates(1, 1, 1)
-                 .scalar("i", ir::Value(0.0))
-                 .work(seq({let("x", pop_()),
-                            for_("i", 0, 1, let("y", v("x"))),
-                            push_(v("x"))}))
-                 .node();
-  auto ex = make_fused(make_pipeline("p", {tiny_src("s"), bad, tiny_snk("k")}));
+  auto ex = make_fused(
+      make_pipeline("p", {tiny_src("s"), vm_fallback_filter(), tiny_snk("k")}));
   EXPECT_EQ(ex.fused_program(), nullptr);
   EXPECT_EQ(ex.fused_refusal().rfind("vm-fallback:bad (", 0), 0u)
       << ex.fused_refusal();
@@ -210,27 +216,19 @@ TEST(FusedRefusal, TracingEnabledRefuses) {
   EXPECT_EQ(ex.fused_refusal(), "tracing-enabled");
 }
 
-TEST(FusedRefusal, FeedbackLoopIsNotSingleAppearance) {
-  // DtoA's noise shaper is a tight feedback loop: the schedule is valid but
-  // not single-appearance, so the flat trace's firing order would deadlock.
-  auto ex = make_fused(apps::make_app("DtoA"));
-  EXPECT_EQ(ex.fused_program(), nullptr);
-  EXPECT_EQ(ex.fused_refusal().rfind("not-single-appearance:", 0), 0u)
-      << ex.fused_refusal();
-  EXPECT_NE(ex.fused_refusal().find("fbjoin"), std::string::npos)
-      << ex.fused_refusal();
-}
-
 TEST(FusedRefusal, RefusedProgramStillMatchesVmBitExactly) {
-  auto fused = make_fused(observable(apps::make_app("DtoA")));
+  auto fused =
+      make_fused(make_pipeline("p", {tiny_src("s"), vm_fallback_filter()}));
   ASSERT_EQ(fused.fused_program(), nullptr);  // per-actor fallback
 
   sched::ExecOptions vopt;
   vopt.engine = sched::Engine::Vm;
-  sched::Executor vm(observable(apps::make_app("DtoA")), vopt);
+  sched::Executor vm(make_pipeline("p", {tiny_src("s"), vm_fallback_filter()}),
+                     vopt);
 
   const auto fout = fused.run_steady(4);
   const auto vout = vm.run_steady(4);
+  ASSERT_FALSE(vout.empty());
   ASSERT_EQ(fout.size(), vout.size());
   for (std::size_t i = 0; i < fout.size(); ++i) {
     EXPECT_EQ(fout[i], vout[i]) << "item " << i;
@@ -241,12 +239,197 @@ TEST(FusedRefusal, RefusedProgramStillMatchesVmBitExactly) {
 }
 
 TEST(FusedRefusal, MetricsCarryRefusalDetail) {
-  auto ex = make_fused(apps::make_app("DtoA"));
+  auto ex = make_fused(
+      make_pipeline("p", {tiny_src("s"), vm_fallback_filter(), tiny_snk("k")}));
   const obs::MetricsSnapshot m = ex.metrics_snapshot();
   EXPECT_EQ(m.engine, "fused");
   EXPECT_EQ(m.fallback, "fused-refused");
-  EXPECT_EQ(m.fallback_detail.rfind("not-single-appearance:", 0), 0u);
+  EXPECT_EQ(m.fallback_detail.rfind("vm-fallback:bad (", 0), 0u)
+      << m.fallback_detail;
   EXPECT_EQ(m.fused_channels, -1);  // no active trace to report statics for
+}
+
+// ---- feedback loops: interleaved firing runs --------------------------------
+
+// Run one compiled program on the per-actor VM and on the fused trace, tagged
+// and typed, and require bit-equal outputs, firings, per-actor OpCounts,
+// FilterState, and channel counters.
+void expect_fused_matches_vm(const sched::CompiledProgram& prog, int iters) {
+  sched::ExecOptions vopt;
+  vopt.engine = sched::Engine::Vm;
+  sched::Executor vm(prog, vopt);
+  const auto vout = vm.run_steady(iters);
+  ASSERT_FALSE(vout.empty());
+  for (const sched::TypedMode typed :
+       {sched::TypedMode::Off, sched::TypedMode::On}) {
+    const std::string what =
+        typed == sched::TypedMode::On ? "typed fused" : "tagged fused";
+    sched::ExecOptions fopt;
+    fopt.engine = sched::Engine::Fused;
+    fopt.typed = typed;
+    sched::Executor fused(prog, fopt);
+    ASSERT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
+    if (typed == sched::TypedMode::On) {
+      ASSERT_NE(fused.typed_fused_program(), nullptr)
+          << fused.typed_fused_refusal();
+    }
+    const auto fout = fused.run_steady(iters);
+    ASSERT_EQ(fout.size(), vout.size()) << what;
+    for (std::size_t i = 0; i < fout.size(); ++i) {
+      EXPECT_EQ(fout[i], vout[i]) << what << " item " << i;
+    }
+    EXPECT_EQ(fused.firings(), vm.firings()) << what;
+    for (std::size_t a = 0; a < vm.actor_ops().size(); ++a) {
+      const runtime::OpCounts& vo = vm.actor_ops()[a];
+      const runtime::OpCounts& fo = fused.actor_ops()[a];
+      EXPECT_EQ(vo.int_ops, fo.int_ops) << what << " actor " << a;
+      EXPECT_EQ(vo.flops, fo.flops) << what << " actor " << a;
+      EXPECT_EQ(vo.divs, fo.divs) << what << " actor " << a;
+      EXPECT_EQ(vo.trans, fo.trans) << what << " actor " << a;
+      EXPECT_EQ(vo.mem, fo.mem) << what << " actor " << a;
+      EXPECT_EQ(vo.channel, fo.channel) << what << " actor " << a;
+      const auto& vs = vm.filter_state(static_cast<int>(a));
+      const auto& fs = fused.filter_state(static_cast<int>(a));
+      for (const auto& [name, val] : vs.scalars) {
+        const auto it = fs.scalars.find(name);
+        ASSERT_NE(it, fs.scalars.end()) << what << " " << name;
+        EXPECT_EQ(val.is_int(), it->second.is_int()) << what << " " << name;
+        EXPECT_EQ(val.as_double(), it->second.as_double())
+            << what << " " << name;
+      }
+      for (const auto& [name, arr] : vs.arrays) {
+        const auto it = fs.arrays.find(name);
+        ASSERT_NE(it, fs.arrays.end()) << what << " " << name;
+        ASSERT_EQ(arr.size(), it->second.size()) << what << " " << name;
+        for (std::size_t i = 0; i < arr.size(); ++i) {
+          EXPECT_EQ(arr[i].as_double(), it->second[i].as_double())
+              << what << " " << name << "[" << i << "]";
+        }
+      }
+    }
+    for (std::size_t e = 0; e < prog.flat.edges.size(); ++e) {
+      const int ei = static_cast<int>(e);
+      EXPECT_EQ(vm.channel(ei).total_pushed(), fused.channel(ei).total_pushed())
+          << what << " edge " << e;
+      EXPECT_EQ(vm.channel(ei).total_popped(), fused.channel(ei).total_popped())
+          << what << " edge " << e;
+    }
+  }
+}
+
+TEST(FusedFeedback, DtoaFusesAsInterleavedRuns) {
+  // DtoA's noise shaper is a tight feedback loop (delay 1): no
+  // single-appearance schedule exists, so the steady state is a sequence of
+  // short runs in which the loop's joiner fires once per run, 16 times.
+  auto ex = make_fused(apps::make_app("DtoA"));
+  const runtime::FusedProgram* fp = ex.fused_program();
+  ASSERT_NE(fp, nullptr) << ex.fused_refusal();
+  const sched::Schedule& s = ex.schedule();
+  const int join = actor_id(ex.graph(), "noiseshaper.fbjoin");
+  ASSERT_GE(join, 0);
+  EXPECT_EQ(s.reps[static_cast<std::size_t>(join)], 16);
+  std::vector<std::int64_t> fired(s.reps.size(), 0);
+  int join_runs = 0;
+  for (const runtime::FiringRun& r : s.steady_runs) {
+    fired[static_cast<std::size_t>(r.actor)] += r.count;
+    if (r.actor == join) {
+      ++join_runs;
+      EXPECT_EQ(r.count, 1);
+    }
+  }
+  EXPECT_EQ(fired, s.reps);
+  EXPECT_EQ(join_runs, 16);
+  EXPECT_EQ(fp->runs.size(), s.steady_runs.size());
+}
+
+TEST(FusedFeedback, DtoaFusedMatchesVmAtO0AndO2) {
+  for (const opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O2}) {
+    opt::CompileOptions copts;
+    copts.level = level;
+    SCOPED_TRACE(level == opt::OptLevel::O0 ? "-O0" : "-O2");
+    expect_fused_matches_vm(
+        opt::compile(observable(apps::make_app("DtoA")), copts), 5);
+  }
+}
+
+TEST(FusedFeedback, LoopWithDelayBelowRepetitionsMatchesVm) {
+  // The loop fires 3 times per steady state but holds only 2 delay items,
+  // and its body peeks one item past what it pops.
+  auto up = filter("up")
+                .rates(1, 1, 3)
+                .work(seq({let("x", pop_()), push_(v("x")),
+                           push_(v("x") * c(0.5)), push_(v("x") * c(-0.25))}))
+                .node();
+  auto body = filter("mix")
+                  .rates(3, 2, 2)
+                  .work(seq({let("x", pop_()), let("e", pop_()),
+                             let("y", v("x") + v("e") * c(0.75) +
+                                          peek_(0) * c(0.125)),
+                             push_(v("y")), push_(v("y") - c(1.0))}))
+                  .node();
+  auto back = filter("back")
+                  .rates(1, 1, 1)
+                  .work(seq({push_(pop_() * c(0.5) - c(0.125))}))
+                  .node();
+  auto loop = make_feedback("fb", roundrobin_join({1, 1}), body,
+                            roundrobin_split({1, 1}), back, /*delay=*/2,
+                            {0.25, -0.5});
+  const sched::CompiledProgram prog =
+      sched::lower(make_pipeline("p", {tiny_src("s"), up, loop}));
+  ASSERT_FALSE(analysis::channel_bounds(prog.flat, prog.schedule)
+                   .single_appearance);
+  EXPECT_GT(prog.schedule.steady_runs.size(), prog.flat.actors.size());
+  expect_fused_matches_vm(prog, 7);
+}
+
+// ---- trace size ---------------------------------------------------------------
+//
+// The trace holds each firing template once per run, so its length no longer
+// grows with the repetition counts.  Lengths measured before firing runs (one
+// inlined copy per firing), per app at -O0 / -O2; DtoA did not fuse then.
+
+struct TraceLen {
+  const char* app;
+  std::size_t o0, o2;
+};
+
+constexpr TraceLen kInlinedTraceLen[] = {
+    {"BitonicSort", 539, 539},    {"ChannelVocoder", 427, 432012},
+    {"DCT", 5257, 27943},         {"DES", 388, 388},
+    {"FFT", 3578, 2770},          {"FilterBank", 1535, 2222},
+    {"FMRadio", 187, 8988},       {"Serpent", 1153, 1153},
+    {"TDE", 2738, 1958},          {"MPEG2Decoder", 1819, 4201},
+    {"Vocoder", 152, 239},        {"Radar", 1354, 1354},
+    {"FIR", 26, 11666},           {"RateConvert", 119, 235},
+    {"TargetDetect", 99, 443},    {"Oversampler", 339, 1417},
+};
+
+std::size_t fused_trace_len(const std::string& app, opt::OptLevel level) {
+  opt::CompileOptions copts;
+  copts.level = level;
+  sched::ExecOptions opts;
+  opts.engine = sched::Engine::Fused;
+  sched::Executor ex(opt::compile(apps::make_app(app), copts), opts);
+  const runtime::FusedProgram* fp = ex.fused_program();
+  return fp == nullptr ? 0 : fp->code.size();
+}
+
+TEST(FusedTraceSize, NoAppTraceGrewOverInlinedFirings) {
+  for (const TraceLen& t : kInlinedTraceLen) {
+    for (const opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O2}) {
+      const std::size_t was = level == opt::OptLevel::O0 ? t.o0 : t.o2;
+      const std::size_t now = fused_trace_len(t.app, level);
+      EXPECT_GT(now, 0u) << t.app;
+      EXPECT_LE(now, was) << t.app
+                          << (level == opt::OptLevel::O0 ? " -O0" : " -O2");
+    }
+  }
+}
+
+TEST(FusedTraceSize, ChannelVocoderAtO2StaysSmall) {
+  // Frequency translation raises ChannelVocoder's repetition counts to the
+  // thousands; inlined firings made a 432,012-instruction trace.
+  EXPECT_LT(fused_trace_len("ChannelVocoder", opt::OptLevel::O2), 10000u);
 }
 
 TEST(FusedMetrics, ActiveTraceReportsChannelAndSuperStatics) {

@@ -10,6 +10,7 @@
 
 #include "ir/dsl.h"
 #include "linear/combine.h"
+#include "linear/cost.h"
 #include "linear/extract.h"
 #include "linear/frequency.h"
 #include "linear/linear_rep.h"
@@ -519,6 +520,24 @@ TEST(Optimize, MixedPipelineCollapsesOnlyLinearRun) {
   // f1+f2 collapse, sq survives, f3+f4 collapse -> 3 filters.
   EXPECT_EQ(count_filters(q), 3);
   expect_same_stream(p, q, 40);
+}
+
+TEST(Cost, EstimateWorkDoesNotPinTransientAsts) {
+  // The estimate is memoized per work AST, but the memo must not keep an AST
+  // alive: selection builds and drops thousands of candidate filters per
+  // compile.
+  std::weak_ptr<const Stmt> probe;
+  {
+    const FilterSpec f = filter("tmp")
+                             .rates(1, 1, 1)
+                             .work(seq({push_(pop_() * c(3.0))}))
+                             .build();
+    const runtime::OpCounts first = estimate_work(f);
+    EXPECT_GT(first.flops, 0);
+    EXPECT_EQ(estimate_work(f).flops, first.flops);  // memo hit, same answer
+    probe = f.work;
+  }
+  EXPECT_TRUE(probe.expired());
 }
 
 TEST(Optimize, ExtractTreeOnSplitJoin) {

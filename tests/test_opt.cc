@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -283,6 +284,42 @@ TEST(Compile, RewriteRecordsAreStructured) {
   }
   EXPECT_TRUE(saw_selected);
   EXPECT_TRUE(saw_refusal);  // the stateful source refuses extraction
+}
+
+TEST(Compile, EachDecisionIsRecordedOnceByThePassThatMadeIt) {
+  // linear-combine and frequency both run the whole selection over DES,
+  // whose Feistel rounds refuse extraction; each refusal must still appear
+  // once, attributed to linear-combine, the pass that made it first.
+  CompileOptions copts;
+  copts.level = OptLevel::O2;
+  PassContext ctx;
+  const sched::CompiledProgram prog =
+      compile(apps::make_app("DES"), copts, &ctx);
+  int extract_refusals = 0;
+  std::vector<std::string> lines;
+  for (const auto& r : ctx.rewrites) {
+    EXPECT_FALSE(r.by_pass.empty()) << r.to_string();
+    if (r.pass == "extract" && !r.applied) {
+      ++extract_refusals;
+      EXPECT_EQ(r.by_pass, "linear-combine") << r.to_string();
+      EXPECT_EQ(r.to_string().rfind("linear-combine: extract [", 0), 0u)
+          << r.to_string();
+    }
+    lines.push_back(r.to_string());
+  }
+  EXPECT_GT(extract_refusals, 0);
+  std::sort(lines.begin(), lines.end());
+  EXPECT_EQ(std::adjacent_find(lines.begin(), lines.end()), lines.end())
+      << "duplicate decision line";
+
+  // The rendered report carries each decision line once as well.
+  const std::string report = pass_report(prog, &ctx.rewrites);
+  for (const std::string& line : lines) {
+    const std::string needle = "  " + line + "\n";
+    const auto first = report.find(needle);
+    ASSERT_NE(first, std::string::npos) << line;
+    EXPECT_EQ(report.find(needle, first + 1), std::string::npos) << line;
+  }
 }
 
 // ---- artifact consumption ---------------------------------------------------

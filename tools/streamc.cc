@@ -50,7 +50,7 @@ std::string fused_trace_dump(const sit::ir::NodeP& g) {
     if (!plan.admissible) return "refused: " + plan.refusal + "\n";
     std::string reason;
     const sit::runtime::FusedProgramP prog = sit::runtime::build_fused(
-        flat, s.order, s.reps, plan.carry, plan.traffic, &reason);
+        flat, s.steady_runs, plan.carry, plan.traffic, &reason);
     if (!prog) return "refused: " + reason + "\n";
     return prog->disassemble();
   } catch (const std::exception& e) {
@@ -69,13 +69,13 @@ std::string fused_report(const sit::sched::CompiledProgram& prog) {
   }
   std::string reason;
   const sit::runtime::FusedProgramP fp =
-      sit::runtime::build_fused(prog.flat, prog.schedule.order,
-                                prog.schedule.reps, plan.carry, plan.traffic,
-                                &reason);
+      sit::runtime::build_fused(prog.flat, prog.schedule.steady_runs,
+                                plan.carry, plan.traffic, &reason);
   if (!fp) return out + "  refused: " + reason + "\n";
   out += "  admissible: " + std::to_string(fp->eliminated_channels) +
          " channel(s) lowered to trace buffers, " +
-         std::to_string(fp->code.size()) + " trace instruction(s)\n";
+         std::to_string(fp->code.size()) + " trace instruction(s), " +
+         std::to_string(fp->runs.size()) + " firing run(s)\n";
   if (fp->super.empty()) {
     out += "  superinstructions: none selected\n";
   } else {

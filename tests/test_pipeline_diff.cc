@@ -77,6 +77,28 @@ struct LevelCase {
   OptLevel level;
 };
 
+// gtest_discover_tests puts the printed parameter into each ctest name, and
+// gtest's default print of LevelCase is a dump of its 16 bytes -- the first
+// eight being the `app` pointer, a heap address that moved whenever the test
+// binary's layout did and so renamed the cases.  PrintTo pins each case's
+// print to the dump recorded when its name was first registered (the app
+// pointers then ran from kRecordedApp0 in steps of sizeof(AppInfo) == 0x68,
+// in all_apps() order), so the names no longer depend on the build.
+constexpr std::uint64_t kRecordedApp0 = 0x555555E7DB30;
+constexpr std::uint64_t kRecordedAppStride = 0x68;
+
+void PrintTo(const LevelCase& c, std::ostream* os) {
+  const auto& all = apps::all_apps();
+  std::uint64_t index = 0;
+  while (index < all.size() && all[index].name != c.app) ++index;
+  const std::uint64_t addr = kRecordedApp0 + kRecordedAppStride * index;
+  const auto level = static_cast<std::uint32_t>(c.level);
+  unsigned char bytes[16] = {};
+  for (int i = 0; i < 8; ++i) bytes[i] = (addr >> (8 * i)) & 0xFF;
+  for (int i = 0; i < 4; ++i) bytes[8 + i] = (level >> (8 * i)) & 0xFF;
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
+
 class EngineDiffP : public ::testing::TestWithParam<LevelCase> {};
 
 TEST_P(EngineDiffP, EnginesBitEqualOnCompiledArtifact) {

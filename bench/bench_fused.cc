@@ -4,7 +4,7 @@
 //
 //   bench_fused [--smoke] [--gate=<threshold-file>] [--out=BENCH_fused.json]
 //
-// For each app (FIR, Vocoder, FilterBank) we measure five implementations of
+// For each app (FIR, Vocoder, FilterBank) we measure four implementations of
 // the same computation:
 //
 //   handwritten  plain C++ loop nests over flat arrays -- same LCG source,
@@ -14,28 +14,26 @@
 //                the decimator would discard), so the handwritten ratio
 //                bounds interpreter overhead from below.
 //   tree         sequential Executor, tree-walking interpreter
-//   vm           sequential Executor, per-actor bytecode VM
+//   vm           sequential Executor, per-actor bytecode VM, tagged
+//                registers
 //   fused        sequential Executor, whole-program fused trace with
-//                superinstructions, tagged registers (SIT_TYPED=0)
-//   typed        the fused trace lowered onto the dual-plane (unboxed
-//                double) register file where type inference proves it safe
-//                (SIT_TYPED=1, the default)
+//                superinstructions, lowered onto the dual-plane (unboxed
+//                double) register file (SIT_TYPED=1, the default)
 //
-// tree/vm/fused pin typed mode off so their numbers stay comparable with
-// history; the typed row is the same trace with only the value plane
-// changed, so typed/fused isolates the unboxing win.
+// tree/vm pin typed mode off so their numbers stay comparable with history;
+// fused pins it on, because the fused trace only runs typed (a trace that
+// cannot be typed runs per-actor instead).
 //
 // Throughput is items emitted by the source actor per second, the same
 // normalization as bench_scaling.  Results land in BENCH_fused.json
 // (bench_util stamps git SHA / host provenance); the embedded metrics
-// snapshot is the typed fused FIR run, so the JSON also records which
+// snapshot is the fused FIR run, so the JSON also records which
 // superinstructions were selected, how many channels were lowered, and the
 // typed_actors / typed_regs / typed_channels specialization counters.
 //
-// --gate reads thresholds from a checked-in file (bench/fused_gate.txt):
-// the first number is the minimum fused/vm throughput ratio on FIR, an
-// optional second number the minimum typed/fused ratio.  Exit is nonzero
-// when either regresses.  The gate self-skips (exit 0, with a notice) on
+// --gate reads a threshold from a checked-in file (bench/fused_gate.txt):
+// the minimum fused/vm throughput ratio on FIR.  Exit is nonzero when it
+// regresses.  The gate self-skips (exit 0, with a notice) on
 // sanitizer builds -- instrumentation swamps dispatch cost -- and on
 // single-cpu hosts where timer noise dominates.
 
@@ -262,7 +260,7 @@ double handwritten_rate(Kernel&& kernel, std::int64_t units, std::int64_t items_
 }
 
 // All numbers in the file, in order (comments stripped).  The first is the
-// fused/vm floor, an optional second the typed/fused floor.
+// fused/vm floor.
 std::vector<double> read_thresholds(const std::string& path) {
   std::vector<double> out;
   std::ifstream f(path);
@@ -330,16 +328,14 @@ int main(int argc, char** argv) {
   } engines[] = {
       {"tree", sit::sched::Engine::Tree, sit::sched::TypedMode::Off},
       {"vm", sit::sched::Engine::Vm, sit::sched::TypedMode::Off},
-      {"fused", sit::sched::Engine::Fused, sit::sched::TypedMode::Off},
-      {"typed", sit::sched::Engine::Fused, sit::sched::TypedMode::On},
+      {"fused", sit::sched::Engine::Fused, sit::sched::TypedMode::On},
   };
-  constexpr int kEngines = 4;
+  constexpr int kEngines = 3;
 
   std::vector<sit::bench::BenchRecord> records;
   sit::obs::MetricsSnapshot metrics;
   bool have_metrics = false;
   double fir_fused_over_vm = -1.0;
-  double fir_typed_over_fused = -1.0;
 
   std::printf("%-12s %-12s %14s %8s %8s\n", "app", "engine", "items/s",
               "vs-vm", "vs-hand");
@@ -347,7 +343,7 @@ int main(int argc, char** argv) {
   for (const auto& b : benches) {
     const double hand = handwritten_rate(b.handwritten, b.units,
                                          b.items_per_unit, min_ms, max_batches);
-    double rates[kEngines] = {0, 0, 0, 0};
+    double rates[kEngines] = {0, 0, 0};
     int typed_regs = 0;
     int typed_channels = 0;
     for (int e = 0; e < kEngines; ++e) {
@@ -366,7 +362,7 @@ int main(int argc, char** argv) {
         typed_regs = snap.typed_regs;
         typed_channels = snap.typed_channels;
         if (!have_metrics) {
-          // First typed fused run (FIR): carries fused_super /
+          // First fused run (FIR): carries fused_super /
           // fused_channels plus the typed specialization counters, the
           // provenance for the JSON.
           metrics = snap;
@@ -396,13 +392,9 @@ int main(int argc, char** argv) {
         rec.metrics.emplace_back("typed_channels", typed_channels);
       }
       records.push_back(std::move(rec));
-      if (std::strcmp(b.name, "FIR") == 0) {
-        if (std::strcmp(engines[e].name, "fused") == 0) {
-          fir_fused_over_vm = vs_vm;
-        } else if (std::strcmp(engines[e].name, "typed") == 0 &&
-                   rates[2] > 0) {
-          fir_typed_over_fused = rates[e] / rates[2];
-        }
+      if (std::strcmp(b.name, "FIR") == 0 &&
+          std::strcmp(engines[e].name, "fused") == 0) {
+        fir_fused_over_vm = vs_vm;
       }
     }
     sit::bench::rule(60);
@@ -433,15 +425,9 @@ int main(int argc, char** argv) {
                    gate_file.c_str());
       return 2;
     }
-    bool pass = fir_fused_over_vm >= thresholds[0];
+    const bool pass = fir_fused_over_vm >= thresholds[0];
     std::printf("gate: FIR fused/vm = %.2f (>= %.2f) %s\n", fir_fused_over_vm,
                 thresholds[0], pass ? "ok" : "FAIL");
-    if (thresholds.size() > 1 && thresholds[1] > 0.0) {
-      const bool tpass = fir_typed_over_fused >= thresholds[1];
-      std::printf("gate: FIR typed/fused = %.2f (>= %.2f) %s\n",
-                  fir_typed_over_fused, thresholds[1], tpass ? "ok" : "FAIL");
-      pass = pass && tpass;
-    }
     if (!pass) {
       std::fprintf(stderr, "gate: fused engine regressed below %s\n",
                    gate_file.c_str());

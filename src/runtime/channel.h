@@ -154,4 +154,26 @@ class Channel final : public ir::InTape, public ir::OutTape {
   std::size_t high_water_{0};
 };
 
+// Tape stubs for actors at the graph boundary with no edge at all (pure
+// sources and sinks): any access is a program error.
+class NullIn final : public ir::InTape {
+ public:
+  double peek_item(int) override {
+    throw std::runtime_error("source filter attempted to peek");
+  }
+  double pop_item() override {
+    throw std::runtime_error("source filter attempted to pop");
+  }
+};
+
+class NullOut final : public ir::OutTape {
+ public:
+  void push_item(double) override {
+    throw std::runtime_error("sink filter attempted to push");
+  }
+};
+
+inline NullIn g_null_in;
+inline NullOut g_null_out;
+
 }  // namespace sit::runtime

@@ -50,9 +50,8 @@ class TraceBuilder {
  public:
   TraceBuilder(const FlatGraph& g, const std::vector<FiringRun>& runs,
                const std::vector<std::int64_t>& carry,
-               const std::vector<std::int64_t>& traffic,
-               const FusedBuildOptions& opts)
-      : g_(g), runs_(runs), carry_(carry), traffic_(traffic), opts_(opts) {}
+               const std::vector<std::int64_t>& traffic)
+      : g_(g), runs_(runs), carry_(carry), traffic_(traffic) {}
 
   FusedProgramP build() {
     auto P = std::make_shared<FusedProgram>();
@@ -188,7 +187,7 @@ class TraceBuilder {
     auto it = templates_.find(actor);
     if (it == templates_.end()) {
       std::vector<FInstr> tmpl = translate_filter(actor);
-      if (opts_.superinstructions) peephole(tmpl);
+      peephole(tmpl);
       it = templates_.emplace(actor, std::move(tmpl)).first;
     }
     return it->second;
@@ -557,7 +556,7 @@ class TraceBuilder {
             ++dangling;
           }
         }
-        if (opts_.superinstructions && dangling == 0 && !C.dst.empty()) {
+        if (dangling == 0 && !C.dst.empty()) {
           append_copy(std::move(C));
         } else {
           emit_raw_move(in_e, reg, C.dst, /*extra_channel=*/dangling);
@@ -567,7 +566,7 @@ class TraceBuilder {
           const int w = a.out_rate[p];
           if (w <= 0) continue;
           const int eid = p < a.out_edges.size() ? a.out_edges[p] : -1;
-          if (opts_.superinstructions && eid >= 0) {
+          if (eid >= 0) {
             CopyRunArgs C;
             C.src = in_e;
             C.src_real = !edge_internal(in_e);
@@ -576,12 +575,8 @@ class TraceBuilder {
             C.n = w;
             C.reg = reg;
             append_copy(std::move(C));
-          } else {
-            std::vector<std::int32_t> dst;
-            if (eid >= 0) dst.push_back(eid);
-            for (int k = 0; k < w; ++k) {
-              emit_raw_move(in_e, reg, dst, eid >= 0 ? 0 : 1);
-            }
+          } else {  // dangling branch: counted, not routed
+            for (int k = 0; k < w; ++k) emit_raw_move(in_e, reg, {}, 1);
           }
         }
       }
@@ -593,20 +588,14 @@ class TraceBuilder {
         if (w <= 0) continue;
         const int eid = p < a.in_edges.size() ? a.in_edges[p] : -1;
         if (eid < 0) continue;  // Executor skips dangling inputs, uncounted
-        if (opts_.superinstructions) {
-          CopyRunArgs C;
-          C.src = eid;
-          C.src_real = !edge_internal(eid);
-          C.dst.push_back(out_e);
-          C.dst_real.push_back(edge_internal(out_e) ? 0 : 1);
-          C.n = w;
-          C.reg = reg;
-          append_copy(std::move(C));
-        } else {
-          for (int k = 0; k < w; ++k) {
-            emit_raw_move(eid, reg, {out_e}, 0);
-          }
-        }
+        CopyRunArgs C;
+        C.src = eid;
+        C.src_real = !edge_internal(eid);
+        C.dst.push_back(out_e);
+        C.dst_real.push_back(edge_internal(out_e) ? 0 : 1);
+        C.n = w;
+        C.reg = reg;
+        append_copy(std::move(C));
       }
     }
   }
@@ -688,612 +677,22 @@ class TraceBuilder {
   const std::vector<FiringRun>& runs_;
   const std::vector<std::int64_t>& carry_;
   const std::vector<std::int64_t>& traffic_;
-  FusedBuildOptions opts_;
   FusedProgram* prog_{nullptr};
   std::vector<CompiledFilterP> compiled_;
   std::map<int, std::vector<FInstr>> templates_;
 };
-
-// Tape stubs for natives at the graph boundary with no edge at all.
-class NullIn final : public ir::InTape {
- public:
-  double peek_item(int) override {
-    throw std::runtime_error("source filter attempted to peek");
-  }
-  double pop_item() override {
-    throw std::runtime_error("source filter attempted to pop");
-  }
-};
-
-class NullOut final : public ir::OutTape {
- public:
-  void push_item(double) override {
-    throw std::runtime_error("sink filter attempted to push");
-  }
-};
-
-NullIn g_null_in;
-NullOut g_null_out;
 
 }  // namespace
 
 FusedProgramP build_fused(const FlatGraph& g, const std::vector<FiringRun>& runs,
                           const std::vector<std::int64_t>& carry,
                           const std::vector<std::int64_t>& traffic,
-                          std::string* reason, const FusedBuildOptions& opts) {
+                          std::string* reason) {
   try {
-    return TraceBuilder(g, runs, carry, traffic, opts).build();
+    return TraceBuilder(g, runs, carry, traffic).build();
   } catch (const BuildFail& f) {
     if (reason) *reason = f.reason;
     return nullptr;
-  }
-}
-
-// ---- execution --------------------------------------------------------------
-
-// Uncounted tape adapters over a lowered edge, for NativeFire (native filters
-// count statically, exactly like Executor::fire does for them).
-class FusedExec::BufIn final : public ir::InTape {
- public:
-  explicit BufIn(EdgeState& s) : s_(s) {}
-  double peek_item(int offset) override {
-    if (offset < 0 ||
-        s_.rd + static_cast<std::size_t>(offset) >= s_.wr) {
-      buffer_peek_error(offset, s_.wr - s_.rd);
-    }
-    return s_.buf[s_.rd + static_cast<std::size_t>(offset)];
-  }
-  double pop_item() override {
-    if (s_.rd >= s_.wr) throw std::runtime_error("pop from empty channel");
-    return s_.buf[s_.rd++];
-  }
-  void pop_many(int n) override {
-    if (n <= 0) return;
-    if (s_.rd + static_cast<std::size_t>(n) > s_.wr) {
-      throw std::runtime_error("pop from empty channel");
-    }
-    s_.rd += static_cast<std::size_t>(n);
-  }
-
- private:
-  EdgeState& s_;
-};
-
-class FusedExec::BufOut final : public ir::OutTape {
- public:
-  explicit BufOut(EdgeState& s) : s_(s) {}
-  void push_item(double v) override {
-    if (s_.wr >= s_.buf.size()) {
-      throw std::logic_error("fused trace buffer overflow");
-    }
-    s_.buf[s_.wr++] = v;
-  }
-
- private:
-  EdgeState& s_;
-};
-
-FusedExec::FusedExec(FusedProgramP prog, std::vector<FilterState>& states,
-                     const std::vector<std::unique_ptr<Channel>>& chans,
-                     const std::vector<std::unique_ptr<ir::NativeState>>& nstates)
-    : prog_(std::move(prog)) {
-  regs_.resize(prog_->num_regs);
-  scalars_.resize(prog_->scalar_names.size());
-  arrays_.resize(prog_->array_names.size());
-  for (std::size_t i = 0; i < prog_->actors.size(); ++i) {
-    const FusedActorMeta& m = prog_->actors[i];
-    FilterState& st = states[i];
-    for (std::uint32_t k = 0; k < m.num_scalars; ++k) {
-      const std::string& name = prog_->scalar_names[m.scalar_base + k];
-      auto it = st.scalars.find(name);
-      if (it == st.scalars.end()) {
-        throw std::logic_error("fused bind: state has no scalar '" + name + "'");
-      }
-      scalars_[m.scalar_base + k] = &it->second;
-    }
-    for (std::uint32_t k = 0; k < m.num_arrays; ++k) {
-      const std::string& name = prog_->array_names[m.array_base + k];
-      auto it = st.arrays.find(name);
-      if (it == st.arrays.end()) {
-        throw std::logic_error("fused bind: state has no array '" + name + "'");
-      }
-      arrays_[m.array_base + k] = &it->second;
-    }
-  }
-  chans_.reserve(chans.size());
-  for (const auto& c : chans) chans_.push_back(c.get());
-  nstates_.reserve(nstates.size());
-  for (const auto& s : nstates) nstates_.push_back(s.get());
-  ebuf_.resize(prog_->edges.size());
-  for (std::size_t e = 0; e < prog_->edges.size(); ++e) {
-    const FusedEdgeMeta& m = prog_->edges[e];
-    if (m.internal) {
-      ebuf_[e].buf.resize(static_cast<std::size_t>(m.carry + m.traffic));
-    }
-  }
-}
-
-bool FusedExec::activate() {
-  if (active_) return true;
-  for (std::size_t e = 0; e < prog_->edges.size(); ++e) {
-    const FusedEdgeMeta& m = prog_->edges[e];
-    if (m.internal &&
-        chans_[e]->size() != static_cast<std::size_t>(m.carry)) {
-      return false;  // graph is mid-iteration (manual fire); run per-actor
-    }
-  }
-  for (std::size_t e = 0; e < prog_->edges.size(); ++e) {
-    const FusedEdgeMeta& m = prog_->edges[e];
-    if (!m.internal) continue;
-    EdgeState& s = ebuf_[e];
-    chans_[e]->drain_items(s.buf.data());
-    s.rd = 0;
-    s.wr = static_cast<std::size_t>(m.carry);
-  }
-  active_ = true;
-  return true;
-}
-
-void FusedExec::deactivate() {
-  if (!active_) return;
-  for (std::size_t e = 0; e < prog_->edges.size(); ++e) {
-    const FusedEdgeMeta& m = prog_->edges[e];
-    if (!m.internal) continue;
-    EdgeState& s = ebuf_[e];
-    chans_[e]->restore_items(s.buf.data(), static_cast<std::size_t>(m.carry));
-    s.rd = s.wr = 0;
-  }
-  active_ = false;
-}
-
-void FusedExec::run_iteration(OpCounts* actor_counts) {
-  if (!active_) {
-    throw std::logic_error("FusedExec::run_iteration before activate()");
-  }
-  if (actor_counts != nullptr) {
-    run<true>(actor_counts);
-  } else {
-    run<false>(nullptr);
-  }
-  finish_iteration();
-}
-
-void FusedExec::finish_iteration() {
-  for (std::size_t e = 0; e < prog_->edges.size(); ++e) {
-    const FusedEdgeMeta& m = prog_->edges[e];
-    if (!m.internal) continue;
-    EdgeState& s = ebuf_[e];
-    const auto carry = static_cast<std::size_t>(m.carry);
-    const auto traffic = static_cast<std::size_t>(m.traffic);
-    if (s.rd != traffic || s.wr != carry + traffic) {
-      throw std::logic_error("fused trace left channel " + std::to_string(e) +
-                             " at an unexpected level");
-    }
-    if (traffic > 0 && carry > 0) {
-      std::memmove(s.buf.data(), s.buf.data() + traffic,
-                   carry * sizeof(double));
-    }
-    s.rd = 0;
-    s.wr = carry;
-    chans_[e]->advance_counters(static_cast<std::int64_t>(traffic),
-                                static_cast<std::int64_t>(traffic));
-  }
-}
-
-template <bool kCount>
-void FusedExec::run(OpCounts* actor_counts) {
-  Value* const regs = regs_.data();
-  const FInstr* const code = prog_->code.data();
-  EdgeState* const ebuf = ebuf_.data();
-  const bool debug = debug_channel_checks();
-  OpCounts* cur = nullptr;
-  const FusedActorMeta* meta = nullptr;
-  std::int64_t window = 0;
-  std::int64_t pops = 0;
-  std::int32_t firing = 0;  // completed firings of the current run's loop
-  std::int32_t pc = 0;
-
-  // Start a firing of the current actor: its register template, exactly the
-  // per-invocation copy the VM does.
-  const auto reload = [&]() {
-    std::copy(meta->reg_init.begin(), meta->reg_init.end(),
-              regs + meta->reg_base);
-    pops = 0;
-  };
-
-  const auto tally = [&](CountTag tag, const Value& r) {
-    if constexpr (kCount) {
-      switch (tag) {
-        case CountTag::None: break;
-        case CountTag::IntOp: ++cur->int_ops; break;
-        case CountTag::Flop: ++cur->flops; break;
-        case CountTag::Div: ++cur->divs; break;
-        case CountTag::Trans: ++cur->trans; break;
-        case CountTag::Mem: ++cur->mem; break;
-        case CountTag::Channel: ++cur->channel; break;
-        case CountTag::ByResult:
-          r.is_int() ? ++cur->int_ops : ++cur->flops;
-          break;
-      }
-    } else {
-      (void)tag;
-      (void)r;
-    }
-  };
-
-  // Lowered-buffer channel primitives (bounds mirror Channel's).
-  const auto tpop = [&](std::int32_t e) {
-    EdgeState& s = ebuf[e];
-    if (s.rd >= s.wr) throw std::runtime_error("pop from empty channel");
-    return s.buf[s.rd++];
-  };
-  const auto tpush = [&](std::int32_t e, double v) {
-    EdgeState& s = ebuf[e];
-    if (s.wr >= s.buf.size()) {
-      throw std::logic_error("fused trace buffer overflow");
-    }
-    s.buf[s.wr++] = v;
-  };
-
-  for (;;) {
-    const FInstr& I = code[pc];
-    switch (I.op) {
-      case FOp::Move:
-        regs[I.dst] = regs[I.a];
-        ++pc;
-        break;
-      case FOp::LoadScalar:
-        if constexpr (kCount) ++cur->mem;
-        regs[I.dst] = *scalars_[I.a];
-        ++pc;
-        break;
-      case FOp::StoreScalar:
-        if constexpr (kCount) ++cur->mem;
-        *scalars_[I.a] = regs[I.dst];
-        ++pc;
-        break;
-      case FOp::LoadElem: {
-        const std::int64_t idx = regs[I.b].as_int();
-        const auto& arr = *arrays_[I.a];
-        if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
-          elem_bounds_error("array index out of bounds",
-                            prog_->array_names[I.a], idx);
-        }
-        if constexpr (kCount) ++cur->mem;
-        regs[I.dst] = arr[static_cast<std::size_t>(idx)];
-        ++pc;
-        break;
-      }
-      case FOp::StoreElem: {
-        const std::int64_t idx = regs[I.b].as_int();
-        auto& arr = *arrays_[I.a];
-        if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
-          elem_bounds_error("array store out of bounds",
-                            prog_->array_names[I.a], idx);
-        }
-        if constexpr (kCount) ++cur->mem;
-        arr[static_cast<std::size_t>(idx)] = regs[I.dst];
-        ++pc;
-        break;
-      }
-      case FOp::Bin: {
-        const Value r =
-            apply_bin(static_cast<BinOp>(I.sub), regs[I.a], regs[I.b]);
-        tally(I.count, r);
-        regs[I.dst] = r;
-        ++pc;
-        break;
-      }
-      case FOp::Un:
-        // Neg/Abs count by operand type, exactly as in the VM.
-        tally(I.count, regs[I.a]);
-        regs[I.dst] = apply_un(static_cast<UnOp>(I.sub), regs[I.a]);
-        ++pc;
-        break;
-      case FOp::Truthy:
-        regs[I.dst] = Value(regs[I.a].truthy());
-        ++pc;
-        break;
-      case FOp::Jmp:
-        pc = I.jump;
-        break;
-      case FOp::JmpIfFalse:
-        pc = regs[I.a].truthy() ? pc + 1 : I.jump;
-        break;
-      case FOp::JmpIfTrue:
-        pc = regs[I.a].truthy() ? I.jump : pc + 1;
-        break;
-      case FOp::JmpIfGe:
-        pc = regs[I.a].as_int() >= regs[I.b].as_int() ? I.jump : pc + 1;
-        break;
-      case FOp::CheckStep:
-        if (regs[I.a].as_int() <= 0) {
-          throw std::runtime_error("for loop step must be positive");
-        }
-        ++pc;
-        break;
-      case FOp::ForInc:
-        regs[I.dst] = Value(regs[I.dst].as_int() + regs[I.a].as_int());
-        ++pc;
-        break;
-      case FOp::Tally:
-        if constexpr (kCount) {
-          switch (I.count) {
-            case CountTag::IntOp: cur->int_ops += I.sub; break;
-            case CountTag::Channel: cur->channel += I.sub; break;
-            case CountTag::Flop: cur->flops += I.sub; break;
-            case CountTag::Div: cur->divs += I.sub; break;
-            case CountTag::Trans: cur->trans += I.sub; break;
-            case CountTag::Mem: cur->mem += I.sub; break;
-            case CountTag::None: case CountTag::ByResult: break;
-          }
-        }
-        ++pc;
-        break;
-      case FOp::RPeek: {
-        const std::int64_t off = regs[I.a].as_int();
-        if (debug && (off < 0 || pops + off >= window)) {
-          peek_bounds_error(meta->name, off, pops, window);
-        }
-        if constexpr (kCount) ++cur->channel;
-        regs[I.dst] = Value(chans_[I.edge]->peek_item(static_cast<int>(off)));
-        ++pc;
-        break;
-      }
-      case FOp::RPop:
-        if constexpr (kCount) ++cur->channel;
-        ++pops;
-        regs[I.dst] = Value(chans_[I.edge]->pop_item());
-        ++pc;
-        break;
-      case FOp::RPopN: {
-        const std::int64_t n = regs[I.a].as_int();
-        if (n > 0) {
-          if constexpr (kCount) cur->channel += n;
-          pops += n;
-          chans_[I.edge]->pop_many(static_cast<int>(n));
-        }
-        ++pc;
-        break;
-      }
-      case FOp::RPush:
-        if constexpr (kCount) ++cur->channel;
-        chans_[I.edge]->push_item(regs[I.dst].as_double());
-        ++pc;
-        break;
-      case FOp::TPeek: {
-        const std::int64_t off = regs[I.a].as_int();
-        if (debug && (off < 0 || pops + off >= window)) {
-          peek_bounds_error(meta->name, off, pops, window);
-        }
-        EdgeState& s = ebuf[I.edge];
-        if (off < 0 ||
-            s.rd + static_cast<std::size_t>(off) >= s.wr) {
-          buffer_peek_error(off, s.wr - s.rd);
-        }
-        if constexpr (kCount) ++cur->channel;
-        regs[I.dst] = Value(s.buf[s.rd + static_cast<std::size_t>(off)]);
-        ++pc;
-        break;
-      }
-      case FOp::TPop:
-        if constexpr (kCount) ++cur->channel;
-        ++pops;
-        regs[I.dst] = Value(tpop(I.edge));
-        ++pc;
-        break;
-      case FOp::TPopN: {
-        const std::int64_t n = regs[I.a].as_int();
-        if (n > 0) {
-          EdgeState& s = ebuf[I.edge];
-          if (s.rd + static_cast<std::size_t>(n) > s.wr) {
-            throw std::runtime_error("pop from empty channel");
-          }
-          if constexpr (kCount) cur->channel += n;
-          pops += n;
-          s.rd += static_cast<std::size_t>(n);
-        }
-        ++pc;
-        break;
-      }
-      case FOp::TPush:
-        if constexpr (kCount) ++cur->channel;
-        tpush(I.edge, regs[I.dst].as_double());
-        ++pc;
-        break;
-      case FOp::SetActor:
-        meta = &prog_->actors[I.a];
-        window = meta->peek_window;
-        if constexpr (kCount) cur = &actor_counts[I.a];
-        reload();
-        ++pc;
-        break;
-      case FOp::FireLoop:
-        if (++firing < I.edge) {
-          reload();
-          pc = I.jump;
-        } else {
-          firing = 0;
-          ++pc;
-        }
-        break;
-      case FOp::MacLoop: {
-        const MacLoopArgs& M = prog_->macs[I.a];
-        std::int64_t i = regs[M.ri].as_int();
-        const std::int64_t hi = regs[M.rhi].as_int();
-        const std::int64_t st = regs[M.rstep].as_int();
-        if (i < hi) {
-          Value acc = regs[M.acc];
-          const std::vector<Value>* arr =
-              M.has_array ? arrays_[M.arr] : nullptr;
-          EdgeState* s = M.real ? nullptr : &ebuf[M.edge];
-          Channel* const ch = M.real ? chans_[M.edge] : nullptr;
-          for (; i < hi; i += st) {
-            if constexpr (kCount) cur->int_ops += 2;
-            if (debug && (i < 0 || pops + i >= window)) {
-              peek_bounds_error(meta->name, i, pops, window);
-            }
-            double pd;
-            if (s != nullptr) {
-              if (i < 0 || s->rd + static_cast<std::size_t>(i) >= s->wr) {
-                buffer_peek_error(i, s->wr - s->rd);
-              }
-              pd = s->buf[s->rd + static_cast<std::size_t>(i)];
-            } else {
-              pd = ch->peek_item(static_cast<int>(i));
-            }
-            if constexpr (kCount) ++cur->channel;
-            Value term;
-            if (arr != nullptr) {
-              if (i < 0 || static_cast<std::size_t>(i) >= arr->size()) {
-                elem_bounds_error("array index out of bounds",
-                                  prog_->array_names[M.arr], i);
-              }
-              if constexpr (kCount) ++cur->mem;
-              const Value& ev = (*arr)[static_cast<std::size_t>(i)];
-              if (!ev.is_int()) {
-                // double * double: same result, one tag test instead of two
-                // Value round trips.
-                const double td = pd * ev.as_double();
-                term = Value(td);
-                if constexpr (kCount) ++cur->flops;
-              } else {
-                term = apply_bin(BinOp::Mul, Value(pd), ev);
-                tally(CountTag::ByResult, term);
-              }
-            } else {
-              term = Value(pd);
-            }
-            if (!acc.is_int() && !term.is_int()) {
-              acc = Value(acc.as_double() + term.as_double());
-              if constexpr (kCount) ++cur->flops;
-            } else {
-              acc = apply_bin(BinOp::Add, acc, term);
-              tally(CountTag::ByResult, acc);
-            }
-          }
-          regs[M.acc] = acc;
-          // The loop-variable local holds its final iteration's value, as
-          // after the VM loop.  (The constituent temporaries p/q/m are dead:
-          // expression temps are always rewritten before any later read.)
-          regs[M.slot] = Value(i - st);
-        }
-        regs[M.ri] = Value(i);
-        ++pc;
-        break;
-      }
-      case FOp::PopComputePush: {
-        const PcpArgs& P = prog_->pcps[I.a];
-        double vd;
-        if (P.in_real) {
-          vd = chans_[P.in_edge]->pop_item();
-        } else {
-          vd = tpop(P.in_edge);
-        }
-        if constexpr (kCount) ++cur->channel;
-        ++pops;
-        regs[P.rpop] = Value(vd);
-        double outd = vd;
-        switch (P.kind) {
-          case PcpArgs::Kind::Plain:
-            outd = vd;
-            break;
-          case PcpArgs::Kind::Bin: {
-            const Value r =
-                apply_bin(static_cast<BinOp>(P.sub), regs[P.a], regs[P.b]);
-            tally(P.tag, r);
-            regs[P.rres] = r;
-            outd = r.as_double();
-            break;
-          }
-          case PcpArgs::Kind::Un: {
-            tally(P.tag, regs[P.a]);
-            const Value r = apply_un(static_cast<UnOp>(P.sub), regs[P.a]);
-            regs[P.rres] = r;
-            outd = r.as_double();
-            break;
-          }
-        }
-        if constexpr (kCount) ++cur->channel;
-        if (P.out_real) {
-          chans_[P.out_edge]->push_item(outd);
-        } else {
-          tpush(P.out_edge, outd);
-        }
-        ++pc;
-        break;
-      }
-      case FOp::CopyRun: {
-        const CopyRunArgs& C = prog_->copies[I.a];
-        if constexpr (kCount) {
-          cur->channel +=
-              C.n * (1 + static_cast<std::int64_t>(C.dst.size()));
-        }
-        if (C.n > 0) {
-          double last = 0.0;
-          if (!C.src_real && C.dst.size() == 1 && C.dst_real[0] == 0) {
-            // buffer -> buffer run: bulk copy
-            EdgeState& si = ebuf[C.src];
-            EdgeState& so = ebuf[C.dst[0]];
-            const auto n = static_cast<std::size_t>(C.n);
-            if (si.rd + n > si.wr) {
-              throw std::runtime_error("pop from empty channel");
-            }
-            if (so.wr + n > so.buf.size()) {
-              throw std::logic_error("fused trace buffer overflow");
-            }
-            std::memcpy(so.buf.data() + so.wr, si.buf.data() + si.rd,
-                        n * sizeof(double));
-            si.rd += n;
-            so.wr += n;
-            last = so.buf[so.wr - 1];
-          } else {
-            for (std::int64_t k = 0; k < C.n; ++k) {
-              const double v =
-                  C.src_real ? chans_[C.src]->pop_item() : tpop(C.src);
-              for (std::size_t d = 0; d < C.dst.size(); ++d) {
-                if (C.dst_real[d] != 0) {
-                  chans_[C.dst[d]]->push_item(v);
-                } else {
-                  tpush(C.dst[d], v);
-                }
-              }
-              last = v;
-            }
-          }
-          regs[C.reg] = Value(last);
-        }
-        ++pc;
-        break;
-      }
-      case FOp::NativeFire: {
-        const NativeFireArgs& N = prog_->nats[I.a];
-        const FlatActor& a = prog_->graph->actors[static_cast<std::size_t>(N.actor)];
-        EdgeState dummy;
-        BufIn bin(N.in_edge >= 0 && !N.in_real ? ebuf[N.in_edge] : dummy);
-        BufOut bout(N.out_edge >= 0 && !N.out_real ? ebuf[N.out_edge] : dummy);
-        ir::InTape* in = &g_null_in;
-        ir::OutTape* out = &g_null_out;
-        if (N.in_edge >= 0) {
-          in = N.in_real ? static_cast<ir::InTape*>(chans_[N.in_edge]) : &bin;
-        }
-        if (N.out_edge >= 0) {
-          out = N.out_real ? static_cast<ir::OutTape*>(chans_[N.out_edge])
-                           : &bout;
-        }
-        a.node->native.work(nstates_[static_cast<std::size_t>(N.actor)], *in,
-                            *out);
-        if constexpr (kCount) {
-          cur->flops += N.flops;
-          cur->int_ops += N.int_ops;
-          cur->channel += N.channel;
-        }
-        ++pc;
-        break;
-      }
-      case FOp::Halt:
-        return;
-    }
   }
 }
 
@@ -1419,13 +818,12 @@ std::string FusedProgram::disassemble() const {
 
 // ---- typed (dual-plane) fused execution -------------------------------------
 //
-// TypedFusedExec mirrors FusedExec instruction for instruction: the same
-// activation protocol, the same op counting, the same error strings thrown in
-// the same order.  The differences are what typeflow proved safe: registers
-// and (for the duration of an activation) filter state live in raw planes,
-// CountTag::ByResult is pre-resolved, and the mac-loop superinstruction runs
-// as a raw double* kernel when a hoisted precheck shows no per-element check
-// can fire.
+// TypedFusedExec runs the trace with the per-actor VM's semantics: the same
+// op counting and the same error strings thrown in the same order.  What
+// typeflow proved safe lets it go faster: registers and (for the duration of
+// an activation) filter state live in raw planes, CountTag::ByResult is
+// pre-resolved, and the mac-loop superinstruction runs as a raw double*
+// kernel when a hoisted precheck shows no per-element check can fire.
 
 TypedFusedProgramP build_typed_fused(const FusedProgramP& base,
                                      const std::vector<FilterState>& states,
@@ -1472,8 +870,8 @@ TypedFusedProgramP build_typed_fused(const FusedProgramP& base,
   return out;
 }
 
-// Uncounted tape adapters over a lowered edge for NativeFire, twins of
-// FusedExec's (native filters count statically).
+// Uncounted tape adapters over a lowered edge, for NativeFire (native filters
+// count statically, exactly like Executor::fire does for them).
 class TypedFusedExec::BufIn final : public ir::InTape {
  public:
   explicit BufIn(EdgeState& s) : s_(s) {}
@@ -1624,8 +1022,8 @@ bool TypedFusedExec::activate() {
     }
   }
   // A state tag drifting from its inferred class (e.g. a handler retagged a
-  // scalar since specialization) refuses cleanly; the caller keeps the
-  // tagged fused trace.  Nothing is mutated on this path.
+  // scalar since specialization) refuses cleanly; the caller runs the batch
+  // per-actor.  Nothing is mutated on this path.
   if (!sync_state_in()) return false;
   for (std::size_t e = 0; e < base.edges.size(); ++e) {
     const FusedEdgeMeta& m = base.edges[e];

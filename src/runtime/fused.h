@@ -51,19 +51,11 @@
 // Superinstruction counts (FusedProgram::super) are per iteration: an
 // instance inside a firing loop counts once per firing.
 //
-// Bit-equality contract: for any admissible program, running the trace
-// produces outputs, per-actor FilterState, per-actor OpCounts, and per-edge
-// cumulative push/pop counters identical to the per-actor VM execution.
-// Counting preservation is per-instruction (every lowered/fused op carries
-// the same CountTag arithmetic as the VM dispatch loop); channel-counter
-// preservation is by bulk advance (each lowered edge's n(t)/p(t) advance by
-// `traffic` once per iteration, which equals the sum of the per-item
-// increments the VM would have made).  Only Channel high-water marks differ
-// (a lowered channel never observes intermediate occupancy).
-//
-// tests/test_pipeline_diff.cc holds the contract across all apps x all
-// optimization levels; tests/test_fused.cc pins superinstruction selection
-// and every refusal reason.
+// The trace is a program format, not an executor: build_typed_fused()
+// (runtime/typed.h) lowers it onto the dual value plane and TypedFusedExec
+// runs it.  A trace that typed lowering refuses runs per-actor instead.
+// The bit-equality contract lives on TypedFusedExec; tests/test_fused.cc
+// pins superinstruction selection and every refusal reason.
 
 #include <cstdint>
 #include <map>
@@ -71,12 +63,8 @@
 #include <string>
 #include <vector>
 
-#include "ir/filter.h"
 #include "ir/value.h"
-#include "runtime/channel.h"
 #include "runtime/flatgraph.h"
-#include "runtime/interp.h"
-#include "runtime/opcounts.h"
 #include "runtime/vm.h"
 
 namespace sit::runtime {
@@ -205,10 +193,6 @@ struct FusedProgram {
 
 using FusedProgramP = std::shared_ptr<const FusedProgram>;
 
-struct FusedBuildOptions {
-  bool superinstructions{true};  // peephole selection (off: plain flat trace)
-};
-
 // Build the fused trace for one steady-state iteration.  `runs` is the
 // steady-state firing sequence (sched::Schedule::steady_runs); `carry`/
 // `traffic` are the per-edge sizing from analysis::fuse_plan (carry < 0
@@ -217,56 +201,6 @@ struct FusedBuildOptions {
 FusedProgramP build_fused(const FlatGraph& g, const std::vector<FiringRun>& runs,
                           const std::vector<std::int64_t>& carry,
                           const std::vector<std::int64_t>& traffic,
-                          std::string* reason = nullptr,
-                          const FusedBuildOptions& opts = {});
-
-// A fused program bound to one executor's storage (FilterStates, boundary
-// Channels, NativeStates).  Usage per run_steady call:
-//
-//   if (fx.activate()) {           // lower internal channels to buffers
-//     for each iteration: fx.run_iteration(counts);
-//     fx.deactivate();             // restore carried items to the channels
-//   }
-//
-// activate() refuses (returns false) when some internal channel does not
-// hold exactly its steady-state carry -- e.g. after manual fire() calls
-// left the graph mid-iteration -- in which case the caller should run the
-// iteration per-actor instead.  run_iteration advances every lowered
-// channel's cumulative counters by its traffic, executes one whole steady
-// state, and compacts each buffer's carried items back to the front.
-class FusedExec {
- public:
-  FusedExec(FusedProgramP prog, std::vector<FilterState>& states,
-            const std::vector<std::unique_ptr<Channel>>& chans,
-            const std::vector<std::unique_ptr<ir::NativeState>>& nstates);
-
-  bool activate();
-  void deactivate();
-  // `actor_counts` may be null (counting compiled out of the dispatch loop).
-  void run_iteration(OpCounts* actor_counts);
-  [[nodiscard]] bool active() const { return active_; }
-  [[nodiscard]] const FusedProgram& program() const { return *prog_; }
-
- private:
-  template <bool kCount>
-  void run(OpCounts* actor_counts);
-  void finish_iteration();
-
-  struct EdgeState {
-    std::vector<double> buf;  // sized carry + traffic
-    std::size_t rd{0}, wr{0};
-  };
-  class BufIn;
-  class BufOut;
-
-  FusedProgramP prog_;
-  std::vector<ir::Value> regs_;
-  std::vector<ir::Value*> scalars_;
-  std::vector<std::vector<ir::Value>*> arrays_;
-  std::vector<Channel*> chans_;
-  std::vector<ir::NativeState*> nstates_;
-  std::vector<EdgeState> ebuf_;
-  bool active_{false};
-};
+                          std::string* reason = nullptr);
 
 }  // namespace sit::runtime

@@ -28,8 +28,9 @@
 //
 //   * When some read does observe Mixed, lowering refuses with a stable
 //     reason string -- "mixed-register" / "mixed-state:<name>" (prefixed
-//     with the actor for fused traces) -- and the caller keeps the tagged
-//     path.  Bit-equality between SIT_TYPED=0 and =1 is the contract:
+//     with the actor for fused traces) -- and the caller falls back: a
+//     refused filter stays on the tagged VM, a refused fused trace runs
+//     per-actor.  Bit-equality between SIT_TYPED=0 and =1 is the contract:
 //     the typed loops reproduce the tagged kernels' promotion, truncating
 //     casts, op counting, and error strings exactly.
 //
@@ -47,6 +48,7 @@
 
 #include "ir/filter.h"
 #include "ir/value.h"
+#include "runtime/channel.h"
 #include "runtime/fused.h"
 #include "runtime/interp.h"
 #include "runtime/opcounts.h"
@@ -197,14 +199,39 @@ TypedFusedProgramP build_typed_fused(const FusedProgramP& base,
                                      const std::vector<FilterState>& states,
                                      std::string* refusal = nullptr);
 
-// The typed twin of FusedExec.  Same activation protocol; additionally
-// mirrors every filter state scalar/array into raw plane storage for the
-// duration of an activation (written back on deactivate), which is what
-// lets the mac-loop run as `for (i) acc += src[i] * coef[i]` over raw
-// double spans.  activate() also re-validates that every state tag still
-// matches its inferred class -- a mismatch (e.g. a teleport handler retagged
-// a scalar between runs) returns false and the caller falls back to the
-// tagged fused trace.
+// The fused engine's executor: a typed fused program bound to one executor's
+// storage (FilterStates, boundary Channels, NativeStates).  Usage per
+// run_steady call:
+//
+//   if (fx.activate()) {           // lower internal channels to buffers
+//     for each iteration: fx.run_iteration(counts);
+//     fx.deactivate();             // restore carried items to the channels
+//   }
+//
+// activate() refuses (returns false) in two cases, and the caller then runs
+// the batch per-actor instead:
+//   * some internal channel does not hold exactly its steady-state carry --
+//     e.g. manual fire() calls left the graph mid-iteration;
+//   * some state tag no longer matches its inferred class -- e.g. a teleport
+//     handler retagged a scalar between runs.
+// On success it also mirrors every filter state scalar/array into raw plane
+// storage for the duration of the activation (written back on deactivate),
+// which is what lets the mac-loop run as `for (i) acc += src[i] * coef[i]`
+// over raw double spans.  run_iteration executes one whole steady state,
+// advances every lowered channel's cumulative counters by its traffic, and
+// compacts each buffer's carried items back to the front.
+//
+// Bit-equality contract: for any admissible program, running the trace
+// produces outputs, per-actor FilterState, per-actor OpCounts, and per-edge
+// cumulative push/pop counters identical to the per-actor VM execution.
+// Counting preservation is per-instruction (every lowered/fused op carries
+// the same CountTag arithmetic as the VM dispatch loop); channel-counter
+// preservation is by bulk advance (each lowered edge's n(t)/p(t) advance by
+// `traffic` once per iteration, which equals the sum of the per-item
+// increments the VM would have made).  Only Channel high-water marks differ
+// (a lowered channel never observes intermediate occupancy).
+// tests/test_pipeline_diff.cc holds the contract across all apps x all
+// optimization levels.
 class TypedFusedExec {
  public:
   TypedFusedExec(TypedFusedProgramP prog, std::vector<FilterState>& states,

@@ -14,32 +14,9 @@ namespace sit::sched {
 
 using runtime::Channel;
 using runtime::FlatActor;
+using runtime::g_null_in;
+using runtime::g_null_out;
 using runtime::Interp;
-
-namespace {
-
-// Tape stubs for boundary filters (pure sources/sinks have no edge).
-class NullIn final : public ir::InTape {
- public:
-  double peek_item(int) override {
-    throw std::runtime_error("source filter attempted to peek");
-  }
-  double pop_item() override {
-    throw std::runtime_error("source filter attempted to pop");
-  }
-};
-
-class NullOut final : public ir::OutTape {
- public:
-  void push_item(double) override {
-    throw std::runtime_error("sink filter attempted to push");
-  }
-};
-
-NullIn g_null_in;
-NullOut g_null_out;
-
-}  // namespace
 
 // The env parsing lives in sched/envopts.cc (sit::resolve_exec_options);
 // these merge a caller-requested value with the environment default.
@@ -157,9 +134,10 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
     }
   }
 
-  // Engine::Fused: compile the whole-iteration trace, or record why not.
-  // Refusal is whole-program: steady states then run per-actor on the VM
-  // bindings built above (the Vm path and the Fused fallback are identical).
+  // Engine::Fused: compile the whole-iteration trace and lower it onto the
+  // dual plane, or record why not.  Either refusal is whole-program: steady
+  // states then run per-actor on the bindings built above (the Vm path and
+  // the Fused fallback are identical).
   if (engine_ == Engine::Fused) {
     if (opts_.message_sink) {
       // Teleport delivery wants per-firing granularity (and the static plan
@@ -175,11 +153,7 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
         fprog_ = runtime::build_fused(g_, sched_.steady_runs, plan.carry,
                                       plan.traffic, &fused_refusal_);
         if (fprog_) {
-          fexec_ = std::make_unique<runtime::FusedExec>(fprog_, fstate_, chans_,
-                                                        nstate_);
           fused_refusal_.clear();
-          // Typed twin of the whole trace: run_steady prefers it when its
-          // activation succeeds; the tagged trace stays as fallback.
           if (typed_on_) {
             tfprog_ = runtime::build_typed_fused(fprog_, fstate_,
                                                  &typed_fused_refusal_);
@@ -414,10 +388,12 @@ std::vector<double> Executor::run_steady(int n) {
               static_cast<std::int32_t>(obs::PhaseId::Steady));
     steady_marked_ = true;
   }
-  // Typed fused fast path: the dual-plane trace, when its activation
-  // succeeds (graph at an iteration boundary AND every state tag still
-  // matches its inferred class).  Falls through to the tagged trace, then to
-  // per-actor execution.
+  // Fused fast path: one flat dual-plane trace per steady state.  activate()
+  // lowers the internal channels to trace buffers for the whole batch of
+  // iterations.  It refuses when manual fire() calls left the graph
+  // mid-iteration or a handler retagged some state; the batch then runs
+  // per-actor (the graph re-synchronizes at the next iteration boundary, so
+  // a later call may fuse again).
   if (tfexec_ && n > 0 && tfexec_->activate()) {
     runtime::OpCounts* counts = opts_.count_ops ? ops_.data() : nullptr;
     for (int i = 0; i < n; ++i) {
@@ -427,25 +403,6 @@ std::vector<double> Executor::run_steady(int n) {
       tfexec_->run_iteration(counts);
     }
     tfexec_->deactivate();
-    for (std::size_t a = 0; a < fired_.size(); ++a) {
-      fired_[a] += n * sched_.reps[a];
-    }
-    return take_output();
-  }
-  // Fused fast path: one flat trace per steady state.  activate() lowers the
-  // internal channels to trace buffers for the whole batch of iterations; it
-  // refuses when manual fire() calls left the graph mid-iteration, in which
-  // case this batch runs per-actor (the graph re-synchronizes at the next
-  // iteration boundary, so a later call may fuse again).
-  if (fexec_ && n > 0 && fexec_->activate()) {
-    runtime::OpCounts* counts = opts_.count_ops ? ops_.data() : nullptr;
-    for (int i = 0; i < n; ++i) {
-      ++steady_run_;
-      ensure_input_for(sched_.input_for_init +
-                       steady_run_ * sched_.input_per_steady);
-      fexec_->run_iteration(counts);
-    }
-    fexec_->deactivate();
     for (std::size_t a = 0; a < fired_.size(); ++a) {
       fired_[a] += n * sched_.reps[a];
     }
@@ -483,11 +440,11 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
   m.threads = 1;
   m.threaded = false;
   m.fallback = "none";
-  if (engine_ == Engine::Fused && !fexec_) {
+  if (engine_ == Engine::Fused && !tfexec_) {
     m.fallback = "fused-refused";
-    m.fallback_detail = fused_refusal_;
+    m.fallback_detail = fprog_ ? typed_fused_refusal_ : fused_refusal_;
   }
-  if (fprog_) {
+  if (tfexec_) {
     m.fused_channels = fprog_->eliminated_channels;
     m.fused_super.assign(fprog_->super.begin(), fprog_->super.end());
   }

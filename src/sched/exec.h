@@ -156,8 +156,10 @@ class Executor {
     return typed_refusal_[static_cast<std::size_t>(actor)];
   }
   // The specialized work program for one actor (null when tagged), and the
-  // whole-trace typed fused program (Engine::Fused; null when the trace
-  // stayed tagged, with typed_fused_refusal() carrying the stable reason).
+  // whole-trace typed fused program (Engine::Fused; null when typed lowering
+  // refused the trace, with typed_fused_refusal() carrying the stable
+  // reason -- steady states then run per-actor).  The typed fused program is
+  // what run_steady executes.
   [[nodiscard]] const runtime::TypedFilter* typed_program(int actor) const {
     const auto& p = tbf_[static_cast<std::size_t>(actor)];
     return p ? &p->program() : nullptr;
@@ -170,9 +172,9 @@ class Executor {
   }
 
   // Fused engine introspection (Engine::Fused only).  fused_program() is the
-  // whole-iteration trace run_steady executes, or null when fusion was
-  // refused -- in which case fused_refusal() carries the stable reason
-  // (analysis/fuse.h) and steady states run per-actor on the VM instead.
+  // whole-iteration trace typed lowering starts from, or null when fusion
+  // was refused -- in which case fused_refusal() carries the stable reason
+  // (analysis/fuse.h) and steady states run per-actor instead.
   [[nodiscard]] const runtime::FusedProgram* fused_program() const {
     return fprog_ ? fprog_.get() : nullptr;
   }
@@ -232,10 +234,9 @@ class Executor {
   std::vector<std::string> typed_refusal_;
   // Fused steady-state trace (Engine::Fused; null when fusion was refused).
   runtime::FusedProgramP fprog_;
-  std::unique_ptr<runtime::FusedExec> fexec_;
   std::string fused_refusal_;
-  // Typed twin of the fused trace (preferred by run_steady when its
-  // activation succeeds; the tagged trace stays as fallback).
+  // The trace lowered onto the dual plane and its executor: run_steady runs
+  // a batch on it when activation succeeds, and per-actor otherwise.
   runtime::TypedFusedProgramP tfprog_;
   std::unique_ptr<runtime::TypedFusedExec> tfexec_;
   std::string typed_fused_refusal_;

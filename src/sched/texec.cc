@@ -19,6 +19,8 @@ namespace sit::sched {
 
 using runtime::Channel;
 using runtime::FlatActor;
+using runtime::g_null_in;
+using runtime::g_null_out;
 using runtime::Interp;
 using runtime::OpCounts;
 using runtime::SpscRing;
@@ -44,27 +46,6 @@ constexpr bool kDebugBuild = true;
 #else
 constexpr bool kDebugBuild = false;
 #endif
-
-// Tape stubs for boundary filters (pure sources/sinks have no edge).
-class NullIn final : public ir::InTape {
- public:
-  double peek_item(int) override {
-    throw std::runtime_error("source filter attempted to peek");
-  }
-  double pop_item() override {
-    throw std::runtime_error("source filter attempted to pop");
-  }
-};
-
-class NullOut final : public ir::OutTape {
- public:
-  void push_item(double) override {
-    throw std::runtime_error("sink filter attempted to push");
-  }
-};
-
-NullIn g_null_in;
-NullOut g_null_out;
 
 // Thrown inside a worker when another worker already failed; swallowed after
 // the join (only the first error is reported).

@@ -30,10 +30,17 @@ namespace {
 using namespace sit::ir;
 using namespace sit::ir::dsl;
 
-sched::Executor make_fused(ir::NodeP root) {
+// Typed mode is pinned on: the fused trace only runs on the typed executor,
+// so under SIT_TYPED=0 every fused program would silently run per-actor.
+sched::ExecOptions fused_options() {
   sched::ExecOptions opts;
   opts.engine = sched::Engine::Fused;
-  return sched::Executor(std::move(root), opts);
+  opts.typed = sched::TypedMode::On;
+  return opts;
+}
+
+sched::Executor make_fused(ir::NodeP root) {
+  return sched::Executor(std::move(root), fused_options());
 }
 
 // Drop the final sink so the program output edge is observable.
@@ -115,21 +122,6 @@ TEST(FusedSuper, DesHasNoSuperinstructionPatterns) {
   auto ex = make_fused(apps::make_app("DES"));
   const runtime::FusedProgram* fp = ex.fused_program();
   ASSERT_NE(fp, nullptr) << ex.fused_refusal();
-  EXPECT_TRUE(fp->super.empty());
-}
-
-TEST(FusedSuper, SelectionCanBeDisabled) {
-  const ir::NodeP root = apps::make_app("FIR");  // FlatActor::node is non-owning
-  const runtime::FlatGraph g = runtime::flatten(root);
-  const sched::Schedule s = sched::make_schedule(g);
-  const analysis::FusePlan plan = analysis::fuse_plan(g, s);
-  ASSERT_TRUE(plan.admissible) << plan.refusal;
-  runtime::FusedBuildOptions off;
-  off.superinstructions = false;
-  std::string reason;
-  const auto fp = runtime::build_fused(g, s.steady_runs, plan.carry,
-                                       plan.traffic, &reason, off);
-  ASSERT_NE(fp, nullptr) << reason;
   EXPECT_TRUE(fp->super.empty());
 }
 
@@ -251,70 +243,67 @@ TEST(FusedRefusal, MetricsCarryRefusalDetail) {
 
 // ---- feedback loops: interleaved firing runs --------------------------------
 
-// Run one compiled program on the per-actor VM and on the fused trace, tagged
-// and typed, and require bit-equal outputs, firings, per-actor OpCounts,
-// FilterState, and channel counters.
+// Require bit-equal firings, per-actor OpCounts and FilterState, and channel
+// counters between a per-actor VM run and a fused run of the same program.
+void expect_same_state(sched::Executor& vm, sched::Executor& fused) {
+  EXPECT_EQ(fused.firings(), vm.firings());
+  for (std::size_t a = 0; a < vm.actor_ops().size(); ++a) {
+    const runtime::OpCounts& vo = vm.actor_ops()[a];
+    const runtime::OpCounts& fo = fused.actor_ops()[a];
+    EXPECT_EQ(vo.int_ops, fo.int_ops) << "actor " << a;
+    EXPECT_EQ(vo.flops, fo.flops) << "actor " << a;
+    EXPECT_EQ(vo.divs, fo.divs) << "actor " << a;
+    EXPECT_EQ(vo.trans, fo.trans) << "actor " << a;
+    EXPECT_EQ(vo.mem, fo.mem) << "actor " << a;
+    EXPECT_EQ(vo.channel, fo.channel) << "actor " << a;
+    const auto& vs = vm.filter_state(static_cast<int>(a));
+    const auto& fs = fused.filter_state(static_cast<int>(a));
+    for (const auto& [name, val] : vs.scalars) {
+      const auto it = fs.scalars.find(name);
+      ASSERT_NE(it, fs.scalars.end()) << name;
+      EXPECT_EQ(val.is_int(), it->second.is_int()) << name;
+      EXPECT_EQ(val.as_double(), it->second.as_double()) << name;
+    }
+    for (const auto& [name, arr] : vs.arrays) {
+      const auto it = fs.arrays.find(name);
+      ASSERT_NE(it, fs.arrays.end()) << name;
+      ASSERT_EQ(arr.size(), it->second.size()) << name;
+      for (std::size_t i = 0; i < arr.size(); ++i) {
+        EXPECT_EQ(arr[i].as_double(), it->second[i].as_double())
+            << name << "[" << i << "]";
+      }
+    }
+  }
+  for (std::size_t e = 0; e < vm.graph().edges.size(); ++e) {
+    const int ei = static_cast<int>(e);
+    EXPECT_EQ(vm.channel(ei).total_pushed(), fused.channel(ei).total_pushed())
+        << "edge " << e;
+    EXPECT_EQ(vm.channel(ei).total_popped(), fused.channel(ei).total_popped())
+        << "edge " << e;
+  }
+}
+
+void expect_same_output(const std::vector<double>& fout,
+                        const std::vector<double>& vout) {
+  ASSERT_FALSE(vout.empty());
+  ASSERT_EQ(fout.size(), vout.size());
+  for (std::size_t i = 0; i < fout.size(); ++i) {
+    EXPECT_EQ(fout[i], vout[i]) << "item " << i;
+  }
+}
+
+// Run one compiled program on the per-actor VM and on the typed fused trace
+// and require bit-equal outputs and state.
 void expect_fused_matches_vm(const sched::CompiledProgram& prog, int iters) {
   sched::ExecOptions vopt;
   vopt.engine = sched::Engine::Vm;
   sched::Executor vm(prog, vopt);
-  const auto vout = vm.run_steady(iters);
-  ASSERT_FALSE(vout.empty());
-  for (const sched::TypedMode typed :
-       {sched::TypedMode::Off, sched::TypedMode::On}) {
-    const std::string what =
-        typed == sched::TypedMode::On ? "typed fused" : "tagged fused";
-    sched::ExecOptions fopt;
-    fopt.engine = sched::Engine::Fused;
-    fopt.typed = typed;
-    sched::Executor fused(prog, fopt);
-    ASSERT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
-    if (typed == sched::TypedMode::On) {
-      ASSERT_NE(fused.typed_fused_program(), nullptr)
-          << fused.typed_fused_refusal();
-    }
-    const auto fout = fused.run_steady(iters);
-    ASSERT_EQ(fout.size(), vout.size()) << what;
-    for (std::size_t i = 0; i < fout.size(); ++i) {
-      EXPECT_EQ(fout[i], vout[i]) << what << " item " << i;
-    }
-    EXPECT_EQ(fused.firings(), vm.firings()) << what;
-    for (std::size_t a = 0; a < vm.actor_ops().size(); ++a) {
-      const runtime::OpCounts& vo = vm.actor_ops()[a];
-      const runtime::OpCounts& fo = fused.actor_ops()[a];
-      EXPECT_EQ(vo.int_ops, fo.int_ops) << what << " actor " << a;
-      EXPECT_EQ(vo.flops, fo.flops) << what << " actor " << a;
-      EXPECT_EQ(vo.divs, fo.divs) << what << " actor " << a;
-      EXPECT_EQ(vo.trans, fo.trans) << what << " actor " << a;
-      EXPECT_EQ(vo.mem, fo.mem) << what << " actor " << a;
-      EXPECT_EQ(vo.channel, fo.channel) << what << " actor " << a;
-      const auto& vs = vm.filter_state(static_cast<int>(a));
-      const auto& fs = fused.filter_state(static_cast<int>(a));
-      for (const auto& [name, val] : vs.scalars) {
-        const auto it = fs.scalars.find(name);
-        ASSERT_NE(it, fs.scalars.end()) << what << " " << name;
-        EXPECT_EQ(val.is_int(), it->second.is_int()) << what << " " << name;
-        EXPECT_EQ(val.as_double(), it->second.as_double())
-            << what << " " << name;
-      }
-      for (const auto& [name, arr] : vs.arrays) {
-        const auto it = fs.arrays.find(name);
-        ASSERT_NE(it, fs.arrays.end()) << what << " " << name;
-        ASSERT_EQ(arr.size(), it->second.size()) << what << " " << name;
-        for (std::size_t i = 0; i < arr.size(); ++i) {
-          EXPECT_EQ(arr[i].as_double(), it->second[i].as_double())
-              << what << " " << name << "[" << i << "]";
-        }
-      }
-    }
-    for (std::size_t e = 0; e < prog.flat.edges.size(); ++e) {
-      const int ei = static_cast<int>(e);
-      EXPECT_EQ(vm.channel(ei).total_pushed(), fused.channel(ei).total_pushed())
-          << what << " edge " << e;
-      EXPECT_EQ(vm.channel(ei).total_popped(), fused.channel(ei).total_popped())
-          << what << " edge " << e;
-    }
-  }
+  sched::Executor fused(prog, fused_options());
+  ASSERT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
+  ASSERT_NE(fused.typed_fused_program(), nullptr)
+      << fused.typed_fused_refusal();
+  expect_same_output(fused.run_steady(iters), vm.run_steady(iters));
+  expect_same_state(vm, fused);
 }
 
 TEST(FusedFeedback, DtoaFusesAsInterleavedRuns) {
@@ -503,6 +492,41 @@ TEST(FusedExecution, ManualFireMidIterationFallsBackAndStaysBitEqual) {
   for (std::size_t i = 0; i < f2.size(); ++i) {
     EXPECT_EQ(f2[i], v2[i]) << "item " << i;
   }
+}
+
+TEST(FusedExecution, HandlerRetagFallsBackAndStaysBitEqual) {
+  // The handler stores an int into the Double scalar `g`, so the typed
+  // trace's state classes no longer hold: activate() must refuse and later
+  // batches run per-actor, where `g / 2` is now integer division.
+  const auto mk = [] {
+    auto h = filter("h")
+                 .rates(1, 1, 1)
+                 .scalar("g", ir::Value(3.0))
+                 .handler("set", {"amt"}, seq({let("g", v("amt"))}))
+                 .work(seq({push_(pop_() * (v("g") / ci(2)))}))
+                 .node();
+    return make_pipeline("p", {tiny_src("s"), h});
+  };
+  auto fused = make_fused(mk());
+  ASSERT_NE(fused.typed_fused_program(), nullptr)
+      << fused.typed_fused_refusal();
+  sched::ExecOptions vopt;
+  vopt.engine = sched::Engine::Vm;
+  sched::Executor vm(mk(), vopt);
+  const int hf = actor_id(fused.graph(), "h");
+  const int hv = actor_id(vm.graph(), "h");
+  ASSERT_GE(hf, 0);
+
+  expect_same_output(fused.run_steady(3), vm.run_steady(3));
+  const std::vector<ir::Value> amt = {ir::Value(std::int64_t{3})};
+  fused.run_handler(hf, "set", amt);
+  vm.run_handler(hv, "set", amt);
+  const auto fout = fused.run_steady(3);
+  const auto vout = vm.run_steady(3);
+  expect_same_output(fout, vout);
+  EXPECT_EQ(fout.back(), 7.0);  // 7 * (3 / 2), integer division
+  expect_same_state(vm, fused);
+  EXPECT_TRUE(fused.filter_state(hf).scalars.at("g").is_int());
 }
 
 }  // namespace

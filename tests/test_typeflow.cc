@@ -293,6 +293,12 @@ TEST(TypedRefusal, FusedTraceRefusalQualifiesTheActor) {
   ASSERT_NE(ex.fused_program(), nullptr) << ex.fused_refusal();
   EXPECT_EQ(ex.typed_fused_program(), nullptr);
   EXPECT_EQ(ex.typed_fused_refusal(), "mixed-register:mixr");
+  // Without a typed trace the steady state runs per-actor, and the metrics
+  // say so: the typed refusal is the fallback detail, and no trace statics.
+  const obs::MetricsSnapshot m = ex.metrics_snapshot();
+  EXPECT_EQ(m.fallback, "fused-refused");
+  EXPECT_EQ(m.fallback_detail, "mixed-register:mixr");
+  EXPECT_EQ(m.fused_channels, -1);
 }
 
 TEST(TypedRefusal, FusedMixedStateQualifiesActorAndSlot) {

@@ -209,10 +209,12 @@ NodeP make_replica(const NodeP& leaf, int k, int idx) {
   const int offset = idx * pop;
   const int stride = k * pop;
   // Lower the prototype's work function to bytecode once per replica kind;
-  // every firing of every replica instance then skips the tree walk.
+  // every firing of every replica instance then skips the tree walk.  A
+  // replica is a native actor, so the VM and fused engines both call this
+  // wrapper per firing; only the tree engine keeps it interpreted.
   runtime::CompiledFilterP compiled;
   if (proto->kind == Node::Kind::Filter &&
-      sched::resolve_engine(sched::Engine::Auto) == sched::Engine::Vm) {
+      sched::resolve_engine(sched::Engine::Auto) != sched::Engine::Tree) {
     compiled = runtime::compile_filter(proto->filter);
   }
   nf.work = [proto, compiled, offset, stride](ir::NativeState* state,

@@ -79,6 +79,8 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
   for (const auto& e : g_.edges) {
     auto ch = std::make_unique<Channel>();
     ch->push_many(e.initial_items);
+    in_tape_.push_back(ch.get());
+    out_tape_.push_back(ch.get());
     chans_.push_back(std::move(ch));
   }
 
@@ -207,15 +209,29 @@ bool Executor::can_fire(int actor) const {
 }
 
 void Executor::fire(int actor) {
+  fire_into(actor,
+            opts_.count_ops ? &ops_[static_cast<std::size_t>(actor)] : nullptr,
+            tb_);
+}
+
+void Executor::fire_into(int actor, runtime::OpCounts* counts,
+                         obs::ThreadBuffer* tb) {
   const auto ai = static_cast<std::size_t>(actor);
   const FlatActor& a = g_.actors[ai];
-  runtime::OpCounts* counts = opts_.count_ops ? &ops_[ai] : nullptr;
+  const auto in_tape = [&](int eid) -> ir::InTape* {
+    return eid < 0 ? &g_null_in : in_tape_[static_cast<std::size_t>(eid)];
+  };
+  const auto out_tape = [&](int eid) -> ir::OutTape* {
+    return eid < 0 ? &g_null_out : out_tape_[static_cast<std::size_t>(eid)];
+  };
+  // A filter's (AST or native) single input and output edge.
+  const int in0 = a.in_edges.empty() ? -1 : a.in_edges[0];
+  const int out0 = a.out_edges.empty() ? -1 : a.out_edges[0];
 
   // Tracing: one branch when disabled; two clock reads plus a handful of
   // buffer appends per firing when enabled.  VM-backed filters report their
   // channel batches from inside the dispatch loop (measured); everything
   // else reports the static SDF rates below.
-  obs::ThreadBuffer* const tb = tb_;
   std::int64_t t0 = 0;
   bool vm_traced = false;
   if (tb != nullptr) {
@@ -225,23 +241,15 @@ void Executor::fire(int actor) {
 
   switch (a.kind) {
     case FlatActor::Kind::Filter: {
-      ir::InTape* in = &g_null_in;
-      ir::OutTape* out = &g_null_out;
-      if (!a.in_edges.empty() && a.in_edges[0] >= 0) {
-        in = chans_[static_cast<std::size_t>(a.in_edges[0])].get();
-      }
-      if (!a.out_edges.empty() && a.out_edges[0] >= 0) {
-        out = chans_[static_cast<std::size_t>(a.out_edges[0])].get();
-      }
+      ir::InTape* in = in_tape(in0);
+      ir::OutTape* out = out_tape(out0);
       const runtime::MessageSink* sink =
           opts_.message_sink ? &opts_.message_sink : nullptr;
       if (tbf_[ai]) {
         // Typed filters have no Send statements (typed_compile refuses
         // them), so the sink is irrelevant on this path.
         if (tb != nullptr) {
-          obs::FiringTrace tr{tb, rec_.get(),
-                              a.in_edges.empty() ? -1 : a.in_edges[0],
-                              a.out_edges.empty() ? -1 : a.out_edges[0]};
+          obs::FiringTrace tr{tb, rec_.get(), in0, out0};
           tbf_[ai]->run_work(*in, *out, counts, &tr);
           vm_traced = true;
         } else {
@@ -249,9 +257,7 @@ void Executor::fire(int actor) {
         }
       } else if (vmf_[ai]) {
         if (tb != nullptr) {
-          obs::FiringTrace tr{tb, rec_.get(),
-                              a.in_edges.empty() ? -1 : a.in_edges[0],
-                              a.out_edges.empty() ? -1 : a.out_edges[0]};
+          obs::FiringTrace tr{tb, rec_.get(), in0, out0};
           vmf_[ai]->run_work(*in, *out, counts, sink, &tr);
           vm_traced = true;
         } else {
@@ -263,15 +269,7 @@ void Executor::fire(int actor) {
       break;
     }
     case FlatActor::Kind::Native: {
-      ir::InTape* in = &g_null_in;
-      ir::OutTape* out = &g_null_out;
-      if (!a.in_edges.empty() && a.in_edges[0] >= 0) {
-        in = chans_[static_cast<std::size_t>(a.in_edges[0])].get();
-      }
-      if (!a.out_edges.empty() && a.out_edges[0] >= 0) {
-        out = chans_[static_cast<std::size_t>(a.out_edges[0])].get();
-      }
-      a.node->native.work(nstate_[ai].get(), *in, *out);
+      a.node->native.work(nstate_[ai].get(), *in_tape(in0), *out_tape(out0));
       if (counts) {
         // Native filters declare their per-firing cost statically.
         counts->flops += static_cast<std::int64_t>(a.node->native.cost_flops);
@@ -282,11 +280,11 @@ void Executor::fire(int actor) {
       break;
     }
     case FlatActor::Kind::Splitter: {
-      Channel& in = *chans_[static_cast<std::size_t>(a.in_edges[0])];
+      ir::InTape& in = *in_tape(a.in_edges[0]);
       if (a.sj == ir::SJKind::Duplicate) {
         const double v = in.pop_item();
         for (int eid : a.out_edges) {
-          if (eid >= 0) chans_[static_cast<std::size_t>(eid)]->push_item(v);
+          if (eid >= 0) out_tape(eid)->push_item(v);
         }
         if (counts) counts->channel += 1 + static_cast<std::int64_t>(a.out_edges.size());
       } else {
@@ -294,7 +292,7 @@ void Executor::fire(int actor) {
           for (int k = 0; k < a.out_rate[p]; ++k) {
             const double v = in.pop_item();
             const int eid = p < a.out_edges.size() ? a.out_edges[p] : -1;
-            if (eid >= 0) chans_[static_cast<std::size_t>(eid)]->push_item(v);
+            if (eid >= 0) out_tape(eid)->push_item(v);
             if (counts) counts->channel += 2;
           }
         }
@@ -302,12 +300,12 @@ void Executor::fire(int actor) {
       break;
     }
     case FlatActor::Kind::Joiner: {
-      Channel& out = *chans_[static_cast<std::size_t>(a.out_edges[0])];
+      ir::OutTape& out = *out_tape(a.out_edges[0]);
       for (std::size_t p = 0; p < a.in_rate.size(); ++p) {
         for (int k = 0; k < a.in_rate[p]; ++k) {
           const int eid = p < a.in_edges.size() ? a.in_edges[p] : -1;
           if (eid < 0) continue;
-          out.push_item(chans_[static_cast<std::size_t>(eid)]->pop_item());
+          out.push_item(in_tape(eid)->pop_item());
           if (counts) counts->channel += 2;
         }
       }
@@ -315,7 +313,15 @@ void Executor::fire(int actor) {
     }
   }
   ++fired_[ai];
-  for (const auto& ch : chans_) ch->note_high_water();
+  // High water on the fired actor's own channels: only they changed size.
+  // Ring edges track their own; under the threaded runtime an actor's plain
+  // channels belong to its worker.
+  for (const auto* edges : {&a.in_edges, &a.out_edges}) {
+    for (int eid : *edges) {
+      const auto e = static_cast<std::size_t>(eid);
+      if (eid >= 0 && on_channel(e)) chans_[e]->note_high_water();
+    }
+  }
 
   if (tb != nullptr) {
     const std::int64_t t1 = rec_->now_ns();
@@ -347,7 +353,8 @@ void Executor::run_handler(int actor, const std::string& method,
   Interp::run_handler(a.node->filter, fstate_[ai], method, args);
 }
 
-void Executor::run_epoch(const std::vector<std::int64_t>& quota_in) {
+void Executor::run_epoch(const std::vector<std::int64_t>& quota_in,
+                         runtime::OpCounts* counts) {
   std::vector<std::int64_t> quota = quota_in;
   bool progress = true;
   while (progress) {
@@ -355,7 +362,7 @@ void Executor::run_epoch(const std::vector<std::int64_t>& quota_in) {
     for (int actor : sched_.order) {
       const auto ai = static_cast<std::size_t>(actor);
       while (quota[ai] > 0 && can_fire(actor)) {
-        fire(actor);
+        fire_into(actor, counts != nullptr ? counts + ai : nullptr, tb_);
         --quota[ai];
         progress = true;
       }
@@ -370,15 +377,23 @@ void Executor::run_epoch(const std::vector<std::int64_t>& quota_in) {
   }
 }
 
-void Executor::run_init() {
+void Executor::run_init() { run_init(counts_or_null()); }
+
+void Executor::run_init(runtime::OpCounts* counts) {
   if (init_done_) return;
   if (tb_ != nullptr) {
     tb_->emit(rec_->now_ns(), obs::EventKind::Phase,
               static_cast<std::int32_t>(obs::PhaseId::Init));
   }
   ensure_input_for(sched_.input_for_init);
-  run_epoch(sched_.init_fires);
+  run_epoch(sched_.init_fires, counts);
   init_done_ = true;
+}
+
+void Executor::start_steady_state() {
+  ++steady_run_;
+  ensure_input_for(sched_.input_for_init +
+                   steady_run_ * sched_.input_per_steady);
 }
 
 std::vector<double> Executor::run_steady(int n) {
@@ -395,11 +410,9 @@ std::vector<double> Executor::run_steady(int n) {
   // per-actor (the graph re-synchronizes at the next iteration boundary, so
   // a later call may fuse again).
   if (tfexec_ && n > 0 && tfexec_->activate()) {
-    runtime::OpCounts* counts = opts_.count_ops ? ops_.data() : nullptr;
+    runtime::OpCounts* counts = counts_or_null();
     for (int i = 0; i < n; ++i) {
-      ++steady_run_;
-      ensure_input_for(sched_.input_for_init +
-                       steady_run_ * sched_.input_per_steady);
+      start_steady_state();
       tfexec_->run_iteration(counts);
     }
     tfexec_->deactivate();
@@ -409,10 +422,8 @@ std::vector<double> Executor::run_steady(int n) {
     return take_output();
   }
   for (int i = 0; i < n; ++i) {
-    ++steady_run_;
-    ensure_input_for(sched_.input_for_init +
-                     steady_run_ * sched_.input_per_steady);
-    run_epoch(sched_.reps);
+    start_steady_state();
+    run_epoch(sched_.reps, counts_or_null());
   }
   return take_output();
 }
@@ -511,9 +522,12 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
              "->" +
              (ed.dst >= 0 ? g_.actors[static_cast<std::size_t>(ed.dst)].name
                           : std::string("output"));
-    s.pushed = chans_[e]->total_pushed();
-    s.popped = chans_[e]->total_popped();
-    s.peak_items = static_cast<std::int64_t>(chans_[e]->high_water());
+    // A ring edge's counters are the threaded runtime's to report.
+    if (on_channel(e)) {
+      s.pushed = chans_[e]->total_pushed();
+      s.popped = chans_[e]->total_popped();
+      s.peak_items = static_cast<std::int64_t>(chans_[e]->high_water());
+    }
     if (e < bounds.in_order.size()) s.bound_items = bounds.in_order[e];
     m.edges.push_back(std::move(s));
   }

@@ -11,6 +11,11 @@
 //   * exposes single-actor firing so the messaging module can drive a
 //     *constrained* schedule,
 //   * records cumulative push/pop counters per channel (n(t), p(t)).
+//
+// It is also the per-actor execution core of the threaded runtime: a
+// ThreadedExecutor (sched/texec.h) owns one Executor, runs init and the
+// calibration epoch on it, and has its workers fire actors through it after
+// pointing each cross-worker edge's tape at an SPSC ring.
 
 #include <functional>
 #include <memory>
@@ -95,6 +100,8 @@ struct ExecOptions {
   // the msg module's job (the plain executor only forwards).
   runtime::MessageSink message_sink;
 };
+
+class ThreadedExecutor;
 
 class Executor {
  public:
@@ -212,8 +219,37 @@ class Executor {
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
 
  private:
+  // The threaded runtime drives this executor through the hooks below
+  // (retarget, fire_into, run_epoch and run_init with a counts array, the
+  // input feed) and reads its tallies and progress counters directly.
+  friend class ThreadedExecutor;
+
+  // Point edge `edge`'s tapes at an SPSC ring.  The edge's Channel stays
+  // owned (and drained); high-water notes and metrics_snapshot skip it from
+  // then on, and since can_fire still reads it, per-actor epochs must not
+  // run after a retarget.
+  void retarget(int edge, ir::InTape* in, ir::OutTape* out) {
+    in_tape_[static_cast<std::size_t>(edge)] = in;
+    out_tape_[static_cast<std::size_t>(edge)] = out;
+  }
+  [[nodiscard]] bool on_channel(std::size_t edge) const {
+    return in_tape_[edge] == chans_[edge].get();
+  }
+  // The one per-actor firing routine: tallies into *counts (null = no
+  // counting) and traces into tb (null = no tracing).  Afterwards notes high
+  // water on the fired actor's own edges that still live on a Channel.
+  void fire_into(int actor, runtime::OpCounts* counts, obs::ThreadBuffer* tb);
+  // Data-driven sweeps in schedule order until every actor fired its quota;
+  // `counts` is a per-actor array to tally into (null = no counting).
+  void run_epoch(const std::vector<std::int64_t>& quota,
+                 runtime::OpCounts* counts);
+  void run_init(runtime::OpCounts* counts);
+  // Count one more steady state and top up the input feed for it.
+  void start_steady_state();
   void ensure_input_for(std::int64_t items_needed);
-  void run_epoch(const std::vector<std::int64_t>& quota);
+  [[nodiscard]] runtime::OpCounts* counts_or_null() {
+    return opts_.count_ops ? ops_.data() : nullptr;
+  }
 
   ir::NodeP root_;
   ExecOptions opts_;
@@ -221,6 +257,10 @@ class Executor {
   Schedule sched_;
   Engine engine_{Engine::Vm};
   std::vector<std::unique_ptr<runtime::Channel>> chans_;
+  // Per-edge tape table the firing routine reads: each entry points at the
+  // edge's Channel until the threaded runtime retargets it to a ring.
+  std::vector<ir::InTape*> in_tape_;
+  std::vector<ir::OutTape*> out_tape_;
   std::vector<runtime::FilterState> fstate_;
   // Per-actor compiled work functions bound to fstate_ storage; null where
   // the actor is not an AST filter or its work fell back to the tree

@@ -7,10 +7,16 @@
 // onto N OS threads and runs a software-pipelined steady state per worker.
 //
 // Execution model:
-//   * Initialization and the first steady state run sequentially; the first
-//     steady state doubles as a calibration run that measures each actor's
-//     cycle weight (runtime::OpCounts::weighted -- the same cost table the
-//     machine model uses).
+//   * Every ThreadedExecutor owns one sequential Executor, its per-actor
+//     execution core: channels, filter state, the compiled (VM / typed)
+//     bindings, init functions, the input feed, firing tallies, and the one
+//     per-actor firing routine all live there.  On the threaded path it is
+//     built with Engine::Fused replaced by Engine::Vm (the fused trace is
+//     inherently single-threaded); on a fallback it runs the program as is.
+//   * Initialization and the first steady state run sequentially on the
+//     embedded Executor; the first steady state doubles as a calibration run
+//     that measures each actor's cycle weight (runtime::OpCounts::weighted --
+//     the same cost table the machine model uses).
 //   * Actors are then partitioned by longest-processing-time greedy
 //     balancing over the measured weights, with an affinity pass that glues
 //     featherweight actors (splitters, sinks, gains) to their heaviest
@@ -28,10 +34,12 @@
 //     publishes once per B*T items, and the window counters advance once per
 //     B iterations.
 //   * Cross-thread edges are migrated to lock-free SPSC rings in deferred
-//     (bulk-publication) mode (runtime/spsc.h); intra-thread edges keep the
-//     unsynchronized Channel.  A sliding step window (kPipelineWindow) caps
-//     how far any worker runs ahead, which bounds ring occupancy so each
-//     ring is sized once to the exact static bound
+//     (bulk-publication) mode (runtime/spsc.h) by pointing the embedded
+//     Executor's tape for the edge at the ring; intra-thread edges keep the
+//     unsynchronized Channel.  Workers fire their actors through the
+//     embedded Executor's one firing routine.  A sliding step window
+//     (kPipelineWindow) caps how far any worker runs ahead, which bounds
+//     ring occupancy so each ring is sized once to the exact static bound
 //     analysis::channel_bounds computes: post-init level +
 //     (window + 1) * B * steady-state traffic.  Debug/observability builds
 //     re-check every edge's observed high water against its static bound
@@ -48,7 +56,8 @@
 // cumulative push/pop counters are bit-equal to the sequential executor
 // (tests/test_texec.cc holds this differentially).
 //
-// Out of scope -- these fall back to an embedded sequential Executor (see
+// Out of scope -- these run the program on the embedded Executor as is,
+// sequentially and with the requested engine (see
 // ThreadedReport::fallback_reason): thread counts <= 1, teleport messaging
 // (handlers, Send statements, or an attached message_sink: delivery points
 // are defined against the sequential schedule), and graphs whose steady
@@ -69,10 +78,7 @@
 #include "ir/graph.h"
 #include "runtime/channel.h"
 #include "runtime/flatgraph.h"
-#include "runtime/interp.h"
 #include "runtime/spsc.h"
-#include "runtime/typed.h"
-#include "runtime/vm.h"
 #include "sched/exec.h"
 #include "sched/schedule.h"
 
@@ -131,7 +137,7 @@ class ThreadedExecutor {
   // Artifact-taking form: consume a pipeline-compiled program -- no
   // re-analysis/flatten/schedule.  opts.engine / opts.threads of Auto / 0
   // fall back to the program's resolved choice before consulting the
-  // environment; the embedded sequential fallback reuses the same artifact.
+  // environment; the embedded Executor is built from the same artifact.
   explicit ThreadedExecutor(CompiledProgram prog, ExecOptions opts = {});
   ~ThreadedExecutor();
 
@@ -149,6 +155,8 @@ class ThreadedExecutor {
   std::vector<double> run_steady(int n);
   std::vector<double> take_output();
 
+  // The engine driving the actors: Engine::Vm when a fused request runs
+  // threaded, the requested engine on a fallback.
   [[nodiscard]] Engine engine() const;
   [[nodiscard]] const std::vector<std::int64_t>& firings() const;
   [[nodiscard]] const std::vector<runtime::OpCounts>& actor_ops() const;
@@ -173,10 +181,10 @@ class ThreadedExecutor {
   }
 
   // --- observability --------------------------------------------------------
-  // Null unless tracing is enabled; delegates to the embedded sequential
-  // executor's recorder when fallen back.
+  // Null unless tracing is enabled; the embedded executor's recorder, which
+  // also holds the per-worker stats when threaded.
   [[nodiscard]] obs::Recorder* recorder() noexcept {
-    return seq_ ? seq_->recorder() : rec_.get();
+    return exec_->recorder();
   }
   // Quiescent snapshot (only call between run_* calls).  Reuses the
   // calibration costs as per-actor cycle weights and attributes each actor
@@ -184,14 +192,13 @@ class ThreadedExecutor {
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
 
  private:
-  FallbackReason refusal_reason(std::string* detail) const;
-  void build_storage();
-  ir::InTape* in_tape(int edge);
-  ir::OutTape* out_tape(int edge);
-  bool can_fire(int actor) const;
-  void fire_actor(int actor, runtime::OpCounts* counts, obs::ThreadBuffer* tb);
-  void run_epoch(const std::vector<std::int64_t>& quota);
-  void ensure_input_for(std::int64_t items_needed);
+  FallbackReason refusal_reason(const runtime::FlatGraph& g,
+                                std::string* detail) const;
+  // Per-actor tallies for the sequential epochs: the embedded executor's
+  // ops when count_ops is on, calib_ otherwise.
+  runtime::OpCounts* epoch_counts();
+  [[nodiscard]] const std::vector<runtime::OpCounts>& calibration() const;
+  [[nodiscard]] obs::Recorder* rec() const { return exec_->rec_.get(); }
   void partition_and_migrate();
   // Resolve the batch factor for this placement: explicit requests clamp to
   // the static max_batch; auto sizes from cross-edge traffic, measured cost,
@@ -205,46 +212,21 @@ class ThreadedExecutor {
   std::int64_t min_completed() const;
   void check_bounds() const;  // throws if occupancy exceeded a static bound
 
-  ir::NodeP root_;
   ExecOptions opts_;
   ThreadedReport report_;
-  std::unique_ptr<Executor> seq_;  // fallback path; null when threaded
+  // The per-actor execution core (storage, bindings, init, input feed,
+  // firing, tallies, recorder), threaded or not.  Never null.
+  std::unique_ptr<Executor> exec_;
 
-  runtime::FlatGraph g_;
-  Schedule sched_;
   analysis::ChannelBounds bounds_;
-  Engine engine_{Engine::Vm};
-  Engine prog_engine_{Engine::Auto};  // the CompiledProgram's resolved choice
-  std::string pipeline_;
-  std::vector<obs::PassSnapshot> passes_;
-  std::vector<std::unique_ptr<runtime::Channel>> chans_;
+  // Rings replacing the cross-worker edges' channels (null elsewhere).
   std::vector<std::unique_ptr<runtime::SpscRing>> rings_;
-  std::vector<runtime::FilterState> fstate_;
-  std::vector<std::unique_ptr<runtime::VmBound>> vmf_;
-  // Typed (dual-plane) bindings, preferred over vmf_ where inference proved
-  // the work function monomorphic; same per-actor fallback as Executor.
-  std::vector<std::unique_ptr<runtime::TypedBound>> tbf_;
-  std::vector<std::string> typed_refusal_;
-  bool typed_on_{false};
-  std::vector<std::unique_ptr<ir::NativeState>> nstate_;
-  std::vector<runtime::OpCounts> ops_;
   std::vector<runtime::OpCounts> calib_;  // weights when count_ops is off
-  std::vector<std::int64_t> fired_;
-  std::function<double(std::int64_t)> input_gen_;
-  std::int64_t input_fed_{0};
-  std::int64_t steady_run_{0};
-  bool init_done_{false};
-  bool steady_marked_{false};
 
   // Stall detector (resolved from ExecOptions / SIT_STALL_MS at
   // construction; < 0 = never abort).
   int stall_ms_{120000};
   int spin_yield_{128};
-
-  // Tracing (null when disabled; tb0_ is the main thread's buffer, shared by
-  // the sequential epochs and worker 0, which run on the same thread).
-  std::unique_ptr<obs::Recorder> rec_;
-  obs::ThreadBuffer* tb0_{nullptr};
 
   // Frozen after the calibration steady state.
   bool partitioned_{false};

@@ -22,6 +22,7 @@
 #include "apps/common.h"
 #include "apps/radio.h"
 #include "ir/dsl.h"
+#include "opt/compile.h"
 #include "parallel/transforms.h"
 #include "runtime/spsc.h"
 #include "sched/envopts.h"
@@ -333,6 +334,77 @@ TEST(TexecReport, PartitionCoversEveryActor) {
     EXPECT_LT(o, rep.threads);
   }
   EXPECT_GT(rep.predicted_speedup, 0.0);
+}
+
+// The engine a threaded run reports is the one driving its workers: a fused
+// request degrades to the per-actor VM there, while the one-thread fallback
+// really runs the fused trace.
+TEST(TexecReport, EngineIsTheOneDrivingTheWorkers) {
+  for (const int threads : {4, 1}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    sched::ExecOptions topt;
+    topt.threads = threads;
+    topt.engine = sched::Engine::Fused;
+    sched::ThreadedExecutor tex(apps::make_app("FIR"), topt);
+    tex.run_steady(3);
+    ASSERT_EQ(tex.report().threaded, threads > 1)
+        << tex.report().fallback_reason;
+    const sched::Engine want =
+        threads > 1 ? sched::Engine::Vm : sched::Engine::Fused;
+    EXPECT_EQ(tex.engine(), want);
+    EXPECT_EQ(tex.metrics_snapshot().engine, threads > 1 ? "vm" : "fused");
+  }
+}
+
+// A threaded snapshot starts from its embedded executor's: every per-actor
+// and per-edge field the threaded runtime does not own must read exactly as
+// a sequential executor's after the same steady states.
+TEST(TexecReport, SnapshotMatchesSequentialOnAllApps) {
+  for (const auto& info : apps::all_apps()) {
+    SCOPED_TRACE(info.name);
+    opt::CompileOptions copts;
+    copts.level = opt::OptLevel::O0;
+    sched::ExecOptions sopt;
+    sopt.engine = sched::Engine::Vm;
+    sopt.threads = 1;
+    sched::Executor seq(opt::compile(info.make(), copts), sopt);
+    sched::ExecOptions topt = sopt;
+    topt.threads = 4;
+    sched::ThreadedExecutor tex(opt::compile(info.make(), copts), topt);
+    if (seq.graph().input_edge >= 0) {
+      const auto gen = [](std::int64_t i) {
+        return std::sin(0.03 * static_cast<double>(i));
+      };
+      seq.set_input_generator(gen);
+      tex.set_input_generator(gen);
+    }
+    seq.run_steady(6);
+    tex.run_steady(6);
+    const obs::MetricsSnapshot ms = seq.metrics_snapshot();
+    const obs::MetricsSnapshot mt = tex.metrics_snapshot();
+    EXPECT_EQ(ms.typed_actors, mt.typed_actors);
+    EXPECT_EQ(ms.typed_regs, mt.typed_regs);
+    EXPECT_EQ(ms.typed_channels, mt.typed_channels);
+    ASSERT_EQ(ms.actors.size(), mt.actors.size());
+    for (std::size_t a = 0; a < ms.actors.size(); ++a) {
+      const obs::ActorSnapshot& x = ms.actors[a];
+      const obs::ActorSnapshot& y = mt.actors[a];
+      EXPECT_EQ(x.name, y.name);
+      EXPECT_EQ(x.firings, y.firings) << x.name;
+      expect_same_counts(x.ops, y.ops, x.name);
+      EXPECT_EQ(x.typed_status, y.typed_status) << x.name;
+      EXPECT_EQ(x.typed_regs, y.typed_regs) << x.name;
+    }
+    ASSERT_EQ(ms.edges.size(), mt.edges.size());
+    for (std::size_t e = 0; e < ms.edges.size(); ++e) {
+      const obs::EdgeSnapshot& x = ms.edges[e];
+      const obs::EdgeSnapshot& y = mt.edges[e];
+      EXPECT_EQ(x.name, y.name);
+      EXPECT_EQ(x.content, y.content) << x.name;
+      EXPECT_EQ(x.pushed, y.pushed) << x.name;
+      EXPECT_EQ(x.popped, y.popped) << x.name;
+    }
+  }
 }
 
 // ---- iteration batching -----------------------------------------------------

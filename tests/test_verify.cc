@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -322,6 +323,56 @@ TEST(ChannelBounds, DominateObservedHighWaterOnAllApps) {
           }
         }
       }
+    }
+  }
+}
+
+// The executor notes high water only on the fired actor's own channels (the
+// only ones a firing resizes).  That must still be the exact peak occupancy
+// over every firing boundary, on every edge, not just the linear chains the
+// test above pins.
+TEST(ChannelBounds, HighWaterIsPeakOverEveryFiringOnAllApps) {
+  constexpr int kSteady = 3;
+  for (const auto& a : apps::all_apps()) {
+    SCOPED_TRACE(a.name);
+    opt::CompileOptions copts;
+    copts.level = opt::OptLevel::O0;
+    sched::ExecOptions eopts;
+    eopts.engine = sched::Engine::Vm;
+    sched::Executor ex(opt::compile(a.make(), copts), eopts);
+    const runtime::FlatGraph& g = ex.graph();
+    const sched::Schedule& s = ex.schedule();
+    if (g.input_edge >= 0) {
+      std::vector<double> items(static_cast<std::size_t>(
+          s.input_for_init + kSteady * s.input_per_steady));
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        items[i] = static_cast<double>(i % 7);
+      }
+      ex.feed_input(items);
+    }
+    std::vector<std::size_t> peak(g.edges.size(), 0);
+    const auto epoch = [&](std::vector<std::int64_t> quota) {
+      for (bool progress = true; progress;) {
+        progress = false;
+        for (const int actor : s.order) {
+          auto& left = quota[static_cast<std::size_t>(actor)];
+          for (; left > 0 && ex.can_fire(actor); --left) {
+            ex.fire(actor);
+            progress = true;
+            for (std::size_t e = 0; e < g.edges.size(); ++e) {
+              peak[e] = std::max(peak[e],
+                                 ex.channel(static_cast<int>(e)).size());
+            }
+          }
+        }
+      }
+      for (const std::int64_t left : quota) ASSERT_EQ(left, 0);
+    };
+    epoch(s.init_fires);
+    for (int i = 0; i < kSteady; ++i) epoch(s.reps);
+    for (std::size_t e = 0; e < g.edges.size(); ++e) {
+      EXPECT_EQ(ex.channel(static_cast<int>(e)).high_water(), peak[e])
+          << "edge " << e;
     }
   }
 }

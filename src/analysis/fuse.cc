@@ -3,29 +3,11 @@
 #include <exception>
 
 #include "analysis/bounds_chan.h"
-#include "runtime/compile.h"
 
 namespace sit::analysis {
 
 FusePlan fuse_plan(const runtime::FlatGraph& g, const sched::Schedule& s) {
   FusePlan plan;
-
-  // Every AST filter must compile to bytecode (the trace inlines the
-  // compiled template) and must not send teleport messages.  Native filters
-  // are fine: the trace invokes their work function through tape adapters.
-  for (const auto& a : g.actors) {
-    if (a.kind != runtime::FlatActor::Kind::Filter) continue;
-    std::string why;
-    const auto prog = runtime::compile_filter(a.node->filter, &why);
-    if (!prog) {
-      plan.refusal = "vm-fallback:" + a.name + " (" + why + ")";
-      return plan;
-    }
-    if (!prog->work.sends.empty() || !prog->init.sends.empty()) {
-      plan.refusal = "teleport-send:" + a.name;
-      return plan;
-    }
-  }
 
   ChannelBounds bounds;
   try {

@@ -6,9 +6,8 @@
 // schedule's steady-state sequence (sched::Schedule::steady_runs) becomes one
 // firing loop over the actor's inlined template, and every fully-internal
 // channel is lowered to a flat array indexed by statically-known cursors.
-// fuse_plan() decides, before any code is generated, whether that trace
-// would be *exactly* equivalent to the per-actor execution, and sizes the
-// per-edge arrays from the static channel-bound analysis (bounds_chan.h):
+// fuse_plan() sizes the per-edge arrays from the static channel-bound
+// analysis (bounds_chan.h) before any code is generated:
 //
 //   * carry[e]   -- the post-init level L0: items that live across iteration
 //                   boundaries (peek windows, feedback delays).  The array
@@ -25,16 +24,23 @@
 // Refusal reasons are stable kebab-case strings (they surface through
 // streamc --report and obs::MetricsSnapshot.fallback_detail):
 //
-//   vm-fallback:<filter>           the filter's work function is outside the
+//   bounds-unavailable (<why>)     the static channel-bound analysis could
+//                                  not size the trace buffers.
+//
+// runtime::build_fused, which every caller runs right after an admissible
+// plan, adds the per-filter refusals it finds while compiling the
+// templates:
+//
+//   vm-fallback:<filter> (<why>)   the filter's work function is outside the
 //                                  bytecode subset (compile_filter refused),
 //                                  so there is no template to inline.
 //   teleport-send:<filter>         the filter sends teleport messages;
 //                                  message emission is firing-interleaved
 //                                  and cannot be batched into a flat trace.
 //
-// The executor adds two *runtime* refusals of its own on top of this static
-// plan: message-sink-attached and tracing-enabled (sched/exec.cc) -- both
-// are observation channels that want per-firing granularity.
+// The executor adds two *runtime* refusals of its own on top of these:
+// message-sink-attached and tracing-enabled (sched/exec.cc) -- both are
+// observation channels that want per-firing granularity.
 
 #include <cstdint>
 #include <string>

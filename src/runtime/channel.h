@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "ir/filter.h"
+#include "runtime/eval_ops.h"
 
 namespace sit::runtime {
 
@@ -61,9 +62,7 @@ class Channel final : public ir::InTape, public ir::OutTape {
 
   double peek_item(int offset) override {
     if (offset < 0 || static_cast<std::size_t>(offset) >= count_) {
-      throw std::runtime_error("peek(" + std::to_string(offset) +
-                               ") beyond channel contents (" +
-                               std::to_string(count_) + ")");
+      buffer_peek_error(offset, count_);
     }
     return buf_[(head_ + static_cast<std::size_t>(offset)) & mask_];
   }

@@ -98,7 +98,7 @@ class FnCompiler {
 
   CompiledProgram compile(const StmtP& body) {
     stmt(body);
-    emit({VmOp::Halt});
+    emit({FOp::Halt});
     finalize();
     return std::move(prog_);
   }
@@ -114,7 +114,7 @@ class FnCompiler {
 
   // ---- emission helpers -----------------------------------------------------
 
-  std::int32_t emit(VmInstr instr) {
+  std::int32_t emit(FInstr instr) {
     prog_.code.push_back(instr);
     return static_cast<std::int32_t>(prog_.code.size()) - 1;
   }
@@ -176,7 +176,7 @@ class FnCompiler {
       prog_.code[static_cast<std::size_t>(v.tail)].dst = dst;
       return;
     }
-    emit({VmOp::Move, 0, CountTag::None, dst, v.reg});
+    emit({FOp::Move, 0, CountTag::None, dst, v.reg});
   }
 
   // ---- expressions ----------------------------------------------------------
@@ -193,7 +193,7 @@ class FnCompiler {
         if (s != scalar_slot_.end()) {
           const std::uint16_t r = temp();
           const std::int32_t i =
-              emit({VmOp::LoadScalar, 0, CountTag::Mem, r, s->second});
+              emit({FOp::LoadScalar, 0, CountTag::Mem, r, s->second});
           return {r, i};
         }
         bail("read of undefined or possibly-unassigned variable '" + e->name +
@@ -205,19 +205,19 @@ class FnCompiler {
         const ExprRes idx = expr(e->a);
         const std::uint16_t r = temp();
         const std::int32_t i =
-            emit({VmOp::LoadElem, 0, CountTag::Mem, r, a->second, idx.reg});
+            emit({FOp::LoadElem, 0, CountTag::Mem, r, a->second, idx.reg});
         return {r, i};
       }
       case Expr::Kind::Peek: {
         const ExprRes off = expr(e->a);
         const std::uint16_t r = temp();
         const std::int32_t i =
-            emit({VmOp::Peek, 0, CountTag::Channel, r, off.reg});
+            emit({FOp::RPeek, 0, CountTag::Channel, r, off.reg});
         return {r, i};
       }
       case Expr::Kind::Pop: {
         const std::uint16_t r = temp();
-        const std::int32_t i = emit({VmOp::Pop, 0, CountTag::Channel, r});
+        const std::int32_t i = emit({FOp::RPop, 0, CountTag::Channel, r});
         return {r, i};
       }
       case Expr::Kind::Bin: {
@@ -228,27 +228,27 @@ class FnCompiler {
         const ExprRes b = expr(e->b);
         const std::uint16_t r = temp();
         const std::int32_t i =
-            emit({VmOp::Bin, static_cast<std::uint8_t>(e->bop),
+            emit({FOp::Bin, static_cast<std::uint8_t>(e->bop),
                   bin_tag(e->bop), r, a.reg, b.reg});
         return {r, i};
       }
       case Expr::Kind::Un: {
         const ExprRes a = expr(e->a);
         const std::uint16_t r = temp();
-        const std::int32_t i = emit({VmOp::Un, static_cast<std::uint8_t>(e->uop),
+        const std::int32_t i = emit({FOp::Un, static_cast<std::uint8_t>(e->uop),
                                      un_tag(e->uop), r, a.reg});
         return {r, i};
       }
       case Expr::Kind::Cond: {
         // The tree interpreter counts one int op for the selection, then
         // evaluates only the taken branch.
-        emit({VmOp::Tally, 1, CountTag::IntOp});
+        emit({FOp::Tally, 1, CountTag::IntOp});
         const ExprRes c = expr(e->a);
         const std::uint16_t dest = temp();
-        const std::int32_t jf = emit({VmOp::JmpIfFalse, 0, CountTag::None, 0,
+        const std::int32_t jf = emit({FOp::JmpIfFalse, 0, CountTag::None, 0,
                                       c.reg});
         move_into(dest, expr(e->b));
-        const std::int32_t j = emit({VmOp::Jmp});
+        const std::int32_t j = emit({FOp::Jmp});
         patch(jf, here());
         move_into(dest, expr(e->c));
         patch(j, here());
@@ -263,17 +263,17 @@ class FnCompiler {
   // bool-valued (integer) Value.
   ExprRes short_circuit(const ExprP& e) {
     const bool is_and = e->bop == BinOp::LAnd;
-    emit({VmOp::Tally, 1, CountTag::IntOp});
+    emit({FOp::Tally, 1, CountTag::IntOp});
     const ExprRes a = expr(e->a);
     const std::uint16_t dest = temp();
     const std::int32_t jshort =
-        emit({is_and ? VmOp::JmpIfFalse : VmOp::JmpIfTrue, 0, CountTag::None, 0,
+        emit({is_and ? FOp::JmpIfFalse : FOp::JmpIfTrue, 0, CountTag::None, 0,
               a.reg});
     const ExprRes b = expr(e->b);
-    emit({VmOp::Truthy, 0, CountTag::None, dest, b.reg});
-    const std::int32_t j = emit({VmOp::Jmp});
+    emit({FOp::Truthy, 0, CountTag::None, dest, b.reg});
+    const std::int32_t j = emit({FOp::Jmp});
     patch(jshort, here());
-    emit({VmOp::Move, 0, CountTag::None, dest, const_reg(Value(!is_and))});
+    emit({FOp::Move, 0, CountTag::None, dest, const_reg(Value(!is_and))});
     patch(j, here());
     return {dest, -1};
   }
@@ -291,7 +291,7 @@ class FnCompiler {
         const ExprRes v = expr(s->value);
         auto sc = scalar_slot_.find(s->name);
         if (sc != scalar_slot_.end()) {
-          emit({VmOp::StoreScalar, 0, CountTag::Mem, v.reg, sc->second});
+          emit({FOp::StoreScalar, 0, CountTag::Mem, v.reg, sc->second});
         } else {
           move_into(local(s->name), v);
           assigned_.insert(s->name);
@@ -303,17 +303,17 @@ class FnCompiler {
         if (a == array_slot_.end()) bail("undefined array '" + s->name + "'");
         const ExprRes idx = expr(s->index);
         const ExprRes val = expr(s->value);
-        emit({VmOp::StoreElem, 0, CountTag::Mem, val.reg, a->second, idx.reg});
+        emit({FOp::StoreElem, 0, CountTag::Mem, val.reg, a->second, idx.reg});
         break;
       }
       case Stmt::Kind::Push: {
         const ExprRes v = expr(s->value);
-        emit({VmOp::Push, 0, CountTag::Channel, v.reg});
+        emit({FOp::RPush, 0, CountTag::Channel, v.reg});
         break;
       }
       case Stmt::Kind::PopN: {
         const ExprRes n = expr(s->index);
-        emit({VmOp::PopN, 0, CountTag::None, 0, n.reg});
+        emit({FOp::RPopN, 0, CountTag::None, 0, n.reg});
         break;
       }
       case Stmt::Kind::For: {
@@ -331,25 +331,25 @@ class FnCompiler {
         // Bounds coerce through as_int() exactly as in the tree interpreter
         // (uncounted, like any Value coercion).
         const auto int_into = [&](std::uint16_t dst, const ExprRes& v) {
-          emit({VmOp::Un, static_cast<std::uint8_t>(UnOp::ToInt),
+          emit({FOp::Un, static_cast<std::uint8_t>(UnOp::ToInt),
                 CountTag::None, dst, v.reg});
         };
         int_into(ri, expr(s->lo));
         int_into(rhi, expr(s->hi));
         int_into(rstep, s->step ? expr(s->step)
                                 : ExprRes{const_reg(Value(std::int64_t{1})), -1});
-        emit({VmOp::CheckStep, 0, CountTag::None, 0, rstep});
+        emit({FOp::CheckStep, 0, CountTag::None, 0, rstep});
         const std::int32_t ltest = here();
         const std::int32_t jge =
-            emit({VmOp::JmpIfGe, 0, CountTag::None, 0, ri, rhi});
-        emit({VmOp::Tally, 2, CountTag::IntOp});  // increment + bound compare
+            emit({FOp::JmpIfGe, 0, CountTag::None, 0, ri, rhi});
+        emit({FOp::Tally, 2, CountTag::IntOp});  // increment + bound compare
         const std::uint16_t slot = local(s->name);
-        emit({VmOp::Move, 0, CountTag::None, slot, ri});
+        emit({FOp::Move, 0, CountTag::None, slot, ri});
         const std::set<std::string> snapshot = assigned_;
         assigned_.insert(s->name);
         stmt(s->body);
-        emit({VmOp::ForInc, 0, CountTag::None, ri, rstep});
-        VmInstr back{VmOp::Jmp};
+        emit({FOp::ForInc, 0, CountTag::None, ri, rstep});
+        FInstr back{FOp::Jmp};
         back.jump = ltest;
         emit(back);
         patch(jge, here());
@@ -359,15 +359,15 @@ class FnCompiler {
         break;
       }
       case Stmt::Kind::If: {
-        emit({VmOp::Tally, 1, CountTag::IntOp});
+        emit({FOp::Tally, 1, CountTag::IntOp});
         const ExprRes c = expr(s->cond);
         const std::int32_t jf =
-            emit({VmOp::JmpIfFalse, 0, CountTag::None, 0, c.reg});
+            emit({FOp::JmpIfFalse, 0, CountTag::None, 0, c.reg});
         const std::set<std::string> snapshot = assigned_;
         stmt(s->body);
         if (s->elseBody) {
           const std::set<std::string> after_then = assigned_;
-          const std::int32_t j = emit({VmOp::Jmp});
+          const std::int32_t j = emit({FOp::Jmp});
           patch(jf, here());
           assigned_ = snapshot;
           stmt(s->elseBody);
@@ -393,7 +393,7 @@ class FnCompiler {
         for (const auto& a : s->args) site.arg_regs.push_back(expr(a).reg);
         const auto idx = static_cast<std::uint16_t>(prog_.sends.size());
         prog_.sends.push_back(std::move(site));
-        emit({VmOp::Send, 0, CountTag::None, 0, idx});
+        emit({FOp::Send, 0, CountTag::None, 0, idx});
         break;
       }
     }
@@ -409,29 +409,7 @@ class FnCompiler {
         r = static_cast<std::uint16_t>(n_persist + (r & ~kTempFlag));
       }
     };
-    for (VmInstr& I : prog_.code) {
-      switch (I.op) {
-        case VmOp::LoadScalar:
-        case VmOp::StoreScalar:
-          rebase(I.dst);  // `a` is a state slot, not a register
-          break;
-        case VmOp::LoadElem:
-        case VmOp::StoreElem:
-          rebase(I.dst);  // `a` is a state slot
-          rebase(I.b);
-          break;
-        case VmOp::Send:
-        case VmOp::Tally:
-        case VmOp::Halt:
-        case VmOp::Jmp:
-          break;  // no register operands (`a` of Send is a site index)
-        default:
-          rebase(I.dst);
-          rebase(I.a);
-          rebase(I.b);
-          break;
-      }
-    }
+    for (FInstr& I : prog_.code) for_each_reg(I, rebase);
     for (SendSite& s : prog_.sends) {
       for (std::uint16_t& r : s.arg_regs) rebase(r);
     }
@@ -511,49 +489,8 @@ TypedFilterP typed_compile(const ir::FilterSpec& spec,
     return nullptr;
   }
 
-  // Re-express the VM program as the fused instruction set so typed_lower
-  // sees one vocabulary.  The translation is 1:1 (indices and jump targets
-  // carry over unchanged); only the channel ops are renamed.
-  std::vector<FInstr> code;
-  code.reserve(base->work.code.size());
-  for (const VmInstr& v : base->work.code) {
-    FInstr f;
-    f.sub = v.sub;
-    f.count = v.count;
-    f.dst = v.dst;
-    f.a = v.a;
-    f.b = v.b;
-    f.jump = v.jump;
-    switch (v.op) {
-      case VmOp::Move: f.op = FOp::Move; break;
-      case VmOp::LoadScalar: f.op = FOp::LoadScalar; break;
-      case VmOp::StoreScalar: f.op = FOp::StoreScalar; break;
-      case VmOp::LoadElem: f.op = FOp::LoadElem; break;
-      case VmOp::StoreElem: f.op = FOp::StoreElem; break;
-      case VmOp::Peek: f.op = FOp::RPeek; break;
-      case VmOp::Pop: f.op = FOp::RPop; break;
-      case VmOp::PopN: f.op = FOp::RPopN; break;
-      case VmOp::Push: f.op = FOp::RPush; break;
-      case VmOp::Bin: f.op = FOp::Bin; break;
-      case VmOp::Un: f.op = FOp::Un; break;
-      case VmOp::Truthy: f.op = FOp::Truthy; break;
-      case VmOp::Jmp: f.op = FOp::Jmp; break;
-      case VmOp::JmpIfFalse: f.op = FOp::JmpIfFalse; break;
-      case VmOp::JmpIfTrue: f.op = FOp::JmpIfTrue; break;
-      case VmOp::JmpIfGe: f.op = FOp::JmpIfGe; break;
-      case VmOp::CheckStep: f.op = FOp::CheckStep; break;
-      case VmOp::ForInc: f.op = FOp::ForInc; break;
-      case VmOp::Tally: f.op = FOp::Tally; break;
-      case VmOp::Halt: f.op = FOp::Halt; break;
-      case VmOp::Send:
-        if (reason) *reason = "teleport-send";
-        return nullptr;
-    }
-    code.push_back(f);
-  }
-
   TypedLowerInput in;
-  in.code = &code;
+  in.code = &base->work.code;
   in.num_regs = base->work.reg_init.size();
   in.reg_init = base->work.reg_init;
   in.scalar_names = &base->scalar_slots;

@@ -1,21 +1,55 @@
 #pragma once
-// Scalar operator kernels shared by the tree interpreter and the bytecode VM.
+// Scalar operator kernels and runtime fault messages shared by every engine.
 //
-// Both engines must agree bit-for-bit on StreamIt's Java-like promotion
+// The engines must agree bit-for-bit on StreamIt's Java-like promotion
 // rules (int op int stays integral, any float operand promotes), so the
 // arithmetic lives here exactly once.  These are pure value functions;
 // operation *counting* stays engine-side because the tree walker and the VM
-// attach costs at different points.
+// attach costs at different points.  A fault's what() string is part of the
+// same cross-engine contract, so each one is built here once too.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "ir/ast.h"
 #include "ir/value.h"
 
 namespace sit::runtime {
+
+// ---- runtime faults ---------------------------------------------------------
+
+// Debug channel checks: a peek past the filter's declared max(peek, pop).
+[[noreturn]] inline void peek_bounds_error(const std::string& name,
+                                           std::int64_t off, std::int64_t pops,
+                                           std::int64_t window) {
+  throw std::runtime_error(
+      "peek out of bounds in '" + name + "': peek(" + std::to_string(off) +
+      ") after " + std::to_string(pops) +
+      " pop(s) exceeds the declared window of " + std::to_string(window));
+}
+
+// `what` is "array index out of bounds" (load) or "array store out of
+// bounds" (store).
+[[noreturn]] inline void elem_bounds_error(const char* what,
+                                           const std::string& name,
+                                           std::int64_t idx) {
+  throw std::runtime_error(std::string(what) + ": " + name + "[" +
+                           std::to_string(idx) + "]");
+}
+
+// A peek beyond the items a channel (ring or lowered trace buffer) holds.
+[[noreturn]] inline void buffer_peek_error(std::int64_t off, std::size_t live) {
+  throw std::runtime_error("peek(" + std::to_string(off) +
+                           ") beyond channel contents (" +
+                           std::to_string(live) + ")");
+}
+
+[[noreturn]] inline void for_step_error() {
+  throw std::runtime_error("for loop step must be positive");
+}
 
 // Integer division/modulo with the runtime's zero checks.  Shared by the
 // tagged kernels below and the typed (unboxed) dispatch loops so the error

@@ -23,27 +23,6 @@ struct BuildFail {
 
 [[noreturn]] void fail(std::string reason) { throw BuildFail{std::move(reason)}; }
 
-[[noreturn]] void peek_bounds_error(const std::string& name, std::int64_t off,
-                                    std::int64_t pops, std::int64_t window) {
-  throw std::runtime_error(
-      "peek out of bounds in '" + name + "': peek(" + std::to_string(off) +
-      ") after " + std::to_string(pops) +
-      " pop(s) exceeds the declared window of " + std::to_string(window));
-}
-
-[[noreturn]] void elem_bounds_error(const char* what, const std::string& name,
-                                    std::int64_t idx) {
-  throw std::runtime_error(std::string(what) + ": " + name + "[" +
-                           std::to_string(idx) + "]");
-}
-
-[[noreturn]] void buffer_peek_error(std::int64_t off, std::size_t live) {
-  // Mirrors Channel::peek_item's message: the lowered buffer is the channel.
-  throw std::runtime_error("peek(" + std::to_string(off) +
-                           ") beyond channel contents (" +
-                           std::to_string(live) + ")");
-}
-
 // ---- builder ----------------------------------------------------------------
 
 class TraceBuilder {
@@ -231,83 +210,34 @@ class TraceBuilder {
     const int in_e = a.in_edges.empty() ? -1 : a.in_edges[0];
     const int out_e = a.out_edges.empty() ? -1 : a.out_edges[0];
 
-    const auto reg = [&](std::uint16_t r) {
-      return static_cast<std::uint16_t>(meta.reg_base + r);
+    // Bind a channel op to edge `e`, lowered when the edge is internal.
+    const auto bind = [&](FInstr& I, int e, FOp lowered, const char* what) {
+      if (e < 0) fail(std::string(what) + " edge in '" + a.name + "'");
+      if (edge_internal(e)) I.op = lowered;
+      I.edge = e;
     };
-    std::vector<FInstr> t;
-    t.reserve(w.code.size());
-    for (const VmInstr& V : w.code) {
-      if (V.op == VmOp::Halt) break;  // exactly one, at the end
-      FInstr I{};
-      I.sub = V.sub;
-      I.count = V.count;
-      I.dst = V.dst;
-      I.a = V.a;
-      I.b = V.b;
-      I.jump = V.jump;
-      switch (V.op) {
-        case VmOp::Move: I.op = FOp::Move; I.dst = reg(V.dst); I.a = reg(V.a); break;
-        case VmOp::LoadScalar:
-          I.op = FOp::LoadScalar;
-          I.dst = reg(V.dst);
-          I.a = static_cast<std::uint16_t>(meta.scalar_base + V.a);
+    // Drop the trailing Halt (exactly one, at the end).
+    std::vector<FInstr> t(w.code.begin(), w.code.end() - 1);
+    for (FInstr& I : t) {
+      for_each_reg(I, [&](std::uint16_t& r) {
+        r = static_cast<std::uint16_t>(meta.reg_base + r);
+      });
+      switch (I.op) {
+        case FOp::LoadScalar:
+        case FOp::StoreScalar:
+          I.a = static_cast<std::uint16_t>(meta.scalar_base + I.a);
           break;
-        case VmOp::StoreScalar:
-          I.op = FOp::StoreScalar;
-          I.dst = reg(V.dst);
-          I.a = static_cast<std::uint16_t>(meta.scalar_base + V.a);
+        case FOp::LoadElem:
+        case FOp::StoreElem:
+          I.a = static_cast<std::uint16_t>(meta.array_base + I.a);
           break;
-        case VmOp::LoadElem:
-          I.op = FOp::LoadElem;
-          I.dst = reg(V.dst);
-          I.a = static_cast<std::uint16_t>(meta.array_base + V.a);
-          I.b = reg(V.b);
-          break;
-        case VmOp::StoreElem:
-          I.op = FOp::StoreElem;
-          I.dst = reg(V.dst);
-          I.a = static_cast<std::uint16_t>(meta.array_base + V.a);
-          I.b = reg(V.b);
-          break;
-        case VmOp::Peek:
-          if (in_e < 0) fail("peek without an input edge in '" + a.name + "'");
-          I.op = edge_internal(in_e) ? FOp::TPeek : FOp::RPeek;
-          I.dst = reg(V.dst);
-          I.a = reg(V.a);
-          I.edge = in_e;
-          break;
-        case VmOp::Pop:
-          if (in_e < 0) fail("pop without an input edge in '" + a.name + "'");
-          I.op = edge_internal(in_e) ? FOp::TPop : FOp::RPop;
-          I.dst = reg(V.dst);
-          I.edge = in_e;
-          break;
-        case VmOp::PopN:
-          if (in_e < 0) fail("pop without an input edge in '" + a.name + "'");
-          I.op = edge_internal(in_e) ? FOp::TPopN : FOp::RPopN;
-          I.a = reg(V.a);
-          I.edge = in_e;
-          break;
-        case VmOp::Push:
-          if (out_e < 0) fail("push without an output edge in '" + a.name + "'");
-          I.op = edge_internal(out_e) ? FOp::TPush : FOp::RPush;
-          I.dst = reg(V.dst);
-          I.edge = out_e;
-          break;
-        case VmOp::Bin: I.op = FOp::Bin; I.dst = reg(V.dst); I.a = reg(V.a); I.b = reg(V.b); break;
-        case VmOp::Un: I.op = FOp::Un; I.dst = reg(V.dst); I.a = reg(V.a); break;
-        case VmOp::Truthy: I.op = FOp::Truthy; I.dst = reg(V.dst); I.a = reg(V.a); break;
-        case VmOp::Jmp: I.op = FOp::Jmp; break;
-        case VmOp::JmpIfFalse: I.op = FOp::JmpIfFalse; I.a = reg(V.a); break;
-        case VmOp::JmpIfTrue: I.op = FOp::JmpIfTrue; I.a = reg(V.a); break;
-        case VmOp::JmpIfGe: I.op = FOp::JmpIfGe; I.a = reg(V.a); I.b = reg(V.b); break;
-        case VmOp::CheckStep: I.op = FOp::CheckStep; I.a = reg(V.a); break;
-        case VmOp::ForInc: I.op = FOp::ForInc; I.dst = reg(V.dst); I.a = reg(V.a); break;
-        case VmOp::Tally: I.op = FOp::Tally; break;
-        case VmOp::Send: fail("teleport-send:" + a.name);
-        case VmOp::Halt: break;  // unreachable
+        case FOp::RPeek: bind(I, in_e, FOp::TPeek, "peek without an input"); break;
+        case FOp::RPop: bind(I, in_e, FOp::TPop, "pop without an input"); break;
+        case FOp::RPopN: bind(I, in_e, FOp::TPopN, "pop without an input"); break;
+        case FOp::RPush: bind(I, out_e, FOp::TPush, "push without an output"); break;
+        case FOp::Send: fail("teleport-send:" + a.name);
+        default: break;
       }
-      t.push_back(I);
     }
     return t;
   }
@@ -698,46 +628,6 @@ FusedProgramP build_fused(const FlatGraph& g, const std::vector<FiringRun>& runs
 
 // ---- disassembly ------------------------------------------------------------
 
-namespace {
-
-const char* fop_name(FOp op) {
-  switch (op) {
-    case FOp::Move: return "move";
-    case FOp::LoadScalar: return "ld.s";
-    case FOp::StoreScalar: return "st.s";
-    case FOp::LoadElem: return "ld.e";
-    case FOp::StoreElem: return "st.e";
-    case FOp::Bin: return "bin";
-    case FOp::Un: return "un";
-    case FOp::Truthy: return "truthy";
-    case FOp::Jmp: return "jmp";
-    case FOp::JmpIfFalse: return "jf";
-    case FOp::JmpIfTrue: return "jt";
-    case FOp::JmpIfGe: return "jge";
-    case FOp::CheckStep: return "chkstep";
-    case FOp::ForInc: return "forinc";
-    case FOp::Tally: return "tally";
-    case FOp::RPeek: return "r.peek";
-    case FOp::RPop: return "r.pop";
-    case FOp::RPopN: return "r.popn";
-    case FOp::RPush: return "r.push";
-    case FOp::TPeek: return "t.peek";
-    case FOp::TPop: return "t.pop";
-    case FOp::TPopN: return "t.popn";
-    case FOp::TPush: return "t.push";
-    case FOp::SetActor: return "setactor";
-    case FOp::FireLoop: return "fireloop";
-    case FOp::MacLoop: return "macloop";
-    case FOp::PopComputePush: return "pcp";
-    case FOp::CopyRun: return "copyrun";
-    case FOp::NativeFire: return "nativefire";
-    case FOp::Halt: return "halt";
-  }
-  return "?";
-}
-
-}  // namespace
-
 std::string FusedProgram::disassemble() const {
   std::string out;
   out += "; fused steady-state trace: " + std::to_string(code.size()) +
@@ -749,7 +639,7 @@ std::string FusedProgram::disassemble() const {
   }
   for (std::size_t i = 0; i < code.size(); ++i) {
     const FInstr& I = code[i];
-    out += std::to_string(i) + ": " + fop_name(I.op);
+    out += std::to_string(i) + ": " + op_name(I.op);
     switch (I.op) {
       case FOp::Bin:
         out += " " + std::string(ir::to_string(static_cast<BinOp>(I.sub)));
@@ -1091,7 +981,7 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
   const FusedProgram& base = *prog_->base;
   double* const dr = dregs_.data();
   std::int64_t* const ir_ = iregs_.data();
-  const TyInstr* const code = prog_->code.code.data();
+  const FInstr* const code = prog_->code.code.data();
   EdgeState* const ebuf = ebuf_.data();
   const bool debug = debug_channel_checks();
   OpCounts* cur = nullptr;
@@ -1113,24 +1003,6 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
     pops = 0;
   };
 
-  // ByResult was resolved at lowering, so every tally is a single add.
-  const auto tally = [&](CountTag tag) {
-    if constexpr (kCount) {
-      switch (tag) {
-        case CountTag::None: break;
-        case CountTag::IntOp: ++cur->int_ops; break;
-        case CountTag::Flop: ++cur->flops; break;
-        case CountTag::Div: ++cur->divs; break;
-        case CountTag::Trans: ++cur->trans; break;
-        case CountTag::Mem: ++cur->mem; break;
-        case CountTag::Channel: ++cur->channel; break;
-        case CountTag::ByResult: break;  // never emitted by typed_lower
-      }
-    } else {
-      (void)tag;
-    }
-  };
-
   const auto tpop = [&](std::int32_t e) {
     EdgeState& s = ebuf[e];
     if (s.rd >= s.wr) throw std::runtime_error("pop from empty channel");
@@ -1145,7 +1017,7 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
   };
 
   for (;;) {
-    const TyInstr& I = code[pc];
+    const FInstr& I = code[pc];
     const bool ad = (I.mode & kModeAD) != 0;
     const bool bd = (I.mode & kModeBD) != 0;
     const bool dd = (I.mode & kModeDD) != 0;
@@ -1221,12 +1093,12 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
         break;
       }
       case FOp::Bin:
-        tally(I.count);
+        if constexpr (kCount) tally(*cur, I.count);
         typed_bin(static_cast<BinOp>(I.sub), dr, ir_, I.dst, I.a, I.b, I.mode);
         ++pc;
         break;
       case FOp::Un:
-        tally(I.count);
+        if constexpr (kCount) tally(*cur, I.count);
         typed_un(static_cast<UnOp>(I.sub), dr, ir_, I.dst, I.a, I.mode);
         ++pc;
         break;
@@ -1250,7 +1122,7 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
         break;
       case FOp::CheckStep:
         if (typed_geti(dr, ir_, I.a, ad) <= 0) {
-          throw std::runtime_error("for loop step must be positive");
+          for_step_error();
         }
         ++pc;
         break;
@@ -1260,17 +1132,7 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
         ++pc;
         break;
       case FOp::Tally:
-        if constexpr (kCount) {
-          switch (I.count) {
-            case CountTag::IntOp: cur->int_ops += I.sub; break;
-            case CountTag::Channel: cur->channel += I.sub; break;
-            case CountTag::Flop: cur->flops += I.sub; break;
-            case CountTag::Div: cur->divs += I.sub; break;
-            case CountTag::Trans: cur->trans += I.sub; break;
-            case CountTag::Mem: cur->mem += I.sub; break;
-            case CountTag::None: case CountTag::ByResult: break;
-          }
-        }
+        if constexpr (kCount) tally(*cur, I.count, I.sub);
         ++pc;
         break;
       case FOp::RPeek: {
@@ -1488,14 +1350,14 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
             outd = vd;
             break;
           case PcpArgs::Kind::Bin:
-            tally(tp.tag);
+            if constexpr (kCount) tally(*cur, tp.tag);
             typed_bin(static_cast<BinOp>(P.sub), dr, ir_, P.rres, P.a, P.b,
                       tp.mode);
             outd = tp.res_double ? dr[P.rres]
                                  : static_cast<double>(ir_[P.rres]);
             break;
           case PcpArgs::Kind::Un:
-            tally(tp.tag);
+            if constexpr (kCount) tally(*cur, tp.tag);
             typed_un(static_cast<UnOp>(P.sub), dr, ir_, P.rres, P.a, tp.mode);
             outd = tp.res_double ? dr[P.rres]
                                  : static_cast<double>(ir_[P.rres]);

@@ -16,10 +16,11 @@
 //   SetActor a            switch OpCounts attribution + peek window, and
 //                         load the actor's register template for the first
 //                         firing (exactly the per-invocation copy the VM does)
-//   <work template>       the filter's compiled bytecode, registers rebased
-//                         into one flat register file, Peek/Pop/Push lowered
-//                         to TPeek/TPop/TPush (trace buffer) or RPeek/RPop/
-//                         RPush (boundary ring)
+//   <work template>       the filter's compiled bytecode (vm.h's FInstr, the
+//                         one instruction format), registers and state slots
+//                         rebased into the flat program-wide files, channel
+//                         ops bound to the actor's edges: TPeek/TPop/TPush on
+//                         a trace buffer, RPeek/RPop/RPush on a boundary ring
 //   FireLoop a, n         (n > 1 only) reload the template and jump back to
 //                         the template for the next firing, n times in all
 //
@@ -68,39 +69,6 @@
 #include "runtime/vm.h"
 
 namespace sit::runtime {
-
-enum class FOp : std::uint8_t {
-  // Scalar core -- semantics identical to the VmOp of the same name, with
-  // register / state-slot operands rebased into the flat program-wide files.
-  Move, LoadScalar, StoreScalar, LoadElem, StoreElem,
-  Bin, Un, Truthy, Jmp, JmpIfFalse, JmpIfTrue, JmpIfGe, CheckStep, ForInc,
-  Tally,  // counts->(field selected by `count`) += sub
-  // Boundary channel ops: the edge keeps its ring Channel (`edge` field).
-  RPeek, RPop, RPopN, RPush,
-  // Lowered channel ops: the edge is a flat trace buffer (`edge` field).
-  TPeek, TPop, TPopN, TPush,
-  // Firing structure.
-  SetActor,  // a = actor id: OpCounts attribution + peek window, and load
-             // the actor's register template
-  FireLoop,  // a = actor id, jump = first template instruction, edge =
-             // firings in the run: reload the template and jump back until
-             // the run's last firing, then fall through
-  // Superinstructions (`a` indexes the matching args table).
-  MacLoop,         // mac-loop / sum-loop
-  PopComputePush,  // pop-push / pop-bin-push / pop-un-push
-  CopyRun,         // copy-run / dup-run
-  NativeFire,      // one firing of a native filter through tape adapters
-  Halt,
-};
-
-struct FInstr {
-  FOp op{FOp::Halt};
-  std::uint8_t sub{0};  // BinOp/UnOp ordinal, or Tally amount
-  CountTag count{CountTag::None};
-  std::uint16_t dst{0}, a{0}, b{0};
-  std::int32_t jump{-1};
-  std::int32_t edge{-1};  // channel ops: flat-graph edge id
-};
 
 // for (i = r[ri]; i < r[rhi]; i += r[rstep])
 //   r[acc] += peek(i) [ * coef[i] ]
@@ -197,7 +165,9 @@ using FusedProgramP = std::shared_ptr<const FusedProgram>;
 // steady-state firing sequence (sched::Schedule::steady_runs); `carry`/
 // `traffic` are the per-edge sizing from analysis::fuse_plan (carry < 0
 // marks a boundary edge).  Returns nullptr with `reason` filled when some
-// construct cannot be traced (the caller falls back to the per-actor VM).
+// construct cannot be traced -- among them the vm-fallback:<filter> and
+// teleport-send:<filter> refusals analysis/fuse.h lists -- and the caller
+// falls back to the per-actor VM.
 FusedProgramP build_fused(const FlatGraph& g, const std::vector<FiringRun>& runs,
                           const std::vector<std::int64_t>& carry,
                           const std::vector<std::int64_t>& traffic,

@@ -117,8 +117,7 @@ Value eval(const ExprP& e, Ctx& ctx) {
       const auto idx = eval(e->a, ctx).as_int();
       auto& arr = array_of(e->name, ctx);
       if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
-        throw std::runtime_error("array index out of bounds: " + e->name + "[" +
-                                 std::to_string(idx) + "]");
+        elem_bounds_error("array index out of bounds", e->name, idx);
       }
       if (ctx.counts) ++ctx.counts->mem;
       return arr[static_cast<std::size_t>(idx)];
@@ -129,11 +128,7 @@ Value eval(const ExprP& e, Ctx& ctx) {
       if (g_debug_channel_checks && ctx.spec) {
         const std::int64_t window = std::max(ctx.spec->peek, ctx.spec->pop);
         if (off < 0 || ctx.pops + off >= window) {
-          throw std::runtime_error(
-              "peek out of bounds in '" + ctx.spec->name + "': peek(" +
-              std::to_string(off) + ") after " + std::to_string(ctx.pops) +
-              " pop(s) exceeds the declared window of " +
-              std::to_string(window));
+          peek_bounds_error(ctx.spec->name, off, ctx.pops, window);
         }
       }
       if (ctx.counts) ++ctx.counts->channel;
@@ -203,8 +198,7 @@ void exec(const StmtP& s, Ctx& ctx) {
       const Value v = eval(s->value, ctx);
       auto& arr = array_of(s->name, ctx);
       if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
-        throw std::runtime_error("array store out of bounds: " + s->name + "[" +
-                                 std::to_string(idx) + "]");
+        elem_bounds_error("array store out of bounds", s->name, idx);
       }
       if (ctx.counts) ++ctx.counts->mem;
       arr[static_cast<std::size_t>(idx)] = v;
@@ -231,7 +225,7 @@ void exec(const StmtP& s, Ctx& ctx) {
       const auto lo = eval(s->lo, ctx).as_int();
       const auto hi = eval(s->hi, ctx).as_int();
       const auto step = eval(s->step, ctx).as_int();
-      if (step <= 0) throw std::runtime_error("for loop step must be positive");
+      if (step <= 0) for_step_error();
       for (std::int64_t i = lo; i < hi; i += step) {
         ctx.locals[s->name] = Value(i);
         if (ctx.counts) {

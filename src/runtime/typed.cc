@@ -5,8 +5,9 @@
 // fixpoint, with the state scalar/array classes as global lattice cells that
 // are re-seeded and the flow re-run until they stabilize (a store can raise
 // a class, which retags every load of that slot).  Lowering then walks the
-// final states and emits one TyInstr per FInstr -- same indices, same jump
-// targets -- refusing the moment any *read* observes Mixed.
+// final states and copies each FInstr with its operand-plane mode set -- same
+// indices, same jump targets -- refusing the moment any *read* observes
+// Mixed.
 
 #include "runtime/typed.h"
 
@@ -282,7 +283,7 @@ struct Lower {
   }
 };
 
-bool lower_one(Lower& L, const FInstr& I, const TagVec& s, TyInstr* T) {
+bool lower_one(Lower& L, const FInstr& I, const TagVec& s, FInstr* T) {
   Flow& F = *L.F;
   bool ad = false, bd = false, dd = false;
   switch (I.op) {
@@ -462,6 +463,8 @@ bool lower_one(Lower& L, const FInstr& I, const TagVec& s, TyInstr* T) {
       if (C.n > 0) L.note_write(C.reg, Tag::Double);
       break;
     }
+    case FOp::Send:
+      return L.fail("teleport-send");
     case FOp::Jmp:
     case FOp::Tally:
     case FOp::NativeFire:
@@ -551,15 +554,7 @@ bool typed_lower(const TypedLowerInput& in, TypedCode* out,
 
   for (std::size_t pc = 0; pc < in.code->size(); ++pc) {
     const FInstr& I = (*in.code)[pc];
-    TyInstr T;
-    T.op = I.op;
-    T.sub = I.sub;
-    T.count = I.count;
-    T.dst = I.dst;
-    T.a = I.a;
-    T.b = I.b;
-    T.jump = I.jump;
-    T.edge = I.edge;
+    FInstr T = I;
     if (F.reach[pc]) {
       if (!lower_one(L, I, F.states[pc], &T)) {
         if (refusal) *refusal = L.refusal;
@@ -572,8 +567,7 @@ bool typed_lower(const TypedLowerInput& in, TypedCode* out,
       }
     } else {
       // Unreachable padding: keep indices/jumps aligned, never executed.
-      T = TyInstr{};
-      T.op = FOp::Halt;
+      T = FInstr{};
     }
     out->code.push_back(T);
   }

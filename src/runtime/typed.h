@@ -19,12 +19,13 @@
 //     statements with different tags -- a per-register summary would refuse
 //     nearly everything.
 //
-//   * When no *read* ever observes Mixed, the program is lowered 1:1 to a
-//     TyInstr stream executed against two raw register files -- a double
-//     plane and an int64 plane -- with a per-instruction mode byte naming
-//     each operand's plane (eval_ops.h typed_bin/typed_un).  Two planes
-//     rather than one double file because int64 arithmetic (the LCG sources'
-//     wrap-around, bit ops) exceeds a double's 53-bit mantissa.
+//   * When no *read* ever observes Mixed, the program is lowered 1:1 to the
+//     same instruction format (vm.h's FInstr) executed against two raw
+//     register files -- a double plane and an int64 plane -- with the
+//     instruction's mode byte naming each operand's plane (eval_ops.h
+//     typed_bin/typed_un).  Two planes rather than one double file because
+//     int64 arithmetic (the LCG sources' wrap-around, bit ops) exceeds a
+//     double's 53-bit mantissa.
 //
 //   * When some read does observe Mixed, lowering refuses with a stable
 //     reason string -- "mixed-register" / "mixed-state:<name>" (prefixed
@@ -65,19 +66,6 @@ inline Tag value_tag(const ir::Value& v) {
 }
 const char* tag_name(Tag t);  // "int" | "double" | "mixed"
 
-// One typed instruction: the FOp plus the operand-plane mode byte
-// (eval_ops.h kModeAD/kModeBD/kModeDD).  CountTag::ByResult is resolved
-// statically during lowering, so typed dispatch never tests a value tag.
-struct TyInstr {
-  FOp op{FOp::Halt};
-  std::uint8_t sub{0};
-  CountTag count{CountTag::None};
-  std::uint8_t mode{0};
-  std::uint16_t dst{0}, a{0}, b{0};
-  std::int32_t jump{-1};
-  std::int32_t edge{-1};
-};
-
 // Typed sidecar for one PopComputePush site (parallel to FusedProgram::pcps):
 // operand planes for the compute op and the statically resolved result plane
 // and count field.
@@ -87,11 +75,13 @@ struct TypedPcp {
   CountTag tag{CountTag::None};
 };
 
-// The result of lowering one tagged instruction stream.  `code` is 1:1 with
-// the input (same indices, same jump targets); the register template is
-// split across the two planes by tag.
+// The result of lowering one tagged instruction stream.  `code` is the input
+// copied 1:1 (same indices, same jump targets) with each instruction's
+// operand-plane `mode` byte set (eval_ops.h kModeAD/kModeBD/kModeDD) and
+// CountTag::ByResult resolved statically, so typed dispatch never tests a
+// value tag; the register template is split across the two planes by tag.
 struct TypedCode {
-  std::vector<TyInstr> code;
+  std::vector<FInstr> code;
   std::vector<double> dreg_init;        // double-plane register template
   std::vector<std::int64_t> ireg_init;  // int-plane register template
   std::vector<Tag> reg_tag;      // per register: join of every write's tag
@@ -102,8 +92,8 @@ struct TypedCode {
   int typed_regs{0};              // registers proven Double everywhere
 };
 
-// Lowering input.  For a VM work program, `code` is the VmInstr stream
-// re-expressed as FInstr (Peek -> RPeek with edge -1, etc.) and `fused` is
+// Lowering input.  For a VM work program, `code` is the compiled work
+// program itself (channel ops are RPeek/RPop/... with edge -1) and `fused` is
 // null.  For a fused trace, `fused` supplies the superinstruction argument
 // tables and per-actor register templates (loaded by SetActor and on each
 // FireLoop back-edge), and `loop` makes the analysis join the Halt-exit

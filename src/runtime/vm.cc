@@ -11,46 +11,40 @@ using ir::BinOp;
 using ir::UnOp;
 using ir::Value;
 
-VmBound::VmBound(CompiledFilterP prog, FilterState& state)
-    : prog_(std::move(prog)) {
-  scalars_.reserve(prog_->scalar_slots.size());
-  for (const auto& name : prog_->scalar_slots) {
+namespace {
+
+// Resolve a compiled filter's state slots to pointers into `state` (shared
+// by the tagged and typed bindings).
+void bind_slots(const CompiledFilter& prog, FilterState& state,
+                std::vector<Value*>& scalars,
+                std::vector<std::vector<Value>*>& arrays) {
+  scalars.reserve(prog.scalar_slots.size());
+  for (const auto& name : prog.scalar_slots) {
     auto it = state.scalars.find(name);
     if (it == state.scalars.end()) {
       throw std::logic_error("VM bind: state has no scalar '" + name + "'");
     }
-    scalars_.push_back(&it->second);
+    scalars.push_back(&it->second);
   }
-  arrays_.reserve(prog_->array_slots.size());
-  for (const auto& name : prog_->array_slots) {
+  arrays.reserve(prog.array_slots.size());
+  for (const auto& name : prog.array_slots) {
     auto it = state.arrays.find(name);
     if (it == state.arrays.end()) {
       throw std::logic_error("VM bind: state has no array '" + name + "'");
     }
-    arrays_.push_back(&it->second);
+    arrays.push_back(&it->second);
   }
+}
+
+}  // namespace
+
+VmBound::VmBound(CompiledFilterP prog, FilterState& state)
+    : prog_(std::move(prog)) {
+  bind_slots(*prog_, state, scalars_, arrays_);
   std::size_t n = prog_->work.reg_init.size();
   if (prog_->has_init) n = std::max(n, prog_->init.reg_init.size());
   regs_.resize(n);
 }
-
-namespace {
-
-[[noreturn]] void peek_bounds_error(const std::string& name, std::int64_t off,
-                                    std::int64_t pops, std::int64_t window) {
-  throw std::runtime_error(
-      "peek out of bounds in '" + name + "': peek(" + std::to_string(off) +
-      ") after " + std::to_string(pops) +
-      " pop(s) exceeds the declared window of " + std::to_string(window));
-}
-
-[[noreturn]] void elem_bounds_error(const char* what, const std::string& name,
-                                    std::int64_t idx) {
-  throw std::runtime_error(std::string(what) + ": " + name + "[" +
-                           std::to_string(idx) + "]");
-}
-
-}  // namespace
 
 template <bool kCount>
 void VmBound::run_program(const CompiledProgram& p, ir::InTape* in,
@@ -59,27 +53,20 @@ void VmBound::run_program(const CompiledProgram& p, ir::InTape* in,
                           const obs::FiringTrace* trace) {
   Value* const regs = regs_.data();
   std::copy(p.reg_init.begin(), p.reg_init.end(), regs);
-  const VmInstr* const code = p.code.data();
+  const FInstr* const code = p.code.data();
   const bool debug = debug_channel_checks();
   std::int64_t pops = 0;
   std::int64_t pushes = 0;
   std::int32_t pc = 0;
 
-  // Resolved at compile time where the type is static; ByResult tests the
-  // runtime tag, mirroring the tree interpreter's count_bin/count_un.
-  const auto tally = [&](CountTag tag, const Value& r) {
+  // Static tags are one add; ByResult tests the runtime tag, mirroring the
+  // tree interpreter's count_bin/count_un.
+  const auto count_by = [&](CountTag tag, const Value& r) {
     if constexpr (kCount) {
-      switch (tag) {
-        case CountTag::None: break;
-        case CountTag::IntOp: ++counts->int_ops; break;
-        case CountTag::Flop: ++counts->flops; break;
-        case CountTag::Div: ++counts->divs; break;
-        case CountTag::Trans: ++counts->trans; break;
-        case CountTag::Mem: ++counts->mem; break;
-        case CountTag::Channel: ++counts->channel; break;
-        case CountTag::ByResult:
-          r.is_int() ? ++counts->int_ops : ++counts->flops;
-          break;
+      if (tag == CountTag::ByResult) {
+        r.is_int() ? ++counts->int_ops : ++counts->flops;
+      } else {
+        tally(*counts, tag);
       }
     } else {
       (void)tag;
@@ -88,23 +75,23 @@ void VmBound::run_program(const CompiledProgram& p, ir::InTape* in,
   };
 
   for (;;) {
-    const VmInstr& I = code[pc];
+    const FInstr& I = code[pc];
     switch (I.op) {
-      case VmOp::Move:
+      case FOp::Move:
         regs[I.dst] = regs[I.a];
         ++pc;
         break;
-      case VmOp::LoadScalar:
+      case FOp::LoadScalar:
         if constexpr (kCount) ++counts->mem;
         regs[I.dst] = *scalars_[I.a];
         ++pc;
         break;
-      case VmOp::StoreScalar:
+      case FOp::StoreScalar:
         if constexpr (kCount) ++counts->mem;
         *scalars_[I.a] = regs[I.dst];
         ++pc;
         break;
-      case VmOp::LoadElem: {
+      case FOp::LoadElem: {
         const std::int64_t idx = regs[I.b].as_int();
         const auto& arr = *arrays_[I.a];
         if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
@@ -116,7 +103,7 @@ void VmBound::run_program(const CompiledProgram& p, ir::InTape* in,
         ++pc;
         break;
       }
-      case VmOp::StoreElem: {
+      case FOp::StoreElem: {
         const std::int64_t idx = regs[I.b].as_int();
         auto& arr = *arrays_[I.a];
         if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
@@ -128,7 +115,7 @@ void VmBound::run_program(const CompiledProgram& p, ir::InTape* in,
         ++pc;
         break;
       }
-      case VmOp::Peek: {
+      case FOp::RPeek: {
         if (!in) throw std::runtime_error("peek outside work function");
         const std::int64_t off = regs[I.a].as_int();
         if (debug) {
@@ -141,14 +128,14 @@ void VmBound::run_program(const CompiledProgram& p, ir::InTape* in,
         ++pc;
         break;
       }
-      case VmOp::Pop:
+      case FOp::RPop:
         if (!in) throw std::runtime_error("pop outside work function");
         if constexpr (kCount) ++counts->channel;
         ++pops;
         regs[I.dst] = Value(in->pop_item());
         ++pc;
         break;
-      case VmOp::PopN: {
+      case FOp::RPopN: {
         if (!in) throw std::runtime_error("pop outside work function");
         const std::int64_t n = regs[I.a].as_int();
         if (n > 0) {
@@ -159,61 +146,61 @@ void VmBound::run_program(const CompiledProgram& p, ir::InTape* in,
         ++pc;
         break;
       }
-      case VmOp::Push:
+      case FOp::RPush:
         if (!out) throw std::runtime_error("push outside work function");
         if constexpr (kCount) ++counts->channel;
         ++pushes;
         out->push_item(regs[I.dst].as_double());
         ++pc;
         break;
-      case VmOp::Bin: {
+      case FOp::Bin: {
         const Value r =
             apply_bin(static_cast<BinOp>(I.sub), regs[I.a], regs[I.b]);
-        tally(I.count, r);
+        count_by(I.count, r);
         regs[I.dst] = r;
         ++pc;
         break;
       }
-      case VmOp::Un: {
+      case FOp::Un: {
         // Neg/Abs count by *operand* type in the tree interpreter; operand
         // and result tags coincide for both, so ByResult on the input is
         // equivalent.
-        tally(I.count, regs[I.a]);
+        count_by(I.count, regs[I.a]);
         regs[I.dst] = apply_un(static_cast<UnOp>(I.sub), regs[I.a]);
         ++pc;
         break;
       }
-      case VmOp::Truthy:
+      case FOp::Truthy:
         regs[I.dst] = Value(regs[I.a].truthy());
         ++pc;
         break;
-      case VmOp::Jmp:
+      case FOp::Jmp:
         pc = I.jump;
         break;
-      case VmOp::JmpIfFalse:
+      case FOp::JmpIfFalse:
         pc = regs[I.a].truthy() ? pc + 1 : I.jump;
         break;
-      case VmOp::JmpIfTrue:
+      case FOp::JmpIfTrue:
         pc = regs[I.a].truthy() ? I.jump : pc + 1;
         break;
-      case VmOp::JmpIfGe:
+      case FOp::JmpIfGe:
         pc = regs[I.a].as_int() >= regs[I.b].as_int() ? I.jump : pc + 1;
         break;
-      case VmOp::CheckStep:
+      case FOp::CheckStep:
         if (regs[I.a].as_int() <= 0) {
-          throw std::runtime_error("for loop step must be positive");
+          for_step_error();
         }
         ++pc;
         break;
-      case VmOp::ForInc:
+      case FOp::ForInc:
         regs[I.dst] = Value(regs[I.dst].as_int() + regs[I.a].as_int());
         ++pc;
         break;
-      case VmOp::Tally:
-        if constexpr (kCount) counts->int_ops += I.sub;
+      case FOp::Tally:
+        if constexpr (kCount) tally(*counts, I.count, I.sub);
         ++pc;
         break;
-      case VmOp::Send: {
+      case FOp::Send: {
         if (sink && *sink) {
           const SendSite& s = p.sends[I.a];
           SentMessage m;
@@ -228,7 +215,7 @@ void VmBound::run_program(const CompiledProgram& p, ir::InTape* in,
         ++pc;
         break;
       }
-      case VmOp::Halt:
+      case FOp::Halt:
         // Dispatch-loop channel attribution: the measured (not declared)
         // traffic of this firing, reported before the loop exits.
         if (trace != nullptr && trace->tb != nullptr) {
@@ -242,6 +229,10 @@ void VmBound::run_program(const CompiledProgram& p, ir::InTape* in,
           }
         }
         return;
+      default:
+        // Lowered channel ops, firing structure and superinstructions only
+        // appear in fused traces.
+        throw std::logic_error("VM dispatch: unexpected opcode");
     }
   }
 }
@@ -270,23 +261,7 @@ void VmBound::run_init() {
 
 TypedBound::TypedBound(TypedFilterP prog, FilterState& state)
     : prog_(std::move(prog)) {
-  const CompiledFilter& base = *prog_->base;
-  scalars_.reserve(base.scalar_slots.size());
-  for (const auto& name : base.scalar_slots) {
-    auto it = state.scalars.find(name);
-    if (it == state.scalars.end()) {
-      throw std::logic_error("VM bind: state has no scalar '" + name + "'");
-    }
-    scalars_.push_back(&it->second);
-  }
-  arrays_.reserve(base.array_slots.size());
-  for (const auto& name : base.array_slots) {
-    auto it = state.arrays.find(name);
-    if (it == state.arrays.end()) {
-      throw std::logic_error("VM bind: state has no array '" + name + "'");
-    }
-    arrays_.push_back(&it->second);
-  }
+  bind_slots(*prog_->base, state, scalars_, arrays_);
   dregs_.resize(prog_->work.dreg_init.size());
   iregs_.resize(prog_->work.ireg_init.size());
 }
@@ -299,33 +274,15 @@ void TypedBound::run_program(ir::InTape* in, ir::OutTape* out,
   std::int64_t* const ir = iregs_.data();
   std::copy(p.dreg_init.begin(), p.dreg_init.end(), dr);
   std::copy(p.ireg_init.begin(), p.ireg_init.end(), ir);
-  const TyInstr* const code = p.code.data();
+  const FInstr* const code = p.code.data();
   const CompiledFilter& base = *prog_->base;
   const bool debug = debug_channel_checks();
   std::int64_t pops = 0;
   std::int64_t pushes = 0;
   std::int32_t pc = 0;
 
-  // ByResult is resolved at lowering time, so the tally is always one add.
-  const auto tally = [&](CountTag tag) {
-    if constexpr (kCount) {
-      switch (tag) {
-        case CountTag::None: break;
-        case CountTag::IntOp: ++counts->int_ops; break;
-        case CountTag::Flop: ++counts->flops; break;
-        case CountTag::Div: ++counts->divs; break;
-        case CountTag::Trans: ++counts->trans; break;
-        case CountTag::Mem: ++counts->mem; break;
-        case CountTag::Channel: ++counts->channel; break;
-        case CountTag::ByResult: break;  // never emitted by typed_lower
-      }
-    } else {
-      (void)tag;
-    }
-  };
-
   for (;;) {
-    const TyInstr& I = code[pc];
+    const FInstr& I = code[pc];
     const bool ad = (I.mode & kModeAD) != 0;
     const bool bd = (I.mode & kModeBD) != 0;
     const bool dd = (I.mode & kModeDD) != 0;
@@ -417,12 +374,12 @@ void TypedBound::run_program(ir::InTape* in, ir::OutTape* out,
         ++pc;
         break;
       case FOp::Bin:
-        tally(I.count);
+        if constexpr (kCount) tally(*counts, I.count);
         typed_bin(static_cast<BinOp>(I.sub), dr, ir, I.dst, I.a, I.b, I.mode);
         ++pc;
         break;
       case FOp::Un:
-        tally(I.count);
+        if constexpr (kCount) tally(*counts, I.count);
         typed_un(static_cast<UnOp>(I.sub), dr, ir, I.dst, I.a, I.mode);
         ++pc;
         break;
@@ -446,7 +403,7 @@ void TypedBound::run_program(ir::InTape* in, ir::OutTape* out,
         break;
       case FOp::CheckStep:
         if (typed_geti(dr, ir, I.a, ad) <= 0) {
-          throw std::runtime_error("for loop step must be positive");
+          for_step_error();
         }
         ++pc;
         break;
@@ -456,7 +413,7 @@ void TypedBound::run_program(ir::InTape* in, ir::OutTape* out,
         ++pc;
         break;
       case FOp::Tally:
-        if constexpr (kCount) counts->int_ops += I.sub;
+        if constexpr (kCount) tally(*counts, I.count, I.sub);
         ++pc;
         break;
       case FOp::Halt:
@@ -472,7 +429,8 @@ void TypedBound::run_program(ir::InTape* in, ir::OutTape* out,
         }
         return;
       default:
-        // TPeek/TPop/... / superinstructions never appear at the VM layer.
+        // Lowered channel ops, Send (typed_compile refuses it), firing
+        // structure and superinstructions never appear at the VM layer.
         throw std::logic_error("typed VM dispatch: unexpected opcode");
     }
   }
@@ -508,47 +466,53 @@ void Vm::run_work(const CompiledFilterP& prog, FilterState& state,
 
 // ---- disassembly ------------------------------------------------------------
 
-namespace {
-
-const char* op_name(VmOp op) {
+const char* op_name(FOp op) {
   switch (op) {
-    case VmOp::Move: return "move";
-    case VmOp::LoadScalar: return "ld.s";
-    case VmOp::StoreScalar: return "st.s";
-    case VmOp::LoadElem: return "ld.e";
-    case VmOp::StoreElem: return "st.e";
-    case VmOp::Peek: return "peek";
-    case VmOp::Pop: return "pop";
-    case VmOp::PopN: return "popn";
-    case VmOp::Push: return "push";
-    case VmOp::Bin: return "bin";
-    case VmOp::Un: return "un";
-    case VmOp::Truthy: return "truthy";
-    case VmOp::Jmp: return "jmp";
-    case VmOp::JmpIfFalse: return "jf";
-    case VmOp::JmpIfTrue: return "jt";
-    case VmOp::JmpIfGe: return "jge";
-    case VmOp::CheckStep: return "chkstep";
-    case VmOp::ForInc: return "forinc";
-    case VmOp::Tally: return "tally";
-    case VmOp::Send: return "send";
-    case VmOp::Halt: return "halt";
+    case FOp::Move: return "move";
+    case FOp::LoadScalar: return "ld.s";
+    case FOp::StoreScalar: return "st.s";
+    case FOp::LoadElem: return "ld.e";
+    case FOp::StoreElem: return "st.e";
+    case FOp::Bin: return "bin";
+    case FOp::Un: return "un";
+    case FOp::Truthy: return "truthy";
+    case FOp::Jmp: return "jmp";
+    case FOp::JmpIfFalse: return "jf";
+    case FOp::JmpIfTrue: return "jt";
+    case FOp::JmpIfGe: return "jge";
+    case FOp::CheckStep: return "chkstep";
+    case FOp::ForInc: return "forinc";
+    case FOp::Tally: return "tally";
+    case FOp::RPeek: return "r.peek";
+    case FOp::RPop: return "r.pop";
+    case FOp::RPopN: return "r.popn";
+    case FOp::RPush: return "r.push";
+    case FOp::TPeek: return "t.peek";
+    case FOp::TPop: return "t.pop";
+    case FOp::TPopN: return "t.popn";
+    case FOp::TPush: return "t.push";
+    case FOp::Send: return "send";
+    case FOp::SetActor: return "setactor";
+    case FOp::FireLoop: return "fireloop";
+    case FOp::MacLoop: return "macloop";
+    case FOp::PopComputePush: return "pcp";
+    case FOp::CopyRun: return "copyrun";
+    case FOp::NativeFire: return "nativefire";
+    case FOp::Halt: return "halt";
   }
   return "?";
 }
 
-}  // namespace
-
 std::string disassemble(const CompiledProgram& p) {
   std::string out;
   for (std::size_t i = 0; i < p.code.size(); ++i) {
-    const VmInstr& I = p.code[i];
+    const FInstr& I = p.code[i];
     out += std::to_string(i) + ": " + op_name(I.op);
     switch (I.op) {
-      case VmOp::Bin:
+      case FOp::Bin:
         out += " " + std::string(ir::to_string(static_cast<BinOp>(I.sub)));
         break;
-      case VmOp::Un:
+      case FOp::Un:
         out += " " + std::string(ir::to_string(static_cast<UnOp>(I.sub)));
         break;
       default:

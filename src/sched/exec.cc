@@ -142,7 +142,7 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
   // the Fused fallback are identical).
   if (engine_ == Engine::Fused) {
     if (opts_.message_sink) {
-      // Teleport delivery wants per-firing granularity (and the static plan
+      // Teleport delivery wants per-firing granularity (and build_fused
       // only proves the *absence* of sends per filter, not per sink).
       fused_refusal_ = "message-sink-attached";
     } else if (tb_ != nullptr) {

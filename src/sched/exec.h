@@ -92,10 +92,8 @@ struct ExecOptions {
   // Typed value-plane specialization (SIT_TYPED when Auto).
   TypedMode typed{TypedMode::Auto};
   // Threaded runtime stall detector: abort after this many ms without
-  // progress in a spin wait (0 = SIT_STALL_MS / default, < 0 = never), and
-  // busy-spin this many times before starting to yield.
+  // progress in a spin wait (0 = SIT_STALL_MS / default, < 0 = never).
   int stall_ms{0};
-  int spin_before_yield{128};
   // Receives teleport messages emitted by Send statements; delivery policy is
   // the msg module's job (the plain executor only forwards).
   runtime::MessageSink message_sink;

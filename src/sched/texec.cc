@@ -46,19 +46,22 @@ constexpr bool kDebugBuild = false;
 // the join (only the first error is reported).
 struct Aborted {};
 
+// Busy iterations a spin wait makes before it starts yielding.
+constexpr int kSpinBeforeYield = 128;
+
 // Spin with backoff until `ready()`.  Cooperative: yields after
-// `spin_before_yield` busy iterations so oversubscribed hosts (more workers
+// kSpinBeforeYield busy iterations so oversubscribed hosts (more workers
 // than cores) keep making progress, and bails out if another worker aborted
 // or nothing happened for `stall_ms` milliseconds (a bug's infinite hang
 // becomes a test failure instead); stall_ms < 0 disables the abort.
 template <typename Pred>
 void spin_until(const std::atomic<bool>& abort, Pred&& ready, const char* what,
-                int spin_before_yield, int stall_ms) {
+                int stall_ms) {
   int spins = 0;
   std::chrono::steady_clock::time_point started{};
   while (!ready()) {
     if (abort.load(std::memory_order_acquire)) throw Aborted{};
-    if (++spins < spin_before_yield) continue;
+    if (++spins < kSpinBeforeYield) continue;
     std::this_thread::yield();
     if (stall_ms >= 0 && (spins & 2047) == 0) {
       const auto now = std::chrono::steady_clock::now();
@@ -78,18 +81,17 @@ void spin_until(const std::atomic<bool>& abort, Pred&& ready, const char* what,
 // into *wait_ns for the worker's utilization accounting.
 template <typename Pred>
 void traced_spin(const std::atomic<bool>& abort, Pred&& ready, const char* what,
-                 int spin_before_yield, int stall_ms, obs::ThreadBuffer* tb,
-                 obs::Recorder* rec, std::int64_t* wait_ns, std::int32_t id,
-                 obs::WaitKind wk) {
+                 int stall_ms, obs::ThreadBuffer* tb, obs::Recorder* rec,
+                 std::int64_t* wait_ns, std::int32_t id, obs::WaitKind wk) {
   if (ready()) return;
   if (tb == nullptr) {
-    spin_until(abort, ready, what, spin_before_yield, stall_ms);
+    spin_until(abort, ready, what, stall_ms);
     return;
   }
   const std::int64_t t0 = rec->now_ns();
   tb->emit(t0, obs::EventKind::WaitBegin, id, static_cast<std::int64_t>(wk));
   try {
-    spin_until(abort, ready, what, spin_before_yield, stall_ms);
+    spin_until(abort, ready, what, stall_ms);
   } catch (...) {
     const std::int64_t ta = rec->now_ns();
     tb->emit(ta, obs::EventKind::WaitEnd, id, static_cast<std::int64_t>(wk));
@@ -189,7 +191,6 @@ ThreadedExecutor::ThreadedExecutor(CompiledProgram prog, ExecOptions opts)
   report_.threaded = true;
   report_.threads = threads_;
   stall_ms_ = resolve_stall_ms(opts_.stall_ms);
-  spin_yield_ = std::max(1, opts_.spin_before_yield);
   rings_.resize(graph().edges.size());
   calib_.resize(graph().actors.size());
   if (rec() != nullptr) rec()->attach_workers(static_cast<std::size_t>(threads_));
@@ -529,8 +530,7 @@ void ThreadedExecutor::wait_ready(int actor, std::int64_t chunk,
     if (a.is_filter()) need += a.peek_extra;
     const auto un = static_cast<std::size_t>(need);
     traced_spin(abort_, [&] { return r.can_pop(un); }, "waiting for input data",
-                spin_yield_, stall_ms_, tb, rec(), wait_ns, actor,
-                obs::WaitKind::Input);
+                stall_ms_, tb, rec(), wait_ns, actor, obs::WaitKind::Input);
   }
   for (std::size_t p = 0; p < a.out_edges.size(); ++p) {
     const int eid = a.out_edges[p];
@@ -538,8 +538,8 @@ void ThreadedExecutor::wait_ready(int actor, std::int64_t chunk,
     SpscRing& r = *rings_[static_cast<std::size_t>(eid)];
     const auto room = static_cast<std::size_t>(reps * chunk * a.out_rate[p]);
     traced_spin(abort_, [&] { return r.can_push(room); },
-                "waiting for output space", spin_yield_, stall_ms_, tb, rec(),
-                wait_ns, actor, obs::WaitKind::Space);
+                "waiting for output space", stall_ms_, tb, rec(), wait_ns,
+                actor, obs::WaitKind::Space);
   }
 }
 
@@ -592,8 +592,8 @@ void ThreadedExecutor::worker(int w, std::int64_t first,
       // worker, which bounds every ring's occupancy.
       traced_spin(abort_,
                   [&] { return min_completed() >= step - 1 - kWindow; },
-                  "iteration window", spin_yield_, stall_ms_, tb, rec,
-                  &wait_ns, -1, obs::WaitKind::Window);
+                  "iteration window", stall_ms_, tb, rec, &wait_ns, -1,
+                  obs::WaitKind::Window);
       if (w == input_owner_) stage_input(hi, chunk);
       for (int actor : plan_[static_cast<std::size_t>(w)]) {
         wait_ready(actor, chunk, tb, &wait_ns);

@@ -226,7 +226,6 @@ class ThreadedExecutor {
   // Stall detector (resolved from ExecOptions / SIT_STALL_MS at
   // construction; < 0 = never abort).
   int stall_ms_{120000};
-  int spin_yield_{128};
 
   // Frozen after the calibration steady state.
   bool partitioned_{false};

@@ -1,6 +1,7 @@
 // Fused-engine tests: superinstruction selection pins, every refusal
 // reason, fallback equivalence, feedback loops that fuse as interleaved
-// firing runs, and trace-size bounds.
+// firing runs, trace-size bounds, and runtime fault messages that match
+// across every engine.
 //
 // The bit-equality contract itself (outputs / OpCounts / channel counters /
 // filter state across all apps x all optimization levels) lives in
@@ -527,6 +528,103 @@ TEST(FusedExecution, HandlerRetagFallsBackAndStaysBitEqual) {
   EXPECT_EQ(fout.back(), 7.0);  // 7 * (3 / 2), integer division
   expect_same_state(vm, fused);
   EXPECT_TRUE(fused.filter_state(hf).scalars.at("g").is_int());
+}
+
+// ---- runtime faults ---------------------------------------------------------
+
+// Lower without the analysis gate, which rejects every faulting program
+// below statically.
+sched::CompiledProgram lower_ungated(const ir::NodeP& root) {
+  sched::CompiledProgram p;
+  p.graph = root;
+  p.flat = runtime::flatten(root);
+  p.schedule = sched::make_schedule(p.flat);
+  return p;
+}
+
+// The what() of the fault the first steady state throws ("" if none).
+std::string first_fault(const ir::NodeP& root, sched::Engine engine,
+                        sched::TypedMode typed) {
+  sched::ExecOptions opts;
+  opts.engine = engine;
+  opts.typed = typed;
+  sched::Executor ex(lower_ungated(root), opts);
+  if (typed == sched::TypedMode::On) {
+    for (const auto& a : ex.metrics_snapshot().actors) {
+      EXPECT_EQ(a.typed_status, "typed") << a.name;
+    }
+    if (engine == sched::Engine::Fused) {
+      EXPECT_NE(ex.typed_fused_program(), nullptr) << ex.typed_fused_refusal();
+    }
+  }
+  try {
+    ex.run_steady(1);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A fault's message is part of the cross-engine contract: the tree
+// interpreter, the tagged VM, the typed VM and the typed fused trace must
+// throw the same what().
+TEST(EngineFaults, EveryEngineThrowsTheSameMessage) {
+  runtime::set_debug_channel_checks(true);  // for the over-peek
+  struct Restore {
+    ~Restore() { runtime::set_debug_channel_checks(false); }
+  } restore;
+  const std::vector<Value> coef = {Value{0.5}, Value{0.25}, Value{0.125},
+                                   Value{0.0625}};
+  const struct {
+    NodeP filter;
+    std::string message;
+  } cases[] = {
+      {filter("load")
+           .rates(1, 1, 1)
+           .array_init("w", coef)
+           .work(seq({push_(pop_() + at("w", ci(7)))}))
+           .node(),
+       "array index out of bounds: w[7]"},
+      {filter("store")
+           .rates(1, 1, 1)
+           .array_init("w", coef)
+           .work(seq({let("x", pop_()), set_at("w", ci(9), v("x")),
+                      push_(v("x"))}))
+           .node(),
+       "array store out of bounds: w[9]"},
+      {filter("step")
+           .rates(1, 1, 1)
+           .iscalar("step", 0)
+           .work(seq({let("x", pop_()),
+                      for_loop_step("i", ci(0), ci(4), v("step"),
+                                    let("x", v("x") + c(1.0))),
+                      push_(v("x"))}))
+           .node(),
+       "for loop step must be positive"},
+      {filter("overpeek")
+           .rates(2, 1, 1)
+           .work(seq({push_(peek_(5)), discard(1)}))
+           .node(),
+       "peek out of bounds in 'overpeek': peek(5) after 0 pop(s) exceeds the "
+       "declared window of 2"},
+  };
+  for (const auto& fc : cases) {
+    const NodeP root =
+        make_pipeline("p", {tiny_src("s"), fc.filter, tiny_snk("k")});
+    const std::string name = fc.filter->name;
+    EXPECT_EQ(first_fault(root, sched::Engine::Tree, sched::TypedMode::Off),
+              fc.message)
+        << name << " on the tree interpreter";
+    EXPECT_EQ(first_fault(root, sched::Engine::Vm, sched::TypedMode::Off),
+              fc.message)
+        << name << " on the tagged VM";
+    EXPECT_EQ(first_fault(root, sched::Engine::Vm, sched::TypedMode::On),
+              fc.message)
+        << name << " on the typed VM";
+    EXPECT_EQ(first_fault(root, sched::Engine::Fused, sched::TypedMode::On),
+              fc.message)
+        << name << " on the typed fused trace";
+  }
 }
 
 }  // namespace

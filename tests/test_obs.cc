@@ -275,12 +275,11 @@ TEST(ObsStall, ResolveStallMs) {
 }
 
 TEST(ObsStall, ConfiguredRunStillMatches) {
-  // A tight stall budget and a tiny spin threshold must not change results
-  // on a healthy run (the thresholds only matter when something is wrong).
+  // A tight stall budget must not change results on a healthy run (the
+  // threshold only matters when something is wrong).
   sched::ExecOptions o;
   o.threads = 4;
   o.stall_ms = 10000;
-  o.spin_before_yield = 4;
   sched::ThreadedExecutor t(apps::make_app("FilterBank"), o);
   sched::Executor s(apps::make_app("FilterBank"), {});
   expect_same_doubles(s.run_steady(3), t.run_steady(3), "FilterBank output");

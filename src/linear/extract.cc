@@ -344,6 +344,36 @@ ExtractResult extract(const ir::FilterSpec& spec) {
   return extract(spec, ExtractOptions{});
 }
 
+LinearRep as_extracted(const LinearRep& rep) {
+  // to_filter pushes `b + c0*peek(i0) + c1*peek(i1) + ...` per row, dropping
+  // zero terms.  The extractor scales unit(i) (coefficient 1.0, constant 0.0)
+  // by c, then folds each term into the row with affine_add.
+  LinearRep r = rep;
+  for (int o = 0; o < rep.push; ++o) {
+    const auto uo = static_cast<std::size_t>(o);
+    bool started = rep.b[uo] != 0.0;
+    double k = started ? rep.b[uo] : 0.0;
+    for (int i = 0; i < rep.peek; ++i) {
+      double& a = r.A.at(uo, static_cast<std::size_t>(i));
+      const double c = a;
+      if (c == 0.0) {
+        a = 0.0;
+        continue;
+      }
+      if (started) {
+        a = 0.0 + 1.0 * (1.0 * c);
+        k += 1.0 * (0.0 * c);
+      } else {
+        a = 1.0 * c;
+        k = 0.0 * c;
+        started = true;
+      }
+    }
+    r.b[uo] = k;
+  }
+  return r;
+}
+
 bool writes_state(const ir::FilterSpec& spec) {
   std::set<std::string> names;
   for (const auto& d : spec.state) names.insert(d.name);

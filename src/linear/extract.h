@@ -41,6 +41,13 @@ struct ExtractOptions {
 ExtractResult extract(const ir::FilterSpec& spec, const ExtractOptions& opts);
 ExtractResult extract(const ir::FilterSpec& spec);  // default options
 
+// The rep extract(to_filter(rep, name)) recovers, computed from `rep`
+// without building or analyzing that filter: the same matrix, with the
+// extractor's own arithmetic replayed on every row (so a -0.0 coefficient
+// comes back as 0.0, and a zero constant takes the sign the extractor's
+// sums give it).
+LinearRep as_extracted(const LinearRep& rep);
+
 // True if the work function assigns any declared state variable (scalar or
 // array element).  Independent of linearity: a filter can be nonlinear yet
 // stateless (e.g. a squarer).

@@ -50,6 +50,23 @@ ir::FilterSpec to_filter(const LinearRep& rep, const std::string& name) {
   return f;
 }
 
+runtime::OpCounts LinearRep::op_counts() const {
+  runtime::OpCounts c;
+  for (int o = 0; o < push; ++o) {
+    std::int64_t nnz = 0;
+    for (int i = 0; i < peek; ++i) {
+      if (A.at(static_cast<std::size_t>(o), static_cast<std::size_t>(i)) != 0.0) {
+        ++nnz;
+      }
+    }
+    const std::int64_t terms = nnz + (b[static_cast<std::size_t>(o)] != 0.0 ? 1 : 0);
+    c.flops += nnz + (terms > 0 ? terms - 1 : 0);
+    c.channel += nnz + 1;
+  }
+  if (pop > 0) c.channel += pop;
+  return c;
+}
+
 bool operator==(const LinearRep& a, const LinearRep& b) {
   return a.peek == b.peek && a.pop == b.pop && a.push == b.push && a.A == b.A &&
          a.b == b.b;

@@ -19,6 +19,7 @@
 
 #include "ir/filter.h"
 #include "linear/matrix.h"
+#include "runtime/opcounts.h"
 
 namespace sit::linear {
 
@@ -27,24 +28,17 @@ struct LinearRep {
   Matrix A;                // push x peek
   std::vector<double> b;   // push
 
-  // Direct-implementation cost of one firing: one multiply per nonzero
-  // coefficient, one add per term beyond the first (plus the constant).
-  [[nodiscard]] double cost_muls_per_firing() const {
-    return static_cast<double>(A.nonzeros());
-  }
+  // Operation counts of one firing of to_filter(*this), read off the matrix:
+  // equal, field by field, to what estimate_work measures by interpreting
+  // that filter (whenever pop <= peek + 1, which validation guarantees; the
+  // interpreter's synthetic input is peek + 1 items).  Per output: one
+  // multiply and one peek per nonzero coefficient, one add per term beyond
+  // the first (a nonzero constant is a term), one push; then the pops.
+  [[nodiscard]] runtime::OpCounts op_counts() const;
+
+  // Direct-implementation flops of one firing (op_counts().flops).
   [[nodiscard]] double cost_flops_per_firing() const {
-    double adds = 0.0;
-    for (int o = 0; o < push; ++o) {
-      double terms = 0.0;
-      for (int i = 0; i < peek; ++i) {
-        if (A.at(static_cast<std::size_t>(o), static_cast<std::size_t>(i)) != 0.0) {
-          terms += 1.0;
-        }
-      }
-      if (b[static_cast<std::size_t>(o)] != 0.0) terms += 1.0;
-      adds += terms > 0.0 ? terms - 1.0 : 0.0;
-    }
-    return cost_muls_per_firing() + adds;
+    return static_cast<double>(op_counts().flops);
   }
 
   [[nodiscard]] std::string describe() const;

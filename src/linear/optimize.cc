@@ -1,11 +1,13 @@
 #include "linear/optimize.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "linear/combine.h"
-#include "linear/cost.h"
-#include "linear/extract.h"
 #include "linear/frequency.h"
 
 namespace sit::linear {
@@ -14,6 +16,32 @@ using ir::Node;
 using ir::NodeP;
 
 namespace {
+
+// `w` watches the object `p` owns (or both are empty).  A live weak_ptr pins
+// its control block, so this cannot be fooled by address reuse.
+template <typename W, typename P>
+bool same_owner(const W& w, const P& p) {
+  return !w.owner_before(p) && !p.owner_before(w);
+}
+
+bool same_value(const ir::Value& a, const ir::Value& b) {
+  if (a.is_int() != b.is_int()) return false;
+  return a.is_int() ? a.as_int() == b.as_int()
+                    : std::bit_cast<std::uint64_t>(a.as_double()) ==
+                          std::bit_cast<std::uint64_t>(b.as_double());
+}
+
+bool same_decls(const std::vector<ir::VarDecl>& a,
+                const std::vector<ir::VarDecl>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const ir::VarDecl& x, const ir::VarDecl& y) {
+                      return x.name == y.name && x.is_array == y.is_array &&
+                             x.size == y.size && x.is_int == y.is_int &&
+                             std::equal(x.init.begin(), x.init.end(),
+                                        y.init.begin(), y.init.end(),
+                                        same_value);
+                    });
+}
 
 struct Best {
   NodeP node;                    // chosen rewrite of this subtree
@@ -25,8 +53,9 @@ struct Best {
 
 class Optimizer {
  public:
-  Optimizer(const OptimizeOptions& opts, OptimizeStats* stats)
-      : opts_(opts), stats_(stats) {}
+  Optimizer(const OptimizeOptions& opts, OptimizeStats* stats,
+            SelectionCache& cache)
+      : opts_(opts), stats_(stats), cache_(cache) {}
 
   Best run(const NodeP& n) {
     switch (n->kind) {
@@ -44,6 +73,21 @@ class Optimizer {
     throw std::logic_error("unreachable");
   }
 
+  // Copy the chosen tree, lowering each surviving collapse candidate to its
+  // AST filter (to_filter) and counting the rewrites that survived.
+  NodeP materialize(const NodeP& n) {
+    if (auto it = lowered_.find(n.get()); it != lowered_.end()) {
+      NodeP f = ir::make_filter(to_filter(it->second, n->name));
+      cache_.seed_extract(f->filter, as_extracted(it->second));
+      if (stats_) ++stats_->combinations;
+      return f;
+    }
+    if (stats_ && frequency_.count(n.get()) != 0) ++stats_->frequency_nodes;
+    auto copy = std::make_shared<Node>(*n);
+    for (auto& c : copy->children) c = materialize(c);
+    return copy;
+  }
+
  private:
   void refuse(const std::string& pass, const std::string& site,
               const std::string& why) {
@@ -59,9 +103,10 @@ class Optimizer {
     }
   }
 
-  double cpi_of(const NodeP& node) const {
-    return node_cost(node).per_item(opts_.sync_weight);
+  double cpi_of(const std::vector<NodeP>& parts) {
+    return cache_.cost(parts).per_item(opts_.sync_weight);
   }
+  double cpi_of(const NodeP& node) { return cpi_of(std::vector<NodeP>{node}); }
 
   [[nodiscard]] bool rep_too_big(const LinearRep& r) const {
     return static_cast<std::size_t>(r.peek) * static_cast<std::size_t>(r.push) >
@@ -77,10 +122,12 @@ class Optimizer {
     const double entry_cpi = structural_cpi;
     std::optional<Best> best;
     if (opts_.enable_combination && !rep_too_big(rep)) {
-      NodeP direct = ir::make_filter(to_filter(rep, name + "_lin"));
+      NodeP direct = collapsed(rep, name + "_lin");
       const double c = cpi_of(direct);
       if (c < structural_cpi) {
         select("combine", name, entry_cpi, c);
+        lowered_.emplace(direct.get(), rep);
+        built_.push_back(direct);
         best = Best{direct, rep, c, true, false};
         structural_cpi = c;
       }
@@ -92,6 +139,8 @@ class Optimizer {
         const double c = cpi_of(freq);
         if (c < structural_cpi) {
           select("frequency", name, entry_cpi, c);
+          frequency_.insert(freq.get());
+          built_.push_back(freq);
           best = Best{freq, rep, c, true, true};
         }
       }
@@ -99,12 +148,28 @@ class Optimizer {
     return best;
   }
 
+  // Stand-in for make_filter(to_filter(rep, name)): a native leaf with that
+  // filter's rates and closed-form per-firing cost, which node_cost prices
+  // exactly as it would the unrolled filter.  materialize() lowers the
+  // selected ones that survive.
+  static NodeP collapsed(const LinearRep& rep, const std::string& name) {
+    const runtime::OpCounts w = rep.op_counts();
+    ir::NativeFilter nf;
+    nf.name = name;
+    nf.peek = rep.peek;
+    nf.pop = rep.pop;
+    nf.push = rep.push;
+    nf.cost_flops = w.total_flops();
+    nf.cost_ops = w.weighted();
+    return ir::make_native(std::move(nf));
+  }
+
   Best leaf_filter(const NodeP& n) {
     if (stats_) ++stats_->total_filters;
     Best b;
     b.node = n;
     b.cpi = cpi_of(n);
-    const ExtractResult ex = extract(n->filter);
+    const ExtractResult& ex = cache_.extract(n->filter);
     if (ex.rep) {
       if (stats_) ++stats_->linear_filters;
       b.rep = ex.rep;
@@ -146,22 +211,25 @@ class Optimizer {
     for (std::size_t len = 2; len <= k; ++len) {
       for (std::size_t i = 0; i + len - 1 < k; ++i) {
         const std::size_t j = i + len - 1;
-        // Structural: best split point.
+        // Structural: best split point.  Splits that realize the same part
+        // list (every split, when no sub-interval was rewritten) share one
+        // cost evaluation.
         Best b;
         double best_cpi = 1e300;
+        std::vector<NodeP> best_parts;
         for (std::size_t s = i; s < j; ++s) {
           std::vector<NodeP> parts;
           collect(best[i][s].node, parts);
           collect(best[s + 1][j].node, parts);
-          NodeP cand = ir::make_pipeline(n->name, parts);
-          const double c = cpi_of(cand);
+          const double c = cpi_of(parts);
           if (c < best_cpi) {
             best_cpi = c;
-            b.node = cand;
+            best_parts = std::move(parts);
             b.cpi = c;
             b.changed = best[i][s].changed || best[s + 1][j].changed;
           }
         }
+        b.node = ir::make_pipeline(n->name, std::move(best_parts));
         // Interval linear rep (if the whole interval is linear).
         if (rep[i][j - 1] && rep[j][j]) {
           try {
@@ -262,9 +330,52 @@ class Optimizer {
 
   const OptimizeOptions& opts_;
   OptimizeStats* stats_;
+  SelectionCache& cache_;
+  // Selected collapse candidates awaiting to_filter, and selected frequency
+  // nodes.  built_ keeps them alive for the whole selection, so no other
+  // node can take their addresses.
+  std::unordered_map<const Node*, LinearRep> lowered_;
+  std::unordered_set<const Node*> frequency_;
+  std::vector<NodeP> built_;
 };
 
 }  // namespace
+
+const ExtractResult& SelectionCache::extract(const ir::FilterSpec& spec) {
+  Extracted& e = extracted_[spec.work.get()];
+  const bool hit = !e.work.expired() && same_owner(e.work, spec.work) &&
+                   same_owner(e.init, spec.init) && e.peek == spec.peek &&
+                   e.pop == spec.pop && e.push == spec.push &&
+                   same_decls(e.state, spec.state);
+  if (!hit) seed(e, spec, linear::extract(spec));
+  return e.result;
+}
+
+void SelectionCache::seed_extract(const ir::FilterSpec& spec, LinearRep rep) {
+  seed(extracted_[spec.work.get()], spec, ExtractResult{std::move(rep), {}});
+}
+
+void SelectionCache::seed(Extracted& e, const ir::FilterSpec& spec,
+                          ExtractResult result) {
+  e = Extracted{spec.work, spec.init, spec.peek, spec.pop, spec.push,
+                spec.state, std::move(result)};
+}
+
+NodeCost SelectionCache::cost(const std::vector<ir::NodeP>& parts) {
+  std::vector<const ir::Node*> key;
+  key.reserve(parts.size());
+  for (const ir::NodeP& p : parts) key.push_back(p.get());
+  Costed& e = costed_[key];
+  if (std::equal(e.parts.begin(), e.parts.end(), parts.begin(), parts.end(),
+                 [](const auto& w, const auto& p) { return same_owner(w, p); })) {
+    return e.cost;
+  }
+  ++evaluations_;
+  e.cost = node_cost(parts.size() == 1 ? parts.front()
+                                       : ir::make_pipeline("", parts));
+  e.parts.assign(parts.begin(), parts.end());
+  return e.cost;
+}
 
 std::string RewriteRecord::to_string() const {
   std::ostringstream os;
@@ -289,30 +400,17 @@ std::string OptimizeStats::log() const {
 }
 
 NodeP optimize_selection(const NodeP& root, const OptimizeOptions& opts,
-                         OptimizeStats* stats) {
-  NodeP fresh = ir::clone(root);
-  Optimizer opt(opts, stats);
-  if (stats) stats->cost_before = node_cost(fresh).per_item(opts.sync_weight);
-  Best b = opt.run(fresh);
-  if (stats) {
-    stats->cost_after = node_cost(b.node).per_item(opts.sync_weight);
-    // Count the rewrites that actually survived selection by inspecting the
-    // result tree: collapsed nodes carry the "_lin" suffix, frequency nodes
-    // the "_freq" suffix.
-    ir::visit(b.node, [&](const NodeP& node) {
-      if (node->kind == Node::Kind::Filter &&
-          node->name.size() > 4 &&
-          node->name.rfind("_lin") == node->name.size() - 4) {
-        ++stats->combinations;
-      }
-      if (node->kind == Node::Kind::Native &&
-          node->name.size() > 5 &&
-          node->name.rfind("_freq") == node->name.size() - 5) {
-        ++stats->frequency_nodes;
-      }
-    });
-  }
-  return ir::clone(b.node);
+                         OptimizeStats* stats, SelectionCache* cache) {
+  SelectionCache local;
+  SelectionCache& c = cache != nullptr ? *cache : local;
+  const int evals = c.evaluations();
+  Optimizer opt(opts, stats, c);
+  if (stats) stats->cost_before = c.cost({root}).per_item(opts.sync_weight);
+  Best b = opt.run(root);
+  if (stats) stats->cost_after = c.cost({b.node}).per_item(opts.sync_weight);
+  NodeP out = opt.materialize(b.node);
+  if (stats) stats->cost_evals = c.evaluations() - evals;
+  return out;
 }
 
 std::optional<LinearRep> extract_tree(const NodeP& node,

@@ -6,12 +6,23 @@
 // split-joins with all-linear branches are collapse candidates as a whole;
 // every linear candidate is additionally considered in the frequency domain.
 // A candidate is chosen iff it lowers the modeled cost per input item.
+//
+// Pricing is proportional to what changes: a collapse candidate is priced
+// from its matrix (LinearRep::op_counts) and lowered to an AST filter only
+// if it survives into the result; a structural candidate (one realization of
+// a pipeline interval) is costed once per distinct part list; each filter is
+// extracted once.  A SelectionCache carries the last two across calls.
 
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/graph.h"
+#include "linear/cost.h"
+#include "linear/extract.h"
 #include "linear/linear_rep.h"
 
 namespace sit::linear {
@@ -56,11 +67,56 @@ struct OptimizeStats {
   int frequency_nodes{0};    // frequency translations applied
   double cost_before{0.0};   // modeled flops per input item
   double cost_after{0.0};
+  // Whole-subgraph cost evaluations (flatten + make_schedule) this call ran;
+  // memo hits are free.
+  int cost_evals{0};
   // Structured per-candidate decisions (selections and refusals), replacing
   // the historical append-only log string; log() renders them for humans.
   std::vector<RewriteRecord> records;
 
   [[nodiscard]] std::string log() const;  // records, one per line
+};
+
+// What the selection calls of one compile share (opt::PassContext owns one,
+// so linear-extract, linear-combine and frequency each reuse what an earlier
+// pass computed).  Entries watch their keys through weak_ptrs, the
+// estimate_work idiom: an entry whose key was freed misses instead of
+// answering for a new object at a reused address, and the cache keeps no
+// key alive.  It lives for one compile, so it never sweeps.
+class SelectionCache {
+ public:
+  // extract(spec), once per work AST.  The entry also checks the rest of
+  // what extraction reads (rates, state declarations, init function), so
+  // filters sharing a work AST but not their coefficients stay apart.
+  const ExtractResult& extract(const ir::FilterSpec& spec);
+
+  // Record that `spec` extracts to `rep` (a filter the selection lowered
+  // from a known rep; see as_extracted).
+  void seed_extract(const ir::FilterSpec& spec, LinearRep rep);
+
+  // node_cost of `parts` run as a pipeline (of parts[0] itself when alone),
+  // once per list of part identities.
+  NodeCost cost(const std::vector<ir::NodeP>& parts);
+
+  // Cost evaluations run so far (cost() misses).
+  [[nodiscard]] int evaluations() const { return evaluations_; }
+
+ private:
+  struct Extracted {
+    std::weak_ptr<const ir::Stmt> work, init;
+    int peek{0}, pop{0}, push{0};
+    std::vector<ir::VarDecl> state;
+    ExtractResult result;
+  };
+  struct Costed {
+    std::vector<std::weak_ptr<const ir::Node>> parts;
+    NodeCost cost;
+  };
+  void seed(Extracted& e, const ir::FilterSpec& spec, ExtractResult result);
+
+  std::unordered_map<const ir::Stmt*, Extracted> extracted_;
+  std::map<std::vector<const ir::Node*>, Costed> costed_;
+  int evaluations_{0};
 };
 
 // Run the selection algorithm and return the rewritten graph (a fresh tree;
@@ -69,9 +125,11 @@ struct OptimizeStats {
 // (opt/pass_manager.h); prefer opt::compile() for whole-program compilation
 // (per-pass stats, verification, artifact) and call this directly only for
 // a bare graph-to-graph rewrite.
+// `cache` may be shared by the calls of one compile; null uses a fresh one.
 ir::NodeP optimize_selection(const ir::NodeP& root,
                              const OptimizeOptions& opts = {},
-                             OptimizeStats* stats = nullptr);
+                             OptimizeStats* stats = nullptr,
+                             SelectionCache* cache = nullptr);
 
 // Extraction over a whole subtree: the linear rep of the subtree's stream
 // function if every leaf is linear and the structure is combinable.

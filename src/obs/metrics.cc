@@ -71,7 +71,8 @@ std::string MetricsSnapshot::to_json() const {
       << ", \"cost_after\": " << p.cost_after
       << ", \"mcost_before\": " << p.mcost_before
       << ", \"mcost_after\": " << p.mcost_after
-      << ", \"changed\": " << (p.changed ? "true" : "false") << "}"
+      << ", \"changed\": " << (p.changed ? "true" : "false")
+      << ", \"cost_evals\": " << p.cost_evals << "}"
       << (i + 1 < passes.size() ? "," : "") << "\n";
   }
   o << "  ],\n";

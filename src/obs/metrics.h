@@ -74,6 +74,9 @@ struct PassSnapshot {
   double mcost_before{0};
   double mcost_after{0};
   bool changed{false};
+  // Whole-subgraph cost evaluations (flatten + schedule) the pass ran; the
+  // linear passes' selection is the only pass that runs any.
+  int cost_evals{0};
 };
 
 struct WorkerSnapshot {

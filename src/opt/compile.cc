@@ -103,7 +103,7 @@ std::string pass_report(const sched::CompiledProgram& prog,
   if (calibrated) {
     os << std::setw(22) << "measured/item" << std::setw(9) << "diverge";
   }
-  os << std::setw(9) << "changed" << "\n";
+  os << std::setw(9) << "changed" << std::setw(8) << "evals" << "\n";
   for (const obs::PassSnapshot& p : prog.passes) {
     os << std::left << std::setw(16) << p.name << std::right;
     os << std::setw(10) << std::fixed << std::setprecision(3)
@@ -129,7 +129,8 @@ std::string pass_report(const sched::CompiledProgram& prog,
       }
       os << std::setw(9) << div.str();
     }
-    os << std::setw(9) << (p.changed ? "yes" : "-") << "\n";
+    os << std::setw(9) << (p.changed ? "yes" : "-") << std::setw(8)
+       << (p.cost_evals > 0 ? std::to_string(p.cost_evals) : "-") << "\n";
   }
   if (!prog.passes.empty()) {
     const double c0 = prog.passes.front().cost_before;

@@ -57,6 +57,10 @@ class PassContext {
   // (linear::OptimizeStats::records), surfaced by `streamc --report`.
   std::vector<linear::RewriteRecord> rewrites;
 
+  // What the linear passes share: each filter's extraction and each
+  // structural candidate's modeled cost, computed once per compile.
+  linear::SelectionCache selection;
+
   // One entry per pass run, in order (filled by PassManager::run).
   std::vector<obs::PassSnapshot> stats;
 
@@ -68,6 +72,7 @@ class PassContext {
 struct PassResult {
   ir::NodeP graph;      // rewritten graph (== input when nothing changed)
   bool changed{false};  // the pass rewrote the graph
+  int cost_evals{0};    // whole-subgraph cost evaluations the pass ran
 };
 
 class Pass {

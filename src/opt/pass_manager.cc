@@ -188,6 +188,7 @@ ir::NodeP PassManager::run(const ir::NodeP& root,
     snap.cost_after = after.cost;
     snap.mcost_after = after.mcost;
     snap.changed = res.changed;
+    snap.cost_evals = res.cost_evals;
     ctx.stats.push_back(snap);
     if (ctx.on_pass) ctx.on_pass(ctx.stats.back(), res.graph);
 

@@ -150,7 +150,7 @@ class LinearExtractPass final : public Pass {
   PassResult run(const NodeP& root, PassContext& ctx) override {
     ir::visit(root, [&ctx](const NodeP& n) {
       if (n->kind != Node::Kind::Filter) return;
-      const linear::ExtractResult ex = linear::extract(n->filter);
+      const linear::ExtractResult& ex = ctx.selection.extract(n->filter);
       linear::RewriteRecord rec;
       rec.pass = "extract";
       rec.site = n->name;
@@ -172,7 +172,7 @@ PassResult run_linear(const NodeP& root, PassContext& ctx, bool combination,
   o.enable_combination = combination;
   o.enable_frequency = frequency;
   linear::OptimizeStats stats;
-  NodeP out = linear::optimize_selection(root, o, &stats);
+  NodeP out = linear::optimize_selection(root, o, &stats, &ctx.selection);
   // Both linear passes run the whole selection, so the later one re-derives
   // decisions the earlier one already recorded (e.g. every extract refusal);
   // each decision is recorded once, by the pass that made it first.
@@ -187,9 +187,10 @@ PassResult run_linear(const NodeP& root, PassContext& ctx, bool combination,
   const bool changed =
       (combination && stats.combinations > 0) ||
       (frequency && stats.frequency_nodes > 0);
-  // optimize_selection() clones even when it rewrites nothing; keep the input
-  // tree in that case so unchanged passes are identity on the artifact.
-  return {changed ? std::move(out) : root, changed};
+  // optimize_selection() copies even when it rewrites nothing; keep the input
+  // tree in that case so unchanged passes are identity on the artifact (and
+  // the next linear pass hits the cost memo on the same nodes).
+  return {changed ? std::move(out) : root, changed, stats.cost_evals};
 }
 
 class LinearCombinePass final : public Pass {

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <optional>
 #include <random>
 
+#include "apps/apps.h"
 #include "ir/dsl.h"
 #include "linear/combine.h"
 #include "linear/cost.h"
@@ -15,6 +19,7 @@
 #include "linear/frequency.h"
 #include "linear/linear_rep.h"
 #include "linear/optimize.h"
+#include "opt/compile.h"
 #include "sched/exec.h"
 
 namespace sit::linear {
@@ -538,6 +543,184 @@ TEST(Cost, EstimateWorkDoesNotPinTransientAsts) {
     probe = f.work;
   }
   EXPECT_TRUE(probe.expired());
+}
+
+// ---- closed-form candidate costs ---------------------------------------------
+
+// Every linear rep the selection forms over `n`, appended to `out`: each
+// linear filter's, each pipeline interval's (folded left to right, as the
+// interval DP folds), and each all-linear split-join's.  Returns the rep of
+// `n` itself, if it has one.
+std::optional<LinearRep> selection_reps(const NodeP& n,
+                                        std::vector<LinearRep>& out) {
+  constexpr std::size_t kMaxEntries = OptimizeOptions{}.max_matrix_entries;
+  const auto small = [&](const LinearRep& r) {
+    return static_cast<std::size_t>(r.peek) * static_cast<std::size_t>(r.push) <=
+           kMaxEntries;
+  };
+  switch (n->kind) {
+    case Node::Kind::Filter: {
+      std::optional<LinearRep> r = extract(n->filter).rep;
+      if (r) out.push_back(*r);
+      return r;
+    }
+    case Node::Kind::Native:
+      return std::nullopt;
+    case Node::Kind::Pipeline: {
+      std::vector<std::optional<LinearRep>> kids;
+      for (const NodeP& c : n->children) kids.push_back(selection_reps(c, out));
+      const std::size_t k = kids.size();
+      std::optional<LinearRep> whole = k == 1 ? kids[0] : std::nullopt;
+      for (std::size_t i = 0; i < k; ++i) {
+        std::optional<LinearRep> acc = kids[i];
+        for (std::size_t j = i + 1; j < k && acc && kids[j]; ++j) {
+          try {
+            acc = combine_pipeline(*acc, *kids[j]);
+          } catch (const std::exception&) {
+            break;
+          }
+          if (!small(*acc)) break;
+          out.push_back(*acc);
+          if (i == 0 && j == k - 1) whole = acc;
+        }
+      }
+      return whole;
+    }
+    case Node::Kind::SplitJoin: {
+      std::vector<LinearRep> reps;
+      bool all = true;
+      for (const NodeP& c : n->children) {
+        std::optional<LinearRep> r = selection_reps(c, out);
+        if (r) {
+          reps.push_back(*r);
+        } else {
+          all = false;
+        }
+      }
+      if (!all || n->split.kind == SJKind::Null ||
+          n->join.kind != SJKind::RoundRobin) {
+        return std::nullopt;
+      }
+      try {
+        LinearRep r = combine_splitjoin(n->split, reps, n->join.weights);
+        if (!small(r)) return std::nullopt;
+        out.push_back(r);
+        return r;
+      } catch (const std::exception&) {
+        return std::nullopt;
+      }
+    }
+    case Node::Kind::FeedbackLoop:
+      for (const NodeP& c : n->children) selection_reps(c, out);
+      return std::nullopt;
+  }
+  return std::nullopt;
+}
+
+// The reps the linear passes of -O1/-O2 visit on the 17 apps (linear-combine
+// sees the const-folded graph, frequency sees linear-combine's output), then
+// seeded random reps with all-zero rows, nonzero constants, peek > pop,
+// single-entry rows and signed zeros.
+std::vector<LinearRep> reps_to_check() {
+  std::vector<LinearRep> reps;
+  for (const apps::AppInfo& app : apps::all_apps()) {
+    for (const char* spec : {"validate,analysis-gate,const-fold",
+                             "validate,analysis-gate,const-fold,linear-combine"}) {
+      opt::CompileOptions co;
+      co.passes = spec;
+      co.pass.verify_each = opt::VerifyMode::Off;
+      selection_reps(opt::compile(app.make(), co).graph, reps);
+    }
+  }
+  std::mt19937 rng(16);
+  std::uniform_int_distribution<int> rate(0, 6);
+  std::uniform_int_distribution<int> shape(0, 5);
+  std::uniform_real_distribution<double> coeff(-2.0, 2.0);
+  for (int t = 0; t < 300; ++t) {
+    LinearRep r;
+    r.peek = rate(rng) + rate(rng);
+    r.pop = std::uniform_int_distribution<int>(0, r.peek)(rng);
+    r.push = 1 + rate(rng);
+    r.A = Matrix(static_cast<std::size_t>(r.push), static_cast<std::size_t>(r.peek));
+    r.b.assign(static_cast<std::size_t>(r.push), 0.0);
+    for (std::size_t o = 0; o < static_cast<std::size_t>(r.push); ++o) {
+      const int row = shape(rng);  // 0: all zero, 1: one entry, else sparse
+      for (std::size_t i = 0; i < static_cast<std::size_t>(r.peek); ++i) {
+        const int cell = shape(rng);
+        if (row == 0 || cell == 0) continue;
+        r.A.at(o, i) = cell == 1 ? -0.0 : coeff(rng);
+        if (row == 1 && r.A.at(o, i) != 0.0) break;
+      }
+      const int k = shape(rng);
+      r.b[o] = k == 0 ? coeff(rng) : k == 1 ? -0.0 : 0.0;
+    }
+    reps.push_back(std::move(r));
+  }
+  return reps;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(LinearCost, ClosedFormMatchesInterpretedFilter) {
+  const std::vector<LinearRep> reps = reps_to_check();
+  ASSERT_GT(reps.size(), 400u);
+  for (std::size_t n = 0; n < reps.size(); ++n) {
+    const LinearRep& r = reps[n];
+    const runtime::OpCounts want = estimate_work(to_filter(r, "probe"));
+    const runtime::OpCounts got = r.op_counts();
+    SCOPED_TRACE("rep " + std::to_string(n) + ": peek=" + std::to_string(r.peek) +
+                 " pop=" + std::to_string(r.pop) + " push=" + std::to_string(r.push));
+    EXPECT_EQ(got.int_ops, want.int_ops);
+    EXPECT_EQ(got.flops, want.flops);
+    EXPECT_EQ(got.divs, want.divs);
+    EXPECT_EQ(got.trans, want.trans);
+    EXPECT_EQ(got.mem, want.mem);
+    EXPECT_EQ(got.channel, want.channel);
+  }
+}
+
+// The selection seeds each filter it lowers with as_extracted(rep) instead
+// of analyzing it again; that must be exactly what extraction would return,
+// down to the sign of zero.
+TEST(LinearCost, AsExtractedMatchesExtraction) {
+  for (const LinearRep& r : reps_to_check()) {
+    const ExtractResult ex = extract(to_filter(r, "probe"));
+    ASSERT_TRUE(ex.rep.has_value()) << ex.reason;
+    const LinearRep want = *ex.rep;
+    const LinearRep got = as_extracted(r);
+    ASSERT_EQ(got.peek, want.peek);
+    ASSERT_EQ(got.pop, want.pop);
+    ASSERT_EQ(got.push, want.push);
+    for (std::size_t o = 0; o < static_cast<std::size_t>(r.push); ++o) {
+      ASSERT_TRUE(same_bits(got.b[o], want.b[o])) << "b[" << o << "]";
+      for (std::size_t i = 0; i < static_cast<std::size_t>(r.peek); ++i) {
+        ASSERT_TRUE(same_bits(got.A.at(o, i), want.A.at(o, i)))
+            << "A[" << o << "][" << i << "]";
+      }
+    }
+  }
+}
+
+// The selection's extraction memo is keyed by work AST; filters that share
+// one but carry different coefficients must still extract apart.
+TEST(SelectionCacheTest, SharedWorkAstKeepsEachFiltersCoefficients) {
+  const StmtP work = seq({push_(peek_(0) * at("h", ci(0))), discard(1)});
+  const auto scaled = [&](const char* name, double h) {
+    return filter(name).rates(1, 1, 1).array_init("h", {Value(h)}).work(work).build();
+  };
+  const FilterSpec twice = scaled("twice", 2.0);
+  const FilterSpec thrice = scaled("thrice", 3.0);
+  SelectionCache cache;
+  for (int round = 0; round < 2; ++round) {
+    const ExtractResult& a = cache.extract(twice);
+    ASSERT_TRUE(a.rep.has_value());
+    EXPECT_EQ(a.rep->A.at(0, 0), 2.0);
+    const ExtractResult& b = cache.extract(thrice);
+    ASSERT_TRUE(b.rep.has_value());
+    EXPECT_EQ(b.rep->A.at(0, 0), 3.0);
+  }
 }
 
 TEST(Optimize, ExtractTreeOnSplitJoin) {

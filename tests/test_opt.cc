@@ -6,12 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <optional>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/apps.h"
+#include "ir/dsl.h"
+#include "ir/streamit_syntax.h"
 #include "opt/compile.h"
 #include "sched/envopts.h"
 #include "sched/exec.h"
@@ -51,6 +59,16 @@ ir::NodeP observable(const ir::NodeP& app) {
   }
   std::vector<ir::NodeP> kids(app->children.begin(), app->children.end() - 1);
   return ir::make_pipeline(app->name + "_obs", kids);
+}
+
+// The preset spelled out, so SIT_PASSES cannot replace it.
+CompileOptions pinned_level(OptLevel level) {
+  CompileOptions co;
+  std::string spec;
+  for (const std::string& p : preset(level)) spec += (spec.empty() ? "" : ",") + p;
+  co.passes = spec;
+  co.pass.verify_each = VerifyMode::Off;
+  return co;
 }
 
 // ---- registry ---------------------------------------------------------------
@@ -322,6 +340,49 @@ TEST(Compile, EachDecisionIsRecordedOnceByThePassThatMadeIt) {
   }
 }
 
+// The selection counts the rewrites it made, not nodes whose names happen to
+// end in "_lin"/"_freq": a user filter so named that nothing rewrites leaves
+// both linear passes unchanged and the input graph in place.
+TEST(Compile, UserFilterNamedLikeARewriteIsNotARewrite) {
+  using namespace ir::dsl;
+  const ir::NodeP sq = filter("foo_lin")
+                           .rates(1, 1, 1)
+                           .work(seq({push_(peek_(0) * peek_(0)), discard(1)}))
+                           .node();
+  const ir::NodeP root = ir::make_pipeline("p", {sq});
+  PassContext ctx;
+  const sched::CompiledProgram prog =
+      compile(root, pinned_level(OptLevel::O2), &ctx);
+  int linear_passes = 0;
+  for (const obs::PassSnapshot& p : prog.passes) {
+    if (p.name == "linear-combine" || p.name == "frequency") {
+      ++linear_passes;
+      EXPECT_FALSE(p.changed) << p.name;
+    }
+  }
+  EXPECT_EQ(linear_passes, 2);
+  EXPECT_EQ(prog.graph, root);
+  PassContext direct;
+  const PassResult res =
+      PassManager::global().find("linear-combine")->run(root, direct);
+  EXPECT_FALSE(res.changed);
+  EXPECT_EQ(res.graph, root);
+}
+
+// The interval DP costs each distinct realization once, and the frequency
+// pass reuses linear-combine's costs.  Serpent is a 35-stage pipeline with
+// no collapsible run: costing every split point of every interval, in both
+// passes, took ~14,400 evaluations; one per interval in one pass is ~650.
+TEST(Compile, SerpentSelectionCostEvaluationsAreBounded) {
+  const sched::CompiledProgram prog =
+      compile(apps::make_app("Serpent"), pinned_level(OptLevel::O2));
+  int evals = 0;
+  for (const obs::PassSnapshot& p : prog.passes) evals += p.cost_evals;
+  EXPECT_GT(evals, 0);
+  EXPECT_LE(evals, 1500);
+  EXPECT_NE(pass_report(prog).find("evals"), std::string::npos);
+}
+
 // ---- artifact consumption ---------------------------------------------------
 
 std::vector<double> run_executor(sched::Executor& ex, int items) {
@@ -388,6 +449,126 @@ TEST(Artifact, ThreadedExecutorConsumesProgram) {
   const obs::MetricsSnapshot m = tex.metrics_snapshot();
   EXPECT_EQ(m.pipeline, "validate,analysis-gate,threaded-prep");
   EXPECT_EQ(m.passes.size(), 3u);
+}
+
+// ---- decision identity -------------------------------------------------------
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::string g17(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+// What the selection decided for `app` at `level` (every rewrite record
+// with its costs to the last bit, and the compiled graph), then what the
+// benchmark body compiled the same way builds on the sequential typed fused
+// engine: the fields of perfbench's `counts` line and a hash of the first
+// outputs on seeded input.
+std::string decisions_of(const apps::AppInfo& app, OptLevel level) {
+  std::ostringstream os;
+  os << "== " << app.name << " -O" << (level == OptLevel::O1 ? 1 : 2) << "\n";
+  PassContext ctx;
+  const sched::CompiledProgram prog =
+      compile(app.make(), pinned_level(level), &ctx);
+  for (const linear::RewriteRecord& r : ctx.rewrites) {
+    os << "rewrite " << r.by_pass << " | " << r.pass << " | " << r.site << " | "
+       << (r.applied ? "applied" : "refused") << " | " << r.note << " | "
+       << g17(r.cost_before) << " | " << g17(r.cost_after) << "\n";
+  }
+  os << ir::describe(prog.graph);
+  const std::string text = ir::to_streamit(prog.graph);
+  os << "streamit " << hex(fnv1a(0xcbf29ce484222325ULL, text.data(), text.size()))
+     << "\n";
+
+  // perfbench's body: the root pipeline minus its source and sink.
+  const ir::NodeP root = app.make();
+  const ir::NodeP body = ir::make_pipeline(
+      root->name, {root->children.begin() + 1, root->children.end() - 1});
+  sched::ExecOptions eo;
+  eo.count_ops = true;
+  eo.engine = sched::Engine::Fused;
+  eo.typed = sched::TypedMode::On;
+  eo.threads = 1;
+  eo.trace = sched::TraceMode::Off;
+  CompileOptions co = pinned_level(level);
+  co.exec = eo;
+  const sched::CompiledProgram bprog = compile(body, co);
+  const int actors_after = bprog.passes.back().actors_after;
+  sched::Executor ex(bprog, eo);
+  os << "counts fused="
+     << (ex.fused_program() ? "admitted" : "refused:" + ex.fused_refusal())
+     << " typed_fused="
+     << (ex.typed_fused_program() ? "admitted"
+                                  : "refused:" + ex.typed_fused_refusal())
+     << " trace_len="
+     << (ex.fused_program() ? ex.fused_program()->code.size() : 0)
+     << " typed_actors=" << ex.metrics_snapshot().typed_actors
+     << " actors_after=" << actors_after << "\n";
+  const sched::Schedule& s = ex.schedule();
+  const std::int64_t iters = (256 + s.input_per_steady - 1) / s.input_per_steady;
+  std::mt19937_64 gen(7);
+  std::vector<double> in(
+      static_cast<std::size_t>(s.input_for_init + iters * s.input_per_steady));
+  for (double& x : in) x = static_cast<double>(gen() >> 11) * 0x1p-53 - 0.5;
+  ex.feed_input(in);
+  const std::vector<double> out = ex.run_steady(static_cast<int>(iters));
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (double v : out) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    h = fnv1a(h, &bits, sizeof bits);
+  }
+  os << "outputs " << out.size() << " " << hex(h) << "\n";
+  return os.str();
+}
+
+// tests/data/opt_decisions.txt was generated before the selection learned to
+// price candidates in closed form and to memoize structural costs; both are
+// pure speedups, so every decision, cost, graph and output must still match
+// it.  On a mismatch the actual dump is written to opt_decisions.actual.txt
+// in the working directory.
+TEST(SelectionIdentity, DecisionsGraphsAndCountsMatchExpectation) {
+  std::string actual;
+  for (const apps::AppInfo& app : apps::all_apps()) {
+    for (OptLevel level : {OptLevel::O1, OptLevel::O2}) {
+      actual += decisions_of(app, level);
+    }
+  }
+  std::ifstream f(SIT_TEST_DATA_DIR "/opt_decisions.txt");
+  std::stringstream expected;
+  expected << f.rdbuf();
+  if (actual == expected.str()) return;
+  std::ofstream("opt_decisions.actual.txt") << actual;
+  std::istringstream a(actual), e(expected.str());
+  std::string la, le;
+  int line = 0;
+  while (true) {
+    ++line;
+    const bool more_a = static_cast<bool>(std::getline(a, la));
+    const bool more_e = static_cast<bool>(std::getline(e, le));
+    if (!more_a && !more_e) break;
+    if (!more_a || !more_e || la != le) {
+      ADD_FAILURE() << "line " << line << "\n  expected: "
+                    << (more_e ? le : "<end>") << "\n  actual:   "
+                    << (more_a ? la : "<end>")
+                    << "\n(full dump in opt_decisions.actual.txt)";
+      return;
+    }
+  }
 }
 
 }  // namespace

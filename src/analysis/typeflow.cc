@@ -129,6 +129,11 @@ TypeflowResult typeflow(const FlatGraph& g) {
     if (tp) {
       t.specialized = true;
       t.typed_regs = tp->work.typed_regs;
+      if (runtime::LinearRows rows; runtime::linear_kernel_rows(spec, &rows)) {
+        t.kernel = "linear-kernel (" + std::to_string(rows.push) + "x" +
+                   std::to_string(rows.peek) + ", " +
+                   std::to_string(rows.nnz()) + " nnz)";
+      }
       t.push_tag = tp->work.push_tag;
       for (std::size_t s = 0; s < base->scalar_slots.size(); ++s) {
         t.scalar_types.emplace_back(base->scalar_slots[s],
@@ -176,6 +181,12 @@ TypeflowResult typeflow(const FlatGraph& g) {
   return r;
 }
 
+std::string ActorTypeflow::typed_summary() const {
+  return (kernel.empty() ? std::to_string(typed_regs) + " double reg(s)"
+                         : kernel) +
+         ", push " + runtime::tag_name(push_tag);
+}
+
 std::string TypeflowResult::describe(const FlatGraph& g) const {
   std::string out;
   out += "typeflow: " + std::to_string(typed_actors) + "/" +
@@ -187,8 +198,7 @@ std::string TypeflowResult::describe(const FlatGraph& g) const {
     if (!a.is_filter) continue;
     out += "  " + a.name + ": ";
     if (a.specialized) {
-      out += "typed (" + std::to_string(a.typed_regs) + " double reg(s), push " +
-             runtime::tag_name(a.push_tag) + ")";
+      out += "typed (" + a.typed_summary() + ")";
     } else {
       out += "tagged (" + a.refusal + ")";
     }

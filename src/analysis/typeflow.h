@@ -36,11 +36,18 @@ struct ActorTypeflow {
   std::string refusal;      // stable reason when not (empty if specialized or
                             // not a candidate)
   int typed_regs{0};        // registers proven Double everywhere
+  // "linear-kernel (<push>x<peek>, <nnz> nnz)" when the fused trace runs
+  // this filter as a coefficient kernel (runtime::linear_kernel_rows), which
+  // needs no registers; empty otherwise.
+  std::string kernel;
   runtime::Tag push_tag{runtime::Tag::Double};  // content tag of its pushes
   // Inferred class per state slot, in declaration order: name -> "int" |
   // "double" | "mixed".
   std::vector<std::pair<std::string, std::string>> scalar_types;
   std::vector<std::pair<std::string, std::string>> array_types;
+
+  // What a specialized filter runs as: its kernel, or its register count.
+  [[nodiscard]] std::string typed_summary() const;
 };
 
 struct TypeflowResult {

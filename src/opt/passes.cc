@@ -388,10 +388,7 @@ class TypeflowPass final : public Pass {
         ar.pass = "typeflow";
         ar.site = "actor:" + a.name;
         ar.applied = a.specialized;
-        ar.note = a.specialized
-                      ? std::to_string(a.typed_regs) + " double reg(s), push " +
-                            runtime::tag_name(a.push_tag)
-                      : a.refusal;
+        ar.note = a.specialized ? a.typed_summary() : a.refusal;
         ctx.rewrites.push_back(std::move(ar));
       }
     } catch (const std::exception& e) {

@@ -121,6 +121,13 @@ class Channel final : public ir::InTape, public ir::OutTape {
     count_ = n;
   }
 
+  // The first n live items as one contiguous span, or null when they wrap
+  // around the end of the ring (or fewer than n are live).
+  [[nodiscard]] const double* contiguous(std::size_t n) const noexcept {
+    if (n > count_ || head_ + n > buf_.size()) return nullptr;
+    return buf_.data() + head_;
+  }
+
   // Bulk-advance the cumulative counters without moving data.
   void advance_counters(std::int64_t pushed, std::int64_t popped) noexcept {
     total_pushed_ += pushed;

@@ -29,6 +29,12 @@
 // repetition counts.  The back-edge doubles as the per-firing register
 // reset, so a firing dispatches its template plus that one instruction.
 //
+// A linear node's run is a single instruction instead (no SetActor, no
+// template, no registers):
+//
+//   LinearKernel k        all n firings of the actor as one CSR mat-vec per
+//                         firing over the peek window (linear-kernel below)
+//
 // Splitters/joiners are synthesized as explicit pop/push templates and
 // native filters as NativeFire calls through tape adapters, so any graph the
 // per-actor executor runs (modulo the admissibility rules in
@@ -46,6 +52,35 @@
 //   pop-un-push    push(<op>(pop()))                 (rectifiers)
 //   copy-run       n x { pop(src); push(dst) }       (round-robin routing)
 //   dup-run        n x { pop(src); push(all dsts) }  (duplicate splitters)
+//   linear-kernel  n x { push(A W + b); pop_n(pop) } (a whole linear node's
+//                  run; see below)
+//
+// linear-kernel replaces an actor rather than a window of its template.  The
+// builder recognizes the exact work function linear::to_filter emits for a
+// linear node: no state, init or handlers; one `push` per output of a
+// left-deep sum `[b +] c*peek(i) + c*peek(i) + ...` with literal c and
+// literal 0 <= i < peek; then `pop_n(pop)` (omitted when pop is 0).  The
+// coefficients are copied out of the AST in CSR form (linear_kernel_rows),
+// and TypedFusedExec runs every firing of the run as a raw double* loop over
+// the peek window (a trace buffer, or a boundary ring -- as one span when
+// its live items do not wrap), two rows side by side:
+//   * evaluation order: a row starts from b only when the AST has a leading
+//     constant, otherwise from its first term (never from +0.0, which would
+//     turn a -0.0 first term into +0.0); each further term is
+//     `acc = acc + c*w` in the AST's order, so results are bit-equal to the
+//     expression (the build is strict ISO C++, so nothing is contracted into
+//     an FMA);
+//   * counting: each firing adds the expression's exact OpCounts -- per row
+//     one flop per multiply and per add and one channel op per peek and the
+//     push, then `pop` channel ops;
+//   * faults: firings the input (and a trace buffer's room) provably covers
+//     run unchecked; the first firing that could fault runs with the
+//     template's checks in its order, so a short input throws the same
+//     message at the same offset.
+// The expression form stays the semantics: the tree interpreter and the
+// per-actor VMs still run it, and every engine-differential test compares
+// the kernel against it.  `runtime` cannot see linear::LinearRep (linear
+// depends on runtime), which is why the AST is the carrier.
 //
 // A splitter/joiner run whose firing collapses to one copy-run/dup-run stays
 // one instruction moving the whole run's items, with no firing loop.
@@ -114,12 +149,41 @@ struct NativeFireArgs {
   std::int64_t flops{0}, int_ops{0}, channel{0};
 };
 
+// A linear node's work function as data: per output row, an optional
+// leading constant b and the terms c*peek(i) in the AST's order, CSR.
+struct LinearRows {
+  int peek{0}, pop{0}, push{0};
+  std::vector<std::int32_t> row_ptr;  // push + 1 offsets into col/val
+  std::vector<std::int32_t> col;      // window offset of each term
+  std::vector<double> val;            // coefficient of each term
+  std::vector<std::uint8_t> has_b;    // per row: starts from b[row]
+  std::vector<double> b;
+  std::int32_t span{0};  // largest window offset + 1 (0: peeks nothing)
+  // Exact OpCounts of one firing of the expression form.
+  std::int64_t flops{0}, channel{0};
+
+  [[nodiscard]] std::size_t nnz() const { return col.size(); }
+};
+
+// The coefficient rows of `f` when its work function has exactly the shape
+// linear::to_filter emits (see the file comment); false for anything else,
+// which keeps its compiled template.
+bool linear_kernel_rows(const ir::FilterSpec& f, LinearRows* out);
+
+struct LinearKernelArgs {
+  int actor{-1};  // OpCounts attribution
+  std::int32_t in_edge{-1}, out_edge{-1};  // -1: the filter has no such tape
+  bool in_real{false}, out_real{false};
+  std::int64_t firings{0};  // the run's firings, all in one dispatch
+  LinearRows rows;
+};
+
 struct FusedActorMeta {
   std::string name;
   std::uint32_t reg_base{0};
   std::uint32_t scalar_base{0}, array_base{0};
   std::uint32_t num_scalars{0}, num_arrays{0};
-  std::vector<ir::Value> reg_init;  // empty for splitters/joiners/natives
+  std::vector<ir::Value> reg_init;  // empty for natives and linear kernels
   std::int64_t peek_window{0};
   bool native{false};
 };
@@ -138,6 +202,7 @@ struct FusedProgram {
   std::vector<PcpArgs> pcps;
   std::vector<CopyRunArgs> copies;
   std::vector<NativeFireArgs> nats;
+  std::vector<LinearKernelArgs> kernels;
   std::vector<FusedActorMeta> actors;
   std::vector<FusedEdgeMeta> edges;
   // Flat state-slot name tables (error messages + binding), indexed by
@@ -147,7 +212,7 @@ struct FusedProgram {
   int eliminated_channels{0};  // internal edges lowered to trace buffers
   // Static superinstruction selection: trace-instruction instances by stable
   // name (mac-loop, sum-loop, pop-push, pop-bin-push, pop-un-push, copy-run,
-  // dup-run).  Absent name == 0.
+  // dup-run, linear-kernel).  Absent name == 0.
   std::map<std::string, std::int64_t> super;
 
   [[nodiscard]] std::int64_t super_count(const std::string& name) const {

@@ -155,8 +155,8 @@ void transfer(Flow& F, const FInstr& I, TagVec& s) {
       break;
     }
     default:
-      // RPopN/TPopN/RPush/TPush, jumps, CheckStep, Tally, NativeFire, Halt:
-      // no register writes.
+      // RPopN/TPopN/RPush/TPush, jumps, CheckStep, Tally, NativeFire,
+      // LinearKernel, Halt: no register writes.
       break;
   }
 }
@@ -468,6 +468,7 @@ bool lower_one(Lower& L, const FInstr& I, const TagVec& s, FInstr* T) {
     case FOp::Jmp:
     case FOp::Tally:
     case FOp::NativeFire:
+    case FOp::LinearKernel:
     case FOp::Halt:
       break;
   }

@@ -38,7 +38,7 @@
 // Consumers: compile.cc::typed_compile specializes one filter's work program
 // (executed by TypedBound, vm.cc); fused.cc::build_typed_fused specializes a
 // whole fused steady-state trace (executed by TypedFusedExec, with the
-// mac-loop superinstruction lowered to a raw double* kernel); and
+// mac-loop and linear-kernel superinstructions as raw double* loops); and
 // analysis/typeflow.h lifts the per-actor results to a whole-graph view with
 // channel content tags.
 
@@ -237,6 +237,10 @@ class TypedFusedExec {
  private:
   template <bool kCount>
   void run(OpCounts* actor_counts);
+  // One LinearKernel instruction: out of line, so traces without one keep
+  // the dispatch loop's code unchanged.  `actor_counts` is run's argument.
+  [[gnu::noinline]] void run_linear(const LinearKernelArgs& K,
+                                    OpCounts* actor_counts);
   void finish_iteration();
   bool sync_state_in();   // Value -> planes; false on a class/tag mismatch
   void sync_state_out();  // planes -> Value

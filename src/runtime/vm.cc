@@ -498,6 +498,7 @@ const char* op_name(FOp op) {
     case FOp::PopComputePush: return "pcp";
     case FOp::CopyRun: return "copyrun";
     case FOp::NativeFire: return "nativefire";
+    case FOp::LinearKernel: return "linkernel";
     case FOp::Halt: return "halt";
   }
   return "?";

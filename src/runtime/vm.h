@@ -80,6 +80,7 @@ enum class FOp : std::uint8_t {
   PopComputePush,  // pop-push / pop-bin-push / pop-un-push
   CopyRun,         // copy-run / dup-run
   NativeFire,      // one firing of a native filter through tape adapters
+  LinearKernel,    // every firing of a linear node's run (linear-kernel)
   Halt,
 };
 

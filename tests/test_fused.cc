@@ -12,7 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "analysis/fuse.h"
 #include "apps/apps.h"
 #include "ir/dsl.h"
+#include "linear/linear_rep.h"
 #include "opt/compile.h"
 #include "runtime/fused.h"
 #include "sched/exec.h"
@@ -51,6 +55,16 @@ ir::NodeP observable(const ir::NodeP& app) {
   }
   std::vector<ir::NodeP> kids(app->children.begin(), app->children.end() - 1);
   return ir::make_pipeline(app->name + "_obs", kids);
+}
+
+// Lower without the analysis gate, which rejects every faulting or
+// rate-lying program below statically.
+sched::CompiledProgram lower_ungated(const ir::NodeP& root) {
+  sched::CompiledProgram p;
+  p.graph = root;
+  p.flat = runtime::flatten(root);
+  p.schedule = sched::make_schedule(p.flat);
+  return p;
 }
 
 int actor_id(const runtime::FlatGraph& g, const std::string& name) {
@@ -131,6 +145,30 @@ TEST(FusedSuper, DisassemblyAnnotatesSuperinstructions) {
   ASSERT_NE(ex.fused_program(), nullptr);
   const std::string dis = ex.fused_program()->disassemble();
   EXPECT_NE(dis.find("mac-loop"), std::string::npos);
+}
+
+// At -O2 the linear passes leave their collapsed nodes as to_filter's
+// expression form; every one of them must run as a linear-kernel.  A change
+// to that form which the recognizer no longer matches fails here.
+TEST(FusedSuper, EveryLinNodeRunsAsLinearKernelAtO2) {
+  for (const char* app : {"Oversampler", "TargetDetect", "DCT", "RateConvert",
+                          "ChannelVocoder"}) {
+    SCOPED_TRACE(app);
+    opt::CompileOptions copts;
+    copts.level = opt::OptLevel::O2;
+    sched::Executor ex(opt::compile(apps::make_app(app), copts),
+                       fused_options());
+    const runtime::FusedProgram* fp = ex.fused_program();
+    ASSERT_NE(fp, nullptr) << ex.fused_refusal();
+    ASSERT_NE(ex.typed_fused_program(), nullptr) << ex.typed_fused_refusal();
+    std::int64_t lin = 0;
+    for (const runtime::FlatActor& a : ex.graph().actors) {
+      if (a.name.ends_with("_lin")) ++lin;
+    }
+    EXPECT_GT(lin, 0);
+    EXPECT_EQ(fp->super_count("linear-kernel"), lin);
+    EXPECT_NE(fp->disassemble().find("linear-kernel rows="), std::string::npos);
+  }
 }
 
 // ---- refusal reasons --------------------------------------------------------
@@ -532,16 +570,6 @@ TEST(FusedExecution, HandlerRetagFallsBackAndStaysBitEqual) {
 
 // ---- runtime faults ---------------------------------------------------------
 
-// Lower without the analysis gate, which rejects every faulting program
-// below statically.
-sched::CompiledProgram lower_ungated(const ir::NodeP& root) {
-  sched::CompiledProgram p;
-  p.graph = root;
-  p.flat = runtime::flatten(root);
-  p.schedule = sched::make_schedule(p.flat);
-  return p;
-}
-
 // The what() of the fault the first steady state throws ("" if none).
 std::string first_fault(const ir::NodeP& root, sched::Engine engine,
                         sched::TypedMode typed) {
@@ -565,6 +593,38 @@ std::string first_fault(const ir::NodeP& root, sched::Engine engine,
   return "";
 }
 
+// y = 2 * peek(0), popping 3: recognized as a linear kernel.
+ir::FilterSpec short_pop_kernel() {
+  linear::LinearRep rep;
+  rep.peek = 1;
+  rep.pop = 3;
+  rep.push = 1;
+  rep.A = linear::Matrix(1, 1);
+  rep.A.at(0, 0) = 2.0;
+  rep.b = {0.0};
+  return linear::to_filter(rep, "lin");
+}
+
+// Pushes on every firing but its second.
+NodeP gappy_src(const std::string& name) {
+  return filter(name)
+      .rates(0, 0, 1)
+      .iscalar("n", 0)
+      .work(seq({if_(v("n") != ci(1), push_(c(1.0))),
+                 let("n", v("n") + ci(1))}))
+      .node();
+}
+
+TEST(EngineFaults, ShortKernelInputRunsAsLinearKernel) {
+  sched::Executor ex(
+      lower_ungated(make_pipeline("p", {gappy_src("s"),
+                                        make_filter(short_pop_kernel()),
+                                        tiny_snk("k")})),
+      fused_options());
+  ASSERT_NE(ex.typed_fused_program(), nullptr) << ex.typed_fused_refusal();
+  EXPECT_EQ(ex.fused_program()->super_count("linear-kernel"), 1);
+}
+
 // A fault's message is part of the cross-engine contract: the tree
 // interpreter, the tagged VM, the typed VM and the typed fused trace must
 // throw the same what().
@@ -578,6 +638,7 @@ TEST(EngineFaults, EveryEngineThrowsTheSameMessage) {
   const struct {
     NodeP filter;
     std::string message;
+    NodeP source{};  // tiny_src when null
   } cases[] = {
       {filter("load")
            .rates(1, 1, 1)
@@ -607,10 +668,15 @@ TEST(EngineFaults, EveryEngineThrowsTheSameMessage) {
            .node(),
        "peek out of bounds in 'overpeek': peek(5) after 0 pop(s) exceeds the "
        "declared window of 2"},
+      // A linear kernel whose input runs short: the source skips its second
+      // push, and the kernel (declared pop 3 > peek 1, so the per-actor
+      // engines fire it once a single item is there) pops past the end.
+      {make_filter(short_pop_kernel()), "pop from empty channel",
+       gappy_src("s")},
   };
   for (const auto& fc : cases) {
-    const NodeP root =
-        make_pipeline("p", {tiny_src("s"), fc.filter, tiny_snk("k")});
+    const NodeP root = make_pipeline(
+        "p", {fc.source ? fc.source : tiny_src("s"), fc.filter, tiny_snk("k")});
     const std::string name = fc.filter->name;
     EXPECT_EQ(first_fault(root, sched::Engine::Tree, sched::TypedMode::Off),
               fc.message)
@@ -625,6 +691,268 @@ TEST(EngineFaults, EveryEngineThrowsTheSameMessage) {
               fc.message)
         << name << " on the typed fused trace";
   }
+}
+
+// ---- linear kernels ---------------------------------------------------------
+//
+// A linear node's expression form (linear::to_filter) runs as one
+// linear-kernel instruction in the typed fused trace, while the tree
+// interpreter evaluates the expression itself: outputs must agree to the bit
+// and OpCounts field by field.
+
+struct EngineRun {
+  std::vector<double> out;
+  std::vector<runtime::OpCounts> ops;
+};
+
+// Run five batches of `iters` steady states on input drawn from `gen`, fed
+// batch by batch so that a boundary input ring wraps; collect the outputs.
+EngineRun run_on(const sched::CompiledProgram& prog, sched::ExecOptions opts,
+                 std::mt19937_64& gen, int iters, std::int64_t* kernels) {
+  opts.count_ops = true;
+  sched::Executor ex(prog, opts);
+  if (kernels != nullptr) {
+    EXPECT_NE(ex.typed_fused_program(), nullptr) << ex.typed_fused_refusal();
+    *kernels = ex.fused_program() != nullptr
+                   ? ex.fused_program()->super_count("linear-kernel")
+                   : -1;
+  }
+  const sched::Schedule& s = ex.schedule();
+  // Exact zeros of both signs make a -0.0 first term observable.
+  std::uniform_int_distribution<int> kind(0, 3);
+  std::uniform_real_distribution<double> val(-1.0, 1.0);
+  EngineRun r;
+  for (int batch = 0; batch < 5; ++batch) {
+    std::vector<double> in(static_cast<std::size_t>(
+        (batch == 0 ? s.input_for_init : 0) + iters * s.input_per_steady));
+    for (double& x : in) {
+      const int k = kind(gen);
+      x = k == 0 ? 0.0 : k == 1 ? -0.0 : val(gen);
+    }
+    if (prog.flat.input_edge >= 0) ex.feed_input(in);
+    const std::vector<double> out = ex.run_steady(iters);
+    r.out.insert(r.out.end(), out.begin(), out.end());
+  }
+  r.ops = ex.actor_ops();
+  return r;
+}
+
+void expect_bit_equal(const EngineRun& tree, const EngineRun& fused) {
+  ASSERT_FALSE(tree.out.empty());
+  ASSERT_EQ(tree.out.size(), fused.out.size());
+  for (std::size_t i = 0; i < tree.out.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(tree.out[i]),
+              std::bit_cast<std::uint64_t>(fused.out[i]))
+        << "item " << i << ": " << tree.out[i] << " vs " << fused.out[i];
+  }
+  ASSERT_EQ(tree.ops.size(), fused.ops.size());
+  for (std::size_t a = 0; a < tree.ops.size(); ++a) {
+    EXPECT_EQ(tree.ops[a].int_ops, fused.ops[a].int_ops) << "actor " << a;
+    EXPECT_EQ(tree.ops[a].flops, fused.ops[a].flops) << "actor " << a;
+    EXPECT_EQ(tree.ops[a].divs, fused.ops[a].divs) << "actor " << a;
+    EXPECT_EQ(tree.ops[a].trans, fused.ops[a].trans) << "actor " << a;
+    EXPECT_EQ(tree.ops[a].mem, fused.ops[a].mem) << "actor " << a;
+    EXPECT_EQ(tree.ops[a].channel, fused.ops[a].channel) << "actor " << a;
+  }
+}
+
+// Run `root` on the tree interpreter and the typed fused trace; returns the
+// fused trace's linear-kernel count (and the outputs in `tree_out`).
+std::int64_t expect_kernel_matches_tree(const NodeP& root, std::uint64_t seed,
+                                        std::vector<double>* tree_out = nullptr) {
+  const sched::CompiledProgram prog = lower_ungated(root);
+  sched::ExecOptions topts;
+  topts.engine = sched::Engine::Tree;
+  std::mt19937_64 g1(seed), g2(seed);
+  std::int64_t kernels = 0;
+  const EngineRun tree = run_on(prog, topts, g1, 3, nullptr);
+  const EngineRun fused = run_on(prog, fused_options(), g2, 3, &kernels);
+  expect_bit_equal(tree, fused);
+  if (tree_out != nullptr) *tree_out = tree.out;
+  return kernels;
+}
+
+NodeP pass_through(const std::string& name) {
+  return filter(name).rates(1, 1, 1).work(seq({push_(pop_())})).node();
+}
+
+// The kernel alone (boundary rings on both sides), between pass-through
+// filters (trace buffers on both sides), and the two mixed shapes.
+std::vector<NodeP> kernel_graphs(const ir::FilterSpec& k) {
+  const NodeP kn = make_filter(k);
+  return {make_pipeline("ring", {kn}),
+          make_pipeline("buf", {pass_through("pre"), kn, pass_through("post")}),
+          make_pipeline("ring_in", {kn, pass_through("post")}),
+          make_pipeline("ring_out", {pass_through("pre"), kn})};
+}
+
+// Every row shape the kernel distinguishes: all-zero rows (push 0.0), b-only
+// rows, single-term rows, and denser rows with and without a constant.
+linear::LinearRep random_kernel_rep(std::mt19937& rng) {
+  std::uniform_int_distribution<int> rate(1, 4);
+  std::uniform_int_distribution<int> extra(0, 4);
+  std::uniform_int_distribution<int> shape(0, 5);
+  std::uniform_int_distribution<int> coin(0, 3);
+  std::uniform_real_distribution<double> coeff(-1.5, 1.5);
+  const auto nonzero = [&] {
+    double c = coeff(rng);
+    while (c == 0.0) c = coeff(rng);
+    return c;
+  };
+  linear::LinearRep r;
+  r.pop = rate(rng);
+  r.peek = r.pop + extra(rng);
+  r.push = rate(rng);
+  r.A = linear::Matrix(static_cast<std::size_t>(r.push),
+                       static_cast<std::size_t>(r.peek));
+  r.b.assign(static_cast<std::size_t>(r.push), 0.0);
+  std::uniform_int_distribution<int> col(0, r.peek - 1);
+  for (std::size_t o = 0; o < r.b.size(); ++o) {
+    switch (shape(rng)) {
+      case 0:  // all-zero
+        break;
+      case 1:  // b only
+        r.b[o] = nonzero();
+        break;
+      case 2:  // single term
+        r.A.at(o, static_cast<std::size_t>(col(rng))) = nonzero();
+        break;
+      default:
+        for (std::size_t i = 0; i < static_cast<std::size_t>(r.peek); ++i) {
+          if (coin(rng) != 0) r.A.at(o, i) = nonzero();
+        }
+        if (coin(rng) == 0) r.b[o] = nonzero();
+        break;
+    }
+  }
+  return r;
+}
+
+TEST(LinearKernel, RandomRepsMatchTheExpressionBitForBit) {
+  std::mt19937 rng(1717);
+  bool saw_peek_gt_pop = false;
+  for (int t = 0; t < 40; ++t) {
+    const linear::LinearRep rep = random_kernel_rep(rng);
+    saw_peek_gt_pop = saw_peek_gt_pop || rep.peek > rep.pop;
+    const ir::FilterSpec k = linear::to_filter(rep, "lin");
+    runtime::LinearRows rows;
+    ASSERT_TRUE(runtime::linear_kernel_rows(k, &rows)) << "rep " << t;
+    EXPECT_EQ(rows.flops, rep.op_counts().flops) << "rep " << t;
+    EXPECT_EQ(rows.channel, rep.op_counts().channel) << "rep " << t;
+    for (const NodeP& g : kernel_graphs(k)) {
+      SCOPED_TRACE("rep " + std::to_string(t) + " " + g->name + "\n" +
+                   rep.describe());
+      EXPECT_EQ(expect_kernel_matches_tree(g, 100 + static_cast<unsigned>(t)),
+                1);
+    }
+  }
+  EXPECT_TRUE(saw_peek_gt_pop);
+}
+
+// A row with b == 0 whose first term is -0.0 (a negative coefficient times a
+// +0.0 input) must push -0.0: seeding the sum with +0.0 would push +0.0.
+TEST(LinearKernel, NegativeZeroFirstTermStaysNegativeZero) {
+  linear::LinearRep rep;
+  rep.peek = 2;
+  rep.pop = 1;
+  rep.push = 2;
+  rep.A = linear::Matrix(2, 2);
+  rep.A.at(0, 0) = -1.5;  // single term
+  rep.A.at(1, 0) = -1.0;  // two terms, both -0.0 on zero input
+  rep.A.at(1, 1) = 0.5;
+  rep.b = {0.0, 0.0};
+  const ir::FilterSpec k = linear::to_filter(rep, "lin");
+  for (const NodeP& g : kernel_graphs(k)) {
+    SCOPED_TRACE(g->name);
+    std::vector<double> out;
+    EXPECT_EQ(expect_kernel_matches_tree(g, 5, &out), 1);
+    int negative_zeros = 0;
+    for (const double y : out) {
+      if (y == 0.0 && std::signbit(y)) ++negative_zeros;
+    }
+    EXPECT_GT(negative_zeros, 0);
+  }
+}
+
+// Near-misses of to_filter's shape keep their compiled template and still
+// fuse.  Base: y0 = 0.5*w0 + -0.25*w1, y1 = 0.125 + 1.5*w1 + 0.75*w2, pop 2.
+TEST(LinearKernel, NearMissesKeepTheirTemplate) {
+  linear::LinearRep rep;
+  rep.peek = 3;
+  rep.pop = 2;
+  rep.push = 2;
+  rep.A = linear::Matrix(2, 3);
+  rep.A.at(0, 0) = 0.5;
+  rep.A.at(0, 1) = -0.25;
+  rep.A.at(1, 1) = 1.5;
+  rep.A.at(1, 2) = 0.75;
+  rep.b = {0.0, 0.125};
+  const ir::FilterSpec base = linear::to_filter(rep, "lin");
+  const std::vector<StmtP>& body = base.work->stmts;
+  ASSERT_EQ(body.size(), 3u);
+  const auto row0 = [](ExprP coef, ExprP index) {
+    return ir::push(ir::bin(BinOp::Add, ir::bin(BinOp::Mul, coef, ir::peek(index)),
+                            ir::bin(BinOp::Mul, fconst(-0.25),
+                                    ir::peek(iconst(1)))));
+  };
+  const auto with_work = [&](std::vector<StmtP> stmts) {
+    ir::FilterSpec f = base;
+    f.work = block(std::move(stmts));
+    return f;
+  };
+  ASSERT_EQ(ir::to_string(row0(fconst(0.5), iconst(0))), ir::to_string(body[0]));
+
+  ir::FilterSpec with_state = base;
+  with_state.state.push_back(ir::VarDecl{"g", false, 1, false, {Value(1.0)}});
+  const struct {
+    const char* what;
+    ir::FilterSpec f;
+    bool honest;  // rates match the work function, so it runs correctly
+  } misses[] = {
+      {"state variable", with_state, true},
+      {"peek index from a variable",
+       with_work({assign("k", iconst(0)), row0(fconst(0.5), var("k")), body[1],
+                  body[2]}),
+       true},
+      {"non-literal coefficient",
+       with_work({row0(un(UnOp::Neg, fconst(-0.5)), iconst(0)), body[1],
+                  body[2]}),
+       true},
+      {"extra statement",
+       with_work({assign("t", fconst(1.0)), body[0], body[1], body[2]}), true},
+      {"pop_n != pop", with_work({body[0], body[1], pop_n(iconst(1))}), false},
+      {"peek index >= peek",
+       with_work({row0(fconst(0.5), iconst(3)), body[1], body[2]}), false},
+  };
+  runtime::LinearRows rows;
+  ASSERT_TRUE(runtime::linear_kernel_rows(base, &rows));
+  // The variable index alone (the AST matcher needs no binding for it).
+  EXPECT_FALSE(runtime::linear_kernel_rows(
+      with_work({row0(fconst(0.5), var("k")), body[1], body[2]}), &rows));
+  for (const auto& m : misses) {
+    SCOPED_TRACE(m.what);
+    EXPECT_FALSE(runtime::linear_kernel_rows(m.f, &rows));
+    const NodeP root = make_pipeline(
+        "p", {tiny_src("s"), make_filter(m.f), tiny_snk("k")});
+    sched::Executor ex(lower_ungated(root), fused_options());
+    ASSERT_NE(ex.fused_program(), nullptr) << ex.fused_refusal();
+    ASSERT_NE(ex.typed_fused_program(), nullptr) << ex.typed_fused_refusal();
+    EXPECT_EQ(ex.fused_program()->super_count("linear-kernel"), 0);
+    if (m.honest) {
+      EXPECT_EQ(expect_kernel_matches_tree(
+                    make_pipeline("p", {pass_through("pre"), make_filter(m.f),
+                                        pass_through("post")}),
+                    9),
+                0);
+    }
+  }
+  // The unmodified form does run as a kernel in the same graph.
+  sched::Executor ex(
+      lower_ungated(make_pipeline(
+          "p", {tiny_src("s"), make_filter(base), tiny_snk("k")})),
+      fused_options());
+  ASSERT_NE(ex.fused_program(), nullptr) << ex.fused_refusal();
+  EXPECT_EQ(ex.fused_program()->super_count("linear-kernel"), 1);
 }
 
 }  // namespace

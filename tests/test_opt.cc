@@ -539,8 +539,9 @@ std::string decisions_of(const apps::AppInfo& app, OptLevel level) {
 // tests/data/opt_decisions.txt was generated before the selection learned to
 // price candidates in closed form and to memoize structural costs; both are
 // pure speedups, so every decision, cost, graph and output must still match
-// it.  On a mismatch the actual dump is written to opt_decisions.actual.txt
-// in the working directory.
+// it.  Only its trace_len values have moved since: linear nodes became one
+// linear-kernel instruction each.  On a mismatch the actual dump is written
+// to opt_decisions.actual.txt in the working directory.
 TEST(SelectionIdentity, DecisionsGraphsAndCountsMatchExpectation) {
   std::string actual;
   for (const apps::AppInfo& app : apps::all_apps()) {

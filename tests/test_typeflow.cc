@@ -16,6 +16,7 @@
 #include "analysis/typeflow.h"
 #include "apps/apps.h"
 #include "ir/dsl.h"
+#include "opt/compile.h"
 #include "runtime/eval_ops.h"
 #include "runtime/typed.h"
 #include "sched/exec.h"
@@ -225,6 +226,30 @@ TEST(TypedSpecialize, WholeGraphAnalysisMatchesExecutorOnFir) {
   const std::string table = tf.describe(ex.graph());
   EXPECT_NE(table.find("3/3 filter(s) specialized"), std::string::npos)
       << table;
+}
+
+// A filter the fused trace runs as a coefficient kernel reports the kernel's
+// shape instead of the registers it no longer needs there.
+TEST(TypedSpecialize, LinearKernelActorsReportTheirKernel) {
+  opt::CompileOptions copts;
+  copts.level = opt::OptLevel::O2;
+  const sched::CompiledProgram prog =
+      opt::compile(apps::make_app("TargetDetect"), copts);
+  const analysis::TypeflowResult tf = analysis::typeflow(prog.flat);
+  int kernels = 0;
+  for (const analysis::ActorTypeflow& a : tf.actors) {
+    if (!a.kernel.empty()) ++kernels;
+    if (a.name == "mf0_lin") {
+      EXPECT_EQ(a.typed_summary(), "linear-kernel (1x32, 31 nnz), push double");
+    }
+    if (a.name == "src") {
+      EXPECT_TRUE(a.kernel.empty());
+    }
+  }
+  EXPECT_EQ(kernels, 4);
+  EXPECT_NE(tf.describe(prog.flat).find(
+                "mf0_lin: typed (linear-kernel (1x32, 31 nnz), push double)"),
+            std::string::npos);
 }
 
 // ---- refusal taxonomy -------------------------------------------------------

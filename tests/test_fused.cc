@@ -700,76 +700,54 @@ TEST(EngineFaults, EveryEngineThrowsTheSameMessage) {
 // interpreter evaluates the expression itself: outputs must agree to the bit
 // and OpCounts field by field.
 
-struct EngineRun {
-  std::vector<double> out;
-  std::vector<runtime::OpCounts> ops;
-};
-
-// Run five batches of `iters` steady states on input drawn from `gen`, fed
-// batch by batch so that a boundary input ring wraps; collect the outputs.
-EngineRun run_on(const sched::CompiledProgram& prog, sched::ExecOptions opts,
-                 std::mt19937_64& gen, int iters, std::int64_t* kernels) {
-  opts.count_ops = true;
-  sched::Executor ex(prog, opts);
-  if (kernels != nullptr) {
-    EXPECT_NE(ex.typed_fused_program(), nullptr) << ex.typed_fused_refusal();
-    *kernels = ex.fused_program() != nullptr
-                   ? ex.fused_program()->super_count("linear-kernel")
-                   : -1;
-  }
-  const sched::Schedule& s = ex.schedule();
+// Run `root` on the tree interpreter and the typed fused trace, five batches
+// of three steady states on seeded input fed batch by batch (so a boundary
+// input ring wraps), and require bit-equal outputs and equal state,
+// OpCounts and channel counters.  Returns the fused trace's linear-kernel
+// count (and the outputs in `out`).
+std::int64_t expect_kernel_matches_tree(const NodeP& root, std::uint64_t seed,
+                                        std::vector<double>* out = nullptr) {
+  const sched::CompiledProgram prog = lower_ungated(root);
+  sched::ExecOptions topts;
+  topts.engine = sched::Engine::Tree;
+  sched::Executor tree(prog, topts);
+  sched::Executor fused(prog, fused_options());
+  EXPECT_NE(fused.typed_fused_program(), nullptr)
+      << fused.typed_fused_refusal();
+  const sched::Schedule& s = tree.schedule();
+  std::mt19937_64 gen(seed);
   // Exact zeros of both signs make a -0.0 first term observable.
   std::uniform_int_distribution<int> kind(0, 3);
   std::uniform_real_distribution<double> val(-1.0, 1.0);
-  EngineRun r;
+  std::vector<double> all;
   for (int batch = 0; batch < 5; ++batch) {
     std::vector<double> in(static_cast<std::size_t>(
-        (batch == 0 ? s.input_for_init : 0) + iters * s.input_per_steady));
+        (batch == 0 ? s.input_for_init : 0) + 3 * s.input_per_steady));
     for (double& x : in) {
       const int k = kind(gen);
       x = k == 0 ? 0.0 : k == 1 ? -0.0 : val(gen);
     }
-    if (prog.flat.input_edge >= 0) ex.feed_input(in);
-    const std::vector<double> out = ex.run_steady(iters);
-    r.out.insert(r.out.end(), out.begin(), out.end());
+    if (prog.flat.input_edge >= 0) {
+      tree.feed_input(in);
+      fused.feed_input(in);
+    }
+    const std::vector<double> t = tree.run_steady(3);
+    const std::vector<double> f = fused.run_steady(3);
+    EXPECT_FALSE(t.empty());
+    EXPECT_EQ(t.size(), f.size());
+    for (std::size_t i = 0; i < t.size() && i < f.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(t[i]),
+                std::bit_cast<std::uint64_t>(f[i]))
+          << "batch " << batch << " item " << i << ": " << t[i] << " vs "
+          << f[i];
+    }
+    all.insert(all.end(), t.begin(), t.end());
   }
-  r.ops = ex.actor_ops();
-  return r;
-}
-
-void expect_bit_equal(const EngineRun& tree, const EngineRun& fused) {
-  ASSERT_FALSE(tree.out.empty());
-  ASSERT_EQ(tree.out.size(), fused.out.size());
-  for (std::size_t i = 0; i < tree.out.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(tree.out[i]),
-              std::bit_cast<std::uint64_t>(fused.out[i]))
-        << "item " << i << ": " << tree.out[i] << " vs " << fused.out[i];
-  }
-  ASSERT_EQ(tree.ops.size(), fused.ops.size());
-  for (std::size_t a = 0; a < tree.ops.size(); ++a) {
-    EXPECT_EQ(tree.ops[a].int_ops, fused.ops[a].int_ops) << "actor " << a;
-    EXPECT_EQ(tree.ops[a].flops, fused.ops[a].flops) << "actor " << a;
-    EXPECT_EQ(tree.ops[a].divs, fused.ops[a].divs) << "actor " << a;
-    EXPECT_EQ(tree.ops[a].trans, fused.ops[a].trans) << "actor " << a;
-    EXPECT_EQ(tree.ops[a].mem, fused.ops[a].mem) << "actor " << a;
-    EXPECT_EQ(tree.ops[a].channel, fused.ops[a].channel) << "actor " << a;
-  }
-}
-
-// Run `root` on the tree interpreter and the typed fused trace; returns the
-// fused trace's linear-kernel count (and the outputs in `tree_out`).
-std::int64_t expect_kernel_matches_tree(const NodeP& root, std::uint64_t seed,
-                                        std::vector<double>* tree_out = nullptr) {
-  const sched::CompiledProgram prog = lower_ungated(root);
-  sched::ExecOptions topts;
-  topts.engine = sched::Engine::Tree;
-  std::mt19937_64 g1(seed), g2(seed);
-  std::int64_t kernels = 0;
-  const EngineRun tree = run_on(prog, topts, g1, 3, nullptr);
-  const EngineRun fused = run_on(prog, fused_options(), g2, 3, &kernels);
-  expect_bit_equal(tree, fused);
-  if (tree_out != nullptr) *tree_out = tree.out;
-  return kernels;
+  expect_same_state(tree, fused);
+  if (out != nullptr) *out = std::move(all);
+  return fused.fused_program() != nullptr
+             ? fused.fused_program()->super_count("linear-kernel")
+             : -1;
 }
 
 NodeP pass_through(const std::string& name) {

@@ -1,6 +1,6 @@
 // Fused-engine throughput: how close does the whole-program steady-state
 // trace (sched::Engine::Fused) get to a handwritten loop nest, and how far
-// past the per-actor bytecode VM does it pull?
+// past the per-actor typed VM does it pull?
 //
 //   bench_fused [--smoke] [--gate=<threshold-file>] [--out=BENCH_fused.json]
 //
@@ -14,15 +14,15 @@
 //                the decimator would discard), so the handwritten ratio
 //                bounds interpreter overhead from below.
 //   tree         sequential Executor, tree-walking interpreter
-//   vm           sequential Executor, per-actor bytecode VM, tagged
-//                registers
+//   vm           sequential Executor, per-actor typed VM: each filter's
+//                bytecode on the dual-plane (unboxed double/int64)
+//                register file
 //   fused        sequential Executor, whole-program fused trace with
-//                superinstructions, lowered onto the dual-plane (unboxed
-//                double) register file (SIT_TYPED=1, the default)
+//                superinstructions, lowered onto the same dual plane
 //
-// tree/vm pin typed mode off so their numbers stay comparable with history;
-// fused pins it on, because the fused trace only runs typed (a trace that
-// cannot be typed runs per-actor instead).
+// Until the tagged per-actor VM was deleted, the vm row ran it; its ratios
+// are therefore not comparable with BENCH_fused.json files that predate
+// the typed vm row.
 //
 // Throughput is items emitted by the source actor per second, the same
 // normalization as bench_scaling.  Results land in BENCH_fused.json
@@ -324,11 +324,10 @@ int main(int argc, char** argv) {
   const struct {
     const char* name;
     sit::sched::Engine engine;
-    sit::sched::TypedMode typed;
   } engines[] = {
-      {"tree", sit::sched::Engine::Tree, sit::sched::TypedMode::Off},
-      {"vm", sit::sched::Engine::Vm, sit::sched::TypedMode::Off},
-      {"fused", sit::sched::Engine::Fused, sit::sched::TypedMode::On},
+      {"tree", sit::sched::Engine::Tree},
+      {"vm", sit::sched::Engine::Vm},
+      {"fused", sit::sched::Engine::Fused},
   };
   constexpr int kEngines = 3;
 
@@ -350,14 +349,13 @@ int main(int argc, char** argv) {
       sit::sched::ExecOptions opts;
       opts.count_ops = false;
       opts.engine = engines[e].engine;
-      opts.typed = engines[e].typed;
       sit::sched::Executor ex(b.make(), opts);
       const std::int64_t items =
           source_items_per_steady(ex.graph(), ex.schedule());
       ex.run_steady(warm);
       rates[e] = steadies_per_sec(ex, batch, min_ms, max_batches) *
                  static_cast<double>(items);
-      if (engines[e].typed == sit::sched::TypedMode::On) {
+      if (engines[e].engine == sit::sched::Engine::Fused) {
         const sit::obs::MetricsSnapshot snap = ex.metrics_snapshot();
         typed_regs = snap.typed_regs;
         typed_channels = snap.typed_channels;
@@ -387,7 +385,7 @@ int main(int argc, char** argv) {
                                   {{"items_per_sec", rates[e]},
                                    {"vs_vm", vs_vm},
                                    {"vs_handwritten", vs_hand}}};
-      if (engines[e].typed == sit::sched::TypedMode::On) {
+      if (engines[e].engine == sit::sched::Engine::Fused) {
         rec.metrics.emplace_back("typed_regs", typed_regs);
         rec.metrics.emplace_back("typed_channels", typed_channels);
       }

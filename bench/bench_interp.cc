@@ -1,6 +1,6 @@
-// Execution-engine microbenchmarks: tree-walking interpreter vs the bytecode
-// VM (runtime/vm.h) on the hot work functions of the paper's evaluation apps
-// and on whole-program steady states.
+// Execution-engine microbenchmarks: tree-walking interpreter vs the per-actor
+// typed VM (runtime/typed.h) on the hot work functions of the paper's
+// evaluation apps and on whole-program steady states.
 //
 // Two modes:
 //   * default: google-benchmark micros (pass the usual --benchmark_* flags),
@@ -29,7 +29,7 @@
 #include "runtime/channel.h"
 #include "runtime/compile.h"
 #include "runtime/interp.h"
-#include "runtime/vm.h"
+#include "runtime/typed.h"
 #include "sched/exec.h"
 
 namespace {
@@ -72,17 +72,23 @@ FilterSpec iir_spec() {
 
 // ---- single-filter firing loops ---------------------------------------------
 
+// `spec` on the per-actor typed VM, bound to `st` (already initialized).
+std::unique_ptr<sit::runtime::TypedBound> bind_typed(const FilterSpec& spec,
+                                                      FilterState& st) {
+  auto tp = sit::runtime::typed_compile(spec, sit::runtime::compile_filter(spec),
+                                        st);
+  if (!tp) throw std::runtime_error(spec.name + ": did not specialize");
+  return std::make_unique<sit::runtime::TypedBound>(std::move(tp), st);
+}
+
 // Time `firings` work invocations against prefilled channels; returns
 // best-of-`reps` milliseconds.  `vm` selects the engine.
 double time_filter(const FilterSpec& spec, bool vm, int firings, int reps) {
   const int window = std::max(spec.peek, spec.pop);
-  auto prog = vm ? sit::runtime::compile_filter(spec) : nullptr;
-  if (vm && !prog) throw std::runtime_error(spec.name + ": did not compile");
-
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
-    FilterState st = vm ? sit::runtime::Vm::init_state(spec, *prog)
-                        : Interp::init_state(spec);
+    FilterState st = Interp::init_state(spec);
+    const auto bound = vm ? bind_typed(spec, st) : nullptr;
     Channel in, out;
     std::vector<double> feed(static_cast<std::size_t>(firings * spec.pop + window));
     for (std::size_t i = 0; i < feed.size(); ++i) {
@@ -92,8 +98,7 @@ double time_filter(const FilterSpec& spec, bool vm, int firings, int reps) {
     out.reserve_items(static_cast<std::size_t>(firings * spec.push));
     const double t0 = now_ms();
     if (vm) {
-      sit::runtime::VmBound bound(prog, st);
-      for (int f = 0; f < firings; ++f) bound.run_work(in, out, nullptr);
+      for (int f = 0; f < firings; ++f) bound->run_work(in, out, nullptr);
     } else {
       for (int f = 0; f < firings; ++f) {
         Interp::run_work(spec, st, in, out, nullptr);
@@ -127,7 +132,7 @@ double time_app(const std::string& app, sit::sched::Engine engine, int steadies,
 
 struct Config {
   std::string name;
-  // Measures one engine in milliseconds (true = VM).
+  // Measures one engine in milliseconds (true = typed VM).
   std::function<double(bool)> run;
 };
 
@@ -167,7 +172,7 @@ std::vector<Config> make_configs(bool smoke) {
 }
 
 int run_comparison(bool smoke) {
-  std::printf("Execution engines: tree interpreter vs bytecode VM%s\n",
+  std::printf("Execution engines: tree interpreter vs typed VM%s\n",
               smoke ? " (smoke)" : "");
   sit::bench::rule(72);
   std::printf("%-24s %12s %12s %10s\n", "config", "tree ms", "vm ms", "speedup");
@@ -226,11 +231,8 @@ void register_micros() {
           std::string("BM_work/") + item.name + (vm ? "/vm" : "/tree");
       const FilterSpec* spec = item.spec;
       benchmark::RegisterBenchmark(bname.c_str(), [spec, vm](benchmark::State& s) {
-        auto prog = vm ? sit::runtime::compile_filter(*spec) : nullptr;
-        FilterState st = vm ? sit::runtime::Vm::init_state(*spec, *prog)
-                            : Interp::init_state(*spec);
-        std::unique_ptr<sit::runtime::VmBound> bound;
-        if (vm) bound = std::make_unique<sit::runtime::VmBound>(prog, st);
+        FilterState st = Interp::init_state(*spec);
+        const auto bound = vm ? bind_typed(*spec, st) : nullptr;
         Channel in, out;
         const int window = std::max(spec->peek, spec->pop);
         for (auto _ : s) {

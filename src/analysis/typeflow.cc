@@ -110,21 +110,11 @@ TypeflowResult typeflow(const FlatGraph& g) {
     ++r.candidates;
 
     const ir::FilterSpec& spec = a.node->filter;
-    std::string reason;
-    auto base = runtime::compile_filter(spec, &reason);
-    if (!base) {
-      t.refusal = "no-bytecode:" + reason;
-      continue;
-    }
+    auto base = runtime::compile_filter(spec, &t.refusal);
+    if (!base) continue;
     // A fresh, private state: inference needs the post-init tags, exactly as
     // the executors specialize after running init.
-    runtime::FilterState st = runtime::Interp::declare_state(spec);
-    if (base->has_init) {
-      runtime::VmBound vb(base, st);
-      vb.run_init();
-    } else {
-      runtime::Interp::run_init(spec, st);
-    }
+    runtime::FilterState st = runtime::Interp::init_state(spec);
     auto tp = runtime::typed_compile(spec, base, st, &t.refusal);
     if (tp) {
       t.specialized = true;
@@ -200,7 +190,7 @@ std::string TypeflowResult::describe(const FlatGraph& g) const {
     if (a.specialized) {
       out += "typed (" + a.typed_summary() + ")";
     } else {
-      out += "tagged (" + a.refusal + ")";
+      out += "tree (" + a.refusal + ")";
     }
     if (!a.scalar_types.empty() || !a.array_types.empty()) {
       out += "\n    state:";

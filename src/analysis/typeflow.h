@@ -5,7 +5,8 @@
 // dual-plane specialization -- compile to bytecode, initialize a fresh state,
 // infer register/state tags to fixpoint -- and records the result: the
 // inferred class of every state scalar/array, the number of registers proven
-// Double, and the stable refusal reason where inference refused.
+// Double, and the stable reason (the executors' typed_refusal) where the
+// filter runs on the tree interpreter instead.
 //
 // Per edge, propagates *content tags* through the graph: an edge is `Int`
 // when every item it will ever carry is provably integer-valued (pushed from

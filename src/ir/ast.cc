@@ -195,6 +195,15 @@ StmtP send(std::string portal, std::string method, std::vector<ExprP> args,
   return s;
 }
 
+bool stmt_sends(const StmtP& s) {
+  if (!s) return false;
+  if (s->kind == Stmt::Kind::Send) return true;
+  for (const auto& c : s->stmts) {
+    if (stmt_sends(c)) return true;
+  }
+  return stmt_sends(s->body) || stmt_sends(s->elseBody);
+}
+
 std::string to_string(const ExprP& e) {
   if (!e) return "<null>";
   std::ostringstream os;

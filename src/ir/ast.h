@@ -118,6 +118,9 @@ StmtP if_else(ExprP cond, StmtP body, StmtP elseBody);
 StmtP send(std::string portal, std::string method, std::vector<ExprP> args,
            int latMin, int latMax);
 
+// True if `s` (null allowed) contains a Send statement anywhere.
+bool stmt_sends(const StmtP& s);
+
 // ---- pretty printing -------------------------------------------------------
 
 std::string to_string(const ExprP& e);

@@ -30,11 +30,11 @@ struct ActorSnapshot {
   std::int64_t max_ns{0};
   std::vector<std::int64_t> hist;  // log2 ns-per-firing buckets
   // Typed (dual-plane) specialization status: "typed" when the actor's work
-  // runs on the unboxed register file, the stable refusal reason when
-  // inference refused, empty when the actor was never a candidate
-  // (non-filter, tree fallback, or SIT_TYPED=0).
+  // runs on the unboxed register file, the stable reason it runs on the tree
+  // interpreter instead, empty when the actor was never a candidate
+  // (non-filter, tree engine, or TypedMode::Off).
   std::string typed_status;
-  int typed_regs{0};  // registers proven Double everywhere (0 when tagged)
+  int typed_regs{0};  // registers proven Double everywhere (0 on the tree)
 };
 
 struct EdgeSnapshot {

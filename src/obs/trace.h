@@ -206,7 +206,7 @@ class Recorder {
   std::vector<WorkerStats> worker_stats_;
 };
 
-// Per-firing dispatch-loop attribution handed to the bytecode VM: when
+// Per-firing dispatch-loop attribution handed to the typed VM: when
 // non-null (and tb non-null), the VM emits PopBatch/PushBatch events with
 // the *measured* channel traffic of the firing it just executed.
 struct FiringTrace {

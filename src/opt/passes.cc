@@ -358,9 +358,9 @@ class FuseSteadyPass final : public Pass {
 // (analysis/typeflow.h) and records, per filter, whether the dual-plane
 // (unboxed double) specialization is provable -- and the stable refusal
 // reason when it is not -- plus the channel content-tag tally.  As with
-// fuse-steady, the rewrite itself happens at executor construction
-// (SIT_TYPED): the typed register file is an execution artifact, so the
-// graph passes stay engine-independent.
+// fuse-steady, the rewrite itself happens at executor construction: the
+// typed register file is an execution artifact, so the graph passes stay
+// engine-independent.
 class TypeflowPass final : public Pass {
  public:
   const char* name() const override { return "typeflow"; }

@@ -11,7 +11,7 @@
 #include "linear/extract.h"
 #include "runtime/compile.h"
 #include "runtime/interp.h"
-#include "runtime/vm.h"
+#include "runtime/typed.h"
 #include "sched/exec.h"
 
 namespace sit::parallel {
@@ -154,10 +154,13 @@ class ReplicaState final : public ir::NativeState {
  public:
   runtime::FilterState fst;
   std::unique_ptr<ir::NativeState> nst;
-  // Lazily created per replica instance: the shared compiled program bound
-  // to *this* fst.  Never cloned -- a clone's binding must resolve against
+  // Lazily created per replica instance on its first firing: the shared
+  // compiled program specialized against and bound to *this* fst, or null
+  // when typed_compile refuses (the replica then runs on the tree, as the
+  // Executor does).  Never cloned -- a clone's binding must resolve against
   // the clone's own state storage.
-  std::unique_ptr<runtime::VmBound> vmb;
+  std::unique_ptr<runtime::TypedBound> typed;
+  bool specialized{false};  // typed_compile has been tried
 
   std::unique_ptr<ir::NativeState> clone() const override {
     auto c = std::make_unique<ReplicaState>();
@@ -209,9 +212,10 @@ NodeP make_replica(const NodeP& leaf, int k, int idx) {
   const int offset = idx * pop;
   const int stride = k * pop;
   // Lower the prototype's work function to bytecode once per replica kind;
-  // every firing of every replica instance then skips the tree walk.  A
-  // replica is a native actor, so the VM and fused engines both call this
-  // wrapper per firing; only the tree engine keeps it interpreted.
+  // each replica instance specializes it against its own post-init state,
+  // and its firings then skip the tree walk.  A replica is a native actor,
+  // so the VM and fused engines both call this wrapper per firing; only the
+  // tree engine keeps it interpreted.
   runtime::CompiledFilterP compiled;
   if (proto->kind == Node::Kind::Filter &&
       sched::resolve_engine(sched::Engine::Auto) != sched::Engine::Tree) {
@@ -223,11 +227,15 @@ NodeP make_replica(const NodeP& leaf, int k, int idx) {
     if (rs == nullptr) throw std::logic_error("replica state mismatch");
     OffsetIn shifted(in, offset);
     if (proto->kind == Node::Kind::Filter) {
-      if (compiled) {
-        if (!rs->vmb) {
-          rs->vmb = std::make_unique<runtime::VmBound>(compiled, rs->fst);
+      if (compiled && !rs->specialized) {
+        rs->specialized = true;
+        if (auto tp = runtime::typed_compile(proto->filter, compiled, rs->fst)) {
+          rs->typed = std::make_unique<runtime::TypedBound>(std::move(tp),
+                                                            rs->fst);
         }
-        rs->vmb->run_work(shifted, out, nullptr);
+      }
+      if (rs->typed) {
+        rs->typed->run_work(shifted, out, nullptr);
       } else {
         runtime::Interp::run_work(proto->filter, rs->fst, shifted, out, nullptr);
       }

@@ -384,18 +384,8 @@ class FnCompiler {
         }
         break;
       }
-      case Stmt::Kind::Send: {
-        SendSite site;
-        site.portal = s->name;
-        site.method = s->method;
-        site.lat_min = s->latMin;
-        site.lat_max = s->latMax;
-        for (const auto& a : s->args) site.arg_regs.push_back(expr(a).reg);
-        const auto idx = static_cast<std::uint16_t>(prog_.sends.size());
-        prog_.sends.push_back(std::move(site));
-        emit({FOp::Send, 0, CountTag::None, 0, idx});
-        break;
-      }
+      case Stmt::Kind::Send:
+        bail("teleport-send");  // compile_filter refuses these up front
     }
   }
 
@@ -410,9 +400,6 @@ class FnCompiler {
       }
     };
     for (FInstr& I : prog_.code) for_each_reg(I, rebase);
-    for (SendSite& s : prog_.sends) {
-      for (std::uint16_t& r : s.arg_regs) rebase(r);
-    }
     prog_.reg_init = std::move(persist_init_);
     prog_.reg_init.resize(n_persist + max_temps_);
   }
@@ -431,6 +418,12 @@ class FnCompiler {
 }  // namespace
 
 CompiledFilterP compile_filter(const ir::FilterSpec& spec, std::string* reason) {
+  // Send argument marshaling builds tagged Values; no compiled engine runs
+  // it, so a sending filter stays on the tree interpreter.
+  if (ir::stmt_sends(spec.work)) {
+    if (reason) *reason = "teleport-send";
+    return nullptr;
+  }
   try {
     auto out = std::make_shared<CompiledFilter>();
     out->name = spec.name;
@@ -450,22 +443,8 @@ CompiledFilterP compile_filter(const ir::FilterSpec& spec, std::string* reason) 
         out->scalar_slots.push_back(d.name);
       }
     }
-    {
-      FnCompiler fc(scalars, arrays);
-      out->work = fc.compile(spec.work);
-    }
-    if (spec.init) {
-      // Init is compiled best-effort: a filter whose init falls outside the
-      // subset still gets the VM for its (hot) work function, and the caller
-      // runs the tree interpreter for init instead.
-      try {
-        FnCompiler fc(scalars, arrays);
-        out->init = fc.compile(spec.init);
-        out->has_init = true;
-      } catch (const Unsupported&) {
-        out->has_init = false;
-      }
-    }
+    FnCompiler fc(scalars, arrays);
+    out->work = fc.compile(spec.work);
     return out;
   } catch (const Unsupported& u) {
     if (reason) *reason = u.reason;
@@ -478,14 +457,9 @@ TypedFilterP typed_compile(const ir::FilterSpec& spec,
                            const FilterState& state, std::string* reason) {
   if (!base) return nullptr;
   // Teleport handlers may retag any state slot between firings, which would
-  // invalidate the inferred classes; Send argument marshaling builds Values
-  // from mixed registers.  Both stay on the tagged path.
+  // invalidate the inferred classes.
   if (!spec.handlers.empty()) {
     if (reason) *reason = "has-handlers";
-    return nullptr;
-  }
-  if (!base->work.sends.empty()) {
-    if (reason) *reason = "teleport-send";
     return nullptr;
   }
 

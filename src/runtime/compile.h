@@ -1,5 +1,5 @@
 #pragma once
-// AST -> bytecode compiler for the work-function VM (vm.h).
+// AST -> bytecode compiler for the compiled engines (vm.h, typed.h, fused.h).
 //
 // Runs once per filter, at executor construction: every scalar, array, and
 // invocation-local name is resolved to an integer slot, constants are pooled
@@ -10,6 +10,7 @@
 // some paths assign, or a loop variable shadowing a state scalar) makes it
 // return nullptr, and the caller falls back to the tree interpreter for that
 // filter -- per-filter, so one exotic filter never slows the whole graph.
+// A work function with a Send statement is refused as "teleport-send".
 
 #include <string>
 
@@ -18,8 +19,9 @@
 
 namespace sit::runtime {
 
-// Compile `spec`'s work and init functions.  Returns nullptr (with `reason`
-// filled, if non-null) when the filter is outside the bytecode subset.
+// Compile `spec`'s work function (init runs on the tree interpreter).
+// Returns nullptr (with `reason` filled, if non-null) when the filter is
+// outside the bytecode subset.
 CompiledFilterP compile_filter(const ir::FilterSpec& spec,
                                std::string* reason = nullptr);
 

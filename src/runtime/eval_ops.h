@@ -4,8 +4,8 @@
 // The engines must agree bit-for-bit on StreamIt's Java-like promotion
 // rules (int op int stays integral, any float operand promotes), so the
 // arithmetic lives here exactly once.  These are pure value functions;
-// operation *counting* stays engine-side because the tree walker and the VM
-// attach costs at different points.  A fault's what() string is part of the
+// operation *counting* stays engine-side because the tree walker and the
+// typed engines attach costs at different points.  A fault's what() string is part of the
 // same cross-engine contract, so each one is built here once too.
 
 #include <algorithm>
@@ -52,7 +52,8 @@ namespace sit::runtime {
 }
 
 // Integer division/modulo with the runtime's zero checks.  Shared by the
-// tagged kernels below and the typed (unboxed) dispatch loops so the error
+// tree interpreter's Value kernels below and the typed (unboxed) dispatch
+// loops so the error
 // strings exist exactly once.
 inline std::int64_t int_div(std::int64_t a, std::int64_t b) {
   if (b == 0) throw std::runtime_error("integer division by zero");
@@ -158,13 +159,13 @@ inline ir::Value apply_un(ir::UnOp op, const ir::Value& a) {
 
 // ---- typed (unboxed) kernels ------------------------------------------------
 //
-// The typed register plane (runtime/typed.h) splits the tagged Value file
-// into a raw double file and a raw int64 file.  The static typeflow analysis
+// The typed register plane (runtime/typed.h) splits what the tree
+// interpreter holds as Values into a raw double file and a raw int64 file.  The static typeflow analysis
 // proves which plane every operand lives in at every program point; these
 // kernels execute one binary/unary op against the two planes given that
 // operand-plane mode byte.  They mirror apply_bin/apply_un exactly -- same
 // promotion rules, same truncating casts, same error strings -- because any
-// divergence breaks the SIT_TYPED=0 vs =1 bit-equality contract.
+// divergence breaks the typed == tree bit-equality contract.
 
 constexpr std::uint8_t kModeAD = 1;  // operand `a` lives in the double plane
 constexpr std::uint8_t kModeBD = 2;  // operand `b` lives in the double plane

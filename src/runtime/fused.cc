@@ -80,15 +80,16 @@ class TraceBuilder {
       switch (a.kind) {
         case FlatActor::Kind::Filter: {
           if (match_kernel(i)) break;  // no template, no registers
+          const ir::FilterSpec& spec = a.node->filter;
+          if (ir::stmt_sends(spec.work) || ir::stmt_sends(spec.init)) {
+            fail("teleport-send:" + a.name);
+          }
           std::string why;
-          compiled_[i] = compile_filter(a.node->filter, &why);
+          compiled_[i] = compile_filter(spec, &why);
           if (!compiled_[i]) {
             fail("vm-fallback:" + a.name + " (" + why + ")");
           }
           const CompiledFilter& cf = *compiled_[i];
-          if (!cf.work.sends.empty() || !cf.init.sends.empty()) {
-            fail("teleport-send:" + a.name);
-          }
           meta.reg_init = cf.work.reg_init;
           meta.peek_window = cf.peek_window;
           for (const auto& s : cf.scalar_slots) prog_->scalar_names.push_back(s);
@@ -268,7 +269,6 @@ class TraceBuilder {
         case FOp::RPop: bind(I, in_e, FOp::TPop, "pop without an input"); break;
         case FOp::RPopN: bind(I, in_e, FOp::TPopN, "pop without an input"); break;
         case FOp::RPush: bind(I, out_e, FOp::TPush, "push without an output"); break;
-        case FOp::Send: fail("teleport-send:" + a.name);
         default: break;
       }
     }
@@ -927,7 +927,7 @@ TypedFusedExec::TypedFusedExec(
     const std::vector<std::unique_ptr<ir::NativeState>>& nstates)
     : prog_(std::move(prog)) {
   const FusedProgram& base = *prog_->base;
-  // Registers start as the tagged engine's do: Value() == int 0 in both
+  // Registers start as their templates' Value() does: int 0 in both
   // planes.  Every run's SetActor re-templates its slice before any read.
   dregs_.assign(base.num_regs, 0.0);
   iregs_.assign(base.num_regs, 0);
@@ -1598,8 +1598,8 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
             }
           } else {
             // Checked path: per-element checks and counts in exactly the
-            // tagged engine's order, so an error fires at the same element
-            // with the same partial counts.
+            // template's order, so an error fires at the same element with
+            // the same partial counts.
             for (; i < hi; i += st) {
               if constexpr (kCount) cur->int_ops += 2;
               if (debug && (i < 0 || pops + i >= window)) {

@@ -1,7 +1,7 @@
 #pragma once
 // Whole-program fused steady-state trace.
 //
-// The per-actor VM (vm.h) still pays, on every steady-state iteration, one
+// The per-actor VM (typed.h) still pays, on every steady-state iteration, one
 // work-function dispatch per firing and a ring-buffer round trip per item.
 // This engine removes both: build_fused() compiles the schedule's
 // steady-state firing sequence -- runs of consecutive firings of one actor

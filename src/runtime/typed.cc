@@ -337,8 +337,8 @@ bool lower_one(Lower& L, const FInstr& I, const TagVec& s, FInstr* T) {
       if (ad) T->mode = kModeAD;
       const Tag rt = un_result(static_cast<ir::UnOp>(I.sub),
                                ad ? Tag::Double : Tag::Int);
-      // The tagged loop tallies Un's ByResult on the *operand* tag; for
-      // Neg/Abs (the only ByResult unaries) result tag == operand tag.
+      // The tree interpreter tallies Neg/Abs (the only ByResult unaries) on
+      // the *operand* tag, which equals the result tag for both.
       if (T->count == CountTag::ByResult) {
         T->count = ad ? CountTag::Flop : CountTag::IntOp;
       }
@@ -463,8 +463,6 @@ bool lower_one(Lower& L, const FInstr& I, const TagVec& s, FInstr* T) {
       if (C.n > 0) L.note_write(C.reg, Tag::Double);
       break;
     }
-    case FOp::Send:
-      return L.fail("teleport-send");
     case FOp::Jmp:
     case FOp::Tally:
     case FOp::NativeFire:

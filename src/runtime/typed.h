@@ -1,10 +1,11 @@
 #pragma once
 // Typed dataflow: static tag inference + dual-plane (unboxed) execution.
 //
-// Every register, state slot, and trace-buffer cell in the tagged engines is
-// an ir::Value (variant<int64, double>), so every opcode pays variant
+// Every variable and state slot the tree interpreter touches is an
+// ir::Value (variant<int64, double>), so every operation pays variant
 // dispatch even though most apps never hold ints in hot registers.  This
-// module removes that cost where a static analysis can prove it safe:
+// module is the compiled engines' only value plane: it runs bytecode where a
+// static analysis proves the tags fixed, and nowhere else.
 //
 //   * A forward, flow-sensitive dataflow over the (VM or fused) bytecode
 //     assigns every register AT EVERY PROGRAM POINT a lattice tag
@@ -30,10 +31,10 @@
 //   * When some read does observe Mixed, lowering refuses with a stable
 //     reason string -- "mixed-register" / "mixed-state:<name>" (prefixed
 //     with the actor for fused traces) -- and the caller falls back: a
-//     refused filter stays on the tagged VM, a refused fused trace runs
-//     per-actor.  Bit-equality between SIT_TYPED=0 and =1 is the contract:
-//     the typed loops reproduce the tagged kernels' promotion, truncating
-//     casts, op counting, and error strings exactly.
+//     refused fused trace runs per-actor, and a refused filter runs on the
+//     tree interpreter.  Bit-equality with the tree interpreter is the
+//     contract: the typed loops reproduce its promotion, truncating casts,
+//     op counting, and error strings exactly.
 //
 // Consumers: compile.cc::typed_compile specializes one filter's work program
 // (executed by TypedBound, vm.cc); fused.cc::build_typed_fused specializes a
@@ -49,6 +50,7 @@
 
 #include "ir/filter.h"
 #include "ir/value.h"
+#include "obs/trace.h"
 #include "runtime/channel.h"
 #include "runtime/fused.h"
 #include "runtime/interp.h"
@@ -75,7 +77,7 @@ struct TypedPcp {
   CountTag tag{CountTag::None};
 };
 
-// The result of lowering one tagged instruction stream.  `code` is the input
+// The result of lowering one instruction stream.  `code` is the input
 // copied 1:1 (same indices, same jump targets) with each instruction's
 // operand-plane `mode` byte set (eval_ops.h kModeAD/kModeBD/kModeDD) and
 // CountTag::ByResult resolved statically, so typed dispatch never tests a
@@ -120,9 +122,9 @@ bool typed_lower(const TypedLowerInput& in, TypedCode* out,
 // ---- VM layer ---------------------------------------------------------------
 
 // A work function specialized onto the dual register plane.  Produced by
-// typed_compile (compile.cc) from an already-compiled tagged filter; the
-// tagged program stays around as the authoritative fallback (and still runs
-// init, which executes once and is not worth specializing).
+// typed_compile (compile.cc) from an already-compiled filter, whose slot
+// names and peek window the binding reads.  Init is not specialized: it
+// runs once, on the tree interpreter, before typed_compile.
 struct TypedFilter {
   CompiledFilterP base;
   TypedCode work;
@@ -134,7 +136,6 @@ using TypedFilterP = std::shared_ptr<const TypedFilter>;
 // must already be initialized; its tags seed the scalar/array classes).
 // Returns null with a stable `reason` when inference refuses:
 //   "has-handlers"      teleport handlers may retag state at any time
-//   "teleport-send"     Send argument marshaling stays on the tagged path
 //   "mixed-register"    some read observes an Int-or-Double register
 //   "mixed-state:<name>" some state slot is stored with both tags
 TypedFilterP typed_compile(const ir::FilterSpec& spec,
@@ -142,11 +143,13 @@ TypedFilterP typed_compile(const ir::FilterSpec& spec,
                            const FilterState& state,
                            std::string* reason = nullptr);
 
-// The typed twin of VmBound: same binding rules, same counting, same error
-// strings, same trace batches -- but registers live in two raw planes and
-// dispatch never touches a variant.  State stays in the FilterState's
-// ir::Values (loads/stores go through the proven class), so the tree
-// interpreter and tagged VM remain freely mixable on the same state.
+// The per-actor typed VM: same counting and error strings as the tree
+// interpreter, but registers live in two raw planes and dispatch never
+// touches a variant.  State stays in the FilterState's ir::Values
+// (loads/stores go through the proven class), resolved to raw pointers at
+// bind time.  The FilterState must outlive the binding, must not be moved,
+// and must not gain or lose entries.  `trace`, when non-null,
+// reports the firing's measured channel batches as trace events.
 class TypedBound {
  public:
   TypedBound(TypedFilterP prog, FilterState& state);
@@ -171,7 +174,7 @@ class TypedBound {
 // ---- fused layer ------------------------------------------------------------
 
 // A whole fused steady-state trace specialized onto the dual plane.  The
-// tagged FusedProgram stays authoritative (disassembly, superinstruction
+// untyped FusedProgram stays authoritative (disassembly, superinstruction
 // stats); `code` mirrors it 1:1 and shares its argument tables by index.
 struct TypedFusedProgram {
   FusedProgramP base;
@@ -213,7 +216,7 @@ TypedFusedProgramP build_typed_fused(const FusedProgramP& base,
 //
 // Bit-equality contract: for any admissible program, running the trace
 // produces outputs, per-actor FilterState, per-actor OpCounts, and per-edge
-// cumulative push/pop counters identical to the per-actor VM execution.
+// cumulative push/pop counters identical to per-actor execution.
 // Counting preservation is per-instruction (every lowered/fused op carries
 // the same CountTag arithmetic as the VM dispatch loop); channel-counter
 // preservation is by bulk advance (each lowered edge's n(t)/p(t) advance by

@@ -13,8 +13,8 @@ using ir::Value;
 
 namespace {
 
-// Resolve a compiled filter's state slots to pointers into `state` (shared
-// by the tagged and typed bindings).
+// Resolve a compiled filter's state slots to pointers into `state`'s maps,
+// so firings do no hashing.
 void bind_slots(const CompiledFilter& prog, FilterState& state,
                 std::vector<Value*>& scalars,
                 std::vector<std::vector<Value>*>& arrays) {
@@ -38,226 +38,14 @@ void bind_slots(const CompiledFilter& prog, FilterState& state,
 
 }  // namespace
 
-VmBound::VmBound(CompiledFilterP prog, FilterState& state)
-    : prog_(std::move(prog)) {
-  bind_slots(*prog_, state, scalars_, arrays_);
-  std::size_t n = prog_->work.reg_init.size();
-  if (prog_->has_init) n = std::max(n, prog_->init.reg_init.size());
-  regs_.resize(n);
-}
-
-template <bool kCount>
-void VmBound::run_program(const CompiledProgram& p, ir::InTape* in,
-                          ir::OutTape* out, OpCounts* counts,
-                          const MessageSink* sink,
-                          const obs::FiringTrace* trace) {
-  Value* const regs = regs_.data();
-  std::copy(p.reg_init.begin(), p.reg_init.end(), regs);
-  const FInstr* const code = p.code.data();
-  const bool debug = debug_channel_checks();
-  std::int64_t pops = 0;
-  std::int64_t pushes = 0;
-  std::int32_t pc = 0;
-
-  // Static tags are one add; ByResult tests the runtime tag, mirroring the
-  // tree interpreter's count_bin/count_un.
-  const auto count_by = [&](CountTag tag, const Value& r) {
-    if constexpr (kCount) {
-      if (tag == CountTag::ByResult) {
-        r.is_int() ? ++counts->int_ops : ++counts->flops;
-      } else {
-        tally(*counts, tag);
-      }
-    } else {
-      (void)tag;
-      (void)r;
-    }
-  };
-
-  for (;;) {
-    const FInstr& I = code[pc];
-    switch (I.op) {
-      case FOp::Move:
-        regs[I.dst] = regs[I.a];
-        ++pc;
-        break;
-      case FOp::LoadScalar:
-        if constexpr (kCount) ++counts->mem;
-        regs[I.dst] = *scalars_[I.a];
-        ++pc;
-        break;
-      case FOp::StoreScalar:
-        if constexpr (kCount) ++counts->mem;
-        *scalars_[I.a] = regs[I.dst];
-        ++pc;
-        break;
-      case FOp::LoadElem: {
-        const std::int64_t idx = regs[I.b].as_int();
-        const auto& arr = *arrays_[I.a];
-        if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
-          elem_bounds_error("array index out of bounds",
-                            prog_->array_slots[I.a], idx);
-        }
-        if constexpr (kCount) ++counts->mem;
-        regs[I.dst] = arr[static_cast<std::size_t>(idx)];
-        ++pc;
-        break;
-      }
-      case FOp::StoreElem: {
-        const std::int64_t idx = regs[I.b].as_int();
-        auto& arr = *arrays_[I.a];
-        if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
-          elem_bounds_error("array store out of bounds",
-                            prog_->array_slots[I.a], idx);
-        }
-        if constexpr (kCount) ++counts->mem;
-        arr[static_cast<std::size_t>(idx)] = regs[I.dst];
-        ++pc;
-        break;
-      }
-      case FOp::RPeek: {
-        if (!in) throw std::runtime_error("peek outside work function");
-        const std::int64_t off = regs[I.a].as_int();
-        if (debug) {
-          if (off < 0 || pops + off >= prog_->peek_window) {
-            peek_bounds_error(prog_->name, off, pops, prog_->peek_window);
-          }
-        }
-        if constexpr (kCount) ++counts->channel;
-        regs[I.dst] = Value(in->peek_item(static_cast<int>(off)));
-        ++pc;
-        break;
-      }
-      case FOp::RPop:
-        if (!in) throw std::runtime_error("pop outside work function");
-        if constexpr (kCount) ++counts->channel;
-        ++pops;
-        regs[I.dst] = Value(in->pop_item());
-        ++pc;
-        break;
-      case FOp::RPopN: {
-        if (!in) throw std::runtime_error("pop outside work function");
-        const std::int64_t n = regs[I.a].as_int();
-        if (n > 0) {
-          if constexpr (kCount) counts->channel += n;
-          pops += n;
-          in->pop_many(static_cast<int>(n));
-        }
-        ++pc;
-        break;
-      }
-      case FOp::RPush:
-        if (!out) throw std::runtime_error("push outside work function");
-        if constexpr (kCount) ++counts->channel;
-        ++pushes;
-        out->push_item(regs[I.dst].as_double());
-        ++pc;
-        break;
-      case FOp::Bin: {
-        const Value r =
-            apply_bin(static_cast<BinOp>(I.sub), regs[I.a], regs[I.b]);
-        count_by(I.count, r);
-        regs[I.dst] = r;
-        ++pc;
-        break;
-      }
-      case FOp::Un: {
-        // Neg/Abs count by *operand* type in the tree interpreter; operand
-        // and result tags coincide for both, so ByResult on the input is
-        // equivalent.
-        count_by(I.count, regs[I.a]);
-        regs[I.dst] = apply_un(static_cast<UnOp>(I.sub), regs[I.a]);
-        ++pc;
-        break;
-      }
-      case FOp::Truthy:
-        regs[I.dst] = Value(regs[I.a].truthy());
-        ++pc;
-        break;
-      case FOp::Jmp:
-        pc = I.jump;
-        break;
-      case FOp::JmpIfFalse:
-        pc = regs[I.a].truthy() ? pc + 1 : I.jump;
-        break;
-      case FOp::JmpIfTrue:
-        pc = regs[I.a].truthy() ? I.jump : pc + 1;
-        break;
-      case FOp::JmpIfGe:
-        pc = regs[I.a].as_int() >= regs[I.b].as_int() ? I.jump : pc + 1;
-        break;
-      case FOp::CheckStep:
-        if (regs[I.a].as_int() <= 0) {
-          for_step_error();
-        }
-        ++pc;
-        break;
-      case FOp::ForInc:
-        regs[I.dst] = Value(regs[I.dst].as_int() + regs[I.a].as_int());
-        ++pc;
-        break;
-      case FOp::Tally:
-        if constexpr (kCount) tally(*counts, I.count, I.sub);
-        ++pc;
-        break;
-      case FOp::Send: {
-        if (sink && *sink) {
-          const SendSite& s = p.sends[I.a];
-          SentMessage m;
-          m.portal = s.portal;
-          m.method = s.method;
-          m.lat_min = s.lat_min;
-          m.lat_max = s.lat_max;
-          m.args.reserve(s.arg_regs.size());
-          for (const std::uint16_t r : s.arg_regs) m.args.push_back(regs[r]);
-          (*sink)(m);
-        }
-        ++pc;
-        break;
-      }
-      case FOp::Halt:
-        // Dispatch-loop channel attribution: the measured (not declared)
-        // traffic of this firing, reported before the loop exits.
-        if (trace != nullptr && trace->tb != nullptr) {
-          const std::int64_t ts = trace->rec->now_ns();
-          if (pops > 0) {
-            trace->tb->emit(ts, obs::EventKind::PopBatch, trace->in_edge, pops);
-          }
-          if (pushes > 0) {
-            trace->tb->emit(ts, obs::EventKind::PushBatch, trace->out_edge,
-                            pushes);
-          }
-        }
-        return;
-      default:
-        // Lowered channel ops, firing structure and superinstructions only
-        // appear in fused traces.
-        throw std::logic_error("VM dispatch: unexpected opcode");
-    }
-  }
-}
-
-void VmBound::run_work(ir::InTape& in, ir::OutTape& out, OpCounts* counts,
-                       const MessageSink* sink, const obs::FiringTrace* trace) {
-  if (counts) {
-    run_program<true>(prog_->work, &in, &out, counts, sink, trace);
-  } else {
-    run_program<false>(prog_->work, &in, &out, nullptr, sink, trace);
-  }
-}
-
-void VmBound::run_init() {
-  if (!prog_->has_init) return;
-  run_program<false>(prog_->init, nullptr, nullptr, nullptr, nullptr, nullptr);
-}
-
 // ---- typed (dual-plane) dispatch --------------------------------------------
 //
-// TypedBound mirrors VmBound instruction for instruction: identical op
-// counting, identical debug peek checks, identical error strings, identical
-// trace batches.  The differences are exactly the ones typeflow proved safe:
-// registers live in two raw planes (no variant), CountTag::ByResult is
-// pre-resolved, and state loads/stores go through the slot's inferred class.
+// TypedBound mirrors the tree interpreter statement for statement: identical
+// op counting, identical debug peek checks, identical error strings.
+// Registers live in two raw planes (no variant), CountTag::ByResult is
+// pre-resolved, and state loads/stores go through the slot's inferred class
+// -- exactly what typeflow proved safe.  A traced firing reports its
+// measured channel batches (items popped/pushed) before returning.
 
 TypedBound::TypedBound(TypedFilterP prog, FilterState& state)
     : prog_(std::move(prog)) {
@@ -429,8 +217,8 @@ void TypedBound::run_program(ir::InTape* in, ir::OutTape* out,
         }
         return;
       default:
-        // Lowered channel ops, Send (typed_compile refuses it), firing
-        // structure and superinstructions never appear at the VM layer.
+        // Lowered channel ops, firing structure and superinstructions never
+        // appear at the VM layer.
         throw std::logic_error("typed VM dispatch: unexpected opcode");
     }
   }
@@ -443,25 +231,6 @@ void TypedBound::run_work(ir::InTape& in, ir::OutTape& out, OpCounts* counts,
   } else {
     run_program<false>(&in, &out, nullptr, trace);
   }
-}
-
-FilterState Vm::init_state(const ir::FilterSpec& spec,
-                           const CompiledFilter& prog) {
-  FilterState st = Interp::declare_state(spec);
-  if (prog.has_init) {
-    VmBound bound(std::make_shared<const CompiledFilter>(prog), st);
-    bound.run_init();
-  } else {
-    Interp::run_init(spec, st);
-  }
-  return st;
-}
-
-void Vm::run_work(const CompiledFilterP& prog, FilterState& state,
-                  ir::InTape& in, ir::OutTape& out, OpCounts* counts,
-                  const MessageSink* sink) {
-  VmBound bound(prog, state);
-  bound.run_work(in, out, counts, sink);
 }
 
 // ---- disassembly ------------------------------------------------------------
@@ -491,7 +260,6 @@ const char* op_name(FOp op) {
     case FOp::TPop: return "t.pop";
     case FOp::TPopN: return "t.popn";
     case FOp::TPush: return "t.push";
-    case FOp::Send: return "send";
     case FOp::SetActor: return "setactor";
     case FOp::FireLoop: return "fireloop";
     case FOp::MacLoop: return "macloop";

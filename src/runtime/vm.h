@@ -1,20 +1,17 @@
 #pragma once
-// Bytecode work-function engine.
+// The bytecode instruction format, and the compiled form of one filter.
 //
 // The tree interpreter (interp.h) re-resolves every variable name through an
-// unordered_map and chases shared_ptr AST nodes on every firing.  This engine
-// removes that steady-state overhead: compile.h lowers a filter's work/init
-// ASTs *once* to a flat register bytecode (every scalar, array, and local
-// resolved to an integer slot; constants pooled and preloaded; peek/pop/push
-// as dedicated opcodes), and the dispatch loop below executes it with zero
-// string hashing per firing.  Semantics are bit-identical to the tree
-// interpreter by construction -- both engines share the scalar kernels in
-// eval_ops.h, and tests/test_vm.cc holds them equal differentially.
-//
-// The instruction format (FOp/FInstr below) is the only one in the runtime:
-// the typed lowering (typed.h) annotates it with operand planes, and the
+// unordered_map and chases shared_ptr AST nodes on every firing.  compile.h
+// lowers a filter's work AST *once* to a flat register bytecode (every
+// scalar, array, and local resolved to an integer slot; constants pooled and
+// preloaded; peek/pop/push as dedicated opcodes).  That code never runs as
+// emitted: the typed lowering (typed.h) annotates it with operand planes
+// and TypedBound (dispatch loop in vm.cc) executes it per actor, and the
 // fused trace builder (fused.h) inlines it with registers rebased and
-// channel ops bound to edges.
+// channel ops bound to edges.  Semantics are bit-identical to the tree
+// interpreter by construction -- the typed kernels in eval_ops.h mirror its
+// Value kernels, and tests/test_vm.cc holds them equal differentially.
 //
 // Register file layout (per program): [locals | pooled constants | loop
 // bookkeeping | expression temporaries].  The template `reg_init` is copied
@@ -22,28 +19,25 @@
 //
 // Operation counting: every instruction carries a CountTag resolved at
 // compile time (mem, channel, div, ...), so tallying is a single add; only
-// ops whose int/float classification depends on runtime value tags
-// (Add/Sub/Mul/Min/Max/Neg/Abs) carry ByResult and test one tag bit.  A
-// null OpCounts selects a dispatch loop with counting compiled out.
+// ops whose int/float classification depends on value tags
+// (Add/Sub/Mul/Min/Max/Neg/Abs) carry ByResult, which the typed lowering
+// resolves statically from the proven operand planes.
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "ir/filter.h"
 #include "ir/value.h"
-#include "obs/trace.h"
-#include "runtime/interp.h"
 #include "runtime/opcounts.h"
 
 namespace sit::runtime {
 
-// The one instruction set.  compile_filter emits the scalar core, the
-// boundary channel ops (edge -1: the firing's own tapes) and Send; the
-// tagged VM, the typed VM (typed.h) and the fused trace (fused.h) all run
-// this same format.  The fused trace adds the lowered channel ops, the
-// firing structure and the superinstructions.
+// The one instruction set.  compile_filter emits the scalar core and the
+// boundary channel ops (edge -1: the firing's own tapes); the typed VM
+// (typed.h) and the fused trace (fused.h) both run this same format.  The
+// fused trace adds the lowered channel ops, the firing structure and the
+// superinstructions.
 enum class FOp : std::uint8_t {
   // Scalar core.  Register and state-slot operands are per-filter in VM
   // code and rebased into the flat program-wide files in a fused trace.
@@ -68,7 +62,6 @@ enum class FOp : std::uint8_t {
   RPeek, RPop, RPopN, RPush,
   // Lowered channel ops: the same on a flat trace buffer (`edge`).
   TPeek, TPop, TPopN, TPush,
-  Send,  // emit SendSite a with args from its recorded registers (VM only)
   // Firing structure (fused traces).
   SetActor,  // a = actor id: OpCounts attribution + peek window, and load
              // the actor's register template
@@ -88,15 +81,15 @@ enum class FOp : std::uint8_t {
 const char* op_name(FOp op);
 
 // Which OpCounts field an instruction bumps; fixed at compile time except
-// ByResult (int_ops vs flops decided by the result's runtime tag, exactly
-// like the tree interpreter's count_bin / count_un).  The typed lowering
-// resolves every ByResult statically.
+// ByResult (int_ops vs flops decided by the result's tag, exactly like the
+// tree interpreter's count_bin / count_un).  The typed lowering resolves
+// every ByResult statically.
 enum class CountTag : std::uint8_t {
   None, IntOp, Flop, Div, Trans, Mem, Channel, ByResult,
 };
 
 // Add `n` to the field a static tag names (None and ByResult add nothing;
-// the tagged VM resolves ByResult itself).
+// lowered code carries no ByResult).
 inline void tally(OpCounts& c, CountTag tag, std::int64_t n = 1) {
   switch (tag) {
     case CountTag::IntOp: c.int_ops += n; break;
@@ -121,8 +114,8 @@ struct FInstr {
 static_assert(sizeof(FInstr) == 20, "mode rides in the padding before jump");
 
 // Apply `f` to every register operand of a scalar-core or channel
-// instruction.  State slots, send sites and args-table indices are not
-// registers; the other opcodes have none.
+// instruction.  State slots and args-table indices are not registers; the
+// other opcodes have none.
 template <typename F>
 void for_each_reg(FInstr& I, F&& f) {
   switch (I.op) {
@@ -157,83 +150,22 @@ void for_each_reg(FInstr& I, F&& f) {
   }
 }
 
-// One Send statement: the message skeleton plus the registers its
-// already-evaluated arguments live in.
-struct SendSite {
-  std::string portal, method;
-  int lat_min{0}, lat_max{0};
-  std::vector<std::uint16_t> arg_regs;
-};
-
 struct CompiledProgram {
   std::vector<FInstr> code;
   std::vector<ir::Value> reg_init;  // register template: locals zeroed, consts pooled
-  std::vector<SendSite> sends;
 };
 
+// A filter's work function in bytecode.  Init is not compiled: it runs once,
+// on the tree interpreter, before the work program is specialized.
 struct CompiledFilter {
   std::string name;
   std::int64_t peek_window{0};  // max(peek, pop): debug channel-check bound
   std::vector<std::string> scalar_slots;  // slot -> state scalar name
   std::vector<std::string> array_slots;   // slot -> state array name
   CompiledProgram work;
-  bool has_init{false};
-  CompiledProgram init;
 };
 
 using CompiledFilterP = std::shared_ptr<const CompiledFilter>;
-
-// A compiled filter bound to one FilterState's storage.  Binding resolves
-// state slots to raw pointers into the state's maps once, so firings do no
-// hashing at all.  The tree interpreter and message handlers mutate the very
-// same storage, which keeps the engines freely mixable on one state (a
-// handler delivered between VM firings is visible to the next firing).
-//
-// The FilterState must outlive the binding, must not be moved, and must not
-// gain or lose entries -- all true for states made by Interp::declare_state
-// and then only mutated through either engine.
-class VmBound {
- public:
-  VmBound(CompiledFilterP prog, FilterState& state);
-
-  // One invocation of work.  `counts` may be null (counting is skipped
-  // entirely); `sink` receives Send messages as in the tree interpreter.
-  // `trace`, when non-null, makes the dispatch loop report the firing's
-  // measured channel batches (items popped/pushed) as trace events.
-  void run_work(ir::InTape& in, ir::OutTape& out, OpCounts* counts,
-                const MessageSink* sink = nullptr,
-                const obs::FiringTrace* trace = nullptr);
-
-  // Run the compiled init function (no tapes; init may not touch channels).
-  void run_init();
-
-  [[nodiscard]] const CompiledFilter& program() const { return *prog_; }
-
- private:
-  template <bool kCount>
-  void run_program(const CompiledProgram& p, ir::InTape* in, ir::OutTape* out,
-                   OpCounts* counts, const MessageSink* sink,
-                   const obs::FiringTrace* trace);
-
-  CompiledFilterP prog_;
-  std::vector<ir::Value*> scalars_;              // slot -> &state.scalars[name]
-  std::vector<std::vector<ir::Value>*> arrays_;  // slot -> &state.arrays[name]
-  std::vector<ir::Value> regs_;                  // scratch register file
-};
-
-class Vm {
- public:
-  // Declare state variables and run the *compiled* init function; the
-  // bytecode twin of Interp::init_state.
-  static FilterState init_state(const ir::FilterSpec& spec,
-                                const CompiledFilter& prog);
-
-  // One-shot work invocation (binds on each call; prefer a persistent
-  // VmBound on hot paths).
-  static void run_work(const CompiledFilterP& prog, FilterState& state,
-                       ir::InTape& in, ir::OutTape& out, OpCounts* counts,
-                       const MessageSink* sink = nullptr);
-};
 
 // Human-readable disassembly, for debugging and the bytecode docs.
 std::string disassemble(const CompiledProgram& p);

@@ -31,15 +31,6 @@ int env_batch() {
   return b < 1 ? 1 : b;
 }
 
-bool env_typed() {
-  // "1" and "auto" mean the same thing today: specialize wherever the
-  // typeflow analysis proves it safe, tagged fallback elsewhere.  Only an
-  // explicit 0/"off" disables the typed paths entirely.
-  const char* env = std::getenv("SIT_TYPED");
-  if (env == nullptr) return true;
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0;
-}
-
 bool env_trace() {
   const char* env = std::getenv("SIT_TRACE");
   if (env == nullptr) return false;
@@ -84,7 +75,6 @@ ExecEnv resolve_exec_options() {
   e.engine = env_engine();
   e.threads = env_threads();
   e.batch = env_batch();
-  e.typed = env_typed();
   e.trace = obs::kCompiledIn && env_trace();
   e.stall_ms = env_stall_ms();
   e.opt_level = env_opt_level();

@@ -3,22 +3,16 @@
 //
 // Every SIT_* knob the runtime honors is read here and nowhere else:
 //
-//   SIT_ENGINE    "vm" | "tree" | "fused"  work-function engine (default vm;
+//   SIT_ENGINE    "vm" | "tree" | "fused"  work-function engine (default vm:
+//                                        the per-actor typed VM, tree
+//                                        interpreter for filters it refuses;
 //                                        fused = whole-program steady-state
-//                                        trace, per-actor VM when refused)
+//                                        trace, per-actor when refused)
 //   SIT_THREADS   integer >= 1           ThreadedExecutor workers (default 1)
 //   SIT_BATCH     integer >= 1 | "auto"  steady iterations per pipeline step
 //                                        (default auto: sized from per-edge
 //                                        traffic + measured cost, clamped to
 //                                        the static max_batch)
-//   SIT_TYPED     0 | 1 | "auto"         typed (unboxed dual-plane) value
-//                                        specialization: 0 = always tagged,
-//                                        1/auto = specialize registers,
-//                                        trace buffers, and channels where
-//                                        the typeflow analysis proves it
-//                                        safe (default auto; 1 and auto are
-//                                        identical today -- both fall back
-//                                        per actor/trace when refused)
 //   SIT_TRACE     "1" | "on" | "true"    event tracing + timing (default off)
 //   SIT_STALL_MS  integer ms             threaded stall-abort (default 120000)
 //   SIT_OPT       0 | 1 | 2              default optimization level (default 2)
@@ -50,7 +44,6 @@ struct ExecEnv {
   sched::Engine engine{sched::Engine::Vm};
   int threads{1};
   int batch{-1};  // -1 = auto, otherwise >= 1
-  bool typed{true};
   bool trace{false};
   int stall_ms{120000};
   int opt_level{2};    // clamped to [0, 2]
@@ -67,7 +60,6 @@ ExecEnv resolve_exec_options();
 sched::Engine env_engine();
 int env_threads();    // >= 1
 int env_batch();      // -1 = auto (default / "auto"), otherwise >= 1
-bool env_typed();     // false only for SIT_TYPED=0/"off" (default on/auto)
 bool env_trace();     // raw SIT_TRACE; does not consult obs::kCompiledIn
 int env_stall_ms();   // 0 / unset -> 120000; negative = never abort
 int env_opt_level();  // clamped to [0, 2]

@@ -35,11 +35,6 @@ bool resolve_trace(TraceMode mode) {
   return env_trace();
 }
 
-bool resolve_typed(TypedMode mode) {
-  if (mode != TypedMode::Auto) return mode == TypedMode::On;
-  return env_typed();
-}
-
 int resolve_stall_ms(int requested) {
   return requested != 0 ? requested : env_stall_ms();
 }
@@ -92,11 +87,11 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
     tb_ = rec_->thread_buffer(0);
   }
 
-  typed_on_ = resolve_typed(opts_.typed);
+  typed_on_ = opts_.typed == TypedMode::On;
+  const bool compiled = typed_on_ && engine_ != Engine::Tree;
   const std::size_t n = g_.actors.size();
   fstate_.resize(n);
   nstate_.resize(n);
-  vmf_.resize(n);
   tbf_.resize(n);
   typed_refusal_.resize(n);
   ops_.resize(n);
@@ -105,32 +100,19 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
     const FlatActor& a = g_.actors[i];
     if (a.kind == FlatActor::Kind::Filter) {
       const ir::FilterSpec& spec = a.node->filter;
-      if (engine_ == Engine::Vm || engine_ == Engine::Fused) {
-        // One-time lowering to bytecode; per-filter fallback to the tree
-        // interpreter for anything outside the compiled subset.
-        if (auto prog = runtime::compile_filter(spec)) {
-          fstate_[i] = Interp::declare_state(spec);
-          vmf_[i] = std::make_unique<runtime::VmBound>(prog, fstate_[i]);
-          if (prog->has_init) {
-            vmf_[i]->run_init();
-          } else {
-            Interp::run_init(spec, fstate_[i]);
-          }
-          // Typed specialization on top of the bytecode: inference runs
-          // against the post-init state tags; a refusal records its stable
-          // reason and the actor stays on the tagged VM.
-          if (typed_on_) {
-            if (auto tp = runtime::typed_compile(spec, prog, fstate_[i],
-                                                 &typed_refusal_[i])) {
-              tbf_[i] = std::make_unique<runtime::TypedBound>(std::move(tp),
-                                                              fstate_[i]);
-              typed_refusal_[i].clear();
-            }
-          }
-          continue;
+      fstate_[i] = Interp::init_state(spec);
+      if (compiled) {
+        // One-time lowering to bytecode, specialized against the post-init
+        // state tags.  Either step's refusal records its stable reason and
+        // the actor runs on the tree interpreter.
+        const auto prog = runtime::compile_filter(spec, &typed_refusal_[i]);
+        if (auto tp = runtime::typed_compile(spec, prog, fstate_[i],
+                                             &typed_refusal_[i])) {
+          tbf_[i] = std::make_unique<runtime::TypedBound>(std::move(tp),
+                                                          fstate_[i]);
+          typed_refusal_[i].clear();
         }
       }
-      fstate_[i] = Interp::init_state(spec);
     } else if (a.kind == FlatActor::Kind::Native) {
       if (a.node->native.make_state) nstate_[i] = a.node->native.make_state();
     }
@@ -229,7 +211,7 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
   const int out0 = a.out_edges.empty() ? -1 : a.out_edges[0];
 
   // Tracing: one branch when disabled; two clock reads plus a handful of
-  // buffer appends per firing when enabled.  VM-backed filters report their
+  // buffer appends per firing when enabled.  Typed filters report their
   // channel batches from inside the dispatch loop (measured); everything
   // else reports the static SDF rates below.
   std::int64_t t0 = 0;
@@ -243,10 +225,8 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
     case FlatActor::Kind::Filter: {
       ir::InTape* in = in_tape(in0);
       ir::OutTape* out = out_tape(out0);
-      const runtime::MessageSink* sink =
-          opts_.message_sink ? &opts_.message_sink : nullptr;
       if (tbf_[ai]) {
-        // Typed filters have no Send statements (typed_compile refuses
+        // Typed filters have no Send statements (compile_filter refuses
         // them), so the sink is irrelevant on this path.
         if (tb != nullptr) {
           obs::FiringTrace tr{tb, rec_.get(), in0, out0};
@@ -255,16 +235,9 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
         } else {
           tbf_[ai]->run_work(*in, *out, counts);
         }
-      } else if (vmf_[ai]) {
-        if (tb != nullptr) {
-          obs::FiringTrace tr{tb, rec_.get(), in0, out0};
-          vmf_[ai]->run_work(*in, *out, counts, sink, &tr);
-          vm_traced = true;
-        } else {
-          vmf_[ai]->run_work(*in, *out, counts, sink);
-        }
       } else {
-        Interp::run_work(a.node->filter, fstate_[ai], *in, *out, counts, sink);
+        Interp::run_work(a.node->filter, fstate_[ai], *in, *out, counts,
+                         opts_.message_sink ? &opts_.message_sink : nullptr);
       }
       break;
     }

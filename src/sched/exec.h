@@ -29,7 +29,6 @@
 #include "runtime/fused.h"
 #include "runtime/interp.h"
 #include "runtime/typed.h"
-#include "runtime/vm.h"
 #include "sched/program.h"
 #include "sched/schedule.h"
 
@@ -57,14 +56,12 @@ enum class TraceMode { Auto, Off, On };
 // compiled out (cmake -DSIT_OBS=OFF).
 bool resolve_trace(TraceMode mode);
 
-// Typed (unboxed dual-plane) value specialization: Off keeps every actor on
-// the tagged engines; On and Auto both specialize wherever the typeflow
-// analysis (runtime/typed.h) proves it safe, with tagged fallback per
-// actor/trace where it refuses.  Auto consults SIT_TYPED (default on).
-enum class TypedMode { Auto, Off, On };
-
-// Resolve Auto against SIT_TYPED (other values pass through).
-bool resolve_typed(TypedMode mode);
+// The compiled value plane: On (the default) runs AST filters on the typed
+// engines wherever the typeflow analysis (runtime/typed.h) proves it safe,
+// falling back per actor to the tree interpreter and per program to
+// per-actor execution; Off runs every AST filter on the tree interpreter
+// and refuses the fused trace as "typed-off".
+enum class TypedMode { Off, On };
 
 // Resolve the threaded runtime's stall-abort threshold in milliseconds:
 // 0 = consult SIT_STALL_MS, which itself defaults to 120000 (two minutes);
@@ -89,8 +86,8 @@ struct ExecOptions {
   int batch{0};
   // Event tracing + per-firing timing (obs::Recorder).
   TraceMode trace{TraceMode::Auto};
-  // Typed value-plane specialization (SIT_TYPED when Auto).
-  TypedMode typed{TypedMode::Auto};
+  // Compiled value plane (TypedMode above).
+  TypedMode typed{TypedMode::On};
   // Threaded runtime stall detector: abort after this many ms without
   // progress in a spin wait (0 = SIT_STALL_MS / default, < 0 = never).
   int stall_ms{0};
@@ -135,32 +132,29 @@ class Executor {
   void fire(int actor);
 
   // Invoke a teleport-message handler on an AST filter actor.  Handlers run
-  // through the tree interpreter; both engines share the actor's
-  // FilterState storage, so a handler delivered between VM firings is
-  // visible to the next firing.
+  // through the tree interpreter, on the actor's own FilterState storage.
+  // typed_compile refuses a filter with handlers, so its per-actor firings
+  // run on the tree too; a typed fused trace re-checks every state tag when
+  // it activates.
   void run_handler(int actor, const std::string& method,
                    const std::vector<ir::Value>& args);
 
   // The engine actually driving this graph (Auto already resolved), and
-  // whether a given AST filter actor runs on compiled bytecode.
+  // whether a given AST filter actor's work runs on the per-actor typed VM
+  // (otherwise it runs on the tree interpreter).
   [[nodiscard]] Engine engine() const { return engine_; }
   [[nodiscard]] bool actor_uses_vm(int actor) const {
-    return vmf_[static_cast<std::size_t>(actor)] != nullptr;
-  }
-
-  // Typed specialization introspection.  typed_enabled() reports the
-  // resolved SIT_TYPED decision; actor_uses_typed() whether a given actor's
-  // work runs on the dual-plane register file; typed_refusal() the stable
-  // reason it does not ("" when it does, or when the actor was never a
-  // candidate -- non-filter, tree fallback, or typed mode off).
-  [[nodiscard]] bool typed_enabled() const { return typed_on_; }
-  [[nodiscard]] bool actor_uses_typed(int actor) const {
     return tbf_[static_cast<std::size_t>(actor)] != nullptr;
   }
+  // The stable reason an AST filter actor runs on the tree interpreter under
+  // a compiled engine: compile_filter's (e.g. "teleport-send") or
+  // typed_compile's ("has-handlers", "mixed-register", "mixed-state:<slot>").
+  // "" when it runs compiled, or was never a candidate (non-filter, tree
+  // engine, or TypedMode::Off).
   [[nodiscard]] const std::string& typed_refusal(int actor) const {
     return typed_refusal_[static_cast<std::size_t>(actor)];
   }
-  // The specialized work program for one actor (null when tagged), and the
+  // The specialized work program for one actor (null on the tree), and the
   // whole-trace typed fused program (Engine::Fused; null when typed lowering
   // refused the trace, with typed_fused_refusal() carrying the stable
   // reason -- steady states then run per-actor).  The typed fused program is
@@ -260,13 +254,10 @@ class Executor {
   std::vector<ir::InTape*> in_tape_;
   std::vector<ir::OutTape*> out_tape_;
   std::vector<runtime::FilterState> fstate_;
-  // Per-actor compiled work functions bound to fstate_ storage; null where
-  // the actor is not an AST filter or its work fell back to the tree
-  // interpreter.  fstate_ entries must therefore never be reseated.
-  std::vector<std::unique_ptr<runtime::VmBound>> vmf_;
   std::vector<std::unique_ptr<ir::NativeState>> nstate_;
-  // Typed specialization (SIT_TYPED): per-actor dual-plane bindings, taking
-  // precedence over vmf_ when present, plus the per-actor refusal reasons.
+  // Per-actor typed work functions bound to fstate_ storage (null where the
+  // actor is not an AST filter or runs on the tree interpreter, so fstate_
+  // entries must never be reseated), plus the per-actor refusal reasons.
   bool typed_on_{false};
   std::vector<std::unique_ptr<runtime::TypedBound>> tbf_;
   std::vector<std::string> typed_refusal_;

@@ -26,9 +26,10 @@
 namespace sit::sched {
 
 // Which work-function engine drives AST filters.  Vm compiles each filter's
-// work/init to bytecode once and falls back to the tree interpreter
-// *per filter* for anything outside the bytecode subset; Tree forces the
-// tree interpreter everywhere.  Fused additionally compiles one whole
+// work function to bytecode once, runs it on the typed register planes, and
+// falls back to the tree interpreter *per filter* for anything outside the
+// bytecode subset or refused by the typed lowering; Tree forces the tree
+// interpreter everywhere.  Fused additionally compiles one whole
 // steady-state iteration into a single flat bytecode trace with
 // superinstructions (runtime/fused.h) and runs it when the program is
 // admissible (analysis/fuse.h), falling back to per-actor VM execution --

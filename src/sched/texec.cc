@@ -103,15 +103,6 @@ void traced_spin(const std::atomic<bool>& abort, Pred&& ready, const char* what,
   *wait_ns += t1 - t0;
 }
 
-bool stmt_sends(const ir::StmtP& s) {
-  if (!s) return false;
-  if (s->kind == ir::Stmt::Kind::Send) return true;
-  for (const auto& c : s->stmts) {
-    if (stmt_sends(c)) return true;
-  }
-  return stmt_sends(s->body) || stmt_sends(s->elseBody);
-}
-
 std::int64_t rate_into(const FlatActor& a, int edge) {
   for (std::size_t p = 0; p < a.in_edges.size(); ++p) {
     if (a.in_edges[p] == edge) return a.in_rate[p];
@@ -207,7 +198,7 @@ FallbackReason ThreadedExecutor::refusal_reason(const runtime::FlatGraph& g,
       *detail = "filter '" + spec.name + "' has teleport handlers";
       return FallbackReason::TeleportHandlers;
     }
-    if (stmt_sends(spec.work) || stmt_sends(spec.init)) {
+    if (ir::stmt_sends(spec.work) || ir::stmt_sends(spec.init)) {
       *detail = "filter '" + spec.name + "' sends teleport messages";
       return FallbackReason::TeleportSends;
     }

@@ -8,7 +8,7 @@
 //
 // Execution model:
 //   * Every ThreadedExecutor owns one sequential Executor, its per-actor
-//     execution core: channels, filter state, the compiled (VM / typed)
+//     execution core: channels, filter state, the per-actor typed VM
 //     bindings, init functions, the input feed, firing tallies, and the one
 //     per-actor firing routine all live there.  On the threaded path it is
 //     built with Engine::Fused replaced by Engine::Vm (the fused trace is

@@ -35,12 +35,9 @@ namespace {
 using namespace sit::ir;
 using namespace sit::ir::dsl;
 
-// Typed mode is pinned on: the fused trace only runs on the typed executor,
-// so under SIT_TYPED=0 every fused program would silently run per-actor.
 sched::ExecOptions fused_options() {
   sched::ExecOptions opts;
   opts.engine = sched::Engine::Fused;
-  opts.typed = sched::TypedMode::On;
   return opts;
 }
 
@@ -571,13 +568,11 @@ TEST(FusedExecution, HandlerRetagFallsBackAndStaysBitEqual) {
 // ---- runtime faults ---------------------------------------------------------
 
 // The what() of the fault the first steady state throws ("" if none).
-std::string first_fault(const ir::NodeP& root, sched::Engine engine,
-                        sched::TypedMode typed) {
+std::string first_fault(const ir::NodeP& root, sched::Engine engine) {
   sched::ExecOptions opts;
   opts.engine = engine;
-  opts.typed = typed;
   sched::Executor ex(lower_ungated(root), opts);
-  if (typed == sched::TypedMode::On) {
+  if (engine != sched::Engine::Tree) {
     for (const auto& a : ex.metrics_snapshot().actors) {
       EXPECT_EQ(a.typed_status, "typed") << a.name;
     }
@@ -626,8 +621,8 @@ TEST(EngineFaults, ShortKernelInputRunsAsLinearKernel) {
 }
 
 // A fault's message is part of the cross-engine contract: the tree
-// interpreter, the tagged VM, the typed VM and the typed fused trace must
-// throw the same what().
+// interpreter, the typed VM and the typed fused trace must throw the same
+// what().
 TEST(EngineFaults, EveryEngineThrowsTheSameMessage) {
   runtime::set_debug_channel_checks(true);  // for the over-peek
   struct Restore {
@@ -678,17 +673,11 @@ TEST(EngineFaults, EveryEngineThrowsTheSameMessage) {
     const NodeP root = make_pipeline(
         "p", {fc.source ? fc.source : tiny_src("s"), fc.filter, tiny_snk("k")});
     const std::string name = fc.filter->name;
-    EXPECT_EQ(first_fault(root, sched::Engine::Tree, sched::TypedMode::Off),
-              fc.message)
+    EXPECT_EQ(first_fault(root, sched::Engine::Tree), fc.message)
         << name << " on the tree interpreter";
-    EXPECT_EQ(first_fault(root, sched::Engine::Vm, sched::TypedMode::Off),
-              fc.message)
-        << name << " on the tagged VM";
-    EXPECT_EQ(first_fault(root, sched::Engine::Vm, sched::TypedMode::On),
-              fc.message)
+    EXPECT_EQ(first_fault(root, sched::Engine::Vm), fc.message)
         << name << " on the typed VM";
-    EXPECT_EQ(first_fault(root, sched::Engine::Fused, sched::TypedMode::On),
-              fc.message)
+    EXPECT_EQ(first_fault(root, sched::Engine::Fused), fc.message)
         << name << " on the typed fused trace";
   }
 }

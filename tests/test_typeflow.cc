@@ -1,12 +1,13 @@
 // Typed-dataflow tests: the canonical value-tag contract, static inference
 // and specialization on the flagship apps, every refusal reason with its
-// stable string, and the SIT_TYPED=0 vs =1 bit-equality contract.
+// stable string, and typed == tree bit-equality.
 //
 // The cross-engine bit-equality contract (tree/VM/fused/threaded at every
-// optimization level, typed on by default) lives in test_pipeline_diff.cc;
-// this file pins the typed plane's *own* artifacts: which tags the lattice
-// assigns, which filters specialize, why the rest refuse, and that the
-// tagged fallback is bit-identical when inference refuses or SIT_TYPED=0.
+// optimization level) lives in test_pipeline_diff.cc; this file pins the
+// typed plane's *own* artifacts: which tags the lattice assigns, which
+// filters specialize, and why the rest refuse.  That a refused filter runs
+// on the tree interpreter bit-identically to the tree engine is
+// test_vm.cc's FallbackChain tests.
 
 #include <gtest/gtest.h>
 
@@ -61,14 +62,13 @@ void expect_bit_equal(const std::vector<double>& a,
   }
 }
 
-// Run the same program typed-on and typed-off under `engine` and require the
-// entire observable surface to be bit-identical.
+// Run the same program typed-on and typed-off (every AST filter on the tree
+// interpreter) under `engine` and require the entire observable surface to
+// be bit-identical.
 void expect_typed_off_parity(const ir::NodeP& app, sched::Engine engine,
                              const std::string& what, int steady = 4) {
   auto on = make_exec(ir::clone(app), engine, sched::TypedMode::On);
   auto off = make_exec(ir::clone(app), engine, sched::TypedMode::Off);
-  EXPECT_TRUE(on.typed_enabled()) << what;
-  EXPECT_FALSE(off.typed_enabled()) << what;
   expect_bit_equal(on.run_steady(steady), off.run_steady(steady), what);
   EXPECT_EQ(on.firings(), off.firings()) << what;
   EXPECT_EQ(on.total_ops().int_ops, off.total_ops().int_ops) << what;
@@ -176,12 +176,11 @@ TEST(ValueTags, JoinLattice) {
 TEST(TypedSpecialize, FirFiltersAllSpecialize) {
   auto ex = make_exec(apps::make_app("FIR"), sched::Engine::Vm,
                       sched::TypedMode::On);
-  ASSERT_TRUE(ex.typed_enabled());
   const auto& g = ex.graph();
   int typed = 0;
   for (std::size_t i = 0; i < g.actors.size(); ++i) {
     if (g.actors[i].kind != runtime::FlatActor::Kind::Filter) continue;
-    EXPECT_TRUE(ex.actor_uses_typed(static_cast<int>(i)))
+    EXPECT_TRUE(ex.actor_uses_vm(static_cast<int>(i)))
         << g.actors[i].name << ": " << ex.typed_refusal(static_cast<int>(i));
     ++typed;
   }
@@ -204,12 +203,11 @@ TEST(TypedSpecialize, FirFusedTraceGoesTyped) {
 TEST(TypedSpecialize, TypedOffDisablesBothLayers) {
   auto ex = make_exec(apps::make_app("FIR"), sched::Engine::Fused,
                       sched::TypedMode::Off);
-  EXPECT_FALSE(ex.typed_enabled());
   EXPECT_EQ(ex.typed_fused_program(), nullptr);
   EXPECT_EQ(ex.typed_fused_refusal(), "typed-off");
   const auto& g = ex.graph();
   for (std::size_t i = 0; i < g.actors.size(); ++i) {
-    EXPECT_FALSE(ex.actor_uses_typed(static_cast<int>(i)));
+    EXPECT_FALSE(ex.actor_uses_vm(static_cast<int>(i)));
   }
 }
 
@@ -293,12 +291,12 @@ TEST(TypedRefusal, MixedRegisterRefusesWithStableReason) {
       sched::Engine::Vm, sched::TypedMode::On);
   const int a = actor_id(ex.graph(), "mixr");
   ASSERT_GE(a, 0);
-  EXPECT_FALSE(ex.actor_uses_typed(a));
+  EXPECT_FALSE(ex.actor_uses_vm(a));
   EXPECT_EQ(ex.typed_refusal(a), "mixed-register");
   // The source still specializes: refusal is per-actor, never per-graph.
   const int s = actor_id(ex.graph(), "s");
   ASSERT_GE(s, 0);
-  EXPECT_TRUE(ex.actor_uses_typed(s)) << ex.typed_refusal(s);
+  EXPECT_TRUE(ex.actor_uses_vm(s)) << ex.typed_refusal(s);
 }
 
 TEST(TypedRefusal, MixedStateRefusesNamingTheSlot) {
@@ -307,7 +305,7 @@ TEST(TypedRefusal, MixedStateRefusesNamingTheSlot) {
       sched::Engine::Vm, sched::TypedMode::On);
   const int a = actor_id(ex.graph(), "mixs");
   ASSERT_GE(a, 0);
-  EXPECT_FALSE(ex.actor_uses_typed(a));
+  EXPECT_FALSE(ex.actor_uses_vm(a));
   EXPECT_EQ(ex.typed_refusal(a), "mixed-state:acc");
 }
 
@@ -346,25 +344,11 @@ TEST(TypedRefusal, HandlersRefuse) {
                       sched::Engine::Vm, sched::TypedMode::On);
   const int a = actor_id(ex.graph(), "h");
   ASSERT_GE(a, 0);
-  EXPECT_FALSE(ex.actor_uses_typed(a));
+  EXPECT_FALSE(ex.actor_uses_vm(a));
   EXPECT_EQ(ex.typed_refusal(a), "has-handlers");
 }
 
-TEST(TypedRefusal, RefusedFilterRunsBitEqualOnTaggedFallback) {
-  const auto mk = [] {
-    return make_pipeline("p", {tiny_src("s"), mixed_register_filter("mixr")});
-  };
-  expect_typed_off_parity(mk(), sched::Engine::Vm, "mixed-register vm");
-  expect_typed_off_parity(mk(), sched::Engine::Fused, "mixed-register fused");
-
-  const auto mks = [] {
-    return make_pipeline("p", {tiny_src("s"), mixed_state_filter("mixs")});
-  };
-  expect_typed_off_parity(mks(), sched::Engine::Vm, "mixed-state vm");
-  expect_typed_off_parity(mks(), sched::Engine::Fused, "mixed-state fused");
-}
-
-// ---- SIT_TYPED=0 vs =1 across the whole suite -------------------------------
+// ---- typed on vs off (tree) across the whole suite --------------------------
 
 TEST(TypedDiff, AllAppsBitEqualTypedOnVsOffUnderVmAndFused) {
   for (const auto& app : apps::all_apps()) {
@@ -390,26 +374,6 @@ TEST(TypedDiff, ThreadedRuntimeBitEqualTypedOnVsOff) {
                      std::string(name) + " 4-thread");
     EXPECT_EQ(ton.firings(), toff.firings()) << name;
   }
-}
-
-// ---- env knob ---------------------------------------------------------------
-
-TEST(TypedEnv, OnlyZeroAndOffDisable) {
-  const char* old = std::getenv("SIT_TYPED");
-  const std::string saved = old != nullptr ? old : "";
-  setenv("SIT_TYPED", "0", 1);
-  EXPECT_FALSE(sched::resolve_typed(sched::TypedMode::Auto));
-  setenv("SIT_TYPED", "off", 1);
-  EXPECT_FALSE(sched::resolve_typed(sched::TypedMode::Auto));
-  setenv("SIT_TYPED", "1", 1);
-  EXPECT_TRUE(sched::resolve_typed(sched::TypedMode::Auto));
-  setenv("SIT_TYPED", "auto", 1);
-  EXPECT_TRUE(sched::resolve_typed(sched::TypedMode::Auto));
-  unsetenv("SIT_TYPED");
-  EXPECT_TRUE(sched::resolve_typed(sched::TypedMode::Auto));
-  EXPECT_FALSE(sched::resolve_typed(sched::TypedMode::Off));
-  EXPECT_TRUE(sched::resolve_typed(sched::TypedMode::On));
-  if (old != nullptr) setenv("SIT_TYPED", saved.c_str(), 1);
 }
 
 // ---- metrics ----------------------------------------------------------------

@@ -1,12 +1,15 @@
-// Differential tests: the bytecode VM must be observationally identical to
-// the tree interpreter.  Every built-in application and a population of
-// randomized work functions run under both engines; outputs, filter state,
-// operation counts, cumulative channel counters, and sent messages are held
-// bit-equal.  Also covers the ring-buffer channel itself and the per-filter
-// fallback path for filters outside the compiled subset.
+// Differential tests: the per-actor typed VM must be observationally
+// identical to the tree interpreter.  Every built-in application and a
+// population of randomized work functions run under both engines; outputs,
+// filter state, operation counts and cumulative channel counters are held
+// bit-equal.  Also covers the ring-buffer channel itself and the fallback
+// chain: filters outside the compiled subset, or refused by the typed
+// lowering, run on the tree interpreter bit-equal to the tree engine, sent
+// messages included.
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -18,8 +21,9 @@
 #include "runtime/channel.h"
 #include "runtime/compile.h"
 #include "runtime/interp.h"
-#include "runtime/vm.h"
+#include "runtime/typed.h"
 #include "sched/exec.h"
+#include "sched/texec.h"
 
 namespace sit {
 namespace {
@@ -92,6 +96,15 @@ void expect_same_counts(const OpCounts& a, const OpCounts& b,
   EXPECT_EQ(a.channel, b.channel) << who << " channel";
 }
 
+// `spec` on the per-actor typed VM against `st` (already initialized), or
+// null when the compiler or the typed lowering refuses it.
+std::unique_ptr<runtime::TypedBound> bind_typed(const ir::FilterSpec& spec,
+                                                FilterState& st) {
+  auto tp = runtime::typed_compile(spec, runtime::compile_filter(spec), st);
+  return tp ? std::make_unique<runtime::TypedBound>(std::move(tp), st)
+            : nullptr;
+}
+
 // ---- whole-application differential -----------------------------------------
 
 // Run every built-in app under both engines and hold all observables equal:
@@ -138,7 +151,7 @@ TEST(VmDifferential, AllAppsMatchTreeInterpreter) {
 }
 
 // The point of the engine: the hot filters of the evaluation apps must
-// actually run on bytecode, not silently fall back.
+// actually run on the typed VM, not silently fall back.
 TEST(VmDifferential, EvaluationAppFiltersCompile) {
   for (const std::string name : {"FIR", "Vocoder", "FMRadio", "FilterBank"}) {
     SCOPED_TRACE(name);
@@ -271,20 +284,18 @@ class AstGen {
 };
 
 TEST(VmDifferential, RandomizedWorkFunctions) {
-  int compiled = 0;
-  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+  int compiled = 0, typed = 0;
+  for (std::uint32_t seed = 1; seed <= 200; ++seed) {
     AstGen gen(seed * 7919);
     const ir::FilterSpec spec = gen.make_spec(static_cast<int>(seed));
     SCOPED_TRACE("seed " + std::to_string(seed));
-
-    std::string reason;
-    auto prog = runtime::compile_filter(spec, &reason);
-    if (!prog) continue;  // conservatively rejected shapes fall back; fine
-    ++compiled;
+    if (runtime::compile_filter(spec)) ++compiled;
 
     FilterState tst = Interp::init_state(spec);
-    FilterState vst = runtime::Vm::init_state(spec, *prog);
-    expect_same_state(tst, vst, spec.name + " init");
+    FilterState vst = Interp::init_state(spec);
+    const auto bound = bind_typed(spec, vst);
+    if (!bound) continue;  // refused shapes run on the tree; fine
+    ++typed;
 
     Channel tin, vin, tout, vout;
     std::mt19937 feed(seed);
@@ -296,10 +307,9 @@ TEST(VmDifferential, RandomizedWorkFunctions) {
     }
 
     OpCounts tc, vc;
-    runtime::VmBound bound(prog, vst);
     for (int fire = 0; fire < 20; ++fire) {
       Interp::run_work(spec, tst, tin, tout, &tc);
-      bound.run_work(vin, vout, &vc);
+      bound->run_work(vin, vout, &vc);
     }
     expect_same_counts(tc, vc, spec.name);
     expect_same_state(tst, vst, spec.name + " final");
@@ -310,78 +320,15 @@ TEST(VmDifferential, RandomizedWorkFunctions) {
     EXPECT_EQ(tin.total_popped(), vin.total_popped());
   }
   // The generator stays inside the compiled subset by construction; if the
-  // compiler starts rejecting most of them, the subset regressed.
-  EXPECT_GE(compiled, 30);
+  // compiler starts rejecting most of them, the subset regressed.  Only
+  // about one program in five keeps every register and state slot on one
+  // tag (the rest mix int and double in a slot or register and run on the
+  // tree), so 200 seeds give the typed VM its 30-program floor.
+  EXPECT_GE(compiled, 150);
+  EXPECT_GE(typed, 30);
 }
 
 // ---- engine parity corner cases ---------------------------------------------
-
-// Messages: Send arguments, latency bounds, and ordering must match, and the
-// VM must skip SentMessage construction without a sink (not observable here,
-// but the sink path is).
-TEST(VmDifferential, SendMessagesMatch) {
-  auto spec = filter("sender")
-                  .rates(1, 1, 1)
-                  .iscalar("n", 0)
-                  .work({let("x", pop_()),
-                         ir::send("portal", "setGain", {(v("x") * c(2.0)).e,
-                                                        v("n").e}, 1, 3),
-                         let("n", v("n") + 1), push_(v("x"))})
-                  .build();
-  auto prog = runtime::compile_filter(spec);
-  ASSERT_NE(prog, nullptr);
-
-  std::vector<SentMessage> tmsg, vmsg;
-  runtime::MessageSink tsink = [&](const SentMessage& m) { tmsg.push_back(m); };
-  runtime::MessageSink vsink = [&](const SentMessage& m) { vmsg.push_back(m); };
-
-  FilterState tst = Interp::init_state(spec);
-  FilterState vst = runtime::Vm::init_state(spec, *prog);
-  Channel tin, vin, tout, vout;
-  for (int i = 0; i < 5; ++i) {
-    tin.push_item(i + 0.25);
-    vin.push_item(i + 0.25);
-  }
-  for (int i = 0; i < 5; ++i) {
-    Interp::run_work(spec, tst, tin, tout, nullptr, &tsink);
-    runtime::Vm::run_work(prog, vst, vin, vout, nullptr, &vsink);
-  }
-  ASSERT_EQ(tmsg.size(), vmsg.size());
-  for (std::size_t i = 0; i < tmsg.size(); ++i) {
-    EXPECT_EQ(tmsg[i].portal, vmsg[i].portal);
-    EXPECT_EQ(tmsg[i].method, vmsg[i].method);
-    EXPECT_EQ(tmsg[i].lat_min, vmsg[i].lat_min);
-    EXPECT_EQ(tmsg[i].lat_max, vmsg[i].lat_max);
-    ASSERT_EQ(tmsg[i].args.size(), vmsg[i].args.size());
-    for (std::size_t j = 0; j < tmsg[i].args.size(); ++j) {
-      expect_same_value(tmsg[i].args[j], vmsg[i].args[j], "msg arg");
-    }
-  }
-}
-
-// A handler delivered between VM firings mutates the same storage the
-// bytecode reads: the next firing must see the new state.
-TEST(VmDifferential, HandlerStateSharedWithVm) {
-  auto spec = filter("gainer")
-                  .rates(1, 1, 1)
-                  .scalar("gain", Value{1.0})
-                  .work({push_(pop_() * v("gain"))})
-                  .handler("setGain", {"g"}, let("gain", v("g")))
-                  .build();
-  auto prog = runtime::compile_filter(spec);
-  ASSERT_NE(prog, nullptr);
-
-  FilterState st = runtime::Vm::init_state(spec, *prog);
-  runtime::VmBound bound(prog, st);
-  Channel in, out;
-  in.push_item(2.0);
-  in.push_item(2.0);
-  bound.run_work(in, out, nullptr);
-  EXPECT_EQ(out.pop_item(), 2.0);
-  Interp::run_handler(spec, st, "setGain", {Value{10.0}});
-  bound.run_work(in, out, nullptr);
-  EXPECT_EQ(out.pop_item(), 20.0);
-}
 
 // Out-of-subset work functions (here: a read of a possibly-unassigned
 // local) must be rejected by the compiler with a reason, and the executor
@@ -430,17 +377,14 @@ TEST(VmDifferential, FallbackForUncompilableFilter) {
   }
 }
 
-// Debug-mode channel checking must fire identically under the VM, with the
-// same diagnostic.
+// Debug-mode channel checking must fire identically under the typed VM,
+// with the same diagnostic.
 TEST(VmDifferential, DebugChannelChecksUnderVm) {
   // peek(5) with a declared window of max(2, 1) = 2.
   auto spec = filter("overpeek")
                   .rates(2, 1, 1)
                   .work({push_(peek_(5)), discard(1)})
                   .build();
-  auto prog = runtime::compile_filter(spec);
-  ASSERT_NE(prog, nullptr);
-
   runtime::set_debug_channel_checks(true);
   struct Restore {
     ~Restore() { runtime::set_debug_channel_checks(false); }
@@ -452,7 +396,9 @@ TEST(VmDifferential, DebugChannelChecksUnderVm) {
     vin.push_item(i);
   }
   FilterState tst = Interp::init_state(spec);
-  FilterState vst = runtime::Vm::init_state(spec, *prog);
+  FilterState vst = Interp::init_state(spec);
+  const auto bound = bind_typed(spec, vst);
+  ASSERT_NE(bound, nullptr);
   std::string terr, verr;
   try {
     Interp::run_work(spec, tst, tin, tout, nullptr);
@@ -460,7 +406,7 @@ TEST(VmDifferential, DebugChannelChecksUnderVm) {
     terr = e.what();
   }
   try {
-    runtime::Vm::run_work(prog, vst, vin, vout, nullptr);
+    bound->run_work(vin, vout, nullptr);
   } catch (const std::runtime_error& e) {
     verr = e.what();
   }
@@ -468,23 +414,217 @@ TEST(VmDifferential, DebugChannelChecksUnderVm) {
   EXPECT_EQ(terr, verr);
 }
 
-// Init functions compile too: a loop-initialized array must come out
-// identical from both init paths.
-TEST(VmDifferential, CompiledInitMatchesTree) {
-  auto spec = filter("initful")
-                  .rates(0, 0, 1)
-                  .array("w", 8)
-                  .iscalar("n", 0)
-                  .init(for_("i", 0, 8,
-                             set_at("w", v("i"), sin_(v("i") * c(0.3)) + v("i"))))
-                  .work({let("n", v("n") + 1), push_(at("w", v("n") % 8))})
-                  .build();
-  auto prog = runtime::compile_filter(spec);
-  ASSERT_NE(prog, nullptr);
-  EXPECT_TRUE(prog->has_init);
-  FilterState tst = Interp::init_state(spec);
-  FilterState vst = runtime::Vm::init_state(spec, *prog);
-  expect_same_state(tst, vst, "initful");
+// ---- the fallback chain -----------------------------------------------------
+//
+// A filter the compiled engines refuse runs on the tree interpreter under
+// each of them: per actor on the VM engine, per actor once the fused trace
+// is refused, and on the threaded runtime's workers.  Each case pins the
+// stable reason and holds the whole observable surface bit-equal to
+// Engine::Tree: outputs, filter state, per-actor OpCounts, channel counters
+// and sent messages.  (A handler filter whose state keeps its tags still
+// runs inside an admitted typed fused trace; the retag case is
+// FusedExecution.HandlerRetagFallsBackAndStaysBitEqual.)
+
+// What one run exposes, read the same way from either executor.
+struct Observed {
+  std::vector<double> out;
+  std::vector<OpCounts> ops;
+  std::vector<FilterState> states;  // per actor; empty unless an AST filter
+  std::vector<std::int64_t> pushed, popped;  // per edge
+  std::vector<SentMessage> sent;
+  std::string status;  // the checked actor's typed_status
+};
+
+std::int64_t edge_pushed(sched::Executor& ex, int e) {
+  return ex.channel(e).total_pushed();
+}
+std::int64_t edge_popped(sched::Executor& ex, int e) {
+  return ex.channel(e).total_popped();
+}
+std::int64_t edge_pushed(sched::ThreadedExecutor& ex, int e) {
+  return ex.edge_pushed(e);
+}
+std::int64_t edge_popped(sched::ThreadedExecutor& ex, int e) {
+  return ex.edge_popped(e);
+}
+
+// Two batches of three steady states with `between` (handler delivery) in
+// between.  `sent` is the vector the executor's message sink fills.
+template <typename Exec, typename F>
+Observed observe(Exec& ex, const std::string& actor,
+                 const std::vector<SentMessage>& sent, F&& between) {
+  Observed o;
+  o.out = ex.run_steady(3);
+  between(ex);
+  const std::vector<double> more = ex.run_steady(3);
+  o.out.insert(o.out.end(), more.begin(), more.end());
+  const auto& g = ex.graph();
+  o.ops = ex.actor_ops();
+  o.states.resize(g.actors.size());
+  for (std::size_t i = 0; i < g.actors.size(); ++i) {
+    if (g.actors[i].kind == runtime::FlatActor::Kind::Filter) {
+      o.states[i] = ex.filter_state(static_cast<int>(i));
+    }
+  }
+  for (std::size_t e = 0; e < g.edges.size(); ++e) {
+    o.pushed.push_back(edge_pushed(ex, static_cast<int>(e)));
+    o.popped.push_back(edge_popped(ex, static_cast<int>(e)));
+  }
+  o.sent = sent;
+  for (const auto& a : ex.metrics_snapshot().actors) {
+    if (a.name == actor) o.status = a.typed_status;
+  }
+  return o;
+}
+
+void expect_same_observed(const Observed& want, const Observed& got,
+                          const std::string& what) {
+  expect_same_doubles(want.out, got.out, what + " output");
+  ASSERT_EQ(want.ops.size(), got.ops.size()) << what;
+  for (std::size_t i = 0; i < want.ops.size(); ++i) {
+    const std::string who = what + " actor " + std::to_string(i);
+    expect_same_counts(want.ops[i], got.ops[i], who);
+    expect_same_state(want.states[i], got.states[i], who);
+  }
+  EXPECT_EQ(want.pushed, got.pushed) << what;
+  EXPECT_EQ(want.popped, got.popped) << what;
+  ASSERT_EQ(want.sent.size(), got.sent.size()) << what;
+  for (std::size_t i = 0; i < want.sent.size(); ++i) {
+    const SentMessage& w = want.sent[i];
+    const SentMessage& g = got.sent[i];
+    EXPECT_EQ(w.portal, g.portal) << what;
+    EXPECT_EQ(w.method, g.method) << what;
+    EXPECT_EQ(w.lat_min, g.lat_min) << what;
+    EXPECT_EQ(w.lat_max, g.lat_max) << what;
+    ASSERT_EQ(w.args.size(), g.args.size()) << what;
+    for (std::size_t k = 0; k < w.args.size(); ++k) {
+      expect_same_value(w.args[k], g.args[k], what + " message arg");
+    }
+  }
+}
+
+// Run `s -> f` under Engine::Vm, Engine::Fused and 4 fused threads: `f`
+// must run on the tree interpreter with `reason` in each, and everything
+// must match Engine::Tree.  `handler`, when set, is delivered to `f` between
+// the two batches (the threaded runtime has no handler entry point, so its
+// reference run skips the delivery).  Only a sending filter gets a message
+// sink, since a sink refuses fusion and threading outright.
+void expect_tree_fallback(const std::function<ir::NodeP()>& make_f,
+                          const std::string& reason,
+                          const std::string& handler = "") {
+  const auto mk = [&] {
+    auto src = filter("s")
+                   .rates(0, 0, 1)
+                   .iscalar("seed", 1)
+                   .work(seq({let("seed", v("seed") + ci(1)),
+                              push_(to_float(v("seed")))}))
+                   .node();
+    return ir::make_pipeline("p", {src, make_f()});
+  };
+  const std::string actor = make_f()->name;
+  const auto sink_into = [&](std::vector<SentMessage>& sent) {
+    if (reason != "teleport-send") return runtime::MessageSink();
+    return runtime::MessageSink(
+        [&sent](const SentMessage& m) { sent.push_back(m); });
+  };
+  const auto run = [&](sched::Engine engine, bool deliver) {
+    std::vector<SentMessage> sent;
+    sched::ExecOptions opts;
+    opts.engine = engine;
+    opts.message_sink = sink_into(sent);
+    sched::Executor ex(mk(), opts);
+    int a = -1;
+    for (std::size_t i = 0; i < ex.graph().actors.size(); ++i) {
+      if (ex.graph().actors[i].name == actor) a = static_cast<int>(i);
+    }
+    EXPECT_GE(a, 0) << actor;
+    if (engine != sched::Engine::Tree) {
+      EXPECT_FALSE(ex.actor_uses_vm(a)) << actor;
+      EXPECT_EQ(ex.typed_refusal(a), reason) << actor;
+    }
+    return observe(ex, actor, sent, [&](sched::Executor& e) {
+      if (deliver && !handler.empty()) e.run_handler(a, handler, {Value{10.0}});
+    });
+  };
+  const Observed tree = run(sched::Engine::Tree, true);
+  for (const auto engine : {sched::Engine::Vm, sched::Engine::Fused}) {
+    const std::string what =
+        actor + (engine == sched::Engine::Vm ? " vm" : " fused");
+    const Observed got = run(engine, true);
+    EXPECT_EQ(got.status, reason) << what;
+    expect_same_observed(tree, got, what);
+  }
+
+  std::vector<SentMessage> sent;
+  sched::ExecOptions opts;
+  opts.engine = sched::Engine::Fused;
+  opts.threads = 4;
+  opts.message_sink = sink_into(sent);
+  sched::ThreadedExecutor tex(mk(), opts);
+  const Observed got = observe(tex, actor, sent, [](auto&) {});
+  EXPECT_EQ(got.status, reason) << actor << " 4 threads";
+  expect_same_observed(handler.empty() ? tree : run(sched::Engine::Tree, false),
+                       got, actor + " 4 threads");
+}
+
+// A register that is Int on one path and Double on the other.
+TEST(FallbackChain, MixedRegisterRunsOnTheTree) {
+  expect_tree_fallback(
+      [] {
+        return filter("mixr")
+            .rates(1, 1, 1)
+            .work(seq({let("t", ci(0)), let("x", pop_()),
+                       if_(v("x") > c(0.5), let("t", v("x"))),
+                       push_(to_float(v("t")))}))
+            .node();
+      },
+      "mixed-register");
+}
+
+// A state scalar seeded Int that work stores a Double into.
+TEST(FallbackChain, MixedStateRunsOnTheTree) {
+  expect_tree_fallback(
+      [] {
+        return filter("mixs")
+            .rates(1, 1, 1)
+            .iscalar("acc", 0)
+            .work(seq({let("x", pop_()), let("acc", v("acc") + v("x")),
+                       push_(v("x"))}))
+            .node();
+      },
+      "mixed-state:acc");
+}
+
+// A handler delivered between batches mutates the state the next firing
+// reads.
+TEST(FallbackChain, HandlerFilterRunsOnTheTree) {
+  expect_tree_fallback(
+      [] {
+        return filter("gainer")
+            .rates(1, 1, 1)
+            .scalar("gain", Value{1.0})
+            .work(seq({push_(pop_() * v("gain"))}))
+            .handler("setGain", {"g"}, let("gain", v("g")))
+            .node();
+      },
+      "has-handlers", "setGain");
+}
+
+// Send arguments, latency bounds and ordering reach the message sink as the
+// tree engine emits them.
+TEST(FallbackChain, SendingFilterRunsOnTheTree) {
+  expect_tree_fallback(
+      [] {
+        return filter("sender")
+            .rates(1, 1, 1)
+            .iscalar("n", 0)
+            .work(seq({let("x", pop_()),
+                       ir::send("portal", "setGain",
+                                {(v("x") * c(2.0)).e, v("n").e}, 1, 3),
+                       let("n", v("n") + 1), push_(v("x"))}))
+            .node();
+      },
+      "teleport-send");
 }
 
 // Disassembly is for humans; just pin that it mentions the channel ops so

@@ -311,8 +311,6 @@ class TraceBuilder {
   }
 
   static bool is_peek(FOp op) { return op == FOp::TPeek || op == FOp::RPeek; }
-  static bool is_pop(FOp op) { return op == FOp::TPop || op == FOp::RPop; }
-  static bool is_push(FOp op) { return op == FOp::TPush || op == FOp::RPush; }
 
   // The exact 9-instruction (array) / 7-instruction (sum) loop shape the
   // bytecode compiler emits for `for (i) acc += peek(i) [* coef[i]]`:
@@ -394,53 +392,6 @@ class TraceBuilder {
     return false;
   }
 
-  // pop -> [compute] -> push, with nothing in between:
-  //   [pop r][push r]                       pop-push
-  //   [pop r][un  op d, r][push d]          pop-un-push
-  //   [pop r][bin op d, a, b][push d]       pop-bin-push  (r in {a, b})
-  bool match_pcp(const std::vector<FInstr>& t, std::size_t i, PcpArgs* out,
-                 std::size_t* len) const {
-    const FInstr& I0 = t[i];
-    if (!is_pop(I0.op)) return false;
-    const std::uint16_t r = I0.dst;
-    PcpArgs P;
-    P.in_edge = I0.edge;
-    P.in_real = I0.op == FOp::RPop;
-    P.rpop = r;
-    if (i + 1 < t.size() && is_push(t[i + 1].op) && t[i + 1].dst == r) {
-      P.kind = PcpArgs::Kind::Plain;
-      P.rres = r;
-      P.out_edge = t[i + 1].edge;
-      P.out_real = t[i + 1].op == FOp::RPush;
-      if (!region_clear(t, i, 2)) return false;
-      *out = P;
-      *len = 2;
-      return true;
-    }
-    if (i + 2 >= t.size() || !is_push(t[i + 2].op)) return false;
-    const FInstr& op = t[i + 1];
-    const FInstr& ps = t[i + 2];
-    if (ps.dst != op.dst) return false;
-    if (op.op == FOp::Un && op.a == r) {
-      P.kind = PcpArgs::Kind::Un;
-    } else if (op.op == FOp::Bin && (op.a == r || op.b == r)) {
-      P.kind = PcpArgs::Kind::Bin;
-    } else {
-      return false;
-    }
-    P.sub = op.sub;
-    P.tag = op.count;
-    P.a = op.a;
-    P.b = op.b;
-    P.rres = op.dst;
-    P.out_edge = ps.edge;
-    P.out_real = ps.op == FOp::RPush;
-    if (!region_clear(t, i, 3)) return false;
-    *out = P;
-    *len = 3;
-    return true;
-  }
-
   // Rewrite a filter template in place, replacing matched windows with
   // superinstructions and remapping every jump through the index map.
   void peephole(std::vector<FInstr>& t) {
@@ -452,7 +403,6 @@ class TraceBuilder {
     std::size_t i = 0;
     while (i < t.size()) {
       MacLoopArgs M;
-      PcpArgs P;
       std::size_t len = 0;
       if (match_mac(t, i, &M, &len)) {
         if (prog_->macs.size() >= 0xFFFF) fail("args-table overflow");
@@ -460,17 +410,6 @@ class TraceBuilder {
         I.op = FOp::MacLoop;
         I.a = static_cast<std::uint16_t>(prog_->macs.size());
         prog_->macs.push_back(M);
-        for (std::size_t k = 0; k < len; ++k) {
-          new_index[i + k] = static_cast<std::int32_t>(out.size());
-        }
-        out.push_back(I);
-        i += len;
-      } else if (match_pcp(t, i, &P, &len)) {
-        if (prog_->pcps.size() >= 0xFFFF) fail("args-table overflow");
-        FInstr I{};
-        I.op = FOp::PopComputePush;
-        I.a = static_cast<std::uint16_t>(prog_->pcps.size());
-        prog_->pcps.push_back(P);
         for (std::size_t k = 0; k < len; ++k) {
           new_index[i + k] = static_cast<std::int32_t>(out.size());
         }
@@ -619,13 +558,6 @@ class TraceBuilder {
         case FOp::MacLoop:
           name = prog_->macs[I.a].has_array ? "mac-loop" : "sum-loop";
           break;
-        case FOp::PopComputePush:
-          switch (prog_->pcps[I.a].kind) {
-            case PcpArgs::Kind::Plain: name = "pop-push"; break;
-            case PcpArgs::Kind::Bin: name = "pop-bin-push"; break;
-            case PcpArgs::Kind::Un: name = "pop-un-push"; break;
-          }
-          break;
         case FOp::CopyRun:
           name = prog_->copies[I.a].dst.size() > 1 ? "dup-run" : "copy-run";
           break;
@@ -771,23 +703,6 @@ std::string FusedProgram::disassemble() const {
                std::to_string(M.ri) + " hi=r" + std::to_string(M.rhi);
         if (M.has_array) out += " coef=" + array_names[M.arr];
         out += " edge=" + std::to_string(M.edge) + (M.real ? " (ring)" : "");
-        break;
-      }
-      case FOp::PopComputePush: {
-        const PcpArgs& P = pcps[I.a];
-        switch (P.kind) {
-          case PcpArgs::Kind::Plain: out += " ; pop-push"; break;
-          case PcpArgs::Kind::Bin:
-            out += " ; pop-bin-push " +
-                   std::string(ir::to_string(static_cast<BinOp>(P.sub)));
-            break;
-          case PcpArgs::Kind::Un:
-            out += " ; pop-un-push " +
-                   std::string(ir::to_string(static_cast<UnOp>(P.sub)));
-            break;
-        }
-        out += " in=" + std::to_string(P.in_edge) +
-               " out=" + std::to_string(P.out_edge);
         break;
       }
       case FOp::CopyRun: {
@@ -1634,46 +1549,6 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
           ir_[M.slot] = i - st;
         }
         ir_[M.ri] = i;
-        ++pc;
-        break;
-      }
-      case FOp::PopComputePush: {
-        const PcpArgs& P = base.pcps[I.a];
-        const TypedPcp& tp = prog_->code.pcps[I.a];
-        double vd;
-        if (P.in_real) {
-          vd = chans_[P.in_edge]->pop_item();
-        } else {
-          vd = tpop(P.in_edge);
-        }
-        if constexpr (kCount) ++cur->channel;
-        ++pops;
-        dr[P.rpop] = vd;
-        double outd = vd;
-        switch (P.kind) {
-          case PcpArgs::Kind::Plain:
-            outd = vd;
-            break;
-          case PcpArgs::Kind::Bin:
-            if constexpr (kCount) tally(*cur, tp.tag);
-            typed_bin(static_cast<BinOp>(P.sub), dr, ir_, P.rres, P.a, P.b,
-                      tp.mode);
-            outd = tp.res_double ? dr[P.rres]
-                                 : static_cast<double>(ir_[P.rres]);
-            break;
-          case PcpArgs::Kind::Un:
-            if constexpr (kCount) tally(*cur, tp.tag);
-            typed_un(static_cast<UnOp>(P.sub), dr, ir_, P.rres, P.a, tp.mode);
-            outd = tp.res_double ? dr[P.rres]
-                                 : static_cast<double>(ir_[P.rres]);
-            break;
-        }
-        if constexpr (kCount) ++cur->channel;
-        if (P.out_real) {
-          chans_[P.out_edge]->push_item(outd);
-        } else {
-          tpush(P.out_edge, outd);
-        }
         ++pc;
         break;
       }

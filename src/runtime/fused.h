@@ -47,9 +47,6 @@
 //   mac-loop       for(i) acc += peek(i) * coef[i]   (FIR taps; the dominant
 //                  pattern of every linear app)
 //   sum-loop       for(i) acc += peek(i)             (adders/combiners)
-//   pop-push       push(pop())                       (pass-through)
-//   pop-bin-push   push(pop() <op> x)                (gain, scalers)
-//   pop-un-push    push(<op>(pop()))                 (rectifiers)
 //   copy-run       n x { pop(src); push(dst) }       (round-robin routing)
 //   dup-run        n x { pop(src); push(all dsts) }  (duplicate splitters)
 //   linear-kernel  n x { push(A W + b); pop_n(pop) } (a whole linear node's
@@ -120,18 +117,6 @@ struct MacLoopArgs {
   bool real{false};  // peek the boundary ring instead of a trace buffer
 };
 
-struct PcpArgs {
-  enum class Kind : std::uint8_t { Plain, Bin, Un };
-  Kind kind{Kind::Plain};
-  std::uint8_t sub{0};             // BinOp/UnOp ordinal (Bin/Un kinds)
-  CountTag tag{CountTag::None};    // the compute op's CountTag
-  std::int32_t in_edge{-1}, out_edge{-1};
-  bool in_real{false}, out_real{false};
-  std::uint16_t rpop{0};           // register the popped item lands in
-  std::uint16_t a{0}, b{0};        // Bin operand registers
-  std::uint16_t rres{0};           // register whose value is pushed
-};
-
 struct CopyRunArgs {
   std::int32_t src{-1};
   bool src_real{false};
@@ -199,7 +184,6 @@ struct FusedProgram {
   std::vector<FiringRun> runs;      // the steady-state firing sequence
   std::vector<FInstr> code;
   std::vector<MacLoopArgs> macs;
-  std::vector<PcpArgs> pcps;
   std::vector<CopyRunArgs> copies;
   std::vector<NativeFireArgs> nats;
   std::vector<LinearKernelArgs> kernels;
@@ -211,8 +195,8 @@ struct FusedProgram {
   std::size_t num_regs{0};
   int eliminated_channels{0};  // internal edges lowered to trace buffers
   // Static superinstruction selection: trace-instruction instances by stable
-  // name (mac-loop, sum-loop, pop-push, pop-bin-push, pop-un-push, copy-run,
-  // dup-run, linear-kernel).  Absent name == 0.
+  // name (mac-loop, sum-loop, copy-run, dup-run, linear-kernel).  Absent
+  // name == 0.
   std::map<std::string, std::int64_t> super;
 
   [[nodiscard]] std::int64_t super_count(const std::string& name) const {

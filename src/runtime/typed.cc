@@ -139,16 +139,6 @@ void transfer(Flow& F, const FInstr& I, TagVec& s) {
       s[M.ri] = Tag::Int;
       break;
     }
-    case FOp::PopComputePush: {
-      const PcpArgs& P = F.in->fused->pcps[I.a];
-      s[P.rpop] = Tag::Double;
-      if (P.kind == PcpArgs::Kind::Bin) {
-        s[P.rres] = bin_result(static_cast<ir::BinOp>(P.sub), s[P.a], s[P.b]);
-      } else if (P.kind == PcpArgs::Kind::Un) {
-        s[P.rres] = un_result(static_cast<ir::UnOp>(P.sub), s[P.a]);
-      }
-      break;
-    }
     case FOp::CopyRun: {
       const CopyRunArgs& C = F.in->fused->copies[I.a];
       if (C.n > 0) s[C.reg] = Tag::Double;
@@ -423,41 +413,6 @@ bool lower_one(Lower& L, const FInstr& I, const TagVec& s, FInstr* T) {
       L.note_write(M.ri, Tag::Int);
       break;
     }
-    case FOp::PopComputePush: {
-      const PcpArgs& P = F.in->fused->pcps[I.a];
-      TagVec t = s;
-      t[P.rpop] = Tag::Double;
-      TypedPcp& tp = L.out->pcps[I.a];
-      tp.tag = P.tag;
-      if (P.kind == PcpArgs::Kind::Bin) {
-        if (!L.read(t, P.a, &ad)) return false;
-        if (!L.read(t, P.b, &bd)) return false;
-        tp.mode = static_cast<std::uint8_t>((ad ? kModeAD : 0) |
-                                            (bd ? kModeBD : 0));
-        const Tag rt = bin_result(static_cast<ir::BinOp>(P.sub),
-                                  ad ? Tag::Double : Tag::Int,
-                                  bd ? Tag::Double : Tag::Int);
-        tp.res_double = rt == Tag::Double;
-        if (tp.tag == CountTag::ByResult) {
-          tp.tag = rt == Tag::Int ? CountTag::IntOp : CountTag::Flop;
-        }
-        L.note_write(P.rres, rt);
-      } else if (P.kind == PcpArgs::Kind::Un) {
-        if (!L.read(t, P.a, &ad)) return false;
-        if (ad) tp.mode = kModeAD;
-        const Tag rt = un_result(static_cast<ir::UnOp>(P.sub),
-                                 ad ? Tag::Double : Tag::Int);
-        tp.res_double = rt == Tag::Double;
-        if (tp.tag == CountTag::ByResult) {
-          tp.tag = ad ? CountTag::Flop : CountTag::IntOp;
-        }
-        L.note_write(P.rres, rt);
-      } else {
-        tp.res_double = true;
-      }
-      L.note_write(P.rpop, Tag::Double);
-      break;
-    }
     case FOp::CopyRun: {
       const CopyRunArgs& C = F.in->fused->copies[I.a];
       if (C.n > 0) L.note_write(C.reg, Tag::Double);
@@ -513,7 +468,6 @@ bool typed_lower(const TypedLowerInput& in, TypedCode* out,
   out->array_class = F.acls;
   out->push_tag = Tag::Double;
   bool pushed = false;
-  out->pcps.assign(in.fused ? in.fused->pcps.size() : 0, TypedPcp{});
   L.written.assign(in.num_regs, 0);
 
   // A Mixed state class cannot live in either raw plane (and the fused

@@ -68,15 +68,6 @@ inline Tag value_tag(const ir::Value& v) {
 }
 const char* tag_name(Tag t);  // "int" | "double" | "mixed"
 
-// Typed sidecar for one PopComputePush site (parallel to FusedProgram::pcps):
-// operand planes for the compute op and the statically resolved result plane
-// and count field.
-struct TypedPcp {
-  std::uint8_t mode{0};
-  bool res_double{true};
-  CountTag tag{CountTag::None};
-};
-
 // The result of lowering one instruction stream.  `code` is the input
 // copied 1:1 (same indices, same jump targets) with each instruction's
 // operand-plane `mode` byte set (eval_ops.h kModeAD/kModeBD/kModeDD) and
@@ -89,7 +80,6 @@ struct TypedCode {
   std::vector<Tag> reg_tag;      // per register: join of every write's tag
   std::vector<Tag> scalar_class;  // per scalar slot
   std::vector<Tag> array_class;   // per array slot
-  std::vector<TypedPcp> pcps;     // fused programs only
   Tag push_tag{Tag::Double};      // join of pushed value tags (Double if none)
   int typed_regs{0};              // registers proven Double everywhere
 };

@@ -263,7 +263,6 @@ const char* op_name(FOp op) {
     case FOp::SetActor: return "setactor";
     case FOp::FireLoop: return "fireloop";
     case FOp::MacLoop: return "macloop";
-    case FOp::PopComputePush: return "pcp";
     case FOp::CopyRun: return "copyrun";
     case FOp::NativeFire: return "nativefire";
     case FOp::LinearKernel: return "linkernel";

@@ -69,11 +69,10 @@ enum class FOp : std::uint8_t {
              // firings in the run: reload the template and jump back until
              // the run's last firing, then fall through
   // Superinstructions (fused traces; `a` indexes the matching args table).
-  MacLoop,         // mac-loop / sum-loop
-  PopComputePush,  // pop-push / pop-bin-push / pop-un-push
-  CopyRun,         // copy-run / dup-run
-  NativeFire,      // one firing of a native filter through tape adapters
-  LinearKernel,    // every firing of a linear node's run (linear-kernel)
+  MacLoop,       // mac-loop / sum-loop
+  CopyRun,       // copy-run / dup-run
+  NativeFire,    // one firing of a native filter through tape adapters
+  LinearKernel,  // every firing of a linear node's run (linear-kernel)
   Halt,
 };
 

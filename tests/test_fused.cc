@@ -91,7 +91,6 @@ TEST(FusedSuper, VocoderSelectsBandAndAgcPatterns) {
   ASSERT_NE(fp, nullptr) << ex.fused_refusal();
   EXPECT_EQ(fp->super_count("mac-loop"), 9);      // 8 bands + output lowpass
   EXPECT_EQ(fp->super_count("sum-loop"), 1);      // vsum
-  EXPECT_EQ(fp->super_count("pop-un-push"), 1);   // rectify (abs)
   EXPECT_EQ(fp->super_count("dup-run"), 1);       // vbank duplicate splitter
   EXPECT_EQ(fp->super_count("copy-run"), 8);      // vbank joiner legs
   EXPECT_EQ(fp->eliminated_channels, 23);
@@ -105,11 +104,10 @@ TEST(FusedSuper, FilterBankSelectsMacSumAndRouting) {
   EXPECT_EQ(fp->super_count("sum-loop"), 8);    // combine firings
   EXPECT_EQ(fp->super_count("copy-run"), 64);   // joiner legs x reps
   EXPECT_EQ(fp->super_count("dup-run"), 1);
-  EXPECT_EQ(fp->super_count("pop-push"), 8);    // upsample pass-through item
   EXPECT_EQ(fp->eliminated_channels, 43);
 }
 
-TEST(FusedSuper, FmRadioSelectsGainAsPopBinPush) {
+TEST(FusedSuper, FmRadioSelectsMacSumAndRouting) {
   auto ex = make_fused(apps::make_app("FMRadio"));
   const runtime::FusedProgram* fp = ex.fused_program();
   ASSERT_NE(fp, nullptr) << ex.fused_refusal();
@@ -117,7 +115,6 @@ TEST(FusedSuper, FmRadioSelectsGainAsPopBinPush) {
   EXPECT_EQ(fp->super_count("sum-loop"), 1);       // eqsum
   EXPECT_EQ(fp->super_count("copy-run"), 10);      // equalizer joiner legs
   EXPECT_EQ(fp->super_count("dup-run"), 1);
-  EXPECT_EQ(fp->super_count("pop-bin-push"), 10);  // eqgain scalers
 }
 
 TEST(FusedSuper, BitonicSortSelectsRoutingOnly) {
@@ -125,7 +122,6 @@ TEST(FusedSuper, BitonicSortSelectsRoutingOnly) {
   const runtime::FusedProgram* fp = ex.fused_program();
   ASSERT_NE(fp, nullptr) << ex.fused_refusal();
   EXPECT_EQ(fp->super_count("copy-run"), 48);
-  EXPECT_EQ(fp->super_count("pop-bin-push"), 24);  // min/max halves of each CE
   EXPECT_EQ(fp->super_count("mac-loop"), 0);
 }
 

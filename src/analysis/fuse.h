@@ -28,19 +28,25 @@
 //                                  not size the trace buffers.
 //
 // runtime::build_fused, which every caller runs right after an admissible
-// plan, adds the per-filter refusals it finds while compiling the
-// templates:
+// plan, adds the per-filter refusals: it builds the trace from each filter's
+// typed work program (runtime/typed.h), so a filter actor without one
+// refuses the trace, named after the actor:
 //
-//   vm-fallback:<filter> (<why>)   the filter's work function is outside the
-//                                  bytecode subset (compile_filter refused),
-//                                  so there is no template to inline.
+//   vm-fallback:<filter> (<why>)   the work function is outside the
+//                                  bytecode subset (compile_filter refused).
 //   teleport-send:<filter>         the filter sends teleport messages;
 //                                  message emission is firing-interleaved
 //                                  and cannot be batched into a flat trace.
+//   has-handlers:<filter>          teleport handlers may retag its state
+//                                  between firings.
+//   mixed-register:<filter>        some register read is Int on one path
+//   mixed-state:<filter>.<slot>    and Double on another, or some state slot
+//                                  is stored with both tags.
 //
-// The executor adds two *runtime* refusals of its own on top of these:
-// message-sink-attached and tracing-enabled (sched/exec.cc) -- both are
-// observation channels that want per-firing granularity.
+// The executor adds three refusals of its own on top of these
+// (sched/exec.cc): message-sink-attached and tracing-enabled -- observation
+// channels that want per-firing granularity -- and typed-off
+// (TypedMode::Off leaves no typed programs to build the trace from).
 
 #include <cstdint>
 #include <string>

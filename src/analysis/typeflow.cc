@@ -3,6 +3,7 @@
 #include <deque>
 
 #include "runtime/compile.h"
+#include "runtime/fused.h"
 #include "runtime/interp.h"
 
 namespace sit::analysis {

@@ -11,7 +11,6 @@
 
 #include "analysis/analyze.h"
 #include "analysis/constprop.h"
-#include "analysis/fuse.h"
 #include "analysis/typeflow.h"
 #include "analysis/verify.h"
 #include "ir/ast.h"
@@ -19,8 +18,7 @@
 #include "linear/extract.h"
 #include "opt/pass_manager.h"
 #include "parallel/transforms.h"
-#include "runtime/fused.h"
-#include "sched/schedule.h"
+#include "sched/exec.h"
 
 namespace sit::opt {
 namespace {
@@ -294,12 +292,11 @@ class CoarsenPass final : public Pass {
 
 // ---- steady-state fusion ----------------------------------------------------
 
-// Report-only: decides whether the whole steady state fuses into one flat
-// bytecode trace (analysis/fuse.h + runtime/build_fused) and records the
-// outcome -- the refusal reason, or the superinstruction selection and the
-// eliminated-channel tally -- for streamc --report.  The rewrite itself
-// happens at executor construction (Engine::Fused), not on the graph: the
-// trace is an execution artifact, so the graph passes stay
+// Report-only: builds the fused executor for the graph as it stands and
+// records what it built -- the refusal reason, or the superinstruction
+// selection and the eliminated-channel tally -- for streamc --report.  The
+// rewrite itself happens at executor construction (Engine::Fused), not on
+// the graph: the trace is an execution artifact, so the graph passes stay
 // engine-independent.
 class FuseSteadyPass final : public Pass {
  public:
@@ -313,20 +310,17 @@ class FuseSteadyPass final : public Pass {
     rec.pass = "fuse-steady";
     rec.site = "steady-state";
     try {
-      const runtime::FlatGraph g = runtime::flatten(root);
-      const sched::Schedule s = sched::make_schedule(g);
-      const analysis::FusePlan plan = analysis::fuse_plan(g, s);
-      if (!plan.admissible) {
-        rec.note = plan.refusal;
-        ctx.rewrites.push_back(std::move(rec));
-        return {root, false};
-      }
-      std::string reason;
-      const runtime::FusedProgramP prog =
-          runtime::build_fused(g, s.steady_runs, plan.carry, plan.traffic,
-                               &reason);
+      sched::CompiledProgram p;
+      p.graph = root;
+      p.flat = runtime::flatten(root);
+      p.schedule = sched::make_schedule(p.flat);
+      sched::ExecOptions o;
+      o.engine = sched::Engine::Fused;
+      o.trace = sched::TraceMode::Off;
+      const sched::Executor ex(std::move(p), o);
+      const runtime::FusedProgram* prog = ex.fused_program();
       if (!prog) {
-        rec.note = reason;
+        rec.note = ex.fused_refusal();
         ctx.rewrites.push_back(std::move(rec));
         return {root, false};
       }

@@ -463,31 +463,28 @@ TypedFilterP typed_compile(const ir::FilterSpec& spec,
     return nullptr;
   }
 
-  TypedLowerInput in;
-  in.code = &base->work.code;
-  in.num_regs = base->work.reg_init.size();
-  in.reg_init = base->work.reg_init;
-  in.scalar_names = &base->scalar_slots;
-  in.array_names = &base->array_slots;
-  in.loop = false;  // VM registers are re-templated every firing
   // Seed state classes from the *current* (post-init) tags: init has already
   // run by the time specialization happens, so the bound state's tags are
   // the ground truth the classes must be consistent with.
-  in.scalar_seed.reserve(base->scalar_slots.size());
+  std::vector<Tag> scalar_seed, array_seed;
+  scalar_seed.reserve(base->scalar_slots.size());
   for (const auto& name : base->scalar_slots) {
-    in.scalar_seed.push_back(value_tag(state.scalars.at(name)));
+    scalar_seed.push_back(value_tag(state.scalars.at(name)));
   }
-  in.array_seed.reserve(base->array_slots.size());
+  array_seed.reserve(base->array_slots.size());
   for (const auto& name : base->array_slots) {
     const auto& arr = state.arrays.at(name);
     Tag t = arr.empty() ? Tag::Int : value_tag(arr.front());
     for (const auto& v : arr) t = join_tag(t, value_tag(v));
-    in.array_seed.push_back(t);
+    array_seed.push_back(t);
   }
 
   auto out = std::make_shared<TypedFilter>();
   out->base = base;
-  if (!typed_lower(in, &out->work, reason)) return nullptr;
+  if (!typed_lower(*base, std::move(scalar_seed), std::move(array_seed),
+                   &out->work, reason)) {
+    return nullptr;
+  }
   return out;
 }
 

@@ -5,9 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "runtime/compile.h"
 #include "runtime/eval_ops.h"
-#include "runtime/typed.h"
 
 namespace sit::runtime {
 
@@ -24,14 +22,29 @@ struct BuildFail {
 
 [[noreturn]] void fail(std::string reason) { throw BuildFail{std::move(reason)}; }
 
+// The trace refusal for filter `f`, whose typed program is missing for the
+// per-actor reason `why` the bytecode compiler or the typed lowering gave.
+std::string actor_refusal(const std::string& f, const std::string& why) {
+  if (why == "teleport-send" || why == "has-handlers" ||
+      why == "mixed-register") {
+    return why + ":" + f;
+  }
+  const std::string state = "mixed-state:";
+  if (why.starts_with(state)) return state + f + "." + why.substr(state.size());
+  return "vm-fallback:" + f + " (" + why + ")";
+}
+
 // ---- builder ----------------------------------------------------------------
 
 class TraceBuilder {
  public:
   TraceBuilder(const FlatGraph& g, const std::vector<FiringRun>& runs,
                const std::vector<std::int64_t>& carry,
-               const std::vector<std::int64_t>& traffic)
-      : g_(g), runs_(runs), carry_(carry), traffic_(traffic) {}
+               const std::vector<std::int64_t>& traffic,
+               const std::vector<TypedFilterP>& typed,
+               const std::vector<std::string>& why)
+      : g_(g), runs_(runs), carry_(carry), traffic_(traffic), typed_(typed),
+        why_(why) {}
 
   FusedProgramP build() {
     auto P = std::make_shared<FusedProgram>();
@@ -62,60 +75,60 @@ class TraceBuilder {
   }
 
  private:
-  // Compile every AST filter once and assign each actor its slice of the
-  // flat register / scalar-slot / array-slot files.
+  // Assign each actor its slice of the flat register / scalar-slot /
+  // array-slot files, and copy in its typed program's plane templates and
+  // state classes.
   void layout_actors() {
     const std::size_t n = g_.actors.size();
     if (n > 0xFFFF) fail("actor-id overflow");
     prog_->actors.resize(n);
-    compiled_.resize(n);
-    std::size_t reg_base = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const FlatActor& a = g_.actors[i];
       FusedActorMeta& meta = prog_->actors[i];
       meta.name = a.name;
-      meta.reg_base = static_cast<std::uint32_t>(reg_base);
-      meta.scalar_base = static_cast<std::uint32_t>(prog_->scalar_names.size());
+      meta.reg_base = static_cast<std::uint32_t>(prog_->dreg_init.size());
+      meta.scalar_base = static_cast<std::uint32_t>(prog_->scalar_class.size());
       meta.array_base = static_cast<std::uint32_t>(prog_->array_names.size());
       switch (a.kind) {
         case FlatActor::Kind::Filter: {
           if (match_kernel(i)) break;  // no template, no registers
-          const ir::FilterSpec& spec = a.node->filter;
-          if (ir::stmt_sends(spec.work) || ir::stmt_sends(spec.init)) {
+          const TypedFilterP& tf = typed_[i];
+          if (!tf) fail(actor_refusal(a.name, why_[i]));
+          if (ir::stmt_sends(a.node->filter.init)) {
             fail("teleport-send:" + a.name);
           }
-          std::string why;
-          compiled_[i] = compile_filter(spec, &why);
-          if (!compiled_[i]) {
-            fail("vm-fallback:" + a.name + " (" + why + ")");
-          }
-          const CompiledFilter& cf = *compiled_[i];
-          meta.reg_init = cf.work.reg_init;
-          meta.peek_window = cf.peek_window;
-          for (const auto& s : cf.scalar_slots) prog_->scalar_names.push_back(s);
-          for (const auto& s : cf.array_slots) prog_->array_names.push_back(s);
-          meta.num_scalars = static_cast<std::uint32_t>(cf.scalar_slots.size());
-          meta.num_arrays = static_cast<std::uint32_t>(cf.array_slots.size());
-          reg_base += cf.work.reg_init.size();
+          const TypedCode& w = tf->work;
+          meta.filter = tf->base;
+          meta.num_regs = static_cast<std::uint32_t>(w.dreg_init.size());
+          meta.peek_window = tf->base->peek_window;
+          append(prog_->dreg_init, w.dreg_init);
+          append(prog_->ireg_init, w.ireg_init);
+          append(prog_->scalar_class, w.scalar_class);
+          append(prog_->array_class, w.array_class);
+          append(prog_->array_names, tf->base->array_slots);
           break;
         }
         case FlatActor::Kind::Native:
-          meta.native = true;
           break;
         case FlatActor::Kind::Splitter:
         case FlatActor::Kind::Joiner:
-          // One scratch register (holds the item in flight).
-          meta.reg_init.emplace_back();
-          reg_base += 1;
+          // One scratch register (holds the item in flight), Int 0 at first.
+          meta.num_regs = 1;
+          prog_->dreg_init.push_back(0.0);
+          prog_->ireg_init.push_back(0);
           break;
       }
-      if (reg_base > 0xFFFF) fail("register-file-overflow");
+      if (prog_->dreg_init.size() > 0xFFFF) fail("register-file-overflow");
     }
-    prog_->num_regs = reg_base;
-    if (prog_->scalar_names.size() > 0xFFFF ||
-        prog_->array_names.size() > 0xFFFF) {
+    if (prog_->scalar_class.size() > 0xFFFF ||
+        prog_->array_class.size() > 0xFFFF) {
       fail("state-slot overflow");
     }
+  }
+
+  template <typename T>
+  static void append(std::vector<T>& to, const std::vector<T>& from) {
+    to.insert(to.end(), from.begin(), from.end());
   }
 
   // A filter whose work function is a linear node's expression form, with
@@ -232,15 +245,15 @@ class TraceBuilder {
 
   // ---- filter template translation ------------------------------------------
 
-  // Lower the compiled per-actor bytecode into trace form: registers and
-  // state slots rebased, channel ops bound to this actor's edges.  Jumps stay
-  // template-relative (an index == template length means "fall off the end",
-  // where the VM's Halt sat).
+  // Rebase the actor's typed work program into trace form: registers and
+  // state slots rebased, channel ops bound to this actor's edges, mode bytes
+  // and count tags kept.  Jumps stay template-relative (an index == template
+  // length means "fall off the end", where the VM's Halt sat).
   std::vector<FInstr> translate_filter(int actor) {
     const auto ai = static_cast<std::size_t>(actor);
     const FlatActor& a = g_.actors[ai];
     const FusedActorMeta& meta = prog_->actors[ai];
-    const CompiledProgram& w = compiled_[ai]->work;
+    const std::vector<FInstr>& w = typed_[ai]->work.code;
     const int in_e = a.in_edges.empty() ? -1 : a.in_edges[0];
     const int out_e = a.out_edges.empty() ? -1 : a.out_edges[0];
 
@@ -251,7 +264,7 @@ class TraceBuilder {
       I.edge = e;
     };
     // Drop the trailing Halt (exactly one, at the end).
-    std::vector<FInstr> t(w.code.begin(), w.code.end() - 1);
+    std::vector<FInstr> t(w.begin(), w.end() - 1);
     for (FInstr& I : t) {
       for_each_reg(I, [&](std::uint16_t& r) {
         r = static_cast<std::uint16_t>(meta.reg_base + r);
@@ -311,6 +324,10 @@ class TraceBuilder {
   }
 
   static bool is_peek(FOp op) { return op == FOp::TPeek || op == FOp::RPeek; }
+  // A binary op typed onto two Double operands (so counted as a flop).
+  static bool double_op(const FInstr& I) {
+    return I.count == CountTag::Flop && I.mode == (kModeAD | kModeBD);
+  }
 
   // The exact 9-instruction (array) / 7-instruction (sum) loop shape the
   // bytecode compiler emits for `for (i) acc += peek(i) [* coef[i]]`:
@@ -324,10 +341,14 @@ class TraceBuilder {
   //   i+6  bin add acc, acc, m          i+6  jmp -> i
   //   i+7  forinc ri, rstep
   //   i+8  jmp -> i
+  //
+  // typed so that the raw double kernel can run it: jge and forinc on the
+  // int plane (an Int counter, bound and step), mul and add on Double
+  // operands (a Double accumulator and coefficient array).
   bool match_mac(const std::vector<FInstr>& t, std::size_t i,
                  MacLoopArgs* out, std::size_t* len) const {
     const FInstr& I0 = t[i];
-    if (I0.op != FOp::JmpIfGe) return false;
+    if (I0.op != FOp::JmpIfGe || I0.mode != 0) return false;
     const std::uint16_t ri = I0.a, rhi = I0.b;
     for (const bool has_array : {true, false}) {
       const std::size_t n = has_array ? 9 : 7;
@@ -357,7 +378,7 @@ class TraceBuilder {
         M.arr = ld.a;
         const FInstr& mul = t[k + 1];
         if (mul.op != FOp::Bin || static_cast<BinOp>(mul.sub) != BinOp::Mul ||
-            mul.count != CountTag::ByResult) {
+            !double_op(mul)) {
           continue;
         }
         if (!((mul.a == M.p && mul.b == M.q) || (mul.a == M.q && mul.b == M.p))) {
@@ -369,13 +390,12 @@ class TraceBuilder {
       const FInstr& add = t[k];
       const std::uint16_t addend = has_array ? M.m : M.p;
       if (add.op != FOp::Bin || static_cast<BinOp>(add.sub) != BinOp::Add ||
-          add.count != CountTag::ByResult || add.dst != add.a ||
-          add.b != addend) {
+          !double_op(add) || add.dst != add.a || add.b != addend) {
         continue;
       }
       M.acc = add.dst;
       const FInstr& inc = t[k + 1];
-      if (inc.op != FOp::ForInc || inc.dst != ri) continue;
+      if (inc.op != FOp::ForInc || inc.dst != ri || inc.mode != 0) continue;
       M.rstep = inc.a;
       const FInstr& jb = t[k + 2];
       if (jb.op != FOp::Jmp || jb.jump != static_cast<std::int32_t>(i)) continue;
@@ -503,12 +523,14 @@ class TraceBuilder {
   }
 
   // pop src -> push each dst, plus `extra_channel` counted-but-unrouted items
-  // (a dangling splitter branch still counts its channel traffic).
+  // (a dangling splitter branch still counts its channel traffic).  The item
+  // is a Double, so both ops are typed onto the double plane.
   void emit_raw_move(int src, std::uint16_t reg,
                      const std::vector<std::int32_t>& dst, int extra_channel) {
     FInstr pop{};
     pop.op = edge_internal(src) ? FOp::TPop : FOp::RPop;
     pop.count = CountTag::Channel;
+    pop.mode = kModeDD;
     pop.dst = reg;
     pop.edge = src;
     prog_->code.push_back(pop);
@@ -516,6 +538,7 @@ class TraceBuilder {
       FInstr push{};
       push.op = edge_internal(d) ? FOp::TPush : FOp::RPush;
       push.count = CountTag::Channel;
+      push.mode = kModeDD;
       push.dst = reg;
       push.edge = d;
       prog_->code.push_back(push);
@@ -575,8 +598,9 @@ class TraceBuilder {
   const std::vector<FiringRun>& runs_;
   const std::vector<std::int64_t>& carry_;
   const std::vector<std::int64_t>& traffic_;
+  const std::vector<TypedFilterP>& typed_;
+  const std::vector<std::string>& why_;
   FusedProgram* prog_{nullptr};
-  std::vector<CompiledFilterP> compiled_;
   std::map<int, std::vector<FInstr>> templates_;
   std::map<int, LinearKernelArgs> kernel_of_;  // by actor, firings unset
 };
@@ -660,9 +684,11 @@ bool linear_kernel_rows(const ir::FilterSpec& f, LinearRows* out) {
 FusedProgramP build_fused(const FlatGraph& g, const std::vector<FiringRun>& runs,
                           const std::vector<std::int64_t>& carry,
                           const std::vector<std::int64_t>& traffic,
+                          const std::vector<TypedFilterP>& typed,
+                          const std::vector<std::string>& why,
                           std::string* reason) {
   try {
-    return TraceBuilder(g, runs, carry, traffic).build();
+    return TraceBuilder(g, runs, carry, traffic, typed, why).build();
   } catch (const BuildFail& f) {
     if (reason) *reason = f.reason;
     return nullptr;
@@ -675,7 +701,8 @@ std::string FusedProgram::disassemble() const {
   std::string out;
   out += "; fused steady-state trace: " + std::to_string(code.size()) +
          " instruction(s), " + std::to_string(runs.size()) +
-         " firing run(s), " + std::to_string(num_regs) + " register(s), " +
+         " firing run(s), " + std::to_string(dreg_init.size()) +
+         " register(s), " +
          std::to_string(eliminated_channels) + " channel(s) lowered\n";
   for (const auto& [name, n] : super) {
     out += ";   super " + name + " x " + std::to_string(n) + "\n";
@@ -745,55 +772,11 @@ std::string FusedProgram::disassemble() const {
 //
 // TypedFusedExec runs the trace with the per-actor VM's semantics: the same
 // op counting and the same error strings thrown in the same order.  What
-// typeflow proved safe lets it go faster: registers and (for the duration of
-// an activation) filter state live in raw planes, CountTag::ByResult is
-// pre-resolved, and the mac-loop superinstruction runs as a raw double*
-// kernel when a hoisted precheck shows no per-element check can fire.
-
-TypedFusedProgramP build_typed_fused(const FusedProgramP& base,
-                                     const std::vector<FilterState>& states,
-                                     std::string* refusal) {
-  if (!base) return nullptr;
-  TypedLowerInput in;
-  in.code = &base->code;
-  in.num_regs = base->num_regs;
-  in.scalar_names = &base->scalar_names;
-  in.array_names = &base->array_names;
-  in.fused = base.get();
-  in.loop = true;  // fused registers persist across iterations
-  // Seed the state classes from the current (post-init) tags, per actor.
-  in.scalar_seed.assign(base->scalar_names.size(), Tag::Int);
-  in.array_seed.assign(base->array_names.size(), Tag::Int);
-  for (std::size_t i = 0; i < base->actors.size(); ++i) {
-    const FusedActorMeta& m = base->actors[i];
-    const FilterState& st = states[i];
-    for (std::uint32_t k = 0; k < m.num_scalars; ++k) {
-      const std::string& name = base->scalar_names[m.scalar_base + k];
-      auto it = st.scalars.find(name);
-      if (it == st.scalars.end()) {
-        if (refusal) *refusal = "unbound-state:" + m.name + "." + name;
-        return nullptr;
-      }
-      in.scalar_seed[m.scalar_base + k] = value_tag(it->second);
-    }
-    for (std::uint32_t k = 0; k < m.num_arrays; ++k) {
-      const std::string& name = base->array_names[m.array_base + k];
-      auto it = st.arrays.find(name);
-      if (it == st.arrays.end()) {
-        if (refusal) *refusal = "unbound-state:" + m.name + "." + name;
-        return nullptr;
-      }
-      Tag t = it->second.empty() ? Tag::Int : value_tag(it->second.front());
-      for (const auto& v : it->second) t = join_tag(t, value_tag(v));
-      in.array_seed[m.array_base + k] = t;
-    }
-  }
-
-  auto out = std::make_shared<TypedFusedProgram>();
-  out->base = base;
-  if (!typed_lower(in, &out->code, refusal)) return nullptr;
-  return out;
-}
+// each filter's typing proved safe lets it go faster: registers and (for
+// the duration of an activation) filter state live in raw planes,
+// CountTag::ByResult is pre-resolved, and the mac-loop superinstruction runs
+// as a raw double* kernel when a hoisted precheck shows no per-element
+// check can fire.
 
 // Uncounted tape adapters over a lowered edge, for NativeFire (native filters
 // count statically, exactly like Executor::fire does for them).
@@ -837,41 +820,26 @@ class TypedFusedExec::BufOut final : public ir::OutTape {
 };
 
 TypedFusedExec::TypedFusedExec(
-    TypedFusedProgramP prog, std::vector<FilterState>& states,
+    FusedProgramP prog, std::vector<FilterState>& states,
     const std::vector<std::unique_ptr<Channel>>& chans,
     const std::vector<std::unique_ptr<ir::NativeState>>& nstates)
     : prog_(std::move(prog)) {
-  const FusedProgram& base = *prog_->base;
+  const FusedProgram& base = *prog_;
   // Registers start as their templates' Value() does: int 0 in both
   // planes.  Every run's SetActor re-templates its slice before any read.
-  dregs_.assign(base.num_regs, 0.0);
-  iregs_.assign(base.num_regs, 0);
-  scalar_vals_.resize(base.scalar_names.size());
-  array_vals_.resize(base.array_names.size());
-  dscalars_.assign(base.scalar_names.size(), 0.0);
-  iscalars_.assign(base.scalar_names.size(), 0);
-  darrays_.resize(base.array_names.size());
-  iarrays_.resize(base.array_names.size());
+  dregs_.assign(base.dreg_init.size(), 0.0);
+  iregs_.assign(base.ireg_init.size(), 0);
+  // Slot order is actor order, which is how the builder laid the flat
+  // state files out.
   for (std::size_t i = 0; i < base.actors.size(); ++i) {
-    const FusedActorMeta& m = base.actors[i];
-    FilterState& st = states[i];
-    for (std::uint32_t k = 0; k < m.num_scalars; ++k) {
-      const std::string& name = base.scalar_names[m.scalar_base + k];
-      auto it = st.scalars.find(name);
-      if (it == st.scalars.end()) {
-        throw std::logic_error("fused bind: state has no scalar '" + name + "'");
-      }
-      scalar_vals_[m.scalar_base + k] = &it->second;
-    }
-    for (std::uint32_t k = 0; k < m.num_arrays; ++k) {
-      const std::string& name = base.array_names[m.array_base + k];
-      auto it = st.arrays.find(name);
-      if (it == st.arrays.end()) {
-        throw std::logic_error("fused bind: state has no array '" + name + "'");
-      }
-      array_vals_[m.array_base + k] = &it->second;
+    if (const CompiledFilterP& f = base.actors[i].filter) {
+      bind_slots(*f, states[i], scalar_vals_, array_vals_);
     }
   }
+  dscalars_.assign(scalar_vals_.size(), 0.0);
+  iscalars_.assign(scalar_vals_.size(), 0);
+  darrays_.resize(array_vals_.size());
+  iarrays_.resize(array_vals_.size());
   chans_.reserve(chans.size());
   for (const auto& c : chans) chans_.push_back(c.get());
   nstates_.reserve(nstates.size());
@@ -886,7 +854,7 @@ TypedFusedExec::TypedFusedExec(
 }
 
 bool TypedFusedExec::sync_state_in() {
-  const TypedCode& c = prog_->code;
+  const FusedProgram& c = *prog_;
   for (std::size_t s = 0; s < scalar_vals_.size(); ++s) {
     const ir::Value& v = *scalar_vals_[s];
     if (value_tag(v) != c.scalar_class[s]) return false;
@@ -916,7 +884,7 @@ bool TypedFusedExec::sync_state_in() {
 }
 
 void TypedFusedExec::sync_state_out() {
-  const TypedCode& c = prog_->code;
+  const FusedProgram& c = *prog_;
   for (std::size_t s = 0; s < scalar_vals_.size(); ++s) {
     *scalar_vals_[s] = c.scalar_class[s] == Tag::Double
                            ? ir::Value(dscalars_[s])
@@ -938,7 +906,7 @@ void TypedFusedExec::sync_state_out() {
 
 bool TypedFusedExec::activate() {
   if (active_) return true;
-  const FusedProgram& base = *prog_->base;
+  const FusedProgram& base = *prog_;
   for (std::size_t e = 0; e < base.edges.size(); ++e) {
     const FusedEdgeMeta& m = base.edges[e];
     if (m.internal &&
@@ -964,7 +932,7 @@ bool TypedFusedExec::activate() {
 
 void TypedFusedExec::deactivate() {
   if (!active_) return;
-  const FusedProgram& base = *prog_->base;
+  const FusedProgram& base = *prog_;
   for (std::size_t e = 0; e < base.edges.size(); ++e) {
     const FusedEdgeMeta& m = base.edges[e];
     if (!m.internal) continue;
@@ -989,7 +957,7 @@ void TypedFusedExec::run_iteration(OpCounts* actor_counts) {
 }
 
 void TypedFusedExec::finish_iteration() {
-  const FusedProgram& base = *prog_->base;
+  const FusedProgram& base = *prog_;
   for (std::size_t e = 0; e < base.edges.size(); ++e) {
     const FusedEdgeMeta& m = base.edges[e];
     if (!m.internal) continue;
@@ -1198,10 +1166,10 @@ void TypedFusedExec::run_linear(const LinearKernelArgs& K,
 
 template <bool kCount>
 void TypedFusedExec::run(OpCounts* actor_counts) {
-  const FusedProgram& base = *prog_->base;
+  const FusedProgram& base = *prog_;
   double* const dr = dregs_.data();
   std::int64_t* const ir_ = iregs_.data();
-  const FInstr* const code = prog_->code.code.data();
+  const FInstr* const code = base.code.data();
   EdgeState* const ebuf = ebuf_.data();
   const bool debug = debug_channel_checks();
   OpCounts* cur = nullptr;
@@ -1212,12 +1180,12 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
   std::int32_t pc = 0;
 
   // Start a firing of the current actor: re-template both plane slices
-  // (typed_lower split reg_init across them; the off-plane cells are zero,
-  // which no read can observe).
-  const double* const dinit = prog_->code.dreg_init.data();
-  const std::int64_t* const iinit = prog_->code.ireg_init.data();
+  // (typed_lower split the template across them; the off-plane cells are
+  // zero, which no read can observe).
+  const double* const dinit = base.dreg_init.data();
+  const std::int64_t* const iinit = base.ireg_init.data();
   const auto reload = [&]() {
-    const std::size_t nr = meta->reg_init.size();
+    const std::size_t nr = meta->num_regs;
     std::copy_n(dinit + meta->reg_base, nr, dr + meta->reg_base);
     std::copy_n(iinit + meta->reg_base, nr, ir_ + meta->reg_base);
     pops = 0;

@@ -58,9 +58,8 @@ Tag un_result(ir::UnOp op, Tag a) {
   }
 }
 
-// The whole-stream analysis state threaded through flow + lowering.
+// The analysis state threaded through flow + lowering.
 struct Flow {
-  const TypedLowerInput* in{nullptr};
   const std::vector<FInstr>* code{nullptr};
   TagVec entry;
   std::vector<TagVec> states;  // IN state per instruction
@@ -84,17 +83,7 @@ struct Flow {
   }
 };
 
-// A fused firing starts on the actor's register template (SetActor, and the
-// FireLoop back-edge).
-void load_template(const Flow& F, std::uint16_t actor, TagVec& s) {
-  const FusedActorMeta& m = F.in->fused->actors[actor];
-  for (std::size_t k = 0; k < m.reg_init.size(); ++k) {
-    s[m.reg_base + k] = value_tag(m.reg_init[k]);
-  }
-}
-
-// Mutate `s` from the IN state of `I` to its OUT state.  (FireLoop's two
-// edges leave different states; run_flow handles it.)
+// Mutate `s` from the IN state of `I` to its OUT state.
 void transfer(Flow& F, const FInstr& I, TagVec& s) {
   switch (I.op) {
     case FOp::Move:
@@ -123,30 +112,11 @@ void transfer(Flow& F, const FInstr& I, TagVec& s) {
       s[I.dst] = Tag::Int;
       break;
     case FOp::RPeek:
-    case FOp::TPeek:
     case FOp::RPop:
-    case FOp::TPop:
       s[I.dst] = Tag::Double;
       break;
-    case FOp::SetActor:
-      load_template(F, I.a, s);
-      break;
-    case FOp::MacLoop: {
-      const MacLoopArgs& M = F.in->fused->macs[I.a];
-      // Zero-trip leaves acc/slot untouched, so their OUT tag is the join.
-      s[M.acc] = join_tag(s[M.acc], Tag::Double);
-      s[M.slot] = join_tag(s[M.slot], Tag::Int);
-      s[M.ri] = Tag::Int;
-      break;
-    }
-    case FOp::CopyRun: {
-      const CopyRunArgs& C = F.in->fused->copies[I.a];
-      if (C.n > 0) s[C.reg] = Tag::Double;
-      break;
-    }
     default:
-      // RPopN/TPopN/RPush/TPush, jumps, CheckStep, Tally, NativeFire,
-      // LinearKernel, Halt: no register writes.
+      // RPopN, RPush, jumps, CheckStep, Tally, Halt: no register writes.
       break;
   }
 }
@@ -211,47 +181,25 @@ bool run_flow(Flow& F) {
     queued[static_cast<std::size_t>(pc)] = 0;
     const FInstr& I = (*F.code)[static_cast<std::size_t>(pc)];
     TagVec s = F.states[static_cast<std::size_t>(pc)];
-    if (I.op == FOp::FireLoop) {
-      // The run's last firing falls through with its registers as they are;
-      // every other one re-enters the template on a fresh register template.
-      join_into(pc + 1, s);
-      load_template(F, I.a, s);
-      join_into(I.jump, s);
-      continue;
-    }
     transfer(F, I, s);
     int succ[2];
     const int ns = successors(I, pc, succ);
     for (int k = 0; k < ns; ++k) join_into(succ[k], s);
-    // Fused registers persist across iterations: the trace's exit state
-    // feeds the next iteration's entry.
-    if (I.op == FOp::Halt && F.in->loop) join_into(0, s);
   }
   return F.cls_changed;
 }
 
-// Lowering context: the translation walk with refusal reporting.
+// Lowering context: the translation walk and the registers it wrote.
 struct Lower {
   Flow* F{nullptr};
   TypedCode* out{nullptr};
-  std::string refusal;
-  std::string actor;  // current actor name (fused traces)
   std::vector<char> written;
 
-  [[nodiscard]] std::string site(const std::string& base) const {
-    return actor.empty() ? base : base + ":" + actor;
-  }
-
-  bool fail(const std::string& why) {
-    if (refusal.empty()) refusal = why;
-    return false;
-  }
-
-  // A register read: Mixed refuses, otherwise reports the plane.
-  bool read(const TagVec& s, std::uint16_t r, bool* dbl) {
-    if (s[r] == Tag::Mixed) return fail(site("mixed-register"));
+  // A register read: false when it observes Mixed (lower_one then refuses
+  // with "mixed-register"), otherwise the operand's plane in `dbl`.
+  static bool read(const TagVec& s, std::uint16_t r, bool* dbl) {
     *dbl = s[r] == Tag::Double;
-    return true;
+    return s[r] != Tag::Mixed;
   }
 
   void note_write(std::uint16_t r, Tag t) {
@@ -260,15 +208,6 @@ struct Lower {
       out->reg_tag[r] = t;
     } else {
       out->reg_tag[r] = join_tag(out->reg_tag[r], t);
-    }
-  }
-
-  // A register-template load (SetActor, FireLoop) writes the actor's slice.
-  void note_template(std::uint16_t actor) {
-    const FusedActorMeta& m = F->in->fused->actors[actor];
-    for (std::size_t k = 0; k < m.reg_init.size(); ++k) {
-      note_write(static_cast<std::uint16_t>(m.reg_base + k),
-                 value_tag(m.reg_init[k]));
     }
   }
 };
@@ -363,66 +302,30 @@ bool lower_one(Lower& L, const FInstr& I, const TagVec& s, FInstr* T) {
       L.note_write(I.dst, Tag::Int);
       break;
     }
-    case FOp::RPeek:
-    case FOp::TPeek: {
+    case FOp::RPeek: {
       if (!L.read(s, I.a, &ad)) return false;
       T->mode = static_cast<std::uint8_t>((ad ? kModeAD : 0) | kModeDD);
       L.note_write(I.dst, Tag::Double);
       break;
     }
-    case FOp::RPop:
-    case FOp::TPop: {
+    case FOp::RPop: {
       T->mode = kModeDD;
       L.note_write(I.dst, Tag::Double);
       break;
     }
-    case FOp::RPopN:
-    case FOp::TPopN: {
+    case FOp::RPopN: {
       if (!L.read(s, I.a, &ad)) return false;
       if (ad) T->mode = kModeAD;
       break;
     }
-    case FOp::RPush:
-    case FOp::TPush: {
+    case FOp::RPush: {
       if (!L.read(s, I.dst, &dd)) return false;
       if (dd) T->mode = kModeDD;
       break;
     }
-    case FOp::SetActor:
-      L.actor = F.in->fused->actors[I.a].name;
-      L.note_template(I.a);
-      break;
-    case FOp::FireLoop:
-      L.note_template(I.a);
-      break;
-    case FOp::MacLoop: {
-      const MacLoopArgs& M = F.in->fused->macs[I.a];
-      if (s[M.ri] == Tag::Mixed || s[M.rhi] == Tag::Mixed ||
-          s[M.rstep] == Tag::Mixed || s[M.acc] == Tag::Mixed) {
-        return L.fail(L.site("mixed-register"));
-      }
-      // The raw double kernel needs Int bookkeeping, a Double accumulator,
-      // and (mac form) an all-Double coefficient array.
-      if (s[M.ri] != Tag::Int || s[M.rhi] != Tag::Int ||
-          s[M.rstep] != Tag::Int || s[M.acc] != Tag::Double ||
-          (M.has_array && F.acls[M.arr] != Tag::Double)) {
-        return L.fail(L.site("super-untyped"));
-      }
-      L.note_write(M.acc, Tag::Double);
-      L.note_write(M.slot, Tag::Int);
-      L.note_write(M.ri, Tag::Int);
-      break;
-    }
-    case FOp::CopyRun: {
-      const CopyRunArgs& C = F.in->fused->copies[I.a];
-      if (C.n > 0) L.note_write(C.reg, Tag::Double);
-      break;
-    }
-    case FOp::Jmp:
-    case FOp::Tally:
-    case FOp::NativeFire:
-    case FOp::LinearKernel:
-    case FOp::Halt:
+    default:
+      // Jmp, Tally, Halt: no register operands.  compile_filter emits none
+      // of the trace-only opcodes.
       break;
   }
   return true;
@@ -442,78 +345,57 @@ const char* tag_name(Tag t) {
   return "?";
 }
 
-bool typed_lower(const TypedLowerInput& in, TypedCode* out,
+bool typed_lower(const CompiledFilter& f, std::vector<Tag> scalar_seed,
+                 std::vector<Tag> array_seed, TypedCode* out,
                  std::string* refusal) {
+  const std::vector<FInstr>& code = f.work.code;
+  const std::vector<ir::Value>& init = f.work.reg_init;
+  const std::size_t nregs = init.size();
   Flow F;
-  F.in = &in;
-  F.code = in.code;
-  F.entry.assign(in.num_regs, Tag::Int);
-  for (std::size_t r = 0; r < in.reg_init.size() && r < in.num_regs; ++r) {
-    F.entry[r] = value_tag(in.reg_init[r]);
-  }
-  F.scls = in.scalar_seed;
-  F.acls = in.array_seed;
+  F.code = &code;
+  F.entry.reserve(nregs);
+  for (const ir::Value& v : init) F.entry.push_back(value_tag(v));
+  F.scls = std::move(scalar_seed);
+  F.acls = std::move(array_seed);
 
   // Classes are monotone, so this terminates in <= 2 raises per slot.
   while (run_flow(F)) {
+  }
+
+  // A Mixed state class cannot live in either raw plane; name the slot in
+  // the refusal.
+  const auto refuse = [&](const std::string& why) {
+    if (refusal) *refusal = why;
+    return false;
+  };
+  for (std::size_t k = 0; k < F.scls.size(); ++k) {
+    if (F.scls[k] == Tag::Mixed) {
+      return refuse("mixed-state:" + f.scalar_slots[k]);
+    }
+  }
+  for (std::size_t k = 0; k < F.acls.size(); ++k) {
+    if (F.acls[k] == Tag::Mixed) {
+      return refuse("mixed-state:" + f.array_slots[k]);
+    }
   }
 
   Lower L;
   L.F = &F;
   L.out = out;
   out->code.clear();
-  out->code.reserve(in.code->size());
-  out->reg_tag.assign(in.num_regs, Tag::Int);
+  out->code.reserve(code.size());
+  out->reg_tag.assign(nregs, Tag::Int);
   out->scalar_class = F.scls;
   out->array_class = F.acls;
   out->push_tag = Tag::Double;
   bool pushed = false;
-  L.written.assign(in.num_regs, 0);
-
-  // A Mixed state class cannot live in either raw plane (and the fused
-  // mirrors could not hold it); name the slot in the refusal.
-  for (std::size_t sslot = 0; sslot < F.scls.size(); ++sslot) {
-    if (F.scls[sslot] != Tag::Mixed) continue;
-    std::string name = in.scalar_names && sslot < in.scalar_names->size()
-                           ? (*in.scalar_names)[sslot]
-                           : std::to_string(sslot);
-    if (in.fused) {
-      for (const auto& m : in.fused->actors) {
-        if (sslot >= m.scalar_base && sslot < m.scalar_base + m.num_scalars) {
-          name = m.name + "." + name;
-          break;
-        }
-      }
-    }
-    if (refusal) *refusal = "mixed-state:" + name;
-    return false;
-  }
-  for (std::size_t aslot = 0; aslot < F.acls.size(); ++aslot) {
-    if (F.acls[aslot] != Tag::Mixed) continue;
-    std::string name = in.array_names && aslot < in.array_names->size()
-                           ? (*in.array_names)[aslot]
-                           : std::to_string(aslot);
-    if (in.fused) {
-      for (const auto& m : in.fused->actors) {
-        if (aslot >= m.array_base && aslot < m.array_base + m.num_arrays) {
-          name = m.name + "." + name;
-          break;
-        }
-      }
-    }
-    if (refusal) *refusal = "mixed-state:" + name;
-    return false;
-  }
-
-  for (std::size_t pc = 0; pc < in.code->size(); ++pc) {
-    const FInstr& I = (*in.code)[pc];
+  L.written.assign(nregs, 0);
+  for (std::size_t pc = 0; pc < code.size(); ++pc) {
+    const FInstr& I = code[pc];
     FInstr T = I;
     if (F.reach[pc]) {
-      if (!lower_one(L, I, F.states[pc], &T)) {
-        if (refusal) *refusal = L.refusal;
-        return false;
-      }
-      if (I.op == FOp::RPush || I.op == FOp::TPush) {
+      if (!lower_one(L, I, F.states[pc], &T)) return refuse("mixed-register");
+      if (I.op == FOp::RPush) {
         const Tag pt = (T.mode & kModeDD) != 0 ? Tag::Double : Tag::Int;
         out->push_tag = pushed ? join_tag(out->push_tag, pt) : pt;
         pushed = true;
@@ -526,28 +408,18 @@ bool typed_lower(const TypedLowerInput& in, TypedCode* out,
   }
 
   // Split the register template across the planes.
-  out->dreg_init.assign(in.num_regs, 0.0);
-  out->ireg_init.assign(in.num_regs, 0);
-  auto place = [&](std::size_t r, const ir::Value& v) {
-    if (v.is_int()) {
-      out->ireg_init[r] = v.as_int();
+  out->dreg_init.assign(nregs, 0.0);
+  out->ireg_init.assign(nregs, 0);
+  for (std::size_t r = 0; r < nregs; ++r) {
+    if (init[r].is_int()) {
+      out->ireg_init[r] = init[r].as_int();
     } else {
-      out->dreg_init[r] = v.as_double();
-    }
-  };
-  for (std::size_t r = 0; r < in.reg_init.size() && r < in.num_regs; ++r) {
-    place(r, in.reg_init[r]);
-  }
-  if (in.fused) {
-    for (const auto& m : in.fused->actors) {
-      for (std::size_t k = 0; k < m.reg_init.size(); ++k) {
-        place(m.reg_base + k, m.reg_init[k]);
-      }
+      out->dreg_init[r] = init[r].as_double();
     }
   }
 
   // Never-written registers keep their template tag (pooled constants).
-  for (std::size_t r = 0; r < in.num_regs; ++r) {
+  for (std::size_t r = 0; r < nregs; ++r) {
     if (!L.written[r]) out->reg_tag[r] = F.entry[r];
   }
   out->typed_regs = 0;

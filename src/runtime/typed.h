@@ -7,7 +7,7 @@
 // module is the compiled engines' only value plane: it runs bytecode where a
 // static analysis proves the tags fixed, and nowhere else.
 //
-//   * A forward, flow-sensitive dataflow over the (VM or fused) bytecode
+//   * A forward, flow-sensitive dataflow over a filter's work bytecode
 //     assigns every register AT EVERY PROGRAM POINT a lattice tag
 //         Int | Double | Mixed        (Int join Double = Mixed)
 //     seeded from the register template, with transfer functions mirroring
@@ -29,19 +29,19 @@
 //     double's 53-bit mantissa.
 //
 //   * When some read does observe Mixed, lowering refuses with a stable
-//     reason string -- "mixed-register" / "mixed-state:<name>" (prefixed
-//     with the actor for fused traces) -- and the caller falls back: a
-//     refused fused trace runs per-actor, and a refused filter runs on the
-//     tree interpreter.  Bit-equality with the tree interpreter is the
+//     reason string -- "mixed-register" / "mixed-state:<name>" -- and the
+//     filter runs on the tree interpreter; a fused trace containing it is
+//     refused as "mixed-register:<actor>" / "mixed-state:<actor>.<name>"
+//     and runs per-actor.  Bit-equality with the tree interpreter is the
 //     contract: the typed loops reproduce its promotion, truncating casts,
 //     op counting, and error strings exactly.
 //
-// Consumers: compile.cc::typed_compile specializes one filter's work program
-// (executed by TypedBound, vm.cc); fused.cc::build_typed_fused specializes a
-// whole fused steady-state trace (executed by TypedFusedExec, with the
-// mac-loop and linear-kernel superinstructions as raw double* loops); and
-// analysis/typeflow.h lifts the per-actor results to a whole-graph view with
-// channel content tags.
+// Each filter is typed once, by compile.cc::typed_compile.  Its result is
+// executed per actor by TypedBound (vm.cc), and fused.cc::build_fused
+// rebases it -- mode bytes, resolved count tags, plane templates and state
+// classes -- into the fused steady-state trace that TypedFusedExec runs
+// (fused.h).  analysis/typeflow.h lifts the per-actor results to a
+// whole-graph view with channel content tags.
 
 #include <cstdint>
 #include <memory>
@@ -52,7 +52,6 @@
 #include "ir/value.h"
 #include "obs/trace.h"
 #include "runtime/channel.h"
-#include "runtime/fused.h"
 #include "runtime/interp.h"
 #include "runtime/opcounts.h"
 #include "runtime/vm.h"
@@ -68,7 +67,7 @@ inline Tag value_tag(const ir::Value& v) {
 }
 const char* tag_name(Tag t);  // "int" | "double" | "mixed"
 
-// The result of lowering one instruction stream.  `code` is the input
+// The result of lowering one work program.  `code` is the input
 // copied 1:1 (same indices, same jump targets) with each instruction's
 // operand-plane `mode` byte set (eval_ops.h kModeAD/kModeBD/kModeDD) and
 // CountTag::ByResult resolved statically, so typed dispatch never tests a
@@ -84,32 +83,13 @@ struct TypedCode {
   int typed_regs{0};              // registers proven Double everywhere
 };
 
-// Lowering input.  For a VM work program, `code` is the compiled work
-// program itself (channel ops are RPeek/RPop/... with edge -1) and `fused` is
-// null.  For a fused trace, `fused` supplies the superinstruction argument
-// tables and per-actor register templates (loaded by SetActor and on each
-// FireLoop back-edge), and `loop` makes the analysis join the Halt-exit
-// state back into the entry state (fused registers persist across
-// iterations; VM registers are re-templated every firing).
-struct TypedLowerInput {
-  const std::vector<FInstr>* code{nullptr};
-  std::size_t num_regs{0};
-  std::vector<ir::Value> reg_init;  // entry register template (may be
-                                    // shorter than num_regs; rest Int 0)
-  std::vector<Tag> scalar_seed, array_seed;
-  const std::vector<std::string>* scalar_names{nullptr};  // refusal strings
-  const std::vector<std::string>* array_names{nullptr};
-  const FusedProgram* fused{nullptr};
-  bool loop{false};
-};
-
-// Run the inference to fixpoint and lower.  Returns false (and fills
-// `refusal` with a stable reason) when some read observes Mixed or some
-// state slot's class is Mixed.
-bool typed_lower(const TypedLowerInput& in, TypedCode* out,
+// Run the inference over `f`'s work program to fixpoint, with the state
+// classes seeded from `scalar_seed`/`array_seed` (one per slot), and lower.
+// Returns false (and fills `refusal` with a stable reason) when some read
+// observes Mixed or some state slot's class is Mixed.
+bool typed_lower(const CompiledFilter& f, std::vector<Tag> scalar_seed,
+                 std::vector<Tag> array_seed, TypedCode* out,
                  std::string* refusal);
-
-// ---- VM layer ---------------------------------------------------------------
 
 // A work function specialized onto the dual register plane.  Produced by
 // typed_compile (compile.cc) from an already-compiled filter, whose slot
@@ -132,6 +112,13 @@ TypedFilterP typed_compile(const ir::FilterSpec& spec,
                            const CompiledFilterP& base,
                            const FilterState& state,
                            std::string* reason = nullptr);
+
+// Resolve `f`'s state slots to pointers into `state`'s maps, appended to
+// `scalars`/`arrays` in slot order, so firings do no hashing.  TypedBound
+// binds one filter; TypedFusedExec binds a trace's filters in actor order.
+void bind_slots(const CompiledFilter& f, FilterState& state,
+                std::vector<ir::Value*>& scalars,
+                std::vector<std::vector<ir::Value>*>& arrays);
 
 // The per-actor typed VM: same counting and error strings as the tree
 // interpreter, but registers live in two raw planes and dispatch never
@@ -159,105 +146,6 @@ class TypedBound {
   std::vector<std::vector<ir::Value>*> arrays_;
   std::vector<double> dregs_;
   std::vector<std::int64_t> iregs_;
-};
-
-// ---- fused layer ------------------------------------------------------------
-
-// A whole fused steady-state trace specialized onto the dual plane.  The
-// untyped FusedProgram stays authoritative (disassembly, superinstruction
-// stats); `code` mirrors it 1:1 and shares its argument tables by index.
-struct TypedFusedProgram {
-  FusedProgramP base;
-  TypedCode code;
-};
-
-using TypedFusedProgramP = std::shared_ptr<const TypedFusedProgram>;
-
-// Specialize a fused trace.  `states` is the per-flat-actor FilterState
-// vector (already initialized; tags seed the state classes).  Refusals add
-// the owning actor to the stable reason: "mixed-register:<actor>",
-// "mixed-state:<actor>.<name>", "super-untyped:<actor>" (a mac-loop whose
-// accumulator or coefficient array is not Double).
-TypedFusedProgramP build_typed_fused(const FusedProgramP& base,
-                                     const std::vector<FilterState>& states,
-                                     std::string* refusal = nullptr);
-
-// The fused engine's executor: a typed fused program bound to one executor's
-// storage (FilterStates, boundary Channels, NativeStates).  Usage per
-// run_steady call:
-//
-//   if (fx.activate()) {           // lower internal channels to buffers
-//     for each iteration: fx.run_iteration(counts);
-//     fx.deactivate();             // restore carried items to the channels
-//   }
-//
-// activate() refuses (returns false) in two cases, and the caller then runs
-// the batch per-actor instead:
-//   * some internal channel does not hold exactly its steady-state carry --
-//     e.g. manual fire() calls left the graph mid-iteration;
-//   * some state tag no longer matches its inferred class -- e.g. a teleport
-//     handler retagged a scalar between runs.
-// On success it also mirrors every filter state scalar/array into raw plane
-// storage for the duration of the activation (written back on deactivate),
-// which is what lets the mac-loop run as `for (i) acc += src[i] * coef[i]`
-// over raw double spans.  run_iteration executes one whole steady state,
-// advances every lowered channel's cumulative counters by its traffic, and
-// compacts each buffer's carried items back to the front.
-//
-// Bit-equality contract: for any admissible program, running the trace
-// produces outputs, per-actor FilterState, per-actor OpCounts, and per-edge
-// cumulative push/pop counters identical to per-actor execution.
-// Counting preservation is per-instruction (every lowered/fused op carries
-// the same CountTag arithmetic as the VM dispatch loop); channel-counter
-// preservation is by bulk advance (each lowered edge's n(t)/p(t) advance by
-// `traffic` once per iteration, which equals the sum of the per-item
-// increments the VM would have made).  Only Channel high-water marks differ
-// (a lowered channel never observes intermediate occupancy).
-// tests/test_pipeline_diff.cc holds the contract across all apps x all
-// optimization levels.
-class TypedFusedExec {
- public:
-  TypedFusedExec(TypedFusedProgramP prog, std::vector<FilterState>& states,
-                 const std::vector<std::unique_ptr<Channel>>& chans,
-                 const std::vector<std::unique_ptr<ir::NativeState>>& nstates);
-
-  bool activate();
-  void deactivate();
-  void run_iteration(OpCounts* actor_counts);
-  [[nodiscard]] bool active() const { return active_; }
-  [[nodiscard]] const TypedFusedProgram& program() const { return *prog_; }
-
- private:
-  template <bool kCount>
-  void run(OpCounts* actor_counts);
-  // One LinearKernel instruction: out of line, so traces without one keep
-  // the dispatch loop's code unchanged.  `actor_counts` is run's argument.
-  [[gnu::noinline]] void run_linear(const LinearKernelArgs& K,
-                                    OpCounts* actor_counts);
-  void finish_iteration();
-  bool sync_state_in();   // Value -> planes; false on a class/tag mismatch
-  void sync_state_out();  // planes -> Value
-
-  struct EdgeState {
-    std::vector<double> buf;
-    std::size_t rd{0}, wr{0};
-  };
-  class BufIn;
-  class BufOut;
-
-  TypedFusedProgramP prog_;
-  std::vector<ir::Value*> scalar_vals_;
-  std::vector<std::vector<ir::Value>*> array_vals_;
-  std::vector<double> dregs_;
-  std::vector<std::int64_t> iregs_;
-  std::vector<double> dscalars_;
-  std::vector<std::int64_t> iscalars_;
-  std::vector<std::vector<double>> darrays_;
-  std::vector<std::vector<std::int64_t>> iarrays_;
-  std::vector<Channel*> chans_;
-  std::vector<ir::NativeState*> nstates_;
-  std::vector<EdgeState> ebuf_;
-  bool active_{false};
 };
 
 }  // namespace sit::runtime

@@ -11,23 +11,19 @@ using ir::BinOp;
 using ir::UnOp;
 using ir::Value;
 
-namespace {
-
-// Resolve a compiled filter's state slots to pointers into `state`'s maps,
-// so firings do no hashing.
-void bind_slots(const CompiledFilter& prog, FilterState& state,
+void bind_slots(const CompiledFilter& f, FilterState& state,
                 std::vector<Value*>& scalars,
                 std::vector<std::vector<Value>*>& arrays) {
-  scalars.reserve(prog.scalar_slots.size());
-  for (const auto& name : prog.scalar_slots) {
+  scalars.reserve(scalars.size() + f.scalar_slots.size());
+  for (const auto& name : f.scalar_slots) {
     auto it = state.scalars.find(name);
     if (it == state.scalars.end()) {
       throw std::logic_error("VM bind: state has no scalar '" + name + "'");
     }
     scalars.push_back(&it->second);
   }
-  arrays.reserve(prog.array_slots.size());
-  for (const auto& name : prog.array_slots) {
+  arrays.reserve(arrays.size() + f.array_slots.size());
+  for (const auto& name : f.array_slots) {
     auto it = state.arrays.find(name);
     if (it == state.arrays.end()) {
       throw std::logic_error("VM bind: state has no array '" + name + "'");
@@ -35,8 +31,6 @@ void bind_slots(const CompiledFilter& prog, FilterState& state,
     arrays.push_back(&it->second);
   }
 }
-
-}  // namespace
 
 // ---- typed (dual-plane) dispatch --------------------------------------------
 //

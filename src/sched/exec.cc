@@ -96,6 +96,7 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
   typed_refusal_.resize(n);
   ops_.resize(n);
   fired_.assign(n, 0);
+  std::vector<runtime::TypedFilterP> typed(n);  // what the fused trace copies
   for (std::size_t i = 0; i < n; ++i) {
     const FlatActor& a = g_.actors[i];
     if (a.kind == FlatActor::Kind::Filter) {
@@ -106,9 +107,10 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
         // state tags.  Either step's refusal records its stable reason and
         // the actor runs on the tree interpreter.
         const auto prog = runtime::compile_filter(spec, &typed_refusal_[i]);
-        if (auto tp = runtime::typed_compile(spec, prog, fstate_[i],
-                                             &typed_refusal_[i])) {
-          tbf_[i] = std::make_unique<runtime::TypedBound>(std::move(tp),
+        typed[i] = runtime::typed_compile(spec, prog, fstate_[i],
+                                          &typed_refusal_[i]);
+        if (typed[i]) {
+          tbf_[i] = std::make_unique<runtime::TypedBound>(typed[i],
                                                           fstate_[i]);
           typed_refusal_[i].clear();
         }
@@ -118,10 +120,10 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
     }
   }
 
-  // Engine::Fused: compile the whole-iteration trace and lower it onto the
-  // dual plane, or record why not.  Either refusal is whole-program: steady
-  // states then run per-actor on the bindings built above (the Vm path and
-  // the Fused fallback are identical).
+  // Engine::Fused: build the whole-iteration trace from the typed programs
+  // above, or record why not.  A refusal is whole-program: steady states
+  // then run per-actor on the bindings built above (the Vm path and the
+  // Fused fallback are identical).
   if (engine_ == Engine::Fused) {
     if (opts_.message_sink) {
       // Teleport delivery wants per-firing granularity (and build_fused
@@ -129,26 +131,20 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
       fused_refusal_ = "message-sink-attached";
     } else if (tb_ != nullptr) {
       fused_refusal_ = "tracing-enabled";
+    } else if (!typed_on_) {
+      fused_refusal_ = "typed-off";  // no typed programs to fuse
     } else {
       const analysis::FusePlan plan = analysis::fuse_plan(g_, sched_);
       if (!plan.admissible) {
         fused_refusal_ = plan.refusal;
       } else {
         fprog_ = runtime::build_fused(g_, sched_.steady_runs, plan.carry,
-                                      plan.traffic, &fused_refusal_);
+                                      plan.traffic, typed, typed_refusal_,
+                                      &fused_refusal_);
         if (fprog_) {
           fused_refusal_.clear();
-          if (typed_on_) {
-            tfprog_ = runtime::build_typed_fused(fprog_, fstate_,
-                                                 &typed_fused_refusal_);
-            if (tfprog_) {
-              tfexec_ = std::make_unique<runtime::TypedFusedExec>(
-                  tfprog_, fstate_, chans_, nstate_);
-              typed_fused_refusal_.clear();
-            }
-          } else {
-            typed_fused_refusal_ = "typed-off";
-          }
+          tfexec_ = std::make_unique<runtime::TypedFusedExec>(
+              fprog_, fstate_, chans_, nstate_);
         }
       }
     }
@@ -426,7 +422,7 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
   m.fallback = "none";
   if (engine_ == Engine::Fused && !tfexec_) {
     m.fallback = "fused-refused";
-    m.fallback_detail = fprog_ ? typed_fused_refusal_ : fused_refusal_;
+    m.fallback_detail = fused_refusal_;
   }
   if (tfexec_) {
     m.fused_channels = fprog_->eliminated_channels;

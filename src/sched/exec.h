@@ -134,8 +134,8 @@ class Executor {
   // Invoke a teleport-message handler on an AST filter actor.  Handlers run
   // through the tree interpreter, on the actor's own FilterState storage.
   // typed_compile refuses a filter with handlers, so its per-actor firings
-  // run on the tree too; a typed fused trace re-checks every state tag when
-  // it activates.
+  // run on the tree too, and the fused trace refuses it as
+  // "has-handlers:<filter>".
   void run_handler(int actor, const std::string& method,
                    const std::vector<ir::Value>& args);
 
@@ -154,30 +154,27 @@ class Executor {
   [[nodiscard]] const std::string& typed_refusal(int actor) const {
     return typed_refusal_[static_cast<std::size_t>(actor)];
   }
-  // The specialized work program for one actor (null on the tree), and the
-  // whole-trace typed fused program (Engine::Fused; null when typed lowering
-  // refused the trace, with typed_fused_refusal() carrying the stable
-  // reason -- steady states then run per-actor).  The typed fused program is
-  // what run_steady executes.
+  // The specialized work program for one actor (null on the tree).
   [[nodiscard]] const runtime::TypedFilter* typed_program(int actor) const {
     const auto& p = tbf_[static_cast<std::size_t>(actor)];
     return p ? &p->program() : nullptr;
   }
-  [[nodiscard]] const runtime::TypedFusedProgram* typed_fused_program() const {
-    return tfprog_ ? tfprog_.get() : nullptr;
-  }
-  [[nodiscard]] const std::string& typed_fused_refusal() const {
-    return typed_fused_refusal_;
-  }
 
   // Fused engine introspection (Engine::Fused only).  fused_program() is the
-  // whole-iteration trace typed lowering starts from, or null when fusion
+  // whole-iteration typed trace run_steady executes, or null when fusion
   // was refused -- in which case fused_refusal() carries the stable reason
   // (analysis/fuse.h) and steady states run per-actor instead.
   [[nodiscard]] const runtime::FusedProgram* fused_program() const {
     return fprog_ ? fprog_.get() : nullptr;
   }
   [[nodiscard]] const std::string& fused_refusal() const {
+    return fused_refusal_;
+  }
+  // Aliases of the two above, kept only for perfbench's counts line.
+  [[nodiscard]] const runtime::FusedProgram* typed_fused_program() const {
+    return fused_program();
+  }
+  [[nodiscard]] const std::string& typed_fused_refusal() const {
     return fused_refusal_;
   }
 
@@ -261,14 +258,12 @@ class Executor {
   bool typed_on_{false};
   std::vector<std::unique_ptr<runtime::TypedBound>> tbf_;
   std::vector<std::string> typed_refusal_;
-  // Fused steady-state trace (Engine::Fused; null when fusion was refused).
+  // Fused steady-state trace (Engine::Fused; null when fusion was refused)
+  // and its executor: run_steady runs a batch on it when activation
+  // succeeds, and per-actor otherwise.
   runtime::FusedProgramP fprog_;
   std::string fused_refusal_;
-  // The trace lowered onto the dual plane and its executor: run_steady runs
-  // a batch on it when activation succeeds, and per-actor otherwise.
-  runtime::TypedFusedProgramP tfprog_;
   std::unique_ptr<runtime::TypedFusedExec> tfexec_;
-  std::string typed_fused_refusal_;
   std::vector<runtime::OpCounts> ops_;
   std::vector<std::int64_t> fired_;
   std::function<double(std::int64_t)> input_gen_;

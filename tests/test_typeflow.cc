@@ -196,15 +196,19 @@ TEST(TypedSpecialize, FirFiltersAllSpecialize) {
 TEST(TypedSpecialize, FirFusedTraceGoesTyped) {
   auto ex = make_exec(apps::make_app("FIR"), sched::Engine::Fused,
                       sched::TypedMode::On);
-  ASSERT_NE(ex.fused_program(), nullptr) << ex.fused_refusal();
-  EXPECT_NE(ex.typed_fused_program(), nullptr) << ex.typed_fused_refusal();
+  const runtime::FusedProgram* fp = ex.fused_program();
+  ASSERT_NE(fp, nullptr) << ex.fused_refusal();
+  // The trace carries the per-actor typing: Double operands are marked.
+  bool double_plane = false;
+  for (const runtime::FInstr& I : fp->code) double_plane |= I.mode != 0;
+  EXPECT_TRUE(double_plane);
 }
 
 TEST(TypedSpecialize, TypedOffDisablesBothLayers) {
   auto ex = make_exec(apps::make_app("FIR"), sched::Engine::Fused,
                       sched::TypedMode::Off);
-  EXPECT_EQ(ex.typed_fused_program(), nullptr);
-  EXPECT_EQ(ex.typed_fused_refusal(), "typed-off");
+  EXPECT_EQ(ex.fused_program(), nullptr);
+  EXPECT_EQ(ex.fused_refusal(), "typed-off");
   const auto& g = ex.graph();
   for (std::size_t i = 0; i < g.actors.size(); ++i) {
     EXPECT_FALSE(ex.actor_uses_vm(static_cast<int>(i)));
@@ -313,11 +317,10 @@ TEST(TypedRefusal, FusedTraceRefusalQualifiesTheActor) {
   auto ex = make_exec(
       make_pipeline("p", {tiny_src("s"), mixed_register_filter("mixr")}),
       sched::Engine::Fused, sched::TypedMode::On);
-  ASSERT_NE(ex.fused_program(), nullptr) << ex.fused_refusal();
-  EXPECT_EQ(ex.typed_fused_program(), nullptr);
-  EXPECT_EQ(ex.typed_fused_refusal(), "mixed-register:mixr");
-  // Without a typed trace the steady state runs per-actor, and the metrics
-  // say so: the typed refusal is the fallback detail, and no trace statics.
+  EXPECT_EQ(ex.fused_program(), nullptr);
+  EXPECT_EQ(ex.fused_refusal(), "mixed-register:mixr");
+  // Without a trace the steady state runs per-actor, and the metrics say
+  // so: the refusal is the fallback detail, and no trace statics.
   const obs::MetricsSnapshot m = ex.metrics_snapshot();
   EXPECT_EQ(m.fallback, "fused-refused");
   EXPECT_EQ(m.fallback_detail, "mixed-register:mixr");
@@ -328,9 +331,8 @@ TEST(TypedRefusal, FusedMixedStateQualifiesActorAndSlot) {
   auto ex = make_exec(
       make_pipeline("p", {tiny_src("s"), mixed_state_filter("mixs")}),
       sched::Engine::Fused, sched::TypedMode::On);
-  ASSERT_NE(ex.fused_program(), nullptr) << ex.fused_refusal();
-  EXPECT_EQ(ex.typed_fused_program(), nullptr);
-  EXPECT_EQ(ex.typed_fused_refusal(), "mixed-state:mixs.acc");
+  EXPECT_EQ(ex.fused_program(), nullptr);
+  EXPECT_EQ(ex.fused_refusal(), "mixed-state:mixs.acc");
 }
 
 TEST(TypedRefusal, HandlersRefuse) {

@@ -421,9 +421,9 @@ TEST(VmDifferential, DebugChannelChecksUnderVm) {
 // is refused, and on the threaded runtime's workers.  Each case pins the
 // stable reason and holds the whole observable surface bit-equal to
 // Engine::Tree: outputs, filter state, per-actor OpCounts, channel counters
-// and sent messages.  (A handler filter whose state keeps its tags still
-// runs inside an admitted typed fused trace; the retag case is
-// FusedExecution.HandlerRetagFallsBackAndStaysBitEqual.)
+// and sent messages.  (Engine::Fused refuses the whole trace for each of
+// them, named after the filter; test_fused.cc and test_typeflow.cc pin
+// those reasons.)
 
 // What one run exposes, read the same way from either executor.
 struct Observed {

@@ -28,30 +28,37 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/apps.h"
-#include "analysis/fuse.h"
 #include "analysis/typeflow.h"
 #include "obs/costmodel.h"
 #include "opt/compile.h"
-#include "runtime/fused.h"
 #include "sched/texec.h"
 
 namespace {
 
-// Build the fused steady-state trace for a (mid-pipeline) graph and render
-// it, or explain why it does not fuse.  Used by --dump-after=fuse-steady.
+// The fused-engine executor for a (mid-pipeline) graph, as the fuse-steady
+// pass builds it: the reports show the trace run_steady would run.
+sit::sched::Executor fused_executor(const sit::ir::NodeP& g) {
+  sit::sched::CompiledProgram p;
+  p.graph = g;
+  p.flat = sit::runtime::flatten(g);
+  p.schedule = sit::sched::make_schedule(p.flat);
+  sit::sched::ExecOptions o;
+  o.engine = sit::sched::Engine::Fused;
+  o.trace = sit::sched::TraceMode::Off;
+  return sit::sched::Executor(std::move(p), o);
+}
+
+// Render the fused steady-state trace for a graph, or explain why it does
+// not fuse.  Used by --dump-after=fuse-steady.
 std::string fused_trace_dump(const sit::ir::NodeP& g) {
   try {
-    const sit::runtime::FlatGraph flat = sit::runtime::flatten(g);
-    const sit::sched::Schedule s = sit::sched::make_schedule(flat);
-    const sit::analysis::FusePlan plan = sit::analysis::fuse_plan(flat, s);
-    if (!plan.admissible) return "refused: " + plan.refusal + "\n";
-    std::string reason;
-    const sit::runtime::FusedProgramP prog = sit::runtime::build_fused(
-        flat, s.steady_runs, plan.carry, plan.traffic, &reason);
-    if (!prog) return "refused: " + reason + "\n";
+    const sit::sched::Executor ex = fused_executor(g);
+    const sit::runtime::FusedProgram* prog = ex.fused_program();
+    if (!prog) return "refused: " + ex.fused_refusal() + "\n";
     return prog->disassemble();
   } catch (const std::exception& e) {
     return std::string("unavailable: ") + e.what() + "\n";
@@ -62,16 +69,9 @@ std::string fused_trace_dump(const sit::ir::NodeP& g) {
 // eliminated-channel tally, or the stable refusal reason.
 std::string fused_report(const sit::sched::CompiledProgram& prog) {
   std::string out = "fuse-steady:\n";
-  const sit::analysis::FusePlan plan =
-      sit::analysis::fuse_plan(prog.flat, prog.schedule);
-  if (!plan.admissible) {
-    return out + "  refused: " + plan.refusal + "\n";
-  }
-  std::string reason;
-  const sit::runtime::FusedProgramP fp =
-      sit::runtime::build_fused(prog.flat, prog.schedule.steady_runs,
-                                plan.carry, plan.traffic, &reason);
-  if (!fp) return out + "  refused: " + reason + "\n";
+  const sit::sched::Executor ex = fused_executor(prog.graph);
+  const sit::runtime::FusedProgram* fp = ex.fused_program();
+  if (!fp) return out + "  refused: " + ex.fused_refusal() + "\n";
   out += "  admissible: " + std::to_string(fp->eliminated_channels) +
          " channel(s) lowered to trace buffers, " +
          std::to_string(fp->code.size()) + " trace instruction(s), " +

@@ -43,10 +43,10 @@
 //
 // Every filter is typed once: build_fused copies the per-actor typed
 // programs the executor already made (typed_compile), with their plane
-// templates and state classes, instead of typing the trace again.  A
-// filter actor without one refuses the whole trace, named after the actor:
-// vm-fallback:<f> (<why>), teleport-send:<f>, has-handlers:<f>,
-// mixed-register:<f> or mixed-state:<f>.<slot>.
+// templates and state classes.  A filter actor without one refuses the
+// whole trace, named after the actor: vm-fallback:<f> (<why>),
+// teleport-send:<f>, has-handlers:<f>, mixed-register:<f> or
+// mixed-state:<f>.<slot>.
 //
 // A peephole pass over each typed template then collapses the hot patterns
 // into superinstructions -- single opcodes that execute a whole loop or
@@ -284,7 +284,6 @@ class TypedFusedExec {
   void deactivate();
   void run_iteration(OpCounts* actor_counts);
   [[nodiscard]] bool active() const { return active_; }
-  [[nodiscard]] const FusedProgram& program() const { return *prog_; }
 
  private:
   template <bool kCount>

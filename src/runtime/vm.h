@@ -6,10 +6,10 @@
 // lowers a filter's work AST *once* to a flat register bytecode (every
 // scalar, array, and local resolved to an integer slot; constants pooled and
 // preloaded; peek/pop/push as dedicated opcodes).  That code never runs as
-// emitted: the typed lowering (typed.h) annotates it with operand planes
-// and TypedBound (dispatch loop in vm.cc) executes it per actor, and the
-// fused trace builder (fused.h) inlines it with registers rebased and
-// channel ops bound to edges.  Semantics are bit-identical to the tree
+// emitted: the typed lowering (typed.h) annotates it with operand planes,
+// and that annotated code runs per actor on TypedBound (dispatch loop in
+// vm.cc) and inlined into the fused trace (fused.h) with registers rebased
+// and channel ops bound to edges.  Semantics are bit-identical to the tree
 // interpreter by construction -- the typed kernels in eval_ops.h mirror its
 // Value kernels, and tests/test_vm.cc holds them equal differentially.
 //

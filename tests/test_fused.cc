@@ -298,7 +298,7 @@ TEST(FusedRefusal, HandlerFilterRefusesAndMatchesTree) {
 }
 
 // An Int accumulator cannot type at all: `acc` is Int on entry and Double
-// after one term, so the loop test reads a Mixed register.
+// after one term, so the add in the loop body reads a Mixed register.
 TEST(FusedRefusal, IntAccumulatorLoopIsMixedRegister) {
   expect_refused_and_tree_equal(
       [] {

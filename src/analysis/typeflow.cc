@@ -120,10 +120,10 @@ TypeflowResult typeflow(const FlatGraph& g) {
     if (tp) {
       t.specialized = true;
       t.typed_regs = tp->work.typed_regs;
-      if (runtime::LinearRows rows; runtime::linear_kernel_rows(spec, &rows)) {
-        t.kernel = "linear-kernel (" + std::to_string(rows.push) + "x" +
-                   std::to_string(rows.peek) + ", " +
-                   std::to_string(rows.nnz()) + " nnz)";
+      if (const auto& rows = tp->kernel) {
+        t.kernel = "linear-kernel (" + std::to_string(rows->push) + "x" +
+                   std::to_string(rows->peek) + ", " +
+                   std::to_string(rows->nnz()) + " nnz)";
       }
       t.push_tag = tp->work.push_tag;
       for (std::size_t s = 0; s < base->scalar_slots.size(); ++s) {

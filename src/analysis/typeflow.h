@@ -37,8 +37,8 @@ struct ActorTypeflow {
   std::string refusal;      // stable reason when not (empty if specialized or
                             // not a candidate)
   int typed_regs{0};        // registers proven Double everywhere
-  // "linear-kernel (<push>x<peek>, <nnz> nnz)" when the fused trace runs
-  // this filter as a coefficient kernel (runtime::linear_kernel_rows), which
+  // "linear-kernel (<push>x<peek>, <nnz> nnz)" when the compiled engines run
+  // this filter as a coefficient kernel (runtime::TypedFilter::kernel), which
   // needs no registers; empty otherwise.
   std::string kernel;
   runtime::Tag push_tag{runtime::Tag::Double};  // content tag of its pushes

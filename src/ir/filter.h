@@ -13,6 +13,7 @@
 //    schedule) and by the I/O endpoints; they execute and map like any other
 //    filter but are opaque to source-level analyses.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -57,6 +58,15 @@ struct FilterSpec {
 
 // ---- native filters ---------------------------------------------------------
 
+// The storage under a tape's live items: item i (0 = the next to pop) is
+// buf[(head + i) & mask].  A power-of-two ring reports its own mask; flat
+// memory reports an all-ones mask.
+struct RingView {
+  const double* buf{nullptr};
+  std::size_t head{0};
+  std::size_t mask{0};
+};
+
 // Minimal channel views used by native work functions so that ir/ does not
 // depend on the runtime library.  The runtime adapts its channels to these.
 class InTape {
@@ -69,6 +79,10 @@ class InTape {
   virtual void pop_many(int n) {
     for (int i = 0; i < n; ++i) pop_item();
   }
+  // When at least `n` items are live, describe their storage in *v and
+  // return true; the view holds until the next push or pop.  False when
+  // fewer are live, or (the default) when the tape has no such storage.
+  virtual bool ring_view(std::size_t /*n*/, RingView* /*v*/) { return false; }
 };
 
 class OutTape {

@@ -67,6 +67,12 @@ class Channel final : public ir::InTape, public ir::OutTape {
     return buf_[(head_ + static_cast<std::size_t>(offset)) & mask_];
   }
 
+  bool ring_view(std::size_t n, ir::RingView* v) override {
+    if (n > count_) return false;
+    *v = {buf_.data(), head_, mask_};
+    return true;
+  }
+
   // Bulk append: one capacity check, then at most two contiguous copies
   // (the write region may wrap once around the ring).
   void push_many(const std::vector<double>& vs) {
@@ -119,13 +125,6 @@ class Channel final : public ir::InTape, public ir::OutTape {
     head_ = 0;
     std::copy_n(src, n, buf_.data());
     count_ = n;
-  }
-
-  // The first n live items as one contiguous span, or null when they wrap
-  // around the end of the ring (or fewer than n are live).
-  [[nodiscard]] const double* contiguous(std::size_t n) const noexcept {
-    if (n > count_ || head_ + n > buf_.size()) return nullptr;
-    return buf_.data() + head_;
   }
 
   // Bulk-advance the cumulative counters without moving data.

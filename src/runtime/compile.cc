@@ -485,6 +485,9 @@ TypedFilterP typed_compile(const ir::FilterSpec& spec,
                    &out->work, reason)) {
     return nullptr;
   }
+  if (LinearRows rows; linear_kernel_rows(spec, &rows)) {
+    out->kernel = std::move(rows);
+  }
   return out;
 }
 

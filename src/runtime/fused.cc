@@ -131,22 +131,20 @@ class TraceBuilder {
     to.insert(to.end(), from.begin(), from.end());
   }
 
-  // A filter whose work function is a linear node's expression form, with
-  // the tapes that form touches, runs as linear-kernel.
+  // A filter whose typed program carries kernel rows, with the tapes the
+  // kernel reads and writes, runs as linear-kernel.
   bool match_kernel(std::size_t actor) {
     const FlatActor& a = g_.actors[actor];
-    LinearRows rows;
-    if (!linear_kernel_rows(a.node->filter, &rows)) return false;
+    const TypedFilterP& tf = typed_[actor];
+    if (!tf || !tf->kernel) return false;
     LinearKernelArgs K;
     K.actor = static_cast<int>(actor);
     K.in_edge = a.in_edges.empty() ? -1 : a.in_edges[0];
     K.out_edge = a.out_edges.empty() ? -1 : a.out_edges[0];
-    if (K.out_edge < 0 || (K.in_edge < 0 && (rows.span > 0 || rows.pop > 0))) {
-      return false;  // the template reports the missing tape
-    }
+    if (!tf->kernel->fits_tapes(K.in_edge >= 0, K.out_edge >= 0)) return false;
     K.in_real = K.in_edge >= 0 && !edge_internal(K.in_edge);
     K.out_real = !edge_internal(K.out_edge);
-    K.rows = std::move(rows);
+    K.rows = *tf->kernel;
     kernel_of_.emplace(static_cast<int>(actor), std::move(K));
     return true;
   }
@@ -605,81 +603,7 @@ class TraceBuilder {
   std::map<int, LinearKernelArgs> kernel_of_;  // by actor, firings unset
 };
 
-// The literal c of a term `c * peek(i)`, with 0 <= i < peek; false otherwise.
-bool match_term(const ir::Expr& e, int peek, double* c, std::int32_t* i) {
-  using ir::Expr;
-  if (e.kind != Expr::Kind::Bin || e.bop != BinOp::Mul || !e.a || !e.b) {
-    return false;
-  }
-  if (e.a->kind != Expr::Kind::FloatConst || e.b->kind != Expr::Kind::Peek ||
-      !e.b->a || e.b->a->kind != Expr::Kind::IntConst) {
-    return false;
-  }
-  const std::int64_t off = e.b->a->ival;
-  if (off < 0 || off >= peek) return false;
-  *c = e.a->fval;
-  *i = static_cast<std::int32_t>(off);
-  return true;
-}
-
 }  // namespace
-
-bool linear_kernel_rows(const ir::FilterSpec& f, LinearRows* out) {
-  using ir::Expr;
-  using ir::Stmt;
-  if (!f.state.empty() || f.init || !f.handlers.empty() || !f.work ||
-      f.work->kind != Stmt::Kind::Block || f.push < 1 || f.pop < 0 ||
-      f.peek < 0) {
-    return false;
-  }
-  const std::vector<ir::StmtP>& body = f.work->stmts;
-  if (body.size() != static_cast<std::size_t>(f.push + (f.pop > 0 ? 1 : 0))) {
-    return false;
-  }
-  LinearRows R;
-  R.peek = f.peek;
-  R.pop = f.pop;
-  R.push = f.push;
-  R.row_ptr.push_back(0);
-  std::vector<const Expr*> spine;
-  for (int o = 0; o < f.push; ++o) {
-    const ir::StmtP& s = body[static_cast<std::size_t>(o)];
-    if (!s || s->kind != Stmt::Kind::Push || !s->value) return false;
-    // Walk the left-deep sum from its last term down to its head.
-    spine.clear();
-    const Expr* e = s->value.get();
-    while (e->kind == Expr::Kind::Bin && e->bop == BinOp::Add && e->a && e->b) {
-      spine.push_back(e->b.get());
-      e = e->a.get();
-    }
-    const bool has_b = e->kind == Expr::Kind::FloatConst;
-    R.has_b.push_back(has_b ? 1 : 0);
-    R.b.push_back(has_b ? e->fval : 0.0);
-    if (!has_b) spine.push_back(e);
-    for (auto t = spine.rbegin(); t != spine.rend(); ++t) {
-      double c = 0.0;
-      std::int32_t i = 0;
-      if (!match_term(**t, f.peek, &c, &i)) return false;
-      R.col.push_back(i);
-      R.val.push_back(c);
-      R.span = std::max(R.span, i + 1);
-    }
-    R.row_ptr.push_back(static_cast<std::int32_t>(R.col.size()));
-    const auto terms = static_cast<std::int64_t>(spine.size());
-    R.flops += terms + (terms + (has_b ? 1 : 0) - 1);  // muls, then adds
-    R.channel += terms + 1;                             // peeks, the push
-  }
-  if (f.pop > 0) {
-    const ir::StmtP& s = body.back();
-    if (!s || s->kind != Stmt::Kind::PopN || !s->index ||
-        s->index->kind != Expr::Kind::IntConst || s->index->ival != f.pop) {
-      return false;
-    }
-    R.channel += f.pop;
-  }
-  *out = std::move(R);
-  return true;
-}
 
 FusedProgramP build_fused(const FlatGraph& g, const std::vector<FiringRun>& runs,
                           const std::vector<std::int64_t>& carry,
@@ -799,6 +723,11 @@ class TypedFusedExec::BufIn final : public ir::InTape {
       throw std::runtime_error("pop from empty channel");
     }
     s_.rd += static_cast<std::size_t>(n);
+  }
+  bool ring_view(std::size_t n, ir::RingView* v) override {
+    if (s_.rd + n > s_.wr) return false;
+    *v = {s_.buf.data() + s_.rd, 0, ~std::size_t{0}};
+    return true;
   }
 
  private:
@@ -979,188 +908,20 @@ void TypedFusedExec::finish_iteration() {
   }
 }
 
-namespace {
-
-// The kernel loop's input window and output tape: raw pointers into a trace
-// buffer (or an unwrapped ring span), or a boundary ring through its inlined
-// accessors.
-struct BufWindow {
-  const double* p;
-  [[nodiscard]] double at(std::int32_t i) const { return p[i]; }
-  void pop(std::int32_t n) { p += n; }
-};
-struct RingWindow {
-  Channel* ch;
-  [[nodiscard]] double at(std::int32_t i) const { return ch->peek_item(i); }
-  void pop(std::int32_t n) { ch->pop_many(n); }
-};
-struct BufTape {
-  double* p;
-  void put(double v) { *p++ = v; }
-};
-struct RingTape {
-  Channel* ch;
-  void put(double v) { ch->push_item(v); }
-};
-
-// `n` firings with no checks of their own: the caller has shown that the
-// window holds every item they peek and pop and that the tape has room.
-template <class Window, class Tape>
-void linear_firings(const LinearRows& R, std::int64_t n, Window w, Tape t) {
-  const std::int32_t* const rp = R.row_ptr.data();
-  const std::int32_t* const col = R.col.data();
-  const double* const val = R.val.data();
-  const std::uint8_t* const has_b = R.has_b.data();
-  const double* const b = R.b.data();
-  // A row's first term, or its constant.
-  const auto start = [&](int r, std::int32_t* k) {
-    if (has_b[r] != 0) return b[r];
-    const double acc = val[*k] * w.at(col[*k]);
-    ++*k;
-    return acc;
-  };
-  for (std::int64_t f = 0; f < n; ++f) {
-    // Rows go in pairs: two independent sums hide each other's add latency,
-    // while each keeps its own terms in order.
-    int r = 0;
-    for (; r + 1 < R.push; r += 2) {
-      std::int32_t k0 = rp[r], k1 = rp[r + 1];
-      const std::int32_t e0 = rp[r + 1], e1 = rp[r + 2];
-      double a0 = start(r, &k0);
-      double a1 = start(r + 1, &k1);
-      for (; k0 < e0 && k1 < e1; ++k0, ++k1) {
-        a0 = a0 + val[k0] * w.at(col[k0]);
-        a1 = a1 + val[k1] * w.at(col[k1]);
-      }
-      for (; k0 < e0; ++k0) a0 = a0 + val[k0] * w.at(col[k0]);
-      for (; k1 < e1; ++k1) a1 = a1 + val[k1] * w.at(col[k1]);
-      t.put(a0);
-      t.put(a1);
-    }
-    if (r < R.push) {
-      std::int32_t k = rp[r];
-      double acc = start(r, &k);
-      for (; k < rp[r + 1]; ++k) acc = acc + val[k] * w.at(col[k]);
-      t.put(acc);
-    }
-    if (R.pop > 0) w.pop(R.pop);
-  }
-}
-
-}  // namespace
-
 void TypedFusedExec::run_linear(const LinearKernelArgs& K,
                                 OpCounts* actor_counts) {
-  const LinearRows& R = K.rows;
   OpCounts* const counts =
       actor_counts != nullptr ? &actor_counts[K.actor] : nullptr;
-  EdgeState* const si =
-      K.in_edge >= 0 && !K.in_real ? &ebuf_[K.in_edge] : nullptr;
-  Channel* const ci = K.in_edge >= 0 && K.in_real ? chans_[K.in_edge] : nullptr;
-  EdgeState* const so = K.out_real ? nullptr : &ebuf_[K.out_edge];
-  Channel* const co = K.out_real ? chans_[K.out_edge] : nullptr;
-
-  // The firings that cannot fault: firing f (0-based) peeks up to offset
-  // f*pop + span - 1, pops through f*pop + pop, and pushes `push` items.
-  std::int64_t fit = K.firings;
-  const std::int64_t need = std::max(R.span, R.pop);
-  if (need > 0) {
-    const auto avail = static_cast<std::int64_t>(si != nullptr ? si->wr - si->rd
-                                                               : ci->size());
-    if (avail < need) {
-      fit = 0;
-    } else if (R.pop > 0) {
-      fit = std::min(fit, (avail - need) / R.pop + 1);
-    }
-  }
-  if (so != nullptr) {
-    fit = std::min(fit,
-                   static_cast<std::int64_t>(so->buf.size() - so->wr) / R.push);
-  }
-  if (fit > 0) {
-    const auto ins = static_cast<std::size_t>(fit * R.pop);
-    const auto outs = static_cast<std::size_t>(fit * R.push);
-    // A boundary ring whose live items do not wrap is read like a buffer.
-    const double* const win =
-        si != nullptr ? si->buf.data() + si->rd
-        : ci != nullptr
-            ? ci->contiguous(static_cast<std::size_t>((fit - 1) * R.pop + need))
-            : nullptr;
-    const bool ring_in = ci != nullptr && win == nullptr;
-    if (so != nullptr) {
-      const BufTape bt{so->buf.data() + so->wr};
-      if (ring_in) {
-        linear_firings(R, fit, RingWindow{ci}, bt);
-      } else {
-        linear_firings(R, fit, BufWindow{win}, bt);
-      }
-      so->wr += outs;
-    } else {
-      co->reserve_items(outs);
-      if (ring_in) {
-        linear_firings(R, fit, RingWindow{ci}, RingTape{co});
-      } else {
-        linear_firings(R, fit, BufWindow{win}, RingTape{co});
-      }
-    }
-    if (si != nullptr) si->rd += ins;
-    if (ci != nullptr && !ring_in) ci->pop_many(static_cast<int>(ins));
-    if (counts != nullptr) {
-      counts->flops += fit * R.flops;
-      counts->channel += fit * R.channel;
-    }
-  }
-
-  // A firing that may fault runs with the template's checks and counts, in
-  // its order, so it throws what the template throws where it throws.
-  OpCounts none;
-  OpCounts& c = counts != nullptr ? *counts : none;
-  for (std::int64_t f = fit; f < K.firings; ++f) {
-    for (int r = 0; r < R.push; ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      double acc = R.b[ur];
-      bool first = R.has_b[ur] == 0;
-      for (std::int32_t k = R.row_ptr[ur]; k < R.row_ptr[ur + 1]; ++k) {
-        const auto uk = static_cast<std::size_t>(k);
-        const std::int32_t off = R.col[uk];
-        double x;
-        if (ci != nullptr) {
-          ++c.channel;
-          x = ci->peek_item(off);
-        } else {
-          if (si->rd + static_cast<std::size_t>(off) >= si->wr) {
-            buffer_peek_error(off, si->wr - si->rd);
-          }
-          ++c.channel;
-          x = si->buf[si->rd + static_cast<std::size_t>(off)];
-        }
-        const double term = R.val[uk] * x;
-        acc = first ? term : acc + term;
-        c.flops += first ? 1 : 2;  // the multiply, then the add
-        first = false;
-      }
-      ++c.channel;
-      if (co != nullptr) {
-        co->push_item(acc);
-      } else {
-        if (so->wr >= so->buf.size()) {
-          throw std::logic_error("fused trace buffer overflow");
-        }
-        so->buf[so->wr++] = acc;
-      }
-    }
-    if (R.pop > 0) {
-      if (ci != nullptr) {
-        c.channel += R.pop;
-        ci->pop_many(R.pop);
-      } else {
-        if (si->rd + static_cast<std::size_t>(R.pop) > si->wr) {
-          throw std::runtime_error("pop from empty channel");
-        }
-        c.channel += R.pop;
-        si->rd += static_cast<std::size_t>(R.pop);
-      }
-    }
+  EdgeState dummy;
+  BufIn bin(K.in_edge >= 0 && !K.in_real ? ebuf_[K.in_edge] : dummy);
+  ir::InTape& in = K.in_edge < 0 ? g_null_in
+                   : K.in_real   ? *chans_[K.in_edge]
+                                 : static_cast<ir::InTape&>(bin);
+  if (K.out_real) {
+    linear_firings(K.rows, K.firings, in, *chans_[K.out_edge], counts);
+  } else {
+    BufOut bout(ebuf_[K.out_edge]);
+    linear_firings(K.rows, K.firings, in, bout, counts);
   }
 }
 

@@ -63,32 +63,13 @@
 //   linear-kernel  n x { push(A W + b); pop_n(pop) } (a whole linear node's
 //                  run; see below)
 //
-// linear-kernel replaces an actor rather than a window of its template.  The
-// builder recognizes the exact work function linear::to_filter emits for a
-// linear node: no state, init or handlers; one `push` per output of a
-// left-deep sum `[b +] c*peek(i) + c*peek(i) + ...` with literal c and
-// literal 0 <= i < peek; then `pop_n(pop)` (omitted when pop is 0).  The
-// coefficients are copied out of the AST in CSR form (linear_kernel_rows),
-// and TypedFusedExec runs every firing of the run as a raw double* loop over
-// the peek window (a trace buffer, or a boundary ring -- as one span when
-// its live items do not wrap), two rows side by side:
-//   * evaluation order: a row starts from b only when the AST has a leading
-//     constant, otherwise from its first term (never from +0.0, which would
-//     turn a -0.0 first term into +0.0); each further term is
-//     `acc = acc + c*w` in the AST's order, so results are bit-equal to the
-//     expression (the build is strict ISO C++, so nothing is contracted into
-//     an FMA);
-//   * counting: each firing adds the expression's exact OpCounts -- per row
-//     one flop per multiply and per add and one channel op per peek and the
-//     push, then `pop` channel ops;
-//   * faults: firings the input (and a trace buffer's room) provably covers
-//     run unchecked; the first firing that could fault runs with the
-//     template's checks in its order, so a short input throws the same
-//     message at the same offset.
-// The expression form stays the semantics: the tree interpreter and the
-// per-actor VMs still run it, and every engine-differential test compares
-// the kernel against it.  `runtime` cannot see linear::LinearRep (linear
-// depends on runtime), which is why the AST is the carrier.
+// linear-kernel replaces an actor rather than a window of its template: a
+// filter whose typed program carries coefficient rows (TypedFilter::kernel,
+// attached by typed_compile to linear::to_filter's exact form) runs its
+// whole run through linear_firings (linear_kernel.h) over a trace buffer or
+// a boundary ring, with the expression's exact results, counts and faults.
+// The tree interpreter is the only engine that still runs the expression
+// form, and every engine-differential test compares the kernel against it.
 //
 // A splitter/joiner run whose firing collapses to one copy-run/dup-run stays
 // one instruction moving the whole run's items, with no firing loop.
@@ -110,6 +91,7 @@
 #include "runtime/channel.h"
 #include "runtime/flatgraph.h"
 #include "runtime/interp.h"
+#include "runtime/linear_kernel.h"
 #include "runtime/opcounts.h"
 #include "runtime/typed.h"
 #include "runtime/vm.h"
@@ -147,27 +129,6 @@ struct NativeFireArgs {
   // Static per-firing counts, exactly as the per-actor executor adds them.
   std::int64_t flops{0}, int_ops{0}, channel{0};
 };
-
-// A linear node's work function as data: per output row, an optional
-// leading constant b and the terms c*peek(i) in the AST's order, CSR.
-struct LinearRows {
-  int peek{0}, pop{0}, push{0};
-  std::vector<std::int32_t> row_ptr;  // push + 1 offsets into col/val
-  std::vector<std::int32_t> col;      // window offset of each term
-  std::vector<double> val;            // coefficient of each term
-  std::vector<std::uint8_t> has_b;    // per row: starts from b[row]
-  std::vector<double> b;
-  std::int32_t span{0};  // largest window offset + 1 (0: peeks nothing)
-  // Exact OpCounts of one firing of the expression form.
-  std::int64_t flops{0}, channel{0};
-
-  [[nodiscard]] std::size_t nnz() const { return col.size(); }
-};
-
-// The coefficient rows of `f` when its work function has exactly the shape
-// linear::to_filter emits (see the file comment); false for anything else,
-// which keeps its compiled template.
-bool linear_kernel_rows(const ir::FilterSpec& f, LinearRows* out);
 
 struct LinearKernelArgs {
   int actor{-1};  // OpCounts attribution

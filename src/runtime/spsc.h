@@ -148,6 +148,12 @@ class SpscRing final : public ir::InTape, public ir::OutTape {
     if (!deferred_) publish_head();
   }
 
+  bool ring_view(std::size_t n, ir::RingView* v) override {
+    if (!can_pop(n)) return false;
+    *v = {buf_.data(), static_cast<std::size_t>(head_pos_), mask_};
+    return true;
+  }
+
   // Return every slot freed since the last publish to the producer.  One
   // release store per call; a no-op when nothing new was popped.
   void publish_head() noexcept {

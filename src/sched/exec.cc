@@ -94,6 +94,7 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
   nstate_.resize(n);
   tbf_.resize(n);
   typed_refusal_.resize(n);
+  kernel_.assign(n, nullptr);
   ops_.resize(n);
   fired_.assign(n, 0);
   std::vector<runtime::TypedFilterP> typed(n);  // what the fused trace copies
@@ -113,6 +114,10 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
           tbf_[i] = std::make_unique<runtime::TypedBound>(typed[i],
                                                           fstate_[i]);
           typed_refusal_[i].clear();
+          const auto& rows = typed[i]->kernel;
+          const bool has_in = !a.in_edges.empty() && a.in_edges[0] >= 0;
+          const bool has_out = !a.out_edges.empty() && a.out_edges[0] >= 0;
+          if (rows && rows->fits_tapes(has_in, has_out)) kernel_[i] = &*rows;
         }
       }
     } else if (a.kind == FlatActor::Kind::Native) {
@@ -221,7 +226,9 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
     case FlatActor::Kind::Filter: {
       ir::InTape* in = in_tape(in0);
       ir::OutTape* out = out_tape(out0);
-      if (tbf_[ai]) {
+      if (kernel_[ai] != nullptr) {
+        runtime::linear_firings(*kernel_[ai], 1, *in, *out, counts);
+      } else if (tbf_[ai]) {
         // Typed filters have no Send statements (compile_filter refuses
         // them), so the sink is irrelevant on this path.
         if (tb != nullptr) {
@@ -282,15 +289,7 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
     }
   }
   ++fired_[ai];
-  // High water on the fired actor's own channels: only they changed size.
-  // Ring edges track their own; under the threaded runtime an actor's plain
-  // channels belong to its worker.
-  for (const auto* edges : {&a.in_edges, &a.out_edges}) {
-    for (int eid : *edges) {
-      const auto e = static_cast<std::size_t>(eid);
-      if (eid >= 0 && on_channel(e)) chans_[e]->note_high_water();
-    }
-  }
+  note_high_water(a);
 
   if (tb != nullptr) {
     const std::int64_t t1 = rec_->now_ns();
@@ -308,6 +307,38 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
     }
     tb->emit(t1, obs::EventKind::FireEnd, actor);
     rec_->actor_stats(actor).record(t1 - t0);
+  }
+}
+
+void Executor::fire_run(int actor, std::int64_t n, runtime::OpCounts* counts,
+                        obs::ThreadBuffer* tb) {
+  const auto ai = static_cast<std::size_t>(actor);
+  if (kernel_[ai] == nullptr || tb != nullptr) {
+    for (std::int64_t k = 0; k < n; ++k) fire_into(actor, counts, tb);
+    return;
+  }
+  const FlatActor& a = g_.actors[ai];
+  const runtime::LinearRows& R = *kernel_[ai];
+  const int in0 = a.in_edges.empty() ? -1 : a.in_edges[0];
+  ir::InTape& in =
+      in0 < 0 ? g_null_in : *in_tape_[static_cast<std::size_t>(in0)];
+  runtime::linear_firings(
+      R, n, in, *out_tape_[static_cast<std::size_t>(a.out_edges[0])], counts);
+  fired_[ai] += n;
+  // Once for the run: the output peaks at its end, and an input channel's
+  // producer already noted that channel's peak.
+  note_high_water(a);
+}
+
+// High water on the fired actor's own channels: only they changed size.
+// Ring edges track their own; under the threaded runtime an actor's plain
+// channels belong to its worker.
+void Executor::note_high_water(const FlatActor& a) {
+  for (const auto* edges : {&a.in_edges, &a.out_edges}) {
+    for (int eid : *edges) {
+      const auto e = static_cast<std::size_t>(eid);
+      if (eid >= 0 && on_channel(e)) chans_[e]->note_high_water();
+    }
   }
 }
 

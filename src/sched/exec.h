@@ -159,6 +159,11 @@ class Executor {
     const auto& p = tbf_[static_cast<std::size_t>(actor)];
     return p ? &p->program() : nullptr;
   }
+  // Whether the actor fires as its typed program's coefficient kernel
+  // (runtime/linear_kernel.h) rather than through the typed VM.
+  [[nodiscard]] bool runs_kernel(int actor) const {
+    return kernel_[static_cast<std::size_t>(actor)] != nullptr;
+  }
 
   // Fused engine introspection (Engine::Fused only).  fused_program() is the
   // whole-iteration typed trace run_steady executes, or null when fusion
@@ -226,8 +231,16 @@ class Executor {
   }
   // The one per-actor firing routine: tallies into *counts (null = no
   // counting) and traces into tb (null = no tracing).  Afterwards notes high
-  // water on the fired actor's own edges that still live on a Channel.
+  // water on the fired actor's own edges that still live on a Channel.  A
+  // kernel actor fires as a one-firing kernel.
   void fire_into(int actor, runtime::OpCounts* counts, obs::ThreadBuffer* tb);
+  // `n` consecutive firings of one actor (the caller has made their input
+  // and room available).  A kernel actor runs all n in one linear_firings
+  // call, noting high water once afterwards; every other actor, and any
+  // actor while tracing, loops fire_into.
+  void fire_run(int actor, std::int64_t n, runtime::OpCounts* counts,
+                obs::ThreadBuffer* tb);
+  void note_high_water(const runtime::FlatActor& a);
   // Data-driven sweeps in schedule order until every actor fired its quota;
   // `counts` is a per-actor array to tally into (null = no counting).
   void run_epoch(const std::vector<std::int64_t>& quota,
@@ -258,6 +271,9 @@ class Executor {
   bool typed_on_{false};
   std::vector<std::unique_ptr<runtime::TypedBound>> tbf_;
   std::vector<std::string> typed_refusal_;
+  // Per actor, its typed program's kernel rows when it fires as a kernel
+  // (null otherwise; owned by the TypedBound in tbf_).
+  std::vector<const runtime::LinearRows*> kernel_;
   // Fused steady-state trace (Engine::Fused; null when fusion was refused)
   // and its executor: run_steady runs a batch on it when activation
   // succeeds, and per-actor otherwise.

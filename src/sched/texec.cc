@@ -136,7 +136,8 @@ std::string ThreadedReport::to_string() const {
   std::snprintf(speed, sizeof(speed), "%.2f", predicted_speedup);
   return "threaded threads=" + std::to_string(threads) +
          " ring-edges=" + std::to_string(ring_edges) +
-         " batch=" + std::to_string(batch) + " speedup=" + speed;
+         " batch=" + std::to_string(batch) +
+         " kernels=" + std::to_string(kernels) + " speedup=" + speed;
 }
 
 ThreadedExecutor::ThreadedExecutor(ir::NodeP root, ExecOptions opts)
@@ -181,6 +182,9 @@ ThreadedExecutor::ThreadedExecutor(CompiledProgram prog, ExecOptions opts)
                            static_cast<int>(graph().actors.size()));
   report_.threaded = true;
   report_.threads = threads_;
+  for (std::size_t i = 0; i < graph().actors.size(); ++i) {
+    if (exec_->runs_kernel(static_cast<int>(i))) ++report_.kernels;
+  }
   stall_ms_ = resolve_stall_ms(opts_.stall_ms);
   rings_.resize(graph().edges.size());
   calib_.resize(graph().actors.size());
@@ -591,9 +595,7 @@ void ThreadedExecutor::worker(int w, std::int64_t first,
         const auto ai = static_cast<std::size_t>(actor);
         const FlatActor& a = g.actors[ai];
         OpCounts* counts = opts_.count_ops ? &exec_->ops_[ai] : nullptr;
-        for (std::int64_t k = 0; k < reps[ai] * chunk; ++k) {
-          exec_->fire_into(actor, counts, tb);
-        }
+        exec_->fire_run(actor, reps[ai] * chunk, counts, tb);
         // Bulk publication: one release store per ring per step makes the
         // whole batch of firings visible / returns the whole batch of slots.
         for (const int eid : a.out_edges) {

@@ -36,14 +36,21 @@
 //   * Cross-thread edges are migrated to lock-free SPSC rings in deferred
 //     (bulk-publication) mode (runtime/spsc.h) by pointing the embedded
 //     Executor's tape for the edge at the ring; intra-thread edges keep the
-//     unsynchronized Channel.  Workers fire their actors through the
-//     embedded Executor's one firing routine.  A sliding step window
-//     (kPipelineWindow) caps how far any worker runs ahead, which bounds
-//     ring occupancy so each ring is sized once to the exact static bound
-//     analysis::channel_bounds computes: post-init level +
-//     (window + 1) * B * steady-state traffic.  Debug/observability builds
-//     re-check every edge's observed high water against its static bound
-//     after the workers join.
+//     unsynchronized Channel.  Workers fire each actor's reps * B firings
+//     of a step with one Executor::fire_run call, once wait_ready has seen
+//     their input and room on the rings.  fire_run runs a linear node (an
+//     actor whose typed program carries coefficient rows) as one
+//     linear_firings call over the whole run, reading a ring or a Channel
+//     through its masked view (runtime/linear_kernel.h), and loops the
+//     embedded Executor's one firing routine for every other actor (and
+//     for every actor while tracing, so per-firing events stay per
+//     firing).  ThreadedReport::kernels counts the kernel actors.  A
+//     sliding step window (kPipelineWindow) caps how far any worker runs
+//     ahead, which bounds ring occupancy so each ring is sized once to the
+//     exact static bound analysis::channel_bounds computes: post-init level
+//     + (window + 1) * B * steady-state traffic.  Debug/observability
+//     builds re-check every edge's observed high water against its static
+//     bound after the workers join.
 //   * Deadlock freedom: induction over (step, topo position).  The earliest
 //     unfinished firing's data waits point only at strictly smaller
 //     (step, topo) pairs (back edges carry the previous step's items, and
@@ -121,11 +128,12 @@ struct ThreadedReport {
   std::vector<int> owner;       // actor index -> worker id
   int ring_edges{0};            // edges migrated to SPSC rings
   int batch{1};                 // steady iterations per pipeline step
+  int kernels{0};               // actors firing as coefficient kernels
   double predicted_speedup{0};  // machine-model estimate for this placement
 
-  // One-line summary: "threaded threads=4 ring-edges=3 batch=8 speedup=2.71"
-  // or "sequential fallback=teleport-handlers (filter 'F' has teleport
-  // handlers)".
+  // One-line summary: "threaded threads=4 ring-edges=3 batch=8 kernels=0
+  // speedup=2.71" or "sequential fallback=teleport-handlers (filter 'F' has
+  // teleport handlers)".
   [[nodiscard]] std::string to_string() const;
 };
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -27,8 +28,10 @@
 #include "linear/linear_rep.h"
 #include "opt/compile.h"
 #include "runtime/fused.h"
+#include "runtime/spsc.h"
 #include "sched/exec.h"
 #include "sched/schedule.h"
+#include "sched/texec.h"
 
 namespace sit {
 namespace {
@@ -668,6 +671,22 @@ ir::FilterSpec short_pop_kernel() {
   return linear::to_filter(rep, "lin");
 }
 
+// y0 = 0.5 + 2*w0 + w1, y1 = -w1, popping 4 of a 2-item window: the
+// per-actor engines fire it on two items, and it pushes both rows before
+// its pop runs short.
+ir::FilterSpec short_pop_two_row_kernel() {
+  linear::LinearRep rep;
+  rep.peek = 2;
+  rep.pop = 4;
+  rep.push = 2;
+  rep.A = linear::Matrix(2, 2);
+  rep.A.at(0, 0) = 2.0;
+  rep.A.at(0, 1) = 1.0;
+  rep.A.at(1, 1) = -1.0;
+  rep.b = {0.5, 0.0};
+  return linear::to_filter(rep, "lin2");
+}
+
 // Pushes on every firing but its second.
 NodeP gappy_src(const std::string& name) {
   return filter(name)
@@ -690,7 +709,8 @@ TEST(EngineFaults, ShortKernelInputRunsAsLinearKernel) {
 
 // A fault's message is part of the cross-engine contract: the tree
 // interpreter, the typed VM and the typed fused trace must throw the same
-// what().
+// what().  The compiled engines run the kernel cases through the kernel
+// routine: one firing per fire_into on the VM, the whole run in the trace.
 TEST(EngineFaults, EveryEngineThrowsTheSameMessage) {
   runtime::set_debug_channel_checks(true);  // for the over-peek
   struct Restore {
@@ -702,6 +722,7 @@ TEST(EngineFaults, EveryEngineThrowsTheSameMessage) {
     NodeP filter;
     std::string message;
     NodeP source{};  // tiny_src when null
+    bool kernel{false};  // the compiled engines run it as a linear kernel
   } cases[] = {
       {filter("load")
            .rates(1, 1, 1)
@@ -735,12 +756,20 @@ TEST(EngineFaults, EveryEngineThrowsTheSameMessage) {
       // push, and the kernel (declared pop 3 > peek 1, so the per-actor
       // engines fire it once a single item is there) pops past the end.
       {make_filter(short_pop_kernel()), "pop from empty channel",
-       gappy_src("s")},
+       gappy_src("s"), true},
+      {make_filter(short_pop_two_row_kernel()), "pop from empty channel",
+       gappy_src("s"), true},
   };
   for (const auto& fc : cases) {
     const NodeP root = make_pipeline(
         "p", {fc.source ? fc.source : tiny_src("s"), fc.filter, tiny_snk("k")});
     const std::string name = fc.filter->name;
+    if (fc.kernel) {
+      sched::ExecOptions vopts;
+      vopts.engine = sched::Engine::Vm;
+      const sched::Executor vm(lower_ungated(root), vopts);
+      EXPECT_TRUE(vm.runs_kernel(actor_id(vm.graph(), name))) << name;
+    }
     EXPECT_EQ(first_fault(root, sched::Engine::Tree), fc.message)
         << name << " on the tree interpreter";
     EXPECT_EQ(first_fault(root, sched::Engine::Vm), fc.message)
@@ -757,17 +786,22 @@ TEST(EngineFaults, EveryEngineThrowsTheSameMessage) {
 // interpreter evaluates the expression itself: outputs must agree to the bit
 // and OpCounts field by field.
 
-// Run `root` on the tree interpreter and the typed fused trace, five batches
-// of three steady states on seeded input fed batch by batch (so a boundary
-// input ring wraps), and require bit-equal outputs and equal state,
-// OpCounts and channel counters.  Returns the fused trace's linear-kernel
-// count (and the outputs in `out`).
+// Run `root` on the tree interpreter, on the per-actor VM (whose kernel
+// actors fire one firing at a time) and on the typed fused trace (a whole
+// run per kernel instruction), five batches of three steady states on
+// seeded input fed batch by batch (so a boundary input ring wraps), and
+// require bit-equal outputs and equal state, OpCounts and channel counters.
+// The VM must run as many kernels as the trace.  Returns the fused trace's
+// linear-kernel count (and the outputs in `out`).
 std::int64_t expect_kernel_matches_tree(const NodeP& root, std::uint64_t seed,
                                         std::vector<double>* out = nullptr) {
   const sched::CompiledProgram prog = lower_ungated(root);
   sched::ExecOptions topts;
   topts.engine = sched::Engine::Tree;
   sched::Executor tree(prog, topts);
+  sched::ExecOptions vopts;
+  vopts.engine = sched::Engine::Vm;
+  sched::Executor vm(prog, vopts);
   sched::Executor fused(prog, fused_options());
   EXPECT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
   const sched::Schedule& s = tree.schedule();
@@ -785,25 +819,36 @@ std::int64_t expect_kernel_matches_tree(const NodeP& root, std::uint64_t seed,
     }
     if (prog.flat.input_edge >= 0) {
       tree.feed_input(in);
+      vm.feed_input(in);
       fused.feed_input(in);
     }
     const std::vector<double> t = tree.run_steady(3);
-    const std::vector<double> f = fused.run_steady(3);
     EXPECT_FALSE(t.empty());
-    EXPECT_EQ(t.size(), f.size());
-    for (std::size_t i = 0; i < t.size() && i < f.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(t[i]),
-                std::bit_cast<std::uint64_t>(f[i]))
-          << "batch " << batch << " item " << i << ": " << t[i] << " vs "
-          << f[i];
+    for (sched::Executor* ex : {&vm, &fused}) {
+      const std::vector<double> f = ex->run_steady(3);
+      const char* what = ex == &vm ? "vm" : "fused";
+      EXPECT_EQ(t.size(), f.size()) << what;
+      for (std::size_t i = 0; i < t.size() && i < f.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(t[i]),
+                  std::bit_cast<std::uint64_t>(f[i]))
+            << what << " batch " << batch << " item " << i << ": " << t[i]
+            << " vs " << f[i];
+      }
     }
     all.insert(all.end(), t.begin(), t.end());
   }
+  expect_same_state(tree, vm);
   expect_same_state(tree, fused);
   if (out != nullptr) *out = std::move(all);
-  return fused.fused_program() != nullptr
-             ? fused.fused_program()->super_count("linear-kernel")
-             : -1;
+  if (fused.fused_program() == nullptr) return -1;
+  const std::int64_t kernels =
+      fused.fused_program()->super_count("linear-kernel");
+  std::int64_t vm_kernels = 0;
+  for (std::size_t a = 0; a < vm.graph().actors.size(); ++a) {
+    if (vm.runs_kernel(static_cast<int>(a))) ++vm_kernels;
+  }
+  EXPECT_EQ(vm_kernels, kernels);
+  return kernels;
 }
 
 NodeP pass_through(const std::string& name) {
@@ -986,6 +1031,180 @@ TEST(LinearKernel, NearMissesKeepTheirTemplate) {
       fused_options());
   ASSERT_NE(ex.fused_program(), nullptr) << ex.fused_refusal();
   EXPECT_EQ(ex.fused_program()->super_count("linear-kernel"), 1);
+}
+
+
+// ---- kernels on rings that wrap ---------------------------------------------
+//
+// The kernel reads any tape through its masked view, buf[(head + i) & mask],
+// so a window that wraps around the end of a ring runs on the same path as
+// one that does not.
+
+// y0 = -1.5*w0 (a -0.0 first term on +0.0 input) and
+// y1 = -1.0*w1 + 0.5*w3 + 0.25*w4, popping 3 of a 5-item window.
+ir::FilterSpec wrap_kernel() {
+  linear::LinearRep rep;
+  rep.peek = 5;
+  rep.pop = 3;
+  rep.push = 2;
+  rep.A = linear::Matrix(2, 5);
+  rep.A.at(0, 0) = -1.5;
+  rep.A.at(1, 1) = -1.0;
+  rep.A.at(1, 3) = 0.5;
+  rep.A.at(1, 4) = 0.25;
+  rep.b = {0.0, 0.0};
+  return linear::to_filter(rep, "lin");
+}
+
+const std::vector<double> kWrapItems = {0.0,  -0.0, 0.5, -0.75, 0.25, -0.0,
+                                        0.0,  1.5,  -2.0, 0.0,  0.125};
+
+// Cycle `tape` (a Channel or a non-deferred SpscRing of 16 slots) until its
+// next item sits three slots before the end of its storage, then queue
+// kWrapItems, so the live items wrap.
+template <class Tape>
+void queue_wrapped(Tape& tape) {
+  for (int i = 0; i < 13; ++i) tape.push_item(9.0);
+  tape.pop_many(13);
+  for (const double x : kWrapItems) tape.push_item(x);
+}
+
+template <class Tape>
+void expect_wrapped_kernel_matches_checked(Tape& fast, Tape& checked) {
+  runtime::LinearRows R;
+  ASSERT_TRUE(runtime::linear_kernel_rows(wrap_kernel(), &R));
+  queue_wrapped(fast);
+  queue_wrapped(checked);
+  constexpr std::int64_t kFirings = 3;  // (3 - 1) * 3 + 5 == 11 items
+  ir::RingView view;
+  ASSERT_TRUE(fast.ring_view(kWrapItems.size(), &view));
+  EXPECT_GT(view.head % (view.mask + 1) + kWrapItems.size(), view.mask + 1)
+      << "the window must wrap";
+  runtime::Channel fast_out, checked_out;
+  runtime::OpCounts fc, cc;
+  runtime::linear_firings(R, kFirings, fast, fast_out, &fc);
+  runtime::linear_firings_checked(R, kFirings, checked, checked_out, &cc);
+  ASSERT_EQ(fast_out.size(), static_cast<std::size_t>(kFirings * R.push));
+  ASSERT_EQ(checked_out.size(), fast_out.size());
+  const double first = fast_out.peek_item(0);
+  EXPECT_TRUE(first == 0.0 && std::signbit(first));
+  while (!fast_out.empty()) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast_out.pop_item()),
+              std::bit_cast<std::uint64_t>(checked_out.pop_item()));
+  }
+  EXPECT_EQ(fc.int_ops, cc.int_ops);
+  EXPECT_EQ(fc.flops, cc.flops);
+  EXPECT_EQ(fc.divs, cc.divs);
+  EXPECT_EQ(fc.trans, cc.trans);
+  EXPECT_EQ(fc.mem, cc.mem);
+  EXPECT_EQ(fc.channel, cc.channel);
+  EXPECT_EQ(fc.flops, kFirings * R.flops);
+  EXPECT_EQ(fast.pop_item(), checked.pop_item());  // both popped 9 items
+}
+
+TEST(LinearKernel, WrappedChannelWindowMatchesTheCheckedPath) {
+  runtime::Channel fast, checked;
+  expect_wrapped_kernel_matches_checked(fast, checked);
+}
+
+TEST(LinearKernel, WrappedSpscWindowMatchesTheCheckedPath) {
+  runtime::SpscRing fast(16), checked(16);
+  ASSERT_EQ(fast.capacity(), 16u);
+  expect_wrapped_kernel_matches_checked(fast, checked);
+}
+
+// Cycles through zeros of both signs, so the kernel's -0.0 first term shows.
+NodeP signed_zero_src(const std::string& name) {
+  return filter(name)
+      .rates(0, 0, 1)
+      .iscalar("n", 0)
+      .array_init("v", {Value{0.0}, Value{-0.0}, Value{0.5}, Value{-0.75},
+                        Value{0.0}, Value{1.25}, Value{-0.0}})
+      .work(seq({push_(at("v", v("n"))), let("n", (v("n") + ci(1)) % ci(7))}))
+      .node();
+}
+
+// The kernel between a source and a pass-through, on the per-actor VM
+// (Channels, one firing per fire_into) and on four workers (SPSC rings, one
+// fire_run per step) at batch 1, 3 and auto: outputs bit-equal to the tree
+// interpreter, and per-actor firings and OpCounts equal field by field.
+// Popping 3 of a 5-item window moves each ring's head by an odd stride, so
+// windows wrap in the middle of runs.
+TEST(LinearKernel, PerActorAndThreadedKernelsMatchTheTree) {
+  const sched::CompiledProgram prog = lower_ungated(make_pipeline(
+      "p", {signed_zero_src("s"), make_filter(wrap_kernel()),
+            pass_through("post")}));
+  const int lin = actor_id(prog.flat, "lin");
+  ASSERT_GE(lin, 0);
+  constexpr int kCalls = 3, kSteady = 40;
+  sched::ExecOptions topts;
+  topts.engine = sched::Engine::Tree;
+  sched::Executor tree(prog, topts);
+  std::vector<double> want;
+  for (int c = 0; c < kCalls; ++c) {
+    const std::vector<double> t = tree.run_steady(kSteady);
+    want.insert(want.end(), t.begin(), t.end());
+  }
+  int negative_zeros = 0;
+  for (const double y : want) {
+    if (y == 0.0 && std::signbit(y)) ++negative_zeros;
+  }
+  EXPECT_GT(negative_zeros, 0);
+
+  const auto expect_matches = [&](const std::vector<double>& got,
+                                  const std::vector<std::int64_t>& firings,
+                                  const std::vector<runtime::OpCounts>& ops) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "item " << i;
+    }
+    EXPECT_EQ(firings, tree.firings());
+    for (std::size_t a = 0; a < ops.size(); ++a) {
+      const runtime::OpCounts& to = tree.actor_ops()[a];
+      EXPECT_EQ(ops[a].int_ops, to.int_ops) << "actor " << a;
+      EXPECT_EQ(ops[a].flops, to.flops) << "actor " << a;
+      EXPECT_EQ(ops[a].divs, to.divs) << "actor " << a;
+      EXPECT_EQ(ops[a].trans, to.trans) << "actor " << a;
+      EXPECT_EQ(ops[a].mem, to.mem) << "actor " << a;
+      EXPECT_EQ(ops[a].channel, to.channel) << "actor " << a;
+    }
+  };
+
+  {
+    SCOPED_TRACE("vm");
+    sched::ExecOptions vopts;
+    vopts.engine = sched::Engine::Vm;
+    sched::Executor vm(prog, vopts);
+    EXPECT_TRUE(vm.runs_kernel(lin));
+    std::vector<double> got;
+    for (int c = 0; c < kCalls; ++c) {
+      const std::vector<double> y = vm.run_steady(kSteady);
+      got.insert(got.end(), y.begin(), y.end());
+    }
+    expect_matches(got, vm.firings(), vm.actor_ops());
+  }
+  for (const int batch : {1, 3, -1}) {
+    SCOPED_TRACE("threads=4 batch=" + std::to_string(batch));
+    sched::ExecOptions opts;
+    opts.engine = sched::Engine::Vm;
+    opts.threads = 4;
+    opts.batch = batch;
+    sched::ThreadedExecutor tex(prog, opts);
+    std::vector<double> got;
+    for (int c = 0; c < kCalls; ++c) {
+      const std::vector<double> y = tex.run_steady(kSteady);
+      got.insert(got.end(), y.begin(), y.end());
+    }
+    ASSERT_TRUE(tex.report().threaded) << tex.report().fallback_reason;
+    EXPECT_EQ(tex.report().kernels, 1);
+    const obs::MetricsSnapshot m = tex.metrics_snapshot();
+    for (const obs::EdgeSnapshot& e : m.edges) {
+      if (e.dst == lin) EXPECT_TRUE(e.ring) << "the kernel reads a ring";
+    }
+    expect_matches(got, tex.firings(), tex.actor_ops());
+  }
 }
 
 }  // namespace

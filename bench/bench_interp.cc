@@ -1,6 +1,7 @@
-// Execution-engine microbenchmarks: tree-walking interpreter vs the per-actor
-// typed VM (runtime/typed.h) on the hot work functions of the paper's
-// evaluation apps and on whole-program steady states.
+// Execution-engine microbenchmarks: tree-walking interpreter vs per-actor
+// typed execution (one-actor traces, runtime/fused.h) on the hot work
+// functions of the paper's evaluation apps and on whole-program steady
+// states.
 //
 // Two modes:
 //   * default: google-benchmark micros (pass the usual --benchmark_* flags),
@@ -29,7 +30,7 @@
 #include "runtime/channel.h"
 #include "runtime/compile.h"
 #include "runtime/interp.h"
-#include "runtime/typed.h"
+#include "runtime/fused.h"
 #include "sched/exec.h"
 
 namespace {
@@ -72,13 +73,16 @@ FilterSpec iir_spec() {
 
 // ---- single-filter firing loops ---------------------------------------------
 
-// `spec` on the per-actor typed VM, bound to `st` (already initialized).
-std::unique_ptr<sit::runtime::TypedBound> bind_typed(const FilterSpec& spec,
+// `spec`'s one-actor trace, bound to `st` (already initialized) and
+// activated for the life of the measurement.
+std::unique_ptr<sit::runtime::FilterExec> bind_typed(const FilterSpec& spec,
                                                       FilterState& st) {
-  auto tp = sit::runtime::typed_compile(spec, sit::runtime::compile_filter(spec),
-                                        st);
-  if (!tp) throw std::runtime_error(spec.name + ": did not specialize");
-  return std::make_unique<sit::runtime::TypedBound>(std::move(tp), st);
+  auto fx = sit::runtime::FilterExec::make(
+      sit::ir::make_filter(spec), sit::runtime::compile_filter(spec), st);
+  if (!fx || !fx->activate()) {
+    throw std::runtime_error(spec.name + ": did not specialize");
+  }
+  return fx;
 }
 
 // Time `firings` work invocations against prefilled channels; returns
@@ -98,7 +102,7 @@ double time_filter(const FilterSpec& spec, bool vm, int firings, int reps) {
     out.reserve_items(static_cast<std::size_t>(firings * spec.push));
     const double t0 = now_ms();
     if (vm) {
-      for (int f = 0; f < firings; ++f) bound->run_work(in, out, nullptr);
+      for (int f = 0; f < firings; ++f) bound->fire(in, out, nullptr);
     } else {
       for (int f = 0; f < firings; ++f) {
         Interp::run_work(spec, st, in, out, nullptr);
@@ -243,7 +247,7 @@ void register_micros() {
           while (!out.empty()) out.pop_item();
           s.ResumeTiming();
           if (vm) {
-            bound->run_work(in, out, nullptr);
+            bound->fire(in, out, nullptr);
           } else {
             Interp::run_work(*spec, st, in, out, nullptr);
           }

@@ -206,14 +206,4 @@ class Recorder {
   std::vector<WorkerStats> worker_stats_;
 };
 
-// Per-firing dispatch-loop attribution handed to the typed VM: when
-// non-null (and tb non-null), the VM emits PopBatch/PushBatch events with
-// the *measured* channel traffic of the firing it just executed.
-struct FiringTrace {
-  ThreadBuffer* tb{nullptr};
-  Recorder* rec{nullptr};
-  std::int32_t in_edge{-1};
-  std::int32_t out_edge{-1};
-};
-
 }  // namespace sit::obs

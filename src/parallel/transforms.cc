@@ -11,7 +11,7 @@
 #include "linear/extract.h"
 #include "runtime/compile.h"
 #include "runtime/interp.h"
-#include "runtime/typed.h"
+#include "runtime/fused.h"
 #include "sched/exec.h"
 
 namespace sit::parallel {
@@ -155,12 +155,14 @@ class ReplicaState final : public ir::NativeState {
   runtime::FilterState fst;
   std::unique_ptr<ir::NativeState> nst;
   // Lazily created per replica instance on its first firing: the shared
-  // compiled program specialized against and bound to *this* fst, or null
-  // when typed_compile refuses (the replica then runs on the tree, as the
-  // Executor does).  Never cloned -- a clone's binding must resolve against
-  // the clone's own state storage.
-  std::unique_ptr<runtime::TypedBound> typed;
-  bool specialized{false};  // typed_compile has been tried
+  // compiled program specialized against *this* fst and traced, or null
+  // when that is refused (the replica then runs on the tree, as the
+  // Executor does).  A fissed filter writes no state (fiss refuses one that
+  // does), so the trace is activated once, here, and stays active: its
+  // planes never diverge from fst.  Never cloned -- a clone's binding must
+  // resolve against the clone's own state storage.
+  std::unique_ptr<runtime::FilterExec> typed;
+  bool specialized{false};  // the trace has been tried
 
   std::unique_ptr<ir::NativeState> clone() const override {
     auto c = std::make_unique<ReplicaState>();
@@ -229,13 +231,11 @@ NodeP make_replica(const NodeP& leaf, int k, int idx) {
     if (proto->kind == Node::Kind::Filter) {
       if (compiled && !rs->specialized) {
         rs->specialized = true;
-        if (auto tp = runtime::typed_compile(proto->filter, compiled, rs->fst)) {
-          rs->typed = std::make_unique<runtime::TypedBound>(std::move(tp),
-                                                            rs->fst);
-        }
+        rs->typed = runtime::FilterExec::make(proto, compiled, rs->fst);
+        if (rs->typed && !rs->typed->activate()) rs->typed.reset();
       }
       if (rs->typed) {
-        rs->typed->run_work(shifted, out, nullptr);
+        rs->typed->fire(shifted, out, nullptr);
       } else {
         runtime::Interp::run_work(proto->filter, rs->fst, shifted, out, nullptr);
       }

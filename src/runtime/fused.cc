@@ -36,15 +36,17 @@ std::string actor_refusal(const std::string& f, const std::string& why) {
 
 // ---- builder ----------------------------------------------------------------
 
+// Builds a whole-graph trace, or (`one_actor`) the one-actor trace of the
+// single run in `runs`, whose count 0 stands for the count passed per call.
 class TraceBuilder {
  public:
   TraceBuilder(const FlatGraph& g, const std::vector<FiringRun>& runs,
                const std::vector<std::int64_t>& carry,
                const std::vector<std::int64_t>& traffic,
                const std::vector<TypedFilterP>& typed,
-               const std::vector<std::string>& why)
+               const std::vector<std::string>& why, bool one_actor)
       : g_(g), runs_(runs), carry_(carry), traffic_(traffic), typed_(typed),
-        why_(why) {}
+        why_(why), one_actor_(one_actor) {}
 
   FusedProgramP build() {
     auto P = std::make_shared<FusedProgram>();
@@ -52,8 +54,8 @@ class TraceBuilder {
     prog_->graph = &g_;
     prog_->runs = runs_;
 
-    prog_->edges.resize(g_.edges.size());
-    for (std::size_t e = 0; e < g_.edges.size(); ++e) {
+    if (!one_actor_) prog_->edges.resize(g_.edges.size());
+    for (std::size_t e = 0; e < prog_->edges.size(); ++e) {
       FusedEdgeMeta& m = prog_->edges[e];
       m.internal = g_.edges[e].src >= 0 && g_.edges[e].dst >= 0;
       if (m.internal) {
@@ -75,16 +77,19 @@ class TraceBuilder {
   }
 
  private:
-  // Assign each actor its slice of the flat register / scalar-slot /
-  // array-slot files, and copy in its typed program's plane templates and
-  // state classes.
+  // Give each laid-out actor its slot and its slice of the flat register /
+  // scalar-slot / array-slot files, and copy in its typed program's plane
+  // templates and state classes.  A whole-graph trace lays out every actor,
+  // so slots are actor ids; a one-actor trace lays out its run's actor only.
   void layout_actors() {
     const std::size_t n = g_.actors.size();
     if (n > 0xFFFF) fail("actor-id overflow");
-    prog_->actors.resize(n);
+    slot_.assign(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
+      if (one_actor_ && static_cast<int>(i) != runs_[0].actor) continue;
       const FlatActor& a = g_.actors[i];
-      FusedActorMeta& meta = prog_->actors[i];
+      slot_[i] = static_cast<std::uint16_t>(prog_->actors.size());
+      FusedActorMeta& meta = prog_->actors.emplace_back();
       meta.name = a.name;
       meta.reg_base = static_cast<std::uint32_t>(prog_->dreg_init.size());
       meta.scalar_base = static_cast<std::uint32_t>(prog_->scalar_class.size());
@@ -94,7 +99,7 @@ class TraceBuilder {
           if (match_kernel(i)) break;  // no template, no registers
           const TypedFilterP& tf = typed_[i];
           if (!tf) fail(actor_refusal(a.name, why_[i]));
-          if (ir::stmt_sends(a.node->filter.init)) {
+          if (!one_actor_ && ir::stmt_sends(a.node->filter.init)) {
             fail("teleport-send:" + a.name);
           }
           const TypedCode& w = tf->work;
@@ -138,7 +143,7 @@ class TraceBuilder {
     const TypedFilterP& tf = typed_[actor];
     if (!tf || !tf->kernel) return false;
     LinearKernelArgs K;
-    K.actor = static_cast<int>(actor);
+    K.actor = slot_[actor];
     K.in_edge = a.in_edges.empty() ? -1 : a.in_edges[0];
     K.out_edge = a.out_edges.empty() ? -1 : a.out_edges[0];
     if (!tf->kernel->fits_tapes(K.in_edge >= 0, K.out_edge >= 0)) return false;
@@ -151,14 +156,15 @@ class TraceBuilder {
 
   // One firing run: SetActor (which also loads the first firing's register
   // template), the actor's firing template once, and for more than one
-  // firing a FireLoop back-edge that reloads the template and re-enters it.
-  // A splitter/joiner firing that collapses to a single copy-run instead
-  // moves the whole run's items in that one instruction, and a linear
-  // kernel's run is its one LinearKernel instruction.
+  // firing (or a per-call count) a FireLoop back-edge that reloads the
+  // template and re-enters it.  A splitter/joiner firing that collapses to a
+  // single copy-run instead moves the whole run's items in that one
+  // instruction, and a linear kernel's run is its one LinearKernel
+  // instruction.
   void emit_run(const FiringRun& run) {
     if (run.actor < 0 ||
         static_cast<std::size_t>(run.actor) >= g_.actors.size() ||
-        run.count < 1) {
+        run.count < (one_actor_ ? 0 : 1)) {
       fail("malformed firing run");
     }
     if (run.count > INT32_MAX) fail("firing-count overflow");
@@ -175,7 +181,7 @@ class TraceBuilder {
     }
     FInstr set{};
     set.op = FOp::SetActor;
-    set.a = static_cast<std::uint16_t>(run.actor);
+    set.a = slot_[static_cast<std::size_t>(run.actor)];
     prog_->code.push_back(set);
 
     const std::size_t body = prog_->code.size();
@@ -238,7 +244,8 @@ class TraceBuilder {
   }
 
   [[nodiscard]] bool edge_internal(int e) const {
-    return prog_->edges[static_cast<std::size_t>(e)].internal;
+    const auto ei = static_cast<std::size_t>(e);
+    return ei < prog_->edges.size() && prog_->edges[ei].internal;
   }
 
   // ---- filter template translation ------------------------------------------
@@ -246,11 +253,11 @@ class TraceBuilder {
   // Rebase the actor's typed work program into trace form: registers and
   // state slots rebased, channel ops bound to this actor's edges, mode bytes
   // and count tags kept.  Jumps stay template-relative (an index == template
-  // length means "fall off the end", where the VM's Halt sat).
+  // length means "fall off the end", where the typed code's Halt sat).
   std::vector<FInstr> translate_filter(int actor) {
     const auto ai = static_cast<std::size_t>(actor);
     const FlatActor& a = g_.actors[ai];
-    const FusedActorMeta& meta = prog_->actors[ai];
+    const FusedActorMeta& meta = prog_->actors[slot_[ai]];
     const std::vector<FInstr>& w = typed_[ai]->work.code;
     const int in_e = a.in_edges.empty() ? -1 : a.in_edges[0];
     const int out_e = a.out_edges.empty() ? -1 : a.out_edges[0];
@@ -457,7 +464,7 @@ class TraceBuilder {
     const auto ai = static_cast<std::size_t>(actor);
     const FlatActor& a = g_.actors[ai];
     const auto reg =
-        static_cast<std::uint16_t>(prog_->actors[ai].reg_base);
+        static_cast<std::uint16_t>(prog_->actors[slot_[ai]].reg_base);
     if (a.kind == FlatActor::Kind::Splitter) {
       const int in_e = a.in_edges.empty() ? -1 : a.in_edges[0];
       if (in_e < 0) fail("splitter without an input edge in '" + a.name + "'");
@@ -598,7 +605,9 @@ class TraceBuilder {
   const std::vector<std::int64_t>& traffic_;
   const std::vector<TypedFilterP>& typed_;
   const std::vector<std::string>& why_;
+  const bool one_actor_;
   FusedProgram* prog_{nullptr};
+  std::vector<std::uint16_t> slot_;  // by actor id: its slot, once laid out
   std::map<int, std::vector<FInstr>> templates_;
   std::map<int, LinearKernelArgs> kernel_of_;  // by actor, firings unset
 };
@@ -612,7 +621,19 @@ FusedProgramP build_fused(const FlatGraph& g, const std::vector<FiringRun>& runs
                           const std::vector<std::string>& why,
                           std::string* reason) {
   try {
-    return TraceBuilder(g, runs, carry, traffic, typed, why).build();
+    return TraceBuilder(g, runs, carry, traffic, typed, why, false).build();
+  } catch (const BuildFail& f) {
+    if (reason) *reason = f.reason;
+    return nullptr;
+  }
+}
+
+FusedProgramP build_actor(const FlatGraph& g, int actor,
+                          const std::vector<TypedFilterP>& typed,
+                          std::string* reason) {
+  try {
+    return TraceBuilder(g, {FiringRun{actor, 0}}, {}, {}, typed, {}, true)
+        .build();
   } catch (const BuildFail& f) {
     if (reason) *reason = f.reason;
     return nullptr;
@@ -694,13 +715,40 @@ std::string FusedProgram::disassemble() const {
 
 // ---- typed (dual-plane) fused execution -------------------------------------
 //
-// TypedFusedExec runs the trace with the per-actor VM's semantics: the same
-// op counting and the same error strings thrown in the same order.  What
-// each filter's typing proved safe lets it go faster: registers and (for
-// the duration of an activation) filter state live in raw planes,
+// TypedFusedExec runs a trace with the tree interpreter's semantics: the
+// same op counting and the same error strings thrown in the same order.
+// What each filter's typing proved safe lets it go faster: registers and
+// (for the duration of an activation) filter state live in raw planes,
 // CountTag::ByResult is pre-resolved, and the mac-loop superinstruction runs
 // as a raw double* kernel when a hoisted precheck shows no per-element
 // check can fire.
+
+namespace {
+
+// Resolve `f`'s state slots to pointers into `state`'s maps, appended to
+// `scalars`/`arrays` in slot order, so firings do no hashing.
+void bind_slots(const CompiledFilter& f, FilterState& state,
+                std::vector<Value*>& scalars,
+                std::vector<std::vector<Value>*>& arrays) {
+  scalars.reserve(scalars.size() + f.scalar_slots.size());
+  for (const auto& name : f.scalar_slots) {
+    auto it = state.scalars.find(name);
+    if (it == state.scalars.end()) {
+      throw std::logic_error("trace bind: state has no scalar '" + name + "'");
+    }
+    scalars.push_back(&it->second);
+  }
+  arrays.reserve(arrays.size() + f.array_slots.size());
+  for (const auto& name : f.array_slots) {
+    auto it = state.arrays.find(name);
+    if (it == state.arrays.end()) {
+      throw std::logic_error("trace bind: state has no array '" + name + "'");
+    }
+    arrays.push_back(&it->second);
+  }
+}
+
+}  // namespace
 
 // Uncounted tape adapters over a lowered edge, for NativeFire (native filters
 // count statically, exactly like Executor::fire does for them).
@@ -749,17 +797,18 @@ class TypedFusedExec::BufOut final : public ir::OutTape {
 };
 
 TypedFusedExec::TypedFusedExec(
-    FusedProgramP prog, std::vector<FilterState>& states,
-    const std::vector<std::unique_ptr<Channel>>& chans,
-    const std::vector<std::unique_ptr<ir::NativeState>>& nstates)
-    : prog_(std::move(prog)) {
+    FusedProgramP prog, std::span<FilterState> states,
+    const std::vector<ir::InTape*>& in, const std::vector<ir::OutTape*>& out,
+    std::span<const std::unique_ptr<Channel>> chans,
+    std::span<const std::unique_ptr<ir::NativeState>> nstates)
+    : prog_(std::move(prog)), in_(&in), out_(&out), chans_(chans),
+      nstates_(nstates) {
   const FusedProgram& base = *prog_;
   // Registers start as their templates' Value() does: int 0 in both
   // planes.  Every run's SetActor re-templates its slice before any read.
   dregs_.assign(base.dreg_init.size(), 0.0);
   iregs_.assign(base.ireg_init.size(), 0);
-  // Slot order is actor order, which is how the builder laid the flat
-  // state files out.
+  // Slot order, which is how the builder laid the flat state files out.
   for (std::size_t i = 0; i < base.actors.size(); ++i) {
     if (const CompiledFilterP& f = base.actors[i].filter) {
       bind_slots(*f, states[i], scalar_vals_, array_vals_);
@@ -769,10 +818,6 @@ TypedFusedExec::TypedFusedExec(
   iscalars_.assign(scalar_vals_.size(), 0);
   darrays_.resize(array_vals_.size());
   iarrays_.resize(array_vals_.size());
-  chans_.reserve(chans.size());
-  for (const auto& c : chans) chans_.push_back(c.get());
-  nstates_.reserve(nstates.size());
-  for (const auto& s : nstates) nstates_.push_back(s.get());
   ebuf_.resize(base.edges.size());
   for (std::size_t e = 0; e < base.edges.size(); ++e) {
     const FusedEdgeMeta& m = base.edges[e];
@@ -843,9 +888,9 @@ bool TypedFusedExec::activate() {
       return false;  // graph is mid-iteration (manual fire); run per-actor
     }
   }
-  // A state tag drifting from its inferred class (e.g. a handler retagged a
-  // scalar since specialization) refuses cleanly; the caller runs the batch
-  // per-actor.  Nothing is mutated on this path.
+  // A state tag drifting from its inferred class (e.g. a caller stored an
+  // int into a Double slot since specialization) refuses cleanly; the caller
+  // runs the call another way.  Nothing is mutated on this path.
   if (!sync_state_in()) return false;
   for (std::size_t e = 0; e < base.edges.size(); ++e) {
     const FusedEdgeMeta& m = base.edges[e];
@@ -873,15 +918,18 @@ void TypedFusedExec::deactivate() {
   active_ = false;
 }
 
-void TypedFusedExec::run_iteration(OpCounts* actor_counts) {
-  if (!active_) {
-    throw std::logic_error("TypedFusedExec::run_iteration before activate()");
-  }
-  if (actor_counts != nullptr) {
-    run<true>(actor_counts);
+void TypedFusedExec::fire(OpCounts* counts, std::int64_t n) {
+  if (!active_) throw std::logic_error("TypedFusedExec run before activate()");
+  if (n <= 0) return;
+  if (counts != nullptr) {
+    run<true>(counts, n);
   } else {
-    run<false>(nullptr);
+    run<false>(nullptr, n);
   }
+}
+
+void TypedFusedExec::run_iteration(OpCounts* actor_counts) {
+  fire(actor_counts, 1);  // a whole-graph trace stores its run counts
   finish_iteration();
 }
 
@@ -909,35 +957,49 @@ void TypedFusedExec::finish_iteration() {
 }
 
 void TypedFusedExec::run_linear(const LinearKernelArgs& K,
-                                OpCounts* actor_counts) {
+                                OpCounts* actor_counts, std::int64_t firings) {
   OpCounts* const counts =
       actor_counts != nullptr ? &actor_counts[K.actor] : nullptr;
+  const std::int64_t n = K.firings > 0 ? K.firings : firings;
   EdgeState dummy;
   BufIn bin(K.in_edge >= 0 && !K.in_real ? ebuf_[K.in_edge] : dummy);
   ir::InTape& in = K.in_edge < 0 ? g_null_in
-                   : K.in_real   ? *chans_[K.in_edge]
+                   : K.in_real   ? *(*in_)[K.in_edge]
                                  : static_cast<ir::InTape&>(bin);
-  if (K.out_real) {
-    linear_firings(K.rows, K.firings, in, *chans_[K.out_edge], counts);
-  } else {
+  if (!K.out_real) {
     BufOut bout(ebuf_[K.out_edge]);
-    linear_firings(K.rows, K.firings, in, bout, counts);
+    linear_firings(K.rows, n, in, bout, counts);
+    return;
+  }
+  // An out tape that is still its executor's Channel (final) keeps the
+  // kernel's push a direct call.
+  ir::OutTape& out = *(*out_)[K.out_edge];
+  const auto e = static_cast<std::size_t>(K.out_edge);
+  if (e < chans_.size() && &out == chans_[e].get()) {
+    linear_firings(K.rows, n, in, *chans_[e], counts);
+  } else {
+    linear_firings(K.rows, n, in, out, counts);
   }
 }
 
 template <bool kCount>
-void TypedFusedExec::run(OpCounts* actor_counts) {
+void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
   const FusedProgram& base = *prog_;
   double* const dr = dregs_.data();
   std::int64_t* const ir_ = iregs_.data();
   const FInstr* const code = base.code.data();
   EdgeState* const ebuf = ebuf_.data();
+  // Boundary ops are rare in a whole-graph trace: read the tape tables at
+  // each use rather than keep them live across the loop.
+  const auto tin = [this](std::int32_t e) { return (*in_)[e]; };
+  const auto tout = [this](std::int32_t e) { return (*out_)[e]; };
   const bool debug = debug_channel_checks();
   OpCounts* cur = nullptr;
   const FusedActorMeta* meta = nullptr;
   std::int64_t window = 0;
-  std::int64_t pops = 0;
-  std::int32_t firing = 0;  // completed firings of the current run's loop
+  std::int64_t pops = 0;    // this firing's, for the peek window
+  std::int64_t pushes = 0;  // this firing's, to its boundary tape
+  std::int64_t firing = 0;  // completed firings of the current run's loop
   std::int32_t pc = 0;
 
   // Start a firing of the current actor: re-template both plane slices
@@ -950,6 +1012,7 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
     std::copy_n(dinit + meta->reg_base, nr, dr + meta->reg_base);
     std::copy_n(iinit + meta->reg_base, nr, ir_ + meta->reg_base);
     pops = 0;
+    pushes = 0;
   };
 
   const auto tpop = [&](std::int32_t e) {
@@ -1090,14 +1153,14 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
           peek_bounds_error(meta->name, off, pops, window);
         }
         if constexpr (kCount) ++cur->channel;
-        dr[I.dst] = chans_[I.edge]->peek_item(static_cast<int>(off));
+        dr[I.dst] = tin(I.edge)->peek_item(static_cast<int>(off));
         ++pc;
         break;
       }
       case FOp::RPop:
         if constexpr (kCount) ++cur->channel;
         ++pops;
-        dr[I.dst] = chans_[I.edge]->pop_item();
+        dr[I.dst] = tin(I.edge)->pop_item();
         ++pc;
         break;
       case FOp::RPopN: {
@@ -1105,14 +1168,15 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
         if (n > 0) {
           if constexpr (kCount) cur->channel += n;
           pops += n;
-          chans_[I.edge]->pop_many(static_cast<int>(n));
+          tin(I.edge)->pop_many(static_cast<int>(n));
         }
         ++pc;
         break;
       }
       case FOp::RPush:
         if constexpr (kCount) ++cur->channel;
-        chans_[I.edge]->push_item(typed_getd(dr, ir_, I.dst, dd));
+        ++pushes;
+        tout(I.edge)->push_item(typed_getd(dr, ir_, I.dst, dd));
         ++pc;
         break;
       case FOp::TPeek: {
@@ -1162,7 +1226,7 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
         ++pc;
         break;
       case FOp::FireLoop:
-        if (++firing < I.edge) {
+        if (++firing < (I.edge != 0 ? I.edge : firings)) {
           reload();
           pc = I.jump;
         } else {
@@ -1180,33 +1244,50 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
           const std::vector<double>* arr =
               M.has_array ? &darrays_[M.arr] : nullptr;
           EdgeState* s = M.real ? nullptr : &ebuf[M.edge];
-          Channel* const ch = M.real ? chans_[M.edge] : nullptr;
+          ir::InTape* const tape = M.real ? tin(M.edge) : nullptr;
           // Hoisted precheck: when no per-element check can fire across the
           // whole range, run the raw kernel and count in bulk.  `last` is the
           // largest index the loop touches (st > 0 was established by the
-          // CheckStep the superinstruction absorbed).
+          // CheckStep the superinstruction absorbed).  A trace buffer's
+          // window is flat; a boundary tape's is its ring view.
           const std::int64_t last = i + ((hi - 1 - i) / st) * st;
+          ir::RingView view{};
           bool fast = i >= 0 && st > 0;
           if (fast && debug && pops + last >= window) fast = false;
-          if (fast && s != nullptr &&
-              s->rd + static_cast<std::size_t>(last) >= s->wr) {
-            fast = false;
-          }
-          if (fast && ch != nullptr &&
-              static_cast<std::size_t>(last) >= ch->size()) {
-            fast = false;
-          }
           if (fast && arr != nullptr &&
               static_cast<std::size_t>(last) >= arr->size()) {
             fast = false;
           }
           if (fast && s != nullptr) {
-            const double* const src = s->buf.data() + s->rd;
-            if (arr != nullptr) {
-              const double* const coef = arr->data();
-              for (; i < hi; i += st) acc += src[i] * coef[i];
+            if (s->rd + static_cast<std::size_t>(last) >= s->wr) {
+              fast = false;
             } else {
-              for (; i < hi; i += st) acc += src[i];
+              view = {s->buf.data() + s->rd, 0, ~std::size_t{0}};
+            }
+          }
+          if (fast && tape != nullptr &&
+              !tape->ring_view(static_cast<std::size_t>(last) + 1, &view)) {
+            fast = false;
+          }
+          if (fast) {
+            const auto terms = [&](auto at) {
+              if (arr != nullptr) {
+                const double* const coef = arr->data();
+                for (; i < hi; i += st) acc += at(i) * coef[i];
+              } else {
+                for (; i < hi; i += st) acc += at(i);
+              }
+            };
+            // Flat addressing when the window lies in one lap of the ring.
+            const std::size_t first = view.head & view.mask;
+            if (static_cast<std::size_t>(last) <= view.mask - first) {
+              const double* const src = view.buf + first;
+              terms([src](std::int64_t k) { return src[k]; });
+            } else {
+              terms([&view](std::int64_t k) {
+                return view.buf[(view.head + static_cast<std::size_t>(k)) &
+                                view.mask];
+              });
             }
             if constexpr (kCount) {
               const std::int64_t trips = (hi - ir_[M.ri] + st - 1) / st;
@@ -1217,27 +1298,6 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
                 cur->flops += 2 * trips;  // mul + add per term
               } else {
                 cur->flops += trips;  // add per term
-              }
-            }
-          } else if (fast) {
-            // Real-channel mac: peek through the ring (still raw doubles).
-            if (arr != nullptr) {
-              const double* const coef = arr->data();
-              for (; i < hi; i += st) {
-                acc += ch->peek_item(static_cast<int>(i)) * coef[i];
-              }
-            } else {
-              for (; i < hi; i += st) acc += ch->peek_item(static_cast<int>(i));
-            }
-            if constexpr (kCount) {
-              const std::int64_t trips = (hi - ir_[M.ri] + st - 1) / st;
-              cur->int_ops += 2 * trips;
-              cur->channel += trips;
-              if (arr != nullptr) {
-                cur->mem += trips;
-                cur->flops += 2 * trips;
-              } else {
-                cur->flops += trips;
               }
             }
           } else {
@@ -1256,7 +1316,7 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
                 }
                 pd = s->buf[s->rd + static_cast<std::size_t>(i)];
               } else {
-                pd = ch->peek_item(static_cast<int>(i));
+                pd = tape->peek_item(static_cast<int>(i));
               }
               if constexpr (kCount) ++cur->channel;
               double term = pd;
@@ -1306,10 +1366,10 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
           } else {
             for (std::int64_t k = 0; k < C.n; ++k) {
               const double v =
-                  C.src_real ? chans_[C.src]->pop_item() : tpop(C.src);
+                  C.src_real ? tin(C.src)->pop_item() : tpop(C.src);
               for (std::size_t d = 0; d < C.dst.size(); ++d) {
                 if (C.dst_real[d] != 0) {
-                  chans_[C.dst[d]]->push_item(v);
+                  tout(C.dst[d])->push_item(v);
                 } else {
                   tpush(C.dst[d], v);
                 }
@@ -1331,15 +1391,10 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
         BufOut bout(N.out_edge >= 0 && !N.out_real ? ebuf[N.out_edge] : dummy);
         ir::InTape* in = &g_null_in;
         ir::OutTape* out = &g_null_out;
-        if (N.in_edge >= 0) {
-          in = N.in_real ? static_cast<ir::InTape*>(chans_[N.in_edge]) : &bin;
-        }
-        if (N.out_edge >= 0) {
-          out = N.out_real ? static_cast<ir::OutTape*>(chans_[N.out_edge])
-                           : &bout;
-        }
-        a.node->native.work(nstates_[static_cast<std::size_t>(N.actor)], *in,
-                            *out);
+        if (N.in_edge >= 0) in = N.in_real ? tin(N.in_edge) : &bin;
+        if (N.out_edge >= 0) out = N.out_real ? tout(N.out_edge) : &bout;
+        a.node->native.work(nstates_[static_cast<std::size_t>(N.actor)].get(),
+                            *in, *out);
         if constexpr (kCount) {
           cur->flops += N.flops;
           cur->int_ops += N.int_ops;
@@ -1348,16 +1403,51 @@ void TypedFusedExec::run(OpCounts* actor_counts) {
         ++pc;
         break;
       }
-      case FOp::LinearKernel:
-        run_linear(base.kernels[I.a], actor_counts);
+      case FOp::LinearKernel: {
+        const LinearKernelArgs& K = base.kernels[I.a];
+        run_linear(K, actor_counts, firings);
+        pops = K.rows.pop;
+        pushes = K.rows.push;
         ++pc;
         break;
+      }
       case FOp::Halt:
+        popped_ = pops;
+        pushed_ = pushes;
         return;
       default:
         throw std::logic_error("typed fused dispatch: unexpected opcode");
     }
   }
+}
+
+// ---- a lone filter -----------------------------------------------------------
+
+std::unique_ptr<FilterExec> FilterExec::make(const ir::NodeP& filter,
+                                             const CompiledFilterP& base,
+                                             FilterState& state) {
+  if (!base) return nullptr;
+  TypedFilterP typed = typed_compile(filter->filter, base, state);
+  if (!typed) return nullptr;
+  std::unique_ptr<FilterExec> fx(new FilterExec);
+  fx->node_ = filter;
+  fx->g_ = flatten(filter);
+  FusedProgramP prog = build_actor(fx->g_, 0, {std::move(typed)});
+  if (!prog) return nullptr;
+  fx->in_.assign(fx->g_.edges.size(), nullptr);
+  fx->out_.assign(fx->g_.edges.size(), nullptr);
+  fx->exec_ = std::make_unique<TypedFusedExec>(
+      std::move(prog), std::span<FilterState>(&state, 1), fx->in_, fx->out_);
+  return fx;
+}
+
+void FilterExec::fire(ir::InTape& in, ir::OutTape& out, OpCounts* counts,
+                      std::int64_t n) {
+  if (g_.input_edge >= 0) in_[static_cast<std::size_t>(g_.input_edge)] = &in;
+  if (g_.output_edge >= 0) {
+    out_[static_cast<std::size_t>(g_.output_edge)] = &out;
+  }
+  exec_->fire(counts, n);
 }
 
 }  // namespace sit::runtime

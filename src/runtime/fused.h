@@ -1,21 +1,20 @@
 #pragma once
-// Whole-program fused steady-state trace.
+// Fused traces: the one form the compiled engines execute.
 //
-// The per-actor VM (typed.h) still pays, on every steady-state iteration, one
-// work-function dispatch per firing and a ring-buffer round trip per item.
-// This engine removes both: build_fused() compiles the schedule's
-// steady-state firing sequence -- runs of consecutive firings of one actor
-// (sched::Schedule::steady_runs) -- into ONE flat bytecode trace, and lowers
-// every fully-internal channel to a flat array ("trace buffer") indexed by
-// cursors whose motion is statically known.  Ring channels survive only at
-// the program boundary (external input/output edges), where the
-// feeder/drainer needs them.
+// Per-actor firing pays one work-function dispatch per firing and a
+// ring-buffer round trip per item.  build_fused() removes both for a whole
+// steady state: it compiles the schedule's steady-state firing sequence --
+// runs of consecutive firings of one actor (sched::Schedule::steady_runs) --
+// into ONE flat bytecode trace, and lowers every fully-internal channel to a
+// flat array ("trace buffer") indexed by cursors whose motion is statically
+// known.  Ring channels survive only at the program boundary (external
+// input/output edges), where the feeder/drainer needs them.
 //
 // Layout of one iteration's trace, per firing run (actor a, n firings):
 //
 //   SetActor a            switch OpCounts attribution + peek window, and
 //                         load the actor's register template for the first
-//                         firing (exactly the per-invocation copy the VM does)
+//                         firing (the per-firing register reset)
 //   <work template>       the filter's typed work program (typed.h: vm.h's
 //                         FInstr with operand-plane mode bytes and resolved
 //                         count tags), registers and state slots rebased
@@ -76,14 +75,24 @@
 // Superinstruction counts (FusedProgram::super) are per iteration: an
 // instance inside a firing loop counts once per firing.
 //
-// TypedFusedExec (below) runs the trace on the dual value plane; a refused
-// trace runs per-actor instead.  The bit-equality contract lives on
-// TypedFusedExec; tests/test_fused.cc pins superinstruction selection and
-// every refusal reason.
+// The per-actor engines run the same form one actor at a time:
+// build_actor() makes an actor's one-actor trace -- SetActor, its template
+// and a FireLoop, or its one LinearKernel instruction, with the run's
+// firing count passed to each TypedFusedExec::fire call instead of stored in
+// the code.  It lays out only that actor, and every tape is a boundary tape,
+// so it needs no other filter typed.  sched::Executor fires every typed actor
+// through one (a refused whole trace, run_init, fire(), the threaded
+// workers), and FilterExec fires a lone filter outside any executor.
+//
+// TypedFusedExec (below) runs both on the dual value plane; its run() is the
+// only loop that dispatches typed FInstr code.  The bit-equality contract
+// lives on TypedFusedExec; tests/test_fused.cc pins superinstruction
+// selection and every refusal reason.
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,7 +110,7 @@ namespace sit::runtime {
 // for (i = r[ri]; i < r[rhi]; i += r[rstep])
 //   r[acc] += peek(i) [ * coef[i] ]
 // with per-iteration counts identical to the 9-instruction (7 without the
-// coefficient array) VM loop body it replaces.
+// coefficient array) typed loop body it replaces.
 struct MacLoopArgs {
   std::uint16_t ri{0}, rhi{0}, rstep{0};  // loop bookkeeping registers
   std::uint16_t slot{0};                  // the loop-variable local
@@ -110,7 +119,7 @@ struct MacLoopArgs {
   std::uint16_t arr{0};                   // flat array slot (has_array)
   bool has_array{false};
   std::int32_t edge{-1};
-  bool real{false};  // peek the boundary ring instead of a trace buffer
+  bool real{false};  // peek the boundary tape instead of a trace buffer
 };
 
 struct CopyRunArgs {
@@ -131,13 +140,18 @@ struct NativeFireArgs {
 };
 
 struct LinearKernelArgs {
-  int actor{-1};  // OpCounts attribution
+  int actor{-1};  // the program's actor slot: OpCounts attribution
   std::int32_t in_edge{-1}, out_edge{-1};  // -1: the filter has no such tape
   bool in_real{false}, out_real{false};
-  std::int64_t firings{0};  // the run's firings, all in one dispatch
+  // The run's firings, all in one dispatch (0 in a one-actor trace: the
+  // count each fire() call passes).
+  std::int64_t firings{0};
   LinearRows rows;
 };
 
+// One laid-out actor.  A program's actor slots are the graph's actor ids in
+// a whole-graph trace; a one-actor trace has the one slot 0.  SetActor,
+// FireLoop and LinearKernelArgs::actor name slots.
 struct FusedActorMeta {
   std::string name;
   CompiledFilterP filter;  // state slots to bind; null without a template
@@ -165,8 +179,8 @@ struct FusedProgram {
   std::vector<CopyRunArgs> copies;
   std::vector<NativeFireArgs> nats;
   std::vector<LinearKernelArgs> kernels;
-  std::vector<FusedActorMeta> actors;
-  std::vector<FusedEdgeMeta> edges;
+  std::vector<FusedActorMeta> actors;  // by slot
+  std::vector<FusedEdgeMeta> edges;    // by edge id; empty in a one-actor trace
   // Flat array-slot names (bounds errors, disassembly), indexed by
   // actors[i].array_base + slot.
   std::vector<std::string> array_names;
@@ -202,57 +216,83 @@ FusedProgramP build_fused(const FlatGraph& g, const std::vector<FiringRun>& runs
                           const std::vector<std::string>& why,
                           std::string* reason = nullptr);
 
-// The fused engine's executor: a fused trace bound to one executor's
-// storage (FilterStates, boundary Channels, NativeStates).  Usage per
-// run_steady call:
+// Build filter `actor`'s one-actor trace (see the file comment) from
+// `typed[actor]`.  Returns nullptr with `reason` filled when it cannot be
+// traced (a channel op without its tape), and the actor fires on the tree
+// interpreter instead.
+FusedProgramP build_actor(const FlatGraph& g, int actor,
+                          const std::vector<TypedFilterP>& typed,
+                          std::string* reason = nullptr);
+
+// A trace bound to storage: the FilterStates of its actor slots
+// (`states[i]` is slot i's), the per-edge tape tables its boundary ops read
+// (an executor's, so a tape retargeted to an SPSC ring between calls is read
+// there), the executor's Channels (a whole-graph trace lowers its internal
+// edges from them, and a kernel pushes straight into one its out tape still
+// is), and for a whole-graph trace the native filters' states.  Usage per
+// public call:
 //
-//   if (fx.activate()) {           // lower internal channels to buffers
-//     for each iteration: fx.run_iteration(counts);
-//     fx.deactivate();             // restore carried items to the channels
+//   if (fx.activate()) {           // mirror state into the planes, lower
+//     fx.run_iteration(counts);    //   internal channels to buffers
+//     ... or, one-actor: fx.fire(counts, n);
+//     fx.deactivate();             // write state back, restore channels
 //   }
 //
-// activate() refuses (returns false) in two cases, and the caller then runs
-// the batch per-actor instead:
+// activate() refuses (returns false, mutating nothing) in two cases, and
+// the caller then runs the call per-actor / on the tree interpreter:
 //   * some internal channel does not hold exactly its steady-state carry --
 //     e.g. manual fire() calls left the graph mid-iteration;
 //   * some state tag no longer matches its inferred class -- e.g. a caller
-//     stored the other tag through Executor::filter_state between runs.
-// On success it also mirrors every filter state scalar/array into raw plane
-// storage for the duration of the activation (written back on deactivate),
-// which is what lets the mac-loop run as `for (i) acc += src[i] * coef[i]`
-// over raw double spans.  run_iteration executes one whole steady state,
-// advances every lowered channel's cumulative counters by its traffic, and
-// compacts each buffer's carried items back to the front.
+//     stored the other tag through Executor::filter_state between calls.
+// On success it mirrors every filter state scalar/array into raw plane
+// storage until deactivate() writes it back, which is what lets the
+// mac-loop run as `for (i) acc += src[i] * coef[i]` over raw double spans.
+// run_iteration executes one whole steady state, advances every lowered
+// channel's cumulative counters by its traffic, and compacts each buffer's
+// carried items back to the front.
 //
 // Bit-equality contract: for any admissible program, running the trace
 // produces outputs, per-actor FilterState, per-actor OpCounts, and per-edge
-// cumulative push/pop counters identical to per-actor execution.
+// cumulative push/pop counters identical to the tree interpreter.
 // Counting preservation is per-instruction (every lowered/fused op carries
-// the same CountTag arithmetic as the VM dispatch loop); channel-counter
-// preservation is by bulk advance (each lowered edge's n(t)/p(t) advance by
-// `traffic` once per iteration, which equals the sum of the per-item
-// increments the VM would have made).  Only Channel high-water marks differ
-// (a lowered channel never observes intermediate occupancy).
+// the same CountTag arithmetic as the tree's count_bin/count_un);
+// channel-counter preservation is by bulk advance (each lowered edge's
+// n(t)/p(t) advance by `traffic` once per iteration, which equals the sum of
+// the per-item increments per-actor firing makes).  Only Channel high-water
+// marks differ (a lowered channel never observes intermediate occupancy).
 // tests/test_pipeline_diff.cc holds the contract across all apps x all
 // optimization levels.
 class TypedFusedExec {
  public:
-  TypedFusedExec(FusedProgramP prog, std::vector<FilterState>& states,
-                 const std::vector<std::unique_ptr<Channel>>& chans,
-                 const std::vector<std::unique_ptr<ir::NativeState>>& nstates);
+  TypedFusedExec(
+      FusedProgramP prog, std::span<FilterState> states,
+      const std::vector<ir::InTape*>& in, const std::vector<ir::OutTape*>& out,
+      std::span<const std::unique_ptr<Channel>> chans = {},
+      std::span<const std::unique_ptr<ir::NativeState>> nstates = {});
 
   bool activate();
   void deactivate();
+  // A whole-graph trace: one steady state, tallied per actor slot into
+  // actor_counts[] (null: no counting).
   void run_iteration(OpCounts* actor_counts);
+  // A one-actor trace: `n` firings in one dispatch, tallied into *counts.
+  void fire(OpCounts* counts, std::int64_t n);
   [[nodiscard]] bool active() const { return active_; }
+  [[nodiscard]] const FusedProgram& program() const { return *prog_; }
+  // Items a one-actor trace's last firing popped and pushed, as measured
+  // (traced firings report them).
+  [[nodiscard]] std::int64_t popped() const { return popped_; }
+  [[nodiscard]] std::int64_t pushed() const { return pushed_; }
 
  private:
+  // The dispatch loop.  `firings` is a one-actor trace's per-call count.
   template <bool kCount>
-  void run(OpCounts* actor_counts);
+  void run(OpCounts* actor_counts, std::int64_t firings);
   // One LinearKernel instruction: out of line, so traces without one keep
   // the dispatch loop's code unchanged.  `actor_counts` is run's argument.
   [[gnu::noinline]] void run_linear(const LinearKernelArgs& K,
-                                    OpCounts* actor_counts);
+                                    OpCounts* actor_counts,
+                                    std::int64_t firings);
   void finish_iteration();
   bool sync_state_in();   // Value -> planes; false on a class/tag mismatch
   void sync_state_out();  // planes -> Value
@@ -273,10 +313,41 @@ class TypedFusedExec {
   std::vector<std::int64_t> iscalars_;
   std::vector<std::vector<double>> darrays_;
   std::vector<std::vector<std::int64_t>> iarrays_;
-  std::vector<Channel*> chans_;
-  std::vector<ir::NativeState*> nstates_;
+  const std::vector<ir::InTape*>* in_;
+  const std::vector<ir::OutTape*>* out_;
+  std::span<const std::unique_ptr<Channel>> chans_;
+  std::span<const std::unique_ptr<ir::NativeState>> nstates_;
   std::vector<EdgeState> ebuf_;
+  std::int64_t popped_{0}, pushed_{0};
   bool active_{false};
+};
+
+// A lone filter fired outside any executor -- a peeking-fission replica, a
+// differential test, a microbenchmark -- through its one-actor trace over a
+// private one-filter graph, on the tapes each fire() call names.  As with
+// an executor, firings run between activate() and deactivate(), and the
+// bound FilterState is current only outside them.
+class FilterExec {
+ public:
+  // Null when typed_compile or build_actor refuses `filter` (a filter node
+  // whose work `base` is, specialized against `state`'s current tags).
+  static std::unique_ptr<FilterExec> make(const ir::NodeP& filter,
+                                          const CompiledFilterP& base,
+                                          FilterState& state);
+
+  bool activate() { return exec_->activate(); }
+  void deactivate() { exec_->deactivate(); }
+  void fire(ir::InTape& in, ir::OutTape& out, OpCounts* counts,
+            std::int64_t n = 1);
+
+ private:
+  FilterExec() = default;
+
+  ir::NodeP node_;
+  FlatGraph g_;
+  std::vector<ir::InTape*> in_;
+  std::vector<ir::OutTape*> out_;
+  std::unique_ptr<TypedFusedExec> exec_;
 };
 
 }  // namespace sit::runtime

@@ -9,11 +9,11 @@
 // coefficients out of the AST in CSR form.  typed_compile (compile.cc) does
 // so once per filter and attaches the rows to the filter's TypedFilter;
 // everything that runs or reports a kernel reads them from there:
-//   * the fused trace (fused.h) runs a kernel actor's whole firing run as
-//     one linear-kernel instruction;
-//   * the per-actor executor (sched/exec.h) fires a kernel actor through
-//     linear_firings -- one firing per fire_into, a whole run per fire_run,
-//     which the threaded runtime's workers call;
+//   * the fused traces (fused.h) run a kernel actor's whole firing run as
+//     one linear-kernel instruction -- in the whole-graph trace, and as the
+//     actor's one-actor trace, which the per-actor executor (sched/exec.h)
+//     fires one firing per fire_into and a whole run per fire_run (the
+//     threaded runtime's workers);
 //   * analysis::typeflow reports the kernel's shape.
 // linear_firings (below) is the one kernel routine all of them use.
 //

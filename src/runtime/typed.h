@@ -36,12 +36,13 @@
 //     contract: the typed loops reproduce its promotion, truncating casts,
 //     op counting, and error strings exactly.
 //
-// Each filter is typed once, by compile.cc::typed_compile.  Its result is
-// executed per actor by TypedBound (vm.cc), and fused.cc::build_fused
-// rebases it -- mode bytes, resolved count tags, plane templates and state
-// classes -- into the fused steady-state trace that TypedFusedExec runs
-// (fused.h).  analysis/typeflow.h lifts the per-actor results to a
-// whole-graph view with channel content tags.
+// Each filter is typed once, by compile.cc::typed_compile.  fused.cc
+// rebases its result -- mode bytes, resolved count tags, plane templates and
+// state classes -- into traces that TypedFusedExec runs (fused.h): the
+// actor's one-actor trace (build_actor), which the per-actor engines fire,
+// and the whole steady-state trace (build_fused).  analysis/typeflow.h
+// lifts the per-actor results to a whole-graph view with channel content
+// tags.
 
 #include <cstdint>
 #include <memory>
@@ -51,11 +52,8 @@
 
 #include "ir/filter.h"
 #include "ir/value.h"
-#include "obs/trace.h"
-#include "runtime/channel.h"
 #include "runtime/interp.h"
 #include "runtime/linear_kernel.h"
-#include "runtime/opcounts.h"
 #include "runtime/vm.h"
 
 namespace sit::runtime {
@@ -118,40 +116,5 @@ TypedFilterP typed_compile(const ir::FilterSpec& spec,
                            const CompiledFilterP& base,
                            const FilterState& state,
                            std::string* reason = nullptr);
-
-// Resolve `f`'s state slots to pointers into `state`'s maps, appended to
-// `scalars`/`arrays` in slot order, so firings do no hashing.  TypedBound
-// binds one filter; TypedFusedExec binds a trace's filters in actor order.
-void bind_slots(const CompiledFilter& f, FilterState& state,
-                std::vector<ir::Value*>& scalars,
-                std::vector<std::vector<ir::Value>*>& arrays);
-
-// The per-actor typed VM: same counting and error strings as the tree
-// interpreter, but registers live in two raw planes and dispatch never
-// touches a variant.  State stays in the FilterState's ir::Values
-// (loads/stores go through the proven class), resolved to raw pointers at
-// bind time.  The FilterState must outlive the binding, must not be moved,
-// and must not gain or lose entries.  `trace`, when non-null,
-// reports the firing's measured channel batches as trace events.
-class TypedBound {
- public:
-  TypedBound(TypedFilterP prog, FilterState& state);
-
-  void run_work(ir::InTape& in, ir::OutTape& out, OpCounts* counts,
-                const obs::FiringTrace* trace = nullptr);
-
-  [[nodiscard]] const TypedFilter& program() const { return *prog_; }
-
- private:
-  template <bool kCount>
-  void run_program(ir::InTape* in, ir::OutTape* out, OpCounts* counts,
-                   const obs::FiringTrace* trace);
-
-  TypedFilterP prog_;
-  std::vector<ir::Value*> scalars_;
-  std::vector<std::vector<ir::Value>*> arrays_;
-  std::vector<double> dregs_;
-  std::vector<std::int64_t> iregs_;
-};
 
 }  // namespace sit::runtime

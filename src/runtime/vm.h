@@ -7,11 +7,12 @@
 // scalar, array, and local resolved to an integer slot; constants pooled and
 // preloaded; peek/pop/push as dedicated opcodes).  That code never runs as
 // emitted: the typed lowering (typed.h) annotates it with operand planes,
-// and that annotated code runs per actor on TypedBound (dispatch loop in
-// vm.cc) and inlined into the fused trace (fused.h) with registers rebased
-// and channel ops bound to edges.  Semantics are bit-identical to the tree
-// interpreter by construction -- the typed kernels in eval_ops.h mirror its
-// Value kernels, and tests/test_vm.cc holds them equal differentially.
+// and fused.h inlines the annotated code into traces -- one actor's, or a
+// whole steady state's -- with registers rebased and channel ops bound to
+// edges; TypedFusedExec::run is the one loop that dispatches it.  Semantics
+// are bit-identical to the tree interpreter by construction -- the typed
+// kernels in eval_ops.h mirror its Value kernels, and tests/test_vm.cc holds
+// them equal differentially.
 //
 // Register file layout (per program): [locals | pooled constants | loop
 // bookkeeping | expression temporaries].  The template `reg_init` is copied
@@ -34,13 +35,13 @@
 namespace sit::runtime {
 
 // The one instruction set.  compile_filter emits the scalar core and the
-// boundary channel ops (edge -1: the firing's own tapes); the typed VM
-// (typed.h) and the fused trace (fused.h) both run this same format.  The
-// fused trace adds the lowered channel ops, the firing structure and the
-// superinstructions.
+// boundary channel ops (edge -1: the firing's own tapes); the typed lowering
+// (typed.h) annotates it and traces (fused.h) run it, binding each channel
+// op to an edge and adding the lowered channel ops, the firing structure and
+// the superinstructions.
 enum class FOp : std::uint8_t {
-  // Scalar core.  Register and state-slot operands are per-filter in VM
-  // code and rebased into the flat program-wide files in a fused trace.
+  // Scalar core.  Register and state-slot operands are per-filter in
+  // compiled code and rebased into the flat program-wide files in a trace.
   Move,         // r[dst] = r[a]
   LoadScalar,   // r[dst] = state scalar slot a
   StoreScalar,  // state scalar slot a = r[dst]
@@ -58,16 +59,17 @@ enum class FOp : std::uint8_t {
   Tally,        // counts->(field selected by `count`) += sub
                 // (If/Cond/LAnd/LOr/For costs, dangling splitter traffic)
   // Boundary channel ops: r[dst] = peek(r[a]) / r[dst] = pop() / discard
-  // r[a] items / push(r[dst]) on a ring Channel (`edge`, -1 in VM code).
+  // r[a] items / push(r[dst]) on edge `edge`'s tape (-1 before binding).
   RPeek, RPop, RPopN, RPush,
   // Lowered channel ops: the same on a flat trace buffer (`edge`).
   TPeek, TPop, TPopN, TPush,
   // Firing structure (fused traces).
-  SetActor,  // a = actor id: OpCounts attribution + peek window, and load
+  SetActor,  // a = actor slot: OpCounts attribution + peek window, and load
              // the actor's register template
-  FireLoop,  // a = actor id, jump = first template instruction, edge =
-             // firings in the run: reload the template and jump back until
-             // the run's last firing, then fall through
+  FireLoop,  // a = actor slot, jump = first template instruction, edge =
+             // firings in the run (0: the per-call count): reload the
+             // template and jump back until the run's last firing, then fall
+             // through
   // Superinstructions (fused traces; `a` indexes the matching args table).
   MacLoop,       // mac-loop / sum-loop
   CopyRun,       // copy-run / dup-run

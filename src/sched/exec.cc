@@ -92,12 +92,11 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
   const std::size_t n = g_.actors.size();
   fstate_.resize(n);
   nstate_.resize(n);
-  tbf_.resize(n);
+  typed_.resize(n);
+  fx_.resize(n);
   typed_refusal_.resize(n);
-  kernel_.assign(n, nullptr);
   ops_.resize(n);
   fired_.assign(n, 0);
-  std::vector<runtime::TypedFilterP> typed(n);  // what the fused trace copies
   for (std::size_t i = 0; i < n; ++i) {
     const FlatActor& a = g_.actors[i];
     if (a.kind == FlatActor::Kind::Filter) {
@@ -105,19 +104,19 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
       fstate_[i] = Interp::init_state(spec);
       if (compiled) {
         // One-time lowering to bytecode, specialized against the post-init
-        // state tags.  Either step's refusal records its stable reason and
-        // the actor runs on the tree interpreter.
+        // state tags, and traced.  Any step's refusal records its stable
+        // reason and the actor runs on the tree interpreter.
         const auto prog = runtime::compile_filter(spec, &typed_refusal_[i]);
-        typed[i] = runtime::typed_compile(spec, prog, fstate_[i],
-                                          &typed_refusal_[i]);
-        if (typed[i]) {
-          tbf_[i] = std::make_unique<runtime::TypedBound>(typed[i],
-                                                          fstate_[i]);
+        typed_[i] = runtime::typed_compile(spec, prog, fstate_[i],
+                                           &typed_refusal_[i]);
+        if (typed_[i]) {
           typed_refusal_[i].clear();
-          const auto& rows = typed[i]->kernel;
-          const bool has_in = !a.in_edges.empty() && a.in_edges[0] >= 0;
-          const bool has_out = !a.out_edges.empty() && a.out_edges[0] >= 0;
-          if (rows && rows->fits_tapes(has_in, has_out)) kernel_[i] = &*rows;
+          if (auto p = runtime::build_actor(g_, static_cast<int>(i), typed_,
+                                            &typed_refusal_[i])) {
+            fx_[i] = std::make_unique<runtime::TypedFusedExec>(
+                std::move(p), std::span(&fstate_[i], 1), in_tape_, out_tape_,
+                chans_);
+          }
         }
       }
     } else if (a.kind == FlatActor::Kind::Native) {
@@ -127,8 +126,8 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
 
   // Engine::Fused: build the whole-iteration trace from the typed programs
   // above, or record why not.  A refusal is whole-program: steady states
-  // then run per-actor on the bindings built above (the Vm path and the
-  // Fused fallback are identical).
+  // then run per-actor on the one-actor traces built above (the Vm path and
+  // the Fused fallback are identical).
   if (engine_ == Engine::Fused) {
     if (opts_.message_sink) {
       // Teleport delivery wants per-firing granularity (and build_fused
@@ -144,12 +143,12 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
         fused_refusal_ = plan.refusal;
       } else {
         fprog_ = runtime::build_fused(g_, sched_.steady_runs, plan.carry,
-                                      plan.traffic, typed, typed_refusal_,
+                                      plan.traffic, typed_, typed_refusal_,
                                       &fused_refusal_);
         if (fprog_) {
           fused_refusal_.clear();
           tfexec_ = std::make_unique<runtime::TypedFusedExec>(
-              fprog_, fstate_, chans_, nstate_);
+              fprog_, fstate_, in_tape_, out_tape_, chans_, nstate_);
         }
       }
     }
@@ -191,7 +190,23 @@ bool Executor::can_fire(int actor) const {
   return true;
 }
 
+Executor::Bind::Bind(Executor& ex, int actor)
+    : ex_(ex),
+      lo_(actor < 0 ? 0 : static_cast<std::size_t>(actor)),
+      hi_(actor < 0 ? ex.fx_.size() : lo_ + 1) {
+  for (std::size_t i = lo_; i < hi_; ++i) {
+    if (ex_.fx_[i]) ex_.fx_[i]->activate();
+  }
+}
+
+Executor::Bind::~Bind() {
+  for (std::size_t i = lo_; i < hi_; ++i) {
+    if (ex_.fx_[i]) ex_.fx_[i]->deactivate();
+  }
+}
+
 void Executor::fire(int actor) {
+  const Bind bind(*this, actor);
   fire_into(actor,
             opts_.count_ops ? &ops_[static_cast<std::size_t>(actor)] : nullptr,
             tb_);
@@ -212,11 +227,11 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
   const int out0 = a.out_edges.empty() ? -1 : a.out_edges[0];
 
   // Tracing: one branch when disabled; two clock reads plus a handful of
-  // buffer appends per firing when enabled.  Typed filters report their
-  // channel batches from inside the dispatch loop (measured); everything
-  // else reports the static SDF rates below.
+  // buffer appends per firing when enabled.  Typed filters report the
+  // channel batches their trace measured; everything else reports the
+  // static SDF rates below.
   std::int64_t t0 = 0;
-  bool vm_traced = false;
+  const runtime::TypedFusedExec* measured = nullptr;
   if (tb != nullptr) {
     t0 = rec_->now_ns();
     tb->emit(t0, obs::EventKind::FireBegin, actor);
@@ -224,22 +239,14 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
 
   switch (a.kind) {
     case FlatActor::Kind::Filter: {
-      ir::InTape* in = in_tape(in0);
-      ir::OutTape* out = out_tape(out0);
-      if (kernel_[ai] != nullptr) {
-        runtime::linear_firings(*kernel_[ai], 1, *in, *out, counts);
-      } else if (tbf_[ai]) {
-        // Typed filters have no Send statements (compile_filter refuses
-        // them), so the sink is irrelevant on this path.
-        if (tb != nullptr) {
-          obs::FiringTrace tr{tb, rec_.get(), in0, out0};
-          tbf_[ai]->run_work(*in, *out, counts, &tr);
-          vm_traced = true;
-        } else {
-          tbf_[ai]->run_work(*in, *out, counts);
-        }
+      // Typed filters have no Send statements (compile_filter refuses
+      // them), so the sink only matters on the tree.
+      if (runtime::TypedFusedExec* x = fx_[ai].get(); x && x->active()) {
+        x->fire(counts, 1);
+        measured = x;
       } else {
-        Interp::run_work(a.node->filter, fstate_[ai], *in, *out, counts,
+        Interp::run_work(a.node->filter, fstate_[ai], *in_tape(in0),
+                         *out_tape(out0), counts,
                          opts_.message_sink ? &opts_.message_sink : nullptr);
       }
       break;
@@ -293,7 +300,14 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
 
   if (tb != nullptr) {
     const std::int64_t t1 = rec_->now_ns();
-    if (!vm_traced) {
+    if (measured != nullptr) {
+      if (measured->popped() > 0) {
+        tb->emit(t1, obs::EventKind::PopBatch, in0, measured->popped());
+      }
+      if (measured->pushed() > 0) {
+        tb->emit(t1, obs::EventKind::PushBatch, out0, measured->pushed());
+      }
+    } else {
       for (std::size_t p = 0; p < a.in_edges.size(); ++p) {
         if (a.in_edges[p] >= 0 && a.in_rate[p] > 0) {
           tb->emit(t1, obs::EventKind::PopBatch, a.in_edges[p], a.in_rate[p]);
@@ -313,21 +327,16 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
 void Executor::fire_run(int actor, std::int64_t n, runtime::OpCounts* counts,
                         obs::ThreadBuffer* tb) {
   const auto ai = static_cast<std::size_t>(actor);
-  if (kernel_[ai] == nullptr || tb != nullptr) {
+  runtime::TypedFusedExec* const x = fx_[ai].get();
+  if (x == nullptr || !x->active() || tb != nullptr) {
     for (std::int64_t k = 0; k < n; ++k) fire_into(actor, counts, tb);
     return;
   }
-  const FlatActor& a = g_.actors[ai];
-  const runtime::LinearRows& R = *kernel_[ai];
-  const int in0 = a.in_edges.empty() ? -1 : a.in_edges[0];
-  ir::InTape& in =
-      in0 < 0 ? g_null_in : *in_tape_[static_cast<std::size_t>(in0)];
-  runtime::linear_firings(
-      R, n, in, *out_tape_[static_cast<std::size_t>(a.out_edges[0])], counts);
+  x->fire(counts, n);
   fired_[ai] += n;
   // Once for the run: the output peaks at its end, and an input channel's
   // producer already noted that channel's peak.
-  note_high_water(a);
+  note_high_water(g_.actors[ai]);
 }
 
 // High water on the fired actor's own channels: only they changed size.
@@ -381,6 +390,7 @@ void Executor::run_init() { run_init(counts_or_null()); }
 
 void Executor::run_init(runtime::OpCounts* counts) {
   if (init_done_) return;
+  const Bind bind(*this);
   if (tb_ != nullptr) {
     tb_->emit(rec_->now_ns(), obs::EventKind::Phase,
               static_cast<std::int32_t>(obs::PhaseId::Init));
@@ -421,6 +431,7 @@ std::vector<double> Executor::run_steady(int n) {
     }
     return take_output();
   }
+  const Bind bind(*this);
   for (int i = 0; i < n; ++i) {
     start_steady_state();
     run_epoch(sched_.reps, counts_or_null());
@@ -462,10 +473,10 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
   if (typed_on_) {
     m.typed_actors = 0;
     m.typed_regs = 0;
-    for (const auto& tb : tbf_) {
-      if (tb) {
+    for (std::size_t i = 0; i < fx_.size(); ++i) {
+      if (fx_[i]) {
         ++m.typed_actors;
-        m.typed_regs += tb->program().work.typed_regs;
+        m.typed_regs += typed_[i]->work.typed_regs;
       }
     }
   }
@@ -495,9 +506,9 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
         a.calib_cycles = static_cast<double>(fs.wall_ns);
       }
     }
-    if (tbf_[i]) {
+    if (fx_[i]) {
       a.typed_status = "typed";
-      a.typed_regs = tbf_[i]->program().work.typed_regs;
+      a.typed_regs = typed_[i]->work.typed_regs;
     } else if (typed_on_ && !typed_refusal_[i].empty()) {
       a.typed_status = typed_refusal_[i];
     }
@@ -537,7 +548,7 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
   if (typed_on_) {
     std::vector<runtime::Tag> push(g_.actors.size(), runtime::Tag::Double);
     for (std::size_t i = 0; i < g_.actors.size(); ++i) {
-      if (tbf_[i]) push[i] = tbf_[i]->program().work.push_tag;
+      if (fx_[i]) push[i] = typed_[i]->work.push_tag;
     }
     const auto content = analysis::propagate_edge_tags(g_, push);
     m.typed_channels = 0;

@@ -12,6 +12,17 @@
 //     *constrained* schedule,
 //   * records cumulative push/pop counters per channel (n(t), p(t)).
 //
+// Every typed filter actor fires through its one-actor trace
+// (runtime/fused.h build_actor): a template actor's run is SetActor, its
+// template and a FireLoop, a linear node's is one LinearKernel instruction,
+// and either way fire_run(actor, n) is one dispatch.  Each trace's
+// TypedFusedExec mirrors the actor's state into raw planes once per public
+// call -- run_init, run_steady, fire, and ThreadedExecutor::run_steady
+// around its workers -- and writes it back when the call returns; an actor
+// whose state tags drifted from its typed classes fires on the tree
+// interpreter for that call.  Everything else (tree-engine actors, natives,
+// splitters, joiners) fires through fire_into's own cases.
+//
 // It is also the per-actor execution core of the threaded runtime: a
 // ThreadedExecutor (sched/texec.h) owns one Executor, runs init and the
 // calibration epoch on it, and has its workers fire actors through it after
@@ -140,15 +151,16 @@ class Executor {
                    const std::vector<ir::Value>& args);
 
   // The engine actually driving this graph (Auto already resolved), and
-  // whether a given AST filter actor's work runs on the per-actor typed VM
+  // whether a given AST filter actor fires through its one-actor trace
   // (otherwise it runs on the tree interpreter).
   [[nodiscard]] Engine engine() const { return engine_; }
   [[nodiscard]] bool actor_uses_vm(int actor) const {
-    return tbf_[static_cast<std::size_t>(actor)] != nullptr;
+    return fx_[static_cast<std::size_t>(actor)] != nullptr;
   }
   // The stable reason an AST filter actor runs on the tree interpreter under
-  // a compiled engine: compile_filter's (e.g. "teleport-send") or
-  // typed_compile's ("has-handlers", "mixed-register", "mixed-state:<slot>").
+  // a compiled engine: compile_filter's (e.g. "teleport-send"),
+  // typed_compile's ("has-handlers", "mixed-register", "mixed-state:<slot>")
+  // or build_actor's.
   // "" when it runs compiled, or was never a candidate (non-filter, tree
   // engine, or TypedMode::Off).
   [[nodiscard]] const std::string& typed_refusal(int actor) const {
@@ -156,13 +168,14 @@ class Executor {
   }
   // The specialized work program for one actor (null on the tree).
   [[nodiscard]] const runtime::TypedFilter* typed_program(int actor) const {
-    const auto& p = tbf_[static_cast<std::size_t>(actor)];
-    return p ? &p->program() : nullptr;
+    const auto ai = static_cast<std::size_t>(actor);
+    return fx_[ai] ? typed_[ai].get() : nullptr;
   }
-  // Whether the actor fires as its typed program's coefficient kernel
-  // (runtime/linear_kernel.h) rather than through the typed VM.
+  // Whether the actor's one-actor trace is its typed program's coefficient
+  // kernel (runtime/linear_kernel.h) rather than its template.
   [[nodiscard]] bool runs_kernel(int actor) const {
-    return kernel_[static_cast<std::size_t>(actor)] != nullptr;
+    const auto& x = fx_[static_cast<std::size_t>(actor)];
+    return x && !x->program().kernels.empty();
   }
 
   // Fused engine introspection (Engine::Fused only).  fused_program() is the
@@ -229,14 +242,30 @@ class Executor {
   [[nodiscard]] bool on_channel(std::size_t edge) const {
     return in_tape_[edge] == chans_[edge].get();
   }
+  // Mirrors the typed actors' state into their one-actor traces' planes for
+  // one public call -- every actor's, or `actor`'s alone -- and writes it
+  // back when the call ends, by return or by throw.  Bindings do not nest,
+  // and the whole-steady-state trace only activates outside one.
+  class Bind {
+   public:
+    explicit Bind(Executor& ex, int actor = -1);
+    ~Bind();
+    Bind(const Bind&) = delete;
+    Bind& operator=(const Bind&) = delete;
+
+   private:
+    Executor& ex_;
+    std::size_t lo_, hi_;
+  };
   // The one per-actor firing routine: tallies into *counts (null = no
   // counting) and traces into tb (null = no tracing).  Afterwards notes high
   // water on the fired actor's own edges that still live on a Channel.  A
-  // kernel actor fires as a one-firing kernel.
+  // typed actor whose trace is not active (outside a Bind, or its state
+  // tags drifted) fires on the tree interpreter.
   void fire_into(int actor, runtime::OpCounts* counts, obs::ThreadBuffer* tb);
   // `n` consecutive firings of one actor (the caller has made their input
-  // and room available).  A kernel actor runs all n in one linear_firings
-  // call, noting high water once afterwards; every other actor, and any
+  // and room available).  An active one-actor trace runs all n in one
+  // dispatch, noting high water once afterwards; every other actor, and any
   // actor while tracing, loops fire_into.
   void fire_run(int actor, std::int64_t n, runtime::OpCounts* counts,
                 obs::ThreadBuffer* tb);
@@ -265,15 +294,14 @@ class Executor {
   std::vector<ir::OutTape*> out_tape_;
   std::vector<runtime::FilterState> fstate_;
   std::vector<std::unique_ptr<ir::NativeState>> nstate_;
-  // Per-actor typed work functions bound to fstate_ storage (null where the
-  // actor is not an AST filter or runs on the tree interpreter, so fstate_
-  // entries must never be reseated), plus the per-actor refusal reasons.
+  // Per actor, its typed program and its one-actor trace bound to its
+  // fstate_ entry and the tape tables (null where the actor is not an AST
+  // filter or runs on the tree interpreter, so fstate_ entries must never be
+  // reseated), plus the per-actor refusal reasons.
   bool typed_on_{false};
-  std::vector<std::unique_ptr<runtime::TypedBound>> tbf_;
+  std::vector<runtime::TypedFilterP> typed_;
+  std::vector<std::unique_ptr<runtime::TypedFusedExec>> fx_;
   std::vector<std::string> typed_refusal_;
-  // Per actor, its typed program's kernel rows when it fires as a kernel
-  // (null otherwise; owned by the TypedBound in tbf_).
-  std::vector<const runtime::LinearRows*> kernel_;
   // Fused steady-state trace (Engine::Fused; null when fusion was refused)
   // and its executor: run_steady runs a batch on it when activation
   // succeeds, and per-actor otherwise.

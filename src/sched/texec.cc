@@ -169,9 +169,9 @@ ThreadedExecutor::ThreadedExecutor(CompiledProgram prog, ExecOptions opts)
     exec_ = std::make_unique<Executor>(std::move(prog), opts_);
     return;
   }
-  // Workers fire per-actor, so Engine::Fused degrades to the VM bindings
-  // (the fused trace is inherently single-threaded; the fallback executor
-  // above does fuse).
+  // Workers fire per-actor, so Engine::Fused degrades to the one-actor
+  // traces (the whole-graph trace is inherently single-threaded; the
+  // fallback executor above does fuse).
   ExecOptions eopts = opts_;
   eopts.engine = resolve_engine(opts_.engine != Engine::Auto ? opts_.engine
                                                              : prog.engine);
@@ -650,6 +650,9 @@ void ThreadedExecutor::run_threaded(int iters) {
 std::vector<double> ThreadedExecutor::run_steady(int n) {
   if (!report_.threaded) return exec_->run_steady(n);
   run_init();
+  // The typed actors' state lives in their traces' planes from here until
+  // the workers have joined.
+  const Executor::Bind bind(*exec_);
   obs::ThreadBuffer* const tb = exec_->trace_buffer();
   int remaining = n;
   if (!partitioned_ && remaining > 0) {

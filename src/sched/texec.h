@@ -8,10 +8,10 @@
 //
 // Execution model:
 //   * Every ThreadedExecutor owns one sequential Executor, its per-actor
-//     execution core: channels, filter state, the per-actor typed VM
-//     bindings, init functions, the input feed, firing tallies, and the one
-//     per-actor firing routine all live there.  On the threaded path it is
-//     built with Engine::Fused replaced by Engine::Vm (the fused trace is
+//     execution core: channels, filter state, the one-actor traces, init
+//     functions, the input feed, firing tallies, and the one per-actor
+//     firing routine all live there.  On the threaded path it is built with
+//     Engine::Fused replaced by Engine::Vm (the whole-graph trace is
 //     inherently single-threaded); on a fallback it runs the program as is.
 //   * Initialization and the first steady state run sequentially on the
 //     embedded Executor; the first steady state doubles as a calibration run
@@ -38,13 +38,16 @@
 //     Executor's tape for the edge at the ring; intra-thread edges keep the
 //     unsynchronized Channel.  Workers fire each actor's reps * B firings
 //     of a step with one Executor::fire_run call, once wait_ready has seen
-//     their input and room on the rings.  fire_run runs a linear node (an
-//     actor whose typed program carries coefficient rows) as one
-//     linear_firings call over the whole run, reading a ring or a Channel
-//     through its masked view (runtime/linear_kernel.h), and loops the
-//     embedded Executor's one firing routine for every other actor (and
-//     for every actor while tracing, so per-firing events stay per
-//     firing).  ThreadedReport::kernels counts the kernel actors.  A
+//     their input and room on the rings.  fire_run runs a typed actor's
+//     whole run as one dispatch of its one-actor trace (runtime/fused.h):
+//     a linear node (an actor whose typed program carries coefficient rows)
+//     as one linear-kernel instruction, any other as its template under a
+//     FireLoop, reading a ring or a Channel through the same tape table.
+//     It loops the embedded Executor's one firing routine for every other
+//     actor (and for every actor while tracing, so per-firing events stay
+//     per firing).  run_steady keeps the typed actors' state in their
+//     traces' planes from before the calibration epoch until the workers
+//     join.  ThreadedReport::kernels counts the kernel actors.  A
 //     sliding step window (kPipelineWindow) caps how far any worker runs
 //     ahead, which bounds ring occupancy so each ring is sized once to the
 //     exact static bound analysis::channel_bounds computes: post-init level

@@ -75,10 +75,25 @@ int actor_id(const runtime::FlatGraph& g, const std::string& name) {
   return -1;
 }
 
+// An edge's cumulative counters, on its Channel or its threaded run's ring.
+std::int64_t pushed(sched::Executor& ex, int e) {
+  return ex.channel(e).total_pushed();
+}
+std::int64_t popped(sched::Executor& ex, int e) {
+  return ex.channel(e).total_popped();
+}
+std::int64_t pushed(sched::ThreadedExecutor& ex, int e) {
+  return ex.edge_pushed(e);
+}
+std::int64_t popped(sched::ThreadedExecutor& ex, int e) {
+  return ex.edge_popped(e);
+}
+
 // Require bit-equal firings, per-actor OpCounts and FilterState, and channel
-// counters between a reference run (per-actor VM or tree) and a fused run of
-// the same program.
-void expect_same_state(sched::Executor& vm, sched::Executor& fused) {
+// counters between a reference run (per-actor VM or tree) and a fused (or
+// threaded) run of the same program.
+template <class Ex>
+void expect_same_state(sched::Executor& vm, Ex& fused) {
   EXPECT_EQ(fused.firings(), vm.firings());
   for (std::size_t a = 0; a < vm.actor_ops().size(); ++a) {
     const runtime::OpCounts& vo = vm.actor_ops()[a];
@@ -109,10 +124,8 @@ void expect_same_state(sched::Executor& vm, sched::Executor& fused) {
   }
   for (std::size_t e = 0; e < vm.graph().edges.size(); ++e) {
     const int ei = static_cast<int>(e);
-    EXPECT_EQ(vm.channel(ei).total_pushed(), fused.channel(ei).total_pushed())
-        << "edge " << e;
-    EXPECT_EQ(vm.channel(ei).total_popped(), fused.channel(ei).total_popped())
-        << "edge " << e;
+    EXPECT_EQ(pushed(vm, ei), pushed(fused, ei)) << "edge " << e;
+    EXPECT_EQ(popped(vm, ei), popped(fused, ei)) << "edge " << e;
   }
 }
 
@@ -609,8 +622,9 @@ TEST(FusedExecution, ManualFireMidIterationFallsBackAndStaysBitEqual) {
 
 TEST(FusedExecution, StateRetagFallsBackAndStaysBitEqual) {
   // Storing an int into the Double scalar `g` through filter_state() breaks
-  // the typed trace's state classes: activate() must refuse, and later
-  // batches run per-actor, exactly as the VM runs them from the same state.
+  // the typed traces' state classes: activate() must refuse, and later
+  // batches run on the tree interpreter, exactly as the tree runs them from
+  // the same state (g / 2 is an int division now).
   const auto mk = [] {
     auto h = filter("h")
                  .rates(1, 1, 1)
@@ -624,16 +638,123 @@ TEST(FusedExecution, StateRetagFallsBackAndStaysBitEqual) {
   sched::ExecOptions vopt;
   vopt.engine = sched::Engine::Vm;
   sched::Executor vm(mk(), vopt);
+  sched::ExecOptions topt;
+  topt.engine = sched::Engine::Tree;
+  sched::Executor tree(mk(), topt);
   const int hf = actor_id(fused.graph(), "h");
   const int hv = actor_id(vm.graph(), "h");
+  const int ht = actor_id(tree.graph(), "h");
   ASSERT_GE(hf, 0);
 
   expect_same_output(fused.run_steady(3), vm.run_steady(3));
+  tree.run_steady(3);
   fused.filter_state(hf).scalars.at("g") = ir::Value(std::int64_t{3});
   vm.filter_state(hv).scalars.at("g") = ir::Value(std::int64_t{3});
-  expect_same_output(fused.run_steady(3), vm.run_steady(3));
+  tree.filter_state(ht).scalars.at("g") = ir::Value(std::int64_t{3});
+  const std::vector<double> tout = tree.run_steady(3);
+  const std::vector<double> vout = vm.run_steady(3);
+  expect_same_output(fused.run_steady(3), vout);
+  expect_same_output(vout, tout);
   expect_same_state(vm, fused);
+  expect_same_state(tree, vm);
   EXPECT_TRUE(fused.filter_state(hf).scalars.at("g").is_int());
+}
+
+// A stateful typed filter -- a Double accumulator, a Double history array
+// and an Int cursor -- whose state lives in its trace's planes only during
+// a call: interleaved fire() calls, fused and per-actor run_steady calls and
+// filter_state() reads and writes between them, and on a second program a
+// 4-thread ThreadedExecutor with state written between its calls.  After
+// every call, outputs, state, all six OpCounts fields and channel counters
+// equal the tree interpreter's.
+NodeP accumulator(const std::string& name) {
+  return filter(name)
+      .rates(1, 1, 1)
+      .scalar("sum", Value{0.0})
+      .iscalar("k", 0)
+      .array_init("hist", {Value{0.0}, Value{0.0}, Value{0.0}, Value{0.0}})
+      .work(seq({let("sum", v("sum") + pop_() * c(0.5)),
+                 set_at("hist", v("k"), v("sum")),
+                 let("k", (v("k") + ci(1)) % ci(4)),
+                 push_(v("sum") - at("hist", v("k")))}))
+      .node();
+}
+
+NodeP pass_through(const std::string& name) {
+  return filter(name).rates(1, 1, 1).work(seq({push_(pop_())})).node();
+}
+
+TEST(FusedExecution, StateAcrossCallBoundariesMatchesTheTree) {
+  const auto mk = [] {
+    return make_pipeline("p", {tiny_src("s"), accumulator("acc"),
+                               pass_through("a"), pass_through("b"),
+                               pass_through("post")});
+  };
+  sched::ExecOptions topt;
+  topt.engine = sched::Engine::Tree;
+  const auto write_state = [](runtime::FilterState& st, double sum,
+                              double h2) {
+    EXPECT_FALSE(st.scalars.at("sum").is_int());
+    st.scalars.at("sum") = Value{sum};
+    st.arrays.at("hist")[2] = Value{h2};
+  };
+  {
+    SCOPED_TRACE("fused");
+    sched::Executor tree(mk(), topt);
+    auto fused = make_fused(mk());
+    ASSERT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
+    const int src = actor_id(fused.graph(), "s");
+    const int acc = actor_id(fused.graph(), "acc");
+    ASSERT_TRUE(fused.actor_uses_vm(acc)) << fused.typed_refusal(acc);
+    const auto both = [&](const std::function<void(sched::Executor&)>& f) {
+      f(tree);
+      f(fused);
+      expect_same_state(tree, fused);
+    };
+    const auto steady = [&](int n) {
+      const std::vector<double> t = tree.run_steady(n);
+      expect_same_output(fused.run_steady(n), t);
+      expect_same_state(tree, fused);
+    };
+    steady(3);  // the whole trace
+    both([&](sched::Executor& ex) { ex.fire(src); });
+    both([&](sched::Executor& ex) { ex.fire(acc); });
+    steady(2);  // mid-iteration: per-actor
+    both([&](sched::Executor& ex) {
+      EXPECT_EQ(ex.filter_state(acc).arrays.at("hist").size(), 4u);
+      write_state(ex.filter_state(acc), 1.5, -2.25);
+    });
+    for (const char* rest : {"a", "b", "post"}) {
+      both([&](sched::Executor& ex) { ex.fire(actor_id(ex.graph(), rest)); });
+    }
+    steady(4);  // back at an iteration boundary: the whole trace again
+    both([&](sched::Executor& ex) {
+      write_state(ex.filter_state(acc), -0.5, 8.0);
+    });
+    steady(3);
+  }
+  {
+    SCOPED_TRACE("threads=4");
+    sched::Executor tree(mk(), topt);
+    sched::ExecOptions opts;
+    opts.engine = sched::Engine::Fused;
+    opts.threads = 4;
+    sched::ThreadedExecutor tex(mk(), opts);
+    ASSERT_TRUE(tex.report().threaded) << tex.report().fallback_reason;
+    const int acc = actor_id(tex.graph(), "acc");
+    for (const obs::ActorSnapshot& a : tex.metrics_snapshot().actors) {
+      EXPECT_EQ(a.typed_status, "typed") << a.name;
+    }
+    for (const int n : {5, 7, 3}) {
+      const std::vector<double> t = tree.run_steady(n);
+      expect_same_output(tex.run_steady(n), t);
+      expect_same_state(tree, tex);
+      const double sum = tex.filter_state(acc).scalars.at("sum").as_double();
+      EXPECT_EQ(sum, tree.filter_state(acc).scalars.at("sum").as_double());
+      write_state(tree.filter_state(acc), sum + 0.25, n * 1.5);
+      write_state(tex.filter_state(acc), sum + 0.25, n * 1.5);
+    }
+  }
 }
 
 // ---- runtime faults ---------------------------------------------------------
@@ -849,10 +970,6 @@ std::int64_t expect_kernel_matches_tree(const NodeP& root, std::uint64_t seed,
   }
   EXPECT_EQ(vm_kernels, kernels);
   return kernels;
-}
-
-NodeP pass_through(const std::string& name) {
-  return filter(name).rates(1, 1, 1).work(seq({push_(pop_())})).node();
 }
 
 // The kernel alone (boundary rings on both sides), between pass-through
@@ -1204,6 +1321,70 @@ TEST(LinearKernel, PerActorAndThreadedKernelsMatchTheTree) {
       if (e.dst == lin) EXPECT_TRUE(e.ring) << "the kernel reads a ring";
     }
     expect_matches(got, tex.firings(), tex.actor_ops());
+  }
+}
+
+// A non-linear filter whose loop is a mac-loop (so its one-actor trace runs
+// the superinstruction, not a kernel) reading its input tape: a Channel on
+// the per-actor engine, an SPSC ring on four workers at batch 1, 3 and
+// auto.  Popping 3 of a 5-item window moves the ring's head by an odd
+// stride, so windows wrap mid-run.  Outputs are bit-equal to the tree
+// interpreter's, and firings, state, per-actor OpCounts and channel
+// counters equal.
+TEST(FusedExecution, RingReadMacLoopMatchesTheTree) {
+  const NodeP mac =
+      filter("mac")
+          .rates(5, 3, 1)
+          .array_init("w", {Value{0.5}, Value{-0.25}, Value{0.125},
+                            Value{1.0}, Value{-0.0625}})
+          .work(seq({let("acc", c(0.0)),
+                     for_("i", 0, 5,
+                          let("acc",
+                              v("acc") + peek_(v("i")) * at("w", v("i")))),
+                     discard(3), push_(v("acc") * v("acc") - v("acc"))}))
+          .node();
+  const sched::CompiledProgram prog = lower_ungated(
+      make_pipeline("p", {signed_zero_src("s"), mac, pass_through("post")}));
+  const int m = actor_id(prog.flat, "mac");
+  {
+    sched::Executor fused(prog, fused_options());
+    ASSERT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
+    EXPECT_EQ(fused.fused_program()->super_count("mac-loop"), 1);
+    EXPECT_TRUE(fused.actor_uses_vm(m));
+    EXPECT_FALSE(fused.runs_kernel(m));
+  }
+  constexpr int kCalls = 3, kSteady = 40;
+  const struct {
+    int threads, batch;
+  } runs[] = {{1, 0}, {4, 1}, {4, 3}, {4, -1}};
+  for (const auto& r : runs) {
+    SCOPED_TRACE("threads=" + std::to_string(r.threads) +
+                 " batch=" + std::to_string(r.batch));
+    sched::ExecOptions topts;
+    topts.engine = sched::Engine::Tree;
+    sched::Executor tree(prog, topts);
+    sched::ExecOptions opts;
+    opts.engine = sched::Engine::Vm;
+    opts.threads = r.threads;
+    opts.batch = r.batch;
+    sched::ThreadedExecutor tex(prog, opts);
+    for (int c = 0; c < kCalls; ++c) {
+      const std::vector<double> want = tree.run_steady(kSteady);
+      const std::vector<double> got = tex.run_steady(kSteady);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << "call " << c << " item " << i;
+      }
+    }
+    expect_same_state(tree, tex);
+    EXPECT_EQ(tex.report().threaded, r.threads > 1);
+    if (r.threads > 1) {
+      for (const obs::EdgeSnapshot& e : tex.metrics_snapshot().edges) {
+        if (e.dst == m) EXPECT_TRUE(e.ring) << "the mac-loop reads a ring";
+      }
+    }
   }
 }
 

@@ -21,7 +21,7 @@
 #include "runtime/channel.h"
 #include "runtime/compile.h"
 #include "runtime/interp.h"
-#include "runtime/typed.h"
+#include "runtime/fused.h"
 #include "sched/exec.h"
 #include "sched/texec.h"
 
@@ -96,13 +96,14 @@ void expect_same_counts(const OpCounts& a, const OpCounts& b,
   EXPECT_EQ(a.channel, b.channel) << who << " channel";
 }
 
-// `spec` on the per-actor typed VM against `st` (already initialized), or
-// null when the compiler or the typed lowering refuses it.
-std::unique_ptr<runtime::TypedBound> bind_typed(const ir::FilterSpec& spec,
+// `spec`'s one-actor trace bound to `st` (already initialized) and
+// activated, or null when the compiler, the typed lowering or the trace
+// build refuses it.  deactivate() writes the state back to `st`.
+std::unique_ptr<runtime::FilterExec> bind_typed(const ir::FilterSpec& spec,
                                                 FilterState& st) {
-  auto tp = runtime::typed_compile(spec, runtime::compile_filter(spec), st);
-  return tp ? std::make_unique<runtime::TypedBound>(std::move(tp), st)
-            : nullptr;
+  auto fx = runtime::FilterExec::make(ir::make_filter(spec),
+                                      runtime::compile_filter(spec), st);
+  return fx && fx->activate() ? std::move(fx) : nullptr;
 }
 
 // ---- whole-application differential -----------------------------------------
@@ -309,8 +310,9 @@ TEST(VmDifferential, RandomizedWorkFunctions) {
     OpCounts tc, vc;
     for (int fire = 0; fire < 20; ++fire) {
       Interp::run_work(spec, tst, tin, tout, &tc);
-      bound->run_work(vin, vout, &vc);
+      bound->fire(vin, vout, &vc);
     }
+    bound->deactivate();
     expect_same_counts(tc, vc, spec.name);
     expect_same_state(tst, vst, spec.name + " final");
     std::vector<double> to, vo;
@@ -406,7 +408,7 @@ TEST(VmDifferential, DebugChannelChecksUnderVm) {
     terr = e.what();
   }
   try {
-    bound->run_work(vin, vout, nullptr);
+    bound->fire(vin, vout, nullptr);
   } catch (const std::runtime_error& e) {
     verr = e.what();
   }

@@ -1,6 +1,9 @@
 #include "ir/ast.h"
 
+#include <set>
 #include <sstream>
+
+#include "ir/filter.h"
 
 namespace sit::ir {
 
@@ -202,6 +205,38 @@ bool stmt_sends(const StmtP& s) {
     if (stmt_sends(c)) return true;
   }
   return stmt_sends(s->body) || stmt_sends(s->elseBody);
+}
+
+namespace {
+
+bool stmt_writes_state(const StmtP& s, const std::set<std::string>& names) {
+  if (!s) return false;
+  switch (s->kind) {
+    case Stmt::Kind::Assign:
+    case Stmt::Kind::ArrayAssign:
+      return names.count(s->name) > 0;
+    case Stmt::Kind::Block:
+      for (const auto& c : s->stmts) {
+        if (stmt_writes_state(c, names)) return true;
+      }
+      return false;
+    case Stmt::Kind::For:  // the loop variable is a local
+      return stmt_writes_state(s->body, names);
+    case Stmt::Kind::If:
+      return stmt_writes_state(s->body, names) ||
+             stmt_writes_state(s->elseBody, names);
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+bool writes_state(const FilterSpec& spec) {
+  std::set<std::string> names;
+  for (const auto& d : spec.state) names.insert(d.name);
+  if (names.empty()) return false;
+  return stmt_writes_state(spec.work, names);
 }
 
 std::string to_string(const ExprP& e) {

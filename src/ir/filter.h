@@ -56,6 +56,11 @@ struct FilterSpec {
   [[nodiscard]] bool does_peek() const { return peek > pop; }
 };
 
+// True if the work function assigns any declared state variable (scalar or
+// array element).  Independent of linearity: a filter can be nonlinear yet
+// stateless (e.g. a squarer).
+bool writes_state(const FilterSpec& spec);
+
 // ---- native filters ---------------------------------------------------------
 
 // The storage under a tape's live items: item i (0 = the next to pop) is

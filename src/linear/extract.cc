@@ -288,28 +288,6 @@ class Extractor {
   int pops_{0};
 };
 
-bool stmt_writes_state(const StmtP& s, const std::set<std::string>& names) {
-  if (!s) return false;
-  switch (s->kind) {
-    case Stmt::Kind::Assign:
-      return names.count(s->name) > 0;
-    case Stmt::Kind::ArrayAssign:
-      return names.count(s->name) > 0;
-    case Stmt::Kind::Block:
-      for (const auto& c : s->stmts) {
-        if (stmt_writes_state(c, names)) return true;
-      }
-      return false;
-    case Stmt::Kind::For:
-      return stmt_writes_state(s->body, names);
-    case Stmt::Kind::If:
-      return stmt_writes_state(s->body, names) ||
-             stmt_writes_state(s->elseBody, names);
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 ExtractResult extract(const ir::FilterSpec& spec, const ExtractOptions& opts) {
@@ -372,13 +350,6 @@ LinearRep as_extracted(const LinearRep& rep) {
     r.b[uo] = k;
   }
   return r;
-}
-
-bool writes_state(const ir::FilterSpec& spec) {
-  std::set<std::string> names;
-  for (const auto& d : spec.state) names.insert(d.name);
-  if (names.empty()) return false;
-  return stmt_writes_state(spec.work, names);
 }
 
 }  // namespace sit::linear

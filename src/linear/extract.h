@@ -48,9 +48,4 @@ ExtractResult extract(const ir::FilterSpec& spec);  // default options
 // sums give it).
 LinearRep as_extracted(const LinearRep& rep);
 
-// True if the work function assigns any declared state variable (scalar or
-// array element).  Independent of linearity: a filter can be nonlinear yet
-// stateless (e.g. a squarer).
-bool writes_state(const ir::FilterSpec& spec);
-
 }  // namespace sit::linear

@@ -118,13 +118,21 @@ struct FiringStats {
     const int b = std::min(kBuckets - 1, static_cast<int>(std::bit_width(u)));
     ++hist[static_cast<std::size_t>(b)];
   }
+  // Fold in firings recorded elsewhere (a split actor's per-worker stats).
+  void merge(const FiringStats& o) {
+    fires += o.fires;
+    wall_ns += o.wall_ns;
+    max_ns = std::max(max_ns, o.max_ns);
+    for (std::size_t b = 0; b < hist.size(); ++b) hist[b] += o.hist[b];
+  }
 };
 
 // Per-worker steady-state accounting for the threaded runtime.
 struct WorkerStats {
   std::int64_t wall_ns{0};  // time inside the worker loop
   std::int64_t wait_ns{0};  // of which: spent spinning on rings / the window
-  std::int64_t iters{0};    // steady-state iterations completed
+  std::int64_t iters{0};    // steady-state iterations completed (a split
+                            // lone actor's worker: its firings)
 };
 
 class Recorder {

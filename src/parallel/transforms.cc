@@ -21,7 +21,7 @@ using ir::NodeP;
 
 bool leaf_stateful(const Node& leaf) {
   if (leaf.kind == Node::Kind::Filter) {
-    return linear::writes_state(leaf.filter);
+    return ir::writes_state(leaf.filter);
   }
   if (leaf.kind == Node::Kind::Native) {
     return leaf.native.stateful;

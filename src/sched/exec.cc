@@ -93,6 +93,7 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
   fstate_.resize(n);
   nstate_.resize(n);
   typed_.resize(n);
+  trace_.assign(n, Trace::None);
   fx_.resize(n);
   typed_refusal_.resize(n);
   ops_.resize(n);
@@ -110,12 +111,11 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
         typed_[i] = runtime::typed_compile(spec, prog, fstate_[i],
                                            &typed_refusal_[i]);
         if (typed_[i]) {
+          // The verdict only: active_fx builds the trace again on first use.
           typed_refusal_[i].clear();
-          if (auto p = runtime::build_actor(g_, static_cast<int>(i), typed_,
-                                            &typed_refusal_[i])) {
-            fx_[i] = std::make_unique<runtime::TypedFusedExec>(
-                std::move(p), std::span(&fstate_[i], 1), in_tape_, out_tape_,
-                chans_);
+          if (const auto p = runtime::build_actor(g_, static_cast<int>(i),
+                                                  typed_, &typed_refusal_[i])) {
+            trace_[i] = p->kernels.empty() ? Trace::Template : Trace::Kernel;
           }
         }
       }
@@ -197,12 +197,31 @@ Executor::Bind::Bind(Executor& ex, int actor)
   for (std::size_t i = lo_; i < hi_; ++i) {
     if (ex_.fx_[i]) ex_.fx_[i]->activate();
   }
+  ex_.bind_lo_ = lo_;
+  ex_.bind_hi_ = hi_;
 }
 
 Executor::Bind::~Bind() {
+  ex_.bind_lo_ = ex_.bind_hi_ = 0;
   for (std::size_t i = lo_; i < hi_; ++i) {
     if (ex_.fx_[i]) ex_.fx_[i]->deactivate();
   }
+}
+
+runtime::TypedFusedExec* Executor::active_fx(std::size_t actor) {
+  runtime::TypedFusedExec* x = fx_[actor].get();
+  if (x == nullptr) {
+    if (trace_[actor] == Trace::None || actor < bind_lo_ ||
+        actor >= bind_hi_) {
+      return nullptr;
+    }
+    fx_[actor] = std::make_unique<runtime::TypedFusedExec>(
+        runtime::build_actor(g_, static_cast<int>(actor), typed_),
+        std::span(&fstate_[actor], 1), in_tape_, out_tape_, chans_);
+    x = fx_[actor].get();
+    x->activate();  // a refusal leaves this call on the tree, as in Bind
+  }
+  return x->active() ? x : nullptr;
 }
 
 void Executor::fire(int actor) {
@@ -210,6 +229,58 @@ void Executor::fire(int actor) {
   fire_into(actor,
             opts_.count_ops ? &ops_[static_cast<std::size_t>(actor)] : nullptr,
             tb_);
+}
+
+void Executor::fire_native(const FlatActor& a, ir::NativeState* state,
+                           ir::InTape& in, ir::OutTape& out,
+                           runtime::OpCounts* counts) {
+  a.node->native.work(state, in, out);
+  if (counts) {
+    // Native filters declare their per-firing cost statically.
+    counts->flops += static_cast<std::int64_t>(a.node->native.cost_flops);
+    counts->int_ops += static_cast<std::int64_t>(a.node->native.cost_ops -
+                                                 a.node->native.cost_flops);
+    counts->channel += a.pop_rate() + a.push_rate();
+  }
+}
+
+// Tracing: one branch when disabled; two clock reads plus a handful of
+// buffer appends per firing when enabled.  Typed filters report the channel
+// batches their trace measured; everything else reports the static SDF
+// rates.
+std::int64_t Executor::trace_begin(obs::ThreadBuffer* tb, int actor) const {
+  const std::int64_t t0 = rec_->now_ns();
+  tb->emit(t0, obs::EventKind::FireBegin, actor);
+  return t0;
+}
+
+void Executor::trace_end(obs::ThreadBuffer* tb, int actor, std::int64_t t0,
+                         const runtime::TypedFusedExec* measured,
+                         obs::FiringStats* stats) const {
+  const FlatActor& a = g_.actors[static_cast<std::size_t>(actor)];
+  const std::int64_t t1 = rec_->now_ns();
+  if (measured != nullptr) {
+    if (measured->popped() > 0) {
+      tb->emit(t1, obs::EventKind::PopBatch, a.in_edges[0], measured->popped());
+    }
+    if (measured->pushed() > 0) {
+      tb->emit(t1, obs::EventKind::PushBatch, a.out_edges[0],
+               measured->pushed());
+    }
+  } else {
+    for (std::size_t p = 0; p < a.in_edges.size(); ++p) {
+      if (a.in_edges[p] >= 0 && a.in_rate[p] > 0) {
+        tb->emit(t1, obs::EventKind::PopBatch, a.in_edges[p], a.in_rate[p]);
+      }
+    }
+    for (std::size_t p = 0; p < a.out_edges.size(); ++p) {
+      if (a.out_edges[p] >= 0 && a.out_rate[p] > 0) {
+        tb->emit(t1, obs::EventKind::PushBatch, a.out_edges[p], a.out_rate[p]);
+      }
+    }
+  }
+  tb->emit(t1, obs::EventKind::FireEnd, actor);
+  stats->record(t1 - t0);
 }
 
 void Executor::fire_into(int actor, runtime::OpCounts* counts,
@@ -226,22 +297,13 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
   const int in0 = a.in_edges.empty() ? -1 : a.in_edges[0];
   const int out0 = a.out_edges.empty() ? -1 : a.out_edges[0];
 
-  // Tracing: one branch when disabled; two clock reads plus a handful of
-  // buffer appends per firing when enabled.  Typed filters report the
-  // channel batches their trace measured; everything else reports the
-  // static SDF rates below.
-  std::int64_t t0 = 0;
+  const std::int64_t t0 = tb != nullptr ? trace_begin(tb, actor) : 0;
   const runtime::TypedFusedExec* measured = nullptr;
-  if (tb != nullptr) {
-    t0 = rec_->now_ns();
-    tb->emit(t0, obs::EventKind::FireBegin, actor);
-  }
-
   switch (a.kind) {
     case FlatActor::Kind::Filter: {
       // Typed filters have no Send statements (compile_filter refuses
       // them), so the sink only matters on the tree.
-      if (runtime::TypedFusedExec* x = fx_[ai].get(); x && x->active()) {
+      if (runtime::TypedFusedExec* x = active_fx(ai)) {
         x->fire(counts, 1);
         measured = x;
       } else {
@@ -251,17 +313,10 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
       }
       break;
     }
-    case FlatActor::Kind::Native: {
-      a.node->native.work(nstate_[ai].get(), *in_tape(in0), *out_tape(out0));
-      if (counts) {
-        // Native filters declare their per-firing cost statically.
-        counts->flops += static_cast<std::int64_t>(a.node->native.cost_flops);
-        counts->int_ops += static_cast<std::int64_t>(
-            a.node->native.cost_ops - a.node->native.cost_flops);
-        counts->channel += a.pop_rate() + a.push_rate();
-      }
+    case FlatActor::Kind::Native:
+      fire_native(a, nstate_[ai].get(), *in_tape(in0), *out_tape(out0),
+                  counts);
       break;
-    }
     case FlatActor::Kind::Splitter: {
       ir::InTape& in = *in_tape(a.in_edges[0]);
       if (a.sj == ir::SJKind::Duplicate) {
@@ -297,38 +352,14 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
   }
   ++fired_[ai];
   note_high_water(a);
-
-  if (tb != nullptr) {
-    const std::int64_t t1 = rec_->now_ns();
-    if (measured != nullptr) {
-      if (measured->popped() > 0) {
-        tb->emit(t1, obs::EventKind::PopBatch, in0, measured->popped());
-      }
-      if (measured->pushed() > 0) {
-        tb->emit(t1, obs::EventKind::PushBatch, out0, measured->pushed());
-      }
-    } else {
-      for (std::size_t p = 0; p < a.in_edges.size(); ++p) {
-        if (a.in_edges[p] >= 0 && a.in_rate[p] > 0) {
-          tb->emit(t1, obs::EventKind::PopBatch, a.in_edges[p], a.in_rate[p]);
-        }
-      }
-      for (std::size_t p = 0; p < a.out_edges.size(); ++p) {
-        if (a.out_edges[p] >= 0 && a.out_rate[p] > 0) {
-          tb->emit(t1, obs::EventKind::PushBatch, a.out_edges[p], a.out_rate[p]);
-        }
-      }
-    }
-    tb->emit(t1, obs::EventKind::FireEnd, actor);
-    rec_->actor_stats(actor).record(t1 - t0);
-  }
+  if (tb != nullptr) trace_end(tb, actor, t0, measured, &rec_->actor_stats(actor));
 }
 
 void Executor::fire_run(int actor, std::int64_t n, runtime::OpCounts* counts,
                         obs::ThreadBuffer* tb) {
   const auto ai = static_cast<std::size_t>(actor);
-  runtime::TypedFusedExec* const x = fx_[ai].get();
-  if (x == nullptr || !x->active() || tb != nullptr) {
+  runtime::TypedFusedExec* const x = tb == nullptr ? active_fx(ai) : nullptr;
+  if (x == nullptr) {
     for (std::int64_t k = 0; k < n; ++k) fire_into(actor, counts, tb);
     return;
   }
@@ -473,8 +504,8 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
   if (typed_on_) {
     m.typed_actors = 0;
     m.typed_regs = 0;
-    for (std::size_t i = 0; i < fx_.size(); ++i) {
-      if (fx_[i]) {
+    for (std::size_t i = 0; i < trace_.size(); ++i) {
+      if (trace_[i] != Trace::None) {
         ++m.typed_actors;
         m.typed_regs += typed_[i]->work.typed_regs;
       }
@@ -506,7 +537,7 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
         a.calib_cycles = static_cast<double>(fs.wall_ns);
       }
     }
-    if (fx_[i]) {
+    if (trace_[i] != Trace::None) {
       a.typed_status = "typed";
       a.typed_regs = typed_[i]->work.typed_regs;
     } else if (typed_on_ && !typed_refusal_[i].empty()) {
@@ -548,7 +579,7 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
   if (typed_on_) {
     std::vector<runtime::Tag> push(g_.actors.size(), runtime::Tag::Double);
     for (std::size_t i = 0; i < g_.actors.size(); ++i) {
-      if (fx_[i]) push[i] = typed_[i]->work.push_tag;
+      if (trace_[i] != Trace::None) push[i] = typed_[i]->work.push_tag;
     }
     const auto content = analysis::propagate_edge_tags(g_, push);
     m.typed_channels = 0;

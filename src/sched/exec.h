@@ -15,7 +15,9 @@
 // Every typed filter actor fires through its one-actor trace
 // (runtime/fused.h build_actor): a template actor's run is SetActor, its
 // template and a FireLoop, a linear node's is one LinearKernel instruction,
-// and either way fire_run(actor, n) is one dispatch.  Each trace's
+// and either way fire_run(actor, n) is one dispatch.  The trace is built
+// at the actor's first per-actor firing, so an actor that only ever runs in
+// the whole-graph trace costs none.  Each trace's
 // TypedFusedExec mirrors the actor's state into raw planes once per public
 // call -- run_init, run_steady, fire, and ThreadedExecutor::run_steady
 // around its workers -- and writes it back when the call returns; an actor
@@ -155,7 +157,7 @@ class Executor {
   // (otherwise it runs on the tree interpreter).
   [[nodiscard]] Engine engine() const { return engine_; }
   [[nodiscard]] bool actor_uses_vm(int actor) const {
-    return fx_[static_cast<std::size_t>(actor)] != nullptr;
+    return trace_[static_cast<std::size_t>(actor)] != Trace::None;
   }
   // The stable reason an AST filter actor runs on the tree interpreter under
   // a compiled engine: compile_filter's (e.g. "teleport-send"),
@@ -169,13 +171,12 @@ class Executor {
   // The specialized work program for one actor (null on the tree).
   [[nodiscard]] const runtime::TypedFilter* typed_program(int actor) const {
     const auto ai = static_cast<std::size_t>(actor);
-    return fx_[ai] ? typed_[ai].get() : nullptr;
+    return trace_[ai] != Trace::None ? typed_[ai].get() : nullptr;
   }
   // Whether the actor's one-actor trace is its typed program's coefficient
   // kernel (runtime/linear_kernel.h) rather than its template.
   [[nodiscard]] bool runs_kernel(int actor) const {
-    const auto& x = fx_[static_cast<std::size_t>(actor)];
-    return x && !x->program().kernels.empty();
+    return trace_[static_cast<std::size_t>(actor)] == Trace::Kernel;
   }
 
   // Fused engine introspection (Engine::Fused only).  fused_program() is the
@@ -244,8 +245,10 @@ class Executor {
   }
   // Mirrors the typed actors' state into their one-actor traces' planes for
   // one public call -- every actor's, or `actor`'s alone -- and writes it
-  // back when the call ends, by return or by throw.  Bindings do not nest,
-  // and the whole-steady-state trace only activates outside one.
+  // back when the call ends, by return or by throw.  An actor whose trace
+  // is not built yet is skipped: active_fx builds and activates it at its
+  // first firing inside the binding.  Bindings do not nest, and the
+  // whole-steady-state trace only activates outside one.
   class Bind {
    public:
     explicit Bind(Executor& ex, int actor = -1);
@@ -270,6 +273,22 @@ class Executor {
   void fire_run(int actor, std::int64_t n, runtime::OpCounts* counts,
                 obs::ThreadBuffer* tb);
   void note_high_water(const runtime::FlatActor& a);
+  // The actor's one-actor trace when it is active, building it first when
+  // the actor is traced, not built yet, and inside the current Bind.  Null:
+  // the actor fires on the tree interpreter.
+  runtime::TypedFusedExec* active_fx(std::size_t actor);
+  // A native actor's one firing on the given tapes, with its static counts.
+  static void fire_native(const runtime::FlatActor& a, ir::NativeState* state,
+                          ir::InTape& in, ir::OutTape& out,
+                          runtime::OpCounts* counts);
+  // Per-firing tracing around one firing of `actor`: trace_begin emits
+  // FireBegin and returns its time; trace_end emits the firing's pop/push
+  // batches (`measured`'s, else the static rates) and FireEnd, and records
+  // the firing's time into *stats.
+  std::int64_t trace_begin(obs::ThreadBuffer* tb, int actor) const;
+  void trace_end(obs::ThreadBuffer* tb, int actor, std::int64_t t0,
+                 const runtime::TypedFusedExec* measured,
+                 obs::FiringStats* stats) const;
   // Data-driven sweeps in schedule order until every actor fired its quota;
   // `counts` is a per-actor array to tally into (null = no counting).
   void run_epoch(const std::vector<std::int64_t>& quota,
@@ -294,14 +313,21 @@ class Executor {
   std::vector<ir::OutTape*> out_tape_;
   std::vector<runtime::FilterState> fstate_;
   std::vector<std::unique_ptr<ir::NativeState>> nstate_;
-  // Per actor, its typed program and its one-actor trace bound to its
-  // fstate_ entry and the tape tables (null where the actor is not an AST
-  // filter or runs on the tree interpreter, so fstate_ entries must never be
-  // reseated), plus the per-actor refusal reasons.
+  // Per actor, its typed program, whether build_actor traces it (and as a
+  // coefficient kernel), and its one-actor trace bound to its fstate_ entry
+  // and the tape tables -- built on first use inside a Bind (active_fx), so
+  // fstate_ entries must never be reseated -- plus the per-actor refusal
+  // reasons.  Actors that only ever run in the whole-graph trace never
+  // build one.
+  enum class Trace : std::uint8_t { None, Template, Kernel };
   bool typed_on_{false};
   std::vector<runtime::TypedFilterP> typed_;
+  std::vector<Trace> trace_;
   std::vector<std::unique_ptr<runtime::TypedFusedExec>> fx_;
   std::vector<std::string> typed_refusal_;
+  // The actors [bind_lo_, bind_hi_) the current Bind covers (empty outside
+  // one).
+  std::size_t bind_lo_{0}, bind_hi_{0};
   // Fused steady-state trace (Engine::Fused; null when fusion was refused)
   // and its executor: run_steady runs a batch on it when activation
   // succeeds, and per-actor otherwise.

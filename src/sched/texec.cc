@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "analysis/analyze.h"
+#include "ir/filter.h"
 #include "machine/machine.h"
 #include "obs/costmodel.h"
 #include "obs/trace.h"
@@ -103,6 +104,100 @@ void traced_spin(const std::atomic<bool>& abort, Pred&& ready, const char* what,
   *wait_ns += t1 - t0;
 }
 
+// Busy iterations a parked worker (or the caller awaiting the workers)
+// makes before it sleeps in std::atomic::wait: back-to-back calls hand work
+// over without a futex round trip, and a worker idle for longer costs
+// nothing.
+constexpr int kParkSpins = 1 << 11;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Spin kParkSpins times, then sleep, until `a` no longer holds `old`;
+// returns the new value.
+template <typename T>
+T await_change(const std::atomic<T>& a, T old) {
+  T v = a.load(std::memory_order_acquire);
+  for (int spins = 0; v == old; ++spins) {
+    if (spins < kParkSpins) {
+      cpu_relax();
+    } else {
+      a.wait(old, std::memory_order_acquire);
+    }
+    v = a.load(std::memory_order_acquire);
+  }
+  return v;
+}
+
+// Whether a lone actor's firings are independent of one another: an AST
+// filter whose work writes no state field, or a native filter not declared
+// stateful.
+bool stateless(const FlatActor& a) {
+  switch (a.kind) {
+    case FlatActor::Kind::Filter:
+      return !ir::writes_state(a.node->filter);
+    case FlatActor::Kind::Native:
+      return !a.node->native.stateful;
+    default:
+      return false;
+  }
+}
+
+// A read-only view of a Channel's live items from `base` on: peeks and ring
+// views read through to the channel, pops advance only the view.  Items,
+// checks and messages are the ones the channel gives a consumer that has
+// popped `base` items.
+class ChannelView final : public ir::InTape {
+ public:
+  void reset(Channel* ch, std::size_t base) {
+    ch_ = ch;
+    base_ = base;
+  }
+  [[nodiscard]] std::size_t base() const { return base_; }
+
+  double peek_item(int offset) override {
+    const std::size_t live = ch_->size() - base_;
+    if (offset < 0 || static_cast<std::size_t>(offset) >= live) {
+      runtime::buffer_peek_error(offset, live);
+    }
+    return ch_->peek_item(static_cast<int>(base_) + offset);
+  }
+  double pop_item() override {
+    if (base_ >= ch_->size()) throw std::runtime_error("pop from empty channel");
+    return ch_->peek_item(static_cast<int>(base_++));
+  }
+  void pop_many(int n) override {
+    if (n <= 0) return;
+    if (base_ + static_cast<std::size_t>(n) > ch_->size()) {
+      throw std::runtime_error("pop from empty channel");
+    }
+    base_ += static_cast<std::size_t>(n);
+  }
+  bool ring_view(std::size_t n, ir::RingView* v) override {
+    ir::RingView w;
+    if (!ch_->ring_view(base_ + n, &w)) return false;
+    *v = {w.buf, w.head + base_, w.mask};
+    return true;
+  }
+
+ private:
+  Channel* ch_{nullptr};
+  std::size_t base_{0};
+};
+
+// A worker's outputs, appended to the program's output channel by the
+// calling thread.  Reserved for the share's declared pushes on that thread.
+class VectorOut final : public ir::OutTape {
+ public:
+  void push_item(double v) override { items.push_back(v); }
+  std::vector<double> items;
+};
+
 std::int64_t rate_into(const FlatActor& a, int edge) {
   for (std::size_t p = 0; p < a.in_edges.size(); ++p) {
     if (a.in_edges[p] == edge) return a.in_rate[p];
@@ -137,7 +232,8 @@ std::string ThreadedReport::to_string() const {
   return "threaded threads=" + std::to_string(threads) +
          " ring-edges=" + std::to_string(ring_edges) +
          " batch=" + std::to_string(batch) +
-         " kernels=" + std::to_string(kernels) + " speedup=" + speed;
+         " kernels=" + std::to_string(kernels) +
+         " split=" + std::to_string(split) + " speedup=" + speed;
 }
 
 ThreadedExecutor::ThreadedExecutor(ir::NodeP root, ExecOptions opts)
@@ -178,8 +274,17 @@ ThreadedExecutor::ThreadedExecutor(CompiledProgram prog, ExecOptions opts)
   if (eopts.engine == Engine::Fused) eopts.engine = Engine::Vm;
   exec_ = std::make_unique<Executor>(std::move(prog), eopts);
 
-  threads_ = std::min<int>(requested,
-                           static_cast<int>(graph().actors.size()));
+  // A lone (stateless: refusal_reason) actor's firings are split across
+  // all the requested workers; otherwise a worker per actor at most.
+  const int actors = static_cast<int>(graph().actors.size());
+  threads_ = actors == 1 ? requested : std::min(requested, actors);
+  if (actors == 1) {
+    split_ = threads_;
+    report_.split = split_;
+    report_.owner.assign(1, 0);
+    // The split's model: equal shares of one actor, nothing communicated.
+    report_.predicted_speedup = static_cast<double>(split_);
+  }
   report_.threaded = true;
   report_.threads = threads_;
   for (std::size_t i = 0; i < graph().actors.size(); ++i) {
@@ -191,7 +296,27 @@ ThreadedExecutor::ThreadedExecutor(CompiledProgram prog, ExecOptions opts)
   if (rec() != nullptr) rec()->attach_workers(static_cast<std::size_t>(threads_));
 }
 
-ThreadedExecutor::~ThreadedExecutor() = default;
+// A lone actor's share of one call on one worker: a read-only view of the
+// input from the share's first firing on, its own output buffer, and its
+// own firing state -- a typed actor's one-actor trace over the executor's
+// tape table with the two edges swapped for these, a native actor's state
+// clone, or a copy of an AST filter's state for the tree interpreter.
+struct alignas(64) ThreadedExecutor::Lane {
+  ChannelView in;
+  VectorOut out;
+  std::vector<ir::InTape*> in_tapes;
+  std::vector<ir::OutTape*> out_tapes;
+  std::unique_ptr<runtime::TypedFusedExec> fx;
+  std::unique_ptr<ir::NativeState> native;
+  runtime::FilterState state;
+  // This call's share and its results.
+  std::int64_t lo{0}, hi{0};
+  OpCounts counts;
+  obs::FiringStats stats;
+  bool failed{false};
+};
+
+ThreadedExecutor::~ThreadedExecutor() { stop_pool(); }
 
 FallbackReason ThreadedExecutor::refusal_reason(const runtime::FlatGraph& g,
                                                 std::string* detail) const {
@@ -207,8 +332,12 @@ FallbackReason ThreadedExecutor::refusal_reason(const runtime::FlatGraph& g,
       return FallbackReason::TeleportSends;
     }
   }
-  if (g.actors.size() < 2) {
-    *detail = "graph has fewer than two actors";
+  if (g.actors.empty()) {
+    *detail = "graph has no actors";
+    return FallbackReason::TooFewActors;
+  }
+  if (g.actors.size() == 1 && !stateless(g.actors[0])) {
+    *detail = "the graph's one actor '" + g.actors[0].name + "' keeps state";
     return FallbackReason::TooFewActors;
   }
 
@@ -635,21 +764,219 @@ void ThreadedExecutor::run_threaded(int iters) {
   const std::int64_t last = exec_->steady_run_ + iters;
   abort_.store(false, std::memory_order_relaxed);
   first_error_ = nullptr;
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads_ - 1));
-  for (int w = 1; w < threads_; ++w) {
-    pool.emplace_back([this, w, first, last] { worker(w, first, last); });
-  }
-  worker(0, first, last);
-  for (auto& t : pool) t.join();
+  job_first_ = first;
+  job_last_ = last;
+  run_on_workers();
   exec_->steady_run_ = last;
   steps_run_ += (static_cast<std::int64_t>(iters) + batch_ - 1) / batch_;
   if (first_error_) std::rethrow_exception(first_error_);
 }
 
+// ---- persistent workers -----------------------------------------------------
+
+void ThreadedExecutor::run_on_workers() {
+  if (pool_.empty() && threads_ > 1) {
+    pool_.reserve(static_cast<std::size_t>(threads_ - 1));
+    const std::uint32_t seen = gen_.load(std::memory_order_relaxed);
+    try {
+      for (int w = 1; w < threads_; ++w) {
+        pool_.emplace_back([this, w, seen] { pool_loop(w, seen); });
+      }
+    } catch (...) {
+      stop_pool();
+      throw;
+    }
+  }
+  done_.store(0, std::memory_order_relaxed);
+  gen_.fetch_add(1, std::memory_order_release);
+  gen_.notify_all();
+  run_share(0);
+  for (int d = 0; d != threads_ - 1;) d = await_change(done_, d);
+}
+
+void ThreadedExecutor::run_share(int w) noexcept {
+  if (split_ > 0) {
+    run_lane(w);
+  } else {
+    worker(w, job_first_, job_last_);
+  }
+}
+
+void ThreadedExecutor::pool_loop(int w, std::uint32_t seen) noexcept {
+  for (;;) {
+    seen = await_change(gen_, seen);
+    if (stop_) return;
+    run_share(w);
+    if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == threads_ - 1) {
+      done_.notify_one();
+    }
+  }
+}
+
+void ThreadedExecutor::stop_pool() noexcept {
+  if (pool_.empty()) return;
+  stop_ = true;
+  gen_.fetch_add(1, std::memory_order_release);
+  gen_.notify_all();
+  for (auto& t : pool_) t.join();
+  pool_.clear();
+  stop_ = false;
+}
+
+// ---- the lone stateless actor's split -----------------------------------------
+
+void ThreadedExecutor::run_sequential(int n) {
+  const Executor::Bind bind(*exec_);
+  for (int i = 0; i < n; ++i) {
+    exec_->start_steady_state();
+    exec_->run_epoch(schedule().reps, exec_->counts_or_null());
+  }
+}
+
+void ThreadedExecutor::run_split(int n) {
+  const runtime::FlatGraph& g = graph();
+  const Schedule& sched = schedule();
+  const FlatActor& a = g.actors[0];
+  exec_->ensure_input_for(sched.input_for_init +
+                          (exec_->steady_run_ + n) * sched.input_per_steady);
+  const std::int64_t fires = sched.reps[0] * n;
+  const std::int64_t pop = a.pop_rate();
+  Channel* const in = g.input_edge >= 0 ? &exec_->channel(g.input_edge) : nullptr;
+  Channel* const out =
+      g.output_edge >= 0 ? &exec_->channel(g.output_edge) : nullptr;
+  // Short input: the sequential epochs throw the sequential executor's
+  // message at the same firing, with the same partial progress.
+  if (in != nullptr &&
+      static_cast<std::int64_t>(in->size()) < fires * pop + a.peek_extra) {
+    run_sequential(n);
+    return;
+  }
+
+  if (lanes_.empty()) {
+    for (int w = 0; w < split_; ++w) {
+      auto l = std::make_unique<Lane>();
+      l->in_tapes.assign(g.edges.size(), nullptr);
+      l->out_tapes.assign(g.edges.size(), nullptr);
+      if (g.input_edge >= 0) {
+        l->in_tapes[static_cast<std::size_t>(g.input_edge)] = &l->in;
+      }
+      if (g.output_edge >= 0) {
+        l->out_tapes[static_cast<std::size_t>(g.output_edge)] = &l->out;
+      }
+      if (exec_->actor_uses_vm(0)) {
+        l->fx = std::make_unique<runtime::TypedFusedExec>(
+            runtime::build_actor(g, 0, exec_->typed_),
+            std::span(&exec_->fstate_[0], 1), l->in_tapes, l->out_tapes);
+      }
+      if (exec_->nstate_[0]) l->native = exec_->nstate_[0]->clone();
+      lanes_.push_back(std::move(l));
+    }
+  }
+
+  // The shares, in firing order: worker w fires [F*w/T, F*(w+1)/T).  Trace
+  // activation mirrors the (unwritten) state into each lane's planes; a
+  // lane whose activation refuses runs its share on the tree, on a copy.
+  for (int w = 0; w < split_; ++w) {
+    Lane& l = *lanes_[static_cast<std::size_t>(w)];
+    l.lo = fires * w / split_;
+    l.hi = fires * (w + 1) / split_;
+    if (in != nullptr) l.in.reset(in, static_cast<std::size_t>(l.lo * pop));
+    l.out.items.clear();
+    l.out.items.reserve(static_cast<std::size_t>((l.hi - l.lo) * a.push_rate()));
+    l.counts = OpCounts{};
+    l.stats = obs::FiringStats{};
+    l.failed = false;
+    if (a.kind == FlatActor::Kind::Filter &&
+        (l.fx == nullptr || !l.fx->activate())) {
+      l.state = exec_->fstate_[0];
+    }
+  }
+  run_on_workers();
+  for (const auto& l : lanes_) {
+    if (l->fx) l->fx->deactivate();
+  }
+
+  // A share that threw, or popped other than its declared rate (and so read
+  // windows the sequential firings would not have), leaves the call to the
+  // embedded executor: nothing the lanes did is visible yet, and the
+  // sequential run meets the same fault with the same message and partial
+  // progress.
+  for (const auto& l : lanes_) {
+    if (l->failed ||
+        (in != nullptr && static_cast<std::int64_t>(l->in.base()) != l->hi * pop)) {
+      run_sequential(n);
+      return;
+    }
+  }
+  for (const auto& l : lanes_) {
+    if (out != nullptr) out->push_many(l->out.items);
+    if (opts_.count_ops) exec_->ops_[0] += l->counts;
+    if (rec() != nullptr) rec()->actor_stats(0).merge(l->stats);
+  }
+  if (in != nullptr) in->pop_many(static_cast<int>(fires * pop));
+  exec_->fired_[0] += fires;
+  exec_->note_high_water(a);
+  exec_->steady_run_ += n;
+}
+
+void ThreadedExecutor::run_lane(int w) noexcept {
+  Lane& l = *lanes_[static_cast<std::size_t>(w)];
+  obs::Recorder* const rec = this->rec();
+  obs::ThreadBuffer* tb = nullptr;
+  std::int64_t t_start = 0;
+  if (rec != nullptr) {
+    tb = w == 0 ? exec_->trace_buffer() : rec->thread_buffer(w);
+    t_start = rec->now_ns();
+  }
+  const FlatActor& a = graph().actors[0];
+  ir::InTape& in = a.in_edges.empty() ? static_cast<ir::InTape&>(runtime::g_null_in)
+                                      : l.in;
+  ir::OutTape& out = a.out_edges.empty()
+                         ? static_cast<ir::OutTape&>(runtime::g_null_out)
+                         : l.out;
+  OpCounts* const counts = opts_.count_ops ? &l.counts : nullptr;
+  runtime::TypedFusedExec* const x = l.fx && l.fx->active() ? l.fx.get() : nullptr;
+  try {
+    if (x != nullptr && tb == nullptr) {
+      x->fire(counts, l.hi - l.lo);
+    } else {
+      // One firing at a time: the code fire_into runs for this actor, on
+      // the lane's tapes and state.
+      for (std::int64_t k = l.lo; k < l.hi; ++k) {
+        const std::int64_t t0 = tb != nullptr ? exec_->trace_begin(tb, 0) : 0;
+        if (x != nullptr) {
+          x->fire(counts, 1);
+        } else if (a.kind == FlatActor::Kind::Native) {
+          Executor::fire_native(a, l.native.get(), in, out, counts);
+        } else {
+          runtime::Interp::run_work(a.node->filter, l.state, in, out, counts);
+        }
+        if (tb != nullptr) exec_->trace_end(tb, 0, t0, x, &l.stats);
+      }
+    }
+  } catch (...) {
+    l.failed = true;  // run_split reruns the call sequentially
+  }
+  if (rec != nullptr) {
+    obs::WorkerStats& ws = rec->worker_stats(w);
+    ws.wall_ns += rec->now_ns() - t_start;
+    ws.iters += l.hi - l.lo;
+  }
+}
+
 std::vector<double> ThreadedExecutor::run_steady(int n) {
   if (!report_.threaded) return exec_->run_steady(n);
   run_init();
+  if (split_ > 0) {
+    obs::ThreadBuffer* const tb = exec_->trace_buffer();
+    if (tb != nullptr && !exec_->steady_marked_ && n > 0) {
+      tb->emit(rec()->now_ns(), obs::EventKind::Phase,
+               static_cast<std::int32_t>(obs::PhaseId::Steady));
+      exec_->steady_marked_ = true;
+    }
+    if (n > 0) run_split(n);
+    return take_output();
+  }
   // The typed actors' state lives in their traces' planes from here until
   // the workers have joined.
   const Executor::Bind bind(*exec_);
@@ -754,7 +1081,7 @@ obs::MetricsSnapshot ThreadedExecutor::metrics_snapshot() const {
     ws.id = w;
     ws.actors = partitioned_
                     ? static_cast<int>(plan_[static_cast<std::size_t>(w)].size())
-                    : 0;
+                    : split_ > 0 ? 1 : 0;
     if (rec() != nullptr &&
         static_cast<std::size_t>(w) < rec()->all_worker_stats().size()) {
       const obs::WorkerStats& st =

@@ -54,6 +54,29 @@
 //     + (window + 1) * B * steady-state traffic.  Debug/observability
 //     builds re-check every edge's observed high water against its static
 //     bound after the workers join.
+//   * Workers are persistent: the first threaded run_steady starts
+//     threads - 1 OS threads (the calling thread is worker 0), and they
+//     live until the executor is destroyed.  Between calls they park -- a
+//     bounded spin, then std::atomic::wait, so an idle executor costs no
+//     CPU.  A call publishes its job through a generation counter (release)
+//     and waits for a done count (acquire), the happens-before join() gave.
+//   * A graph that is one stateless actor (an AST filter whose work writes
+//     no state field, or a native filter not declared stateful -- e.g. FIR
+//     and FilterBank after -O2 collapse them) is not partitioned but split:
+//     each call's F = reps * n firings go to the workers as contiguous
+//     ranges [F*w/T, F*(w+1)/T).  Each worker reads the input Channel
+//     through a read-only view starting at its first firing's items (the
+//     peek windows overlap; nobody pops the channel during the run), writes
+//     its own output buffer, and fires with its own state: its own
+//     one-actor trace over the actor's typed program, its own native state
+//     clone, or its own copy of the state for the tree interpreter.  The
+//     calling thread then appends the outputs in worker order, pops the
+//     F * pop input items, and adds the firings and OpCounts, so every
+//     firing runs the code it runs sequentially and outputs, OpCounts and
+//     channel counters stay bit-equal.  A call whose input is short, or
+//     whose shares fault or pop other than the declared rate, runs again on
+//     the embedded executor, which gives the sequential result or message.
+//     ThreadedReport::split is the number of workers sharing the actor.
 //   * Deadlock freedom: induction over (step, topo position).  The earliest
 //     unfinished firing's data waits point only at strictly smaller
 //     (step, topo) pairs (back edges carry the previous step's items, and
@@ -62,18 +85,21 @@
 //     smaller pairs, so some actor can always proceed.
 //
 // Determinism: every actor's state, tally, and every channel's FIFO content
-// have exactly one owner thread, so outputs, final filter state, and the
-// cumulative push/pop counters are bit-equal to the sequential executor
-// (tests/test_texec.cc holds this differentially).
+// have exactly one owner thread (a split actor writes no state, and only the
+// calling thread touches its channels and tallies), so outputs, final filter
+// state, and the cumulative push/pop counters are bit-equal to the
+// sequential executor (tests/test_texec.cc holds this differentially).
 //
 // Out of scope -- these run the program on the embedded Executor as is,
 // sequentially and with the requested engine (see
 // ThreadedReport::fallback_reason): thread counts <= 1, teleport messaging
 // (handlers, Send statements, or an attached message_sink: delivery points
-// are defined against the sequential schedule), and graphs whose steady
-// state admits no single-appearance topological schedule (checked statically
-// from the post-init channel counts; e.g. tight feedback loops whose delay
-// cannot cover a whole iteration).
+// are defined against the sequential schedule), a graph that is one
+// stateful actor (too-few-actors: its firings depend on each other), and
+// graphs whose steady state admits no single-appearance topological
+// schedule (checked statically from the post-init channel counts; e.g.
+// tight feedback loops whose delay cannot cover a whole iteration).
+// Splitting a stateless actor inside a multi-actor partition is not done.
 
 #include <atomic>
 #include <cstdint>
@@ -82,6 +108,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/bounds_chan.h"
@@ -112,7 +139,7 @@ enum class FallbackReason {
   MessageSink,         // teleport message sink attached
   TeleportHandlers,    // some filter declares message handlers
   TeleportSends,       // some filter sends teleport messages
-  TooFewActors,        // graph has fewer than two actors
+  TooFewActors,        // one stateful actor (or none): nothing to split
   InterleavedFirings,  // no single-appearance steady schedule exists
 };
 
@@ -132,11 +159,14 @@ struct ThreadedReport {
   int ring_edges{0};            // edges migrated to SPSC rings
   int batch{1};                 // steady iterations per pipeline step
   int kernels{0};               // actors firing as coefficient kernels
+  // Workers sharing a lone stateless actor's firings (0: the graph's actors
+  // are partitioned instead).
+  int split{0};
   double predicted_speedup{0};  // machine-model estimate for this placement
 
   // One-line summary: "threaded threads=4 ring-edges=3 batch=8 kernels=0
-  // speedup=2.71" or "sequential fallback=teleport-handlers (filter 'F' has
-  // teleport handlers)".
+  // split=0 speedup=2.71" or "sequential fallback=teleport-handlers (filter
+  // 'F' has teleport handlers)".
   [[nodiscard]] std::string to_string() const;
 };
 
@@ -217,6 +247,22 @@ class ThreadedExecutor {
   int resolve_partition_batch(const std::vector<double>& cost) const;
   void run_threaded(int iters);
   void worker(int w, std::int64_t first, std::int64_t last) noexcept;
+
+  // --- persistent workers ---------------------------------------------------
+  // Run worker w's share of the current call on every worker -- the pool's
+  // threads_ - 1 threads and the calling thread as worker 0 -- and return
+  // once all of them have finished.  Starts the pool on first use.
+  void run_on_workers();
+  void run_share(int w) noexcept;
+  void pool_loop(int w, std::uint32_t seen) noexcept;
+  void stop_pool() noexcept;
+
+  // --- the lone stateless actor's split --------------------------------------
+  struct Lane;
+  void run_split(int n);
+  void run_lane(int w) noexcept;
+  // The call on the embedded executor, one steady state at a time.
+  void run_sequential(int n);
   void wait_ready(int actor, std::int64_t chunk, obs::ThreadBuffer* tb,
                   std::int64_t* wait_ns);
   void stage_input(std::int64_t last_iter, std::int64_t chunk);
@@ -254,6 +300,21 @@ class ThreadedExecutor {
   std::atomic<bool> abort_{false};
   std::mutex err_mu_;
   std::exception_ptr first_error_;
+
+  // The persistent pool: workers 1..threads_-1, parked between calls.  A
+  // call writes its job (job_first_/job_last_, or the lanes), bumps gen_
+  // (release) and waits for done_ to reach threads_ - 1 (acquire), which
+  // orders the workers' writes before the caller's reads as join() did.
+  std::vector<std::thread> pool_;
+  alignas(64) std::atomic<std::uint32_t> gen_{0};
+  alignas(64) std::atomic<int> done_{0};
+  bool stop_{false};  // written before a gen_ bump, read after one
+  std::int64_t job_first_{0}, job_last_{0};
+
+  // Workers sharing the lone actor's run (0: not split), and their lanes
+  // (made at the first split call).
+  int split_{0};
+  std::vector<std::unique_ptr<Lane>> lanes_;
 };
 
 }  // namespace sit::sched

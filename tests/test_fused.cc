@@ -900,6 +900,46 @@ TEST(EngineFaults, EveryEngineThrowsTheSameMessage) {
   }
 }
 
+// A lone stateless actor split across the threaded workers meets a short
+// input the way the sequential executor does: the same message, after the
+// same firings.
+TEST(EngineFaults, ShortInputToASplitActorThrowsTheSequentialMessage) {
+  const NodeP root = filter("half")
+                         .rates(3, 2, 1)
+                         .work(seq({push_(peek_(ci(2)) * c(0.5)), discard(2)}))
+                         .node();
+  // Nine items: four firings fit, the fifth of six steady states starves.
+  const auto fault = [](auto& ex) -> std::string {
+    ex.feed_input(std::vector<double>(9, 1.0));
+    try {
+      ex.run_steady(6);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  sched::ExecOptions topts;
+  topts.engine = sched::Engine::Tree;
+  sched::Executor tree(lower_ungated(root), topts);
+  const std::string want = fault(tree);
+  EXPECT_EQ(want,
+            "runtime deadlock: actor 'half' starved with 1 firings remaining");
+  const std::vector<double> out = tree.take_output();
+  EXPECT_EQ(out.size(), 4U);
+  for (const sched::Engine engine :
+       {sched::Engine::Tree, sched::Engine::Vm, sched::Engine::Fused}) {
+    sched::ExecOptions opts;
+    opts.engine = engine;
+    opts.threads = 4;
+    sched::ThreadedExecutor tex(lower_ungated(root), opts);
+    ASSERT_EQ(tex.report().split, 4) << tex.report().to_string();
+    EXPECT_EQ(fault(tex), want);
+    EXPECT_EQ(tex.firings(), tree.firings());
+    EXPECT_EQ(tex.take_output(), out);
+    EXPECT_EQ(tex.edge_popped(0), tree.channel(0).total_popped());
+  }
+}
+
 // ---- linear kernels ---------------------------------------------------------
 //
 // A linear node's expression form (linear::to_filter) runs as one

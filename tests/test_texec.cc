@@ -7,10 +7,14 @@
 // coprime-rate stress) and the fallback rules for graphs the threaded
 // runtime refuses.
 
+#include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -22,6 +26,7 @@
 #include "apps/common.h"
 #include "apps/radio.h"
 #include "ir/dsl.h"
+#include "linear/linear_rep.h"
 #include "opt/compile.h"
 #include "parallel/transforms.h"
 #include "runtime/spsc.h"
@@ -480,6 +485,400 @@ TEST(TexecBatch, EnvResolution) {
   ASSERT_EQ(unsetenv("SIT_BATCH"), 0);
   EXPECT_EQ(env_batch(), -1);        // default: auto
   EXPECT_EQ(sched::resolve_batch(3), 3);
+}
+
+// ---- a lone stateless actor split across the workers ------------------------
+
+// An app's -O2 program between its source and sink, as the benchmark runs
+// it: FIR collapses to one frequency-domain native filter and FilterBank to
+// one linear kernel, both stateless.
+sched::CompiledProgram o2_body(const std::string& app) {
+  const ir::NodeP root = apps::make_app(app);
+  const ir::NodeP body = ir::make_pipeline(
+      root->name, {root->children.begin() + 1, root->children.end() - 1});
+  opt::CompileOptions copts;
+  copts.level = opt::OptLevel::O2;
+  return opt::compile(body, copts);
+}
+
+// Lower without the analysis gate, which rejects a faulting program
+// statically.
+sched::CompiledProgram lower_ungated(const ir::NodeP& root) {
+  sched::CompiledProgram p;
+  p.graph = root;
+  p.flat = runtime::flatten(root);
+  p.schedule = sched::make_schedule(p.flat);
+  return p;
+}
+
+// Two rows over a 7-item window, popping 3: y0 = -0.5*w0 + 0.25*w2 + w6,
+// y1 = 1.5 + 2*w1 - w5.  The typed engines run it as a linear kernel.
+ir::NodeP peeking_kernel() {
+  linear::LinearRep rep;
+  rep.peek = 7;
+  rep.pop = 3;
+  rep.push = 2;
+  rep.A = linear::Matrix(2, 7);
+  rep.A.at(0, 0) = -0.5;
+  rep.A.at(0, 2) = 0.25;
+  rep.A.at(0, 6) = 1.0;
+  rep.A.at(1, 1) = 2.0;
+  rep.A.at(1, 5) = -1.0;
+  rep.b = {0.0, 1.5};
+  return ir::make_filter(linear::to_filter(rep, "lin7"));
+}
+
+// The same window shape as a typed template: a loop over a coefficient
+// array (state the work only reads) plus a peek difference.
+ir::NodeP peeking_template() {
+  std::vector<Value> w;
+  for (int i = 0; i < 7; ++i) w.emplace_back(0.125 * (i + 1) - 0.5);
+  return filter("mac7")
+      .rates(7, 3, 2)
+      .array_init("w", w)
+      .work(seq({let("acc", c(0.0)),
+                 for_("i", ci(0), ci(7),
+                      let("acc", v("acc") + peek_(v("i")) * at("w", v("i")))),
+                 push_(v("acc")), push_(peek_(ci(1)) - peek_(ci(6))),
+                 discard(3)}))
+      .node();
+}
+
+// Items in [-1, 1] with exact zeros of both signs, so a -0.0 first term is
+// observable.
+double split_input(std::int64_t i) {
+  switch (i % 5) {
+    case 0: return 0.0;
+    case 1: return -0.0;
+    default: return std::sin(0.37 * static_cast<double>(i));
+  }
+}
+
+void expect_bit_equal(const std::vector<double>& want,
+                      const std::vector<double>& got, const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+              std::bit_cast<std::uint64_t>(got[i]))
+        << what << " item " << i << ": " << want[i] << " vs " << got[i];
+  }
+}
+
+// Run `prog` on the tree interpreter and split across `threads` workers on
+// `engine`, in calls of 1, T-1, T, T+1 and 2T+1 firings, and hold outputs,
+// OpCounts, channel counters and firings equal after every call.
+void expect_split_matches_tree(const std::string& what,
+                               const sched::CompiledProgram& prog,
+                               int threads, sched::Engine engine) {
+  SCOPED_TRACE(what + " @" + std::to_string(threads) + " threads");
+  sched::ExecOptions topt;
+  topt.engine = sched::Engine::Tree;
+  topt.threads = 1;
+  sched::Executor tree(prog, topt);
+  sched::ExecOptions sopt;
+  sopt.engine = engine;
+  sopt.threads = threads;
+  sched::ThreadedExecutor tex(prog, sopt);
+  ASSERT_EQ(tex.graph().actors.size(), 1U);
+  ASSERT_TRUE(tex.report().threaded) << tex.report().fallback_reason;
+  EXPECT_EQ(tex.report().split, threads);
+  EXPECT_NE(tex.report().to_string().find(" split=" + std::to_string(threads)),
+            std::string::npos)
+      << tex.report().to_string();
+  // One firing per steady state: a call of n steady states fires n times.
+  ASSERT_EQ(tex.schedule().reps[0], 1);
+  tree.set_input_generator(split_input);
+  tex.set_input_generator(split_input);
+  const int t = threads;
+  for (const int n : {1, t - 1, t, t + 1, 2 * t + 1, 1, t}) {
+    const std::string call = what + " call of " + std::to_string(n);
+    expect_bit_equal(tree.run_steady(n), tex.run_steady(n), call);
+    EXPECT_EQ(tree.firings(), tex.firings()) << call;
+    expect_same_counts(tree.actor_ops()[0], tex.actor_ops()[0], call);
+    for (std::size_t e = 0; e < tree.graph().edges.size(); ++e) {
+      const int ei = static_cast<int>(e);
+      EXPECT_EQ(tree.channel(ei).total_pushed(), tex.edge_pushed(ei)) << call;
+      EXPECT_EQ(tree.channel(ei).total_popped(), tex.edge_popped(ei)) << call;
+    }
+  }
+}
+
+TEST(TexecSplit, FilterBankAndFirBodiesMatchTheTree) {
+  for (const std::string app : {"FilterBank", "FIR"}) {
+    const sched::CompiledProgram prog = o2_body(app);
+    for (const int threads : {2, 3, 4}) {
+      expect_split_matches_tree(app, prog, threads, sched::Engine::Fused);
+    }
+  }
+  // The collapsed FilterBank runs as a coefficient kernel on every worker.
+  sched::ExecOptions opts;
+  opts.engine = sched::Engine::Fused;
+  opts.threads = 4;
+  const sched::ThreadedExecutor fb(o2_body("FilterBank"), opts);
+  EXPECT_EQ(fb.report().kernels, 1);
+  EXPECT_EQ(fb.engine(), sched::Engine::Vm);
+}
+
+// A peek > pop window read through each worker's offset view.  The calls'
+// sizes move the input channel's head across the end of its ring, so some
+// shares' windows wrap mid-run.  Typed lanes (the kernel and the template
+// trace) and tree lanes alike.
+TEST(TexecSplit, PeekingWindowsMatchTheTree) {
+  const std::pair<std::string, ir::NodeP (*)()> filters[] = {
+      {"kernel", peeking_kernel}, {"template", peeking_template}};
+  for (const auto& [name, make] : filters) {
+    const sched::CompiledProgram prog = sched::lower(make());
+    for (const int threads : {2, 3, 4}) {
+      for (const sched::Engine engine :
+           {sched::Engine::Fused, sched::Engine::Tree}) {
+        expect_split_matches_tree(
+            name + (engine == sched::Engine::Tree ? "/tree" : "/typed"), prog,
+            threads, engine);
+      }
+    }
+  }
+  sched::ExecOptions opts;
+  opts.engine = sched::Engine::Fused;
+  opts.threads = 2;
+  const sched::ThreadedExecutor k(sched::lower(peeking_kernel()), opts);
+  EXPECT_EQ(k.report().kernels, 1);
+}
+
+// A filter that pops one item more after a large one, against its declared
+// pop of 1: the shares' windows drift from the sequential firings', so the
+// call reruns on the embedded executor and still matches the tree.
+TEST(TexecSplit, RateLyingActorStillMatchesTheTree) {
+  const ir::NodeP liar =
+      filter("liar")
+          .rates(2, 1, 1)
+          .work(seq({let("x", pop_()), if_(v("x") > c(0.5), discard(1)),
+                     push_(v("x"))}))
+          .node();
+  const sched::CompiledProgram prog = lower_ungated(liar);
+  sched::ExecOptions topt;
+  topt.engine = sched::Engine::Tree;
+  sched::Executor tree(prog, topt);
+  sched::ExecOptions sopt;
+  sopt.threads = 4;
+  sched::ThreadedExecutor tex(prog, sopt);
+  ASSERT_EQ(tex.report().split, 4);
+  std::vector<double> in(400);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = split_input(static_cast<std::int64_t>(i));
+  }
+  tree.feed_input(in);
+  tex.feed_input(in);
+  for (const int n : {1, 3, 4, 7, 9}) {
+    const std::string call = "call of " + std::to_string(n);
+    expect_bit_equal(tree.run_steady(n), tex.run_steady(n), call);
+    EXPECT_EQ(tree.firings(), tex.firings()) << call;
+    expect_same_counts(tree.actor_ops()[0], tex.actor_ops()[0], call);
+    EXPECT_EQ(tree.channel(0).total_popped(), tex.edge_popped(0)) << call;
+  }
+}
+
+TEST(TexecSplit, StatefulLoneActorKeepsTheFallback) {
+  const ir::NodeP acc = filter("acc")
+                            .rates(1, 1, 1)
+                            .scalar("s", Value(0.0))
+                            .work(seq({let("s", v("s") + pop_()),
+                                       push_(v("s"))}))
+                            .node();
+  ir::NativeFilter nf;
+  nf.name = "nat";
+  nf.pop = nf.peek = nf.push = 1;
+  nf.stateful = true;
+  nf.work = [](ir::NativeState*, ir::InTape& in, ir::OutTape& out) {
+    out.push_item(in.pop_item());
+  };
+  for (const ir::NodeP& root : {acc, ir::make_native(nf)}) {
+    SCOPED_TRACE(root->name);
+    sched::ExecOptions opts;
+    opts.threads = 4;
+    sched::ThreadedExecutor tex(root, opts);
+    EXPECT_FALSE(tex.report().threaded);
+    EXPECT_EQ(tex.report().fallback, sched::FallbackReason::TooFewActors);
+    EXPECT_EQ(tex.report().split, 0);
+    EXPECT_NE(tex.report().fallback_reason.find("keeps state"),
+              std::string::npos)
+        << tex.report().fallback_reason;
+    tex.set_input_generator(split_input);
+    EXPECT_EQ(tex.run_steady(3).size(), 3U);
+  }
+}
+
+// ---- the persistent worker pool ---------------------------------------------
+
+// A four-stage pipeline the partitioner spreads across workers.
+ir::NodeP pool_pipeline() {
+  return ir::make_pipeline("pool", {apps::lowpass_fir("fa", 9, 0.3),
+                                    apps::gain("ga", 0.75),
+                                    apps::lowpass_fir("fb", 7, 0.2),
+                                    apps::gain("gb", -1.25)});
+}
+
+TEST(TexecPool, ThousandsOfSingleSteadyCallsMatchSequential) {
+  const struct {
+    std::string name;
+    std::function<sched::CompiledProgram()> make;
+    bool split;
+  } cases[] = {{"pipeline", [] { return sched::lower(pool_pipeline()); }, false},
+               {"FilterBank-O2", [] { return o2_body("FilterBank"); }, true}};
+  for (const auto& tc : cases) {
+    SCOPED_TRACE(tc.name);
+    sched::ExecOptions sopt;
+    sopt.threads = 1;
+    sched::Executor seq(tc.make(), sopt);
+    sched::ExecOptions topt;
+    topt.threads = 4;
+    topt.batch = 1;
+    sched::ThreadedExecutor tex(tc.make(), topt);
+    seq.set_input_generator(split_input);
+    tex.set_input_generator(split_input);
+    for (int call = 0; call < 2000; ++call) {
+      expect_bit_equal(seq.run_steady(1), tex.run_steady(1),
+                       "call " + std::to_string(call));
+      if (HasFatalFailure()) return;
+    }
+    ASSERT_TRUE(tex.report().threaded) << tex.report().fallback_reason;
+    EXPECT_EQ(tex.report().split > 0, tc.split);
+    EXPECT_GT(tex.report().threads, 1);
+    EXPECT_EQ(seq.firings(), tex.firings());
+    for (std::size_t a = 0; a < seq.graph().actors.size(); ++a) {
+      expect_same_counts(seq.actor_ops()[a], tex.actor_ops()[a],
+                         seq.graph().actors[a].name);
+    }
+  }
+}
+
+std::size_t task_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(TexecPool, ThreadCountStaysConstantAcrossCalls) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this system";
+  }
+  for (const bool split : {false, true}) {
+    SCOPED_TRACE(split ? "split" : "pipeline");
+    sched::ExecOptions topt;
+    topt.threads = 4;
+    sched::ThreadedExecutor tex(
+        split ? o2_body("FilterBank") : sched::lower(pool_pipeline()), topt);
+    tex.set_input_generator(split_input);
+    const std::size_t before = task_count();
+    tex.run_steady(2);
+    const std::size_t after_first = task_count();
+    // The pool starts lazily, one thread per worker but the caller's (a
+    // sanitizer runtime may start a helper thread of its own with it).
+    EXPECT_GE(after_first,
+              before + static_cast<std::size_t>(tex.report().threads - 1));
+    for (int call = 0; call < 100; ++call) {
+      tex.run_steady(1 + call % 3);
+      ASSERT_EQ(task_count(), after_first) << "call " << call;
+    }
+  }
+}
+
+TEST(TexecPool, DestructsWithParkedOrFailedWorkers) {
+  {
+    // Parked after a call.
+    sched::ExecOptions topt;
+    topt.threads = 4;
+    sched::ThreadedExecutor tex(sched::lower(pool_pipeline()), topt);
+    tex.set_input_generator(split_input);
+    tex.run_steady(3);
+  }
+  {
+    // Built, never run: no pool at all.
+    sched::ExecOptions topt;
+    topt.threads = 4;
+    const sched::ThreadedExecutor tex(o2_body("FIR"), topt);
+  }
+  {
+    // One share threw: every lane finished, the call reran sequentially
+    // and threw there, and the workers parked again.
+    const ir::NodeP bad =
+        filter("oob")
+            .rates(1, 1, 1)
+            .array_init("w", {Value(1.0), Value(2.0)})
+            .work(seq({let("x", pop_()),
+                       if_(v("x") > c(0.9), push_(at("w", ci(5))),
+                           push_(v("x")))}))
+            .node();
+    sched::ExecOptions topt;
+    topt.threads = 4;
+    sched::ThreadedExecutor tex(lower_ungated(bad), topt);
+    ASSERT_EQ(tex.report().split, 4);
+    tex.set_input_generator([](std::int64_t i) { return i == 6 ? 1.0 : 0.0; });
+    try {
+      tex.run_steady(8);
+      ADD_FAILURE() << "the out-of-bounds load did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "array index out of bounds: w[5]");
+    }
+    EXPECT_EQ(tex.firings()[0], 6);  // the sequential firings before it
+  }
+  {
+    // The pipeline's input owner threw on a starved input.
+    sched::ExecOptions topt;
+    topt.threads = 4;
+    sched::ThreadedExecutor tex(sched::lower(pool_pipeline()), topt);
+    tex.feed_input(std::vector<double>(64, 0.5));
+    try {
+      tex.run_steady(200);
+      ADD_FAILURE() << "a starved input did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("starved"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// A consumer whose input ring stays empty for longer than stall_ms aborts
+// the call with the stall detector's message, and the executor still tears
+// down.  The producer's second firing (its first on a worker, after the
+// calibration steady state) holds it back for a second: long enough for the
+// detector's clock on a loaded host.
+TEST(TexecPool, StallDetectorFiresOnAStarvedRing) {
+  const auto stage = [](const std::string& name, bool slow) {
+    ir::NativeFilter nf;
+    nf.name = name;
+    nf.pop = nf.peek = nf.push = 1;
+    nf.cost_ops = nf.cost_flops = 1000;  // equal weights: one per worker
+    auto fired = std::make_shared<int>(0);
+    nf.work = [slow, fired](ir::NativeState*, ir::InTape& in,
+                            ir::OutTape& out) {
+      if (slow && ++*fired == 2) {
+        std::this_thread::sleep_for(std::chrono::seconds(1));
+      }
+      out.push_item(in.pop_item());
+    };
+    return ir::make_native(std::move(nf));
+  };
+  sched::ExecOptions topt;
+  topt.threads = 2;
+  topt.batch = 1;
+  topt.stall_ms = 1;
+  sched::ThreadedExecutor tex(
+      ir::make_pipeline("stall", {stage("slow", true), stage("fast", false)}),
+      topt);
+  ASSERT_TRUE(tex.report().threaded) << tex.report().fallback_reason;
+  tex.set_input_generator(split_input);
+  try {
+    tex.run_steady(4);
+    ADD_FAILURE() << "the starved consumer did not stall";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("threaded runtime stalled"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(tex.report().threads, 2);
 }
 
 // ---- the SPSC ring itself ---------------------------------------------------

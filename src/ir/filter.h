@@ -43,6 +43,33 @@ struct Handler {
   StmtP body;
 };
 
+// A linear node's work function as data (the paper's y = A W + b): per
+// output row, an optional leading constant b and the terms c*peek(i) in the
+// order the work function adds them, CSR.  linear::to_filter builds it
+// together with the work AST it describes; the compiled engines run it as a
+// coefficient kernel (runtime/linear_kernel.h).
+struct LinearRows {
+  int peek{0}, pop{0}, push{0};
+  std::vector<std::int32_t> row_ptr;  // push + 1 offsets into col/val
+  std::vector<std::int32_t> col;      // window offset of each term
+  std::vector<double> val;            // coefficient of each term
+  std::vector<std::uint8_t> has_b;    // per row: starts from b[row]
+  std::vector<double> b;
+  std::int32_t span{0};  // largest window offset + 1 (0: peeks nothing)
+  // Exact OpCounts of one firing of the work function.
+  std::int64_t flops{0}, channel{0};
+  // The work AST these rows describe (FilterSpec::linear_rows).
+  StmtP work;
+
+  [[nodiscard]] std::size_t nnz() const { return col.size(); }
+  // Whether an actor with these tapes can run the kernel: it always pushes,
+  // and reads its input only when it peeks or pops.  An actor without them
+  // keeps the expression form, which reports the missing tape.
+  [[nodiscard]] bool fits_tapes(bool has_in, bool has_out) const {
+    return has_out && (has_in || (span == 0 && pop == 0));
+  }
+};
+
 struct FilterSpec {
   std::string name;
   int peek{0}, pop{0}, push{0};
@@ -50,10 +77,21 @@ struct FilterSpec {
   StmtP init;  // runs once at graph start; may not touch channels
   StmtP work;
   std::map<std::string, Handler> handlers;
+  // Set by linear::to_filter; see linear_rows().
+  std::shared_ptr<const LinearRows> linear;
 
   [[nodiscard]] bool is_source() const { return pop == 0 && peek == 0; }
   [[nodiscard]] bool is_sink() const { return push == 0; }
   [[nodiscard]] bool does_peek() const { return peek > pop; }
+  // The coefficient rows of this filter's work function, or null.  Rows
+  // hold only while `work` is still the AST they were built from and the
+  // rates are theirs, so a rewrite that replaces the work drops them.
+  [[nodiscard]] const LinearRows* linear_rows() const {
+    return linear && linear->work == work && linear->peek == peek &&
+                   linear->pop == pop && linear->push == push
+               ? linear.get()
+               : nullptr;
+  }
 };
 
 // True if the work function assigns any declared state variable (scalar or

@@ -288,6 +288,39 @@ class Extractor {
   int pops_{0};
 };
 
+// What extracting R.work returns, replayed from the rows.  to_filter pushes
+// `b + c0*peek(i0) + c1*peek(i1) + ...` per row; the extractor scales
+// unit(i) (coefficient 1.0, constant 0.0) by c, then folds each term into
+// the row with affine_add.  So a -0.0 coefficient comes back as 0.0, and a
+// zero constant takes the sign those sums give it.
+LinearRep from_rows(const ir::LinearRows& R) {
+  LinearRep r;
+  r.peek = R.peek;
+  r.pop = R.pop;
+  r.push = R.push;
+  r.A = Matrix(static_cast<std::size_t>(R.push), static_cast<std::size_t>(R.peek));
+  r.b.assign(static_cast<std::size_t>(R.push), 0.0);
+  for (std::size_t o = 0; o < r.b.size(); ++o) {
+    bool started = R.has_b[o] != 0;
+    double k = R.b[o];
+    for (auto t = static_cast<std::size_t>(R.row_ptr[o]);
+         t < static_cast<std::size_t>(R.row_ptr[o + 1]); ++t) {
+      const double c = R.val[t];
+      double& a = r.A.at(o, static_cast<std::size_t>(R.col[t]));
+      if (started) {
+        a = 0.0 + 1.0 * (1.0 * c);
+        k += 1.0 * (0.0 * c);
+      } else {
+        a = 1.0 * c;
+        k = 0.0 * c;
+        started = true;
+      }
+    }
+    r.b[o] = k;
+  }
+  return r;
+}
+
 }  // namespace
 
 ExtractResult extract(const ir::FilterSpec& spec, const ExtractOptions& opts) {
@@ -301,6 +334,10 @@ ExtractResult extract(const ir::FilterSpec& spec, const ExtractOptions& opts) {
     // optimizer delete its producers as dead code; the paper's compiler
     // never collapses into I/O endpoints either.
     r.reason = "sink filters are not linear-combination candidates";
+    return r;
+  }
+  if (const ir::LinearRows* rows = spec.linear_rows()) {
+    r.rep = from_rows(*rows);
     return r;
   }
   StmtP work = spec.work;
@@ -320,36 +357,6 @@ ExtractResult extract(const ir::FilterSpec& spec, const ExtractOptions& opts) {
 
 ExtractResult extract(const ir::FilterSpec& spec) {
   return extract(spec, ExtractOptions{});
-}
-
-LinearRep as_extracted(const LinearRep& rep) {
-  // to_filter pushes `b + c0*peek(i0) + c1*peek(i1) + ...` per row, dropping
-  // zero terms.  The extractor scales unit(i) (coefficient 1.0, constant 0.0)
-  // by c, then folds each term into the row with affine_add.
-  LinearRep r = rep;
-  for (int o = 0; o < rep.push; ++o) {
-    const auto uo = static_cast<std::size_t>(o);
-    bool started = rep.b[uo] != 0.0;
-    double k = started ? rep.b[uo] : 0.0;
-    for (int i = 0; i < rep.peek; ++i) {
-      double& a = r.A.at(uo, static_cast<std::size_t>(i));
-      const double c = a;
-      if (c == 0.0) {
-        a = 0.0;
-        continue;
-      }
-      if (started) {
-        a = 0.0 + 1.0 * (1.0 * c);
-        k += 1.0 * (0.0 * c);
-      } else {
-        a = 1.0 * c;
-        k = 0.0 * c;
-        started = true;
-      }
-    }
-    r.b[uo] = k;
-  }
-  return r;
 }
 
 }  // namespace sit::linear

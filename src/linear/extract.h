@@ -38,14 +38,12 @@ struct ExtractOptions {
   bool fold_constants{true};
 };
 
+// A filter that carries coefficient rows (ir::FilterSpec::linear_rows: a
+// linear::to_filter result whose work was not replaced since) is not
+// analyzed: its rep is replayed from the rows with the extractor's own
+// arithmetic, so it is exactly what analyzing the work would return, down
+// to the sign of zero.
 ExtractResult extract(const ir::FilterSpec& spec, const ExtractOptions& opts);
 ExtractResult extract(const ir::FilterSpec& spec);  // default options
-
-// The rep extract(to_filter(rep, name)) recovers, computed from `rep`
-// without building or analyzing that filter: the same matrix, with the
-// extractor's own arithmetic replayed on every row (so a -0.0 coefficient
-// comes back as 0.0, and a zero constant takes the sign the extractor's
-// sums give it).
-LinearRep as_extracted(const LinearRep& rep);
 
 }  // namespace sit::linear

@@ -1,5 +1,7 @@
 #include "linear/linear_rep.h"
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -25,21 +27,37 @@ std::vector<double> apply(const LinearRep& rep, const std::vector<double>& windo
 
 ir::FilterSpec to_filter(const LinearRep& rep, const std::string& name) {
   using namespace ir;
+  // The work AST and its coefficient rows, term by term: a row starts from
+  // its constant only when that is nonzero, skips zero coefficients, and
+  // pushes 0.0 when nothing is left.
+  auto rows = std::make_shared<LinearRows>();
+  rows->peek = rep.peek;
+  rows->pop = rep.pop;
+  rows->push = rep.push;
+  rows->row_ptr.push_back(0);
   std::vector<StmtP> body;
   for (int o = 0; o < rep.push; ++o) {
-    ExprP acc;
     const double cst = rep.b[static_cast<std::size_t>(o)];
-    if (cst != 0.0) acc = fconst(cst);
+    const bool has_b = cst != 0.0;
+    ExprP acc = has_b ? fconst(cst) : nullptr;
     for (int i = 0; i < rep.peek; ++i) {
       const double c = rep.A.at(static_cast<std::size_t>(o), static_cast<std::size_t>(i));
       if (c == 0.0) continue;
       ExprP term = bin(BinOp::Mul, fconst(c), peek(iconst(i)));
       acc = acc ? bin(BinOp::Add, acc, term) : term;
+      rows->col.push_back(i);
+      rows->val.push_back(c);
+      rows->span = std::max(rows->span, i + 1);
     }
-    if (!acc) acc = fconst(0.0);
-    body.push_back(push(acc));
+    rows->has_b.push_back(has_b || !acc ? 1 : 0);
+    rows->b.push_back(has_b ? cst : 0.0);
+    rows->row_ptr.push_back(static_cast<std::int32_t>(rows->col.size()));
+    body.push_back(push(acc ? acc : fconst(0.0)));
   }
   if (rep.pop > 0) body.push_back(pop_n(iconst(rep.pop)));
+  const runtime::OpCounts counts = rep.op_counts();
+  rows->flops = counts.flops;
+  rows->channel = counts.channel;
 
   FilterSpec f;
   f.name = name;
@@ -47,6 +65,8 @@ ir::FilterSpec to_filter(const LinearRep& rep, const std::string& name) {
   f.pop = rep.pop;
   f.push = rep.push;
   f.work = block(std::move(body));
+  rows->work = f.work;
+  f.linear = std::move(rows);
   return f;
 }
 

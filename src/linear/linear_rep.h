@@ -48,9 +48,14 @@ struct LinearRep {
 std::vector<double> apply(const LinearRep& rep, const std::vector<double>& window);
 
 // Lower a linear representation back to an ordinary AST filter whose work
-// function computes A*W + b directly.  The result is analyzable by every
-// other pass (extraction recovers `rep` exactly), which is how collapsed
-// nodes re-enter the stream graph.
+// function computes A*W + b directly, and attach the same sums as
+// coefficient rows (FilterSpec::linear), built in one loop: per output a
+// `push` of `[b +] c*peek(i) + ...` over the nonzero coefficients in column
+// order, with b only when nonzero (`push(0.0)` when nothing is left), then
+// `pop_n(pop)`; the rows' counts are op_counts().  The result is analyzable
+// by every other pass (extraction recovers `rep` exactly), which is how
+// collapsed nodes re-enter the stream graph; the compiled engines run the
+// rows as a kernel (runtime/linear_kernel.h).
 ir::FilterSpec to_filter(const LinearRep& rep, const std::string& name);
 
 // Exact structural equality (used in tests).

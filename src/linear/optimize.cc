@@ -74,13 +74,12 @@ class Optimizer {
   }
 
   // Copy the chosen tree, lowering each surviving collapse candidate to its
-  // AST filter (to_filter) and counting the rewrites that survived.
+  // AST filter and coefficient rows (to_filter) and counting the rewrites
+  // that survived.
   NodeP materialize(const NodeP& n) {
     if (auto it = lowered_.find(n.get()); it != lowered_.end()) {
-      NodeP f = ir::make_filter(to_filter(it->second, n->name));
-      cache_.seed_extract(f->filter, as_extracted(it->second));
       if (stats_) ++stats_->combinations;
-      return f;
+      return ir::make_filter(to_filter(it->second, n->name));
     }
     if (stats_ && frequency_.count(n.get()) != 0) ++stats_->frequency_nodes;
     auto copy = std::make_shared<Node>(*n);
@@ -347,18 +346,11 @@ const ExtractResult& SelectionCache::extract(const ir::FilterSpec& spec) {
                    same_owner(e.init, spec.init) && e.peek == spec.peek &&
                    e.pop == spec.pop && e.push == spec.push &&
                    same_decls(e.state, spec.state);
-  if (!hit) seed(e, spec, linear::extract(spec));
+  if (!hit) {
+    e = Extracted{spec.work, spec.init, spec.peek, spec.pop, spec.push,
+                  spec.state, linear::extract(spec)};
+  }
   return e.result;
-}
-
-void SelectionCache::seed_extract(const ir::FilterSpec& spec, LinearRep rep) {
-  seed(extracted_[spec.work.get()], spec, ExtractResult{std::move(rep), {}});
-}
-
-void SelectionCache::seed(Extracted& e, const ir::FilterSpec& spec,
-                          ExtractResult result) {
-  e = Extracted{spec.work, spec.init, spec.peek, spec.pop, spec.push,
-                spec.state, std::move(result)};
 }
 
 NodeCost SelectionCache::cost(const std::vector<ir::NodeP>& parts) {

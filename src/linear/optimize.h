@@ -90,10 +90,6 @@ class SelectionCache {
   // filters sharing a work AST but not their coefficients stay apart.
   const ExtractResult& extract(const ir::FilterSpec& spec);
 
-  // Record that `spec` extracts to `rep` (a filter the selection lowered
-  // from a known rep; see as_extracted).
-  void seed_extract(const ir::FilterSpec& spec, LinearRep rep);
-
   // node_cost of `parts` run as a pipeline (of parts[0] itself when alone),
   // once per list of part identities.
   NodeCost cost(const std::vector<ir::NodeP>& parts);
@@ -112,7 +108,6 @@ class SelectionCache {
     std::vector<std::weak_ptr<const ir::Node>> parts;
     NodeCost cost;
   };
-  void seed(Extracted& e, const ir::FilterSpec& spec, ExtractResult result);
 
   std::unordered_map<const ir::Stmt*, Extracted> extracted_;
   std::map<std::vector<const ir::Node*>, Costed> costed_;

@@ -485,9 +485,7 @@ TypedFilterP typed_compile(const ir::FilterSpec& spec,
                    &out->work, reason)) {
     return nullptr;
   }
-  if (LinearRows rows; linear_kernel_rows(spec, &rows)) {
-    out->kernel = std::move(rows);
-  }
+  if (spec.linear_rows() != nullptr) out->kernel = spec.linear;
   return out;
 }
 

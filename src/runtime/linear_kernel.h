@@ -1,14 +1,14 @@
 #pragma once
 // Linear nodes as coefficient kernels.
 //
-// The linear passes (src/linear) leave each collapsed node as the work
-// function linear::to_filter emits: no state, init or handlers; one `push`
-// per output of a left-deep sum `[b +] c*peek(i) + c*peek(i) + ...` with
-// literal c and literal 0 <= i < peek; then `pop_n(pop)` (omitted when pop
-// is 0).  linear_kernel_rows recognizes exactly that shape and copies the
-// coefficients out of the AST in CSR form.  typed_compile (compile.cc) does
-// so once per filter and attaches the rows to the filter's TypedFilter;
-// everything that runs or reports a kernel reads them from there:
+// linear::to_filter lowers a linear node to a work function -- no state,
+// init or handlers; one `push` per output of a left-deep sum
+// `[b +] c*peek(i) + c*peek(i) + ...`, then `pop_n(pop)` -- and builds its
+// coefficient rows (ir::LinearRows, CSR) in the same loop, attached to the
+// filter spec.  typed_compile (compile.cc) reads them through
+// FilterSpec::linear_rows, which drops them once the work is replaced, and
+// attaches them to the filter's TypedFilter; everything that runs or
+// reports a kernel reads them from there:
 //   * the fused traces (fused.h) run a kernel actor's whole firing run as
 //     one linear-kernel instruction -- in the whole-graph trace, and as the
 //     actor's one-actor trace, which the per-actor executor (sched/exec.h)
@@ -20,12 +20,12 @@
 // Its contract with the expression form, which stays the semantics (the
 // tree interpreter is the only engine that still evaluates it, and every
 // engine-differential test compares the kernel against it):
-//   * evaluation order: a row starts from b only when the AST has a leading
-//     constant, otherwise from its first term (never from +0.0, which would
-//     turn a -0.0 first term into +0.0); each further term is
-//     `acc = acc + c*w` in the AST's order, so results are bit-equal to the
-//     expression (the build is strict ISO C++, so nothing is contracted into
-//     an FMA);
+//   * evaluation order: a row starts from b only when the expression has a
+//     leading constant, otherwise from its first term (never from +0.0,
+//     which would turn a -0.0 first term into +0.0); each further term is
+//     `acc = acc + c*w` in the expression's order, so results are bit-equal
+//     to it (the build is strict ISO C++, so nothing is contracted into an
+//     FMA);
 //   * counting: each firing adds the expression's exact OpCounts -- per row
 //     one flop per multiply and per add and one channel op per peek and the
 //     push, then `pop` channel ops;
@@ -34,47 +34,18 @@
 //     buf[(head + i) & mask], so a ring that wraps mid-run needs no slow
 //     path); otherwise every firing runs with the expression's checks in its
 //     order, so a short input throws the same message at the same firing.
-// `runtime` cannot see linear::LinearRep (linear depends on runtime), which
-// is why the AST is the carrier.
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "ir/filter.h"
 #include "runtime/opcounts.h"
 
 namespace sit::runtime {
 
-// A linear node's work function as data: per output row, an optional
-// leading constant b and the terms c*peek(i) in the AST's order, CSR.
-struct LinearRows {
-  int peek{0}, pop{0}, push{0};
-  std::vector<std::int32_t> row_ptr;  // push + 1 offsets into col/val
-  std::vector<std::int32_t> col;      // window offset of each term
-  std::vector<double> val;            // coefficient of each term
-  std::vector<std::uint8_t> has_b;    // per row: starts from b[row]
-  std::vector<double> b;
-  std::int32_t span{0};  // largest window offset + 1 (0: peeks nothing)
-  // Exact OpCounts of one firing of the expression form.
-  std::int64_t flops{0}, channel{0};
-
-  [[nodiscard]] std::size_t nnz() const { return col.size(); }
-  // Whether an actor with these tapes can run the kernel: it always pushes,
-  // and reads its input only when it peeks or pops.  An actor without them
-  // keeps the expression form, which reports the missing tape.
-  [[nodiscard]] bool fits_tapes(bool has_in, bool has_out) const {
-    return has_out && (has_in || (span == 0 && pop == 0));
-  }
-};
-
-// The coefficient rows of `f` when its work function has exactly the shape
-// linear::to_filter emits (see the file comment); false for anything else.
-bool linear_kernel_rows(const ir::FilterSpec& f, LinearRows* out);
-
 // `n` firings through the tapes' checked accessors, with the expression's
 // checks and counts in its order (linear_firings' slow path).
-void linear_firings_checked(const LinearRows& R, std::int64_t n,
+void linear_firings_checked(const ir::LinearRows& R, std::int64_t n,
                             ir::InTape& in, ir::OutTape& out,
                             OpCounts* counts);
 
@@ -99,7 +70,7 @@ struct MaskedWindow {
 // `n` firings with no checks of their own: the caller has shown that the
 // window holds every item they peek and pop.
 template <class Window, class Out>
-void kernel_loop(const LinearRows& R, std::int64_t n, Window w, Out& out) {
+void kernel_loop(const ir::LinearRows& R, std::int64_t n, Window w, Out& out) {
   const std::int32_t* const rp = R.row_ptr.data();
   const std::int32_t* const col = R.col.data();
   const double* const val = R.val.data();
@@ -149,7 +120,7 @@ void kernel_loop(const LinearRows& R, std::int64_t n, Window w, Out& out) {
 // two extra operations per term cost the loop 15-23% more time, so they
 // are paid only where needed); both run unchecked.
 template <class Out>
-void linear_firings(const LinearRows& R, std::int64_t n, ir::InTape& in,
+void linear_firings(const ir::LinearRows& R, std::int64_t n, ir::InTape& in,
                     Out& out, OpCounts* counts) {
   if (n <= 0) return;
   const std::int64_t need = std::max(R.span, R.pop);

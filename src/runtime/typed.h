@@ -46,14 +46,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "ir/filter.h"
 #include "ir/value.h"
 #include "runtime/interp.h"
-#include "runtime/linear_kernel.h"
 #include "runtime/vm.h"
 
 namespace sit::runtime {
@@ -94,20 +92,21 @@ bool typed_lower(const CompiledFilter& f, std::vector<Tag> scalar_seed,
 // A work function specialized onto the dual register plane.  Produced by
 // typed_compile (compile.cc) from an already-compiled filter, whose slot
 // names and peek window the binding reads.  Init is not specialized: it
-// runs once, on the tree interpreter, before typed_compile.  A work
-// function of linear::to_filter's exact form also carries its coefficient
-// rows, and the compiled engines run it as that kernel (linear_kernel.h).
+// runs once, on the tree interpreter, before typed_compile.  A filter whose
+// spec carries coefficient rows (ir::FilterSpec::linear_rows) also carries
+// them here, and the compiled engines run it as that kernel
+// (linear_kernel.h).
 struct TypedFilter {
   CompiledFilterP base;
   TypedCode work;
-  std::optional<LinearRows> kernel;
+  std::shared_ptr<const ir::LinearRows> kernel;
 };
 
 using TypedFilterP = std::shared_ptr<const TypedFilter>;
 
 // Specialize `base`'s work program against the *current* state tags (state
 // must already be initialized; its tags seed the scalar/array classes).
-// Attaches the kernel rows when linear_kernel_rows matches `spec`.
+// Attaches the spec's coefficient rows, if it carries any.
 // Returns null with a stable `reason` when inference refuses:
 //   "has-handlers"      teleport handlers may retag state at any time
 //   "mixed-register"    some read observes an Int-or-Double register

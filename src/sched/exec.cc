@@ -93,7 +93,7 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
   fstate_.resize(n);
   nstate_.resize(n);
   typed_.resize(n);
-  trace_.assign(n, Trace::None);
+  actor_trace_.resize(n);
   fx_.resize(n);
   typed_refusal_.resize(n);
   ops_.resize(n);
@@ -111,12 +111,9 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
         typed_[i] = runtime::typed_compile(spec, prog, fstate_[i],
                                            &typed_refusal_[i]);
         if (typed_[i]) {
-          // The verdict only: active_fx builds the trace again on first use.
           typed_refusal_[i].clear();
-          if (const auto p = runtime::build_actor(g_, static_cast<int>(i),
-                                                  typed_, &typed_refusal_[i])) {
-            trace_[i] = p->kernels.empty() ? Trace::Template : Trace::Kernel;
-          }
+          actor_trace_[i] = runtime::build_actor(g_, static_cast<int>(i),
+                                                 typed_, &typed_refusal_[i]);
         }
       }
     } else if (a.kind == FlatActor::Kind::Native) {
@@ -211,13 +208,12 @@ Executor::Bind::~Bind() {
 runtime::TypedFusedExec* Executor::active_fx(std::size_t actor) {
   runtime::TypedFusedExec* x = fx_[actor].get();
   if (x == nullptr) {
-    if (trace_[actor] == Trace::None || actor < bind_lo_ ||
-        actor >= bind_hi_) {
+    if (!actor_trace_[actor] || actor < bind_lo_ || actor >= bind_hi_) {
       return nullptr;
     }
     fx_[actor] = std::make_unique<runtime::TypedFusedExec>(
-        runtime::build_actor(g_, static_cast<int>(actor), typed_),
-        std::span(&fstate_[actor], 1), in_tape_, out_tape_, chans_);
+        actor_trace_[actor], std::span(&fstate_[actor], 1), in_tape_,
+        out_tape_, chans_);
     x = fx_[actor].get();
     x->activate();  // a refusal leaves this call on the tree, as in Bind
   }
@@ -504,8 +500,8 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
   if (typed_on_) {
     m.typed_actors = 0;
     m.typed_regs = 0;
-    for (std::size_t i = 0; i < trace_.size(); ++i) {
-      if (trace_[i] != Trace::None) {
+    for (std::size_t i = 0; i < actor_trace_.size(); ++i) {
+      if (actor_trace_[i]) {
         ++m.typed_actors;
         m.typed_regs += typed_[i]->work.typed_regs;
       }
@@ -537,7 +533,7 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
         a.calib_cycles = static_cast<double>(fs.wall_ns);
       }
     }
-    if (trace_[i] != Trace::None) {
+    if (actor_trace_[i]) {
       a.typed_status = "typed";
       a.typed_regs = typed_[i]->work.typed_regs;
     } else if (typed_on_ && !typed_refusal_[i].empty()) {
@@ -579,7 +575,7 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
   if (typed_on_) {
     std::vector<runtime::Tag> push(g_.actors.size(), runtime::Tag::Double);
     for (std::size_t i = 0; i < g_.actors.size(); ++i) {
-      if (trace_[i] != Trace::None) push[i] = typed_[i]->work.push_tag;
+      if (actor_trace_[i]) push[i] = typed_[i]->work.push_tag;
     }
     const auto content = analysis::propagate_edge_tags(g_, push);
     m.typed_channels = 0;

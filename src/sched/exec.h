@@ -16,11 +16,12 @@
 // (runtime/fused.h build_actor): a template actor's run is SetActor, its
 // template and a FireLoop, a linear node's is one LinearKernel instruction,
 // and either way fire_run(actor, n) is one dispatch.  The trace is built
-// at the actor's first per-actor firing, so an actor that only ever runs in
-// the whole-graph trace costs none.  Each trace's
-// TypedFusedExec mirrors the actor's state into raw planes once per public
-// call -- run_init, run_steady, fire, and ThreadedExecutor::run_steady
-// around its workers -- and writes it back when the call returns; an actor
+// once, at construction; its TypedFusedExec and state planes are made at
+// the actor's first per-actor firing, so an actor that only ever runs in
+// the whole-graph trace costs no planes.  Each trace's TypedFusedExec
+// mirrors the actor's state into raw planes once per public call --
+// run_init, run_steady, fire, and ThreadedExecutor::run_steady around its
+// workers -- and writes it back when the call returns; an actor
 // whose state tags drifted from its typed classes fires on the tree
 // interpreter for that call.  Everything else (tree-engine actors, natives,
 // splitters, joiners) fires through fire_into's own cases.
@@ -157,7 +158,7 @@ class Executor {
   // (otherwise it runs on the tree interpreter).
   [[nodiscard]] Engine engine() const { return engine_; }
   [[nodiscard]] bool actor_uses_vm(int actor) const {
-    return trace_[static_cast<std::size_t>(actor)] != Trace::None;
+    return actor_trace_[static_cast<std::size_t>(actor)] != nullptr;
   }
   // The stable reason an AST filter actor runs on the tree interpreter under
   // a compiled engine: compile_filter's (e.g. "teleport-send"),
@@ -171,12 +172,13 @@ class Executor {
   // The specialized work program for one actor (null on the tree).
   [[nodiscard]] const runtime::TypedFilter* typed_program(int actor) const {
     const auto ai = static_cast<std::size_t>(actor);
-    return trace_[ai] != Trace::None ? typed_[ai].get() : nullptr;
+    return actor_trace_[ai] ? typed_[ai].get() : nullptr;
   }
   // Whether the actor's one-actor trace is its typed program's coefficient
   // kernel (runtime/linear_kernel.h) rather than its template.
   [[nodiscard]] bool runs_kernel(int actor) const {
-    return trace_[static_cast<std::size_t>(actor)] == Trace::Kernel;
+    const auto& p = actor_trace_[static_cast<std::size_t>(actor)];
+    return p && !p->kernels.empty();
   }
 
   // Fused engine introspection (Engine::Fused only).  fused_program() is the
@@ -246,8 +248,8 @@ class Executor {
   // Mirrors the typed actors' state into their one-actor traces' planes for
   // one public call -- every actor's, or `actor`'s alone -- and writes it
   // back when the call ends, by return or by throw.  An actor whose trace
-  // is not built yet is skipped: active_fx builds and activates it at its
-  // first firing inside the binding.  Bindings do not nest, and the
+  // has no executor yet is skipped: active_fx makes and activates one at
+  // its first firing inside the binding.  Bindings do not nest, and the
   // whole-steady-state trace only activates outside one.
   class Bind {
    public:
@@ -273,9 +275,9 @@ class Executor {
   void fire_run(int actor, std::int64_t n, runtime::OpCounts* counts,
                 obs::ThreadBuffer* tb);
   void note_high_water(const runtime::FlatActor& a);
-  // The actor's one-actor trace when it is active, building it first when
-  // the actor is traced, not built yet, and inside the current Bind.  Null:
-  // the actor fires on the tree interpreter.
+  // The actor's one-actor trace executor when it is active, making it first
+  // when the actor is traced, has none yet, and is inside the current Bind.
+  // Null: the actor fires on the tree interpreter.
   runtime::TypedFusedExec* active_fx(std::size_t actor);
   // A native actor's one firing on the given tapes, with its static counts.
   static void fire_native(const runtime::FlatActor& a, ir::NativeState* state,
@@ -313,16 +315,15 @@ class Executor {
   std::vector<ir::OutTape*> out_tape_;
   std::vector<runtime::FilterState> fstate_;
   std::vector<std::unique_ptr<ir::NativeState>> nstate_;
-  // Per actor, its typed program, whether build_actor traces it (and as a
-  // coefficient kernel), and its one-actor trace bound to its fstate_ entry
-  // and the tape tables -- built on first use inside a Bind (active_fx), so
-  // fstate_ entries must never be reseated -- plus the per-actor refusal
-  // reasons.  Actors that only ever run in the whole-graph trace never
-  // build one.
-  enum class Trace : std::uint8_t { None, Template, Kernel };
+  // Per actor, its typed program, its one-actor trace (build_actor's; null
+  // when the actor runs on the tree), that trace's executor bound to its
+  // fstate_ entry and the tape tables -- made on first use inside a Bind
+  // (active_fx), so fstate_ entries must never be reseated; actors that
+  // only ever run in the whole-graph trace never make one -- and the
+  // per-actor refusal reasons.
   bool typed_on_{false};
   std::vector<runtime::TypedFilterP> typed_;
-  std::vector<Trace> trace_;
+  std::vector<runtime::FusedProgramP> actor_trace_;
   std::vector<std::unique_ptr<runtime::TypedFusedExec>> fx_;
   std::vector<std::string> typed_refusal_;
   // The actors [bind_lo_, bind_hi_) the current Bind covers (empty outside

@@ -865,8 +865,8 @@ void ThreadedExecutor::run_split(int n) {
       }
       if (exec_->actor_uses_vm(0)) {
         l->fx = std::make_unique<runtime::TypedFusedExec>(
-            runtime::build_actor(g, 0, exec_->typed_),
-            std::span(&exec_->fstate_[0], 1), l->in_tapes, l->out_tapes);
+            exec_->actor_trace_[0], std::span(&exec_->fstate_[0], 1),
+            l->in_tapes, l->out_tapes);
       }
       if (exec_->nstate_[0]) l->native = exec_->nstate_[0]->clone();
       lanes_.push_back(std::move(l));

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -39,9 +40,12 @@ namespace {
 using namespace sit::ir;
 using namespace sit::ir::dsl;
 
+// Tracing refuses the whole-graph trace ("tracing-enabled"), so these
+// options pin it off whatever SIT_TRACE says.
 sched::ExecOptions fused_options() {
   sched::ExecOptions opts;
   opts.engine = sched::Engine::Fused;
+  opts.trace = sched::TraceMode::Off;
   return opts;
 }
 
@@ -208,8 +212,8 @@ TEST(FusedSuper, DisassemblyAnnotatesSuperinstructions) {
 }
 
 // At -O2 the linear passes leave their collapsed nodes as to_filter's
-// expression form; every one of them must run as a linear-kernel.  A change
-// to that form which the recognizer no longer matches fails here.
+// filters, which carry their coefficient rows; every one of them must run
+// as a linear-kernel.  A pass that loses the rows fails here.
 TEST(FusedSuper, EveryLinNodeRunsAsLinearKernelAtO2) {
   for (const char* app : {"Oversampler", "TargetDetect", "DCT", "RateConvert",
                           "ChannelVocoder"}) {
@@ -522,9 +526,8 @@ constexpr TraceLen kInlinedTraceLen[] = {
 std::size_t fused_trace_len(const std::string& app, opt::OptLevel level) {
   opt::CompileOptions copts;
   copts.level = level;
-  sched::ExecOptions opts;
-  opts.engine = sched::Engine::Fused;
-  sched::Executor ex(opt::compile(apps::make_app(app), copts), opts);
+  sched::Executor ex(opt::compile(apps::make_app(app), copts),
+                     fused_options());
   const runtime::FusedProgram* fp = ex.fused_program();
   return fp == nullptr ? 0 : fp->code.size();
 }
@@ -761,7 +764,7 @@ TEST(FusedExecution, StateAcrossCallBoundariesMatchesTheTree) {
 
 // The what() of the fault the first steady state throws ("" if none).
 std::string first_fault(const ir::NodeP& root, sched::Engine engine) {
-  sched::ExecOptions opts;
+  sched::ExecOptions opts = fused_options();
   opts.engine = engine;
   sched::Executor ex(lower_ungated(root), opts);
   if (engine != sched::Engine::Tree) {
@@ -780,7 +783,7 @@ std::string first_fault(const ir::NodeP& root, sched::Engine engine) {
   return "";
 }
 
-// y = 2 * peek(0), popping 3: recognized as a linear kernel.
+// y = 2 * peek(0), popping 3: runs as a linear kernel.
 ir::FilterSpec short_pop_kernel() {
   linear::LinearRep rep;
   rep.peek = 1;
@@ -1071,10 +1074,10 @@ TEST(LinearKernel, RandomRepsMatchTheExpressionBitForBit) {
     const linear::LinearRep rep = random_kernel_rep(rng);
     saw_peek_gt_pop = saw_peek_gt_pop || rep.peek > rep.pop;
     const ir::FilterSpec k = linear::to_filter(rep, "lin");
-    runtime::LinearRows rows;
-    ASSERT_TRUE(runtime::linear_kernel_rows(k, &rows)) << "rep " << t;
-    EXPECT_EQ(rows.flops, rep.op_counts().flops) << "rep " << t;
-    EXPECT_EQ(rows.channel, rep.op_counts().channel) << "rep " << t;
+    const ir::LinearRows* rows = k.linear_rows();
+    ASSERT_NE(rows, nullptr) << "rep " << t;
+    EXPECT_EQ(rows->flops, rep.op_counts().flops) << "rep " << t;
+    EXPECT_EQ(rows->channel, rep.op_counts().channel) << "rep " << t;
     for (const NodeP& g : kernel_graphs(k)) {
       SCOPED_TRACE("rep " + std::to_string(t) + " " + g->name + "\n" +
                    rep.describe());
@@ -1110,8 +1113,11 @@ TEST(LinearKernel, NegativeZeroFirstTermStaysNegativeZero) {
   }
 }
 
-// Near-misses of to_filter's shape keep their compiled template and still
-// fuse.  Base: y0 = 0.5*w0 + -0.25*w1, y1 = 0.125 + 1.5*w1 + 0.75*w2, pop 2.
+// Near-misses of to_filter's filter.  A copy whose work is replaced -- even
+// by a still-linear expression -- carries no rows, keeps its compiled
+// template and still fuses; a copy that only adds a state variable keeps
+// its work and rows and runs as a kernel.  Base: y0 = 0.5*w0 + -0.25*w1,
+// y1 = 0.125 + 1.5*w1 + 0.75*w2, pop 2.
 TEST(LinearKernel, NearMissesKeepTheirTemplate) {
   linear::LinearRep rep;
   rep.peek = 3;
@@ -1144,41 +1150,42 @@ TEST(LinearKernel, NearMissesKeepTheirTemplate) {
     const char* what;
     ir::FilterSpec f;
     bool honest;  // rates match the work function, so it runs correctly
+    bool kernel;  // keeps its rows
   } misses[] = {
-      {"state variable", with_state, true},
+      {"state variable", with_state, true, true},
       {"peek index from a variable",
        with_work({assign("k", iconst(0)), row0(fconst(0.5), var("k")), body[1],
                   body[2]}),
-       true},
+       true, false},
       {"non-literal coefficient",
        with_work({row0(un(UnOp::Neg, fconst(-0.5)), iconst(0)), body[1],
                   body[2]}),
-       true},
+       true, false},
       {"extra statement",
-       with_work({assign("t", fconst(1.0)), body[0], body[1], body[2]}), true},
-      {"pop_n != pop", with_work({body[0], body[1], pop_n(iconst(1))}), false},
+       with_work({assign("t", fconst(1.0)), body[0], body[1], body[2]}), true,
+       false},
+      {"pop_n != pop", with_work({body[0], body[1], pop_n(iconst(1))}), false,
+       false},
       {"peek index >= peek",
-       with_work({row0(fconst(0.5), iconst(3)), body[1], body[2]}), false},
+       with_work({row0(fconst(0.5), iconst(3)), body[1], body[2]}), false,
+       false},
   };
-  runtime::LinearRows rows;
-  ASSERT_TRUE(runtime::linear_kernel_rows(base, &rows));
-  // The variable index alone (the AST matcher needs no binding for it).
-  EXPECT_FALSE(runtime::linear_kernel_rows(
-      with_work({row0(fconst(0.5), var("k")), body[1], body[2]}), &rows));
+  ASSERT_NE(base.linear_rows(), nullptr);
   for (const auto& m : misses) {
     SCOPED_TRACE(m.what);
-    EXPECT_FALSE(runtime::linear_kernel_rows(m.f, &rows));
+    EXPECT_EQ(m.f.linear_rows() != nullptr, m.kernel);
     const NodeP root = make_pipeline(
         "p", {tiny_src("s"), make_filter(m.f), tiny_snk("k")});
     sched::Executor ex(lower_ungated(root), fused_options());
     ASSERT_NE(ex.fused_program(), nullptr) << ex.fused_refusal();
-    EXPECT_EQ(ex.fused_program()->super_count("linear-kernel"), 0);
+    EXPECT_EQ(ex.fused_program()->super_count("linear-kernel"),
+              m.kernel ? 1 : 0);
     if (m.honest) {
       EXPECT_EQ(expect_kernel_matches_tree(
                     make_pipeline("p", {pass_through("pre"), make_filter(m.f),
                                         pass_through("post")}),
                     9),
-                0);
+                m.kernel ? 1 : 0);
     }
   }
   // The unmodified form does run as a kernel in the same graph.
@@ -1228,8 +1235,9 @@ void queue_wrapped(Tape& tape) {
 
 template <class Tape>
 void expect_wrapped_kernel_matches_checked(Tape& fast, Tape& checked) {
-  runtime::LinearRows R;
-  ASSERT_TRUE(runtime::linear_kernel_rows(wrap_kernel(), &R));
+  const ir::FilterSpec k = wrap_kernel();
+  ASSERT_NE(k.linear_rows(), nullptr);
+  const ir::LinearRows& R = *k.linear_rows();
   queue_wrapped(fast);
   queue_wrapped(checked);
   constexpr std::int64_t kFirings = 3;  // (3 - 1) * 3 + 5 == 11 items
@@ -1426,6 +1434,93 @@ TEST(FusedExecution, RingReadMacLoopMatchesTheTree) {
       }
     }
   }
+}
+
+// An actor runs a kernel exactly when its spec carries coefficient rows,
+// and only the linear passes' `_lin` nodes carry them.  The counts per app
+// and -O level are pinned (-O0: none).
+TEST(LinearKernel, EveryAppRunsAKernelExactlyWhereItsSpecCarriesRows) {
+  const std::map<std::string, int> o1 = {
+      {"ChannelVocoder", 34}, {"TargetDetect", 4}, {"FFT", 3},
+      {"DCT", 2},             {"FMRadio", 2},      {"MPEG2Decoder", 2},
+      {"Vocoder", 2},         {"DtoA", 2},         {"FIR", 1},
+      {"FilterBank", 1},      {"TDE", 1},          {"RateConvert", 1},
+      {"Oversampler", 1}};
+  std::map<std::string, int> o2 = o1;
+  o2["ChannelVocoder"] = 17;
+  o2.erase("FIR");
+  o2.erase("FMRadio");
+  for (const apps::AppInfo& app : apps::all_apps()) {
+    for (const opt::OptLevel level :
+         {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2}) {
+      const std::map<std::string, int>& want =
+          level == opt::OptLevel::O1 ? o1 : o2;
+      opt::CompileOptions copts;
+      copts.level = level;
+      sched::ExecOptions vopts;
+      vopts.engine = sched::Engine::Vm;
+      vopts.trace = sched::TraceMode::Off;
+      const sched::Executor vm(opt::compile(app.make(), copts), vopts);
+      SCOPED_TRACE(app.name + " -O" +
+                   std::to_string(static_cast<int>(level)));
+      int kernels = 0;
+      for (std::size_t a = 0; a < vm.graph().actors.size(); ++a) {
+        const runtime::FlatActor& fa = vm.graph().actors[a];
+        const bool rows = fa.kind == runtime::FlatActor::Kind::Filter &&
+                          fa.node->filter.linear_rows() != nullptr;
+        EXPECT_EQ(vm.runs_kernel(static_cast<int>(a)), rows) << fa.name;
+        if (rows) {
+          EXPECT_TRUE(fa.name.ends_with("_lin")) << fa.name;
+          ++kernels;
+        }
+      }
+      const auto it = want.find(app.name);
+      EXPECT_EQ(kernels, level == opt::OptLevel::O0 || it == want.end()
+                             ? 0
+                             : it->second);
+    }
+  }
+}
+
+// The rows live on the spec: a graph copy (ir::clone) and a compile keep
+// them, and they still run as the kernel; a spec copy whose work is
+// replaced -- here by a structurally identical AST -- or whose rates no
+// longer match drops them and runs its template, bit-equal to the tree.
+TEST(LinearKernel, RowsSurviveCopiesAndCompilesButNotAReplacedWork) {
+  const ir::FilterSpec k = wrap_kernel();
+  const ir::LinearRows* rows = k.linear_rows();
+  ASSERT_NE(rows, nullptr);
+  const NodeP root =
+      make_pipeline("p", {tiny_src("s"), make_filter(k), tiny_snk("k")});
+  EXPECT_EQ(ir::clone(root)->children[1]->filter.linear_rows(), rows);
+  for (const opt::OptLevel level :
+       {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2}) {
+    SCOPED_TRACE("-O" + std::to_string(static_cast<int>(level)));
+    opt::CompileOptions copts;
+    copts.level = level;
+    const sched::CompiledProgram prog = opt::compile(ir::clone(root), copts);
+    const int lin = actor_id(prog.flat, "lin");
+    ASSERT_GE(lin, 0);
+    EXPECT_EQ(prog.flat.actors[static_cast<std::size_t>(lin)]
+                  .node->filter.linear_rows(),
+              rows);
+    sched::ExecOptions vopts;
+    vopts.engine = sched::Engine::Vm;
+    EXPECT_TRUE(sched::Executor(prog, vopts).runs_kernel(lin));
+  }
+
+  ir::FilterSpec rewritten = k;
+  rewritten.work = block(k.work->stmts);
+  EXPECT_EQ(ir::to_string(rewritten.work), ir::to_string(k.work));
+  ir::FilterSpec rerated = k;
+  rerated.pop = 2;
+  EXPECT_EQ(rewritten.linear_rows(), nullptr);
+  EXPECT_EQ(rerated.linear_rows(), nullptr);
+  EXPECT_EQ(expect_kernel_matches_tree(
+                make_pipeline("p", {pass_through("pre"), make_filter(rewritten),
+                                    pass_through("post")}),
+                11),
+            0);
 }
 
 }  // namespace

@@ -681,15 +681,21 @@ TEST(LinearCost, ClosedFormMatchesInterpretedFilter) {
   }
 }
 
-// The selection seeds each filter it lowers with as_extracted(rep) instead
-// of analyzing it again; that must be exactly what extraction would return,
-// down to the sign of zero.
+// extract() replays the extractor's arithmetic on the coefficient rows a
+// to_filter result carries instead of analyzing its work AST; that must be
+// exactly what analyzing the AST returns, down to the sign of zero.
 TEST(LinearCost, AsExtractedMatchesExtraction) {
   for (const LinearRep& r : reps_to_check()) {
-    const ExtractResult ex = extract(to_filter(r, "probe"));
+    const ir::FilterSpec f = to_filter(r, "probe");
+    ASSERT_NE(f.linear_rows(), nullptr);
+    ir::FilterSpec plain = f;
+    plain.linear = nullptr;
+    const ExtractResult ex = extract(plain);
     ASSERT_TRUE(ex.rep.has_value()) << ex.reason;
     const LinearRep want = *ex.rep;
-    const LinearRep got = as_extracted(r);
+    const ExtractResult from_rows = extract(f);
+    ASSERT_TRUE(from_rows.rep.has_value()) << from_rows.reason;
+    const LinearRep got = *from_rows.rep;
     ASSERT_EQ(got.peek, want.peek);
     ASSERT_EQ(got.pop, want.pop);
     ASSERT_EQ(got.push, want.push);

@@ -39,11 +39,14 @@ ir::NodeP observable(const ir::NodeP& app) {
   return ir::make_pipeline(app->name + "_obs", kids);
 }
 
+// Tracing pins the whole-graph trace off ("tracing-enabled"), so these
+// executors keep it off whatever SIT_TRACE says.
 sched::Executor make_exec(ir::NodeP root, sched::Engine engine,
                           sched::TypedMode typed) {
   sched::ExecOptions opts;
   opts.engine = engine;
   opts.typed = typed;
+  opts.trace = sched::TraceMode::Off;
   return sched::Executor(std::move(root), opts);
 }
 
@@ -365,11 +368,13 @@ TEST(TypedDiff, ThreadedRuntimeBitEqualTypedOnVsOff) {
     sched::ExecOptions on;
     on.threads = 4;
     on.typed = sched::TypedMode::On;
+    on.trace = sched::TraceMode::Off;
     sched::ThreadedExecutor ton(observable(apps::make_app(name)), on);
 
     sched::ExecOptions off;
     off.threads = 4;
     off.typed = sched::TypedMode::Off;
+    off.trace = sched::TraceMode::Off;
     sched::ThreadedExecutor toff(observable(apps::make_app(name)), off);
 
     expect_bit_equal(ton.run_steady(6), toff.run_steady(6),

@@ -86,6 +86,18 @@ class Channel final : public ir::InTape, public ir::OutTape {
     total_pushed_ += static_cast<std::int64_t>(vs.size());
   }
 
+  // Bulk take, the symmetric path to push_many: append every live item to
+  // `out` in FIFO order and empty the channel, with at most two contiguous
+  // copies (the live region may wrap once) and one p(t) advance.
+  void take_all(std::vector<double>& out) {
+    const std::size_t first = std::min(count_, buf_.size() - head_);
+    out.insert(out.end(), buf_.data() + head_, buf_.data() + head_ + first);
+    out.insert(out.end(), buf_.data(), buf_.data() + (count_ - first));
+    total_popped_ += static_cast<std::int64_t>(count_);
+    head_ = (head_ + count_) & mask_;
+    count_ = 0;
+  }
+
   // Pre-size the ring so the next `n`-item burst does not reallocate.
   void reserve_items(std::size_t n) {
     if (count_ + n > buf_.size()) grow(count_ + n);

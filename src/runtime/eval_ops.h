@@ -163,7 +163,10 @@ inline ir::Value apply_un(ir::UnOp op, const ir::Value& a) {
 // interpreter holds as Values into a raw double file and a raw int64 file.  The static typeflow analysis
 // proves which plane every operand lives in at every program point; these
 // kernels execute one binary/unary op against the two planes given that
-// operand-plane mode byte.  They mirror apply_bin/apply_un exactly -- same
+// operand-plane mode byte.  A trace decodes its same-plane ops to
+// specialized handlers once, at build (vm.h Handler), so only the generic
+// ones reach these: mixed planes, integer Div/Mod, Pow, LAnd/LOr and the
+// cross-plane unaries.  They mirror apply_bin/apply_un exactly -- same
 // promotion rules, same truncating casts, same error strings -- because any
 // divergence breaks the typed == tree bit-equality contract.
 

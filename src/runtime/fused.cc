@@ -34,6 +34,155 @@ std::string actor_refusal(const std::string& f, const std::string& why) {
   return "vm-fallback:" + f + " (" + why + ")";
 }
 
+// ---- decode -----------------------------------------------------------------
+
+// The specialized handler of a same-plane binary op (vm.h Handler), or Bin.
+// Each specialized handler bumps one fixed OpCounts field; an instruction
+// whose resolved tag is not that field keeps the generic handler, which
+// tallies the tag itself.
+Handler decode_bin(BinOp op, bool ad, bool bd, CountTag tag) {
+  Handler h = Handler::Bin;
+  CountTag bumps = CountTag::IntOp;
+  if (!ad && !bd) {
+    switch (op) {
+      case BinOp::Add: h = Handler::AddII; break;
+      case BinOp::Sub: h = Handler::SubII; break;
+      case BinOp::Mul: h = Handler::MulII; break;
+      case BinOp::Min: h = Handler::MinII; break;
+      case BinOp::Max: h = Handler::MaxII; break;
+      case BinOp::BAnd: h = Handler::BAndII; break;
+      case BinOp::BOr: h = Handler::BOrII; break;
+      case BinOp::BXor: h = Handler::BXorII; break;
+      case BinOp::Shl: h = Handler::ShlII; break;
+      case BinOp::Shr: h = Handler::ShrII; break;
+      case BinOp::Lt: h = Handler::LtII; break;
+      case BinOp::Le: h = Handler::LeII; break;
+      case BinOp::Gt: h = Handler::GtII; break;
+      case BinOp::Ge: h = Handler::GeII; break;
+      case BinOp::Eq: h = Handler::EqII; break;
+      case BinOp::Ne: h = Handler::NeII; break;
+      default: break;  // Div/Mod (zero checks), Pow, LAnd, LOr
+    }
+  } else if (ad && bd) {
+    bumps = CountTag::Flop;
+    switch (op) {
+      case BinOp::Add: h = Handler::AddDD; break;
+      case BinOp::Sub: h = Handler::SubDD; break;
+      case BinOp::Mul: h = Handler::MulDD; break;
+      case BinOp::Min: h = Handler::MinDD; break;
+      case BinOp::Max: h = Handler::MaxDD; break;
+      case BinOp::Div: h = Handler::DivDD; bumps = CountTag::Div; break;
+      case BinOp::Lt: h = Handler::LtDD; bumps = CountTag::IntOp; break;
+      case BinOp::Le: h = Handler::LeDD; bumps = CountTag::IntOp; break;
+      case BinOp::Gt: h = Handler::GtDD; bumps = CountTag::IntOp; break;
+      case BinOp::Ge: h = Handler::GeDD; bumps = CountTag::IntOp; break;
+      case BinOp::Eq: h = Handler::EqDD; bumps = CountTag::IntOp; break;
+      case BinOp::Ne: h = Handler::NeDD; bumps = CountTag::IntOp; break;
+      default: break;  // Mod, Pow, LAnd, LOr, the bit ops
+    }
+  }
+  return tag == bumps ? h : Handler::Bin;
+}
+
+// The same for a unary op whose result stays on its operand's plane, and
+// for ToInt/ToFloat from either plane; anything else is Un.
+Handler decode_un(UnOp op, bool ad, CountTag tag) {
+  Handler h = Handler::Un;
+  CountTag bumps = ad ? CountTag::Flop : CountTag::IntOp;
+  switch (op) {
+    case UnOp::Neg: h = ad ? Handler::NegD : Handler::NegI; break;
+    case UnOp::Abs: h = ad ? Handler::AbsD : Handler::AbsI; break;
+    case UnOp::LNot: if (!ad) h = Handler::LNotI; break;
+    case UnOp::BNot: if (!ad) h = Handler::BNotI; break;
+    case UnOp::ToInt:
+      h = ad ? Handler::ToIntD : Handler::ToIntI;
+      bumps = CountTag::None;
+      break;
+    case UnOp::ToFloat:
+      h = ad ? Handler::ToFloatD : Handler::ToFloatI;
+      bumps = CountTag::None;
+      break;
+    default:
+      break;
+  }
+  if (ad) {
+    switch (op) {
+      case UnOp::Sin: h = Handler::SinD; bumps = CountTag::Trans; break;
+      case UnOp::Cos: h = Handler::CosD; bumps = CountTag::Trans; break;
+      case UnOp::Tan: h = Handler::TanD; bumps = CountTag::Trans; break;
+      case UnOp::Exp: h = Handler::ExpD; bumps = CountTag::Trans; break;
+      case UnOp::Log: h = Handler::LogD; bumps = CountTag::Trans; break;
+      case UnOp::Sqrt: h = Handler::SqrtD; bumps = CountTag::Trans; break;
+      case UnOp::Floor: h = Handler::FloorD; break;
+      case UnOp::Ceil: h = Handler::CeilD; break;
+      case UnOp::Round: h = Handler::RoundD; break;
+      default: break;
+    }
+  }
+  return tag == bumps ? h : Handler::Un;
+}
+
+// The handler TypedFusedExec::run dispatches `I` on: its opcode, operand
+// planes, operator and count tag, decoded once.
+Handler decode(const FInstr& I) {
+  const bool ad = (I.mode & kModeAD) != 0;
+  const bool bd = (I.mode & kModeBD) != 0;
+  const bool dd = (I.mode & kModeDD) != 0;
+  switch (I.op) {
+    case FOp::Move: return dd ? Handler::MoveD : Handler::MoveI;
+    case FOp::LoadScalar:
+      return dd ? Handler::LoadScalarD : Handler::LoadScalarI;
+    case FOp::StoreScalar:
+      return dd ? Handler::StoreScalarD : Handler::StoreScalarI;
+    case FOp::LoadElem:
+      if (bd) return Handler::LoadElem;
+      return dd ? Handler::LoadElemD : Handler::LoadElemI;
+    case FOp::StoreElem:
+      if (bd) return Handler::StoreElem;
+      return dd ? Handler::StoreElemD : Handler::StoreElemI;
+    case FOp::Bin:
+      return decode_bin(static_cast<BinOp>(I.sub), ad, bd, I.count);
+    case FOp::Un: return decode_un(static_cast<UnOp>(I.sub), ad, I.count);
+    case FOp::Truthy: return ad ? Handler::Truthy : Handler::TruthyI;
+    case FOp::Jmp: return Handler::Jmp;
+    case FOp::JmpIfFalse:
+      return ad ? Handler::JmpIfFalse : Handler::JmpIfFalseI;
+    case FOp::JmpIfTrue:
+      return ad ? Handler::JmpIfTrue : Handler::JmpIfTrueI;
+    // The compiler coerces a loop's counter, bound and step to int, and
+    // tallies only int ops and a dangling branch's channel items.
+    case FOp::JmpIfGe:
+      if (ad || bd) fail("double loop bound");
+      return Handler::JmpIfGeII;
+    case FOp::CheckStep:
+      if (ad) fail("double loop step");
+      return Handler::CheckStepI;
+    case FOp::ForInc:
+      if (ad || dd) fail("double loop counter");
+      return Handler::ForIncII;
+    case FOp::Tally:
+      if (I.count == CountTag::IntOp) return Handler::TallyInt;
+      if (I.count == CountTag::Channel) return Handler::TallyChan;
+      fail("tally without an int or channel count");
+    case FOp::RPeek: return Handler::RPeek;
+    case FOp::RPop: return Handler::RPop;
+    case FOp::RPopN: return Handler::RPopN;
+    case FOp::RPush: return Handler::RPush;
+    case FOp::TPeek: return ad ? Handler::TPeek : Handler::TPeekI;
+    case FOp::TPop: return Handler::TPop;
+    case FOp::TPopN: return ad ? Handler::TPopN : Handler::TPopNI;
+    case FOp::TPush: return dd ? Handler::TPushD : Handler::TPushI;
+    case FOp::SetActor: return Handler::SetActor;
+    case FOp::FireLoop: return Handler::FireLoop;
+    case FOp::MacLoop: return Handler::MacLoop;
+    case FOp::CopyRun: return Handler::CopyRun;
+    case FOp::NativeFire: return Handler::NativeFire;
+    case FOp::LinearKernel: return Handler::LinearKernel;
+    case FOp::Halt: return Handler::Halt;
+  }
+  fail("unknown opcode");
+}
+
 // ---- builder ----------------------------------------------------------------
 
 // Builds a whole-graph trace, or (`one_actor`) the one-actor trace of the
@@ -73,6 +222,10 @@ class TraceBuilder {
     prog_->code.push_back(FInstr{});  // Halt
 
     count_super();
+    for (FInstr& I : prog_->code) {
+      I.handler = decode(I);
+      ++prog_->dispatch[I.handler];
+    }
     return P;
   }
 
@@ -642,6 +795,14 @@ FusedProgramP build_actor(const FlatGraph& g, int actor,
 
 // ---- disassembly ------------------------------------------------------------
 
+std::int64_t FusedProgram::generic_count() const {
+  std::int64_t n = 0;
+  for (const auto& [h, k] : dispatch) {
+    if (handler_generic(h)) n += k;
+  }
+  return n;
+}
+
 std::string FusedProgram::disassemble() const {
   std::string out;
   out += "; fused steady-state trace: " + std::to_string(code.size()) +
@@ -719,9 +880,10 @@ std::string FusedProgram::disassemble() const {
 // same op counting and the same error strings thrown in the same order.
 // What each filter's typing proved safe lets it go faster: registers and
 // (for the duration of an activation) filter state live in raw planes,
-// CountTag::ByResult is pre-resolved, and the mac-loop superinstruction runs
-// as a raw double* kernel when a hoisted precheck shows no per-element
-// check can fire.
+// every instruction was decoded at build to a handler that fixes its planes,
+// operator and count field, so run() makes one dispatch per instruction, and
+// the mac-loop superinstruction runs as a raw double* kernel when a hoisted
+// precheck shows no per-element check can fire.
 
 namespace {
 
@@ -1027,128 +1189,223 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
     }
     s.buf[s.wr++] = v;
   };
+  const auto tpeek = [&](std::int32_t e, std::int64_t off) {
+    if (debug && (off < 0 || pops + off >= window)) {
+      peek_bounds_error(meta->name, off, pops, window);
+    }
+    const EdgeState& s = ebuf[e];
+    if (off < 0 || s.rd + static_cast<std::size_t>(off) >= s.wr) {
+      buffer_peek_error(off, s.wr - s.rd);
+    }
+    if constexpr (kCount) ++cur->channel;
+    return s.buf[s.rd + static_cast<std::size_t>(off)];
+  };
+  const auto tpopn = [&](std::int32_t e, std::int64_t n) {
+    if (n <= 0) return;
+    EdgeState& s = ebuf[e];
+    if (s.rd + static_cast<std::size_t>(n) > s.wr) {
+      throw std::runtime_error("pop from empty channel");
+    }
+    if constexpr (kCount) cur->channel += n;
+    pops += n;
+    s.rd += static_cast<std::size_t>(n);
+  };
+  // Element `idx` of array slot `a` (`arr`, its plane's storage): the
+  // bounds fault first, then the mem count of the access.
+  const auto elem = [&](auto& arr, std::uint16_t a, std::int64_t idx,
+                        bool store) -> auto& {
+    if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
+      elem_bounds_error(store ? "array store out of bounds"
+                              : "array index out of bounds",
+                        base.array_names[a], idx);
+    }
+    if constexpr (kCount) ++cur->mem;
+    return arr[static_cast<std::size_t>(idx)];
+  };
+
+  // A specialized handler bumps the one OpCounts field it fixes (decode
+  // checked it against the instruction's resolved tag) and computes `expr`
+  // over x = r[a] (and y = r[b]) read from plane `in`, into plane `out`.
+#define SIT_BIN(h, field, out, in, expr) \
+  case Handler::h: {                     \
+    if constexpr (kCount) ++cur->field;  \
+    const auto x = in[I.a];              \
+    const auto y = in[I.b];              \
+    out[I.dst] = (expr);                 \
+    ++pc;                                \
+    break;                               \
+  }
+#define SIT_UN(h, bump, out, in, expr) \
+  case Handler::h: {                   \
+    if constexpr (kCount) bump;        \
+    const auto x = in[I.a];            \
+    out[I.dst] = (expr);               \
+    ++pc;                              \
+    break;                             \
+  }
+#define SIT_TALLY(h, field)                        \
+  case Handler::h:                                 \
+    if constexpr (kCount) cur->field += I.sub;     \
+    ++pc;                                          \
+    break;
 
   for (;;) {
     const FInstr& I = code[pc];
-    const bool ad = (I.mode & kModeAD) != 0;
-    const bool bd = (I.mode & kModeBD) != 0;
-    const bool dd = (I.mode & kModeDD) != 0;
-    switch (I.op) {
-      case FOp::Move:
-        if (dd) {
-          dr[I.dst] = dr[I.a];
-        } else {
-          ir_[I.dst] = ir_[I.a];
-        }
-        ++pc;
-        break;
-      case FOp::LoadScalar:
+    switch (I.handler) {
+      SIT_BIN(AddII, int_ops, ir_, ir_, x + y)
+      SIT_BIN(SubII, int_ops, ir_, ir_, x - y)
+      SIT_BIN(MulII, int_ops, ir_, ir_, x * y)
+      SIT_BIN(MinII, int_ops, ir_, ir_, std::min(x, y))
+      SIT_BIN(MaxII, int_ops, ir_, ir_, std::max(x, y))
+      SIT_BIN(BAndII, int_ops, ir_, ir_, x & y)
+      SIT_BIN(BOrII, int_ops, ir_, ir_, x | y)
+      SIT_BIN(BXorII, int_ops, ir_, ir_, x ^ y)
+      SIT_BIN(ShlII, int_ops, ir_, ir_, x << y)
+      SIT_BIN(ShrII, int_ops, ir_, ir_, x >> y)
+      SIT_BIN(LtII, int_ops, ir_, ir_, x < y ? 1 : 0)
+      SIT_BIN(LeII, int_ops, ir_, ir_, x <= y ? 1 : 0)
+      SIT_BIN(GtII, int_ops, ir_, ir_, x > y ? 1 : 0)
+      SIT_BIN(GeII, int_ops, ir_, ir_, x >= y ? 1 : 0)
+      SIT_BIN(EqII, int_ops, ir_, ir_, x == y ? 1 : 0)
+      SIT_BIN(NeII, int_ops, ir_, ir_, x != y ? 1 : 0)
+      SIT_BIN(AddDD, flops, dr, dr, x + y)
+      SIT_BIN(SubDD, flops, dr, dr, x - y)
+      SIT_BIN(MulDD, flops, dr, dr, x * y)
+      SIT_BIN(DivDD, divs, dr, dr, x / y)
+      SIT_BIN(MinDD, flops, dr, dr, std::min(x, y))
+      SIT_BIN(MaxDD, flops, dr, dr, std::max(x, y))
+      SIT_BIN(LtDD, int_ops, ir_, dr, x < y ? 1 : 0)
+      SIT_BIN(LeDD, int_ops, ir_, dr, x <= y ? 1 : 0)
+      SIT_BIN(GtDD, int_ops, ir_, dr, x > y ? 1 : 0)
+      SIT_BIN(GeDD, int_ops, ir_, dr, x >= y ? 1 : 0)
+      SIT_BIN(EqDD, int_ops, ir_, dr, x == y ? 1 : 0)
+      SIT_BIN(NeDD, int_ops, ir_, dr, x != y ? 1 : 0)
+      SIT_UN(NegI, ++cur->int_ops, ir_, ir_, -x)
+      SIT_UN(AbsI, ++cur->int_ops, ir_, ir_, std::abs(x))
+      SIT_UN(LNotI, ++cur->int_ops, ir_, ir_, x != 0 ? 0 : 1)
+      SIT_UN(BNotI, ++cur->int_ops, ir_, ir_, ~x)
+      SIT_UN(ToIntI, (void)0, ir_, ir_, x)
+      SIT_UN(ToFloatI, (void)0, dr, ir_, static_cast<double>(x))
+      SIT_UN(NegD, ++cur->flops, dr, dr, -x)
+      SIT_UN(AbsD, ++cur->flops, dr, dr, std::fabs(x))
+      SIT_UN(SinD, ++cur->trans, dr, dr, std::sin(x))
+      SIT_UN(CosD, ++cur->trans, dr, dr, std::cos(x))
+      SIT_UN(TanD, ++cur->trans, dr, dr, std::tan(x))
+      SIT_UN(ExpD, ++cur->trans, dr, dr, std::exp(x))
+      SIT_UN(LogD, ++cur->trans, dr, dr, std::log(x))
+      SIT_UN(SqrtD, ++cur->trans, dr, dr, std::sqrt(x))
+      SIT_UN(FloorD, ++cur->flops, dr, dr, std::floor(x))
+      SIT_UN(CeilD, ++cur->flops, dr, dr, std::ceil(x))
+      SIT_UN(RoundD, ++cur->flops, dr, dr, std::round(x))
+      SIT_UN(ToIntD, (void)0, ir_, dr, static_cast<std::int64_t>(x))
+      SIT_UN(ToFloatD, (void)0, dr, dr, x)
+      SIT_UN(MoveI, (void)0, ir_, ir_, x)
+      SIT_UN(MoveD, (void)0, dr, dr, x)
+      SIT_UN(LoadScalarI, ++cur->mem, ir_, iscalars_, x)
+      SIT_UN(LoadScalarD, ++cur->mem, dr, dscalars_, x)
+      SIT_TALLY(TallyInt, int_ops)
+      SIT_TALLY(TallyChan, channel)
+#undef SIT_BIN
+#undef SIT_UN
+#undef SIT_TALLY
+      case Handler::StoreScalarI:
         if constexpr (kCount) ++cur->mem;
-        if (dd) {
-          dr[I.dst] = dscalars_[I.a];
-        } else {
-          ir_[I.dst] = iscalars_[I.a];
-        }
+        iscalars_[I.a] = ir_[I.dst];
         ++pc;
         break;
-      case FOp::StoreScalar:
+      case Handler::StoreScalarD:
         if constexpr (kCount) ++cur->mem;
-        if (dd) {
-          dscalars_[I.a] = dr[I.dst];
-        } else {
-          iscalars_[I.a] = ir_[I.dst];
-        }
+        dscalars_[I.a] = dr[I.dst];
         ++pc;
         break;
-      case FOp::LoadElem: {
-        const std::int64_t idx = typed_geti(dr, ir_, I.b, bd);
-        if (dd) {
-          const auto& arr = darrays_[I.a];
-          if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
-            elem_bounds_error("array index out of bounds",
-                              base.array_names[I.a], idx);
-          }
-          if constexpr (kCount) ++cur->mem;
-          dr[I.dst] = arr[static_cast<std::size_t>(idx)];
+      case Handler::LoadElemI:
+        ir_[I.dst] = elem(iarrays_[I.a], I.a, ir_[I.b], false);
+        ++pc;
+        break;
+      case Handler::LoadElemD:
+        dr[I.dst] = elem(darrays_[I.a], I.a, ir_[I.b], false);
+        ++pc;
+        break;
+      case Handler::StoreElemI:
+        elem(iarrays_[I.a], I.a, ir_[I.b], true) = ir_[I.dst];
+        ++pc;
+        break;
+      case Handler::StoreElemD:
+        elem(darrays_[I.a], I.a, ir_[I.b], true) = dr[I.dst];
+        ++pc;
+        break;
+      case Handler::LoadElem: {  // a double index
+        const auto idx = static_cast<std::int64_t>(dr[I.b]);
+        if ((I.mode & kModeDD) != 0) {
+          dr[I.dst] = elem(darrays_[I.a], I.a, idx, false);
         } else {
-          const auto& arr = iarrays_[I.a];
-          if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
-            elem_bounds_error("array index out of bounds",
-                              base.array_names[I.a], idx);
-          }
-          if constexpr (kCount) ++cur->mem;
-          ir_[I.dst] = arr[static_cast<std::size_t>(idx)];
+          ir_[I.dst] = elem(iarrays_[I.a], I.a, idx, false);
         }
         ++pc;
         break;
       }
-      case FOp::StoreElem: {
-        const std::int64_t idx = typed_geti(dr, ir_, I.b, bd);
-        if (dd) {
-          auto& arr = darrays_[I.a];
-          if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
-            elem_bounds_error("array store out of bounds",
-                              base.array_names[I.a], idx);
-          }
-          if constexpr (kCount) ++cur->mem;
-          arr[static_cast<std::size_t>(idx)] = dr[I.dst];
+      case Handler::StoreElem: {  // a double index
+        const auto idx = static_cast<std::int64_t>(dr[I.b]);
+        if ((I.mode & kModeDD) != 0) {
+          elem(darrays_[I.a], I.a, idx, true) = dr[I.dst];
         } else {
-          auto& arr = iarrays_[I.a];
-          if (idx < 0 || static_cast<std::size_t>(idx) >= arr.size()) {
-            elem_bounds_error("array store out of bounds",
-                              base.array_names[I.a], idx);
-          }
-          if constexpr (kCount) ++cur->mem;
-          arr[static_cast<std::size_t>(idx)] = ir_[I.dst];
+          elem(iarrays_[I.a], I.a, idx, true) = ir_[I.dst];
         }
         ++pc;
         break;
       }
-      case FOp::Bin:
-        if constexpr (kCount) tally(*cur, I.count);
+      case Handler::Bin:
+        // Counted after the op, as the tree does: a faulting division or
+        // modulo by zero is not counted.
         typed_bin(static_cast<BinOp>(I.sub), dr, ir_, I.dst, I.a, I.b, I.mode);
+        if constexpr (kCount) tally(*cur, I.count);
         ++pc;
         break;
-      case FOp::Un:
+      case Handler::Un:
         if constexpr (kCount) tally(*cur, I.count);
         typed_un(static_cast<UnOp>(I.sub), dr, ir_, I.dst, I.a, I.mode);
         ++pc;
         break;
-      case FOp::Truthy:
-        ir_[I.dst] = typed_truthy(dr, ir_, I.a, ad) ? 1 : 0;
+      case Handler::TruthyI:
+        ir_[I.dst] = ir_[I.a] != 0 ? 1 : 0;
         ++pc;
         break;
-      case FOp::Jmp:
+      case Handler::Truthy:
+        ir_[I.dst] =
+            typed_truthy(dr, ir_, I.a, (I.mode & kModeAD) != 0) ? 1 : 0;
+        ++pc;
+        break;
+      case Handler::Jmp:
         pc = I.jump;
         break;
-      case FOp::JmpIfFalse:
-        pc = typed_truthy(dr, ir_, I.a, ad) ? pc + 1 : I.jump;
+      case Handler::JmpIfFalseI:
+        pc = ir_[I.a] != 0 ? pc + 1 : I.jump;
         break;
-      case FOp::JmpIfTrue:
-        pc = typed_truthy(dr, ir_, I.a, ad) ? I.jump : pc + 1;
+      case Handler::JmpIfFalse:
+        pc = typed_truthy(dr, ir_, I.a, (I.mode & kModeAD) != 0) ? pc + 1
+                                                                 : I.jump;
         break;
-      case FOp::JmpIfGe:
-        pc = typed_geti(dr, ir_, I.a, ad) >= typed_geti(dr, ir_, I.b, bd)
-                 ? I.jump
-                 : pc + 1;
+      case Handler::JmpIfTrueI:
+        pc = ir_[I.a] != 0 ? I.jump : pc + 1;
         break;
-      case FOp::CheckStep:
-        if (typed_geti(dr, ir_, I.a, ad) <= 0) {
-          for_step_error();
-        }
+      case Handler::JmpIfTrue:
+        pc = typed_truthy(dr, ir_, I.a, (I.mode & kModeAD) != 0) ? I.jump
+                                                                 : pc + 1;
+        break;
+      case Handler::JmpIfGeII:
+        pc = ir_[I.a] >= ir_[I.b] ? I.jump : pc + 1;
+        break;
+      case Handler::CheckStepI:
+        if (ir_[I.a] <= 0) for_step_error();
         ++pc;
         break;
-      case FOp::ForInc:
-        ir_[I.dst] =
-            typed_geti(dr, ir_, I.dst, dd) + typed_geti(dr, ir_, I.a, ad);
+      case Handler::ForIncII:
+        ir_[I.dst] += ir_[I.a];
         ++pc;
         break;
-      case FOp::Tally:
-        if constexpr (kCount) tally(*cur, I.count, I.sub);
-        ++pc;
-        break;
-      case FOp::RPeek: {
-        const std::int64_t off = typed_geti(dr, ir_, I.a, ad);
+      case Handler::RPeek: {
+        const std::int64_t off =
+            typed_geti(dr, ir_, I.a, (I.mode & kModeAD) != 0);
         if (debug && (off < 0 || pops + off >= window)) {
           peek_bounds_error(meta->name, off, pops, window);
         }
@@ -1157,14 +1414,15 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
         ++pc;
         break;
       }
-      case FOp::RPop:
+      case Handler::RPop:
         if constexpr (kCount) ++cur->channel;
         ++pops;
         dr[I.dst] = tin(I.edge)->pop_item();
         ++pc;
         break;
-      case FOp::RPopN: {
-        const std::int64_t n = typed_geti(dr, ir_, I.a, ad);
+      case Handler::RPopN: {
+        const std::int64_t n =
+            typed_geti(dr, ir_, I.a, (I.mode & kModeAD) != 0);
         if (n > 0) {
           if constexpr (kCount) cur->channel += n;
           pops += n;
@@ -1173,59 +1431,53 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
         ++pc;
         break;
       }
-      case FOp::RPush:
+      case Handler::RPush:
         if constexpr (kCount) ++cur->channel;
         ++pushes;
-        tout(I.edge)->push_item(typed_getd(dr, ir_, I.dst, dd));
+        tout(I.edge)->push_item(
+            typed_getd(dr, ir_, I.dst, (I.mode & kModeDD) != 0));
         ++pc;
         break;
-      case FOp::TPeek: {
-        const std::int64_t off = typed_geti(dr, ir_, I.a, ad);
-        if (debug && (off < 0 || pops + off >= window)) {
-          peek_bounds_error(meta->name, off, pops, window);
-        }
-        EdgeState& s = ebuf[I.edge];
-        if (off < 0 || s.rd + static_cast<std::size_t>(off) >= s.wr) {
-          buffer_peek_error(off, s.wr - s.rd);
-        }
-        if constexpr (kCount) ++cur->channel;
-        dr[I.dst] = s.buf[s.rd + static_cast<std::size_t>(off)];
+      case Handler::TPeekI:
+        dr[I.dst] = tpeek(I.edge, ir_[I.a]);
         ++pc;
         break;
-      }
-      case FOp::TPop:
+      case Handler::TPeek:
+        dr[I.dst] = tpeek(I.edge, static_cast<std::int64_t>(dr[I.a]));
+        ++pc;
+        break;
+      case Handler::TPop:
         if constexpr (kCount) ++cur->channel;
         ++pops;
         dr[I.dst] = tpop(I.edge);
         ++pc;
         break;
-      case FOp::TPopN: {
-        const std::int64_t n = typed_geti(dr, ir_, I.a, ad);
-        if (n > 0) {
-          EdgeState& s = ebuf[I.edge];
-          if (s.rd + static_cast<std::size_t>(n) > s.wr) {
-            throw std::runtime_error("pop from empty channel");
-          }
-          if constexpr (kCount) cur->channel += n;
-          pops += n;
-          s.rd += static_cast<std::size_t>(n);
-        }
+      case Handler::TPopNI:
+        tpopn(I.edge, ir_[I.a]);
         ++pc;
         break;
-      }
-      case FOp::TPush:
+      case Handler::TPopN:
+        tpopn(I.edge, static_cast<std::int64_t>(dr[I.a]));
+        ++pc;
+        break;
+      case Handler::TPushI:
         if constexpr (kCount) ++cur->channel;
-        tpush(I.edge, typed_getd(dr, ir_, I.dst, dd));
+        tpush(I.edge, static_cast<double>(ir_[I.dst]));
         ++pc;
         break;
-      case FOp::SetActor:
+      case Handler::TPushD:
+        if constexpr (kCount) ++cur->channel;
+        tpush(I.edge, dr[I.dst]);
+        ++pc;
+        break;
+      case Handler::SetActor:
         meta = &base.actors[I.a];
         window = meta->peek_window;
         if constexpr (kCount) cur = &actor_counts[I.a];
         reload();
         ++pc;
         break;
-      case FOp::FireLoop:
+      case Handler::FireLoop:
         if (++firing < (I.edge != 0 ? I.edge : firings)) {
           reload();
           pc = I.jump;
@@ -1234,7 +1486,7 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
           ++pc;
         }
         break;
-      case FOp::MacLoop: {
+      case Handler::MacLoop: {
         const MacLoopArgs& M = base.macs[I.a];
         std::int64_t i = ir_[M.ri];
         const std::int64_t hi = ir_[M.rhi];
@@ -1341,7 +1593,7 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
         ++pc;
         break;
       }
-      case FOp::CopyRun: {
+      case Handler::CopyRun: {
         const CopyRunArgs& C = base.copies[I.a];
         if constexpr (kCount) {
           cur->channel += C.n * (1 + static_cast<std::int64_t>(C.dst.size()));
@@ -1382,7 +1634,7 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
         ++pc;
         break;
       }
-      case FOp::NativeFire: {
+      case Handler::NativeFire: {
         const NativeFireArgs& N = base.nats[I.a];
         const FlatActor& a =
             base.graph->actors[static_cast<std::size_t>(N.actor)];
@@ -1403,7 +1655,7 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
         ++pc;
         break;
       }
-      case FOp::LinearKernel: {
+      case Handler::LinearKernel: {
         const LinearKernelArgs& K = base.kernels[I.a];
         run_linear(K, actor_counts, firings);
         pops = K.rows.pop;
@@ -1411,12 +1663,12 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
         ++pc;
         break;
       }
-      case FOp::Halt:
+      case Handler::Halt:
         popped_ = pops;
         pushed_ = pushes;
         return;
       default:
-        throw std::logic_error("typed fused dispatch: unexpected opcode");
+        throw std::logic_error("typed fused dispatch: unexpected handler");
     }
   }
 }

@@ -85,7 +85,11 @@
 // workers), and FilterExec fires a lone filter outside any executor.
 //
 // TypedFusedExec (below) runs both on the dual value plane; its run() is the
-// only loop that dispatches typed FInstr code.  The bit-equality contract
+// only loop that dispatches typed FInstr code.  Both builds end by decoding
+// every instruction to the handler run() switches on (vm.h Handler): a
+// same-plane op's specialized handler fixes its planes, its operator and
+// the OpCounts field it bumps, so the loop makes one flat dispatch per
+// instruction; FusedProgram::dispatch is the census.  The bit-equality contract
 // lives on TypedFusedExec; tests/test_fused.cc pins superinstruction
 // selection and every refusal reason.
 
@@ -190,10 +194,16 @@ struct FusedProgram {
   // name == 0.
   std::map<std::string, std::int64_t> super;
 
+  // The decode census: trace instructions per handler (vm.h Handler) that
+  // run() dispatches them on.  Absent handler == 0.
+  std::map<Handler, std::int64_t> dispatch;
+
   [[nodiscard]] std::int64_t super_count(const std::string& name) const {
     const auto it = super.find(name);
     return it == super.end() ? 0 : it->second;
   }
+  // Instructions on a generic handler (vm.h handler_generic).
+  [[nodiscard]] std::int64_t generic_count() const;
   // Human-readable trace listing with superinstructions annotated
   // (streamc --dump-after=fuse-steady).
   [[nodiscard]] std::string disassemble() const;

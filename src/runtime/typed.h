@@ -23,8 +23,9 @@
 //   * When no *read* ever observes Mixed, the program is lowered 1:1 to the
 //     same instruction format (vm.h's FInstr) executed against two raw
 //     register files -- a double plane and an int64 plane -- with the
-//     instruction's mode byte naming each operand's plane (eval_ops.h
-//     typed_bin/typed_un).  Two planes rather than one double file because
+//     instruction's mode byte naming each operand's plane, which a trace
+//     build decodes into the instruction's handler (vm.h Handler).  Two
+//     planes rather than one double file because
 //     int64 arithmetic (the LCG sources' wrap-around, bit ops) exceeds a
 //     double's 53-bit mantissa.
 //

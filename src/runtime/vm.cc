@@ -45,6 +45,28 @@ const char* op_name(FOp op) {
   return "?";
 }
 
+const char* handler_name(Handler h) {
+  switch (h) {
+#define SIT_HANDLER_NAME(h, name, generic) \
+  case Handler::h:                         \
+    return name;
+    SIT_HANDLERS(SIT_HANDLER_NAME)
+#undef SIT_HANDLER_NAME
+  }
+  return "?";
+}
+
+bool handler_generic(Handler h) {
+  switch (h) {
+#define SIT_HANDLER_GENERIC(h, name, generic) \
+  case Handler::h:                            \
+    return generic;
+    SIT_HANDLERS(SIT_HANDLER_GENERIC)
+#undef SIT_HANDLER_GENERIC
+  }
+  return true;
+}
+
 std::string disassemble(const CompiledProgram& p) {
   std::string out;
   for (std::size_t i = 0; i < p.code.size(); ++i) {

@@ -103,16 +103,85 @@ inline void tally(OpCounts& c, CountTag tag, std::int64_t n = 1) {
   }
 }
 
+// The decoded form of a trace instruction: what TypedFusedExec::run
+// switches on, set once per instruction when a trace is built (fused.cc).
+// A specialized handler fixes its operand planes, its operator and the
+// OpCounts field it bumps (II/DD: int-int / double-double operands; I/D: an
+// int / double operand, index, offset or payload).  A generic handler -- the
+// third column -- reads the mode byte, the sub-operator or the count tag at
+// run time: mixed-plane operands, integer Div/Mod with their zero checks,
+// Pow, LAnd/LOr, the boundary ring ops and the rare operand forms.  Loop
+// bookkeeping and tallies have only their int form (the compiler coerces a
+// loop's counter, bound and step to int and tallies only int ops and
+// channel items; a trace build refuses anything else), and the structural
+// and superinstruction opcodes have one handler each.
+#define SIT_HANDLERS(X)                                                       \
+  X(Halt, "halt", false) X(Jmp, "jmp", false)                                 \
+  X(SetActor, "setactor", false) X(FireLoop, "fireloop", false)               \
+  X(MacLoop, "macloop", false) X(CopyRun, "copyrun", false)                   \
+  X(NativeFire, "nativefire", false) X(LinearKernel, "linkernel", false)      \
+  X(Bin, "bin", true) X(Un, "un", true) X(LoadElem, "ld.e", true)             \
+  X(StoreElem, "st.e", true) X(Truthy, "truthy", true)                        \
+  X(JmpIfFalse, "jf", true) X(JmpIfTrue, "jt", true)                          \
+  X(RPeek, "r.peek", true) X(RPop, "r.pop", false) X(RPopN, "r.popn", true)   \
+  X(RPush, "r.push", true) X(TPeek, "t.peek", true)                           \
+  X(TPopN, "t.popn", true)                                                    \
+  X(MoveI, "move.i", false) X(MoveD, "move.d", false)                         \
+  X(LoadScalarI, "ld.s.i", false) X(LoadScalarD, "ld.s.d", false)             \
+  X(StoreScalarI, "st.s.i", false) X(StoreScalarD, "st.s.d", false)           \
+  X(LoadElemI, "ld.e.i", false) X(LoadElemD, "ld.e.d", false)                 \
+  X(StoreElemI, "st.e.i", false) X(StoreElemD, "st.e.d", false)               \
+  X(TruthyI, "truthy.i", false) X(JmpIfFalseI, "jf.i", false)                 \
+  X(JmpIfTrueI, "jt.i", false) X(JmpIfGeII, "jge.ii", false)                  \
+  X(CheckStepI, "chkstep.i", false) X(ForIncII, "forinc.ii", false)           \
+  X(TallyInt, "tally.int", false) X(TallyChan, "tally.chan", false)           \
+  X(TPeekI, "t.peek.i", false) X(TPop, "t.pop", false)                        \
+  X(TPopNI, "t.popn.i", false)                                                \
+  X(TPushI, "t.push.i", false) X(TPushD, "t.push.d", false)                   \
+  X(AddII, "add.ii", false) X(SubII, "sub.ii", false)                         \
+  X(MulII, "mul.ii", false) X(MinII, "min.ii", false)                         \
+  X(MaxII, "max.ii", false) X(BAndII, "band.ii", false)                       \
+  X(BOrII, "bor.ii", false) X(BXorII, "bxor.ii", false)                       \
+  X(ShlII, "shl.ii", false) X(ShrII, "shr.ii", false)                         \
+  X(LtII, "lt.ii", false) X(LeII, "le.ii", false) X(GtII, "gt.ii", false)     \
+  X(GeII, "ge.ii", false) X(EqII, "eq.ii", false) X(NeII, "ne.ii", false)     \
+  X(AddDD, "add.dd", false) X(SubDD, "sub.dd", false)                         \
+  X(MulDD, "mul.dd", false) X(DivDD, "div.dd", false)                         \
+  X(MinDD, "min.dd", false) X(MaxDD, "max.dd", false)                         \
+  X(LtDD, "lt.dd", false) X(LeDD, "le.dd", false) X(GtDD, "gt.dd", false)     \
+  X(GeDD, "ge.dd", false) X(EqDD, "eq.dd", false) X(NeDD, "ne.dd", false)     \
+  X(NegI, "neg.i", false) X(AbsI, "abs.i", false) X(LNotI, "lnot.i", false)   \
+  X(BNotI, "bnot.i", false) X(ToIntI, "toint.i", false)                       \
+  X(ToFloatI, "tofloat.i", false)                                             \
+  X(NegD, "neg.d", false) X(AbsD, "abs.d", false) X(SinD, "sin.d", false)     \
+  X(CosD, "cos.d", false) X(TanD, "tan.d", false) X(ExpD, "exp.d", false)     \
+  X(LogD, "log.d", false) X(SqrtD, "sqrt.d", false)                           \
+  X(FloorD, "floor.d", false) X(CeilD, "ceil.d", false)                       \
+  X(RoundD, "round.d", false) X(ToIntD, "toint.d", false)                     \
+  X(ToFloatD, "tofloat.d", false)
+
+enum class Handler : std::uint8_t {
+#define SIT_HANDLER_ENUM(h, name, generic) h,
+  SIT_HANDLERS(SIT_HANDLER_ENUM)
+#undef SIT_HANDLER_ENUM
+};
+
+// A handler's mnemonic (the dispatch census), and whether it is generic.
+const char* handler_name(Handler h);
+bool handler_generic(Handler h);
+
 struct FInstr {
   FOp op{FOp::Halt};
   std::uint8_t sub{0};  // BinOp/UnOp ordinal, or Tally amount
   CountTag count{CountTag::None};
   std::uint16_t dst{0}, a{0}, b{0};
   std::uint8_t mode{0};  // typed code only: operand planes (eval_ops.h kMode*)
+  Handler handler{Handler::Halt};  // traces only: the decoded dispatch
   std::int32_t jump{-1};
   std::int32_t edge{-1};  // channel ops: flat-graph edge id
 };
-static_assert(sizeof(FInstr) == 20, "mode rides in the padding before jump");
+static_assert(sizeof(FInstr) == 20,
+              "mode and handler ride in the padding before jump");
 
 // Apply `f` to every register operand of a scalar-core or channel
 // instruction.  State slots and args-table indices are not registers; the

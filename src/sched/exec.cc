@@ -469,9 +469,7 @@ std::vector<double> Executor::run_steady(int n) {
 std::vector<double> Executor::take_output() {
   std::vector<double> out;
   if (g_.output_edge < 0) return out;
-  Channel& ch = *chans_[static_cast<std::size_t>(g_.output_edge)];
-  out.reserve(ch.size());
-  while (!ch.empty()) out.push_back(ch.pop_item());
+  chans_[static_cast<std::size_t>(g_.output_edge)]->take_all(out);
   return out;
 }
 

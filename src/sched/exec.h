@@ -174,6 +174,11 @@ class Executor {
     const auto ai = static_cast<std::size_t>(actor);
     return actor_trace_[ai] ? typed_[ai].get() : nullptr;
   }
+  // The actor's one-actor trace (runtime/fused.h build_actor), or null when
+  // it runs on the tree interpreter.
+  [[nodiscard]] const runtime::FusedProgram* actor_trace(int actor) const {
+    return actor_trace_[static_cast<std::size_t>(actor)].get();
+  }
   // Whether the actor's one-actor trace is its typed program's coefficient
   // kernel (runtime/linear_kernel.h) rather than its template.
   [[nodiscard]] bool runs_kernel(int actor) const {

@@ -550,6 +550,60 @@ TEST(FusedTraceSize, ChannelVocoderAtO2StaysSmall) {
   EXPECT_LT(fused_trace_len("ChannelVocoder", opt::OptLevel::O2), 10000u);
 }
 
+// ---- decode census ----------------------------------------------------------
+//
+// Every trace instruction is decoded once, at build, to the handler run()
+// dispatches it on (vm.h Handler).  A generic handler reads operand planes
+// or the operator at run time.  On the 17 apps only the boundary ring ops
+// run on one: no same-plane Bin or Un, move, state access, lowered channel
+// op or branch does, in a whole-graph trace or in any one-actor trace.
+
+// "" when `I`'s handler is specialized or `I` is a boundary ring op,
+// otherwise the opcode and its generic handler.
+std::string needless_generic(const runtime::FInstr& I) {
+  if (!runtime::handler_generic(I.handler)) return "";
+  if (I.op == runtime::FOp::RPeek || I.op == runtime::FOp::RPopN ||
+      I.op == runtime::FOp::RPush) {
+    return "";
+  }
+  return std::string(runtime::op_name(I.op)) + " on " +
+         runtime::handler_name(I.handler);
+}
+
+void expect_no_needless_generic(const runtime::FusedProgram& prog,
+                                const std::string& what) {
+  std::int64_t ring_ops = 0;
+  for (const runtime::FInstr& I : prog.code) {
+    const std::string why = needless_generic(I);
+    EXPECT_EQ(why, "") << what;
+    if (runtime::handler_generic(I.handler) && why.empty()) ++ring_ops;
+  }
+  EXPECT_EQ(prog.generic_count(), ring_ops) << what;
+}
+
+TEST(DispatchCensus, EveryAppRunsSpecializedHandlersAtO0AndO2) {
+  for (const auto& info : apps::all_apps()) {
+    for (const opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O2}) {
+      const std::string what =
+          info.name + (level == opt::OptLevel::O0 ? " -O0" : " -O2");
+      opt::CompileOptions copts;
+      copts.level = level;
+      const sched::Executor ex(opt::compile(info.make(), copts),
+                               fused_options());
+      ASSERT_NE(ex.fused_program(), nullptr) << what << ex.fused_refusal();
+      expect_no_needless_generic(*ex.fused_program(), what);
+      int traces = 0;
+      for (std::size_t a = 0; a < ex.graph().actors.size(); ++a) {
+        const runtime::FusedProgram* p = ex.actor_trace(static_cast<int>(a));
+        if (p == nullptr) continue;
+        ++traces;
+        expect_no_needless_generic(*p, what + " " + ex.graph().actors[a].name);
+      }
+      EXPECT_GT(traces, 0) << what;
+    }
+  }
+}
+
 TEST(FusedMetrics, ActiveTraceReportsChannelAndSuperStatics) {
   auto ex = make_fused(apps::make_app("FIR"));
   ASSERT_NE(ex.fused_program(), nullptr);

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <functional>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,9 +21,11 @@
 #include "ir/dsl.h"
 #include "runtime/channel.h"
 #include "runtime/compile.h"
+#include "runtime/eval_ops.h"
 #include "runtime/interp.h"
 #include "runtime/fused.h"
 #include "sched/exec.h"
+#include "sched/schedule.h"
 #include "sched/texec.h"
 
 namespace sit {
@@ -328,6 +331,362 @@ TEST(VmDifferential, RandomizedWorkFunctions) {
   // tree), so 200 seeds give the typed VM its 30-program floor.
   EXPECT_GE(compiled, 150);
   EXPECT_GE(typed, 30);
+}
+
+// ---- decoded handlers against the tree -------------------------------------
+//
+// A trace dispatches each instruction on the handler its build decoded
+// (vm.h Handler).  Every BinOp and UnOp, on every operand-plane combination,
+// runs through a one-actor trace (the per-actor engines' form) and a
+// whole-graph fused trace, held bit-equal to the tree interpreter: outputs,
+// state, OpCounts, channel counters and fault messages.  to_int() puts an
+// operand on the int plane; a peeked item is on the double plane.
+
+using runtime::Handler;
+using HandlerSet = std::set<Handler>;
+
+enum class Plane { Int, Double };
+
+// Quarter steps in [-8, 8].  Every odd item (a binary op's `b`) has
+// |b| >= 1, so no int divisor is zero.
+std::vector<double> handler_feed(int n) {
+  std::mt19937 g(17);
+  std::uniform_int_distribution<int> q(-32, 32);
+  std::vector<double> items;
+  for (int i = 0; i < n; ++i) {
+    double x = q(g) / 4.0;
+    if (i % 2 == 1 && std::fabs(x) < 1.0) x = x < 0.0 ? x - 1.0 : x + 1.0;
+    items.push_back(x);
+  }
+  return items;
+}
+
+// peek(k) on `plane`; `nonneg` takes its absolute value first, which keeps
+// shift amounts in [0, 8] and shifted values non-negative.
+ir::ExprP operand(int k, Plane plane, bool nonneg) {
+  ir::ExprP e = ir::peek(ir::iconst(k));
+  if (nonneg) e = ir::un(ir::UnOp::Abs, e);
+  return plane == Plane::Int ? ir::un(ir::UnOp::ToInt, e) : e;
+}
+
+Value plane_sample(Plane p) {
+  return p == Plane::Int ? Value(std::int64_t{1}) : Value(1.0);
+}
+
+// Reads `arity` items and computes r = `expr` (an int iff `int_result`),
+// then pushes r and the state ring slot r overwrites four firings later:
+// the scalar `last` and the ring `hist` hold r's tag, `k` is the cursor.
+ir::FilterSpec op_filter(const std::string& name, int arity, ir::ExprP expr,
+                         bool int_result) {
+  const Value z = int_result ? Value(std::int64_t{0}) : Value(0.0);
+  return filter(name)
+      .rates(arity, arity, 2)
+      .scalar("last", z)
+      .iscalar("k", 0)
+      .array_init("hist", {z, z, z, z})
+      .work(seq({let("r", expr), let("last", v("r")),
+                 set_at("hist", v("k"), v("r")),
+                 let("k", (v("k") + ci(1)) & ci(3)), push_(v("r")),
+                 push_(at("hist", v("k"))), discard(arity)}))
+      .build();
+}
+
+// Lower without the analysis gate, which may refuse a faulting program.
+sched::CompiledProgram lower_ungated(const ir::NodeP& root) {
+  sched::CompiledProgram p;
+  p.graph = root;
+  p.flat = runtime::flatten(root);
+  p.schedule = sched::make_schedule(p.flat);
+  return p;
+}
+
+void note_handlers(const runtime::FusedProgram& prog, HandlerSet* seen) {
+  for (const auto& [h, n] : prog.dispatch) seen->insert(h);
+}
+
+// `spec` fired `firings` times on the tree (run_work) and in one call
+// through its one-actor trace, from `feed`.  Returns the fault message,
+// which must match ("" when neither throws).
+std::string expect_actor_matches_tree(const ir::FilterSpec& spec,
+                                      const std::vector<double>& feed,
+                                      int firings, HandlerSet* seen) {
+  FilterState tst = Interp::init_state(spec);
+  FilterState vst = Interp::init_state(spec);
+  const runtime::TypedFilterP typed =
+      runtime::typed_compile(spec, runtime::compile_filter(spec), vst);
+  EXPECT_NE(typed, nullptr) << spec.name << " refused";
+  if (!typed) return "";
+  const runtime::FlatGraph g = runtime::flatten(ir::make_filter(spec));
+  const runtime::FusedProgramP prog = runtime::build_actor(g, 0, {typed});
+  EXPECT_NE(prog, nullptr) << spec.name;
+  if (!prog) return "";
+  note_handlers(*prog, seen);
+  const auto fx = bind_typed(spec, vst);
+  EXPECT_NE(fx, nullptr) << spec.name;
+  if (!fx) return "";
+
+  Channel tin, vin, tout, vout;
+  for (const double x : feed) {
+    tin.push_item(x);
+    vin.push_item(x);
+  }
+  OpCounts tc, vc;
+  std::string tfault, vfault;
+  try {
+    for (int i = 0; i < firings; ++i) {
+      Interp::run_work(spec, tst, tin, tout, &tc);
+    }
+  } catch (const std::runtime_error& e) {
+    tfault = e.what();
+  }
+  try {
+    fx->fire(vin, vout, &vc, firings);
+  } catch (const std::runtime_error& e) {
+    vfault = e.what();
+  }
+  fx->deactivate();
+  EXPECT_EQ(tfault, vfault) << spec.name;
+  expect_same_counts(tc, vc, spec.name);
+  expect_same_state(tst, vst, spec.name);
+  std::vector<double> to, vo;
+  while (!tout.empty()) to.push_back(tout.pop_item());
+  while (!vout.empty()) vo.push_back(vout.pop_item());
+  expect_same_doubles(to, vo, spec.name + " output");
+  EXPECT_EQ(tin.total_popped(), vin.total_popped()) << spec.name;
+  EXPECT_EQ(tout.total_pushed(), vout.total_pushed()) << spec.name;
+  return tfault;
+}
+
+// `spec` between two pass-through filters, so it reads and writes trace
+// buffers, for `iters` steady states on the tree and as one whole-graph
+// fused trace.  Returns the fault message, which must match; a run that
+// faults compares nothing else (a trace stops mid-iteration).
+std::string expect_trace_matches_tree(const ir::FilterSpec& spec,
+                                      const std::vector<double>& feed,
+                                      int iters, HandlerSet* seen) {
+  const auto pass = [](const std::string& name) {
+    return filter(name).rates(1, 1, 1).work(seq({push_(pop_())})).node();
+  };
+  const auto make = [&] {
+    return lower_ungated(ir::make_pipeline(
+        "p", {pass("in"), ir::make_filter(spec), pass("out")}));
+  };
+  sched::ExecOptions topt;
+  topt.engine = sched::Engine::Tree;
+  sched::ExecOptions fopt;
+  fopt.engine = sched::Engine::Fused;
+  fopt.trace = sched::TraceMode::Off;
+  sched::Executor tree(make(), topt);
+  sched::Executor fused(make(), fopt);
+  EXPECT_NE(fused.fused_program(), nullptr)
+      << spec.name << ": " << fused.fused_refusal();
+  if (fused.fused_program() == nullptr) return "";
+  note_handlers(*fused.fused_program(), seen);
+
+  tree.feed_input(feed);
+  fused.feed_input(feed);
+  std::vector<double> tout, fout;
+  std::string tfault, ffault;
+  try {
+    tout = tree.run_steady(iters);
+  } catch (const std::runtime_error& e) {
+    tfault = e.what();
+  }
+  try {
+    fout = fused.run_steady(iters);
+  } catch (const std::runtime_error& e) {
+    ffault = e.what();
+  }
+  EXPECT_EQ(tfault, ffault) << spec.name;
+  if (!tfault.empty() || !ffault.empty()) return tfault;
+  expect_same_doubles(tout, fout, spec.name + " output");
+  const auto& g = tree.graph();
+  for (std::size_t a = 0; a < g.actors.size(); ++a) {
+    expect_same_counts(tree.actor_ops()[a], fused.actor_ops()[a],
+                       spec.name + "/" + g.actors[a].name);
+    expect_same_state(tree.filter_state(static_cast<int>(a)),
+                      fused.filter_state(static_cast<int>(a)),
+                      spec.name + "/" + g.actors[a].name);
+  }
+  for (std::size_t e = 0; e < g.edges.size(); ++e) {
+    const int ei = static_cast<int>(e);
+    EXPECT_EQ(tree.channel(ei).total_pushed(), fused.channel(ei).total_pushed())
+        << spec.name << " edge " << e;
+    EXPECT_EQ(tree.channel(ei).total_popped(), fused.channel(ei).total_popped())
+        << spec.name << " edge " << e;
+  }
+  return "";
+}
+
+constexpr int kHandlerFirings = 24;
+
+// Both traces of `spec` against the tree, fault-free.
+void expect_both_match_tree(const ir::FilterSpec& spec, int arity,
+                            HandlerSet* seen) {
+  // Four spare items: a peek window reaches past the last firing's pops.
+  const std::vector<double> feed = handler_feed(kHandlerFirings * arity + 4);
+  EXPECT_EQ(expect_actor_matches_tree(spec, feed, kHandlerFirings, seen), "");
+  EXPECT_EQ(expect_trace_matches_tree(spec, feed, kHandlerFirings, seen), "");
+}
+
+constexpr ir::BinOp kBinOps[] = {
+    ir::BinOp::Add, ir::BinOp::Sub,  ir::BinOp::Mul,  ir::BinOp::Div,
+    ir::BinOp::Mod, ir::BinOp::Min,  ir::BinOp::Max,  ir::BinOp::Pow,
+    ir::BinOp::Lt,  ir::BinOp::Le,   ir::BinOp::Gt,   ir::BinOp::Ge,
+    ir::BinOp::Eq,  ir::BinOp::Ne,   ir::BinOp::LAnd, ir::BinOp::LOr,
+    ir::BinOp::BAnd, ir::BinOp::BOr, ir::BinOp::BXor, ir::BinOp::Shl,
+    ir::BinOp::Shr};
+
+constexpr ir::UnOp kUnOps[] = {
+    ir::UnOp::Neg,   ir::UnOp::LNot, ir::UnOp::BNot,  ir::UnOp::Sin,
+    ir::UnOp::Cos,   ir::UnOp::Tan,  ir::UnOp::Exp,   ir::UnOp::Log,
+    ir::UnOp::Sqrt,  ir::UnOp::Abs,  ir::UnOp::Floor, ir::UnOp::Ceil,
+    ir::UnOp::Round, ir::UnOp::ToInt, ir::UnOp::ToFloat};
+
+constexpr Plane kPlanes[] = {Plane::Int, Plane::Double};
+
+std::string plane_name(Plane p) { return p == Plane::Int ? "i" : "d"; }
+
+// Every BinOp on int-int, double-double and both mixed operand planes.
+HandlerSet run_every_bin_op() {
+  HandlerSet seen;
+  for (const ir::BinOp op : kBinOps) {
+    const bool shift = op == ir::BinOp::Shl || op == ir::BinOp::Shr;
+    for (const Plane pa : kPlanes) {
+      for (const Plane pb : kPlanes) {
+        const std::string name = std::string(ir::to_string(op)) + "_" +
+                                 plane_name(pa) + plane_name(pb);
+        SCOPED_TRACE(name);
+        const bool int_result =
+            runtime::apply_bin(op, plane_sample(pa), plane_sample(pb))
+                .is_int();
+        const ir::ExprP expr =
+            ir::bin(op, operand(0, pa, shift), operand(1, pb, shift));
+        expect_both_match_tree(op_filter(name, 2, expr, int_result), 2, &seen);
+      }
+    }
+  }
+  return seen;
+}
+
+// Every UnOp on each operand plane.
+HandlerSet run_every_un_op() {
+  HandlerSet seen;
+  for (const ir::UnOp op : kUnOps) {
+    for (const Plane p : kPlanes) {
+      const std::string name =
+          std::string(ir::to_string(op)) + "_" + plane_name(p);
+      SCOPED_TRACE(name);
+      const bool int_result =
+          runtime::apply_un(op, plane_sample(p)).is_int();
+      const ir::ExprP expr = ir::un(op, operand(0, p, false));
+      expect_both_match_tree(op_filter(name, 1, expr, int_result), 1, &seen);
+    }
+  }
+  return seen;
+}
+
+// Control flow, moves and channel ops on each operand plane: loops with an
+// int or a double bound and step, branches and short-circuit logic on an
+// int or a double condition, a peek and a discard at a double offset.
+HandlerSet run_every_operand_form() {
+  HandlerSet seen;
+  for (const Plane p : kPlanes) {
+    SCOPED_TRACE(plane_name(p));
+    const auto x = [&](int k) { return E(operand(k, p, false)); };
+    const E bound = p == Plane::Int ? E(ci(3)) : E(c(3.5));
+    const E step = p == Plane::Int ? E(ci(1)) : E(c(1.5));
+    const E at_one = p == Plane::Int ? E(ci(1)) : E(c(1.0));
+    const ir::FilterSpec spec =
+        filter("forms_" + plane_name(p))
+            .rates(4, 2, 3)
+            .scalar("acc", Value{0.0})
+            .work(seq({let("t", x(0)), let("u", v("t")),
+                       ir::for_loop_step("i", ci(0), bound, step,
+                                         let("acc", v("acc") + peek_(v("i")))),
+                       if_(x(0), let("acc", v("acc") + c(1.0))),
+                       push_(sel(x(0) || x(1), c(1.0), c(2.0))),
+                       push_(x(0) && x(1)), push_(v("u") + peek_(at_one)),
+                       ir::pop_n(at_one.e), ir::pop_n(at_one.e)}))
+            .build();
+    expect_both_match_tree(spec, 2, &seen);
+  }
+  return seen;
+}
+
+// Faults thrown inside a specialized or generic handler carry the tree's
+// message on both traces: integer division and modulo by zero, and array
+// accesses out of bounds through an int and a double index.
+HandlerSet run_every_fault() {
+  const auto idx = [](Plane p) { return E(operand(0, p, false)); };
+  const Value z{0.0};
+  const auto arr = [&](const std::string& name) {
+    return filter(name).rates(2, 2, 1).array_init("w", {z, z, z, z});
+  };
+  struct Case {
+    ir::FilterSpec spec;
+    std::vector<double> feed;
+    std::string message;
+  };
+  std::vector<Case> cases;
+  for (const ir::BinOp op : {ir::BinOp::Div, ir::BinOp::Mod}) {
+    const std::string name = std::string(ir::to_string(op)) + "_zero";
+    cases.push_back(
+        {op_filter(name, 2,
+                   ir::bin(op, operand(0, Plane::Int, false),
+                           operand(1, Plane::Int, false)),
+                   true),
+         {3.0, 2.0, 5.0, 0.5},
+         op == ir::BinOp::Div ? "integer division by zero"
+                              : "integer modulo by zero"});
+  }
+  for (const Plane p : kPlanes) {
+    cases.push_back({arr("load_" + plane_name(p))
+                         .work(seq({push_(at("w", idx(p))), discard(2)}))
+                         .build(),
+                     {1.0, 0.0, 7.0, 0.0},
+                     "array index out of bounds: w[7]"});
+    cases.push_back({arr("store_" + plane_name(p))
+                         .work(seq({set_at("w", idx(p), peek_(ci(1))),
+                                    push_(peek_(ci(1))), discard(2)}))
+                         .build(),
+                     {2.0, 0.0, -1.0, 0.0},
+                     "array store out of bounds: w[-1]"});
+  }
+  HandlerSet seen;
+  for (const Case& fc : cases) {
+    SCOPED_TRACE(fc.spec.name);
+    EXPECT_EQ(expect_actor_matches_tree(fc.spec, fc.feed, 2, &seen),
+              fc.message);
+    EXPECT_EQ(expect_trace_matches_tree(fc.spec, fc.feed, 2, &seen),
+              fc.message);
+  }
+  return seen;
+}
+
+TEST(HandlerDiff, EveryBinOpOnEveryPlaneMatchesTheTree) { run_every_bin_op(); }
+
+TEST(HandlerDiff, EveryUnOpOnEveryPlaneMatchesTheTree) { run_every_un_op(); }
+
+TEST(HandlerDiff, EveryOperandFormMatchesTheTree) { run_every_operand_form(); }
+
+TEST(HandlerDiff, FaultsMatchTheTree) { run_every_fault(); }
+
+// The four tables above reach every handler but the superinstructions'
+// and the channel tally, which only a splitter's dangling branch emits.
+TEST(HandlerDiff, TheTablesReachEveryHandler) {
+  HandlerSet seen = run_every_bin_op();
+  seen.merge(run_every_un_op());
+  seen.merge(run_every_operand_form());
+  seen.merge(run_every_fault());
+  const HandlerSet unreached = {Handler::MacLoop, Handler::CopyRun,
+                                Handler::NativeFire, Handler::LinearKernel,
+                                Handler::TallyChan};
+  for (int h = 0; h <= static_cast<int>(Handler::ToFloatD); ++h) {
+    const auto handler = static_cast<Handler>(h);
+    if (unreached.count(handler) != 0) continue;
+    EXPECT_EQ(seen.count(handler), 1u) << runtime::handler_name(handler);
+  }
 }
 
 // ---- engine parity corner cases ---------------------------------------------
@@ -687,6 +1046,29 @@ TEST(RingChannel, PushManyWrapsAndCounts) {
   for (int i = 0; i < 100; ++i) ASSERT_EQ(ch.pop_item(), 1000.0 + i);
   EXPECT_TRUE(ch.empty());
   EXPECT_THROW(ch.pop_item(), std::runtime_error);
+}
+
+TEST(RingChannel, TakeAllDrainsAWrappedRing) {
+  Channel ch;
+  // 16 slots: head at 10, and the 12 live items wrap past the end.
+  for (int i = 0; i < 10; ++i) ch.push_item(i);
+  for (int i = 0; i < 10; ++i) ch.pop_item();
+  for (int i = 0; i < 12; ++i) ch.push_item(100.0 + i);
+  ASSERT_EQ(ch.capacity(), 16u);
+  std::vector<double> out = {-1.0};
+  ch.take_all(out);
+  ASSERT_EQ(out.size(), 13u);
+  EXPECT_EQ(out[0], -1.0);  // appended after what `out` held
+  for (int i = 0; i < 12; ++i) EXPECT_EQ(out[1 + i], 100.0 + i);
+  EXPECT_TRUE(ch.empty());
+  EXPECT_EQ(ch.total_popped(), 22);
+  EXPECT_EQ(ch.total_pushed(), 22);
+  ch.take_all(out);  // empty: appends nothing
+  EXPECT_EQ(out.size(), 13u);
+  // The ring stays usable from wherever the take left its head.
+  for (int i = 0; i < 20; ++i) ch.push_item(200.0 + i);
+  for (int i = 0; i < 20; ++i) ASSERT_EQ(ch.pop_item(), 200.0 + i);
+  EXPECT_EQ(ch.total_popped(), 42);
 }
 
 TEST(RingChannel, PeekBeyondContentsThrows) {

@@ -65,8 +65,8 @@ std::string fused_trace_dump(const sit::ir::NodeP& g) {
   }
 }
 
-// The --report fusion section: superinstruction statics and the
-// eliminated-channel tally, or the stable refusal reason.
+// The --report fusion section: the eliminated-channel tally, the decode
+// census, superinstruction statics, or the stable refusal reason.
 std::string fused_report(const sit::sched::CompiledProgram& prog) {
   std::string out = "fuse-steady:\n";
   const sit::sched::Executor ex = fused_executor(prog.graph);
@@ -76,6 +76,18 @@ std::string fused_report(const sit::sched::CompiledProgram& prog) {
          " channel(s) lowered to trace buffers, " +
          std::to_string(fp->code.size()) + " trace instruction(s), " +
          std::to_string(fp->runs.size()) + " firing run(s)\n";
+  // The decode census: how many trace instructions run on a generic
+  // handler (sit::runtime::Handler), and which.
+  out += "  dispatch: " + std::to_string(fp->generic_count()) + " of " +
+         std::to_string(fp->code.size()) +
+         " instruction(s) on a generic handler";
+  std::string generic;
+  for (const auto& [h, n] : fp->dispatch) {
+    if (!sit::runtime::handler_generic(h)) continue;
+    generic += std::string(generic.empty() ? " (" : ", ") +
+               sit::runtime::handler_name(h) + " " + std::to_string(n);
+  }
+  out += generic + (generic.empty() ? "\n" : ")\n");
   if (fp->super.empty()) {
     out += "  superinstructions: none selected\n";
   } else {

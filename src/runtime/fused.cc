@@ -149,8 +149,9 @@ Handler decode(const FInstr& I) {
       return ad ? Handler::JmpIfFalse : Handler::JmpIfFalseI;
     case FOp::JmpIfTrue:
       return ad ? Handler::JmpIfTrue : Handler::JmpIfTrueI;
-    // The compiler coerces a loop's counter, bound and step to int, and
-    // tallies only int ops and a dangling branch's channel items.
+    // The compiler coerces a loop's counter, bound and step to int and
+    // tallies only int ops.  (A dangling splitter branch's channel tally
+    // would refuse the trace, but flatten() admits no dangling branch.)
     case FOp::JmpIfGe:
       if (ad || bd) fail("double loop bound");
       return Handler::JmpIfGeII;
@@ -161,9 +162,8 @@ Handler decode(const FInstr& I) {
       if (ad || dd) fail("double loop counter");
       return Handler::ForIncII;
     case FOp::Tally:
-      if (I.count == CountTag::IntOp) return Handler::TallyInt;
-      if (I.count == CountTag::Channel) return Handler::TallyChan;
-      fail("tally without an int or channel count");
+      if (I.count != CountTag::IntOp) fail("tally without an int count");
+      return Handler::TallyInt;
     case FOp::RPeek: return Handler::RPeek;
     case FOp::RPop: return Handler::RPop;
     case FOp::RPopN: return Handler::RPopN;
@@ -1243,11 +1243,6 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
     ++pc;                              \
     break;                             \
   }
-#define SIT_TALLY(h, field)                        \
-  case Handler::h:                                 \
-    if constexpr (kCount) cur->field += I.sub;     \
-    ++pc;                                          \
-    break;
 
   for (;;) {
     const FInstr& I = code[pc];
@@ -1303,11 +1298,12 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
       SIT_UN(MoveD, (void)0, dr, dr, x)
       SIT_UN(LoadScalarI, ++cur->mem, ir_, iscalars_, x)
       SIT_UN(LoadScalarD, ++cur->mem, dr, dscalars_, x)
-      SIT_TALLY(TallyInt, int_ops)
-      SIT_TALLY(TallyChan, channel)
 #undef SIT_BIN
 #undef SIT_UN
-#undef SIT_TALLY
+      case Handler::TallyInt:
+        if constexpr (kCount) cur->int_ops += I.sub;
+        ++pc;
+        break;
       case Handler::StoreScalarI:
         if constexpr (kCount) ++cur->mem;
         iscalars_[I.a] = ir_[I.dst];

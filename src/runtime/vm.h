@@ -112,9 +112,9 @@ inline void tally(OpCounts& c, CountTag tag, std::int64_t n = 1) {
 // run time: mixed-plane operands, integer Div/Mod with their zero checks,
 // Pow, LAnd/LOr, the boundary ring ops and the rare operand forms.  Loop
 // bookkeeping and tallies have only their int form (the compiler coerces a
-// loop's counter, bound and step to int and tallies only int ops and
-// channel items; a trace build refuses anything else), and the structural
-// and superinstruction opcodes have one handler each.
+// loop's counter, bound and step to int and tallies only int ops; a trace
+// build refuses anything else), and the structural and superinstruction
+// opcodes have one handler each.
 #define SIT_HANDLERS(X)                                                       \
   X(Halt, "halt", false) X(Jmp, "jmp", false)                                 \
   X(SetActor, "setactor", false) X(FireLoop, "fireloop", false)               \
@@ -134,7 +134,7 @@ inline void tally(OpCounts& c, CountTag tag, std::int64_t n = 1) {
   X(TruthyI, "truthy.i", false) X(JmpIfFalseI, "jf.i", false)                 \
   X(JmpIfTrueI, "jt.i", false) X(JmpIfGeII, "jge.ii", false)                  \
   X(CheckStepI, "chkstep.i", false) X(ForIncII, "forinc.ii", false)           \
-  X(TallyInt, "tally.int", false) X(TallyChan, "tally.chan", false)           \
+  X(TallyInt, "tally.int", false)                                             \
   X(TPeekI, "t.peek.i", false) X(TPop, "t.pop", false)                        \
   X(TPopNI, "t.popn.i", false)                                                \
   X(TPushI, "t.push.i", false) X(TPushD, "t.push.d", false)                   \

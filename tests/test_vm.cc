@@ -457,20 +457,22 @@ std::string expect_actor_matches_tree(const ir::FilterSpec& spec,
   return tfault;
 }
 
-// `spec` between two pass-through filters, so it reads and writes trace
+ir::NodeP pass_filter(const std::string& name) {
+  return filter(name).rates(1, 1, 1).work(seq({push_(pop_())})).node();
+}
+
+// `node` between two pass-through filters, so it reads and writes trace
 // buffers, for `iters` steady states on the tree and as one whole-graph
 // fused trace.  Returns the fault message, which must match; a run that
 // faults compares nothing else (a trace stops mid-iteration).
-std::string expect_trace_matches_tree(const ir::FilterSpec& spec,
+std::string expect_trace_matches_tree(const ir::NodeP& node,
                                       const std::vector<double>& feed,
                                       int iters, HandlerSet* seen) {
-  const auto pass = [](const std::string& name) {
-    return filter(name).rates(1, 1, 1).work(seq({push_(pop_())})).node();
-  };
   const auto make = [&] {
     return lower_ungated(ir::make_pipeline(
-        "p", {pass("in"), ir::make_filter(spec), pass("out")}));
+        "p", {pass_filter("in"), node, pass_filter("out")}));
   };
+  const std::string& name = node->name;
   sched::ExecOptions topt;
   topt.engine = sched::Engine::Tree;
   sched::ExecOptions fopt;
@@ -479,7 +481,7 @@ std::string expect_trace_matches_tree(const ir::FilterSpec& spec,
   sched::Executor tree(make(), topt);
   sched::Executor fused(make(), fopt);
   EXPECT_NE(fused.fused_program(), nullptr)
-      << spec.name << ": " << fused.fused_refusal();
+      << name << ": " << fused.fused_refusal();
   if (fused.fused_program() == nullptr) return "";
   note_handlers(*fused.fused_program(), seen);
 
@@ -497,23 +499,23 @@ std::string expect_trace_matches_tree(const ir::FilterSpec& spec,
   } catch (const std::runtime_error& e) {
     ffault = e.what();
   }
-  EXPECT_EQ(tfault, ffault) << spec.name;
+  EXPECT_EQ(tfault, ffault) << name;
   if (!tfault.empty() || !ffault.empty()) return tfault;
-  expect_same_doubles(tout, fout, spec.name + " output");
+  expect_same_doubles(tout, fout, name + " output");
   const auto& g = tree.graph();
   for (std::size_t a = 0; a < g.actors.size(); ++a) {
     expect_same_counts(tree.actor_ops()[a], fused.actor_ops()[a],
-                       spec.name + "/" + g.actors[a].name);
+                       name + "/" + g.actors[a].name);
     expect_same_state(tree.filter_state(static_cast<int>(a)),
                       fused.filter_state(static_cast<int>(a)),
-                      spec.name + "/" + g.actors[a].name);
+                      name + "/" + g.actors[a].name);
   }
   for (std::size_t e = 0; e < g.edges.size(); ++e) {
     const int ei = static_cast<int>(e);
     EXPECT_EQ(tree.channel(ei).total_pushed(), fused.channel(ei).total_pushed())
-        << spec.name << " edge " << e;
+        << name << " edge " << e;
     EXPECT_EQ(tree.channel(ei).total_popped(), fused.channel(ei).total_popped())
-        << spec.name << " edge " << e;
+        << name << " edge " << e;
   }
   return "";
 }
@@ -526,7 +528,9 @@ void expect_both_match_tree(const ir::FilterSpec& spec, int arity,
   // Four spare items: a peek window reaches past the last firing's pops.
   const std::vector<double> feed = handler_feed(kHandlerFirings * arity + 4);
   EXPECT_EQ(expect_actor_matches_tree(spec, feed, kHandlerFirings, seen), "");
-  EXPECT_EQ(expect_trace_matches_tree(spec, feed, kHandlerFirings, seen), "");
+  EXPECT_EQ(expect_trace_matches_tree(ir::make_filter(spec), feed,
+                                      kHandlerFirings, seen),
+            "");
 }
 
 constexpr ir::BinOp kBinOps[] = {
@@ -658,8 +662,9 @@ HandlerSet run_every_fault() {
     SCOPED_TRACE(fc.spec.name);
     EXPECT_EQ(expect_actor_matches_tree(fc.spec, fc.feed, 2, &seen),
               fc.message);
-    EXPECT_EQ(expect_trace_matches_tree(fc.spec, fc.feed, 2, &seen),
-              fc.message);
+    EXPECT_EQ(
+        expect_trace_matches_tree(ir::make_filter(fc.spec), fc.feed, 2, &seen),
+        fc.message);
   }
   return seen;
 }
@@ -672,16 +677,14 @@ TEST(HandlerDiff, EveryOperandFormMatchesTheTree) { run_every_operand_form(); }
 
 TEST(HandlerDiff, FaultsMatchTheTree) { run_every_fault(); }
 
-// The four tables above reach every handler but the superinstructions'
-// and the channel tally, which only a splitter's dangling branch emits.
+// The four tables above reach every handler but the superinstructions'.
 TEST(HandlerDiff, TheTablesReachEveryHandler) {
   HandlerSet seen = run_every_bin_op();
   seen.merge(run_every_un_op());
   seen.merge(run_every_operand_form());
   seen.merge(run_every_fault());
   const HandlerSet unreached = {Handler::MacLoop, Handler::CopyRun,
-                                Handler::NativeFire, Handler::LinearKernel,
-                                Handler::TallyChan};
+                                Handler::NativeFire, Handler::LinearKernel};
   for (int h = 0; h <= static_cast<int>(Handler::ToFloatD); ++h) {
     const auto handler = static_cast<Handler>(h);
     if (unreached.count(handler) != 0) continue;

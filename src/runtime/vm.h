@@ -89,16 +89,16 @@ enum class CountTag : std::uint8_t {
   None, IntOp, Flop, Div, Trans, Mem, Channel, ByResult,
 };
 
-// Add `n` to the field a static tag names (None and ByResult add nothing;
-// lowered code carries no ByResult).
-inline void tally(OpCounts& c, CountTag tag, std::int64_t n = 1) {
+// Count one op in the field a static tag names (None and ByResult add
+// nothing; lowered code carries no ByResult).
+inline void tally(OpCounts& c, CountTag tag) {
   switch (tag) {
-    case CountTag::IntOp: c.int_ops += n; break;
-    case CountTag::Flop: c.flops += n; break;
-    case CountTag::Div: c.divs += n; break;
-    case CountTag::Trans: c.trans += n; break;
-    case CountTag::Mem: c.mem += n; break;
-    case CountTag::Channel: c.channel += n; break;
+    case CountTag::IntOp: ++c.int_ops; break;
+    case CountTag::Flop: ++c.flops; break;
+    case CountTag::Div: ++c.divs; break;
+    case CountTag::Trans: ++c.trans; break;
+    case CountTag::Mem: ++c.mem; break;
+    case CountTag::Channel: ++c.channel; break;
     case CountTag::None: case CountTag::ByResult: break;
   }
 }

@@ -27,7 +27,7 @@ struct CompileOptions {
   // Engine/thread request recorded into the artifact.  The executors still
   // merge their own ExecOptions and the environment on top, so the artifact
   // is a default, not a pin.  exec.threads also feeds the mapping passes
-  // (fission, threaded-prep) when pass.threads is unset.
+  // (fission, coarsen) when pass.threads is unset.
   sched::ExecOptions exec;
   // Knobs forwarded to the passes.
   PassOptions pass;

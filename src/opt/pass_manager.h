@@ -3,10 +3,10 @@
 //
 // The PassManager owns the built-in passes (validate, analysis-gate,
 // verify, const-fold, linear-extract, linear-combine, frequency,
-// selective-fuse, fission, threaded-prep, coarsen, fuse-steady) and runs an
-// ordered list of them over a graph,
-// recording per-pass wall time and graph delta (leaf-actor count, flat edge
-// count, modeled cost per item) into the PassContext as obs::PassSnapshots.
+// selective-fuse, fission, coarsen, fuse-steady, typeflow) and runs an
+// ordered list of them over a graph, recording per-pass wall time and graph
+// delta (leaf-actor count, flat edge count, modeled cost per item) into the
+// PassContext as obs::PassSnapshots.
 // Preset pipelines mirror classic -O levels:
 //
 //   -O0  validate, analysis-gate                        (gates only)
@@ -14,8 +14,8 @@
 //   -O2  -O1 + frequency                                (whole-graph linear
 //                                                        optimization)
 //
-// The mapping passes (selective-fuse, fission, threaded-prep, coarsen) are
-// not in any preset: they change the graph shape for a specific thread count, and the
+// The mapping passes (selective-fuse, fission, coarsen) are not in any
+// preset: they change the graph shape for a specific thread count, and the
 // presets must produce the same program at every level modulo linear
 // rewrites so engines stay interchangeable.  Callers opt in via an explicit
 // --passes spec (parse_spec).

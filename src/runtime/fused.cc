@@ -143,12 +143,12 @@ Handler decode(const FInstr& I) {
     case FOp::Bin:
       return decode_bin(static_cast<BinOp>(I.sub), ad, bd, I.count);
     case FOp::Un: return decode_un(static_cast<UnOp>(I.sub), ad, I.count);
-    case FOp::Truthy: return ad ? Handler::Truthy : Handler::TruthyI;
+    case FOp::Truthy: return ad ? Handler::TruthyD : Handler::TruthyI;
     case FOp::Jmp: return Handler::Jmp;
     case FOp::JmpIfFalse:
-      return ad ? Handler::JmpIfFalse : Handler::JmpIfFalseI;
+      return ad ? Handler::JmpIfFalseD : Handler::JmpIfFalseI;
     case FOp::JmpIfTrue:
-      return ad ? Handler::JmpIfTrue : Handler::JmpIfTrueI;
+      return ad ? Handler::JmpIfTrueD : Handler::JmpIfTrueI;
     // The compiler coerces a loop's counter, bound and step to int and
     // tallies only int ops.  (A dangling splitter branch's channel tally
     // would refuse the trace, but flatten() admits no dangling branch.)
@@ -1222,6 +1222,18 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
     if constexpr (kCount) ++cur->mem;
     return arr[static_cast<std::size_t>(idx)];
   };
+  // The generic Bin and Un run the tree's own kernels (eval_ops.h) on the
+  // Value of each operand's plane, and store the result on its tag's plane.
+  const auto value = [&](std::uint16_t r, bool dbl) {
+    return dbl ? Value(dr[r]) : Value(ir_[r]);
+  };
+  const auto store = [&](std::uint16_t r, const Value& v) {
+    if (v.is_int()) {
+      ir_[r] = v.as_int();
+    } else {
+      dr[r] = v.as_double();
+    }
+  };
 
   // A specialized handler bumps the one OpCounts field it fixes (decode
   // checked it against the instruction's resolved tag) and computes `expr`
@@ -1353,22 +1365,24 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
       case Handler::Bin:
         // Counted after the op, as the tree does: a faulting division or
         // modulo by zero is not counted.
-        typed_bin(static_cast<BinOp>(I.sub), dr, ir_, I.dst, I.a, I.b, I.mode);
+        store(I.dst, apply_bin(static_cast<BinOp>(I.sub),
+                               value(I.a, (I.mode & kModeAD) != 0),
+                               value(I.b, (I.mode & kModeBD) != 0)));
         if constexpr (kCount) tally(*cur, I.count);
         ++pc;
         break;
       case Handler::Un:
         if constexpr (kCount) tally(*cur, I.count);
-        typed_un(static_cast<UnOp>(I.sub), dr, ir_, I.dst, I.a, I.mode);
+        store(I.dst, apply_un(static_cast<UnOp>(I.sub),
+                              value(I.a, (I.mode & kModeAD) != 0)));
         ++pc;
         break;
       case Handler::TruthyI:
         ir_[I.dst] = ir_[I.a] != 0 ? 1 : 0;
         ++pc;
         break;
-      case Handler::Truthy:
-        ir_[I.dst] =
-            typed_truthy(dr, ir_, I.a, (I.mode & kModeAD) != 0) ? 1 : 0;
+      case Handler::TruthyD:
+        ir_[I.dst] = dr[I.a] != 0.0 ? 1 : 0;
         ++pc;
         break;
       case Handler::Jmp:
@@ -1377,16 +1391,14 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
       case Handler::JmpIfFalseI:
         pc = ir_[I.a] != 0 ? pc + 1 : I.jump;
         break;
-      case Handler::JmpIfFalse:
-        pc = typed_truthy(dr, ir_, I.a, (I.mode & kModeAD) != 0) ? pc + 1
-                                                                 : I.jump;
+      case Handler::JmpIfFalseD:
+        pc = dr[I.a] != 0.0 ? pc + 1 : I.jump;
         break;
       case Handler::JmpIfTrueI:
         pc = ir_[I.a] != 0 ? I.jump : pc + 1;
         break;
-      case Handler::JmpIfTrue:
-        pc = typed_truthy(dr, ir_, I.a, (I.mode & kModeAD) != 0) ? I.jump
-                                                                 : pc + 1;
+      case Handler::JmpIfTrueD:
+        pc = dr[I.a] != 0.0 ? I.jump : pc + 1;
         break;
       case Handler::JmpIfGeII:
         pc = ir_[I.a] >= ir_[I.b] ? I.jump : pc + 1;
@@ -1400,8 +1412,9 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
         ++pc;
         break;
       case Handler::RPeek: {
-        const std::int64_t off =
-            typed_geti(dr, ir_, I.a, (I.mode & kModeAD) != 0);
+        const std::int64_t off = (I.mode & kModeAD) != 0
+                                     ? static_cast<std::int64_t>(dr[I.a])
+                                     : ir_[I.a];
         if (debug && (off < 0 || pops + off >= window)) {
           peek_bounds_error(meta->name, off, pops, window);
         }
@@ -1417,8 +1430,9 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
         ++pc;
         break;
       case Handler::RPopN: {
-        const std::int64_t n =
-            typed_geti(dr, ir_, I.a, (I.mode & kModeAD) != 0);
+        const std::int64_t n = (I.mode & kModeAD) != 0
+                                   ? static_cast<std::int64_t>(dr[I.a])
+                                   : ir_[I.a];
         if (n > 0) {
           if constexpr (kCount) cur->channel += n;
           pops += n;
@@ -1430,8 +1444,9 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
       case Handler::RPush:
         if constexpr (kCount) ++cur->channel;
         ++pushes;
-        tout(I.edge)->push_item(
-            typed_getd(dr, ir_, I.dst, (I.mode & kModeDD) != 0));
+        tout(I.edge)->push_item((I.mode & kModeDD) != 0
+                                    ? dr[I.dst]
+                                    : static_cast<double>(ir_[I.dst]));
         ++pc;
         break;
       case Handler::TPeekI:

@@ -73,7 +73,8 @@ std::vector<Value>& array_of(const std::string& name, Ctx& ctx) {
   return it->second;
 }
 
-// apply_bin / apply_un live in runtime/eval_ops.h, shared with the VM.
+// apply_bin / apply_un live in runtime/eval_ops.h, shared with the traces'
+// generic handlers (fused.cc).
 
 void count_un(UnOp op, const Value& a, Ctx& ctx) {
   if (!ctx.counts) return;

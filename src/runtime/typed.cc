@@ -15,7 +15,6 @@
 #include <stdexcept>
 
 #include "ir/ast.h"
-#include "runtime/eval_ops.h"
 
 namespace sit::runtime {
 

@@ -34,8 +34,11 @@
 //     filter runs on the tree interpreter; a fused trace containing it is
 //     refused as "mixed-register:<actor>" / "mixed-state:<actor>.<name>"
 //     and runs per-actor.  Bit-equality with the tree interpreter is the
-//     contract: the typed loops reproduce its promotion, truncating casts,
-//     op counting, and error strings exactly.
+//     contract: a trace's specialized handlers reproduce its same-plane
+//     arithmetic, op counting and error strings exactly, and its generic
+//     Bin and Un handlers call the tree's own kernels (eval_ops.h), so a
+//     result lands on the plane of the tag those kernels give it -- which
+//     bin_result/un_result must predict.
 //
 // Each filter is typed once, by compile.cc::typed_compile.  fused.cc
 // rebases its result -- mode bytes, resolved count tags, plane templates and
@@ -68,7 +71,7 @@ const char* tag_name(Tag t);  // "int" | "double" | "mixed"
 
 // The result of lowering one work program.  `code` is the input
 // copied 1:1 (same indices, same jump targets) with each instruction's
-// operand-plane `mode` byte set (eval_ops.h kModeAD/kModeBD/kModeDD) and
+// operand-plane `mode` byte set (vm.h kModeAD/kModeBD/kModeDD) and
 // CountTag::ByResult resolved statically, so typed dispatch never tests a
 // value tag; the register template is split across the two planes by tag.
 struct TypedCode {

@@ -10,9 +10,9 @@
 // and fused.h inlines the annotated code into traces -- one actor's, or a
 // whole steady state's -- with registers rebased and channel ops bound to
 // edges; TypedFusedExec::run is the one loop that dispatches it.  Semantics
-// are bit-identical to the tree interpreter by construction -- the typed
-// kernels in eval_ops.h mirror its Value kernels, and tests/test_vm.cc holds
-// them equal differentially.
+// are bit-identical to the tree interpreter: a trace's generic handlers call
+// its Value kernels (eval_ops.h), and tests/test_vm.cc holds every handler
+// equal to it differentially.
 //
 // Register file layout (per program): [locals | pooled constants | loop
 // bookkeeping | expression temporaries].  The template `reg_init` is copied
@@ -107,10 +107,12 @@ inline void tally(OpCounts& c, CountTag tag) {
 // switches on, set once per instruction when a trace is built (fused.cc).
 // A specialized handler fixes its operand planes, its operator and the
 // OpCounts field it bumps (II/DD: int-int / double-double operands; I/D: an
-// int / double operand, index, offset or payload).  A generic handler -- the
-// third column -- reads the mode byte, the sub-operator or the count tag at
-// run time: mixed-plane operands, integer Div/Mod with their zero checks,
-// Pow, LAnd/LOr, the boundary ring ops and the rare operand forms.  Loop
+// int / double operand, index, offset, condition or payload).  A generic
+// handler -- the third column -- reads the mode byte, the sub-operator or the
+// count tag at run time: `bin` and `un` (mixed-plane operands, integer
+// Div/Mod with their zero checks, Pow, LAnd/LOr, the cross-plane unaries)
+// run the tree's Value kernels (eval_ops.h apply_bin/apply_un); the rest are
+// the boundary ring ops and the double-index/double-offset forms.  Loop
 // bookkeeping and tallies have only their int form (the compiler coerces a
 // loop's counter, bound and step to int and tallies only int ops; a trace
 // build refuses anything else), and the structural and superinstruction
@@ -121,8 +123,7 @@ inline void tally(OpCounts& c, CountTag tag) {
   X(MacLoop, "macloop", false) X(CopyRun, "copyrun", false)                   \
   X(NativeFire, "nativefire", false) X(LinearKernel, "linkernel", false)      \
   X(Bin, "bin", true) X(Un, "un", true) X(LoadElem, "ld.e", true)             \
-  X(StoreElem, "st.e", true) X(Truthy, "truthy", true)                        \
-  X(JmpIfFalse, "jf", true) X(JmpIfTrue, "jt", true)                          \
+  X(StoreElem, "st.e", true)                                                  \
   X(RPeek, "r.peek", true) X(RPop, "r.pop", false) X(RPopN, "r.popn", true)   \
   X(RPush, "r.push", true) X(TPeek, "t.peek", true)                           \
   X(TPopN, "t.popn", true)                                                    \
@@ -132,7 +133,9 @@ inline void tally(OpCounts& c, CountTag tag) {
   X(LoadElemI, "ld.e.i", false) X(LoadElemD, "ld.e.d", false)                 \
   X(StoreElemI, "st.e.i", false) X(StoreElemD, "st.e.d", false)               \
   X(TruthyI, "truthy.i", false) X(JmpIfFalseI, "jf.i", false)                 \
-  X(JmpIfTrueI, "jt.i", false) X(JmpIfGeII, "jge.ii", false)                  \
+  X(JmpIfTrueI, "jt.i", false) X(TruthyD, "truthy.d", false)                  \
+  X(JmpIfFalseD, "jf.d", false) X(JmpIfTrueD, "jt.d", false)                  \
+  X(JmpIfGeII, "jge.ii", false)                                               \
   X(CheckStepI, "chkstep.i", false) X(ForIncII, "forinc.ii", false)           \
   X(TallyInt, "tally.int", false)                                             \
   X(TPeekI, "t.peek.i", false) X(TPop, "t.pop", false)                        \
@@ -175,11 +178,19 @@ struct FInstr {
   std::uint8_t sub{0};  // BinOp/UnOp ordinal, or Tally amount
   CountTag count{CountTag::None};
   std::uint16_t dst{0}, a{0}, b{0};
-  std::uint8_t mode{0};  // typed code only: operand planes (eval_ops.h kMode*)
+  std::uint8_t mode{0};  // typed code only: operand planes (kMode* below)
   Handler handler{Handler::Halt};  // traces only: the decoded dispatch
   std::int32_t jump{-1};
   std::int32_t edge{-1};  // channel ops: flat-graph edge id
 };
+
+// The bits of FInstr::mode: which operands live in the double plane (a clear
+// bit means the int plane).
+constexpr std::uint8_t kModeAD = 1;  // operand `a`
+constexpr std::uint8_t kModeBD = 2;  // operand `b`
+constexpr std::uint8_t kModeDD = 4;  // the `dst` operand (move source, store
+                                     // or push payload)
+
 static_assert(sizeof(FInstr) == 20,
               "mode and handler ride in the padding before jump");
 

@@ -21,6 +21,7 @@
 #include "linear/cost.h"
 #include "obs/costmodel.h"
 #include "obs/costprofile.h"
+#include "obs/trace.h"
 #include "opt/compile.h"
 #include "parallel/transforms.h"
 #include "sched/exec.h"
@@ -149,6 +150,8 @@ TEST_F(CostCalTest, MergeAccumulatesByActorName) {
 // ---- harvesting -------------------------------------------------------------
 
 TEST_F(CostCalTest, HarvestJoinsMeasuredAndModeledPerActor) {
+  // Per-firing timing is compiled out without observability.
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   sched::ExecOptions opts;
   opts.trace = sched::TraceMode::On;
   sched::Executor ex(apps::make_app("FIR"), opts);
@@ -176,6 +179,8 @@ TEST_F(CostCalTest, HarvestJoinsMeasuredAndModeledPerActor) {
 // The satellite fix: the sequential engines must produce usable calibration
 // cost columns even with per-op counting disabled (timing-only profiling).
 TEST_F(CostCalTest, SequentialSnapshotFillsCalibCyclesFromTiming) {
+  // Per-firing timing is compiled out without observability.
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   sched::ExecOptions opts;
   opts.count_ops = false;
   opts.trace = sched::TraceMode::On;
@@ -238,6 +243,8 @@ TEST_F(CostCalTest, SitCostEnvironmentVariableLoadsProfile) {
 }
 
 TEST_F(CostCalTest, SnapshotAnnotationCarriesDivergence) {
+  // Per-firing timing is compiled out without observability.
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   // Harvest FIR, install the profile, re-snapshot: the cost_model section
   // must flip to calibrated and carry per-actor ratios.
   sched::ExecOptions opts;

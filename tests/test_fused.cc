@@ -1420,7 +1420,7 @@ TEST(LinearKernel, PerActorAndThreadedKernelsMatchTheTree) {
     EXPECT_EQ(tex.report().kernels, 1);
     const obs::MetricsSnapshot m = tex.metrics_snapshot();
     for (const obs::EdgeSnapshot& e : m.edges) {
-      if (e.dst == lin) EXPECT_TRUE(e.ring) << "the kernel reads a ring";
+      if (e.dst == lin) { EXPECT_TRUE(e.ring) << "the kernel reads a ring"; }
     }
     expect_matches(got, tex.firings(), tex.actor_ops());
   }
@@ -1484,7 +1484,7 @@ TEST(FusedExecution, RingReadMacLoopMatchesTheTree) {
     EXPECT_EQ(tex.report().threaded, r.threads > 1);
     if (r.threads > 1) {
       for (const obs::EdgeSnapshot& e : tex.metrics_snapshot().edges) {
-        if (e.dst == m) EXPECT_TRUE(e.ring) << "the mac-loop reads a ring";
+        if (e.dst == m) { EXPECT_TRUE(e.ring) << "the mac-loop reads a ring"; }
       }
     }
   }

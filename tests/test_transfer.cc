@@ -116,7 +116,7 @@ TEST(Transfer, CompositionLawsHold) {
     // min is adjoint-ish to max: producing maxAB(x) outputs never demands
     // more than x inputs.
     const std::int64_t y = maxAB(x);
-    if (y > 0) EXPECT_LE(minAB(y), x);
+    if (y > 0) { EXPECT_LE(minAB(y), x); }
   }
 }
 

@@ -18,6 +18,7 @@
 #include "apps/apps.h"
 #include "ir/dsl.h"
 #include "opt/compile.h"
+#include "runtime/compile.h"
 #include "runtime/eval_ops.h"
 #include "runtime/typed.h"
 #include "sched/exec.h"
@@ -144,24 +145,6 @@ TEST(ValueTags, BitwiseOpcodesProduceIntEvenFromDoubles) {
   EXPECT_FALSE(runtime::apply_un(UnOp::ToFloat, ir::Value(3)).is_int());
 }
 
-TEST(ValueTags, TypedKernelsAgreeWithTaggedKernelsOnEveryBoolOpcode) {
-  using ir::BinOp;
-  using ir::UnOp;
-  double dr[3] = {3.5, 4.5, 0.0};
-  std::int64_t ir_[3] = {0, 0, 0};
-  for (BinOp op : {BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge, BinOp::Eq,
-                   BinOp::Ne, BinOp::LAnd, BinOp::LOr}) {
-    runtime::typed_bin(op, dr, ir_, 2, 0, 1,
-                       runtime::kModeAD | runtime::kModeBD);
-    const ir::Value want =
-        runtime::apply_bin(op, ir::Value(dr[0]), ir::Value(dr[1]));
-    ASSERT_TRUE(want.is_int());
-    EXPECT_EQ(ir_[2], want.as_int()) << static_cast<int>(op);
-  }
-  runtime::typed_un(UnOp::LNot, dr, ir_, 2, 0, runtime::kModeAD);
-  EXPECT_EQ(ir_[2], 0);
-}
-
 TEST(ValueTags, JoinLattice) {
   EXPECT_EQ(runtime::join_tag(Tag::Int, Tag::Int), Tag::Int);
   EXPECT_EQ(runtime::join_tag(Tag::Double, Tag::Double), Tag::Double);
@@ -172,6 +155,73 @@ TEST(ValueTags, JoinLattice) {
   EXPECT_STREQ(runtime::tag_name(Tag::Int), "int");
   EXPECT_STREQ(runtime::tag_name(Tag::Double), "double");
   EXPECT_STREQ(runtime::tag_name(Tag::Mixed), "mixed");
+}
+
+// ---- the lowered result plane -----------------------------------------------
+//
+// A trace's generic Bin and Un handlers store the tree kernel's result on the
+// plane of its tag, while the lowering assigns every register its plane from
+// bin_result/un_result; were the two to disagree, a result would land on a
+// plane its next reader does not read.  Each filter below pushes one
+// operator's result, so the pushed register is written once and its lowered
+// tag is the static result tag.
+
+// The lowered tag of the register `push_(expr)` reads, in a filter whose
+// whole work is that push (peek(0) and peek(1) feed the operands).
+Tag lowered_push_tag(const std::string& name, const ir::ExprP& expr) {
+  const ir::FilterSpec spec = filter(name)
+                                  .rates(2, 2, 1)
+                                  .work(seq({push_(E(expr)), discard(2)}))
+                                  .build();
+  std::string reason;
+  const runtime::TypedFilterP typed =
+      runtime::typed_compile(spec, runtime::compile_filter(spec),
+                             runtime::Interp::init_state(spec), &reason);
+  EXPECT_NE(typed, nullptr) << name << ": " << reason;
+  if (!typed) return Tag::Mixed;
+  for (const runtime::FInstr& I : typed->work.code) {
+    if (I.op == runtime::FOp::RPush) return typed->work.reg_tag[I.dst];
+  }
+  ADD_FAILURE() << name << ": no push";
+  return Tag::Mixed;
+}
+
+// peek(k) as an int (to_int) or a double operand, and a sample of its tag.
+ir::ExprP plane_operand(int k, bool dbl) {
+  const ir::ExprP e = ir::peek(ir::iconst(k));
+  return dbl ? e : ir::un(UnOp::ToInt, e);
+}
+ir::Value plane_sample(bool dbl) {
+  return dbl ? ir::Value(2.5) : ir::Value(std::int64_t{2});
+}
+
+TEST(TypedLowering, ResultPlaneMatchesTheTreeKernel) {
+  for (int op = 0; op <= static_cast<int>(BinOp::Shr); ++op) {
+    const auto bop = static_cast<BinOp>(op);
+    for (const bool ad : {false, true}) {
+      for (const bool bd : {false, true}) {
+        const std::string name = std::string(ir::to_string(bop)) + "_" +
+                                 (ad ? "d" : "i") + (bd ? "d" : "i");
+        const ir::Value want = runtime::apply_bin(bop, plane_sample(ad),
+                                                  plane_sample(bd));
+        EXPECT_EQ(lowered_push_tag(name, ir::bin(bop, plane_operand(0, ad),
+                                                 plane_operand(1, bd))),
+                  runtime::value_tag(want))
+            << name;
+      }
+    }
+  }
+  for (int op = 0; op <= static_cast<int>(UnOp::ToFloat); ++op) {
+    const auto uop = static_cast<UnOp>(op);
+    for (const bool ad : {false, true}) {
+      const std::string name =
+          std::string(ir::to_string(uop)) + "_" + (ad ? "d" : "i");
+      const ir::Value want = runtime::apply_un(uop, plane_sample(ad));
+      EXPECT_EQ(lowered_push_tag(name, ir::un(uop, plane_operand(0, ad))),
+                runtime::value_tag(want))
+          << name;
+    }
+  }
 }
 
 // ---- specialization on the flagship apps ------------------------------------

@@ -1,11 +1,10 @@
 // Fused-engine throughput: how close does the whole-program steady-state
-// trace (sched::Engine::Fused) get to a handwritten loop nest, and how far
-// past the per-actor typed VM does it pull?
+// trace (sched::Engine::Fused) get to a handwritten loop nest?
 //
 //   bench_fused [--smoke] [--gate=<threshold-file>] [--out=BENCH_fused.json]
 //
-// For each app (FIR, Vocoder, FilterBank) we measure four implementations of
-// the same computation:
+// For each app (FIR, Vocoder, FilterBank) we measure three implementations
+// of the same computation:
 //
 //   handwritten  plain C++ loop nests over flat arrays -- same LCG source,
 //                same coefficient formulas as apps/common.cc, no framework.
@@ -14,15 +13,12 @@
 //                the decimator would discard), so the handwritten ratio
 //                bounds interpreter overhead from below.
 //   tree         sequential Executor, tree-walking interpreter
-//   vm           sequential Executor, per-actor typed VM: each filter's
-//                bytecode on the dual-plane (unboxed double/int64)
-//                register file
 //   fused        sequential Executor, whole-program fused trace with
-//                superinstructions, lowered onto the same dual plane
+//                superinstructions on the dual-plane (unboxed
+//                double/int64) register file
 //
-// Until the tagged per-actor VM was deleted, the vm row ran it; its ratios
-// are therefore not comparable with BENCH_fused.json files that predate
-// the typed vm row.
+// BENCH_fused.json files that predate the deletion of the per-actor engine
+// also carry a vm row and vs_vm ratios.
 //
 // Throughput is items emitted by the source actor per second, the same
 // normalization as bench_scaling.  Results land in BENCH_fused.json
@@ -32,8 +28,8 @@
 // typed_actors / typed_regs / typed_channels specialization counters.
 //
 // --gate reads a threshold from a checked-in file (bench/fused_gate.txt):
-// the minimum fused/vm throughput ratio on FIR.  Exit is nonzero when it
-// regresses.  The gate self-skips (exit 0, with a notice) on
+// the minimum fused/handwritten throughput ratio on FIR.  Exit is nonzero
+// when it regresses.  The gate self-skips (exit 0, with a notice) on
 // sanitizer builds -- instrumentation swamps dispatch cost -- and on
 // single-cpu hosts where timer noise dominates.
 
@@ -260,7 +256,7 @@ double handwritten_rate(Kernel&& kernel, std::int64_t units, std::int64_t items_
 }
 
 // All numbers in the file, in order (comments stripped).  The first is the
-// fused/vm floor.
+// fused/handwritten floor.
 std::vector<double> read_thresholds(const std::string& path) {
   std::vector<double> out;
   std::ifstream f(path);
@@ -326,23 +322,22 @@ int main(int argc, char** argv) {
     sit::sched::Engine engine;
   } engines[] = {
       {"tree", sit::sched::Engine::Tree},
-      {"vm", sit::sched::Engine::Vm},
       {"fused", sit::sched::Engine::Fused},
   };
-  constexpr int kEngines = 3;
+  constexpr int kEngines = 2;
 
   std::vector<sit::bench::BenchRecord> records;
   sit::obs::MetricsSnapshot metrics;
   bool have_metrics = false;
-  double fir_fused_over_vm = -1.0;
+  double fir_fused_over_hand = -1.0;
 
-  std::printf("%-12s %-12s %14s %8s %8s\n", "app", "engine", "items/s",
-              "vs-vm", "vs-hand");
-  sit::bench::rule(60);
+  std::printf("%-12s %-12s %14s %8s\n", "app", "engine", "items/s",
+              "vs-hand");
+  sit::bench::rule(51);
   for (const auto& b : benches) {
     const double hand = handwritten_rate(b.handwritten, b.units,
                                          b.items_per_unit, min_ms, max_batches);
-    double rates[kEngines] = {0, 0, 0};
+    double rates[kEngines] = {0, 0};
     int typed_regs = 0;
     int typed_channels = 0;
     for (int e = 0; e < kEngines; ++e) {
@@ -369,21 +364,16 @@ int main(int argc, char** argv) {
         }
       }
     }
-    const double vm = rates[1];
-    std::printf("%-12s %-12s %14.0f %8s %8.2f\n", b.name, "handwritten", hand,
-                "-", 1.0);
+    std::printf("%-12s %-12s %14.0f %8.2f\n", b.name, "handwritten", hand,
+                1.0);
     records.push_back({std::string(b.name) + "/handwritten",
-                       {{"items_per_sec", hand},
-                        {"vs_vm", vm > 0 ? hand / vm : 0.0},
-                        {"vs_handwritten", 1.0}}});
+                       {{"items_per_sec", hand}, {"vs_handwritten", 1.0}}});
     for (int e = 0; e < kEngines; ++e) {
-      const double vs_vm = vm > 0 ? rates[e] / vm : 0.0;
       const double vs_hand = hand > 0 ? rates[e] / hand : 0.0;
-      std::printf("%-12s %-12s %14.0f %8.2f %8.2f\n", b.name, engines[e].name,
-                  rates[e], vs_vm, vs_hand);
+      std::printf("%-12s %-12s %14.0f %8.2f\n", b.name, engines[e].name,
+                  rates[e], vs_hand);
       sit::bench::BenchRecord rec{std::string(b.name) + "/" + engines[e].name,
                                   {{"items_per_sec", rates[e]},
-                                   {"vs_vm", vs_vm},
                                    {"vs_handwritten", vs_hand}}};
       if (engines[e].engine == sit::sched::Engine::Fused) {
         rec.metrics.emplace_back("typed_regs", typed_regs);
@@ -392,10 +382,10 @@ int main(int argc, char** argv) {
       records.push_back(std::move(rec));
       if (std::strcmp(b.name, "FIR") == 0 &&
           std::strcmp(engines[e].name, "fused") == 0) {
-        fir_fused_over_vm = vs_vm;
+        fir_fused_over_hand = vs_hand;
       }
     }
-    sit::bench::rule(60);
+    sit::bench::rule(51);
   }
 
   if (!sit::bench::write_bench_json(out_path, "fused_engine", records,
@@ -423,9 +413,9 @@ int main(int argc, char** argv) {
                    gate_file.c_str());
       return 2;
     }
-    const bool pass = fir_fused_over_vm >= thresholds[0];
-    std::printf("gate: FIR fused/vm = %.2f (>= %.2f) %s\n", fir_fused_over_vm,
-                thresholds[0], pass ? "ok" : "FAIL");
+    const bool pass = fir_fused_over_hand >= thresholds[0];
+    std::printf("gate: FIR fused/handwritten = %.2f (>= %.2f) %s\n",
+                fir_fused_over_hand, thresholds[0], pass ? "ok" : "FAIL");
     if (!pass) {
       std::fprintf(stderr, "gate: fused engine regressed below %s\n",
                    gate_file.c_str());

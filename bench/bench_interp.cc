@@ -1,7 +1,7 @@
-// Execution-engine microbenchmarks: tree-walking interpreter vs per-actor
-// typed execution (one-actor traces, runtime/fused.h) on the hot work
-// functions of the paper's evaluation apps and on whole-program steady
-// states.
+// Execution-engine microbenchmarks: tree-walking interpreter vs typed
+// execution on the hot work functions of the paper's evaluation apps (their
+// one-actor traces, runtime/fused.h) and on whole-program steady states
+// (the compiled engine, Engine::Fused).
 //
 // Two modes:
 //   * default: google-benchmark micros (pass the usual --benchmark_* flags),
@@ -136,7 +136,7 @@ double time_app(const std::string& app, sit::sched::Engine engine, int steadies,
 
 struct Config {
   std::string name;
-  // Measures one engine in milliseconds (true = typed VM).
+  // Measures one engine in milliseconds (true = typed/compiled).
   std::function<double(bool)> run;
 };
 
@@ -158,17 +158,17 @@ std::vector<Config> make_configs(bool smoke) {
   cfg.push_back({"iir_feedback_work",
                  [=](bool vm) { return time_filter(iir, vm, firings, reps); }});
   cfg.push_back({"FIR_steady", [=](bool vm) {
-                   return time_app("FIR", vm ? sit::sched::Engine::Vm
+                   return time_app("FIR", vm ? sit::sched::Engine::Fused
                                              : sit::sched::Engine::Tree,
                                    steadies, reps, false);
                  }});
   cfg.push_back({"Vocoder_steady", [=](bool vm) {
-                   return time_app("Vocoder", vm ? sit::sched::Engine::Vm
+                   return time_app("Vocoder", vm ? sit::sched::Engine::Fused
                                                  : sit::sched::Engine::Tree,
                                    steadies, reps, false);
                  }});
   cfg.push_back({"FIR_steady_counted", [=](bool vm) {
-                   return time_app("FIR", vm ? sit::sched::Engine::Vm
+                   return time_app("FIR", vm ? sit::sched::Engine::Fused
                                              : sit::sched::Engine::Tree,
                                    steadies, reps, true);
                  }});
@@ -201,7 +201,7 @@ int run_comparison(bool smoke) {
   // goes through the pass pipeline (SIT_OPT / SIT_PASSES select it) so the
   // snapshot also carries the active pipeline spec and per-pass stats.
   sit::opt::CompileOptions copts;
-  copts.exec.engine = sit::sched::Engine::Vm;
+  copts.exec.engine = sit::sched::Engine::Fused;
   sit::sched::ExecOptions mopts;
   mopts.trace = sit::sched::TraceMode::On;
   sit::sched::Executor mex(sit::opt::compile(sit::apps::make_app("FIR"), copts),

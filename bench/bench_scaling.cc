@@ -3,8 +3,9 @@
 //   bench_scaling [--smoke] [--threads=1,2,4,8] [--gate=<threshold-file>]
 //                 [--out=BENCH_parallel.json]
 //
-// For each app (FIR, FilterBank, FMRadio) we measure the sequential VM
-// Executor on the original graph, then the batched ThreadedExecutor on the
+// For each app (FIR, FilterBank, FMRadio) we measure the best sequential
+// configuration (the -O2 compile on the fused engine, a plain Executor),
+// then the batched ThreadedExecutor on the
 // coarsen-shaped graph (pipeline "validate,analysis-gate,coarsen"; batch
 // factor from SIT_BATCH, default auto) for each requested thread count.
 // Throughput is normalized to items emitted by the graph's *source* actor
@@ -163,8 +164,10 @@ int main(int argc, char** argv) {
   for (const auto& b : benches) {
     sit::sched::ExecOptions seq_opts;
     seq_opts.count_ops = false;
-    seq_opts.engine = sit::sched::Engine::Vm;
-    sit::sched::Executor seq(b.make(), seq_opts);
+    seq_opts.engine = sit::sched::Engine::Fused;
+    sit::opt::CompileOptions seq_copts;
+    seq_copts.level = sit::opt::OptLevel::O2;
+    sit::sched::Executor seq(sit::opt::compile(b.make(), seq_copts), seq_opts);
     const std::int64_t seq_items =
         source_items_per_steady(seq.graph(), seq.schedule());
     seq.run_steady(warm);
@@ -180,7 +183,7 @@ int main(int argc, char** argv) {
     for (int t : thread_counts) {
       sit::sched::ExecOptions opts;
       opts.count_ops = false;
-      opts.engine = sit::sched::Engine::Vm;
+      opts.engine = sit::sched::Engine::Fused;
       opts.threads = t;
       // Compile through the pipeline's coarsen pass (fuse-then-fiss to ~one
       // well-sized actor per worker) so the artifact records the pipeline

@@ -110,9 +110,7 @@ inline bool write_bench_json(const std::string& path, const std::string& bench,
   // pass spec.  Per-pass stats ride in the embedded metrics snapshot when
   // the measured executor consumed a pipeline-compiled program.
   const ExecEnv env = resolve_exec_options();
-  const char* engine = env.engine == sched::Engine::Vm      ? "vm"
-                       : env.engine == sched::Engine::Fused ? "fused"
-                                                            : "tree";
+  const char* engine = env.engine == sched::Engine::Fused ? "fused" : "tree";
   const int measured = max_threads > 0 ? max_threads : env.threads;
   const unsigned cpus = std::thread::hardware_concurrency();
   const bool degraded = cpus > 0 && measured > static_cast<int>(cpus);

@@ -45,7 +45,7 @@ struct MessagingStats {
 class MessagingExecutor {
  public:
   // `engine` picks the work-function engine for the underlying executor
-  // (Auto = SIT_ENGINE env var, defaulting to the per-actor VM).  Handlers
+  // (Auto = SIT_ENGINE env var, defaulting to the compiled engine).  Handlers
   // always run through the tree interpreter on the shared filter state.
   explicit MessagingExecutor(ir::NodeP root,
                              sched::Engine engine = sched::Engine::Auto);

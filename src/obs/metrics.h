@@ -95,7 +95,7 @@ struct WorkerSnapshot {
 
 struct MetricsSnapshot {
   std::string app;     // filled by the caller (streamprof / bench)
-  std::string engine;  // "vm" or "tree"
+  std::string engine;  // "fused" or "tree"
   int threads{1};
   int batch{1};  // steady iterations per pipeline step (threaded runtime)
   bool threaded{false};

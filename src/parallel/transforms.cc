@@ -216,8 +216,8 @@ NodeP make_replica(const NodeP& leaf, int k, int idx) {
   // Lower the prototype's work function to bytecode once per replica kind;
   // each replica instance specializes it against its own post-init state,
   // and its firings then skip the tree walk.  A replica is a native actor,
-  // so the VM and fused engines both call this wrapper per firing; only the
-  // tree engine keeps it interpreted.
+  // so the compiled engine calls this wrapper per firing; only the tree
+  // engine keeps it interpreted.
   runtime::CompiledFilterP compiled;
   if (proto->kind == Node::Kind::Filter &&
       sched::resolve_engine(sched::Engine::Auto) != sched::Engine::Tree) {

@@ -12,10 +12,7 @@ sched::Engine env_engine() {
   if (env != nullptr && std::strcmp(env, "tree") == 0) {
     return sched::Engine::Tree;
   }
-  if (env != nullptr && std::strcmp(env, "fused") == 0) {
-    return sched::Engine::Fused;
-  }
-  return sched::Engine::Vm;
+  return sched::Engine::Fused;
 }
 
 int env_threads() {

@@ -3,11 +3,12 @@
 //
 // Every SIT_* knob the runtime honors is read here and nowhere else:
 //
-//   SIT_ENGINE    "vm" | "tree" | "fused"  work-function engine (default vm:
-//                                        the per-actor typed VM, tree
-//                                        interpreter for filters it refuses;
-//                                        fused = whole-program steady-state
-//                                        trace, per-actor when refused)
+//   SIT_ENGINE    "fused" | "tree"       work-function engine (default
+//                                        fused: the whole-program
+//                                        steady-state trace, per-actor
+//                                        traces when refused, tree
+//                                        interpreter for filters the typed
+//                                        lowering refuses)
 //   SIT_THREADS   integer >= 1           ThreadedExecutor workers (default 1)
 //   SIT_BATCH     integer >= 1 | "auto"  steady iterations per pipeline step
 //                                        (default auto: sized from per-edge
@@ -41,7 +42,7 @@ namespace sit {
 // The environment's execution configuration, fully resolved to concrete
 // values (engine is never Auto, threads >= 1).
 struct ExecEnv {
-  sched::Engine engine{sched::Engine::Vm};
+  sched::Engine engine{sched::Engine::Fused};
   int threads{1};
   int batch{-1};  // -1 = auto, otherwise >= 1
   bool trace{false};

@@ -64,6 +64,9 @@ Executor::Executor(ir::NodeP root, ExecOptions opts)
     : Executor(lower(std::move(root)), std::move(opts)) {}
 
 Executor::Executor(CompiledProgram prog, ExecOptions opts)
+    : Executor(std::move(prog), std::move(opts), true) {}
+
+Executor::Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph)
     : root_(prog.graph),
       opts_(std::move(opts)),
       g_(std::move(prog.flat)),
@@ -121,11 +124,10 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts)
     }
   }
 
-  // Engine::Fused: build the whole-iteration trace from the typed programs
-  // above, or record why not.  A refusal is whole-program: steady states
-  // then run per-actor on the one-actor traces built above (the Vm path and
-  // the Fused fallback are identical).
-  if (engine_ == Engine::Fused) {
+  // Build the whole-iteration trace from the typed programs above, or
+  // record why not.  A refusal is whole-program: steady states then run
+  // per-actor on the one-actor traces built above.
+  if (engine_ == Engine::Fused && whole_graph) {
     if (opts_.message_sink) {
       // Teleport delivery wants per-firing granularity (and build_fused
       // only proves the *absence* of sends per filter, not per sink).
@@ -481,13 +483,11 @@ runtime::OpCounts Executor::total_ops() const {
 
 obs::MetricsSnapshot Executor::metrics_snapshot() const {
   obs::MetricsSnapshot m;
-  m.engine = engine_ == Engine::Vm     ? "vm"
-             : engine_ == Engine::Fused ? "fused"
-                                        : "tree";
+  m.engine = engine_ == Engine::Fused ? "fused" : "tree";
   m.threads = 1;
   m.threaded = false;
   m.fallback = "none";
-  if (engine_ == Engine::Fused && !tfexec_) {
+  if (!fused_refusal_.empty()) {
     m.fallback = "fused-refused";
     m.fallback_detail = fused_refusal_;
   }

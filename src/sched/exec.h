@@ -186,8 +186,9 @@ class Executor {
     return p && !p->kernels.empty();
   }
 
-  // Fused engine introspection (Engine::Fused only).  fused_program() is the
-  // whole-iteration typed trace run_steady executes, or null when fusion
+  // Whole-graph trace introspection.  fused_program() is the
+  // whole-iteration typed trace run_steady executes, or null when there is
+  // none: on the tree engine, under the threaded runtime, or when fusion
   // was refused -- in which case fused_refusal() carries the stable reason
   // (analysis/fuse.h) and steady states run per-actor instead.
   [[nodiscard]] const runtime::FusedProgram* fused_program() const {
@@ -238,6 +239,10 @@ class Executor {
   // (retarget, fire_into, run_epoch and run_init with a counts array, the
   // input feed) and reads its tallies and progress counters directly.
   friend class ThreadedExecutor;
+
+  // The threaded runtime's form (whole_graph false): the same executor
+  // without the whole-graph trace, which its workers never run.
+  Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph);
 
   // Point edge `edge`'s tapes at an SPSC ring.  The edge's Channel stays
   // owned (and drained); high-water notes and metrics_snapshot skip it from
@@ -312,7 +317,7 @@ class Executor {
   ExecOptions opts_;
   runtime::FlatGraph g_;
   Schedule sched_;
-  Engine engine_{Engine::Vm};
+  Engine engine_{Engine::Fused};
   std::vector<std::unique_ptr<runtime::Channel>> chans_;
   // Per-edge tape table the firing routine reads: each entry points at the
   // edge's Channel until the threaded runtime retargets it to a ring.
@@ -334,7 +339,7 @@ class Executor {
   // The actors [bind_lo_, bind_hi_) the current Bind covers (empty outside
   // one).
   std::size_t bind_lo_{0}, bind_hi_{0};
-  // Fused steady-state trace (Engine::Fused; null when fusion was refused)
+  // Fused steady-state trace (null when there is none: fused_program())
   // and its executor: run_steady runs a batch on it when activation
   // succeeds, and per-actor otherwise.
   runtime::FusedProgramP fprog_;

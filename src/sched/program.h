@@ -25,19 +25,18 @@
 
 namespace sit::sched {
 
-// Which work-function engine drives AST filters.  Vm compiles each filter's
-// work function to bytecode once, runs it on the typed register planes, and
-// falls back to the tree interpreter *per filter* for anything outside the
-// bytecode subset or refused by the typed lowering; Tree forces the tree
-// interpreter everywhere.  Fused additionally compiles one whole
-// steady-state iteration into a single flat bytecode trace with
-// superinstructions (runtime/fused.h) and runs it when the program is
-// admissible (analysis/fuse.h), falling back to per-actor VM execution --
-// whole-program, not per-filter -- when it is not.  Auto resolves from the
-// SIT_ENGINE environment variable ("tree", "vm", or "fused"), defaulting to
-// Vm -- which lets CI run the whole test suite under any engine without code
-// changes.
-enum class Engine { Auto, Tree, Vm, Fused };
+// Which work-function engine drives AST filters.  Fused, the compiled
+// engine, lowers each filter's work function to typed bytecode once and
+// runs one whole steady-state iteration as a single flat trace with
+// superinstructions (runtime/fused.h) when the program is admissible
+// (analysis/fuse.h).  Otherwise -- and under the threaded runtime, tracing
+// or a message sink -- it fires actor by actor, each typed filter through
+// its one-actor trace; a filter outside the bytecode subset or refused by
+// the typed lowering runs on the tree interpreter.  Tree forces the tree
+// interpreter everywhere.  Auto resolves from the SIT_ENGINE environment
+// variable ("tree" or "fused"), defaulting to Fused -- which lets CI run
+// the whole test suite under either engine without code changes.
+enum class Engine { Auto, Tree, Fused };
 
 struct CompiledProgram {
   ir::NodeP source;  // pre-pipeline graph (provenance; may be null)

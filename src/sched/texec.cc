@@ -265,14 +265,10 @@ ThreadedExecutor::ThreadedExecutor(CompiledProgram prog, ExecOptions opts)
     exec_ = std::make_unique<Executor>(std::move(prog), opts_);
     return;
   }
-  // Workers fire per-actor, so Engine::Fused degrades to the one-actor
-  // traces (the whole-graph trace is inherently single-threaded; the
-  // fallback executor above does fuse).
-  ExecOptions eopts = opts_;
-  eopts.engine = resolve_engine(opts_.engine != Engine::Auto ? opts_.engine
-                                                             : prog.engine);
-  if (eopts.engine == Engine::Fused) eopts.engine = Engine::Vm;
-  exec_ = std::make_unique<Executor>(std::move(prog), eopts);
+  // Workers fire per-actor, on the one-actor traces: the whole-graph trace
+  // is inherently single-threaded, so it is not built (the fallback
+  // executor above does fuse).
+  exec_.reset(new Executor(std::move(prog), opts_, false));
 
   // A lone (stateless: refusal_reason) actor's firings are split across
   // all the requested workers; otherwise a worker per actor at most.
@@ -1047,9 +1043,9 @@ obs::MetricsSnapshot ThreadedExecutor::metrics_snapshot() const {
     return m;
   }
 
-  // The embedded executor filled in everything per-actor (engine -- already
-  // degraded from fused to vm --, firings, ops, typed tables, timings, edge
-  // names and content tags); overwrite only what the threaded runtime owns.
+  // The embedded executor filled in everything per-actor (engine, firings,
+  // ops, typed tables, timings, edge names and content tags); overwrite only
+  // what the threaded runtime owns.
   m.threads = threads_;
   m.batch = batch_;
   m.threaded = true;

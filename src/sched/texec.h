@@ -10,9 +10,9 @@
 //   * Every ThreadedExecutor owns one sequential Executor, its per-actor
 //     execution core: channels, filter state, the one-actor traces, init
 //     functions, the input feed, firing tallies, and the one per-actor
-//     firing routine all live there.  On the threaded path it is built with
-//     Engine::Fused replaced by Engine::Vm (the whole-graph trace is
-//     inherently single-threaded); on a fallback it runs the program as is.
+//     firing routine all live there.  On the threaded path it is built
+//     without the whole-graph trace (inherently single-threaded); on a
+//     fallback it runs the program as is.
 //   * Initialization and the first steady state run sequentially on the
 //     embedded Executor; the first steady state doubles as a calibration run
 //     that measures each actor's cycle weight (runtime::OpCounts::weighted --
@@ -196,8 +196,7 @@ class ThreadedExecutor {
   std::vector<double> run_steady(int n);
   std::vector<double> take_output();
 
-  // The engine driving the actors: Engine::Vm when a fused request runs
-  // threaded, the requested engine on a fallback.
+  // The engine driving the actors (Auto already resolved).
   [[nodiscard]] Engine engine() const;
   [[nodiscard]] const std::vector<std::int64_t>& firings() const;
   [[nodiscard]] const std::vector<runtime::OpCounts>& actor_ops() const;

@@ -8,7 +8,7 @@
 // test_pipeline_diff.cc; this file pins the *static* artifacts -- which
 // superinstructions the peephole selects on the flagship apps, how many
 // channels are lowered, how long the traces are -- and exercises each path
-// that must refuse fusion and degrade to the per-actor VM.
+// that must refuse fusion and degrade to the per-actor traces.
 
 #include <gtest/gtest.h>
 
@@ -46,6 +46,15 @@ sched::ExecOptions fused_options() {
   sched::ExecOptions opts;
   opts.engine = sched::Engine::Fused;
   opts.trace = sched::TraceMode::Off;
+  return opts;
+}
+
+// The compiled engine firing actor by actor: tracing refuses the
+// whole-graph trace, so every steady firing runs its one-actor trace.
+sched::ExecOptions per_actor_options() {
+  sched::ExecOptions opts;
+  opts.engine = sched::Engine::Fused;
+  opts.trace = sched::TraceMode::On;
   return opts;
 }
 
@@ -94,8 +103,8 @@ std::int64_t popped(sched::ThreadedExecutor& ex, int e) {
 }
 
 // Require bit-equal firings, per-actor OpCounts and FilterState, and channel
-// counters between a reference run (per-actor VM or tree) and a fused (or
-// threaded) run of the same program.
+// counters between a reference run (per-actor traces or tree) and a fused
+// (or threaded) run of the same program.
 template <class Ex>
 void expect_same_state(sched::Executor& vm, Ex& fused) {
   EXPECT_EQ(fused.firings(), vm.firings());
@@ -395,7 +404,7 @@ TEST(FusedRefusal, RefusedProgramStillMatchesVmBitExactly) {
   ASSERT_EQ(fused.fused_program(), nullptr);  // per-actor fallback
 
   sched::ExecOptions vopt;
-  vopt.engine = sched::Engine::Vm;
+  vopt.engine = sched::Engine::Tree;
   sched::Executor vm(make_pipeline("p", {tiny_src("s"), vm_fallback_filter()}),
                      vopt);
 
@@ -424,12 +433,10 @@ TEST(FusedRefusal, MetricsCarryRefusalDetail) {
 
 // ---- feedback loops: interleaved firing runs --------------------------------
 
-// Run one compiled program on the per-actor VM and on the typed fused trace
-// and require bit-equal outputs and state.
+// Run one compiled program on the per-actor traces and on the typed fused
+// trace and require bit-equal outputs and state.
 void expect_fused_matches_vm(const sched::CompiledProgram& prog, int iters) {
-  sched::ExecOptions vopt;
-  vopt.engine = sched::Engine::Vm;
-  sched::Executor vm(prog, vopt);
+  sched::Executor vm(prog, per_actor_options());
   sched::Executor fused(prog, fused_options());
   ASSERT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
   expect_same_output(fused.run_steady(iters), vm.run_steady(iters));
@@ -640,13 +647,11 @@ TEST(FusedEngine, EnvSelectsFused) {
 TEST(FusedExecution, ManualFireMidIterationFallsBackAndStaysBitEqual) {
   // A manual fire() leaves an internal channel above its steady-state carry,
   // so activate() must refuse and run_steady must take the per-actor path --
-  // producing exactly what the VM produces from the same state.
+  // producing exactly what the per-actor traces produce from the same state.
   auto fused = make_fused(observable(apps::make_app("FIR")));
   ASSERT_NE(fused.fused_program(), nullptr);
 
-  sched::ExecOptions vopt;
-  vopt.engine = sched::Engine::Vm;
-  sched::Executor vm(observable(apps::make_app("FIR")), vopt);
+  sched::Executor vm(observable(apps::make_app("FIR")), per_actor_options());
 
   fused.run_init();
   vm.run_init();
@@ -692,9 +697,7 @@ TEST(FusedExecution, StateRetagFallsBackAndStaysBitEqual) {
   };
   auto fused = make_fused(mk());
   ASSERT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
-  sched::ExecOptions vopt;
-  vopt.engine = sched::Engine::Vm;
-  sched::Executor vm(mk(), vopt);
+  sched::Executor vm(mk(), per_actor_options());
   sched::ExecOptions topt;
   topt.engine = sched::Engine::Tree;
   sched::Executor tree(mk(), topt);
@@ -817,15 +820,17 @@ TEST(FusedExecution, StateAcrossCallBoundariesMatchesTheTree) {
 // ---- runtime faults ---------------------------------------------------------
 
 // The what() of the fault the first steady state throws ("" if none).
-std::string first_fault(const ir::NodeP& root, sched::Engine engine) {
-  sched::ExecOptions opts = fused_options();
+std::string first_fault(const ir::NodeP& root, sched::Engine engine,
+                        sched::TraceMode trace = sched::TraceMode::Off) {
+  sched::ExecOptions opts;
   opts.engine = engine;
+  opts.trace = trace;
   sched::Executor ex(lower_ungated(root), opts);
   if (engine != sched::Engine::Tree) {
     for (const auto& a : ex.metrics_snapshot().actors) {
       EXPECT_EQ(a.typed_status, "typed") << a.name;
     }
-    if (engine == sched::Engine::Fused) {
+    if (trace == sched::TraceMode::Off) {
       EXPECT_NE(ex.fused_program(), nullptr) << ex.fused_refusal();
     }
   }
@@ -886,9 +891,9 @@ TEST(EngineFaults, ShortKernelInputRunsAsLinearKernel) {
 }
 
 // A fault's message is part of the cross-engine contract: the tree
-// interpreter, the typed VM and the typed fused trace must throw the same
-// what().  The compiled engines run the kernel cases through the kernel
-// routine: one firing per fire_into on the VM, the whole run in the trace.
+// interpreter, the per-actor traces and the whole-graph trace must throw the
+// same what().  The compiled engine runs the kernel cases through the kernel
+// routine: one firing per fire_into per actor, the whole run in the trace.
 TEST(EngineFaults, EveryEngineThrowsTheSameMessage) {
   runtime::set_debug_channel_checks(true);  // for the over-peek
   struct Restore {
@@ -943,15 +948,14 @@ TEST(EngineFaults, EveryEngineThrowsTheSameMessage) {
         "p", {fc.source ? fc.source : tiny_src("s"), fc.filter, tiny_snk("k")});
     const std::string name = fc.filter->name;
     if (fc.kernel) {
-      sched::ExecOptions vopts;
-      vopts.engine = sched::Engine::Vm;
-      const sched::Executor vm(lower_ungated(root), vopts);
+      const sched::Executor vm(lower_ungated(root), fused_options());
       EXPECT_TRUE(vm.runs_kernel(actor_id(vm.graph(), name))) << name;
     }
     EXPECT_EQ(first_fault(root, sched::Engine::Tree), fc.message)
         << name << " on the tree interpreter";
-    EXPECT_EQ(first_fault(root, sched::Engine::Vm), fc.message)
-        << name << " on the typed VM";
+    EXPECT_EQ(first_fault(root, sched::Engine::Fused, sched::TraceMode::On),
+              fc.message)
+        << name << " on the per-actor traces";
     EXPECT_EQ(first_fault(root, sched::Engine::Fused), fc.message)
         << name << " on the typed fused trace";
   }
@@ -983,8 +987,7 @@ TEST(EngineFaults, ShortInputToASplitActorThrowsTheSequentialMessage) {
             "runtime deadlock: actor 'half' starved with 1 firings remaining");
   const std::vector<double> out = tree.take_output();
   EXPECT_EQ(out.size(), 4U);
-  for (const sched::Engine engine :
-       {sched::Engine::Tree, sched::Engine::Vm, sched::Engine::Fused}) {
+  for (const sched::Engine engine : {sched::Engine::Tree, sched::Engine::Fused}) {
     sched::ExecOptions opts;
     opts.engine = engine;
     opts.threads = 4;
@@ -1004,12 +1007,12 @@ TEST(EngineFaults, ShortInputToASplitActorThrowsTheSequentialMessage) {
 // interpreter evaluates the expression itself: outputs must agree to the bit
 // and OpCounts field by field.
 
-// Run `root` on the tree interpreter, on the per-actor VM (whose kernel
+// Run `root` on the tree interpreter, on the per-actor traces (whose kernel
 // actors fire one firing at a time) and on the typed fused trace (a whole
 // run per kernel instruction), five batches of three steady states on
 // seeded input fed batch by batch (so a boundary input ring wraps), and
 // require bit-equal outputs and equal state, OpCounts and channel counters.
-// The VM must run as many kernels as the trace.  Returns the fused trace's
+// The per-actor traces must run as many kernels as the whole-graph trace.  Returns the fused trace's
 // linear-kernel count (and the outputs in `out`).
 std::int64_t expect_kernel_matches_tree(const NodeP& root, std::uint64_t seed,
                                         std::vector<double>* out = nullptr) {
@@ -1017,9 +1020,7 @@ std::int64_t expect_kernel_matches_tree(const NodeP& root, std::uint64_t seed,
   sched::ExecOptions topts;
   topts.engine = sched::Engine::Tree;
   sched::Executor tree(prog, topts);
-  sched::ExecOptions vopts;
-  vopts.engine = sched::Engine::Vm;
-  sched::Executor vm(prog, vopts);
+  sched::Executor vm(prog, per_actor_options());
   sched::Executor fused(prog, fused_options());
   EXPECT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
   const sched::Schedule& s = tree.schedule();
@@ -1044,7 +1045,7 @@ std::int64_t expect_kernel_matches_tree(const NodeP& root, std::uint64_t seed,
     EXPECT_FALSE(t.empty());
     for (sched::Executor* ex : {&vm, &fused}) {
       const std::vector<double> f = ex->run_steady(3);
-      const char* what = ex == &vm ? "vm" : "fused";
+      const char* what = ex == &vm ? "per-actor" : "fused";
       EXPECT_EQ(t.size(), f.size()) << what;
       for (std::size_t i = 0; i < t.size() && i < f.size(); ++i) {
         EXPECT_EQ(std::bit_cast<std::uint64_t>(t[i]),
@@ -1343,7 +1344,7 @@ NodeP signed_zero_src(const std::string& name) {
       .node();
 }
 
-// The kernel between a source and a pass-through, on the per-actor VM
+// The kernel between a source and a pass-through, on the per-actor traces
 // (Channels, one firing per fire_into) and on four workers (SPSC rings, one
 // fire_run per step) at batch 1, 3 and auto: outputs bit-equal to the tree
 // interpreter, and per-actor firings and OpCounts equal field by field.
@@ -1392,10 +1393,8 @@ TEST(LinearKernel, PerActorAndThreadedKernelsMatchTheTree) {
   };
 
   {
-    SCOPED_TRACE("vm");
-    sched::ExecOptions vopts;
-    vopts.engine = sched::Engine::Vm;
-    sched::Executor vm(prog, vopts);
+    SCOPED_TRACE("per-actor");
+    sched::Executor vm(prog, per_actor_options());
     EXPECT_TRUE(vm.runs_kernel(lin));
     std::vector<double> got;
     for (int c = 0; c < kCalls; ++c) {
@@ -1407,7 +1406,7 @@ TEST(LinearKernel, PerActorAndThreadedKernelsMatchTheTree) {
   for (const int batch : {1, 3, -1}) {
     SCOPED_TRACE("threads=4 batch=" + std::to_string(batch));
     sched::ExecOptions opts;
-    opts.engine = sched::Engine::Vm;
+    opts.engine = sched::Engine::Fused;
     opts.threads = 4;
     opts.batch = batch;
     sched::ThreadedExecutor tex(prog, opts);
@@ -1465,8 +1464,11 @@ TEST(FusedExecution, RingReadMacLoopMatchesTheTree) {
     sched::ExecOptions topts;
     topts.engine = sched::Engine::Tree;
     sched::Executor tree(prog, topts);
+    // One thread runs the per-actor traces (tracing refuses the whole-graph
+    // trace), four the workers' one-actor traces.
     sched::ExecOptions opts;
-    opts.engine = sched::Engine::Vm;
+    opts.engine = sched::Engine::Fused;
+    if (r.threads == 1) opts.trace = sched::TraceMode::On;
     opts.threads = r.threads;
     opts.batch = r.batch;
     sched::ThreadedExecutor tex(prog, opts);
@@ -1511,10 +1513,8 @@ TEST(LinearKernel, EveryAppRunsAKernelExactlyWhereItsSpecCarriesRows) {
           level == opt::OptLevel::O1 ? o1 : o2;
       opt::CompileOptions copts;
       copts.level = level;
-      sched::ExecOptions vopts;
-      vopts.engine = sched::Engine::Vm;
-      vopts.trace = sched::TraceMode::Off;
-      const sched::Executor vm(opt::compile(app.make(), copts), vopts);
+      const sched::Executor vm(opt::compile(app.make(), copts),
+                               fused_options());
       SCOPED_TRACE(app.name + " -O" +
                    std::to_string(static_cast<int>(level)));
       int kernels = 0;
@@ -1558,9 +1558,7 @@ TEST(LinearKernel, RowsSurviveCopiesAndCompilesButNotAReplacedWork) {
     EXPECT_EQ(prog.flat.actors[static_cast<std::size_t>(lin)]
                   .node->filter.linear_rows(),
               rows);
-    sched::ExecOptions vopts;
-    vopts.engine = sched::Engine::Vm;
-    EXPECT_TRUE(sched::Executor(prog, vopts).runs_kernel(lin));
+    EXPECT_TRUE(sched::Executor(prog, fused_options()).runs_kernel(lin));
   }
 
   ir::FilterSpec rewritten = k;

@@ -172,12 +172,32 @@ TEST(ExecEnv, Defaults) {
       tr("SIT_TRACE", nullptr), s("SIT_STALL_MS", nullptr),
       o("SIT_OPT", nullptr), p("SIT_PASSES", nullptr);
   const ExecEnv env = resolve_exec_options();
-  EXPECT_EQ(env.engine, sched::Engine::Vm);
+  EXPECT_EQ(env.engine, sched::Engine::Fused);
   EXPECT_EQ(env.threads, 1);
   EXPECT_FALSE(env.trace);
   EXPECT_EQ(env.stall_ms, 120000);
   EXPECT_EQ(env.opt_level, 2);
   EXPECT_TRUE(env.passes.empty());
+}
+
+// The retired per-actor engine's name selects the one compiled engine.
+TEST(ExecEnv, RetiredVmNameResolvesToFused) {
+  EnvVar e("SIT_ENGINE", "vm");
+  EXPECT_EQ(resolve_exec_options().engine, sched::Engine::Fused);
+  EXPECT_EQ(sched::resolve_engine(sched::Engine::Auto), sched::Engine::Fused);
+}
+
+// What a user gets with no SIT_* variable set: an -O2 compile runs on the
+// whole-graph trace, the engine perfbench measures.
+TEST(ExecEnv, DefaultEngineRunsTheWholeGraphTrace) {
+  EnvVar e("SIT_ENGINE", nullptr), tr("SIT_TRACE", nullptr),
+      p("SIT_PASSES", nullptr);
+  CompileOptions copts;
+  copts.level = OptLevel::O2;
+  sched::Executor ex(compile(apps::make_app("FIR"), copts));
+  EXPECT_EQ(ex.engine(), sched::Engine::Fused);
+  EXPECT_NE(ex.fused_program(), nullptr) << ex.fused_refusal();
+  EXPECT_EQ(ex.metrics_snapshot().fallback, "none");
 }
 
 TEST(ExecEnv, ReadsEveryKnob) {
@@ -417,9 +437,9 @@ TEST(Artifact, ProgramEngineAppliesWhenOptsAreAuto) {
 
   // An explicit executor option still overrides the artifact default.
   sched::ExecOptions pin;
-  pin.engine = sched::Engine::Vm;
+  pin.engine = sched::Engine::Fused;
   sched::Executor pinned(compile(apps::make_app("FIR"), copts), pin);
-  EXPECT_EQ(pinned.engine(), sched::Engine::Vm);
+  EXPECT_EQ(pinned.engine(), sched::Engine::Fused);
 }
 
 TEST(Artifact, MetricsCarryPipelineAndPassStats) {

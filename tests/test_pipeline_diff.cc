@@ -3,8 +3,8 @@
 // The contract of the compilation pipeline is twofold:
 //
 //   1. At a fixed optimization level, the compiled artifact computes the
-//      same stream BIT-EQUAL under every engine (tree interpreter, bytecode
-//      VM, fused steady-state trace, 4-thread runtime) -- same outputs, same
+//      same stream BIT-EQUAL under every engine (tree interpreter, per-actor
+//      traces, fused steady-state trace, 4-thread runtime) -- same outputs, same
 //      firings, same operation counts per engine pair that shares a counting
 //      discipline, same cumulative channel counters, same filter state.
 //   2. Across optimization levels, outputs are numerically equivalent but
@@ -109,8 +109,11 @@ TEST_P(EngineDiffP, EnginesBitEqualOnCompiledArtifact) {
   topt.engine = sched::Engine::Tree;
   sched::Executor tree(prog, topt);
 
+  // Tracing refuses the whole-graph trace, so this leg fires every actor
+  // through its one-actor trace.
   sched::ExecOptions vopt;
-  vopt.engine = sched::Engine::Vm;
+  vopt.engine = sched::Engine::Fused;
+  vopt.trace = sched::TraceMode::On;
   sched::Executor vm(prog, vopt);
 
   sched::ExecOptions fopt;
@@ -125,12 +128,12 @@ TEST_P(EngineDiffP, EnginesBitEqualOnCompiledArtifact) {
   const auto vout = vm.run_steady(3);
   const auto fout = fused.run_steady(3);
   const auto thout = thr.run_steady(3);
-  expect_bit_equal(tout, vout, "tree vs vm");
+  expect_bit_equal(tout, vout, "tree vs per-actor");
   expect_bit_equal(tout, fout, "tree vs fused");
   expect_bit_equal(tout, thout, "tree vs 4-thread");
 
   // Same firings and OpCounts: the sequential engines share the counting
-  // discipline exactly (the fused trace replicates the VM's tally points
+  // discipline exactly (the fused trace replicates the per-actor tally points
   // instruction for instruction); the threaded runtime tallies the same
   // firings.
   EXPECT_EQ(tree.firings(), vm.firings());
@@ -140,9 +143,9 @@ TEST_P(EngineDiffP, EnginesBitEqualOnCompiledArtifact) {
   EXPECT_DOUBLE_EQ(tree.total_ops().weighted(), vm.total_ops().weighted());
   EXPECT_EQ(tree.total_ops().flops, thr.total_ops().flops);
 
-  // The fused engine's per-actor OpCounts must be bit-identical to the VM's
-  // in every field, whether the steady state ran on the whole-program trace
-  // or fell back per-actor.
+  // The whole-graph trace's per-actor OpCounts must be bit-identical to the
+  // per-actor traces' in every field, whether the steady state ran on the
+  // whole-program trace or fell back per-actor.
   ASSERT_EQ(fused.actor_ops().size(), vm.actor_ops().size());
   for (std::size_t a = 0; a < vm.actor_ops().size(); ++a) {
     const auto& vo = vm.actor_ops()[a];
@@ -175,8 +178,9 @@ TEST_P(EngineDiffP, EnginesBitEqualOnCompiledArtifact) {
         << "edge " << e;
   }
 
-  // Same filter state after the run: every scalar and array element the VM
-  // left behind must match what the fused trace left behind bit-for-bit.
+  // Same filter state after the run: every scalar and array element the
+  // per-actor traces left behind must match what the fused trace left
+  // behind bit-for-bit.
   for (std::size_t a = 0; a < g.actors.size(); ++a) {
     const auto& vs = vm.filter_state(static_cast<int>(a));
     const auto& fs = fused.filter_state(static_cast<int>(a));

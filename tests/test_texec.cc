@@ -341,23 +341,34 @@ TEST(TexecReport, PartitionCoversEveryActor) {
   EXPECT_GT(rep.predicted_speedup, 0.0);
 }
 
-// The engine a threaded run reports is the one driving its workers: a fused
-// request degrades to the per-actor VM there, while the one-thread fallback
-// really runs the fused trace.
+// The compiled engine drives the workers through their one-actor traces and
+// builds no whole-graph trace for them, which is no refusal: the threaded
+// snapshot reads engine fused, fallback none and no fused statics.  The
+// one-thread fallback really runs the whole-graph trace.
 TEST(TexecReport, EngineIsTheOneDrivingTheWorkers) {
-  for (const int threads : {4, 1}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    sched::ExecOptions topt;
-    topt.threads = threads;
-    topt.engine = sched::Engine::Fused;
-    sched::ThreadedExecutor tex(apps::make_app("FIR"), topt);
-    tex.run_steady(3);
-    ASSERT_EQ(tex.report().threaded, threads > 1)
-        << tex.report().fallback_reason;
-    const sched::Engine want =
-        threads > 1 ? sched::Engine::Vm : sched::Engine::Fused;
-    EXPECT_EQ(tex.engine(), want);
-    EXPECT_EQ(tex.metrics_snapshot().engine, threads > 1 ? "vm" : "fused");
+  for (const std::string app : {"FIR", "Vocoder"}) {
+    for (const int threads : {4, 1}) {
+      SCOPED_TRACE(app + " threads=" + std::to_string(threads));
+      sched::ExecOptions topt;
+      topt.threads = threads;
+      topt.engine = sched::Engine::Fused;
+      topt.trace = sched::TraceMode::Off;
+      sched::ThreadedExecutor tex(apps::make_app(app), topt);
+      tex.run_steady(3);
+      ASSERT_EQ(tex.report().threaded, threads > 1)
+          << tex.report().fallback_reason;
+      EXPECT_EQ(tex.engine(), sched::Engine::Fused);
+      const obs::MetricsSnapshot m = tex.metrics_snapshot();
+      EXPECT_EQ(m.engine, "fused");
+      if (threads > 1) {
+        EXPECT_EQ(m.fallback, "none");
+        EXPECT_EQ(m.fallback_detail, "");
+        EXPECT_EQ(m.fused_channels, -1);
+      } else {
+        EXPECT_EQ(m.fallback, "one-thread");
+        EXPECT_GT(m.fused_channels, 0);
+      }
+    }
   }
 }
 
@@ -370,7 +381,7 @@ TEST(TexecReport, SnapshotMatchesSequentialOnAllApps) {
     opt::CompileOptions copts;
     copts.level = opt::OptLevel::O0;
     sched::ExecOptions sopt;
-    sopt.engine = sched::Engine::Vm;
+    sopt.engine = sched::Engine::Fused;
     sopt.threads = 1;
     sched::Executor seq(opt::compile(info.make(), copts), sopt);
     sched::ExecOptions topt = sopt;
@@ -616,7 +627,7 @@ TEST(TexecSplit, FilterBankAndFirBodiesMatchTheTree) {
   opts.threads = 4;
   const sched::ThreadedExecutor fb(o2_body("FilterBank"), opts);
   EXPECT_EQ(fb.report().kernels, 1);
-  EXPECT_EQ(fb.engine(), sched::Engine::Vm);
+  EXPECT_EQ(fb.engine(), sched::Engine::Fused);
 }
 
 // A peek > pop window read through each worker's offset view.  The calls'

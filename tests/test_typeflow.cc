@@ -43,11 +43,12 @@ ir::NodeP observable(const ir::NodeP& app) {
 // Tracing pins the whole-graph trace off ("tracing-enabled"), so these
 // executors keep it off whatever SIT_TRACE says.
 sched::Executor make_exec(ir::NodeP root, sched::Engine engine,
-                          sched::TypedMode typed) {
+                          sched::TypedMode typed,
+                          sched::TraceMode trace = sched::TraceMode::Off) {
   sched::ExecOptions opts;
   opts.engine = engine;
   opts.typed = typed;
-  opts.trace = sched::TraceMode::Off;
+  opts.trace = trace;
   return sched::Executor(std::move(root), opts);
 }
 
@@ -70,9 +71,10 @@ void expect_bit_equal(const std::vector<double>& a,
 // interpreter) under `engine` and require the entire observable surface to
 // be bit-identical.
 void expect_typed_off_parity(const ir::NodeP& app, sched::Engine engine,
-                             const std::string& what, int steady = 4) {
-  auto on = make_exec(ir::clone(app), engine, sched::TypedMode::On);
-  auto off = make_exec(ir::clone(app), engine, sched::TypedMode::Off);
+                             const std::string& what, int steady = 4,
+                             sched::TraceMode trace = sched::TraceMode::Off) {
+  auto on = make_exec(ir::clone(app), engine, sched::TypedMode::On, trace);
+  auto off = make_exec(ir::clone(app), engine, sched::TypedMode::Off, trace);
   expect_bit_equal(on.run_steady(steady), off.run_steady(steady), what);
   EXPECT_EQ(on.firings(), off.firings()) << what;
   EXPECT_EQ(on.total_ops().int_ops, off.total_ops().int_ops) << what;
@@ -227,7 +229,7 @@ TEST(TypedLowering, ResultPlaneMatchesTheTreeKernel) {
 // ---- specialization on the flagship apps ------------------------------------
 
 TEST(TypedSpecialize, FirFiltersAllSpecialize) {
-  auto ex = make_exec(apps::make_app("FIR"), sched::Engine::Vm,
+  auto ex = make_exec(apps::make_app("FIR"), sched::Engine::Fused,
                       sched::TypedMode::On);
   const auto& g = ex.graph();
   int typed = 0;
@@ -269,7 +271,7 @@ TEST(TypedSpecialize, TypedOffDisablesBothLayers) {
 }
 
 TEST(TypedSpecialize, WholeGraphAnalysisMatchesExecutorOnFir) {
-  auto ex = make_exec(apps::make_app("FIR"), sched::Engine::Vm,
+  auto ex = make_exec(apps::make_app("FIR"), sched::Engine::Fused,
                       sched::TypedMode::On);
   const analysis::TypeflowResult tf = analysis::typeflow(ex.graph());
   EXPECT_EQ(tf.candidates, 3);
@@ -345,7 +347,7 @@ NodeP mixed_state_filter(const std::string& name) {
 TEST(TypedRefusal, MixedRegisterRefusesWithStableReason) {
   auto ex = make_exec(
       make_pipeline("p", {tiny_src("s"), mixed_register_filter("mixr")}),
-      sched::Engine::Vm, sched::TypedMode::On);
+      sched::Engine::Fused, sched::TypedMode::On);
   const int a = actor_id(ex.graph(), "mixr");
   ASSERT_GE(a, 0);
   EXPECT_FALSE(ex.actor_uses_vm(a));
@@ -359,7 +361,7 @@ TEST(TypedRefusal, MixedRegisterRefusesWithStableReason) {
 TEST(TypedRefusal, MixedStateRefusesNamingTheSlot) {
   auto ex = make_exec(
       make_pipeline("p", {tiny_src("s"), mixed_state_filter("mixs")}),
-      sched::Engine::Vm, sched::TypedMode::On);
+      sched::Engine::Fused, sched::TypedMode::On);
   const int a = actor_id(ex.graph(), "mixs");
   ASSERT_GE(a, 0);
   EXPECT_FALSE(ex.actor_uses_vm(a));
@@ -396,7 +398,7 @@ TEST(TypedRefusal, HandlersRefuse) {
                .work(seq({push_(pop_() * v("g"))}))
                .node();
   auto ex = make_exec(make_pipeline("p", {tiny_src("s"), h}),
-                      sched::Engine::Vm, sched::TypedMode::On);
+                      sched::Engine::Fused, sched::TypedMode::On);
   const int a = actor_id(ex.graph(), "h");
   ASSERT_GE(a, 0);
   EXPECT_FALSE(ex.actor_uses_vm(a));
@@ -408,7 +410,9 @@ TEST(TypedRefusal, HandlersRefuse) {
 TEST(TypedDiff, AllAppsBitEqualTypedOnVsOffUnderVmAndFused) {
   for (const auto& app : apps::all_apps()) {
     const ir::NodeP obs = observable(app.make());
-    expect_typed_off_parity(obs, sched::Engine::Vm, app.name + " vm");
+    // Tracing refuses the whole-graph trace: the per-actor traces.
+    expect_typed_off_parity(obs, sched::Engine::Fused, app.name + " per-actor",
+                            4, sched::TraceMode::On);
     expect_typed_off_parity(obs, sched::Engine::Fused, app.name + " fused");
   }
 }
@@ -456,7 +460,7 @@ TEST(TypedMetrics, SnapshotCarriesSpecializationCountersAndEdgeContent) {
 }
 
 TEST(TypedMetrics, OffSnapshotOmitsTypedBlock) {
-  auto ex = make_exec(apps::make_app("FIR"), sched::Engine::Vm,
+  auto ex = make_exec(apps::make_app("FIR"), sched::Engine::Fused,
                       sched::TypedMode::Off);
   ex.run_steady(2);
   const obs::MetricsSnapshot m = ex.metrics_snapshot();
@@ -469,7 +473,7 @@ TEST(TypedMetrics, OffSnapshotOmitsTypedBlock) {
 TEST(TypedMetrics, RefusalSurfacesInActorStatus) {
   auto ex = make_exec(
       make_pipeline("p", {tiny_src("s"), mixed_state_filter("mixs")}),
-      sched::Engine::Vm, sched::TypedMode::On);
+      sched::Engine::Fused, sched::TypedMode::On);
   ex.run_steady(2);
   const obs::MetricsSnapshot m = ex.metrics_snapshot();
   bool saw = false;

@@ -338,7 +338,7 @@ TEST(ChannelBounds, HighWaterIsPeakOverEveryFiringOnAllApps) {
     opt::CompileOptions copts;
     copts.level = opt::OptLevel::O0;
     sched::ExecOptions eopts;
-    eopts.engine = sched::Engine::Vm;
+    eopts.engine = sched::Engine::Fused;
     sched::Executor ex(opt::compile(a.make(), copts), eopts);
     const runtime::FlatGraph& g = ex.graph();
     const sched::Schedule& s = ex.schedule();

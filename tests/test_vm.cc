@@ -111,10 +111,11 @@ std::unique_ptr<runtime::FilterExec> bind_typed(const ir::FilterSpec& spec,
 
 // ---- whole-application differential -----------------------------------------
 
-// Run every built-in app under both engines and hold all observables equal:
-// program output (bitwise), per-actor firing tallies and OpCounts, the
-// cumulative n(t)/p(t) counters of every channel, and the final state of
-// every AST filter.
+// Run every built-in app on the tree interpreter and on the per-actor
+// traces and hold all observables equal: program output (bitwise), per-actor
+// firing tallies and OpCounts, the cumulative n(t)/p(t) counters of every
+// channel, and the final state of every AST filter.  Tracing refuses the
+// whole-graph trace, so the compiled engine fires actor by actor.
 TEST(VmDifferential, AllAppsMatchTreeInterpreter) {
   for (const auto& info : apps::all_apps()) {
     SCOPED_TRACE(info.name);
@@ -122,11 +123,12 @@ TEST(VmDifferential, AllAppsMatchTreeInterpreter) {
     topt.engine = sched::Engine::Tree;
     sched::Executor tree(info.make(), topt);
     sched::ExecOptions vopt;
-    vopt.engine = sched::Engine::Vm;
+    vopt.engine = sched::Engine::Fused;
+    vopt.trace = sched::TraceMode::On;
     sched::Executor vm(info.make(), vopt);
 
     ASSERT_EQ(tree.engine(), sched::Engine::Tree);
-    ASSERT_EQ(vm.engine(), sched::Engine::Vm);
+    ASSERT_EQ(vm.engine(), sched::Engine::Fused);
 
     const auto tout = tree.run_steady(2);
     const auto vout = vm.run_steady(2);
@@ -160,7 +162,7 @@ TEST(VmDifferential, EvaluationAppFiltersCompile) {
   for (const std::string name : {"FIR", "Vocoder", "FMRadio", "FilterBank"}) {
     SCOPED_TRACE(name);
     sched::ExecOptions opt;
-    opt.engine = sched::Engine::Vm;
+    opt.engine = sched::Engine::Fused;
     sched::Executor ex(apps::make_app(name), opt);
     int compiled = 0, filters = 0;
     const auto& g = ex.graph();
@@ -718,7 +720,7 @@ TEST(VmDifferential, FallbackForUncompilableFilter) {
     return ir::make_pipeline("p", {src, fb.node(), snk});
   };
   sched::ExecOptions vopt;
-  vopt.engine = sched::Engine::Vm;
+  vopt.engine = sched::Engine::Fused;
   sched::Executor vm(make(), vopt);
   const auto& g = vm.graph();
   bool found = false;
@@ -780,9 +782,9 @@ TEST(VmDifferential, DebugChannelChecksUnderVm) {
 
 // ---- the fallback chain -----------------------------------------------------
 //
-// A filter the compiled engines refuse runs on the tree interpreter under
-// each of them: per actor on the VM engine, per actor once the fused trace
-// is refused, and on the threaded runtime's workers.  Each case pins the
+// A filter the compiled engine refuses runs on the tree interpreter: per
+// actor once the fused trace is refused, and on the threaded runtime's
+// workers.  Each case pins the
 // stable reason and holds the whole observable surface bit-equal to
 // Engine::Tree: outputs, filter state, per-actor OpCounts, channel counters
 // and sent messages.  (Engine::Fused refuses the whole trace for each of
@@ -867,7 +869,7 @@ void expect_same_observed(const Observed& want, const Observed& got,
   }
 }
 
-// Run `s -> f` under Engine::Vm, Engine::Fused and 4 fused threads: `f`
+// Run `s -> f` on the compiled engine, sequentially and on 4 threads: `f`
 // must run on the tree interpreter with `reason` in each, and everything
 // must match Engine::Tree.  `handler`, when set, is delivered to `f` between
 // the two batches (the threaded runtime has no handler entry point, so its
@@ -911,13 +913,9 @@ void expect_tree_fallback(const std::function<ir::NodeP()>& make_f,
     });
   };
   const Observed tree = run(sched::Engine::Tree, true);
-  for (const auto engine : {sched::Engine::Vm, sched::Engine::Fused}) {
-    const std::string what =
-        actor + (engine == sched::Engine::Vm ? " vm" : " fused");
-    const Observed got = run(engine, true);
-    EXPECT_EQ(got.status, reason) << what;
-    expect_same_observed(tree, got, what);
-  }
+  const Observed fused = run(sched::Engine::Fused, true);
+  EXPECT_EQ(fused.status, reason) << actor;
+  expect_same_observed(tree, fused, actor + " fused");
 
   std::vector<SentMessage> sent;
   sched::ExecOptions opts;

@@ -2,7 +2,7 @@
 // pipeline (src/opt), report what every pass did, and run the result.
 //
 //   streamc --app=NAME [-O0|-O1|-O2] [--passes=a,b,c] [--report]
-//           [--verify-each] [--dump-after=PASS] [--engine=vm|tree|fused]
+//           [--verify-each] [--dump-after=PASS] [--engine=tree|fused]
 //           [--threads=N] [--steady=N] [--cost=FILE] [--metrics=FILE]
 //           [--quiet]
 //   streamc --list
@@ -115,7 +115,7 @@ void usage(std::FILE* to) {
       to,
       "usage: streamc --app=NAME [-O0|-O1|-O2] [--passes=a,b,c] [--report]\n"
       "               [--verify-each] [--dump-after=PASS]\n"
-      "               [--engine=vm|tree|fused]\n"
+      "               [--engine=tree|fused]\n"
       "               [--threads=N] [--batch=N|auto] [--steady=N]\n"
       "               [--cost=FILE] [--metrics=FILE] [--quiet]\n"
       "       streamc --list\n"
@@ -142,7 +142,7 @@ struct Args {
   sit::opt::OptLevel level{sit::opt::OptLevel::Auto};
   std::string passes;
   std::string dump_after;
-  std::string engine;  // "", "vm", "tree", "fused"
+  std::string engine;  // "", "tree", "fused"
   int threads{0};      // 0 = SIT_THREADS
   int batch{0};        // 0 = SIT_BATCH, -1 = auto, >= 1 explicit
   int steady{16};
@@ -199,7 +199,7 @@ bool parse_args(int argc, char** argv, Args* a) {
     } else if (arg == "--engine") {
       if (!take()) return false;
       a->engine = lower(val);
-      if (a->engine != "vm" && a->engine != "tree" && a->engine != "fused") {
+      if (a->engine != "tree" && a->engine != "fused") {
         return false;
       }
     } else if (arg == "--threads") {
@@ -284,7 +284,6 @@ int main(int argc, char** argv) {
   if (args.verify_each) copts.pass.verify_each = sit::opt::VerifyMode::Each;
   copts.exec.threads = args.threads;
   copts.exec.batch = args.batch;
-  if (args.engine == "vm") copts.exec.engine = sit::sched::Engine::Vm;
   if (args.engine == "tree") copts.exec.engine = sit::sched::Engine::Tree;
   if (args.engine == "fused") copts.exec.engine = sit::sched::Engine::Fused;
   if (!args.dump_after.empty()) {

@@ -1,7 +1,7 @@
 // streamprof: run a built-in app under any engine and report where the time
 // goes.
 //
-//   streamprof --app=Vocoder [--engine=vm|tree|fused] [--threads=N]
+//   streamprof --app=Vocoder [--engine=tree|fused] [--threads=N]
 //              [--steady=N] [--trace=FILE] [--metrics=FILE]
 //              [--calibrate=FILE] [--quiet]
 //   streamprof --calibrate-all=FILE [--steady=N] [--quiet]
@@ -15,13 +15,10 @@
 // optionally writes a Chrome trace-event JSON (--trace, loadable in Perfetto
 // or chrome://tracing) and a metrics snapshot (--metrics).  Every emitted
 // trace is re-validated structurally before it is written; --validate runs
-// the same checker over an existing file, which is what CI uses.
-//
-// Exception: --engine=fused runs with tracing *off* -- the fused engine
-// refuses to build its whole-program trace under per-firing instrumentation
-// (there are no per-actor boundaries inside the trace), so a fused profile
-// reports the fused statics (superinstruction instances, eliminated
-// channels) instead of per-actor timing.
+// the same checker over an existing file, which is what CI uses.  The
+// engine defaults to SIT_ENGINE's (fused unless it says tree).  Tracing
+// refuses the whole-graph trace (tracing-enabled), so the fused engine is
+// profiled on its per-actor traces.
 //
 // --calibrate writes a CostProfile (obs/costprofile.h): per-actor measured
 // ns/firing joined with the static model's cycles/firing, the artifact
@@ -58,7 +55,7 @@ namespace {
 void usage(std::FILE* to) {
   std::fprintf(
       to,
-      "usage: streamprof --app=NAME [--engine=vm|tree|fused] [--threads=N]\n"
+      "usage: streamprof --app=NAME [--engine=tree|fused] [--threads=N]\n"
       "                  [--steady=N] [--trace=FILE] [--metrics=FILE]\n"
       "                  [--calibrate=FILE] [--quiet]\n"
       "       streamprof --calibrate-all=FILE [--steady=N] [--quiet]\n"
@@ -107,7 +104,7 @@ int validate_file(const std::string& path) {
 
 struct Args {
   std::string app;
-  std::string engine;   // "", "vm", "tree", "fused"
+  std::string engine;   // "", "tree", "fused"
   int threads{0};       // 0 = SIT_THREADS
   int steady{32};
   std::string trace_path;
@@ -145,7 +142,7 @@ bool parse_args(int argc, char** argv, Args* a) {
     } else if (arg == "--engine") {
       if (!take()) return false;
       a->engine = lower(val);
-      if (a->engine != "vm" && a->engine != "tree" && a->engine != "fused") {
+      if (a->engine != "tree" && a->engine != "fused") {
         return false;
       }
     } else if (arg == "--threads") {
@@ -216,15 +213,12 @@ std::map<std::string, double> static_model_map(const sit::runtime::FlatGraph& g)
 }
 
 // Run one app under the profiling configuration.  Tracing is forced on so
-// FiringStats capture per-actor wall time -- except under the fused engine,
-// whose whole-program trace refuses per-firing instrumentation.
+// FiringStats capture per-actor wall time.
 std::unique_ptr<sit::sched::ThreadedExecutor> run_app(
     const sit::apps::AppInfo& app, const Args& args) {
   sit::sched::ExecOptions opts;
-  opts.trace = args.engine == "fused" ? sit::sched::TraceMode::Off
-                                      : sit::sched::TraceMode::On;
+  opts.trace = sit::sched::TraceMode::On;
   opts.threads = args.threads;
-  if (args.engine == "vm") opts.engine = sit::sched::Engine::Vm;
   if (args.engine == "tree") opts.engine = sit::sched::Engine::Tree;
   if (args.engine == "fused") opts.engine = sit::sched::Engine::Fused;
 
@@ -308,14 +302,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (!args.validate_path.empty()) return validate_file(args.validate_path);
-  if (args.engine == "fused" &&
-      (!args.calibrate_path.empty() || !args.calibrate_all_path.empty())) {
-    std::fprintf(stderr,
-                 "streamprof: --calibrate needs per-actor timing, which the "
-                 "fused trace has no boundaries for; use --engine=vm or "
-                 "--engine=tree\n");
-    return 2;
-  }
   if (!args.calibrate_all_path.empty()) return calibrate_all(args);
   if (args.app.empty()) {
     usage(stderr);
@@ -368,12 +354,6 @@ int main(int argc, char** argv) {
   }
 
   if (!args.trace_path.empty()) {
-    if (args.engine == "fused") {
-      std::fprintf(stderr,
-                   "streamprof: --trace is unavailable under --engine=fused "
-                   "(the fused trace runs without per-firing events)\n");
-      return 1;
-    }
     const sit::obs::Recorder* rec = tex.recorder();
     if (rec == nullptr) {
       std::fprintf(stderr, "streamprof: tracing compiled out (SIT_OBS=OFF)\n");

@@ -3,7 +3,7 @@
 //
 // The PassManager owns the built-in passes (validate, analysis-gate,
 // verify, const-fold, linear-extract, linear-combine, frequency,
-// selective-fuse, fission, coarsen, fuse-steady, typeflow) and runs an
+// selective-fuse, fission, coarsen) and runs an
 // ordered list of them over a graph, recording per-pass wall time and graph
 // delta (leaf-actor count, flat edge count, modeled cost per item) into the
 // PassContext as obs::PassSnapshots.

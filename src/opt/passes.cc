@@ -11,14 +11,12 @@
 
 #include "analysis/analyze.h"
 #include "analysis/constprop.h"
-#include "analysis/typeflow.h"
 #include "analysis/verify.h"
 #include "ir/ast.h"
 #include "ir/validate.h"
 #include "linear/extract.h"
 #include "opt/pass_manager.h"
 #include "parallel/transforms.h"
-#include "sched/exec.h"
 
 namespace sit::opt {
 namespace {
@@ -266,109 +264,6 @@ class CoarsenPass final : public Pass {
   }
 };
 
-// ---- steady-state fusion ----------------------------------------------------
-
-// Report-only: builds the fused executor for the graph as it stands and
-// records what it built -- the refusal reason, or the superinstruction
-// selection and the eliminated-channel tally -- for streamc --report.  The
-// rewrite itself happens at executor construction (Engine::Fused), not on
-// the graph: the trace is an execution artifact, so the graph passes stay
-// engine-independent.
-class FuseSteadyPass final : public Pass {
- public:
-  const char* name() const override { return "fuse-steady"; }
-  const char* description() const override {
-    return "whole-program steady-state fusion admissibility + "
-           "superinstruction selection (reporting only; no rewrite)";
-  }
-  PassResult run(const NodeP& root, PassContext& ctx) override {
-    linear::RewriteRecord rec;
-    rec.pass = "fuse-steady";
-    rec.site = "steady-state";
-    try {
-      sched::CompiledProgram p;
-      p.graph = root;
-      p.flat = runtime::flatten(root);
-      p.schedule = sched::make_schedule(p.flat);
-      sched::ExecOptions o;
-      o.engine = sched::Engine::Fused;
-      o.trace = sched::TraceMode::Off;
-      const sched::Executor ex(std::move(p), o);
-      const runtime::FusedProgram* prog = ex.fused_program();
-      if (!prog) {
-        rec.note = ex.fused_refusal();
-        ctx.rewrites.push_back(std::move(rec));
-        return {root, false};
-      }
-      rec.applied = true;
-      rec.note = std::to_string(prog->eliminated_channels) +
-                 " channel(s) lowered, " + std::to_string(prog->code.size()) +
-                 " trace instruction(s), " + std::to_string(prog->runs.size()) +
-                 " firing run(s)";
-      ctx.rewrites.push_back(std::move(rec));
-      for (const auto& [sname, count] : prog->super) {
-        linear::RewriteRecord sr;
-        sr.pass = "fuse-steady";
-        sr.site = "super:" + sname;
-        sr.applied = true;
-        sr.note = std::to_string(count) + " instance(s)";
-        ctx.rewrites.push_back(std::move(sr));
-      }
-    } catch (const std::exception& e) {
-      rec.note = std::string("fusion analysis failed (") + e.what() + ")";
-      ctx.rewrites.push_back(std::move(rec));
-    }
-    return {root, false};
-  }
-};
-
-// ---- typed dataflow ---------------------------------------------------------
-
-// Report-only: runs the whole-graph typed-dataflow analysis
-// (analysis/typeflow.h) and records, per filter, whether the dual-plane
-// (unboxed double) specialization is provable -- and the stable refusal
-// reason when it is not -- plus the channel content-tag tally.  As with
-// fuse-steady, the rewrite itself happens at executor construction: the
-// typed register file is an execution artifact, so the graph passes stay
-// engine-independent.
-class TypeflowPass final : public Pass {
- public:
-  const char* name() const override { return "typeflow"; }
-  const char* description() const override {
-    return "static tag inference: per-actor register/state classes + channel "
-           "content tags (reporting only; no rewrite)";
-  }
-  PassResult run(const NodeP& root, PassContext& ctx) override {
-    linear::RewriteRecord rec;
-    rec.pass = "typeflow";
-    rec.site = "graph";
-    try {
-      const runtime::FlatGraph g = runtime::flatten(root);
-      const analysis::TypeflowResult tf = analysis::typeflow(g);
-      rec.applied = tf.typed_actors > 0;
-      rec.note = std::to_string(tf.typed_actors) + "/" +
-                 std::to_string(tf.candidates) + " filter(s) specialized, " +
-                 std::to_string(tf.typed_regs) + " double register(s), " +
-                 std::to_string(tf.typed_channels) + " double channel(s), " +
-                 std::to_string(tf.int_channels) + " int channel(s)";
-      ctx.rewrites.push_back(std::move(rec));
-      for (const auto& a : tf.actors) {
-        if (!a.is_filter) continue;
-        linear::RewriteRecord ar;
-        ar.pass = "typeflow";
-        ar.site = "actor:" + a.name;
-        ar.applied = a.specialized;
-        ar.note = a.specialized ? a.typed_summary() : a.refusal;
-        ctx.rewrites.push_back(std::move(ar));
-      }
-    } catch (const std::exception& e) {
-      rec.note = std::string("typeflow analysis failed (") + e.what() + ")";
-      ctx.rewrites.push_back(std::move(rec));
-    }
-    return {root, false};
-  }
-};
-
 }  // namespace
 
 namespace detail {
@@ -384,8 +279,6 @@ void register_builtins(PassManager& pm) {
   pm.register_pass(std::make_unique<SelectiveFusePass>());
   pm.register_pass(std::make_unique<FissionPass>());
   pm.register_pass(std::make_unique<CoarsenPass>());
-  pm.register_pass(std::make_unique<FuseSteadyPass>());
-  pm.register_pass(std::make_unique<TypeflowPass>());
 }
 
 }  // namespace detail

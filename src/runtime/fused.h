@@ -37,8 +37,8 @@
 //
 // Splitters/joiners are synthesized as explicit pop/push templates and
 // native filters as NativeFire calls through tape adapters, so any graph the
-// per-actor executor runs (modulo the admissibility rules in
-// analysis/fuse.h) can fuse.
+// per-actor executor runs (modulo the refusals below and the executor's
+// own, sched/exec.h fused_refusal) can fuse.
 //
 // Every filter is typed once: build_fused copies the per-actor typed
 // programs the executor already made (typed_compile), with their plane
@@ -205,7 +205,7 @@ struct FusedProgram {
   // Instructions on a generic handler (vm.h handler_generic).
   [[nodiscard]] std::int64_t generic_count() const;
   // Human-readable trace listing with superinstructions annotated
-  // (streamc --dump-after=fuse-steady).
+  // (streamc --dump-after).
   [[nodiscard]] std::string disassemble() const;
 };
 
@@ -213,8 +213,8 @@ using FusedProgramP = std::shared_ptr<const FusedProgram>;
 
 // Build the fused trace for one steady-state iteration.  `runs` is the
 // steady-state firing sequence (sched::Schedule::steady_runs); `carry`/
-// `traffic` are the per-edge sizing from analysis::fuse_plan (carry < 0
-// marks a boundary edge).  `typed[i]` is actor i's typed work program, or
+// `traffic` are the per-edge sizing from analysis::channel_bounds (its
+// post_init and traffic; carry < 0 marks a boundary edge).  `typed[i]` is actor i's typed work program, or
 // null with `why[i]` the reason compile_filter or typed_compile gave.
 // Returns nullptr with `reason` filled when some construct cannot be traced
 // -- among them the per-filter refusals above -- and the caller runs

@@ -14,7 +14,7 @@
 //     actor's one-actor trace, which the per-actor executor (sched/exec.h)
 //     fires one firing per fire_into and a whole run per fire_run (the
 //     threaded runtime's workers);
-//   * analysis::typeflow reports the kernel's shape.
+//   * streamc --report (sched/describe.h) reports the kernel's shape.
 // linear_firings (below) is the one kernel routine all of them use.
 //
 // Its contract with the expression form, which stays the semantics (the

@@ -5,7 +5,6 @@
 
 #include "analysis/analyze.h"
 #include "analysis/bounds_chan.h"
-#include "analysis/fuse.h"
 #include "analysis/typeflow.h"
 #include "runtime/compile.h"
 #include "sched/envopts.h"
@@ -137,13 +136,18 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph)
     } else if (!typed_on_) {
       fused_refusal_ = "typed-off";  // no typed programs to fuse
     } else {
-      const analysis::FusePlan plan = analysis::fuse_plan(g_, sched_);
-      if (!plan.admissible) {
-        fused_refusal_ = plan.refusal;
-      } else {
-        fprog_ = runtime::build_fused(g_, sched_.steady_runs, plan.carry,
-                                      plan.traffic, typed_, typed_refusal_,
-                                      &fused_refusal_);
+      // The trace buffers' sizes: the post-init level carried across
+      // iterations and each edge's per-iteration traffic.
+      analysis::ChannelBounds bounds;
+      try {
+        bounds = analysis::channel_bounds(g_, sched_);
+      } catch (const std::exception& e) {
+        fused_refusal_ = std::string("bounds-unavailable (") + e.what() + ")";
+      }
+      if (fused_refusal_.empty()) {
+        fprog_ = runtime::build_fused(g_, sched_.steady_runs,
+                                      bounds.post_init, bounds.traffic,
+                                      typed_, typed_refusal_, &fused_refusal_);
         if (fprog_) {
           fused_refusal_.clear();
           tfexec_ = std::make_unique<runtime::TypedFusedExec>(

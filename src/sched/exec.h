@@ -189,8 +189,14 @@ class Executor {
   // Whole-graph trace introspection.  fused_program() is the
   // whole-iteration typed trace run_steady executes, or null when there is
   // none: on the tree engine, under the threaded runtime, or when fusion
-  // was refused -- in which case fused_refusal() carries the stable reason
-  // (analysis/fuse.h) and steady states run per-actor instead.
+  // was refused -- in which case fused_refusal() carries the stable
+  // kebab-case reason and steady states run per-actor instead.  The
+  // executor's own reasons are message-sink-attached and tracing-enabled
+  // (observers that want per-firing granularity), typed-off (no typed
+  // programs to build the trace from) and bounds-unavailable (<why>) (the
+  // static channel bounds could not size the trace buffers); build_fused
+  // adds the per-filter ones (runtime/fused.h).  sched/describe.h renders
+  // all of it for streamc --report.
   [[nodiscard]] const runtime::FusedProgram* fused_program() const {
     return fprog_ ? fprog_.get() : nullptr;
   }
@@ -210,6 +216,9 @@ class Executor {
     return *chans_[static_cast<std::size_t>(edge_id)];
   }
   runtime::FilterState& filter_state(int actor) {
+    return fstate_[static_cast<std::size_t>(actor)];
+  }
+  [[nodiscard]] const runtime::FilterState& filter_state(int actor) const {
     return fstate_[static_cast<std::size_t>(actor)];
   }
 

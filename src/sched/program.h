@@ -29,13 +29,14 @@ namespace sit::sched {
 // engine, lowers each filter's work function to typed bytecode once and
 // runs one whole steady-state iteration as a single flat trace with
 // superinstructions (runtime/fused.h) when the program is admissible
-// (analysis/fuse.h).  Otherwise -- and under the threaded runtime, tracing
-// or a message sink -- it fires actor by actor, each typed filter through
-// its one-actor trace; a filter outside the bytecode subset or refused by
-// the typed lowering runs on the tree interpreter.  Tree forces the tree
-// interpreter everywhere.  Auto resolves from the SIT_ENGINE environment
-// variable ("tree" or "fused"), defaulting to Fused -- which lets CI run
-// the whole test suite under either engine without code changes.
+// (Executor::fused_refusal names why not).  Otherwise -- and under the
+// threaded runtime, tracing or a message sink -- it fires actor by actor,
+// each typed filter through its one-actor trace; a filter outside the
+// bytecode subset or refused by the typed lowering runs on the tree
+// interpreter.  Tree forces the tree interpreter everywhere.  Auto
+// resolves from the SIT_ENGINE environment variable ("tree" or "fused"),
+// defaulting to Fused -- which lets CI run the whole test suite under
+// either engine without code changes.
 enum class Engine { Auto, Tree, Fused };
 
 struct CompiledProgram {

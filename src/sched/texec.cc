@@ -1038,8 +1038,13 @@ std::vector<double> ThreadedExecutor::take_output() {
 obs::MetricsSnapshot ThreadedExecutor::metrics_snapshot() const {
   obs::MetricsSnapshot m = exec_->metrics_snapshot();
   if (!report_.threaded) {
+    // The threaded runtime's reason leads; the embedded executor's
+    // whole-graph trace refusal, if any, follows it.
     m.fallback = sched::to_string(report_.fallback);
-    m.fallback_detail = report_.fallback_reason;
+    const std::string& refused = exec_->fused_refusal();
+    m.fallback_detail =
+        report_.fallback_reason +
+        (refused.empty() ? "" : "; whole-graph trace refused: " + refused);
     return m;
   }
 

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "analysis/bounds_chan.h"
-#include "analysis/fuse.h"
 #include "apps/apps.h"
 #include "ir/dsl.h"
 #include "linear/linear_rep.h"

@@ -372,6 +372,24 @@ TEST(TexecReport, EngineIsTheOneDrivingTheWorkers) {
   }
 }
 
+// A sequential fallback keeps the threaded runtime's reason and appends why
+// its embedded executor runs no whole-graph trace.
+TEST(TexecReport, OneThreadDetailNamesTheTraceRefusal) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  sched::ExecOptions topt;
+  topt.threads = 1;
+  topt.engine = sched::Engine::Fused;
+  topt.trace = sched::TraceMode::On;
+  sched::ThreadedExecutor tex(apps::make_app("FIR"), topt);
+  tex.run_steady(2);
+  const obs::MetricsSnapshot m = tex.metrics_snapshot();
+  EXPECT_EQ(m.fallback, "one-thread");
+  EXPECT_NE(m.fallback_detail.find("one thread requested"), std::string::npos)
+      << m.fallback_detail;
+  EXPECT_NE(m.fallback_detail.find("tracing-enabled"), std::string::npos)
+      << m.fallback_detail;
+}
+
 // A threaded snapshot starts from its embedded executor's: every per-actor
 // and per-edge field the threaded runtime does not own must read exactly as
 // a sequential executor's after the same steady states.

@@ -14,13 +14,13 @@
 #include <string>
 #include <vector>
 
-#include "analysis/typeflow.h"
 #include "apps/apps.h"
 #include "ir/dsl.h"
 #include "opt/compile.h"
 #include "runtime/compile.h"
 #include "runtime/eval_ops.h"
 #include "runtime/typed.h"
+#include "sched/describe.h"
 #include "sched/exec.h"
 #include "sched/texec.h"
 
@@ -270,43 +270,49 @@ TEST(TypedSpecialize, TypedOffDisablesBothLayers) {
   }
 }
 
-TEST(TypedSpecialize, WholeGraphAnalysisMatchesExecutorOnFir) {
+// The report streamc --report prints (sched/describe.h) reads the
+// executor's own typed programs, refusals and channel content tags.
+TEST(TypedSpecialize, ReportRendersTheExecutorsTypedProgramsOnFir) {
   auto ex = make_exec(apps::make_app("FIR"), sched::Engine::Fused,
                       sched::TypedMode::On);
-  const analysis::TypeflowResult tf = analysis::typeflow(ex.graph());
-  EXPECT_EQ(tf.candidates, 3);
-  EXPECT_EQ(tf.typed_actors, 3);
-  EXPECT_GT(tf.typed_regs, 0);
-  ASSERT_EQ(tf.edge_content.size(), ex.graph().edges.size());
-  EXPECT_EQ(tf.typed_channels, static_cast<int>(tf.edge_content.size()));
-  EXPECT_EQ(tf.int_channels, 0);
-  const std::string table = tf.describe(ex.graph());
-  EXPECT_NE(table.find("3/3 filter(s) specialized"), std::string::npos)
-      << table;
+  const std::string report = sched::describe_compiled(ex);
+  EXPECT_NE(report.find("typeflow: 3/3 filter(s) specialized, "),
+            std::string::npos)
+      << report;
+  // Every FIR channel carries doubles.
+  EXPECT_NE(report.find(", 0 int-content channel(s)\n"), std::string::npos)
+      << report;
+  EXPECT_EQ(report.find(": int\n"), std::string::npos) << report;
+  EXPECT_NE(report.find("  admissible: 2 channel(s) lowered to trace buffers"),
+            std::string::npos)
+      << report;
 }
 
-// A filter the fused trace runs as a coefficient kernel reports the kernel's
-// shape instead of the registers it no longer needs there.
+// A filter whose one-actor trace is a coefficient kernel reports the
+// kernel's shape instead of the registers it no longer needs there.
 TEST(TypedSpecialize, LinearKernelActorsReportTheirKernel) {
   opt::CompileOptions copts;
   copts.level = opt::OptLevel::O2;
-  const sched::CompiledProgram prog =
-      opt::compile(apps::make_app("TargetDetect"), copts);
-  const analysis::TypeflowResult tf = analysis::typeflow(prog.flat);
+  sched::ExecOptions opts;
+  opts.engine = sched::Engine::Fused;
+  opts.trace = sched::TraceMode::Off;
+  const sched::Executor ex(opt::compile(apps::make_app("TargetDetect"), copts),
+                           opts);
+  const std::string report = sched::describe_compiled(ex);
   int kernels = 0;
-  for (const analysis::ActorTypeflow& a : tf.actors) {
-    if (!a.kernel.empty()) ++kernels;
-    if (a.name == "mf0_lin") {
-      EXPECT_EQ(a.typed_summary(), "linear-kernel (1x32, 31 nnz), push double");
-    }
-    if (a.name == "src") {
-      EXPECT_TRUE(a.kernel.empty());
-    }
+  for (std::size_t at = report.find(": typed (linear-kernel (");
+       at != std::string::npos;
+       at = report.find(": typed (linear-kernel (", at + 1)) {
+    ++kernels;
   }
-  EXPECT_EQ(kernels, 4);
-  EXPECT_NE(tf.describe(prog.flat).find(
-                "mf0_lin: typed (linear-kernel (1x32, 31 nnz), push double)"),
-            std::string::npos);
+  EXPECT_EQ(kernels, 4) << report;
+  EXPECT_NE(report.find(
+                "  mf0_lin: typed (linear-kernel (1x32, 31 nnz), push double)"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("  src: typed (2 double reg(s), push double)"),
+            std::string::npos)
+      << report;
 }
 
 // ---- refusal taxonomy -------------------------------------------------------
@@ -366,6 +372,24 @@ TEST(TypedRefusal, MixedStateRefusesNamingTheSlot) {
   ASSERT_GE(a, 0);
   EXPECT_FALSE(ex.actor_uses_vm(a));
   EXPECT_EQ(ex.typed_refusal(a), "mixed-state:acc");
+}
+
+// The report names an actor the executor runs on the tree with its
+// refusal, and its state as bound after init.
+TEST(TypedRefusal, ReportShowsATreeRunActorWithItsState) {
+  auto ex = make_exec(
+      make_pipeline("p", {tiny_src("s"), mixed_state_filter("mixs")}),
+      sched::Engine::Fused, sched::TypedMode::On);
+  const std::string report = sched::describe_compiled(ex);
+  EXPECT_NE(report.find("  refused: mixed-state:mixs.acc\n"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("typeflow: 1/2 filter(s) specialized, "),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("  mixs: tree (mixed-state:acc)\n    state: acc:int\n"),
+            std::string::npos)
+      << report;
 }
 
 TEST(TypedRefusal, FusedTraceRefusalQualifiesTheActor) {

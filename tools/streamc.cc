@@ -11,14 +11,18 @@
 // -O levels select the preset pipelines (see opt/pass_manager.h); --passes
 // overrides them with an explicit comma-separated spec (validate and
 // analysis-gate are prepended if missing).  --report prints the per-pass
-// table (wall time, actor/edge counts before -> after, modeled cost delta)
-// plus every per-candidate optimization decision.  --verify-each runs the
+// table (wall time, actor/edge counts before -> after, modeled cost delta),
+// every per-candidate optimization decision, and what the compiled engine
+// built for the result (sched/describe.h), read off one Executor made from
+// the artifact: the whole-graph trace or its refusal, and each filter's
+// typed or tree status.  --verify-each runs the
 // semantic verifier (analysis/verify.h) after every pass; a failure names
 // the offending pass (equivalent to SIT_VERIFY=each).  --cost loads a
 // CostProfile (streamprof --calibrate output; equivalent to SIT_COST=FILE)
 // so partitioning and selection run on measured actor weights and --report
 // gains the measured/divergence columns.  --dump-after prints
-// the graph as it stands after the named pass.  The compiled artifact then
+// the graph as it stands after the named pass, then the disassembly of the
+// whole-graph trace that graph compiles to.  The compiled artifact then
 // runs through ThreadedExecutor (one thread = embedded sequential executor),
 // so the same driver exercises every engine/thread combination.
 
@@ -32,81 +36,36 @@
 #include <vector>
 
 #include "apps/apps.h"
-#include "analysis/typeflow.h"
 #include "obs/costmodel.h"
 #include "opt/compile.h"
+#include "sched/describe.h"
 #include "sched/texec.h"
 
 namespace {
 
-// The fused-engine executor for a (mid-pipeline) graph, as the fuse-steady
-// pass builds it: the reports show the trace run_steady would run.
-sit::sched::Executor fused_executor(const sit::ir::NodeP& g) {
-  sit::sched::CompiledProgram p;
-  p.graph = g;
-  p.flat = sit::runtime::flatten(g);
-  p.schedule = sit::sched::make_schedule(p.flat);
+// An executor on the compiled engine with tracing off (tracing refuses the
+// whole-graph trace): what --report and --dump-after read.
+sit::sched::Executor fused_executor(sit::sched::CompiledProgram p) {
   sit::sched::ExecOptions o;
   o.engine = sit::sched::Engine::Fused;
   o.trace = sit::sched::TraceMode::Off;
   return sit::sched::Executor(std::move(p), o);
 }
 
-// Render the fused steady-state trace for a graph, or explain why it does
-// not fuse.  Used by --dump-after=fuse-steady.
+// The whole-graph trace a (mid-pipeline) graph compiles to, or why it does
+// not fuse.  Used by --dump-after.
 std::string fused_trace_dump(const sit::ir::NodeP& g) {
   try {
-    const sit::sched::Executor ex = fused_executor(g);
+    sit::sched::CompiledProgram p;
+    p.graph = g;
+    p.flat = sit::runtime::flatten(g);
+    p.schedule = sit::sched::make_schedule(p.flat);
+    const sit::sched::Executor ex = fused_executor(std::move(p));
     const sit::runtime::FusedProgram* prog = ex.fused_program();
     if (!prog) return "refused: " + ex.fused_refusal() + "\n";
     return prog->disassemble();
   } catch (const std::exception& e) {
     return std::string("unavailable: ") + e.what() + "\n";
-  }
-}
-
-// The --report fusion section: the eliminated-channel tally, the decode
-// census, superinstruction statics, or the stable refusal reason.
-std::string fused_report(const sit::sched::CompiledProgram& prog) {
-  std::string out = "fuse-steady:\n";
-  const sit::sched::Executor ex = fused_executor(prog.graph);
-  const sit::runtime::FusedProgram* fp = ex.fused_program();
-  if (!fp) return out + "  refused: " + ex.fused_refusal() + "\n";
-  out += "  admissible: " + std::to_string(fp->eliminated_channels) +
-         " channel(s) lowered to trace buffers, " +
-         std::to_string(fp->code.size()) + " trace instruction(s), " +
-         std::to_string(fp->runs.size()) + " firing run(s)\n";
-  // The decode census: how many trace instructions run on a generic
-  // handler (sit::runtime::Handler), and which.
-  out += "  dispatch: " + std::to_string(fp->generic_count()) + " of " +
-         std::to_string(fp->code.size()) +
-         " instruction(s) on a generic handler";
-  std::string generic;
-  for (const auto& [h, n] : fp->dispatch) {
-    if (!sit::runtime::handler_generic(h)) continue;
-    generic += std::string(generic.empty() ? " (" : ", ") +
-               sit::runtime::handler_name(h) + " " + std::to_string(n);
-  }
-  out += generic + (generic.empty() ? "\n" : ")\n");
-  if (fp->super.empty()) {
-    out += "  superinstructions: none selected\n";
-  } else {
-    for (const auto& [name, n] : fp->super) {
-      out += "  super " + name + ": " + std::to_string(n) + " instance(s)\n";
-    }
-  }
-  return out;
-}
-
-// The --report typed-dataflow section: per-actor inferred-type tables,
-// specialization status (or the stable refusal reason), and per-edge content
-// tags (analysis/typeflow.h).
-std::string typeflow_report(const sit::sched::CompiledProgram& prog) {
-  try {
-    const sit::analysis::TypeflowResult tf = sit::analysis::typeflow(prog.flat);
-    return tf.describe(prog.flat);
-  } catch (const std::exception& e) {
-    return std::string("typeflow: unavailable (") + e.what() + ")\n";
   }
 }
 
@@ -292,12 +251,8 @@ int main(int argc, char** argv) {
       if (snap.name == args.dump_after) {
         std::printf("--- graph after %s ---\n%s", snap.name.c_str(),
                     sit::ir::describe(g).c_str());
-        // The fuse-steady pass's artifact is the trace, not a graph rewrite:
-        // dump the flat bytecode with superinstructions annotated.
-        if (snap.name == "fuse-steady") {
-          std::printf("--- fused steady-state trace ---\n%s",
-                      fused_trace_dump(g).c_str());
-        }
+        std::printf("--- fused steady-state trace ---\n%s",
+                    fused_trace_dump(g).c_str());
       }
     };
   }
@@ -313,9 +268,9 @@ int main(int argc, char** argv) {
   }
 
   if (args.report) {
-    std::printf("%s\n%s%s%s", app->name.c_str(),
+    std::printf("%s\n%s%s", app->name.c_str(),
                 sit::opt::pass_report(prog, &ctx.rewrites).c_str(),
-                fused_report(prog).c_str(), typeflow_report(prog).c_str());
+                sit::sched::describe_compiled(fused_executor(prog)).c_str());
   }
 
   sit::sched::ThreadedExecutor tex(std::move(prog), copts.exec);

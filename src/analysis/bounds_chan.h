@@ -7,10 +7,11 @@
 //
 //   * in_order[e] -- peak occupancy when firings are data-driven in the
 //     global topological order (the sequential executors, and the threaded
-//     runtime's init + calibration epochs).  Computed by static simulation
-//     of the init epoch plus two steady states, mirroring the executors'
-//     run_epoch loop firing for firing, so on in-order runs the observed
-//     high-water mark matches this bound exactly.
+//     runtime's init + calibration epochs).  This is the scheduler's own
+//     sweep, sched::Schedule::buffer_bound: the init epoch plus two steady
+//     states simulated firing for firing as the executors' run_epoch loop
+//     fires them, so on in-order runs the observed high-water mark matches
+//     this bound exactly.
 //
 //   * steady-state single-appearance peak -- each actor fires its full
 //     repetition count at once, in topo order (one worker iteration of the
@@ -36,7 +37,7 @@
 //
 // Deadlock-freedom is the precondition for all of this: the bounds are
 // finite iff the balance equations solve and init + steady scheduling
-// succeed, which make_schedule / analysis::verify_flat establish.  The
+// succeed, which make_schedule establishes (it throws otherwise).  The
 // single_appearance flag reports whether the steady state additionally
 // admits the threaded runtime's one-appearance schedule (e.g. a tight
 // feedback loop whose delay cannot cover a whole iteration does not); when

@@ -1,247 +1,14 @@
 #include "analysis/graph_checks.h"
 
-#include <numeric>
 #include <stdexcept>
-#include <string>
-#include <vector>
 
 #include "runtime/flatgraph.h"
-#include "sched/rational.h"
+#include "sched/schedule.h"
 
 namespace sit::analysis {
 
-using runtime::FlatActor;
-using runtime::FlatEdge;
-using runtime::FlatGraph;
-using sched::Rat;
-
-namespace {
-
-std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
-}
-
-std::int64_t out_rate(const FlatGraph& g, const FlatEdge& e) {
-  if (e.src < 0) return 0;
-  return g.actors[static_cast<std::size_t>(e.src)]
-      .out_rate[static_cast<std::size_t>(e.src_port)];
-}
-
-std::int64_t in_rate(const FlatGraph& g, const FlatEdge& e) {
-  if (e.dst < 0) return 0;
-  return g.actors[static_cast<std::size_t>(e.dst)]
-      .in_rate[static_cast<std::size_t>(e.dst_port)];
-}
-
-std::int64_t peek_extra(const FlatGraph& g, const FlatEdge& e) {
-  if (e.dst < 0) return 0;
-  const FlatActor& a = g.actors[static_cast<std::size_t>(e.dst)];
-  return a.is_filter() ? a.peek_extra : 0;
-}
-
-// Balance-equation propagation (mirrors sched's solve_balance, reporting
-// instead of throwing).  Returns the repetition vector, or empty on error.
-std::vector<std::int64_t> solve_rates(const FlatGraph& g,
-                                      std::vector<Diagnostic>& out) {
-  const std::size_t n = g.actors.size();
-  std::vector<Rat> r(n, Rat(0));
-  std::vector<bool> seen(n, false);
-
-  for (std::size_t start = 0; start < n; ++start) {
-    if (seen[start]) continue;
-    seen[start] = true;
-    r[start] = Rat(1);
-    std::vector<std::size_t> stack{start};
-    while (!stack.empty()) {
-      const std::size_t a = stack.back();
-      stack.pop_back();
-      for (const auto& e : g.edges) {
-        if (e.src < 0 || e.dst < 0) continue;
-        const auto su = static_cast<std::size_t>(e.src);
-        const auto sv = static_cast<std::size_t>(e.dst);
-        if (su != a && sv != a) continue;
-        const std::int64_t o = out_rate(g, e);
-        const std::int64_t i = in_rate(g, e);
-        if (o == 0 && i == 0) continue;
-        if (o == 0 || i == 0) {
-          out.push_back(error(
-              "rates", g.actors[su].name + " -> " + g.actors[sv].name,
-              "zero-rate endpoint on a channel that carries data",
-              "producer rate " + std::to_string(o) + ", consumer rate " +
-                  std::to_string(i)));
-          return {};
-        }
-        const std::size_t other = (su == a) ? sv : su;
-        const Rat want = (su == a) ? r[a] * Rat(o, i) : r[a] * Rat(i, o);
-        if (!seen[other]) {
-          seen[other] = true;
-          r[other] = want;
-          stack.push_back(other);
-        } else if (r[other] != want) {
-          out.push_back(error(
-              "rates", g.actors[other].name,
-              "inconsistent rates: no steady-state schedule exists",
-              "balance equations require " + g.actors[other].name +
-                  " to fire at two different relative rates"));
-          return {};
-        }
-      }
-    }
-  }
-
-  std::int64_t l = 1;
-  for (const auto& x : r) l = std::lcm(l, x.den());
-  std::vector<std::int64_t> reps(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    reps[i] = r[i].num() * (l / r[i].den());
-    if (reps[i] <= 0) {
-      out.push_back(error("rates", g.actors[i].name,
-                          "non-positive repetition count",
-                          "actor is disconnected from all data flow"));
-      return {};
-    }
-  }
-  return reps;
-}
-
-// Init-epoch relaxation (mirrors sched's init loop).  Non-convergence means
-// a feedback loop's initial items cannot cover the init demand: each trip
-// around the cycle asks the producer for more firings, forever.  On success
-// returns the per-actor init firing counts (for the steady-state check).
-std::vector<std::int64_t> check_init_liveness(const FlatGraph& g,
-                                              std::vector<Diagnostic>& out) {
-  const std::size_t n = g.actors.size();
-  std::vector<std::int64_t> fires(n, 0);
-  bool changed = true;
-  std::int64_t rounds = 0;
-  const std::int64_t cap = static_cast<std::int64_t>(n) * 64 + 1024;
-  while (changed) {
-    changed = false;
-    if (++rounds > cap) {
-      // Name the back edges: they are where the missing slack lives.
-      std::string edges;
-      for (const auto& e : g.edges) {
-        if (!e.back_edge) continue;
-        if (!edges.empty()) edges += ", ";
-        edges += g.actors[static_cast<std::size_t>(e.src)].name + " -> " +
-                 g.actors[static_cast<std::size_t>(e.dst)].name + " (" +
-                 std::to_string(e.initial_items.size()) + " initial items)";
-      }
-      out.push_back(error(
-          "rates", "<init schedule>",
-          "initialization does not converge: feedback delay is too small "
-          "for the loop's init demand",
-          edges.empty() ? "no back edges found (pathological graph)"
-                        : "back edges: " + edges));
-      return {};
-    }
-    for (const auto& e : g.edges) {
-      if (e.dst < 0) continue;
-      const std::int64_t need =
-          fires[static_cast<std::size_t>(e.dst)] * in_rate(g, e) +
-          peek_extra(g, e) - static_cast<std::int64_t>(e.initial_items.size());
-      if (need <= 0 || e.src < 0) continue;
-      const std::int64_t o = out_rate(g, e);
-      if (o == 0) {
-        out.push_back(error(
-            "rates", g.actors[static_cast<std::size_t>(e.src)].name,
-            "must provide initialization items but produces none",
-            "downstream actor '" +
-                g.actors[static_cast<std::size_t>(e.dst)].name +
-                "' needs " + std::to_string(need) + " item(s) before its "
-                "first firing"));
-        return {};
-      }
-      const std::int64_t want = ceil_div(need, o);
-      auto& f = fires[static_cast<std::size_t>(e.src)];
-      if (want > f) {
-        f = want;
-        changed = true;
-      }
-    }
-  }
-  return fires;
-}
-
-// Steady-epoch admissibility: starting from the post-init channel marking,
-// fire actors data-driven until every one has completed its repetition
-// count.  If the schedule gets stuck the graph deadlocks at runtime --
-// classically, a feedback loop whose `delay` enqueues fewer items than the
-// cycle consumes per epoch.  Completing one epoch restores the marking, so
-// one epoch of progress proves every epoch runs.
-void check_steady_liveness(const FlatGraph& g,
-                           const std::vector<std::int64_t>& reps,
-                           const std::vector<std::int64_t>& init_fires,
-                           std::vector<Diagnostic>& out) {
-  const std::size_t n = g.actors.size();
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) total += reps[i];
-  if (total > (1 << 20)) return;  // pathological blow-up: skip the simulation
-
-  // Channel marking after the init epoch (back-edge initial items plus the
-  // init firings that pre-fill peek windows).
-  std::vector<std::int64_t> tok(g.edges.size(), 0);
-  for (std::size_t i = 0; i < g.edges.size(); ++i) {
-    const FlatEdge& e = g.edges[i];
-    tok[i] = static_cast<std::int64_t>(e.initial_items.size());
-    if (e.src >= 0) tok[i] += init_fires[static_cast<std::size_t>(e.src)] * out_rate(g, e);
-    if (e.dst >= 0) tok[i] -= init_fires[static_cast<std::size_t>(e.dst)] * in_rate(g, e);
-  }
-
-  std::vector<std::int64_t> remaining = reps;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::size_t a = 0; a < n; ++a) {
-      while (remaining[a] > 0) {
-        bool ready = true;
-        for (std::size_t i = 0; i < g.edges.size(); ++i) {
-          const FlatEdge& e = g.edges[i];
-          if (e.dst != static_cast<int>(a) || e.src < 0) continue;
-          if (tok[i] < in_rate(g, e) + peek_extra(g, e)) {
-            ready = false;
-            break;
-          }
-        }
-        if (!ready) break;
-        for (std::size_t i = 0; i < g.edges.size(); ++i) {
-          const FlatEdge& e = g.edges[i];
-          if (e.dst == static_cast<int>(a)) tok[i] -= in_rate(g, e);
-          if (e.src == static_cast<int>(a)) tok[i] += out_rate(g, e);
-        }
-        --remaining[a];
-        progress = true;
-      }
-    }
-  }
-
-  std::string stuck;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (remaining[i] <= 0) continue;
-    if (!stuck.empty()) stuck += ", ";
-    stuck += g.actors[i].name;
-  }
-  if (stuck.empty()) return;
-  std::string edges;
-  for (const auto& e : g.edges) {
-    if (!e.back_edge) continue;
-    if (!edges.empty()) edges += ", ";
-    edges += g.actors[static_cast<std::size_t>(e.src)].name + " -> " +
-             g.actors[static_cast<std::size_t>(e.dst)].name + " (" +
-             std::to_string(e.initial_items.size()) + " initial items)";
-  }
-  out.push_back(error(
-      "rates", "<steady schedule>",
-      "steady state deadlocks: feedback delay enqueues fewer items than the "
-      "loop consumes per epoch",
-      "stuck actors: " + stuck +
-          (edges.empty() ? "" : "; back edges: " + edges)));
-}
-
-}  // namespace
-
 void check_graph(const ir::NodeP& root, std::vector<Diagnostic>& out) {
-  FlatGraph g;
+  runtime::FlatGraph g;
   try {
     g = runtime::flatten(root);
   } catch (const std::exception& ex) {
@@ -249,12 +16,11 @@ void check_graph(const ir::NodeP& root, std::vector<Diagnostic>& out) {
                         "graph does not flatten", ex.what()));
     return;
   }
-  const std::size_t before = out.size();
-  const std::vector<std::int64_t> reps = solve_rates(g, out);
-  if (out.size() != before) return;  // rates unsolvable: liveness is moot
-  const std::vector<std::int64_t> init_fires = check_init_liveness(g, out);
-  if (out.size() != before) return;
-  check_steady_liveness(g, reps, init_fires, out);
+  try {
+    (void)sched::make_schedule(g);
+  } catch (const sched::ScheduleError& e) {
+    out.push_back(error("rates", e.where, e.message, e.detail));
+  }
 }
 
 }  // namespace sit::analysis

@@ -1,30 +1,24 @@
 #pragma once
 // Graph-level consistency checks (pass 4).
 //
-// Three whole-program properties on the flattened actor graph:
+// Three whole-program properties on the flattened actor graph, all decided
+// by the scheduler itself (sched::make_schedule), whose ScheduleError is
+// reported as a Diagnostic:
 //
 //  * Steady-state solvability: the SDF balance equations
 //    reps[src] * out_rate == reps[dst] * in_rate must admit a positive
-//    integer solution.  Solved exactly with sched/rational.h (header-only,
-//    so no dependency cycle with the scheduler library, which links this
-//    one).
+//    integer solution.
 //
 //  * Feedback-loop liveness: the initialization epoch must terminate -- the
 //    items enqueued on each back edge (the loop's `delay` / initPath) must
 //    cover the peeking demand downstream, otherwise the init firing-count
-//    relaxation grows without bound around the cycle.  Detected exactly the
-//    way sched::make_schedule would fail, but reported as a Diagnostic
-//    naming the under-provisioned edge instead of a thrown string.
+//    relaxation grows without bound around the cycle.  The diagnostic names
+//    every back edge with its initial items.
 //
-//  * Steady-state liveness: one steady epoch must complete from the
-//    post-init channel marking.  A balanced loop can still deadlock when its
-//    `delay` enqueues fewer items than the cycle consumes per epoch; the
-//    runtime only discovers that mid-execution, so it is simulated here
-//    (data-driven firing until every actor reaches its repetition count).
-//
-// The checks deliberately mirror (not call) the scheduler: sit_sched links
-// sit_analysis so its Executor can run the full suite up front, hence this
-// code may only use headers from sched/.
+//  * Steady-state liveness: a steady epoch must complete from the post-init
+//    channel levels.  A balanced loop can still deadlock when its `delay`
+//    enqueues fewer items than the cycle consumes per epoch; the diagnostic
+//    names the stuck actors and the back edges.
 
 #include <vector>
 
@@ -33,10 +27,10 @@
 
 namespace sit::analysis {
 
-// Flattens `root` and checks rate solvability + feedback liveness.  Appends
-// diagnostics (pass name "rates").  Assumes the program already passed the
-// structural checks of ir::check -- malformed graphs that fail to flatten
-// produce a single generic error.
+// Flattens `root` and schedules it.  Appends diagnostics (pass name
+// "rates").  Assumes the program already passed the structural checks of
+// ir::check -- malformed graphs that fail to flatten produce a single
+// generic error.
 void check_graph(const ir::NodeP& root, std::vector<Diagnostic>& out);
 
 }  // namespace sit::analysis

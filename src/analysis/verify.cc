@@ -5,14 +5,13 @@
 #include <string>
 #include <vector>
 
-#include "sched/rational.h"
+#include "sched/schedule.h"
 
 namespace sit::analysis {
 
 using runtime::FlatActor;
 using runtime::FlatEdge;
 using runtime::FlatGraph;
-using sched::Rat;
 
 namespace {
 
@@ -22,28 +21,6 @@ Diagnostic verr(const char* code, std::string where, std::string message,
                        std::move(detail));
   d.code = code;
   return d;
-}
-
-std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
-}
-
-std::int64_t out_rate(const FlatGraph& g, const FlatEdge& e) {
-  if (e.src < 0) return 0;
-  return g.actors[static_cast<std::size_t>(e.src)]
-      .out_rate[static_cast<std::size_t>(e.src_port)];
-}
-
-std::int64_t in_rate(const FlatGraph& g, const FlatEdge& e) {
-  if (e.dst < 0) return 0;
-  return g.actors[static_cast<std::size_t>(e.dst)]
-      .in_rate[static_cast<std::size_t>(e.dst_port)];
-}
-
-std::int64_t peek_extra(const FlatGraph& g, const FlatEdge& e) {
-  if (e.dst < 0) return 0;
-  const FlatActor& a = g.actors[static_cast<std::size_t>(e.dst)];
-  return a.is_filter() ? a.peek_extra : 0;
 }
 
 // ---- V-STRUCT: flat-graph well-formedness -----------------------------------
@@ -226,71 +203,6 @@ void check_splitjoins(const FlatGraph& g, std::vector<Diagnostic>& out) {
   }
 }
 
-// ---- V-RATES: balance equations ---------------------------------------------
-
-// Propagates relative firing rates over the rationals (the same algorithm as
-// sched's solve_balance); reports instead of throwing.  Empty on error.
-std::vector<std::int64_t> check_rates(const FlatGraph& g,
-                                      std::vector<Diagnostic>& out) {
-  const std::size_t n = g.actors.size();
-  std::vector<Rat> r(n, Rat(0));
-  std::vector<bool> seen(n, false);
-  for (std::size_t start = 0; start < n; ++start) {
-    if (seen[start]) continue;
-    seen[start] = true;
-    r[start] = Rat(1);
-    std::vector<std::size_t> stack{start};
-    while (!stack.empty()) {
-      const std::size_t a = stack.back();
-      stack.pop_back();
-      for (const FlatEdge& e : g.edges) {
-        if (e.src < 0 || e.dst < 0) continue;
-        const auto su = static_cast<std::size_t>(e.src);
-        const auto sv = static_cast<std::size_t>(e.dst);
-        if (su != a && sv != a) continue;
-        const std::int64_t o = out_rate(g, e);
-        const std::int64_t i = in_rate(g, e);
-        if (o == 0 && i == 0) continue;
-        if (o == 0 || i == 0) {
-          out.push_back(verr("V-RATES",
-                             g.actors[su].name + " -> " + g.actors[sv].name,
-                             "zero-rate endpoint on a channel carrying data",
-                             "producer rate " + std::to_string(o) +
-                                 ", consumer rate " + std::to_string(i)));
-          return {};
-        }
-        const std::size_t other = (su == a) ? sv : su;
-        const Rat want = (su == a) ? r[a] * Rat(o, i) : r[a] * Rat(i, o);
-        if (!seen[other]) {
-          seen[other] = true;
-          r[other] = want;
-          stack.push_back(other);
-        } else if (r[other] != want) {
-          out.push_back(verr(
-              "V-RATES", g.actors[other].name,
-              "inconsistent rates: the balance equations have no solution",
-              "actor '" + g.actors[other].name +
-                  "' would have to fire at two different relative rates"));
-          return {};
-        }
-      }
-    }
-  }
-  std::int64_t l = 1;
-  for (const Rat& x : r) l = std::lcm(l, x.den());
-  std::vector<std::int64_t> reps(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    reps[i] = r[i].num() * (l / r[i].den());
-    if (reps[i] <= 0) {
-      out.push_back(verr("V-RATES", g.actors[i].name,
-                         "non-positive steady-state multiplicity",
-                         "actor is disconnected from all data flow"));
-      return {};
-    }
-  }
-  return reps;
-}
-
 // ---- V-ORDER: dag-ness of the partition order -------------------------------
 
 bool check_order(const FlatGraph& g, std::vector<Diagnostic>& out) {
@@ -348,120 +260,6 @@ void check_state_ownership(const FlatGraph& g, std::vector<Diagnostic>& out) {
   }
 }
 
-// ---- V-SCHED: deadlock freedom ----------------------------------------------
-
-// Init-epoch relaxation: each round propagates init demand upstream; if it
-// never converges, a feedback loop's delay cannot cover its own init demand
-// and every channel bound would be infinite.
-std::vector<std::int64_t> check_init(const FlatGraph& g,
-                                     const std::vector<std::int64_t>& reps,
-                                     std::vector<Diagnostic>& out) {
-  (void)reps;
-  const std::size_t n = g.actors.size();
-  std::vector<std::int64_t> fires(n, 0);
-  bool changed = true;
-  std::int64_t rounds = 0;
-  const std::int64_t cap = static_cast<std::int64_t>(n) * 64 + 1024;
-  while (changed) {
-    changed = false;
-    if (++rounds > cap) {
-      out.push_back(verr("V-SCHED", "<init schedule>",
-                         "initialization does not converge: feedback delay "
-                         "is too small for the loop's init demand"));
-      return {};
-    }
-    for (const FlatEdge& e : g.edges) {
-      if (e.dst < 0) continue;
-      const std::int64_t need =
-          fires[static_cast<std::size_t>(e.dst)] * in_rate(g, e) +
-          peek_extra(g, e) - static_cast<std::int64_t>(e.initial_items.size());
-      if (need <= 0 || e.src < 0) continue;
-      const std::int64_t o = out_rate(g, e);
-      if (o == 0) {
-        out.push_back(verr(
-            "V-SCHED", g.actors[static_cast<std::size_t>(e.src)].name,
-            "must provide initialization items but produces none",
-            "downstream actor '" +
-                g.actors[static_cast<std::size_t>(e.dst)].name + "' needs " +
-                std::to_string(need) + " item(s) before its first firing"));
-        return {};
-      }
-      const std::int64_t want = ceil_div(need, o);
-      auto& f = fires[static_cast<std::size_t>(e.src)];
-      if (want > f) {
-        f = want;
-        changed = true;
-      }
-    }
-  }
-  return fires;
-}
-
-// Steady-epoch admissibility from the post-init marking: if no data-driven
-// order completes one steady state, the runtime deadlocks (and no finite
-// buffer bound exists).  One completed epoch restores the marking, so one
-// epoch of progress proves every epoch runs.
-void check_steady(const FlatGraph& g, const std::vector<std::int64_t>& reps,
-                  const std::vector<std::int64_t>& init_fires,
-                  std::vector<Diagnostic>& out) {
-  const std::size_t n = g.actors.size();
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) total += reps[i];
-  if (total > (1 << 20)) return;  // pathological blow-up: skip the simulation
-
-  std::vector<std::int64_t> tok(g.edges.size(), 0);
-  for (std::size_t i = 0; i < g.edges.size(); ++i) {
-    const FlatEdge& e = g.edges[i];
-    tok[i] = static_cast<std::int64_t>(e.initial_items.size());
-    if (e.src >= 0) {
-      tok[i] += init_fires[static_cast<std::size_t>(e.src)] * out_rate(g, e);
-    }
-    if (e.dst >= 0) {
-      tok[i] -= init_fires[static_cast<std::size_t>(e.dst)] * in_rate(g, e);
-    }
-  }
-
-  std::vector<std::int64_t> remaining = reps;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::size_t a = 0; a < n; ++a) {
-      while (remaining[a] > 0) {
-        bool ok = true;
-        for (std::size_t i = 0; i < g.edges.size(); ++i) {
-          const FlatEdge& e = g.edges[i];
-          if (e.dst != static_cast<int>(a) || e.src < 0) continue;
-          if (tok[i] < in_rate(g, e) + peek_extra(g, e)) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) break;
-        for (std::size_t i = 0; i < g.edges.size(); ++i) {
-          const FlatEdge& e = g.edges[i];
-          if (e.dst == static_cast<int>(a)) tok[i] -= in_rate(g, e);
-          if (e.src == static_cast<int>(a)) tok[i] += out_rate(g, e);
-        }
-        --remaining[a];
-        progress = true;
-      }
-    }
-  }
-
-  std::string stuck;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (remaining[i] <= 0) continue;
-    if (!stuck.empty()) stuck += ", ";
-    stuck += g.actors[i].name;
-  }
-  if (!stuck.empty()) {
-    out.push_back(verr("V-SCHED", "<steady schedule>",
-                       "steady state deadlocks: no schedule exists from the "
-                       "post-init channel marking",
-                       "stuck actors: " + stuck));
-  }
-}
-
 }  // namespace
 
 std::vector<Diagnostic> verify_flat(const FlatGraph& g) {
@@ -469,13 +267,16 @@ std::vector<Diagnostic> verify_flat(const FlatGraph& g) {
   if (!check_structure(g, out)) return out;  // indices unsafe beyond here
   check_splitjoins(g, out);
   check_state_ownership(g, out);
-  const bool dag = check_order(g, out);
-  const std::vector<std::int64_t> reps = check_rates(g, out);
-  if (dag && !reps.empty()) {
-    const std::vector<std::int64_t> init = check_init(g, reps, out);
-    if (!init.empty() || g.actors.empty()) {
-      check_steady(g, reps, init, out);
-    }
+  if (!check_order(g, out)) return out;  // the scheduler needs a topo order
+  // V-RATES / V-SCHED: the scheduler is not one of the passes under check,
+  // so its own verdict is the invariant.
+  try {
+    (void)sched::make_schedule(g);
+  } catch (const sched::ScheduleError& e) {
+    out.push_back(verr(e.kind == sched::ScheduleError::Kind::Rates
+                           ? "V-RATES"
+                           : "V-SCHED",
+                       e.where, e.message, e.detail));
   }
   return out;
 }

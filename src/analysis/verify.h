@@ -32,6 +32,12 @@
 //             steady state admits a schedule (so every static channel bound
 //             is finite).
 //
+// V-RATES and V-SCHED are sched::make_schedule's verdict, its ScheduleError
+// turned into a diagnostic; the scheduler runs only on a graph that passed
+// V-STRUCT and V-ORDER.  The verifier's job is to name the pass that broke
+// an invariant, and the scheduler is not one of the passes it checks, so it
+// shares the scheduler instead of keeping a second solver.
+//
 // verify_flat takes an already-flattened graph (mutation tests corrupt flat
 // graphs directly); verify_graph flattens a hierarchical program first and
 // reports a flattening failure as V-STRUCT.

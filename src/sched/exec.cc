@@ -65,11 +65,14 @@ Executor::Executor(ir::NodeP root, ExecOptions opts)
 Executor::Executor(CompiledProgram prog, ExecOptions opts)
     : Executor(std::move(prog), std::move(opts), true) {}
 
-Executor::Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph)
+Executor::Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph,
+                   std::optional<analysis::ChannelBounds> bounds)
     : root_(prog.graph),
       opts_(std::move(opts)),
       g_(std::move(prog.flat)),
       sched_(std::move(prog.schedule)),
+      bounds_(bounds ? std::move(*bounds)
+                     : analysis::channel_bounds(g_, sched_)),
       pipeline_(std::move(prog.pipeline)),
       passes_(std::move(prog.passes)) {
   chans_.reserve(g_.edges.size());
@@ -138,21 +141,13 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph)
     } else {
       // The trace buffers' sizes: the post-init level carried across
       // iterations and each edge's per-iteration traffic.
-      analysis::ChannelBounds bounds;
-      try {
-        bounds = analysis::channel_bounds(g_, sched_);
-      } catch (const std::exception& e) {
-        fused_refusal_ = std::string("bounds-unavailable (") + e.what() + ")";
-      }
-      if (fused_refusal_.empty()) {
-        fprog_ = runtime::build_fused(g_, sched_.steady_runs,
-                                      bounds.post_init, bounds.traffic,
-                                      typed_, typed_refusal_, &fused_refusal_);
-        if (fprog_) {
-          fused_refusal_.clear();
-          tfexec_ = std::make_unique<runtime::TypedFusedExec>(
-              fprog_, fstate_, in_tape_, out_tape_, chans_, nstate_);
-        }
+      fprog_ = runtime::build_fused(g_, sched_.steady_runs, bounds_.post_init,
+                                    bounds_.traffic, typed_, typed_refusal_,
+                                    &fused_refusal_);
+      if (fprog_) {
+        fused_refusal_.clear();
+        tfexec_ = std::make_unique<runtime::TypedFusedExec>(
+            fprog_, fstate_, in_tape_, out_tape_, chans_, nstate_);
       }
     }
   }
@@ -544,13 +539,6 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
     m.actors.push_back(std::move(a));
   }
 
-  // Static occupancy bounds for the in-order (data-driven) discipline this
-  // executor runs; cheap enough to recompute on each (quiescent) snapshot.
-  analysis::ChannelBounds bounds;
-  try {
-    bounds = analysis::channel_bounds(g_, sched_);
-  } catch (const std::exception&) {
-  }
   m.edges.reserve(g_.edges.size());
   for (std::size_t e = 0; e < g_.edges.size(); ++e) {
     const auto& ed = g_.edges[e];
@@ -568,7 +556,9 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
       s.popped = chans_[e]->total_popped();
       s.peak_items = static_cast<std::int64_t>(chans_[e]->high_water());
     }
-    if (e < bounds.in_order.size()) s.bound_items = bounds.in_order[e];
+    // The static bound for the in-order (data-driven) discipline this
+    // executor runs.
+    s.bound_items = bounds_.in_order[e];
     m.edges.push_back(std::move(s));
   }
 

@@ -33,8 +33,10 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "analysis/bounds_chan.h"
 #include "ir/graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -126,6 +128,12 @@ class Executor {
 
   [[nodiscard]] const runtime::FlatGraph& graph() const { return g_; }
   [[nodiscard]] const Schedule& schedule() const { return sched_; }
+  // The static per-edge occupancy bounds (analysis::channel_bounds over the
+  // schedule), computed once at construction: they size the whole-graph
+  // trace's buffers and fill metrics_snapshot's bound_items.
+  [[nodiscard]] const analysis::ChannelBounds& bounds() const {
+    return bounds_;
+  }
 
   // External input: either an explicit item feed or a generator the executor
   // pulls from on demand (index = item position in the input stream).
@@ -193,8 +201,7 @@ class Executor {
   // kebab-case reason and steady states run per-actor instead.  The
   // executor's own reasons are message-sink-attached and tracing-enabled
   // (observers that want per-firing granularity), typed-off (no typed
-  // programs to build the trace from) and bounds-unavailable (<why>) (the
-  // static channel bounds could not size the trace buffers); build_fused
+  // programs to build the trace from); build_fused
   // adds the per-filter ones (runtime/fused.h).  sched/describe.h renders
   // all of it for streamc --report.
   [[nodiscard]] const runtime::FusedProgram* fused_program() const {
@@ -249,9 +256,12 @@ class Executor {
   // input feed) and reads its tallies and progress counters directly.
   friend class ThreadedExecutor;
 
-  // The threaded runtime's form (whole_graph false): the same executor
-  // without the whole-graph trace, which its workers never run.
-  Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph);
+  // The threaded runtime's form.  whole_graph false builds the same
+  // executor without the whole-graph trace, which its workers never run.
+  // `bounds`, when given, are the program's channel bounds the caller
+  // already computed; otherwise the executor computes them.
+  Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph,
+           std::optional<analysis::ChannelBounds> bounds = std::nullopt);
 
   // Point edge `edge`'s tapes at an SPSC ring.  The edge's Channel stays
   // owned (and drained); high-water notes and metrics_snapshot skip it from
@@ -326,6 +336,7 @@ class Executor {
   ExecOptions opts_;
   runtime::FlatGraph g_;
   Schedule sched_;
+  analysis::ChannelBounds bounds_;
   Engine engine_{Engine::Fused};
   std::vector<std::unique_ptr<runtime::Channel>> chans_;
   // Per-edge tape table the firing routine reads: each entry points at the

@@ -10,8 +10,14 @@
 //     repetition count;
 //   * per-edge steady-state traffic and buffer bounds;
 //   * the steady-state firing sequence, as runs of consecutive firings.
+//
+// This is the one SDF solver in the tree: the analysis gate
+// (analysis/graph_checks.h), the semantic verifier (analysis/verify.h) and
+// the channel bounds (analysis/bounds_chan.h) all read make_schedule's
+// result or its ScheduleError rather than re-solving the equations.
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,8 +34,11 @@ struct Schedule {
   std::vector<int> order;
   // Items crossing each edge per steady state.
   std::vector<std::int64_t> edge_traffic;
-  // Upper bound on live items per edge when executing in `order`
-  // (init epoch + one steady state), from static simulation of counts.
+  // Peak live items per edge when firing data-driven in `order`: the init
+  // epoch plus two steady states, simulated firing for firing (levels return
+  // to their post-init values after every steady state, so the second one
+  // proves the peak periodic).  External input is modeled as always
+  // available, so the boundary edges' entries are not occupancy bounds.
   std::vector<std::int64_t> buffer_bound;
   // The firings of one steady state in the order the data-driven sweep
   // (Executor::run_epoch) performs them, merged into runs of consecutive
@@ -49,8 +58,35 @@ struct Schedule {
   [[nodiscard]] std::string describe(const runtime::FlatGraph& g) const;
 };
 
-// Computes the schedule; throws std::runtime_error on inconsistent rates
-// (no valid steady state) or on init-epoch deadlock.
+// Why a graph has no schedule.  `where` names the culprit: an actor, a
+// channel ("src -> dst"), or "<init schedule>" / "<steady schedule>" when
+// the failure is a whole epoch's.  `message` is the one-line finding and
+// `detail` its supporting numbers, worded for a diagnostic; what() joins
+// the three.
+class ScheduleError : public std::runtime_error {
+ public:
+  enum class Kind {
+    Rates,   // the balance equations have no positive integer solution
+    Init,    // no initialization epoch fills every peek window
+    Steady,  // a steady state deadlocks from the post-init channel levels
+  };
+
+  ScheduleError(Kind kind, std::string where, std::string message,
+                std::string detail, std::vector<int> stuck = {},
+                std::vector<int> back_edges = {});
+
+  Kind kind;
+  std::string where;
+  std::string message;
+  std::string detail;
+  // Init and Steady deadlocks: the actors left short of their quota, and
+  // every back edge (FlatGraph edge ids), whose initial items are where the
+  // missing slack lives.
+  std::vector<int> stuck;
+  std::vector<int> back_edges;
+};
+
+// Computes the schedule; throws ScheduleError when the graph has none.
 Schedule make_schedule(const runtime::FlatGraph& g);
 
 }  // namespace sit::sched

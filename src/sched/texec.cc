@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -245,6 +246,7 @@ ThreadedExecutor::ThreadedExecutor(CompiledProgram prog, ExecOptions opts)
       resolve_threads(opts_.threads != 0 ? opts_.threads : prog.threads);
   FallbackReason fb = FallbackReason::None;
   std::string detail;
+  std::optional<analysis::ChannelBounds> bounds;
   if (requested <= 1) {
     fb = FallbackReason::OneThread;
     detail = "one thread requested";
@@ -253,22 +255,23 @@ ThreadedExecutor::ThreadedExecutor(CompiledProgram prog, ExecOptions opts)
     detail = "teleport message sink attached";
   } else {
     // The artifact is already analyzed/flattened/scheduled; compute the
-    // static channel bounds and run the threaded-eligibility checks.
-    bounds_ = analysis::channel_bounds(prog.flat, prog.schedule);
-    fb = refusal_reason(prog.flat, &detail);
+    // static channel bounds once (the embedded executor keeps them) and run
+    // the threaded-eligibility checks.
+    bounds = analysis::channel_bounds(prog.flat, prog.schedule);
+    fb = refusal_reason(prog.flat, *bounds, &detail);
   }
   if (fb != FallbackReason::None) {
     report_.threaded = false;
     report_.threads = 1;
     report_.fallback = fb;
     report_.fallback_reason = detail;
-    exec_ = std::make_unique<Executor>(std::move(prog), opts_);
+    exec_.reset(new Executor(std::move(prog), opts_, true, std::move(bounds)));
     return;
   }
   // Workers fire per-actor, on the one-actor traces: the whole-graph trace
   // is inherently single-threaded, so it is not built (the fallback
   // executor above does fuse).
-  exec_.reset(new Executor(std::move(prog), opts_, false));
+  exec_.reset(new Executor(std::move(prog), opts_, false, std::move(bounds)));
 
   // A lone (stateless: refusal_reason) actor's firings are split across
   // all the requested workers; otherwise a worker per actor at most.
@@ -314,8 +317,9 @@ struct alignas(64) ThreadedExecutor::Lane {
 
 ThreadedExecutor::~ThreadedExecutor() { stop_pool(); }
 
-FallbackReason ThreadedExecutor::refusal_reason(const runtime::FlatGraph& g,
-                                                std::string* detail) const {
+FallbackReason ThreadedExecutor::refusal_reason(
+    const runtime::FlatGraph& g, const analysis::ChannelBounds& bounds,
+    std::string* detail) const {
   for (const auto& a : g.actors) {
     if (a.kind != FlatActor::Kind::Filter) continue;
     const ir::FilterSpec& spec = a.node->filter;
@@ -343,8 +347,8 @@ FallbackReason ThreadedExecutor::refusal_reason(const runtime::FlatGraph& g,
   // from the post-init channel populations.  If any actor comes up short,
   // the graph needs interleaved firings (e.g. a tight feedback loop) and
   // stays sequential.
-  if (!bounds_.single_appearance) {
-    *detail = "actor '" + bounds_.blocker +
+  if (!bounds.single_appearance) {
+    *detail = "actor '" + bounds.blocker +
               "' needs interleaved firings in the steady state";
     return FallbackReason::InterleavedFirings;
   }
@@ -516,7 +520,7 @@ void ThreadedExecutor::partition_and_migrate() {
     live.reserve(ch.size());
     while (!ch.empty()) live.push_back(ch.pop_item());
     const std::size_t cap =
-        static_cast<std::size_t>(bounds_.pipelined(e, kWindow, batch_));
+        static_cast<std::size_t>(bounds().pipelined(e, kWindow, batch_));
     auto ring = std::make_unique<SpscRing>(cap, /*deferred=*/true);
     ring->preload(live, pushed, popped);
     exec_->retarget(static_cast<int>(e), ring.get(), ring.get());
@@ -622,7 +626,7 @@ int ThreadedExecutor::resolve_partition_batch(
   }
   // A back edge whose delay cannot cover B iterations caps the batch (the
   // eligibility check already guaranteed max_batch >= 1).
-  b = std::min(b, bounds_.max_batch);
+  b = std::min(b, bounds().max_batch);
   return static_cast<int>(std::max<std::int64_t>(1, b));
 }
 
@@ -1007,11 +1011,11 @@ std::vector<double> ThreadedExecutor::run_steady(int n) {
 void ThreadedExecutor::check_bounds() const {
   const runtime::FlatGraph& g = graph();
   for (std::size_t e = 0; e < g.edges.size(); ++e) {
-    if (e >= bounds_.post_init.size() || bounds_.post_init[e] < 0) continue;
+    if (bounds().post_init[e] < 0) continue;
     const bool ring = rings_[e] != nullptr;
     const std::int64_t limit = ring
-                                   ? bounds_.pipelined(e, kWindow, batch_)
-                                   : bounds_.channel_bound(e, batch_);
+                                   ? bounds().pipelined(e, kWindow, batch_)
+                                   : bounds().channel_bound(e, batch_);
     const std::int64_t seen = static_cast<std::int64_t>(
         ring ? rings_[e]->high_water()
              : exec_->channel(static_cast<int>(e)).high_water());
@@ -1071,9 +1075,9 @@ obs::MetricsSnapshot ThreadedExecutor::metrics_snapshot() const {
         s.ring ? rings_[e]->high_water()
                : exec_->channel(static_cast<int>(e)).high_water());
     s.bound_items = -1;
-    if (e < bounds_.post_init.size() && bounds_.post_init[e] >= 0) {
-      s.bound_items = s.ring ? bounds_.pipelined(e, kWindow, batch_)
-                             : bounds_.channel_bound(e, batch_);
+    if (bounds().post_init[e] >= 0) {
+      s.bound_items = s.ring ? bounds().pipelined(e, kWindow, batch_)
+                             : bounds().channel_bound(e, batch_);
     }
   }
 

@@ -213,11 +213,10 @@ class ThreadedExecutor {
   // from (analysis::channel_bounds over the compiled schedule).  Rings are
   // sized to bounds().pipelined(e, kPipelineWindow, report().batch);
   // intra-worker channels never exceed
-  // bounds().channel_bound(e, report().batch).  Empty-graph defaults when
-  // the executor fell back to the sequential path (use the embedded
-  // executor's metrics instead).
+  // bounds().channel_bound(e, report().batch).  The embedded executor's
+  // copy, computed once per program.
   [[nodiscard]] const analysis::ChannelBounds& bounds() const {
-    return bounds_;
+    return exec_->bounds();
   }
 
   // --- observability --------------------------------------------------------
@@ -233,6 +232,7 @@ class ThreadedExecutor {
 
  private:
   FallbackReason refusal_reason(const runtime::FlatGraph& g,
+                                const analysis::ChannelBounds& bounds,
                                 std::string* detail) const;
   // Per-actor tallies for the sequential epochs: the embedded executor's
   // ops when count_ops is on, calib_ otherwise.
@@ -274,7 +274,6 @@ class ThreadedExecutor {
   // firing, tallies, recorder), threaded or not.  Never null.
   std::unique_ptr<Executor> exec_;
 
-  analysis::ChannelBounds bounds_;
   // Rings replacing the cross-worker edges' channels (null elsewhere).
   std::vector<std::unique_ptr<runtime::SpscRing>> rings_;
   std::vector<runtime::OpCounts> calib_;  // weights when count_ops is off

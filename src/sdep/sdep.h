@@ -66,14 +66,17 @@ std::int64_t filter_min_transfer(int peek, int pop, int push, std::int64_t x);
 
 struct LoopCheck {
   bool deadlock{false};
-  bool overflow{false};
   std::string loop_name;
 };
 
 // Check every feedback loop: with delay d, the wavefront around the loop must
 // return exactly x + d items (paper: maxloop(x) = x + delay; less means
-// deadlock, more means unbounded buffer growth).  Checked numerically via
-// the sdep relation around the back edge.
+// deadlock, more means unbounded buffer growth).  The check is the
+// scheduler: a loop deadlocks when make_schedule cannot complete the init
+// epoch and a steady state from the delays' initial items, and every loop
+// of the graph shares that one verdict.  Growth cannot happen on a
+// schedulable graph -- the balance equations force reps[src] * out ==
+// reps[dst] * in on the back edge too -- so there is no overflow flag.
 std::vector<LoopCheck> check_feedback_loops(const runtime::FlatGraph& g);
 
 // Check every splitter/joiner pair: branch production must stay within O(1)

@@ -4,6 +4,10 @@
 //   * Every built-in app verifies clean, and hand-corrupted flat graphs are
 //     rejected with the right stable diagnostic code (V-STRUCT, V-SJ,
 //     V-ORDER, V-SCHED).
+//   * Each way sched::make_schedule refuses a graph (zero-rate endpoint,
+//     inconsistent rates, an init producer that produces nothing, init
+//     non-convergence, steady deadlock) throws its typed ScheduleError, and
+//     the verifier and the analysis gate report it naming the culprit.
 //   * Seeded mutation passes corrupt the IR mid-pipeline (wrong rate,
 //     duplicated state); PassOptions::verify_each must pin the *offending
 //     pass by name* in the thrown message and leave the coded diagnostic in
@@ -17,11 +21,13 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/bounds_chan.h"
+#include "analysis/graph_checks.h"
 #include "analysis/verify.h"
 #include "apps/apps.h"
 #include "apps/common.h"
@@ -31,6 +37,7 @@
 #include "opt/pass_manager.h"
 #include "runtime/flatgraph.h"
 #include "sched/envopts.h"
+#include "sched/schedule.h"
 #include "sched/texec.h"
 
 namespace sit {
@@ -149,6 +156,194 @@ TEST(Verify, StarvedFeedbackLoopIsSchedError) {
                apps::null_sink("sink", 1)});
   const auto ds = analysis::verify_graph(g);
   EXPECT_TRUE(has_code(ds, "V-SCHED")) << analysis::render(ds);
+}
+
+// ---- every scheduler failure kind, through every consumer -------------------
+
+// Builds a flat graph by hand: actors first (ports unconnected), then edges.
+struct FlatBuilder {
+  runtime::FlatGraph g;
+  std::vector<ir::NodeP> nodes;  // keeps the filters' defining nodes alive
+
+  int actor(runtime::FlatActor::Kind kind, const std::string& name,
+            std::vector<int> in_rate, std::vector<int> out_rate,
+            int peek_extra = 0) {
+    runtime::FlatActor a;
+    a.kind = kind;
+    a.name = name;
+    if (kind == runtime::FlatActor::Kind::Filter) {
+      nodes.push_back(ir::dsl::identity(name));
+      a.node = nodes.back().get();
+      a.peek_extra = peek_extra;
+    }
+    a.in_edges.assign(in_rate.size(), -1);
+    a.out_edges.assign(out_rate.size(), -1);
+    a.in_rate = std::move(in_rate);
+    a.out_rate = std::move(out_rate);
+    g.actors.push_back(std::move(a));
+    return static_cast<int>(g.actors.size()) - 1;
+  }
+  int filter(const std::string& name, int pop, int push, int peek_extra = 0) {
+    return actor(runtime::FlatActor::Kind::Filter, name, {pop}, {push},
+                 peek_extra);
+  }
+  // src or dst -1 is the program boundary.
+  int edge(int src, int src_port, int dst, int dst_port,
+           std::size_t initial_items = 0, bool back = false) {
+    const int id = static_cast<int>(g.edges.size());
+    runtime::FlatEdge e;
+    e.src = src;
+    e.src_port = src_port;
+    e.dst = dst;
+    e.dst_port = dst_port;
+    e.back_edge = back;
+    e.initial_items.assign(initial_items, 0.0);
+    g.edges.push_back(e);
+    if (src >= 0) {
+      g.actors[static_cast<std::size_t>(src)]
+          .out_edges[static_cast<std::size_t>(src_port)] = id;
+    } else {
+      g.input_edge = id;
+    }
+    if (dst >= 0) {
+      g.actors[static_cast<std::size_t>(dst)]
+          .in_edges[static_cast<std::size_t>(dst_port)] = id;
+    } else {
+      g.output_edge = id;
+    }
+    return id;
+  }
+};
+
+// A feedback loop as the flattener lays it out: loop.fbjoin (round-robin
+// 1, join_back) -> body -> loop.fbsplit (round-robin 1, split_back) -> out,
+// with the splitter's second branch through `echo` back into the joiner
+// over a back edge that holds no items.
+struct LoopShape {
+  int join_back{1};
+  int split_back{1};
+  int body_peek_extra{0};
+  int echo_pop{1};
+  int echo_peek_extra{0};
+};
+
+void feedback_loop(FlatBuilder& b, const LoopShape& l) {
+  using K = runtime::FlatActor::Kind;
+  const int join = b.actor(K::Joiner, "loop.fbjoin", {1, l.join_back},
+                           {1 + l.join_back});
+  const int body = b.filter("body", 1, 1, l.body_peek_extra);
+  const int split = b.actor(K::Splitter, "loop.fbsplit", {1 + l.split_back},
+                            {1, l.split_back});
+  const int echo = b.filter("echo", l.echo_pop, 1, l.echo_peek_extra);
+  b.edge(-1, 0, join, 0);
+  b.edge(join, 0, body, 0);
+  b.edge(body, 0, split, 0);
+  b.edge(split, 0, -1, 0);
+  b.edge(split, 1, echo, 0);
+  b.edge(echo, 0, join, 1, /*initial_items=*/0, /*back=*/true);
+}
+
+// The same loop as a program, between a source and a sink.  The filters'
+// work functions only need the declared rates: they never run.
+ir::NodeP ir_feedback_loop(const LoopShape& l) {
+  const auto leaf = [](const std::string& name, int pop, int peek_extra) {
+    return filter(name)
+        .rates(pop + peek_extra, pop, 1)
+        .work(seq({push_(peek_(ci(pop + peek_extra - 1)))}))
+        .node();
+  };
+  auto loop = ir::make_feedback(
+      "loop", ir::roundrobin_join({1, l.join_back}),
+      leaf("body", 1, l.body_peek_extra),
+      ir::roundrobin_split({1, l.split_back}),
+      leaf("echo", l.echo_pop, l.echo_peek_extra), /*delay=*/0,
+      /*init_path=*/{});
+  return ir::make_pipeline("t", {apps::rand_source("src"), std::move(loop),
+                                 apps::null_sink("sink", 1)});
+}
+
+TEST(ScheduleError, EachFailureKindReachesVerifierAndGate) {
+  using Kind = sched::ScheduleError::Kind;
+  struct Case {
+    const char* name;
+    std::function<void(FlatBuilder&)> build;
+    Kind kind;
+    const char* code;  // verify_flat's diagnostic code
+    std::string where;
+    std::vector<std::string> stuck;  // actor names, Init/Steady deadlocks
+    bool names_back_edge;
+    // The same failure as a hierarchical program.
+    std::function<ir::NodeP()> program;
+  };
+  const std::vector<Case> cases = {
+      {"zero-rate endpoint",
+       [](FlatBuilder& b) { feedback_loop(b, {.join_back = 0}); },
+       Kind::Rates, "V-RATES", "echo -> loop.fbjoin", {}, false,
+       [] { return ir_feedback_loop({.join_back = 0}); }},
+      {"inconsistent rates",
+       [](FlatBuilder& b) { feedback_loop(b, {.echo_pop = 2}); },
+       Kind::Rates, "V-RATES", "body", {}, false,
+       [] { return ir_feedback_loop({.echo_pop = 2}); }},
+      {"init producer produces nothing",
+       [](FlatBuilder& b) {
+         feedback_loop(b, {.split_back = 0, .echo_pop = 0,
+                           .echo_peek_extra = 2});
+       },
+       Kind::Init, "V-SCHED", "loop.fbsplit", {}, false,
+       [] {
+         return ir_feedback_loop(
+             {.split_back = 0, .echo_pop = 0, .echo_peek_extra = 2});
+       }},
+      {"init does not converge",
+       [](FlatBuilder& b) { feedback_loop(b, {.body_peek_extra = 1}); },
+       Kind::Init, "V-SCHED", "<init schedule>", {}, true,
+       [] { return ir_feedback_loop({.body_peek_extra = 1}); }},
+      {"steady deadlock", [](FlatBuilder& b) { feedback_loop(b, {}); },
+       Kind::Steady, "V-SCHED", "<steady schedule>",
+       {"loop.fbjoin", "body", "loop.fbsplit", "echo"}, true,
+       [] { return ir_feedback_loop({}); }},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FlatBuilder b;
+    c.build(b);
+    const runtime::FlatGraph& g = b.g;
+
+    try {
+      (void)sched::make_schedule(g);
+      ADD_FAILURE() << "make_schedule accepted the graph";
+    } catch (const sched::ScheduleError& e) {
+      EXPECT_EQ(e.kind, c.kind) << e.what();
+      EXPECT_EQ(e.where, c.where) << e.what();
+      std::vector<std::string> stuck;
+      for (const int a : e.stuck) {
+        stuck.push_back(g.actors[static_cast<std::size_t>(a)].name);
+      }
+      EXPECT_EQ(stuck, c.stuck) << e.what();
+      if (c.names_back_edge) {
+        ASSERT_EQ(e.back_edges.size(), 1u) << e.what();
+        EXPECT_TRUE(g.edges[static_cast<std::size_t>(e.back_edges[0])].back_edge);
+        EXPECT_NE(e.detail.find("back edges: echo -> loop.fbjoin (0 initial "
+                                "items)"),
+                  std::string::npos)
+            << e.detail;
+      } else {
+        EXPECT_TRUE(e.back_edges.empty()) << e.what();
+      }
+    }
+
+    const auto ds = analysis::verify_flat(g);
+    ASSERT_EQ(ds.size(), 1u) << analysis::render(ds);
+    EXPECT_EQ(ds[0].code, c.code) << analysis::render(ds);
+    EXPECT_EQ(ds[0].where, c.where) << analysis::render(ds);
+
+    std::vector<Diagnostic> gate;
+    analysis::check_graph(c.program(), gate);
+    ASSERT_EQ(gate.size(), 1u) << analysis::render(gate);
+    EXPECT_EQ(gate[0].pass, "rates") << analysis::render(gate);
+    EXPECT_EQ(gate[0].where, c.where) << analysis::render(gate);
+  }
 }
 
 // ---- seeded mid-pipeline mutations ------------------------------------------

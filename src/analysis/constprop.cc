@@ -3,7 +3,7 @@
 #include <map>
 
 #include "analysis/cfg.h"
-#include "analysis/const_eval.h"
+#include "runtime/eval_ops.h"
 
 namespace sit::analysis {
 
@@ -77,12 +77,12 @@ std::optional<Value> eval_const(const ExprP& e, const Env& env) {
       }
       const auto b = eval_const(e->b, env);
       if (!a || !b) return std::nullopt;
-      return exact_bin(e->bop, *a, *b);
+      return runtime::fold(e->bop, *a, *b);
     }
     case Expr::Kind::Un: {
       const auto a = eval_const(e->a, env);
       if (!a) return std::nullopt;
-      return exact_un(e->uop, *a);
+      return runtime::apply_un(e->uop, *a);
     }
     case Expr::Kind::Cond: {
       const auto c = eval_const(e->a, env);
@@ -228,7 +228,7 @@ class Folder {
                                                            : Value(a->fval);
           const Value bv = b->kind == Expr::Kind::IntConst ? Value(b->ival)
                                                            : Value(b->fval);
-          if (auto r = exact_bin(e->bop, av, bv)) return literal(*r);
+          if (auto r = runtime::fold(e->bop, av, bv)) return literal(*r);
           if (e->bop == BinOp::Div || e->bop == BinOp::Mod) {
             diagnostics.push_back(error(
                 "constprop", where_,
@@ -244,7 +244,7 @@ class Folder {
         if (is_literal(a)) {
           const Value av = a->kind == Expr::Kind::IntConst ? Value(a->ival)
                                                            : Value(a->fval);
-          if (auto r = exact_un(e->uop, av)) return literal(*r);
+          return literal(runtime::apply_un(e->uop, av));
         }
         return ir::un(e->uop, a);
       }

@@ -3,8 +3,9 @@
 //
 // A forward worklist analysis over the work-function CFG computes, for every
 // program point, which invocation-local variables hold compile-time-known
-// ir::Values (the same `Exact` domain the linear extractor interprets --
-// analysis/const_eval.h is the single implementation of that arithmetic).
+// ir::Values (the same `Exact` domain the linear extractor interprets; both
+// evaluate through the runtime's own operator kernels, runtime/eval_ops.h
+// fold and apply_un, so a folded literal is what the interpreter computes).
 // The computed environments then drive an AST rewrite:
 //
 //   * expressions whose operands are exact fold to literals;

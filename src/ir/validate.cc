@@ -38,8 +38,10 @@ std::optional<std::int64_t> const_eval(const ExprP& e, const Env& env) {
         case BinOp::Mod: return *b == 0 ? std::nullopt : std::optional(*a % *b);
         case BinOp::Min: return std::min(*a, *b);
         case BinOp::Max: return std::max(*a, *b);
-        case BinOp::Shl: return *a << *b;
-        case BinOp::Shr: return *a >> *b;
+        // The runtime's shift rule (runtime/eval_ops.h int_shl/int_shr):
+        // the count is taken mod 64, as for a Java long.
+        case BinOp::Shl: return *a << (*b & 63);
+        case BinOp::Shr: return *a >> (*b & 63);
         case BinOp::Lt: return std::int64_t{*a < *b};
         case BinOp::Le: return std::int64_t{*a <= *b};
         case BinOp::Gt: return std::int64_t{*a > *b};

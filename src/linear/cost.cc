@@ -112,7 +112,10 @@ double calibrated_ops_per_firing(const ir::Node& leaf,
 
 NodeCost node_cost(const ir::NodeP& node) {
   const runtime::FlatGraph g = runtime::flatten(node);
-  const sched::Schedule s = sched::make_schedule(g);
+  return node_cost(g, sched::make_schedule(g));
+}
+
+NodeCost node_cost(const runtime::FlatGraph& g, const sched::Schedule& s) {
   const obs::CostModel& cm = obs::cost_model();
   NodeCost c;
   c.in_per_ss = s.input_per_steady;

@@ -10,7 +10,9 @@
 #include <string>
 
 #include "ir/graph.h"
+#include "runtime/flatgraph.h"
 #include "runtime/opcounts.h"
+#include "sched/schedule.h"
 
 namespace sit::linear {
 
@@ -68,6 +70,10 @@ struct NodeCost {
 // to the static estimate per actor, so a partially-covering profile still
 // yields a full-graph cost.
 NodeCost node_cost(const ir::NodeP& node);
+
+// The same over a graph already flattened and scheduled, for callers that
+// need the flat graph or the schedule themselves.
+NodeCost node_cost(const runtime::FlatGraph& g, const sched::Schedule& s);
 
 // The per-firing weight the calibrated model assigns `leaf` under its flat
 // name `actor_name`: the measured weight when the active profile covers the

@@ -4,8 +4,8 @@
 #include <set>
 #include <unordered_map>
 
-#include "analysis/const_eval.h"
 #include "analysis/constprop.h"
+#include "runtime/eval_ops.h"
 #include "runtime/interp.h"
 
 namespace sit::linear {
@@ -183,7 +183,7 @@ class Extractor {
   AbsVal eval_un(const ExprP& e) {
     const AbsVal a = eval(e->a);
     if (a.is_top()) throw NotLinear{"non-affine operand"};
-    if (a.is_exact()) return AbsVal::of(exact_un(e->uop, a.exact));
+    if (a.is_exact()) return AbsVal::of(runtime::apply_un(e->uop, a.exact));
     switch (e->uop) {
       case UnOp::Neg:
         return affine_scale(a, -1.0);
@@ -265,16 +265,10 @@ class Extractor {
     return a;
   }
 
-  // Exact arithmetic is the shared analysis implementation; nullopt means
-  // the value is undefined (division/modulo by zero, out-of-range shift).
+  // Exact arithmetic is the runtime's own kernel (runtime/eval_ops.h);
+  // nullopt means the runtime would fault (integer division/modulo by zero).
   static Value exact_bin(BinOp op, const Value& a, const Value& b) {
-    if (auto r = analysis::exact_bin(op, a, b)) return *r;
-    throw NotLinear{std::string("constant '") + ir::to_string(op) +
-                    "' has no defined value"};
-  }
-
-  static Value exact_un(UnOp op, const Value& a) {
-    if (auto r = analysis::exact_un(op, a)) return *r;
+    if (auto r = runtime::fold(op, a, b)) return *r;
     throw NotLinear{std::string("constant '") + ir::to_string(op) +
                     "' has no defined value"};
   }

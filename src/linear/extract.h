@@ -33,8 +33,8 @@ struct ExtractOptions {
   // Folding collapses statically-decided control flow (constant ?: arms,
   // short-circuit `true || e` / `false && e`) that the abstract interpreter
   // would otherwise reject as data-dependent, so strictly more filters are
-  // detected linear.  The abstract Exact domain and the folder share one
-  // arithmetic implementation (analysis/const_eval.h).
+  // detected linear.  The abstract Exact domain and the folder both
+  // evaluate through the runtime's operator kernels (runtime/eval_ops.h).
   bool fold_constants{true};
 };
 

@@ -32,7 +32,8 @@ Shape measure(const ir::NodeP& g, const PassContext& ctx) {
     const runtime::FlatGraph flat = runtime::flatten(g);
     s.actors = static_cast<int>(flat.actors.size());
     s.edges = static_cast<int>(flat.edges.size());
-    const linear::NodeCost nc = linear::node_cost(g);
+    const sched::Schedule sc = sched::make_schedule(flat);
+    const linear::NodeCost nc = linear::node_cost(flat, sc);
     const double raw =
         nc.ops_per_ss + ctx.options.linear.sync_weight * nc.sync_per_ss;
     const double mraw =
@@ -43,7 +44,6 @@ Shape measure(const ir::NodeP& g, const PassContext& ctx) {
     // comparable across passes that change the steady-state scale (frequency
     // translation batches by the FFT size); this denominator is invariant
     // under semantics-preserving rewrites.
-    const sched::Schedule sc = sched::make_schedule(flat);
     double items = static_cast<double>(sc.input_per_steady);
     for (std::size_t a = 0; a < flat.actors.size(); ++a) {
       if (flat.actors[a].is_filter() && flat.actors[a].in_edges.empty()) {

@@ -85,20 +85,7 @@ NodeP fuse_subtree(const NodeP& node, const std::string& name) {
   const int I = static_cast<int>(s.input_for_init);
   const int Q = static_cast<int>(s.output_per_steady);
 
-  double ops = 0.0, flops = 0.0;
-  for (std::size_t i = 0; i < g.actors.size(); ++i) {
-    const auto& a = g.actors[i];
-    const double reps = static_cast<double>(s.reps[i]);
-    if (a.is_filter()) {
-      ops += reps * linear::leaf_ops_per_firing(*a.node);
-      flops += reps * linear::leaf_flops_per_firing(*a.node);
-    } else {
-      std::int64_t items = 0;
-      for (int r : a.in_rate) items += r;
-      for (int r : a.out_rate) items += r;
-      ops += reps * static_cast<double>(items);
-    }
-  }
+  const linear::NodeCost cost = linear::node_cost(g, s);
 
   const NodeP inner = ir::clone(node);
   ir::NativeFilter nf;
@@ -106,8 +93,8 @@ NodeP fuse_subtree(const NodeP& node, const std::string& name) {
   nf.pop = P;
   nf.peek = P + I;
   nf.push = Q;
-  nf.cost_ops = ops;
-  nf.cost_flops = flops;
+  nf.cost_ops = cost.ops_per_ss + cost.sync_per_ss;
+  nf.cost_flops = cost.flops_per_ss;
   nf.stateful = subtree_stateful(node) || subtree_peeks(node) || I > 0;
   nf.make_state = [inner]() -> std::unique_ptr<ir::NativeState> {
     return std::make_unique<FusedState>(inner);

@@ -1,11 +1,12 @@
 #include "runtime/compile.h"
 
 #include <cstring>
-
-#include "runtime/typed.h"
 #include <map>
 #include <set>
 #include <unordered_map>
+
+#include "runtime/eval_ops.h"
+#include "runtime/typed.h"
 
 namespace sit::runtime {
 
@@ -31,64 +32,6 @@ struct Unsupported {
 // persistent registers (locals/constants/loop bookkeeping) at finalize time;
 // the flag bit distinguishes the two spaces until then.
 constexpr std::uint16_t kTempFlag = 0x8000;
-
-CountTag bin_tag(BinOp op) {
-  switch (op) {
-    case BinOp::Div:
-    case BinOp::Mod:
-      return CountTag::Div;
-    case BinOp::Pow:
-      return CountTag::Trans;
-    case BinOp::Add:
-    case BinOp::Sub:
-    case BinOp::Mul:
-    case BinOp::Min:
-    case BinOp::Max:
-      return CountTag::ByResult;
-    // Comparisons and bit ops always yield an integer value.
-    case BinOp::Lt:
-    case BinOp::Le:
-    case BinOp::Gt:
-    case BinOp::Ge:
-    case BinOp::Eq:
-    case BinOp::Ne:
-    case BinOp::LAnd:
-    case BinOp::LOr:
-    case BinOp::BAnd:
-    case BinOp::BOr:
-    case BinOp::BXor:
-    case BinOp::Shl:
-    case BinOp::Shr:
-      return CountTag::IntOp;
-  }
-  return CountTag::None;
-}
-
-CountTag un_tag(UnOp op) {
-  switch (op) {
-    case UnOp::Neg:
-    case UnOp::Abs:
-      return CountTag::ByResult;
-    case UnOp::LNot:
-    case UnOp::BNot:
-      return CountTag::IntOp;
-    case UnOp::Sin:
-    case UnOp::Cos:
-    case UnOp::Tan:
-    case UnOp::Exp:
-    case UnOp::Log:
-    case UnOp::Sqrt:
-      return CountTag::Trans;
-    case UnOp::Floor:
-    case UnOp::Ceil:
-    case UnOp::Round:
-      return CountTag::Flop;
-    case UnOp::ToInt:
-    case UnOp::ToFloat:
-      return CountTag::None;
-  }
-  return CountTag::None;
-}
 
 class FnCompiler {
  public:
@@ -229,14 +172,14 @@ class FnCompiler {
         const std::uint16_t r = temp();
         const std::int32_t i =
             emit({FOp::Bin, static_cast<std::uint8_t>(e->bop),
-                  bin_tag(e->bop), r, a.reg, b.reg});
+                  op_rule(e->bop).cost, r, a.reg, b.reg});
         return {r, i};
       }
       case Expr::Kind::Un: {
         const ExprRes a = expr(e->a);
         const std::uint16_t r = temp();
         const std::int32_t i = emit({FOp::Un, static_cast<std::uint8_t>(e->uop),
-                                     un_tag(e->uop), r, a.reg});
+                                     op_rule(e->uop).cost, r, a.reg});
         return {r, i};
       }
       case Expr::Kind::Cond: {

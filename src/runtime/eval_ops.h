@@ -1,25 +1,34 @@
 #pragma once
-// Scalar operator kernels and runtime fault messages shared by every engine.
+// The operator table and runtime fault messages shared by every engine.
 //
-// The engines must agree bit-for-bit on StreamIt's Java-like promotion
-// rules (int op int stays integral, any float operand promotes), so the
-// arithmetic lives here exactly once: the tree interpreter applies these
-// kernels to its Values, and a trace's generic Bin and Un handlers
-// (fused.cc) apply them to Values read from the typed planes.  A trace's
-// specialized handlers are the same-plane forms, where nothing promotes.
-// These are pure value functions; operation *counting* stays engine-side
-// because the tree walker and the traces attach costs at different points.
+// The engines must agree bit-for-bit on StreamIt's Java-like rules (int op
+// int stays integral, any float operand promotes), so each BinOp and UnOp is
+// defined here exactly once, in three parts:
+//   * its value kernel (apply_bin/apply_un), which the tree interpreter
+//     applies to its Values, a trace's generic Bin and Un handlers (fused.cc)
+//     apply to Values read from the typed planes, and the constant folder and
+//     the linear extractor reach through fold();
+//   * its result tag given its operands' tags (result_tag), from which the
+//     typed lowering (typed.cc) assigns each register its plane;
+//   * its cost class (op_rule's CountTag), the OpCounts field one evaluation
+//     bumps: the tree tallies it, the bytecode compiler stamps it on each
+//     instruction, and a trace build derives the field each specialized
+//     handler checks from it.
+// A trace's specialized handlers are the same-plane forms, where nothing
+// promotes; the shifts they share with the kernels are int_shl/int_shr.
 // A fault's what() string is part of the same cross-engine contract, so each
 // one is built here once too.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "ir/ast.h"
 #include "ir/value.h"
+#include "runtime/opcounts.h"
 
 namespace sit::runtime {
 
@@ -55,6 +64,8 @@ namespace sit::runtime {
   throw std::runtime_error("for loop step must be positive");
 }
 
+// ---- value kernels ----------------------------------------------------------
+
 // Integer division/modulo with the runtime's zero checks, for the Value
 // kernels below.
 inline std::int64_t int_div(std::int64_t a, std::int64_t b) {
@@ -64,6 +75,16 @@ inline std::int64_t int_div(std::int64_t a, std::int64_t b) {
 inline std::int64_t int_mod(std::int64_t a, std::int64_t b) {
   if (b == 0) throw std::runtime_error("integer modulo by zero");
   return a % b;
+}
+
+// Shifts take their count mod 64, as Java does for a long, so every count
+// is defined (a bare `<<` or `>>` by a count outside [0, 64) is undefined).
+// On x86-64 the mask is the one the shift instruction applies anyway.
+inline std::int64_t int_shl(std::int64_t a, std::int64_t b) {
+  return a << (b & 63);
+}
+inline std::int64_t int_shr(std::int64_t a, std::int64_t b) {
+  return a >> (b & 63);
 }
 
 inline ir::Value apply_bin(ir::BinOp op, const ir::Value& a, const ir::Value& b) {
@@ -114,9 +135,9 @@ inline ir::Value apply_bin(ir::BinOp op, const ir::Value& a, const ir::Value& b)
     case BinOp::BXor:
       return Value(a.as_int() ^ b.as_int());
     case BinOp::Shl:
-      return Value(a.as_int() << b.as_int());
+      return Value(int_shl(a.as_int(), b.as_int()));
     case BinOp::Shr:
-      return Value(a.as_int() >> b.as_int());
+      return Value(int_shr(a.as_int(), b.as_int()));
   }
   throw std::runtime_error("unhandled binop");
 }
@@ -157,6 +178,101 @@ inline ir::Value apply_un(ir::UnOp op, const ir::Value& a) {
       return Value(a.as_double());
   }
   throw std::runtime_error("unhandled unop");
+}
+
+// The constant folder's entry point (analysis/constprop, linear/extract):
+// apply_bin's value, or nullopt exactly where apply_bin throws -- integer
+// division or modulo by zero.  apply_un never throws, so folders call it
+// directly.
+inline std::optional<ir::Value> fold(ir::BinOp op, const ir::Value& a,
+                                     const ir::Value& b) {
+  if ((op == ir::BinOp::Div || op == ir::BinOp::Mod) && a.is_int() &&
+      b.is_int() && b.as_int() == 0) {
+    return std::nullopt;
+  }
+  return apply_bin(op, a, b);
+}
+
+// ---- result tags and cost classes -------------------------------------------
+
+// The typed lowering's three-point tag lattice (typed.h): Int and Double are
+// incomparable; Mixed tops.
+enum class Tag : std::uint8_t { Int = 0, Double = 1, Mixed = 2 };
+
+inline Tag join_tag(Tag a, Tag b) { return a == b ? a : Tag::Mixed; }
+inline Tag value_tag(const ir::Value& v) {
+  return v.is_int() ? Tag::Int : Tag::Double;
+}
+
+// An operator's rule.  `yields` says how the kernel tags its result:
+// Promote is Int when every operand is Int and Double otherwise (a unary one
+// keeps its operand's tag), Int and Double are fixed -- every comparison,
+// logic and bit op yields an Int (ir::Value(bool) is canonical Int).  `cost`
+// is the OpCounts field one evaluation bumps; ByResult picks int_ops or
+// flops by the result's tag.
+enum class Yields : std::uint8_t { Promote, Int, Double };
+struct OpRule {
+  Yields yields;
+  CountTag cost;
+};
+
+constexpr OpRule op_rule(ir::BinOp op) {
+  using ir::BinOp;
+  switch (op) {
+    case BinOp::Add: case BinOp::Sub: case BinOp::Mul:
+    case BinOp::Min: case BinOp::Max:
+      return {Yields::Promote, CountTag::ByResult};
+    case BinOp::Div: case BinOp::Mod:
+      return {Yields::Promote, CountTag::Div};
+    case BinOp::Pow:
+      return {Yields::Double, CountTag::Trans};
+    case BinOp::Lt: case BinOp::Le: case BinOp::Gt: case BinOp::Ge:
+    case BinOp::Eq: case BinOp::Ne: case BinOp::LAnd: case BinOp::LOr:
+    case BinOp::BAnd: case BinOp::BOr: case BinOp::BXor:
+    case BinOp::Shl: case BinOp::Shr:
+      break;
+  }
+  return {Yields::Int, CountTag::IntOp};
+}
+
+constexpr OpRule op_rule(ir::UnOp op) {
+  using ir::UnOp;
+  switch (op) {
+    case UnOp::Neg: case UnOp::Abs:
+      return {Yields::Promote, CountTag::ByResult};
+    case UnOp::LNot: case UnOp::BNot:
+      return {Yields::Int, CountTag::IntOp};
+    case UnOp::ToInt:
+      return {Yields::Int, CountTag::None};
+    case UnOp::ToFloat:
+      return {Yields::Double, CountTag::None};
+    case UnOp::Floor: case UnOp::Ceil: case UnOp::Round:
+      return {Yields::Double, CountTag::Flop};
+    case UnOp::Sin: case UnOp::Cos: case UnOp::Tan: case UnOp::Exp:
+    case UnOp::Log: case UnOp::Sqrt:
+      break;
+  }
+  return {Yields::Double, CountTag::Trans};
+}
+
+// The tag of `op`'s result on operands tagged `a` and `b` (a unary op's `b`
+// is Int); Mixed when a promoting op reads a Mixed operand.
+template <typename Op>
+constexpr Tag result_tag(Op op, Tag a, Tag b = Tag::Int) {
+  switch (op_rule(op).yields) {
+    case Yields::Int: return Tag::Int;
+    case Yields::Double: return Tag::Double;
+    case Yields::Promote: break;
+  }
+  if (a == Tag::Mixed || b == Tag::Mixed) return Tag::Mixed;
+  return a == Tag::Int && b == Tag::Int ? Tag::Int : Tag::Double;
+}
+
+// `cost` for a result tagged `t`: ByResult resolves to IntOp or Flop (and
+// stays ByResult on Mixed); every other class is fixed.
+constexpr CountTag resolve_cost(CountTag cost, Tag t) {
+  if (cost != CountTag::ByResult || t == Tag::Mixed) return cost;
+  return t == Tag::Int ? CountTag::IntOp : CountTag::Flop;
 }
 
 }  // namespace sit::runtime

@@ -36,13 +36,21 @@ std::string actor_refusal(const std::string& f, const std::string& why) {
 
 // ---- decode -----------------------------------------------------------------
 
+// The OpCounts field operator `op` bumps on operands of planes `ad` (and
+// `bd`): its cost class in the operator table (eval_ops.h), resolved by the
+// result tag there.
+template <typename Op>
+CountTag bumps(Op op, bool ad, bool bd = false) {
+  const auto plane = [](bool dbl) { return dbl ? Tag::Double : Tag::Int; };
+  return resolve_cost(op_rule(op).cost, result_tag(op, plane(ad), plane(bd)));
+}
+
 // The specialized handler of a same-plane binary op (vm.h Handler), or Bin.
-// Each specialized handler bumps one fixed OpCounts field; an instruction
-// whose resolved tag is not that field keeps the generic handler, which
-// tallies the tag itself.
+// Each specialized handler bumps the one OpCounts field the table gives its
+// operator at its operand planes; an instruction whose resolved tag is not
+// that field keeps the generic handler, which tallies the tag itself.
 Handler decode_bin(BinOp op, bool ad, bool bd, CountTag tag) {
   Handler h = Handler::Bin;
-  CountTag bumps = CountTag::IntOp;
   if (!ad && !bd) {
     switch (op) {
       case BinOp::Add: h = Handler::AddII; break;
@@ -64,62 +72,53 @@ Handler decode_bin(BinOp op, bool ad, bool bd, CountTag tag) {
       default: break;  // Div/Mod (zero checks), Pow, LAnd, LOr
     }
   } else if (ad && bd) {
-    bumps = CountTag::Flop;
     switch (op) {
       case BinOp::Add: h = Handler::AddDD; break;
       case BinOp::Sub: h = Handler::SubDD; break;
       case BinOp::Mul: h = Handler::MulDD; break;
       case BinOp::Min: h = Handler::MinDD; break;
       case BinOp::Max: h = Handler::MaxDD; break;
-      case BinOp::Div: h = Handler::DivDD; bumps = CountTag::Div; break;
-      case BinOp::Lt: h = Handler::LtDD; bumps = CountTag::IntOp; break;
-      case BinOp::Le: h = Handler::LeDD; bumps = CountTag::IntOp; break;
-      case BinOp::Gt: h = Handler::GtDD; bumps = CountTag::IntOp; break;
-      case BinOp::Ge: h = Handler::GeDD; bumps = CountTag::IntOp; break;
-      case BinOp::Eq: h = Handler::EqDD; bumps = CountTag::IntOp; break;
-      case BinOp::Ne: h = Handler::NeDD; bumps = CountTag::IntOp; break;
+      case BinOp::Div: h = Handler::DivDD; break;
+      case BinOp::Lt: h = Handler::LtDD; break;
+      case BinOp::Le: h = Handler::LeDD; break;
+      case BinOp::Gt: h = Handler::GtDD; break;
+      case BinOp::Ge: h = Handler::GeDD; break;
+      case BinOp::Eq: h = Handler::EqDD; break;
+      case BinOp::Ne: h = Handler::NeDD; break;
       default: break;  // Mod, Pow, LAnd, LOr, the bit ops
     }
   }
-  return tag == bumps ? h : Handler::Bin;
+  return tag == bumps(op, ad, bd) ? h : Handler::Bin;
 }
 
 // The same for a unary op whose result stays on its operand's plane, and
 // for ToInt/ToFloat from either plane; anything else is Un.
 Handler decode_un(UnOp op, bool ad, CountTag tag) {
   Handler h = Handler::Un;
-  CountTag bumps = ad ? CountTag::Flop : CountTag::IntOp;
   switch (op) {
     case UnOp::Neg: h = ad ? Handler::NegD : Handler::NegI; break;
     case UnOp::Abs: h = ad ? Handler::AbsD : Handler::AbsI; break;
     case UnOp::LNot: if (!ad) h = Handler::LNotI; break;
     case UnOp::BNot: if (!ad) h = Handler::BNotI; break;
-    case UnOp::ToInt:
-      h = ad ? Handler::ToIntD : Handler::ToIntI;
-      bumps = CountTag::None;
-      break;
-    case UnOp::ToFloat:
-      h = ad ? Handler::ToFloatD : Handler::ToFloatI;
-      bumps = CountTag::None;
-      break;
-    default:
-      break;
+    case UnOp::ToInt: h = ad ? Handler::ToIntD : Handler::ToIntI; break;
+    case UnOp::ToFloat: h = ad ? Handler::ToFloatD : Handler::ToFloatI; break;
+    default: break;
   }
   if (ad) {
     switch (op) {
-      case UnOp::Sin: h = Handler::SinD; bumps = CountTag::Trans; break;
-      case UnOp::Cos: h = Handler::CosD; bumps = CountTag::Trans; break;
-      case UnOp::Tan: h = Handler::TanD; bumps = CountTag::Trans; break;
-      case UnOp::Exp: h = Handler::ExpD; bumps = CountTag::Trans; break;
-      case UnOp::Log: h = Handler::LogD; bumps = CountTag::Trans; break;
-      case UnOp::Sqrt: h = Handler::SqrtD; bumps = CountTag::Trans; break;
+      case UnOp::Sin: h = Handler::SinD; break;
+      case UnOp::Cos: h = Handler::CosD; break;
+      case UnOp::Tan: h = Handler::TanD; break;
+      case UnOp::Exp: h = Handler::ExpD; break;
+      case UnOp::Log: h = Handler::LogD; break;
+      case UnOp::Sqrt: h = Handler::SqrtD; break;
       case UnOp::Floor: h = Handler::FloorD; break;
       case UnOp::Ceil: h = Handler::CeilD; break;
       case UnOp::Round: h = Handler::RoundD; break;
       default: break;
     }
   }
-  return tag == bumps ? h : Handler::Un;
+  return tag == bumps(op, ad) ? h : Handler::Un;
 }
 
 // The handler TypedFusedExec::run dispatches `I` on: its opcode, operand
@@ -1267,8 +1266,8 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
       SIT_BIN(BAndII, int_ops, ir_, ir_, x & y)
       SIT_BIN(BOrII, int_ops, ir_, ir_, x | y)
       SIT_BIN(BXorII, int_ops, ir_, ir_, x ^ y)
-      SIT_BIN(ShlII, int_ops, ir_, ir_, x << y)
-      SIT_BIN(ShrII, int_ops, ir_, ir_, x >> y)
+      SIT_BIN(ShlII, int_ops, ir_, ir_, int_shl(x, y))
+      SIT_BIN(ShrII, int_ops, ir_, ir_, int_shr(x, y))
       SIT_BIN(LtII, int_ops, ir_, ir_, x < y ? 1 : 0)
       SIT_BIN(LeII, int_ops, ir_, ir_, x <= y ? 1 : 0)
       SIT_BIN(GtII, int_ops, ir_, ir_, x > y ? 1 : 0)

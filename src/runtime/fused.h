@@ -265,7 +265,8 @@ FusedProgramP build_actor(const FlatGraph& g, int actor,
 // produces outputs, per-actor FilterState, per-actor OpCounts, and per-edge
 // cumulative push/pop counters identical to the tree interpreter.
 // Counting preservation is per-instruction (every lowered/fused op carries
-// the same CountTag arithmetic as the tree's count_bin/count_un);
+// the cost class the tree tallies, both read off eval_ops.h's operator
+// table);
 // channel-counter preservation is by bulk advance (each lowered edge's
 // n(t)/p(t) advance by `traffic` once per iteration, which equals the sum of
 // the per-item increments per-actor firing makes).  Only Channel high-water

@@ -31,24 +31,11 @@ struct Ctx {
   const ir::FilterSpec* spec{nullptr};
   std::int64_t pops{0};  // pops so far this invocation (debug bounds check)
 
-  void count_bin(const Value& r, BinOp op) {
-    if (!counts) return;
-    switch (op) {
-      case BinOp::Div:
-      case BinOp::Mod:
-        ++counts->divs;
-        break;
-      case BinOp::Pow:
-        ++counts->trans;
-        break;
-      default:
-        if (r.is_int()) {
-          ++counts->int_ops;
-        } else {
-          ++counts->flops;
-        }
-        break;
-    }
+  // Tally operator `op`'s cost class, resolved by its result `r`'s tag
+  // (eval_ops.h).
+  template <typename Op>
+  void count(Op op, const Value& r) {
+    if (counts) tally(*counts, resolve_cost(op_rule(op).cost, value_tag(r)));
   }
 };
 
@@ -71,39 +58,6 @@ std::vector<Value>& array_of(const std::string& name, Ctx& ctx) {
     throw std::runtime_error("undefined array '" + name + "'");
   }
   return it->second;
-}
-
-// apply_bin / apply_un live in runtime/eval_ops.h, shared with the traces'
-// generic handlers (fused.cc).
-
-void count_un(UnOp op, const Value& a, Ctx& ctx) {
-  if (!ctx.counts) return;
-  switch (op) {
-    case UnOp::Neg:
-    case UnOp::Abs:
-      a.is_int() ? ++ctx.counts->int_ops : ++ctx.counts->flops;
-      break;
-    case UnOp::LNot:
-    case UnOp::BNot:
-      ++ctx.counts->int_ops;
-      break;
-    case UnOp::Sin:
-    case UnOp::Cos:
-    case UnOp::Tan:
-    case UnOp::Exp:
-    case UnOp::Log:
-    case UnOp::Sqrt:
-      ++ctx.counts->trans;
-      break;
-    case UnOp::Floor:
-    case UnOp::Ceil:
-    case UnOp::Round:
-      ++ctx.counts->flops;
-      break;
-    case UnOp::ToInt:
-    case UnOp::ToFloat:
-      break;
-  }
 }
 
 Value eval(const ExprP& e, Ctx& ctx) {
@@ -156,13 +110,13 @@ Value eval(const ExprP& e, Ctx& ctx) {
       const Value a = eval(e->a, ctx);
       const Value b = eval(e->b, ctx);
       const Value r = apply_bin(e->bop, a, b);
-      ctx.count_bin(r, e->bop);
+      ctx.count(e->bop, r);
       return r;
     }
     case Expr::Kind::Un: {
-      const Value a = eval(e->a, ctx);
-      count_un(e->uop, a, ctx);
-      return apply_un(e->uop, a);
+      const Value r = apply_un(e->uop, eval(e->a, ctx));
+      ctx.count(e->uop, r);
+      return r;
     }
     case Expr::Kind::Cond: {
       if (ctx.counts) ++ctx.counts->int_ops;

@@ -45,4 +45,27 @@ struct OpCounts {
   }
 };
 
+// Which OpCounts field one operation bumps.  Every bytecode instruction
+// carries one (vm.h FInstr::count); an operator's comes from its cost class
+// in the operator table (eval_ops.h op_rule), where ByResult -- int_ops or
+// flops by the result's tag -- is resolved statically by the typed lowering
+// and dynamically by the tree interpreter.
+enum class CountTag : std::uint8_t {
+  None, IntOp, Flop, Div, Trans, Mem, Channel, ByResult,
+};
+
+// Count one op in the field a static tag names (None and ByResult add
+// nothing; lowered code carries no ByResult).
+inline void tally(OpCounts& c, CountTag tag) {
+  switch (tag) {
+    case CountTag::IntOp: ++c.int_ops; break;
+    case CountTag::Flop: ++c.flops; break;
+    case CountTag::Div: ++c.divs; break;
+    case CountTag::Trans: ++c.trans; break;
+    case CountTag::Mem: ++c.mem; break;
+    case CountTag::Channel: ++c.channel; break;
+    case CountTag::None: case CountTag::ByResult: break;
+  }
+}
+
 }  // namespace sit::runtime

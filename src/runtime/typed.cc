@@ -22,41 +22,6 @@ namespace {
 
 using TagVec = std::vector<Tag>;
 
-Tag bin_result(ir::BinOp op, Tag a, Tag b) {
-  using ir::BinOp;
-  switch (op) {
-    case BinOp::Add:
-    case BinOp::Sub:
-    case BinOp::Mul:
-    case BinOp::Div:
-    case BinOp::Mod:
-    case BinOp::Min:
-    case BinOp::Max:
-      if (a == Tag::Mixed || b == Tag::Mixed) return Tag::Mixed;
-      return (a == Tag::Int && b == Tag::Int) ? Tag::Int : Tag::Double;
-    case BinOp::Pow:
-      return Tag::Double;
-    default:
-      // Comparisons, logic, bit ops, shifts: canonical Int (ir::Value(bool)).
-      return Tag::Int;
-  }
-}
-
-Tag un_result(ir::UnOp op, Tag a) {
-  using ir::UnOp;
-  switch (op) {
-    case UnOp::Neg:
-    case UnOp::Abs:
-      return a;
-    case UnOp::LNot:
-    case UnOp::BNot:
-    case UnOp::ToInt:
-      return Tag::Int;
-    default:
-      return Tag::Double;
-  }
-}
-
 // The analysis state threaded through flow + lowering.
 struct Flow {
   const std::vector<FInstr>* code{nullptr};
@@ -101,10 +66,10 @@ void transfer(Flow& F, const FInstr& I, TagVec& s) {
       F.raise_array(I.a, s[I.dst]);
       break;
     case FOp::Bin:
-      s[I.dst] = bin_result(static_cast<ir::BinOp>(I.sub), s[I.a], s[I.b]);
+      s[I.dst] = result_tag(static_cast<ir::BinOp>(I.sub), s[I.a], s[I.b]);
       break;
     case FOp::Un:
-      s[I.dst] = un_result(static_cast<ir::UnOp>(I.sub), s[I.a]);
+      s[I.dst] = result_tag(static_cast<ir::UnOp>(I.sub), s[I.a]);
       break;
     case FOp::Truthy:
     case FOp::ForInc:
@@ -251,25 +216,19 @@ bool lower_one(Lower& L, const FInstr& I, const TagVec& s, FInstr* T) {
       if (!L.read(s, I.b, &bd)) return false;
       T->mode = static_cast<std::uint8_t>((ad ? kModeAD : 0) |
                                           (bd ? kModeBD : 0));
-      const Tag rt = bin_result(static_cast<ir::BinOp>(I.sub),
+      const Tag rt = result_tag(static_cast<ir::BinOp>(I.sub),
                                 ad ? Tag::Double : Tag::Int,
                                 bd ? Tag::Double : Tag::Int);
-      if (T->count == CountTag::ByResult) {
-        T->count = rt == Tag::Int ? CountTag::IntOp : CountTag::Flop;
-      }
+      T->count = resolve_cost(T->count, rt);
       L.note_write(I.dst, rt);
       break;
     }
     case FOp::Un: {
       if (!L.read(s, I.a, &ad)) return false;
       if (ad) T->mode = kModeAD;
-      const Tag rt = un_result(static_cast<ir::UnOp>(I.sub),
-                               ad ? Tag::Double : Tag::Int);
-      // The tree interpreter tallies Neg/Abs (the only ByResult unaries) on
-      // the *operand* tag, which equals the result tag for both.
-      if (T->count == CountTag::ByResult) {
-        T->count = ad ? CountTag::Flop : CountTag::IntOp;
-      }
+      const Tag rt = result_tag(static_cast<ir::UnOp>(I.sub),
+                                ad ? Tag::Double : Tag::Int);
+      T->count = resolve_cost(T->count, rt);
       L.note_write(I.dst, rt);
       break;
     }

@@ -10,10 +10,10 @@
 //   * A forward, flow-sensitive dataflow over a filter's work bytecode
 //     assigns every register AT EVERY PROGRAM POINT a lattice tag
 //         Int | Double | Mixed        (Int join Double = Mixed)
-//     seeded from the register template, with transfer functions mirroring
-//     the Java-like promotion rules in eval_ops.h (int op int stays Int, any
-//     Double operand promotes, comparisons/logic produce Int, channel
-//     pops/peeks produce Double, ToInt/ToFloat force a plane).  Filter state
+//     seeded from the register template.  An operator's transfer function
+//     is its result tag in eval_ops.h's operator table (int op int stays
+//     Int, any Double operand promotes, comparisons/logic produce Int,
+//     ToInt/ToFloat force a plane); channel pops/peeks produce Double.  Filter state
 //     scalars/arrays get one global class each: the join of the bound
 //     state's current tag and every store site's tag.  Flow-sensitivity
 //     matters because the compiler reuses expression temporaries across
@@ -38,7 +38,7 @@
 //     arithmetic, op counting and error strings exactly, and its generic
 //     Bin and Un handlers call the tree's own kernels (eval_ops.h), so a
 //     result lands on the plane of the tag those kernels give it -- which
-//     bin_result/un_result must predict.
+//     the same table's result_tag predicts.
 //
 // Each filter is typed once, by compile.cc::typed_compile.  fused.cc
 // rebases its result -- mode bytes, resolved count tags, plane templates and
@@ -55,18 +55,14 @@
 
 #include "ir/filter.h"
 #include "ir/value.h"
+#include "runtime/eval_ops.h"
 #include "runtime/interp.h"
 #include "runtime/vm.h"
 
 namespace sit::runtime {
 
-// The three-point tag lattice.  Int and Double are incomparable; Mixed tops.
-enum class Tag : std::uint8_t { Int = 0, Double = 1, Mixed = 2 };
-
-inline Tag join_tag(Tag a, Tag b) { return a == b ? a : Tag::Mixed; }
-inline Tag value_tag(const ir::Value& v) {
-  return v.is_int() ? Tag::Int : Tag::Double;
-}
+// The tag lattice (Tag, join_tag, value_tag) lives beside the operator table
+// in eval_ops.h.
 const char* tag_name(Tag t);  // "int" | "double" | "mixed"
 
 // The result of lowering one work program.  `code` is the input

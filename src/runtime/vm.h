@@ -18,11 +18,12 @@
 // bookkeeping | expression temporaries].  The template `reg_init` is copied
 // in at entry, which both preloads constants and resets locals.
 //
-// Operation counting: every instruction carries a CountTag resolved at
-// compile time (mem, channel, div, ...), so tallying is a single add; only
-// ops whose int/float classification depends on value tags
-// (Add/Sub/Mul/Min/Max/Neg/Abs) carry ByResult, which the typed lowering
-// resolves statically from the proven operand planes.
+// Operation counting: every instruction carries a CountTag (opcounts.h)
+// fixed at compile time (mem, channel, div, ...; an operator's is its cost
+// class in eval_ops.h's table), so tallying is a single add; only ops whose
+// int/float classification depends on value tags (Add/Sub/Mul/Min/Max/
+// Neg/Abs) carry ByResult, which the typed lowering resolves statically
+// from the proven operand planes.
 
 #include <cstdint>
 #include <memory>
@@ -80,28 +81,6 @@ enum class FOp : std::uint8_t {
 
 // The disassembly mnemonic of an opcode.
 const char* op_name(FOp op);
-
-// Which OpCounts field an instruction bumps; fixed at compile time except
-// ByResult (int_ops vs flops decided by the result's tag, exactly like the
-// tree interpreter's count_bin / count_un).  The typed lowering resolves
-// every ByResult statically.
-enum class CountTag : std::uint8_t {
-  None, IntOp, Flop, Div, Trans, Mem, Channel, ByResult,
-};
-
-// Count one op in the field a static tag names (None and ByResult add
-// nothing; lowered code carries no ByResult).
-inline void tally(OpCounts& c, CountTag tag) {
-  switch (tag) {
-    case CountTag::IntOp: ++c.int_ops; break;
-    case CountTag::Flop: ++c.flops; break;
-    case CountTag::Div: ++c.divs; break;
-    case CountTag::Trans: ++c.trans; break;
-    case CountTag::Mem: ++c.mem; break;
-    case CountTag::Channel: ++c.channel; break;
-    case CountTag::None: case CountTag::ByResult: break;
-  }
-}
 
 // The decoded form of a trace instruction: what TypedFusedExec::run
 // switches on, set once per instruction when a trace is built (fused.cc).

@@ -64,6 +64,18 @@ TEST(ChannelCounts, LoopsAreUnrolledWithConstantBounds) {
   EXPECT_EQ(cc.max_peek, 4);
 }
 
+// Shift counts are taken mod 64, as the runtime does: the loop bound below
+// is 1 << (70 & 63) = 64, so the filter pushes 64 items per firing.
+TEST(ChannelCounts, ShiftCountsAreTakenModSixtyFour) {
+  const StmtP w =
+      seq({for_("i", ci(0), ci(1) << ci(70), push_(v("i"))), discard(1)});
+  const ChannelCounts cc = count_channel_ops(w);
+  EXPECT_TRUE(cc.static_counts);
+  EXPECT_EQ(cc.pushes, 64);
+  EXPECT_TRUE(check(filter("wide").rates(1, 1, 64).work(w).node()).empty());
+  EXPECT_FALSE(check(filter("narrow").rates(1, 1, 1).work(w).node()).empty());
+}
+
 TEST(ChannelCounts, BranchesMustAgree) {
   // if (x > 0) push(1) -- unbalanced against the empty else.
   const StmtP bad = seq({if_(v("x") > c(0.0), push_(c(1.0)))});

@@ -163,10 +163,10 @@ TEST(ValueTags, JoinLattice) {
 //
 // A trace's generic Bin and Un handlers store the tree kernel's result on the
 // plane of its tag, while the lowering assigns every register its plane from
-// bin_result/un_result; were the two to disagree, a result would land on a
-// plane its next reader does not read.  Each filter below pushes one
-// operator's result, so the pushed register is written once and its lowered
-// tag is the static result tag.
+// the operator table's result_tag (eval_ops.h); were the two to disagree, a
+// result would land on a plane its next reader does not read.  Each filter
+// below pushes one operator's result, so the pushed register is written once
+// and its lowered tag is the static result tag.
 
 // The lowered tag of the register `push_(expr)` reads, in a filter whose
 // whole work is that push (peek(0) and peek(1) feed the operands).

@@ -141,14 +141,14 @@ inline Interval iv_band(const Interval& a, const Interval& b) {
   return {0, hi};
 }
 
-// a << s for constant s in [0, 62]: monotone on non-negative values.
+// a << s for constant s in [0, 62]: monotone on non-negative values that
+// stay below 2^63.  A shift that can overflow wraps at run time (and an
+// infinite endpoint may stand for any large value), so it is top.
 inline Interval iv_shl_const(const Interval& a, std::int64_t s) {
-  if (s < 0 || s > 62 || a.lo < 0) return Interval::top();
-  const std::int64_t lo = detail::sat_mul(a.lo, std::int64_t{1} << s);
-  const std::int64_t hi =
-      a.hi == Interval::kMax ? Interval::kMax
-                             : detail::sat_mul(a.hi, std::int64_t{1} << s);
-  return {lo, hi};
+  if (s < 0 || s > 62 || a.lo < 0 || a.hi > (Interval::kMax >> s)) {
+    return Interval::top();
+  }
+  return {a.lo << s, a.hi << s};
 }
 
 // a >> s for constant s in [0, 63]: monotone on non-negative values.

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace sit::fft {
 
@@ -11,21 +10,16 @@ namespace {
 
 bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-// Twiddle/bit-reversal caches keyed by size.  The frequency filters call the
-// FFT with a handful of distinct sizes millions of times; caching the tables
-// is the difference between an FFT and a trig benchmark.
-struct Tables {
-  std::vector<std::size_t> rev;
-  std::vector<cplx> w;  // forward twiddles, per stage packed
-};
+// a * b in GCC's inline order, without the Annex G recovery (fft.h).
+inline cplx mul(const cplx& a, const cplx& b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
 
-const Tables& tables_for(std::size_t n) {
-  static std::unordered_map<std::size_t, Tables> cache;
-  auto it = cache.find(n);
-  if (it != cache.end()) return it->second;
+}  // namespace
 
-  Tables t;
-  t.rev.resize(n);
+Plan::Plan(std::size_t n) : n_(n) {
+  if (!is_pow2(n)) throw std::invalid_argument("FFT size must be a power of two");
   std::size_t log2n = 0;
   while ((std::size_t{1} << log2n) < n) ++log2n;
   for (std::size_t i = 0; i < n; ++i) {
@@ -33,18 +27,46 @@ const Tables& tables_for(std::size_t n) {
     for (std::size_t b = 0; b < log2n; ++b) {
       if (i & (std::size_t{1} << b)) r |= std::size_t{1} << (log2n - 1 - b);
     }
-    t.rev[i] = r;
+    if (i < r) swaps_.emplace_back(i, r);
   }
-  t.w.resize(n / 2);
+  std::vector<cplx> w(n / 2);
   for (std::size_t i = 0; i < n / 2; ++i) {
     const double ang = -2.0 * std::numbers::pi * static_cast<double>(i) /
                        static_cast<double>(n);
-    t.w[i] = cplx(std::cos(ang), std::sin(ang));
+    w[i] = cplx(std::cos(ang), std::sin(ang));
   }
-  return cache.emplace(n, std::move(t)).first->second;
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    const std::size_t stride = n / (2 * half);
+    for (std::size_t j = 0; j < half; ++j) w_.push_back(w[j * stride]);
+  }
 }
 
-}  // namespace
+// `sign` is 1 (forward) or -1 (inverse: the conjugate twiddles); scaling the
+// imaginary part by it is exact.
+void Plan::butterflies(cplx* a, double sign) const {
+  for (const auto& [i, r] : swaps_) std::swap(a[i], a[r]);
+  for (std::size_t half = 1; half < n_; half <<= 1) {
+    const cplx* tw = w_.data() + (half - 1);
+    for (std::size_t base = 0; base < n_; base += 2 * half) {
+      cplx* lo = a + base;
+      cplx* hi = lo + half;
+      for (std::size_t j = 0; j < half; ++j) {
+        const cplx u = lo[j];
+        const cplx v = mul(hi[j], cplx(tw[j].real(), sign * tw[j].imag()));
+        lo[j] = u + v;
+        hi[j] = u - v;
+      }
+    }
+  }
+}
+
+void Plan::forward(cplx* a) const { butterflies(a, 1.0); }
+
+void Plan::inverse(cplx* a) const {
+  butterflies(a, -1.0);
+  const double inv = 1.0 / static_cast<double>(n_);
+  for (std::size_t i = 0; i < n_; ++i) a[i] *= inv;
+}
 
 std::size_t next_pow2(std::size_t n) {
   std::size_t p = 1;
@@ -53,33 +75,12 @@ std::size_t next_pow2(std::size_t n) {
 }
 
 void fft_inplace(std::vector<cplx>& a, bool inverse) {
-  const std::size_t n = a.size();
-  if (n <= 1) return;
-  if (!is_pow2(n)) throw std::invalid_argument("FFT size must be a power of two");
-
-  const Tables& t = tables_for(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i < t.rev[i]) std::swap(a[i], a[t.rev[i]]);
-  }
-
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t stride = n / len;
-    const std::size_t half = len / 2;
-    for (std::size_t base = 0; base < n; base += len) {
-      for (std::size_t j = 0; j < half; ++j) {
-        cplx w = t.w[j * stride];
-        if (inverse) w = std::conj(w);
-        const cplx u = a[base + j];
-        const cplx v = a[base + j + half] * w;
-        a[base + j] = u + v;
-        a[base + j + half] = u - v;
-      }
-    }
-  }
-
+  if (a.size() <= 1) return;
+  const Plan plan(a.size());
   if (inverse) {
-    const double inv = 1.0 / static_cast<double>(n);
-    for (auto& x : a) x *= inv;
+    plan.inverse(a.data());
+  } else {
+    plan.forward(a.data());
   }
 }
 
@@ -125,75 +126,54 @@ std::vector<double> convolve(const std::vector<double>& x,
                              const std::vector<double>& h) {
   if (x.empty() || h.empty()) return {};
   const std::size_t out_len = x.size() + h.size() - 1;
-  const std::size_t n = next_pow2(out_len);
-  std::vector<cplx> fx(n), fh(n);
+  const Plan plan(next_pow2(out_len));
+  std::vector<cplx> fx(plan.size()), fh(plan.size());
   for (std::size_t i = 0; i < x.size(); ++i) fx[i] = cplx(x[i], 0.0);
   for (std::size_t i = 0; i < h.size(); ++i) fh[i] = cplx(h[i], 0.0);
-  fft_inplace(fx, false);
-  fft_inplace(fh, false);
-  for (std::size_t i = 0; i < n; ++i) fx[i] *= fh[i];
-  fft_inplace(fx, true);
+  plan.forward(fx.data());
+  plan.forward(fh.data());
+  for (std::size_t i = 0; i < plan.size(); ++i) fx[i] = mul(fx[i], fh[i]);
+  plan.inverse(fx.data());
   std::vector<double> out(out_len);
   for (std::size_t i = 0; i < out_len; ++i) out[i] = fx[i].real();
   return out;
 }
 
-OverlapSave::OverlapSave(std::vector<double> taps, std::size_t fft_size)
-    : n_(fft_size), k_(taps.size()) {
+OverlapSave::OverlapSave(const std::vector<std::vector<double>>& taps,
+                         std::size_t fft_size)
+    : n_(fft_size), k_(taps.empty() ? 0 : taps[0].size()), outputs_(taps.size()) {
   if (!is_pow2(n_)) throw std::invalid_argument("overlap-save FFT size must be pow2");
   if (k_ == 0 || k_ > n_) throw std::invalid_argument("overlap-save needs 0 < taps <= fft size");
   block_ = n_ - k_ + 1;
-  std::vector<cplx> h(n_);
-  for (std::size_t i = 0; i < k_; ++i) h[i] = cplx(taps[i], 0.0);
-  fft_inplace(h, false);
-  h_freq_ = std::move(h);
-  history_.assign(k_ - 1, 0.0);
-}
-
-void OverlapSave::prime_history(const std::vector<double>& past) {
-  if (past.size() != k_ - 1) {
-    throw std::invalid_argument("history must have taps-1 samples");
-  }
-  history_ = past;
-}
-
-std::vector<double> OverlapSave::process(const std::vector<double>& in) {
-  if (in.size() != block_) {
-    throw std::invalid_argument("overlap-save block size mismatch");
-  }
-  std::vector<cplx> buf(n_);
-  for (std::size_t i = 0; i < k_ - 1; ++i) buf[i] = cplx(history_[i], 0.0);
-  for (std::size_t i = 0; i < block_; ++i) buf[k_ - 1 + i] = cplx(in[i], 0.0);
-
-  fft_inplace(buf, false);
-  for (std::size_t i = 0; i < n_; ++i) buf[i] *= h_freq_[i];
-  fft_inplace(buf, true);
-
-  std::vector<double> out(block_);
-  // Outputs k-1 .. n-1 of the circular convolution are the valid linear ones;
-  // output j here is y aligned to input sample j of this block.
-  for (std::size_t i = 0; i < block_; ++i) out[i] = buf[k_ - 1 + i].real();
-
-  // Slide history: keep the most recent k-1 samples.
-  if (k_ > 1) {
-    std::vector<double> next(k_ - 1);
-    const std::size_t keep = k_ - 1;
-    for (std::size_t i = 0; i < keep; ++i) {
-      const std::size_t pos_from_end = keep - i;  // 1..keep
-      if (pos_from_end <= block_) {
-        next[i] = in[block_ - pos_from_end];
-      } else {
-        next[i] = history_[history_.size() - (pos_from_end - block_)];
-      }
+  auto plan = std::make_shared<const Plan>(n_);
+  auto h = std::make_shared<std::vector<cplx>>(outputs_ * n_);
+  for (std::size_t o = 0; o < outputs_; ++o) {
+    if (taps[o].size() != k_) {
+      throw std::invalid_argument("overlap-save responses must have equal taps");
     }
-    history_ = std::move(next);
+    cplx* row = h->data() + o * n_;
+    for (std::size_t i = 0; i < k_; ++i) row[i] = cplx(taps[o][i], 0.0);
+    plan->forward(row);
   }
-  return out;
+  plan_ = std::move(plan);
+  h_ = std::move(h);
+  x_.resize(n_);
+  y_.resize(n_);
 }
 
-double OverlapSave::cost_per_block() const {
-  // Forward FFT + inverse FFT + N complex multiplies (6 real ops each).
-  return 2.0 * fft_cost_flops(n_) + 6.0 * static_cast<double>(n_);
+void OverlapSave::run(const double* buf, std::size_t first, std::size_t mask,
+                      double* out) {
+  for (std::size_t i = 0; i < n_; ++i) x_[i] = cplx(buf[(first + i) & mask], 0.0);
+  plan_->forward(x_.data());
+  for (std::size_t o = 0; o < outputs_; ++o) {
+    const cplx* h = h_->data() + o * n_;
+    for (std::size_t i = 0; i < n_; ++i) y_[i] = mul(x_[i], h[i]);
+    plan_->inverse(y_.data());
+    // Outputs k-1 .. n-1 of the circular convolution are the valid linear
+    // ones.
+    double* dst = out + o * block_;
+    for (std::size_t j = 0; j < block_; ++j) dst[j] = y_[k_ - 1 + j].real();
+  }
 }
 
 }  // namespace sit::fft

@@ -30,12 +30,22 @@ std::optional<std::int64_t> const_eval(const ExprP& e, const Env& env) {
       auto a = const_eval(e->a, env);
       auto b = const_eval(e->b, env);
       if (!a || !b) return std::nullopt;
+      // The runtime's int64 rules (runtime/eval_ops.h): + - * wrap (each
+      // builtin stores the wrapped result), and INT64_MIN / -1 is INT64_MIN,
+      // remainder 0, as for a Java long.
+      std::int64_t r = 0;
       switch (e->bop) {
-        case BinOp::Add: return *a + *b;
-        case BinOp::Sub: return *a - *b;
-        case BinOp::Mul: return *a * *b;
-        case BinOp::Div: return *b == 0 ? std::nullopt : std::optional(*a / *b);
-        case BinOp::Mod: return *b == 0 ? std::nullopt : std::optional(*a % *b);
+        case BinOp::Add: __builtin_add_overflow(*a, *b, &r); return r;
+        case BinOp::Sub: __builtin_sub_overflow(*a, *b, &r); return r;
+        case BinOp::Mul: __builtin_mul_overflow(*a, *b, &r); return r;
+        case BinOp::Div:
+          if (*b == 0) return std::nullopt;
+          if (*b != -1) return *a / *b;
+          __builtin_sub_overflow(std::int64_t{0}, *a, &r);
+          return r;
+        case BinOp::Mod:
+          if (*b == 0) return std::nullopt;
+          return *b == -1 ? 0 : *a % *b;
         case BinOp::Min: return std::min(*a, *b);
         case BinOp::Max: return std::max(*a, *b);
         // The runtime's shift rule (runtime/eval_ops.h int_shl/int_shr):
@@ -55,7 +65,11 @@ std::optional<std::int64_t> const_eval(const ExprP& e, const Env& env) {
       auto a = const_eval(e->a, env);
       if (!a) return std::nullopt;
       switch (e->uop) {
-        case UnOp::Neg: return -*a;
+        case UnOp::Neg: {
+          std::int64_t r = 0;
+          __builtin_sub_overflow(std::int64_t{0}, *a, &r);
+          return r;
+        }
         case UnOp::ToInt: return *a;
         default: return std::nullopt;
       }

@@ -9,31 +9,36 @@ namespace sit::linear {
 
 namespace {
 
-// Per-instance state: one overlap-save engine per output slot.  The engines
-// are re-primed from the peek window on every firing, so no information
-// crosses firings -- the filter is semantically stateless.
+// Per-instance state: one overlap-save engine carrying every output slot's
+// response, and the buffers one firing fills.  The engine reads its history
+// from the peek window on every firing, so no information crosses firings --
+// the filter is semantically stateless.  Clones share the plan and the
+// responses and own their scratch.
 class FreqState final : public ir::NativeState {
  public:
-  FreqState(const LinearRep& rep, std::size_t fft_size) {
-    engines_.reserve(static_cast<std::size_t>(rep.push));
-    const int k = rep.peek;
-    for (int o = 0; o < rep.push; ++o) {
-      // Taps: h[t] = A[o][k-1-t] so that overlap-save's causal convolution
-      //   sum_t h[t] x[j-t]  ==  sum_i A[o][i] W[j-k+1+i].
-      std::vector<double> taps(static_cast<std::size_t>(k));
-      for (int t = 0; t < k; ++t) {
-        taps[static_cast<std::size_t>(t)] =
-            rep.A.at(static_cast<std::size_t>(o), static_cast<std::size_t>(k - 1 - t));
-      }
-      engines_.emplace_back(std::move(taps), fft_size);
-    }
-  }
+  FreqState(const LinearRep& rep, std::size_t fft_size)
+      : os(taps_of(rep), fft_size), y(os.outputs() * os.block_size()) {}
 
   std::unique_ptr<ir::NativeState> clone() const override {
     return std::make_unique<FreqState>(*this);
   }
 
-  std::vector<fft::OverlapSave> engines_;
+  fft::OverlapSave os;
+  std::vector<double> window;  // the window, when the tape has no ring_view
+  std::vector<double> y;       // slot o's block at [o * block, (o+1) * block)
+
+ private:
+  // Taps: h[t] = A[o][k-1-t] so that overlap-save's causal convolution
+  //   sum_t h[t] x[j-t]  ==  sum_i A[o][i] W[j-k+1+i].
+  static std::vector<std::vector<double>> taps_of(const LinearRep& rep) {
+    const auto k = static_cast<std::size_t>(rep.peek);
+    std::vector<std::vector<double>> taps(static_cast<std::size_t>(rep.push),
+                                          std::vector<double>(k));
+    for (std::size_t o = 0; o < taps.size(); ++o) {
+      for (std::size_t t = 0; t < k; ++t) taps[o][t] = rep.A.at(o, k - 1 - t);
+    }
+    return taps;
+  }
 };
 
 }  // namespace
@@ -99,32 +104,29 @@ ir::NodeP make_frequency_filter(const LinearRep& rep, const std::string& name,
   nf.make_state = [rep, fft_size]() -> std::unique_ptr<ir::NativeState> {
     return std::make_unique<FreqState>(rep, fft_size);
   };
-  nf.work = [k, block, push, b](ir::NativeState* state, ir::InTape& in,
-                                ir::OutTape& out) {
+  nf.work = [block, push, b](ir::NativeState* state, ir::InTape& in,
+                             ir::OutTape& out) {
     auto* fs = dynamic_cast<FreqState*>(state);
     if (fs == nullptr) throw std::logic_error("frequency filter state mismatch");
 
     // Window = [x_0 .. x_{block+k-2}]; firing j (j < block) uses x_j..x_{j+k-1}.
-    std::vector<double> history(static_cast<std::size_t>(k - 1));
-    for (int i = 0; i < k - 1; ++i) history[static_cast<std::size_t>(i)] = in.peek_item(i);
-    std::vector<double> blk(static_cast<std::size_t>(block));
-    for (int i = 0; i < block; ++i) {
-      blk[static_cast<std::size_t>(i)] = in.peek_item(k - 1 + i);
+    const std::size_t n = fs->os.fft_size();
+    ir::RingView w;
+    if (!in.ring_view(n, &w)) {
+      fs->window.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        fs->window[i] = in.peek_item(static_cast<int>(i));
+      }
+      w = {fs->window.data(), 0, ~std::size_t{0}};
     }
-
-    std::vector<std::vector<double>> y(static_cast<std::size_t>(push));
-    for (int o = 0; o < push; ++o) {
-      auto& eng = fs->engines_[static_cast<std::size_t>(o)];
-      if (k > 1) eng.prime_history(history);
-      y[static_cast<std::size_t>(o)] = eng.process(blk);
-    }
+    fs->os.run(w.buf, w.head, w.mask, fs->y.data());
     for (int j = 0; j < block; ++j) {
       for (int o = 0; o < push; ++o) {
-        out.push_item(y[static_cast<std::size_t>(o)][static_cast<std::size_t>(j)] +
+        out.push_item(fs->y[static_cast<std::size_t>(o * block + j)] +
                       b[static_cast<std::size_t>(o)]);
       }
     }
-    for (int i = 0; i < block; ++i) in.pop_item();
+    in.pop_many(block);
   };
   return ir::make_native(std::move(nf));
 }

@@ -6,10 +6,12 @@
 // Applicable to linear reps with pop == 1 (a sliding-window filter; push may
 // exceed 1 -- each output slot is its own FIR).  The translated node is a
 // *native* filter that processes B = fftSize - peek + 1 original firings per
-// invocation using overlap-save: it peeks B + peek - 1 items, pops B, and
-// pushes B * push items in the original interleaved order.  Because the
-// overlap history is re-primed from the peek window each firing, the filter
-// stays stateless -- it can still be fissed by the parallelizers.
+// invocation using overlap-save: it peeks B + peek - 1 items (one FFT
+// window), pops B, and pushes B * push items in the original interleaved
+// order.  The window is transformed once and each output slot runs one
+// pointwise multiply and inverse transform.  Because the overlap history is
+// read from the peek window each firing, the filter stays stateless -- it
+// can still be fissed by the parallelizers.
 
 #include <cstddef>
 #include <string>

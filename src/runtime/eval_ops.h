@@ -15,7 +15,8 @@
 //     instruction, and a trace build derives the field each specialized
 //     handler checks from it.
 // A trace's specialized handlers are the same-plane forms, where nothing
-// promotes; the shifts they share with the kernels are int_shl/int_shr.
+// promotes; the integer arithmetic they share with the kernels (int_add,
+// int_shl, ...) wraps as Java's long does.
 // A fault's what() string is part of the same cross-engine contract, so each
 // one is built here once too.
 
@@ -66,15 +67,36 @@ namespace sit::runtime {
 
 // ---- value kernels ----------------------------------------------------------
 
+// int64 arithmetic wraps mod 2^64, as Java's long does: each operation runs
+// on the unsigned bit pattern (signed overflow is undefined in C++).  The
+// instructions are the same as the signed ones.
+inline std::int64_t int_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t int_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t int_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t int_neg(std::int64_t a) {
+  return static_cast<std::int64_t>(std::uint64_t{0} - static_cast<std::uint64_t>(a));
+}
+inline std::int64_t int_abs(std::int64_t a) { return a < 0 ? int_neg(a) : a; }
+
 // Integer division/modulo with the runtime's zero checks, for the Value
-// kernels below.
+// kernels below.  INT64_MIN / -1 overflows (the hardware traps); Java's
+// answer is INT64_MIN, remainder 0.
 inline std::int64_t int_div(std::int64_t a, std::int64_t b) {
   if (b == 0) throw std::runtime_error("integer division by zero");
-  return a / b;
+  return b == -1 ? int_neg(a) : a / b;
 }
 inline std::int64_t int_mod(std::int64_t a, std::int64_t b) {
   if (b == 0) throw std::runtime_error("integer modulo by zero");
-  return a % b;
+  return b == -1 ? 0 : a % b;
 }
 
 // Shifts take their count mod 64, as Java does for a long, so every count
@@ -93,11 +115,11 @@ inline ir::Value apply_bin(ir::BinOp op, const ir::Value& a, const ir::Value& b)
   const bool ints = a.is_int() && b.is_int();
   switch (op) {
     case BinOp::Add:
-      return ints ? Value(a.as_int() + b.as_int()) : Value(a.as_double() + b.as_double());
+      return ints ? Value(int_add(a.as_int(), b.as_int())) : Value(a.as_double() + b.as_double());
     case BinOp::Sub:
-      return ints ? Value(a.as_int() - b.as_int()) : Value(a.as_double() - b.as_double());
+      return ints ? Value(int_sub(a.as_int(), b.as_int())) : Value(a.as_double() - b.as_double());
     case BinOp::Mul:
-      return ints ? Value(a.as_int() * b.as_int()) : Value(a.as_double() * b.as_double());
+      return ints ? Value(int_mul(a.as_int(), b.as_int())) : Value(a.as_double() * b.as_double());
     case BinOp::Div:
       if (ints) return Value(int_div(a.as_int(), b.as_int()));
       return Value(a.as_double() / b.as_double());
@@ -147,7 +169,7 @@ inline ir::Value apply_un(ir::UnOp op, const ir::Value& a) {
   using ir::Value;
   switch (op) {
     case UnOp::Neg:
-      return a.is_int() ? Value(-a.as_int()) : Value(-a.as_double());
+      return a.is_int() ? Value(int_neg(a.as_int())) : Value(-a.as_double());
     case UnOp::LNot:
       return Value(!a.truthy());
     case UnOp::BNot:
@@ -165,7 +187,7 @@ inline ir::Value apply_un(ir::UnOp op, const ir::Value& a) {
     case UnOp::Sqrt:
       return Value(std::sqrt(a.as_double()));
     case UnOp::Abs:
-      return a.is_int() ? Value(std::abs(a.as_int())) : Value(std::fabs(a.as_double()));
+      return a.is_int() ? Value(int_abs(a.as_int())) : Value(std::fabs(a.as_double()));
     case UnOp::Floor:
       return Value(std::floor(a.as_double()));
     case UnOp::Ceil:

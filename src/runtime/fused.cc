@@ -1258,9 +1258,9 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
   for (;;) {
     const FInstr& I = code[pc];
     switch (I.handler) {
-      SIT_BIN(AddII, int_ops, ir_, ir_, x + y)
-      SIT_BIN(SubII, int_ops, ir_, ir_, x - y)
-      SIT_BIN(MulII, int_ops, ir_, ir_, x * y)
+      SIT_BIN(AddII, int_ops, ir_, ir_, int_add(x, y))
+      SIT_BIN(SubII, int_ops, ir_, ir_, int_sub(x, y))
+      SIT_BIN(MulII, int_ops, ir_, ir_, int_mul(x, y))
       SIT_BIN(MinII, int_ops, ir_, ir_, std::min(x, y))
       SIT_BIN(MaxII, int_ops, ir_, ir_, std::max(x, y))
       SIT_BIN(BAndII, int_ops, ir_, ir_, x & y)
@@ -1286,8 +1286,8 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
       SIT_BIN(GeDD, int_ops, ir_, dr, x >= y ? 1 : 0)
       SIT_BIN(EqDD, int_ops, ir_, dr, x == y ? 1 : 0)
       SIT_BIN(NeDD, int_ops, ir_, dr, x != y ? 1 : 0)
-      SIT_UN(NegI, ++cur->int_ops, ir_, ir_, -x)
-      SIT_UN(AbsI, ++cur->int_ops, ir_, ir_, std::abs(x))
+      SIT_UN(NegI, ++cur->int_ops, ir_, ir_, int_neg(x))
+      SIT_UN(AbsI, ++cur->int_ops, ir_, ir_, int_abs(x))
       SIT_UN(LNotI, ++cur->int_ops, ir_, ir_, x != 0 ? 0 : 1)
       SIT_UN(BNotI, ++cur->int_ops, ir_, ir_, ~x)
       SIT_UN(ToIntI, (void)0, ir_, ir_, x)

@@ -15,11 +15,13 @@
 #include "analysis/constprop.h"
 #include "analysis/definite_init.h"
 #include "analysis/graph_checks.h"
+#include "analysis/interval.h"
 #include "analysis/intervals.h"
 #include "apps/common.h"
 #include "ir/dsl.h"
 #include "ir/validate.h"
 #include "linear/extract.h"
+#include "runtime/eval_ops.h"
 #include "runtime/interp.h"
 
 namespace sit::analysis {
@@ -46,6 +48,22 @@ NodeP wrap(NodeP mid, int sink_pop) {
 }
 
 // ---- bounds pass ------------------------------------------------------------
+
+// iv_shl_const must contain what the runtime computes: a shift that can
+// overflow wraps (int_shl), so its interval is top.
+TEST(IntervalOps, ShlConstThatCanOverflowIsTop) {
+  const std::int64_t two62 = std::int64_t{1} << 62;
+  const Interval wraps = iv_shl_const(Interval::range(1, two62), 2);
+  EXPECT_TRUE(wraps.is_top()) << wraps.str();
+  EXPECT_TRUE(wraps.contains(
+      runtime::apply_bin(ir::BinOp::Shl, Value(two62), Value(std::int64_t{2})).as_int()));
+  EXPECT_TRUE(iv_shl_const(Interval::at_least(1), 1).is_top());
+  EXPECT_EQ(iv_shl_const(Interval::range(1, std::int64_t{1} << 60), 2),
+            Interval::range(4, two62));
+  EXPECT_EQ(iv_shl_const(Interval::range(3, 5), 0), Interval::range(3, 5));
+  EXPECT_EQ(iv_shl_const(Interval::exact(Interval::kMax), 0),
+            Interval::exact(Interval::kMax));
+}
 
 TEST(Bounds, RejectsPeekBeyondWindow) {
   const auto spec = filter("f")

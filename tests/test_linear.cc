@@ -8,8 +8,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <random>
+#include <thread>
 
 #include "apps/apps.h"
 #include "ir/dsl.h"
@@ -20,6 +22,8 @@
 #include "linear/linear_rep.h"
 #include "linear/optimize.h"
 #include "opt/compile.h"
+#include "runtime/channel.h"
+#include "runtime/spsc.h"
 #include "sched/exec.h"
 
 namespace sit::linear {
@@ -458,6 +462,166 @@ TEST(Frequency, CostFavorsFftForLongFilters) {
   shortfir.A = Matrix(1, 3);
   for (int i = 0; i < 3; ++i) shortfir.A.at(0, static_cast<std::size_t>(i)) = 1.0;
   EXPECT_EQ(best_fft_size(shortfir), 0u);
+}
+
+// ---- frequency filter firings ---------------------------------------------------
+//
+// A frequency filter reads its whole peek window through the tape's
+// ring_view when the tape has one, and item by item when it does not; a
+// push > 1 filter transforms the window once for all its output slots.
+// Every path must give the same bits.
+
+// A tape without ring_view: the filter falls back to peek_item.
+class PeekOnlyTape final : public ir::InTape {
+ public:
+  explicit PeekOnlyTape(std::vector<double> items) : items_(std::move(items)) {}
+  double peek_item(int offset) override {
+    return items_.at(head_ + static_cast<std::size_t>(offset));
+  }
+  double pop_item() override { return items_.at(head_++); }
+
+ private:
+  std::vector<double> items_;
+  std::size_t head_{0};
+};
+
+class CollectTape final : public ir::OutTape {
+ public:
+  void push_item(double v) override { items.push_back(v); }
+  std::vector<double> items;
+};
+
+LinearRep random_fir(unsigned seed, int peek, int push) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> coeff(-1.0, 1.0);
+  LinearRep r;
+  r.pop = 1;
+  r.peek = peek;
+  r.push = push;
+  r.A = Matrix(static_cast<std::size_t>(push), static_cast<std::size_t>(peek));
+  r.b.assign(static_cast<std::size_t>(push), 0.0);
+  for (std::size_t o = 0; o < r.A.rows(); ++o) {
+    for (std::size_t i = 0; i < r.A.cols(); ++i) r.A.at(o, i) = coeff(rng);
+    r.b[o] = coeff(rng);
+  }
+  return r;
+}
+
+std::vector<double> seeded_stream(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> d(-2.0, 2.0);
+  std::vector<double> x(n);
+  for (auto& v : x) v = d(rng);
+  return x;
+}
+
+// `firings` firings of the frequency filter `node` from a Channel holding
+// `stream`.
+std::vector<double> fire_on_channel(const NodeP& node,
+                                    const std::vector<double>& stream,
+                                    int firings) {
+  const ir::NativeFilter& nf = node->native;
+  runtime::Channel in;
+  for (double v : stream) in.push_item(v);
+  auto st = nf.make_state();
+  CollectTape out;
+  for (int f = 0; f < firings; ++f) nf.work(st.get(), in, out);
+  return out.items;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Frequency, EveryWindowPathGivesTheSameBits) {
+  const LinearRep r = random_fir(21, 24, 2);
+  const NodeP node = make_frequency_filter(r, "freq", 64);
+  const ir::NativeFilter& nf = node->native;
+  const int firings = 12;
+  const auto stream = seeded_stream(
+      static_cast<std::size_t>(firings * nf.pop + nf.peek - nf.pop), 5);
+
+  // A Channel holding the whole stream: every window lies in one lap.
+  const auto flat = fire_on_channel(node, stream, firings);
+  ASSERT_EQ(flat.size(), static_cast<std::size_t>(firings * nf.push));
+
+  // A 128-slot SpscRing refilled before each firing: windows wrap.
+  runtime::SpscRing ring(128);
+  auto st = nf.make_state();
+  CollectTape ring_out;
+  std::size_t fed = 0;
+  int wrapped = 0;
+  for (int f = 0; f < firings; ++f) {
+    while (fed < stream.size() && ring.can_push(1)) ring.push_item(stream[fed++]);
+    ir::RingView v;
+    ASSERT_TRUE(ring.ring_view(static_cast<std::size_t>(nf.peek), &v));
+    if ((v.head & v.mask) + static_cast<std::size_t>(nf.peek) > v.mask + 1) ++wrapped;
+    nf.work(st.get(), ring, ring_out);
+  }
+  EXPECT_GT(wrapped, 0);
+
+  // No ring_view: the window is copied with peek_item.
+  PeekOnlyTape peek_only(stream);
+  auto st2 = nf.make_state();
+  CollectTape peek_out;
+  for (int f = 0; f < firings; ++f) nf.work(st2.get(), peek_only, peek_out);
+
+  EXPECT_TRUE(same_bits(flat, ring_out.items));
+  EXPECT_TRUE(same_bits(flat, peek_out.items));
+}
+
+TEST(Frequency, EachSlotOfAMultiOutputFilterEqualsItsOwnRow) {
+  const LinearRep r = random_fir(33, 20, 3);
+  const NodeP all = make_frequency_filter(r, "all", 64);
+  const int firings = 6;
+  const int block = all->native.pop;
+  const auto stream = seeded_stream(
+      static_cast<std::size_t>(firings * block + r.peek - 1), 8);
+  const auto got = fire_on_channel(all, stream, firings);
+  for (int o = 0; o < r.push; ++o) {
+    LinearRep row = r;
+    row.push = 1;
+    row.A = Matrix(1, static_cast<std::size_t>(r.peek));
+    for (std::size_t i = 0; i < row.A.cols(); ++i) {
+      row.A.at(0, i) = r.A.at(static_cast<std::size_t>(o), i);
+    }
+    row.b = {r.b[static_cast<std::size_t>(o)]};
+    const auto want = fire_on_channel(make_frequency_filter(row, "row", 64),
+                                      stream, firings);
+    ASSERT_EQ(want.size(), static_cast<std::size_t>(firings * block));
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      const double slot = got[j * static_cast<std::size_t>(r.push) +
+                              static_cast<std::size_t>(o)];
+      ASSERT_EQ(std::memcmp(&slot, &want[j], sizeof slot), 0)
+          << "slot " << o << " firing " << j;
+    }
+  }
+}
+
+// Filters of distinct FFT sizes, built and fired on two threads at once,
+// give the bits they give alone (each owns its plan; nothing is shared
+// across filters).
+TEST(Frequency, FiltersOfDistinctSizesFireConcurrently) {
+  const LinearRep r = random_fir(44, 16, 1);
+  const std::size_t sizes[2] = {64, 256};
+  const auto stream = seeded_stream(4096, 13);
+  std::vector<double> got[2];
+  {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 2; ++t) {
+      workers.emplace_back([&, t] {
+        got[t] = fire_on_channel(make_frequency_filter(r, "f", sizes[t]),
+                                 stream, 8);
+      });
+    }
+    for (auto& w : workers) w.join();
+  }
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_TRUE(same_bits(got[t], fire_on_channel(make_frequency_filter(r, "f", sizes[t]),
+                                                  stream, 8)))
+        << "fft size " << sizes[t];
+  }
 }
 
 // ---- optimization selection -----------------------------------------------------

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <random>
 #include <set>
 #include <string>
@@ -808,6 +809,49 @@ TEST(Ops, FoldTreeAndTraceAgree) {
                        Tag::Int,
                        std::string(ir::to_string(op)) + "(" + a.str() + ")");
     }
+  }
+}
+
+// int64 arithmetic follows Java's long at the edges: + - * and unary - and
+// abs wrap, INT64_MIN / -1 is INT64_MIN and INT64_MIN % -1 is 0.  Each case
+// folds, runs on the tree and runs through a one-actor trace to one value
+// (expect_op_agrees), and that value is Java's.
+TEST(Ops, Int64EdgesWrapAsJavaLongs) {
+  using ir::BinOp;
+  using ir::UnOp;
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  struct BinCase {
+    BinOp op;
+    std::int64_t a, b, want;
+  };
+  const BinCase bins[] = {
+      {BinOp::Add, kMax, 1, kMin},  {BinOp::Add, kMin, -1, kMax},
+      {BinOp::Sub, kMin, 1, kMax},  {BinOp::Sub, kMax, -1, kMin},
+      {BinOp::Mul, kMax, 2, -2},    {BinOp::Mul, kMin, -1, kMin},
+      {BinOp::Div, kMin, -1, kMin}, {BinOp::Mod, kMin, -1, 0},
+      {BinOp::Div, kMax, -1, -kMax}, {BinOp::Mod, 7, -1, 0},
+  };
+  for (const BinCase& c : bins) {
+    const std::string name = std::string(ir::to_string(c.op)) + "(" +
+                             std::to_string(c.a) + ", " + std::to_string(c.b) + ")";
+    expect_op_agrees(c.op, ir::bin(c.op, ir::iconst(c.a), ir::iconst(c.b)),
+                     Tag::Int, Tag::Int, name);
+    const auto v = runtime::fold(c.op, Value(c.a), Value(c.b));
+    ASSERT_TRUE(v.has_value()) << name;
+    EXPECT_EQ(v->as_int(), c.want) << name;
+  }
+  struct UnCase {
+    UnOp op;
+    std::int64_t a, want;
+  };
+  const UnCase uns[] = {
+      {UnOp::Neg, kMin, kMin}, {UnOp::Abs, kMin, kMin}, {UnOp::Neg, kMax, -kMax}};
+  for (const UnCase& c : uns) {
+    const std::string name =
+        std::string(ir::to_string(c.op)) + "(" + std::to_string(c.a) + ")";
+    expect_op_agrees(c.op, ir::un(c.op, ir::iconst(c.a)), Tag::Int, Tag::Int, name);
+    EXPECT_EQ(runtime::apply_un(c.op, Value(c.a)).as_int(), c.want) << name;
   }
 }
 

@@ -1,10 +1,12 @@
 #pragma once
-// Saturating int64 interval arithmetic for the peek/array bounds pass.
+// int64 interval arithmetic for the peek/array bounds pass.
 //
 // An Interval approximates the set of values an integer expression can take.
-// Endpoints saturate at +/-INT64_MAX/MIN, which double as the +/-infinity
-// sentinels; arithmetic that could overflow clamps to the sentinel instead,
-// which only ever widens the interval and so stays sound.
+// Its endpoints are int64 values; INT64_MIN/MAX print as -inf/+inf.  The
+// runtime's int64 arithmetic wraps (Java long), so an operation whose
+// result can leave int64 at some endpoint can take any value: it is top.
+// Pop counts only grow and never wrap, so they add with iv_count_add, which
+// saturates instead.
 
 #include <algorithm>
 #include <cstdint>
@@ -66,22 +68,11 @@ inline std::int64_t sat_add(std::int64_t a, std::int64_t b) {
   return r;
 }
 
-inline std::int64_t sat_mul(std::int64_t a, std::int64_t b) {
-  std::int64_t r;
-  if (__builtin_mul_overflow(a, b, &r)) {
-    return ((a > 0) == (b > 0)) ? Interval::kMax : Interval::kMin;
-  }
-  return r;
-}
-
-inline std::int64_t sat_neg(std::int64_t a) {
-  return a == Interval::kMin ? Interval::kMax : -a;
-}
-
 }  // namespace detail
 
-// a + b; an infinite endpoint stays infinite.
-inline Interval iv_add(const Interval& a, const Interval& b) {
+// a + b for counts: an infinite endpoint stays infinite, and a sum past
+// the int64 range saturates.
+inline Interval iv_count_add(const Interval& a, const Interval& b) {
   const std::int64_t lo = (a.lo == Interval::kMin || b.lo == Interval::kMin)
                               ? Interval::kMin
                               : detail::sat_add(a.lo, b.lo);
@@ -91,20 +82,48 @@ inline Interval iv_add(const Interval& a, const Interval& b) {
   return {lo, hi};
 }
 
-inline Interval iv_neg(const Interval& a) {
-  return {detail::sat_neg(a.hi), detail::sat_neg(a.lo)};
+// a + b, a - b, a * b and -a on int64 values: top when any result can
+// overflow, since the runtime then wraps.
+inline Interval iv_add(const Interval& a, const Interval& b) {
+  Interval r;
+  if (__builtin_add_overflow(a.lo, b.lo, &r.lo) ||
+      __builtin_add_overflow(a.hi, b.hi, &r.hi)) {
+    return Interval::top();
+  }
+  return r;
 }
 
 inline Interval iv_sub(const Interval& a, const Interval& b) {
-  return iv_add(a, iv_neg(b));
+  Interval r;
+  if (__builtin_sub_overflow(a.lo, b.hi, &r.lo) ||
+      __builtin_sub_overflow(a.hi, b.lo, &r.hi)) {
+    return Interval::top();
+  }
+  return r;
+}
+
+inline Interval iv_neg(const Interval& a) {
+  return iv_sub(Interval::exact(0), a);
 }
 
 inline Interval iv_mul(const Interval& a, const Interval& b) {
   if (a.is_top() || b.is_top()) return Interval::top();
-  const std::int64_t c[4] = {
-      detail::sat_mul(a.lo, b.lo), detail::sat_mul(a.lo, b.hi),
-      detail::sat_mul(a.hi, b.lo), detail::sat_mul(a.hi, b.hi)};
+  std::int64_t c[4];
+  if (__builtin_mul_overflow(a.lo, b.lo, &c[0]) ||
+      __builtin_mul_overflow(a.lo, b.hi, &c[1]) ||
+      __builtin_mul_overflow(a.hi, b.lo, &c[2]) ||
+      __builtin_mul_overflow(a.hi, b.hi, &c[3])) {
+    return Interval::top();
+  }
   return {*std::min_element(c, c + 4), *std::max_element(c, c + 4)};
+}
+
+// |a|: abs(INT64_MIN) wraps to INT64_MIN, so an interval holding it is top.
+inline Interval iv_abs(const Interval& a) {
+  if (a.lo >= 0) return a;
+  if (a.hi <= 0) return iv_neg(a);
+  if (a.lo == Interval::kMin) return Interval::top();
+  return Interval::range(0, std::max(-a.lo, a.hi));
 }
 
 // Truncating division by a *positive constant* d: monotone, so endpoints map

@@ -100,10 +100,7 @@ Interval eval_iv(const ExprP& e, const IvState& st) {
         case U::Neg: return iv_neg(a);
         case U::ToInt: return a;  // identity on already-integer facts
         case U::LNot: return Interval::range(0, 1);
-        case U::Abs:
-          if (a.lo >= 0) return a;
-          if (a.hi <= 0) return iv_neg(a);
-          return Interval::range(0, std::max(detail::sat_neg(a.lo), a.hi));
+        case U::Abs: return iv_abs(a);
         default:
           return Interval::top();
       }
@@ -136,12 +133,12 @@ Interval pops_of(const ExprP& e, const IvState& st) {
       if (e->bop == ir::BinOp::LAnd || e->bop == ir::BinOp::LOr) {
         return {a.lo, detail::sat_add(a.hi, b.hi)};  // rhs may be skipped
       }
-      return iv_add(a, b);
+      return iv_count_add(a, b);
     }
     case Expr::Kind::Cond: {
       const Interval a = pops_of(e->a, st);
       const Interval bc = pops_of(e->b, st).join(pops_of(e->c, st));
-      return iv_add(a, bc);
+      return iv_count_add(a, bc);
     }
   }
   return Interval::exact(0);
@@ -154,15 +151,15 @@ Interval pops_of_stmt(const Stmt* s, const IvState& st) {
     case Stmt::Kind::Push:
       return pops_of(s->value, st);
     case Stmt::Kind::ArrayAssign:
-      return iv_add(pops_of(s->index, st), pops_of(s->value, st));
+      return iv_count_add(pops_of(s->index, st), pops_of(s->value, st));
     case Stmt::Kind::PopN: {
       // pop(n) consumes n items on top of any pops inside `n` itself.
       Interval n = eval_iv(s->index, st);
       if (n.lo < 0) n.lo = 0;  // runtime loop executes max(n, 0) times
-      return iv_add(pops_of(s->index, st), n);
+      return iv_count_add(pops_of(s->index, st), n);
     }
     case Stmt::Kind::Send:
-      for (const auto& a : s->args) p = iv_add(p, pops_of(a, st));
+      for (const auto& a : s->args) p = iv_count_add(p, pops_of(a, st));
       return p;
     default:
       return p;
@@ -194,25 +191,25 @@ void transfer(const CfgNode& node, IvState& st) {
       if (node.stmt->kind == Stmt::Kind::Assign) {
         st.vars[node.stmt->name] = eval_iv(node.stmt->value, st);
       }
-      st.pops = iv_add(st.pops, p);
+      st.pops = iv_count_add(st.pops, p);
       break;
     }
     case CfgNode::Kind::Branch:
-      st.pops = iv_add(st.pops, pops_of(node.stmt->cond, st));
+      st.pops = iv_count_add(st.pops, pops_of(node.stmt->cond, st));
       break;
     case CfgNode::Kind::ForInit:
-      st.pops = iv_add(st.pops, pops_of(node.stmt->lo, st));
+      st.pops = iv_count_add(st.pops, pops_of(node.stmt->lo, st));
       st.vars[node.stmt->name] = eval_iv(node.stmt->lo, st);
       break;
     case CfgNode::Kind::ForTest:
-      st.pops = iv_add(st.pops, pops_of(node.stmt->hi, st));
+      st.pops = iv_count_add(st.pops, pops_of(node.stmt->hi, st));
       break;
     case CfgNode::Kind::ForBody:
     case CfgNode::Kind::ForExit:
       apply_assume(node, st);
       break;
     case CfgNode::Kind::ForInc: {
-      st.pops = iv_add(st.pops, pops_of(node.stmt->step, st));
+      st.pops = iv_count_add(st.pops, pops_of(node.stmt->step, st));
       auto it = st.vars.find(node.stmt->name);
       if (it != st.vars.end()) {
         it->second = iv_add(it->second, eval_iv(node.stmt->step, st));
@@ -302,7 +299,7 @@ class Checker {
       case Expr::Kind::Var:
         return;
       case Expr::Kind::Pop:
-        cur.pops = iv_add(cur.pops, Interval::exact(1));
+        cur.pops = iv_count_add(cur.pops, Interval::exact(1));
         return;
       case Expr::Kind::Peek: {
         check_expr(e->a, cur, at);
@@ -354,7 +351,7 @@ class Checker {
       return;
     }
     // Valid iff pops_so_far + offset < window.
-    const Interval reach = iv_add(cur.pops, off);
+    const Interval reach = iv_count_add(cur.pops, off);
     if (reach.hi > window_ - 1) {
       out_.push_back(error(
           "bounds", spec_.name,
@@ -391,6 +388,25 @@ class Checker {
 
 // State-variable facts carried between firings.
 using StateEnv = std::map<std::string, Interval>;
+
+// The inter-firing fixpoint widens a state fact in two steps: an endpoint
+// that moved jumps first to +/-kStateWiden, then to infinity.  The finite
+// step stops short of the int64 wrap, so a counter `count = (count + 1) % n`
+// widened to [0, kStateWiden] still maps into [0, n-1] and narrowing
+// recovers that; from [0, +inf], count + 1 may wrap negative.
+constexpr std::int64_t kStateWiden = std::int64_t{1} << 62;
+
+bool widen_state(Interval& into, const Interval& from) {
+  const Interval j = into.join(from);
+  Interval w = j;
+  if (j.hi > into.hi) w.hi = j.hi <= kStateWiden ? kStateWiden : Interval::kMax;
+  if (j.lo < into.lo) {
+    w.lo = j.lo >= -kStateWiden ? -kStateWiden : Interval::kMin;
+  }
+  if (w == into) return false;
+  into = w;
+  return true;
+}
 
 StateEnv initial_state_env(const ir::FilterSpec& spec) {
   StateEnv env;
@@ -456,11 +472,11 @@ void check_bounds(const ir::FilterSpec& spec, std::vector<Diagnostic>& out) {
       ForwardSolver<IvState> sol(cfg, transfer, join_state);
       sol.run(entry_from(env));
       if (!sol.exit_reached()) continue;
-      const bool widen = round >= 3;
       for (auto& [name, iv] : env) {
         auto it = sol.exit_state().vars.find(name);
         if (it != sol.exit_state().vars.end()) {
-          changed |= join_interval(iv, it->second, widen);
+          changed |= round >= 3 ? widen_state(iv, it->second)
+                                : join_interval(iv, it->second, false);
         }
       }
     }
@@ -468,7 +484,7 @@ void check_bounds(const ir::FilterSpec& spec, std::vector<Diagnostic>& out) {
   }
 
   // Narrowing: a widened fact can shrink back to  base ⊔ (what the bodies
-  // actually produce from it) -- e.g. count widened to [0,+inf] recovers
+  // actually produce from it) -- e.g. count widened to [0,2^62] recovers
   // [0,7] once the body's `(count+1)%8` is re-evaluated.  Accepting only
   // candidates inside the current fact keeps every step a sound invariant.
   for (int round = 0; round < 2; ++round) {

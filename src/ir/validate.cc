@@ -6,73 +6,41 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "runtime/eval_ops.h"
+
 namespace sit::ir {
 
 namespace {
 
 using Env = std::unordered_map<std::string, std::int64_t>;
 
-// Best-effort constant evaluation over integer expressions (loop bounds and
-// peek offsets).  Loop induction variables are bound in `env`.
-std::optional<std::int64_t> const_eval(const ExprP& e, const Env& env) {
+// Best-effort constant evaluation (loop bounds, branch conditions and
+// channel counts) with the runtime's semantics: Values through the operator
+// table (runtime/eval_ops.h), as the tree evaluates them, so a float stays a
+// float until the caller applies as_int() or truthy() where the tree does.
+// Loop induction variables are bound in `env`.
+std::optional<Value> const_eval(const ExprP& e, const Env& env) {
   if (!e) return std::nullopt;
   switch (e->kind) {
     case Expr::Kind::IntConst:
-      return e->ival;
+      return Value(e->ival);
     case Expr::Kind::FloatConst:
-      return static_cast<std::int64_t>(e->fval);
+      return Value(e->fval);
     case Expr::Kind::Var: {
       auto it = env.find(e->name);
       if (it == env.end()) return std::nullopt;
-      return it->second;
+      return Value(it->second);
     }
     case Expr::Kind::Bin: {
       auto a = const_eval(e->a, env);
       auto b = const_eval(e->b, env);
       if (!a || !b) return std::nullopt;
-      // The runtime's int64 rules (runtime/eval_ops.h): + - * wrap (each
-      // builtin stores the wrapped result), and INT64_MIN / -1 is INT64_MIN,
-      // remainder 0, as for a Java long.
-      std::int64_t r = 0;
-      switch (e->bop) {
-        case BinOp::Add: __builtin_add_overflow(*a, *b, &r); return r;
-        case BinOp::Sub: __builtin_sub_overflow(*a, *b, &r); return r;
-        case BinOp::Mul: __builtin_mul_overflow(*a, *b, &r); return r;
-        case BinOp::Div:
-          if (*b == 0) return std::nullopt;
-          if (*b != -1) return *a / *b;
-          __builtin_sub_overflow(std::int64_t{0}, *a, &r);
-          return r;
-        case BinOp::Mod:
-          if (*b == 0) return std::nullopt;
-          return *b == -1 ? 0 : *a % *b;
-        case BinOp::Min: return std::min(*a, *b);
-        case BinOp::Max: return std::max(*a, *b);
-        // The runtime's shift rule (runtime/eval_ops.h int_shl/int_shr):
-        // the count is taken mod 64, as for a Java long.
-        case BinOp::Shl: return *a << (*b & 63);
-        case BinOp::Shr: return *a >> (*b & 63);
-        case BinOp::Lt: return std::int64_t{*a < *b};
-        case BinOp::Le: return std::int64_t{*a <= *b};
-        case BinOp::Gt: return std::int64_t{*a > *b};
-        case BinOp::Ge: return std::int64_t{*a >= *b};
-        case BinOp::Eq: return std::int64_t{*a == *b};
-        case BinOp::Ne: return std::int64_t{*a != *b};
-        default: return std::nullopt;
-      }
+      return runtime::fold(e->bop, *a, *b);
     }
     case Expr::Kind::Un: {
       auto a = const_eval(e->a, env);
       if (!a) return std::nullopt;
-      switch (e->uop) {
-        case UnOp::Neg: {
-          std::int64_t r = 0;
-          __builtin_sub_overflow(std::int64_t{0}, *a, &r);
-          return r;
-        }
-        case UnOp::ToInt: return *a;
-        default: return std::nullopt;
-      }
+      return runtime::apply_un(e->uop, *a);
     }
     default:
       return std::nullopt;
@@ -104,7 +72,7 @@ class ChannelCounter {
           static_ = false;
           return;
         }
-        pops_ += static_cast<int>(*n);
+        pops_ += static_cast<int>(n->as_int());
         window_ = std::max(window_, pops_);
         break;
       }
@@ -112,11 +80,12 @@ class ChannelCounter {
         auto lo = const_eval(s->lo, env_);
         auto hi = const_eval(s->hi, env_);
         auto st = const_eval(s->step, env_);
-        if (!lo || !hi || !st || *st <= 0) {
+        if (!lo || !hi || !st || st->as_int() <= 0) {
           static_ = false;
           return;
         }
-        for (std::int64_t i = *lo; i < *hi; i += *st) {
+        const std::int64_t end = hi->as_int(), step = st->as_int();
+        for (std::int64_t i = lo->as_int(); i < end; i += step) {
           env_[s->name] = i;
           stmt(s->body);
           if (!static_) break;
@@ -128,7 +97,7 @@ class ChannelCounter {
         expr(s->cond);
         auto cv = const_eval(s->cond, env_);
         if (cv) {
-          stmt(*cv ? s->body : s->elseBody);
+          stmt(cv->truthy() ? s->body : s->elseBody);
           break;
         }
         // Data-dependent branch: both sides must agree on channel effects.
@@ -159,7 +128,8 @@ class ChannelCounter {
         expr(e->a);
         auto off = const_eval(e->a, env_);
         if (off) {
-          window_ = std::max(window_, pops_ + static_cast<int>(*off) + 1);
+          window_ =
+              std::max(window_, pops_ + static_cast<int>(off->as_int()) + 1);
         } else {
           dynamic_peek_ = true;
         }

@@ -32,7 +32,7 @@ struct ActorSnapshot {
   // Typed (dual-plane) specialization status: "typed" when the actor's work
   // runs on the unboxed register file, the stable reason it runs on the tree
   // interpreter instead, empty when the actor was never a candidate
-  // (non-filter, tree engine, or TypedMode::Off).
+  // (non-filter, or the tree engine, which TypedMode::Off selects).
   std::string typed_status;
   int typed_regs{0};  // registers proven Double everywhere (0 on the tree)
 };

@@ -15,7 +15,7 @@ using ir::Value;
 
 namespace {
 
-// Build refusals unwind through this; build_fused catches and reports.
+// Build refusals unwind through this; build_trace catches and reports.
 struct BuildFail {
   std::string reason;
 };
@@ -184,17 +184,16 @@ Handler decode(const FInstr& I) {
 
 // ---- builder ----------------------------------------------------------------
 
-// Builds a whole-graph trace, or (`one_actor`) the one-actor trace of the
-// single run in `runs`, whose count 0 stands for the count passed per call.
+// Builds the trace of `runs` over the actors they name.
 class TraceBuilder {
  public:
   TraceBuilder(const FlatGraph& g, const std::vector<FiringRun>& runs,
                const std::vector<std::int64_t>& carry,
                const std::vector<std::int64_t>& traffic,
                const std::vector<TypedFilterP>& typed,
-               const std::vector<std::string>& why, bool one_actor)
+               const std::vector<std::string>& why)
       : g_(g), runs_(runs), carry_(carry), traffic_(traffic), typed_(typed),
-        why_(why), one_actor_(one_actor) {}
+        why_(why) {}
 
   FusedProgramP build() {
     auto P = std::make_shared<FusedProgram>();
@@ -202,21 +201,19 @@ class TraceBuilder {
     prog_->graph = &g_;
     prog_->runs = runs_;
 
-    if (!one_actor_) prog_->edges.resize(g_.edges.size());
-    for (std::size_t e = 0; e < prog_->edges.size(); ++e) {
-      FusedEdgeMeta& m = prog_->edges[e];
-      m.internal = g_.edges[e].src >= 0 && g_.edges[e].dst >= 0;
-      if (m.internal) {
-        if (e >= carry_.size() || carry_[e] < 0 || traffic_[e] < 0) {
-          fail("internal edge without carry/traffic sizing");
-        }
-        m.carry = carry_[e];
-        m.traffic = traffic_[e];
-        ++prog_->eliminated_channels;
+    const std::size_t n = g_.actors.size();
+    if (n > 0xFFFF) fail("actor-id overflow");
+    std::vector<bool> laid_out(n, false);
+    for (const FiringRun& run : runs_) {
+      if (run.actor < 0 || static_cast<std::size_t>(run.actor) >= n ||
+          run.count < 0) {
+        fail("malformed firing run");
       }
+      if (run.count > INT32_MAX) fail("firing-count overflow");
+      laid_out[static_cast<std::size_t>(run.actor)] = true;
     }
-
-    layout_actors();
+    lower_edges(laid_out);
+    layout_actors(laid_out);
     for (const FiringRun& run : runs_) emit_run(run);
     prog_->code.push_back(FInstr{});  // Halt
 
@@ -229,16 +226,33 @@ class TraceBuilder {
   }
 
  private:
-  // Give each laid-out actor its slot and its slice of the flat register /
-  // scalar-slot / array-slot files, and copy in its typed program's plane
-  // templates and state classes.  A whole-graph trace lays out every actor,
-  // so slots are actor ids; a one-actor trace lays out its run's actor only.
-  void layout_actors() {
-    const std::size_t n = g_.actors.size();
-    if (n > 0xFFFF) fail("actor-id overflow");
-    slot_.assign(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (one_actor_ && static_cast<int>(i) != runs_[0].actor) continue;
+  // Lower every edge whose two ends are laid out to a trace buffer, sized
+  // by its carry and traffic.  The per-edge table exists only when some
+  // edge is lowered; every other edge stays a boundary tape.
+  void lower_edges(const std::vector<bool>& laid_out) {
+    for (std::size_t e = 0; e < g_.edges.size(); ++e) {
+      const FlatEdge& ed = g_.edges[e];
+      if (ed.src < 0 || ed.dst < 0 ||
+          !laid_out[static_cast<std::size_t>(ed.src)] ||
+          !laid_out[static_cast<std::size_t>(ed.dst)]) {
+        continue;
+      }
+      if (e >= carry_.size() || carry_[e] < 0 || traffic_[e] < 0) {
+        fail("internal edge without carry/traffic sizing");
+      }
+      prog_->edges.resize(g_.edges.size());
+      prog_->edges[e] = {true, carry_[e], traffic_[e]};
+      ++prog_->eliminated_channels;
+    }
+  }
+
+  // Give each laid-out actor, in id order, its slot and its slice of the
+  // flat register / scalar-slot / array-slot files, and copy in its typed
+  // program's plane templates and state classes.
+  void layout_actors(const std::vector<bool>& laid_out) {
+    slot_.assign(laid_out.size(), 0);
+    for (std::size_t i = 0; i < laid_out.size(); ++i) {
+      if (!laid_out[i]) continue;
       const FlatActor& a = g_.actors[i];
       slot_[i] = static_cast<std::uint16_t>(prog_->actors.size());
       FusedActorMeta& meta = prog_->actors.emplace_back();
@@ -251,9 +265,6 @@ class TraceBuilder {
           if (match_kernel(i)) break;  // no template, no registers
           const TypedFilterP& tf = typed_[i];
           if (!tf) fail(actor_refusal(a.name, why_[i]));
-          if (!one_actor_ && ir::stmt_sends(a.node->filter.init)) {
-            fail("teleport-send:" + a.name);
-          }
           const TypedCode& w = tf->work;
           meta.filter = tf->base;
           meta.num_regs = static_cast<std::uint32_t>(w.dreg_init.size());
@@ -314,12 +325,6 @@ class TraceBuilder {
   // instruction, and a linear kernel's run is its one LinearKernel
   // instruction.
   void emit_run(const FiringRun& run) {
-    if (run.actor < 0 ||
-        static_cast<std::size_t>(run.actor) >= g_.actors.size() ||
-        run.count < (one_actor_ ? 0 : 1)) {
-      fail("malformed firing run");
-    }
-    if (run.count > INT32_MAX) fail("firing-count overflow");
     const FlatActor& a = g_.actors[static_cast<std::size_t>(run.actor)];
     if (const auto k = kernel_of_.find(run.actor); k != kernel_of_.end()) {
       if (prog_->kernels.size() >= 0xFFFF) fail("args-table overflow");
@@ -347,7 +352,7 @@ class TraceBuilder {
       case FlatActor::Kind::Splitter:
       case FlatActor::Kind::Joiner:
         emit_sj_firing(run.actor);
-        if (prog_->code.size() == body + 1 &&
+        if (run.count > 0 && prog_->code.size() == body + 1 &&
             prog_->code.back().op == FOp::CopyRun) {
           prog_->copies[prog_->code.back().a].n *= run.count;
           return;
@@ -757,7 +762,6 @@ class TraceBuilder {
   const std::vector<std::int64_t>& traffic_;
   const std::vector<TypedFilterP>& typed_;
   const std::vector<std::string>& why_;
-  const bool one_actor_;
   FusedProgram* prog_{nullptr};
   std::vector<std::uint16_t> slot_;  // by actor id: its slot, once laid out
   std::map<int, std::vector<FInstr>> templates_;
@@ -766,26 +770,14 @@ class TraceBuilder {
 
 }  // namespace
 
-FusedProgramP build_fused(const FlatGraph& g, const std::vector<FiringRun>& runs,
+FusedProgramP build_trace(const FlatGraph& g, const std::vector<FiringRun>& runs,
                           const std::vector<std::int64_t>& carry,
                           const std::vector<std::int64_t>& traffic,
                           const std::vector<TypedFilterP>& typed,
                           const std::vector<std::string>& why,
                           std::string* reason) {
   try {
-    return TraceBuilder(g, runs, carry, traffic, typed, why, false).build();
-  } catch (const BuildFail& f) {
-    if (reason) *reason = f.reason;
-    return nullptr;
-  }
-}
-
-FusedProgramP build_actor(const FlatGraph& g, int actor,
-                          const std::vector<TypedFilterP>& typed,
-                          std::string* reason) {
-  try {
-    return TraceBuilder(g, {FiringRun{actor, 0}}, {}, {}, typed, {}, true)
-        .build();
+    return TraceBuilder(g, runs, carry, traffic, typed, why).build();
   } catch (const BuildFail& f) {
     if (reason) *reason = f.reason;
     return nullptr;
@@ -848,7 +840,8 @@ std::string FusedProgram::disassemble() const {
         break;
       }
       case FOp::NativeFire:
-        out += " " + actors[static_cast<std::size_t>(nats[I.a].actor)].name;
+        out += " " + graph->actors[static_cast<std::size_t>(nats[I.a].actor)]
+                         .name;
         break;
       case FOp::LinearKernel: {
         const LinearKernelArgs& K = kernels[I.a];
@@ -1694,7 +1687,8 @@ std::unique_ptr<FilterExec> FilterExec::make(const ir::NodeP& filter,
   std::unique_ptr<FilterExec> fx(new FilterExec);
   fx->node_ = filter;
   fx->g_ = flatten(filter);
-  FusedProgramP prog = build_actor(fx->g_, 0, {std::move(typed)});
+  FusedProgramP prog =
+      build_trace(fx->g_, {FiringRun{0, 0}}, {}, {}, {std::move(typed)}, {});
   if (!prog) return nullptr;
   fx->in_.assign(fx->g_.edges.size(), nullptr);
   fx->out_.assign(fx->g_.edges.size(), nullptr);

@@ -2,15 +2,16 @@
 // Fused traces: the one form the compiled engines execute.
 //
 // Per-actor firing pays one work-function dispatch per firing and a
-// ring-buffer round trip per item.  build_fused() removes both for a whole
-// steady state: it compiles the schedule's steady-state firing sequence --
-// runs of consecutive firings of one actor (sched::Schedule::steady_runs) --
-// into ONE flat bytecode trace, and lowers every fully-internal channel to a
-// flat array ("trace buffer") indexed by cursors whose motion is statically
-// known.  Ring channels survive only at the program boundary (external
-// input/output edges), where the feeder/drainer needs them.
+// ring-buffer round trip per item.  build_trace() removes both for any set
+// of actors: it compiles a firing sequence -- runs of consecutive firings of
+// one actor (for a whole steady state, sched::Schedule::steady_runs) --
+// into ONE flat bytecode trace over exactly the actors the runs name, and
+// lowers every channel whose two ends it lays out to a flat array ("trace
+// buffer") indexed by cursors whose motion is statically known.  Every
+// other channel stays a boundary tape (the program's external input/output
+// edges in a whole-graph trace), read through the caller's tape table.
 //
-// Layout of one iteration's trace, per firing run (actor a, n firings):
+// Layout of one trace, per firing run (actor a, n firings):
 //
 //   SetActor a            switch OpCounts attribution + peek window, and
 //                         load the actor's register template for the first
@@ -21,8 +22,9 @@
 //                         into the flat program-wide files, channel ops bound
 //                         to the actor's edges: TPeek/TPop/TPush on a trace
 //                         buffer, RPeek/RPop/RPush on a boundary ring
-//   FireLoop a, n         (n > 1 only) reload the template and jump back to
-//                         the template for the next firing, n times in all
+//   FireLoop a, n         (n != 1 only) reload the template and jump back to
+//                         the template for the next firing, n times in all;
+//                         n = 0 stands for the count each call passes
 //
 // So the trace holds each template once per run: its length is set by the
 // number of runs (one per actor on a single-appearance schedule), not by the
@@ -40,10 +42,10 @@
 // per-actor executor runs (modulo the refusals below and the executor's
 // own, sched/exec.h fused_refusal) can fuse.
 //
-// Every filter is typed once: build_fused copies the per-actor typed
+// Every filter is typed once: build_trace copies the per-actor typed
 // programs the executor already made (typed_compile), with their plane
-// templates and state classes.  A filter actor without one refuses the
-// whole trace, named after the actor: vm-fallback:<f> (<why>),
+// templates and state classes.  A laid-out filter actor without one refuses
+// the whole trace, named after the actor: vm-fallback:<f> (<why>),
 // teleport-send:<f>, has-handlers:<f>, mixed-register:<f> or
 // mixed-state:<f>.<slot>.
 //
@@ -75,23 +77,24 @@
 // Superinstruction counts (FusedProgram::super) are per iteration: an
 // instance inside a firing loop counts once per firing.
 //
-// The per-actor engines run the same form one actor at a time:
-// build_actor() makes an actor's one-actor trace -- SetActor, its template
-// and a FireLoop, or its one LinearKernel instruction, with the run's
-// firing count passed to each TypedFusedExec::fire call instead of stored in
-// the code.  It lays out only that actor, and every tape is a boundary tape,
-// so it needs no other filter typed.  sched::Executor fires every typed actor
-// through one (a refused whole trace, run_init, fire(), the threaded
-// workers), and FilterExec fires a lone filter outside any executor.
+// The executors call it with two sets today.  The whole graph's steady
+// state lays out every actor, so a slot is the actor's id.  One actor's
+// single run of count 0 is its one-actor trace -- SetActor, its template and
+// a FireLoop, or its one LinearKernel instruction, with the firing count
+// passed to each TypedFusedExec::fire call.  It lowers no edge and keeps no
+// per-edge table, and needs no other filter typed.  sched::Executor fires
+// every typed actor through one (a refused whole trace, run_init, fire(),
+// the threaded workers), and FilterExec fires a lone filter outside any
+// executor.
 //
-// TypedFusedExec (below) runs both on the dual value plane; its run() is the
-// only loop that dispatches typed FInstr code.  Both builds end by decoding
-// every instruction to the handler run() switches on (vm.h Handler): a
-// same-plane op's specialized handler fixes its planes, its operator and
-// the OpCounts field it bumps, so the loop makes one flat dispatch per
-// instruction; FusedProgram::dispatch is the census.  The bit-equality contract
-// lives on TypedFusedExec; tests/test_fused.cc pins superinstruction
-// selection and every refusal reason.
+// TypedFusedExec (below) runs any trace on the dual value plane; its run()
+// is the only loop that dispatches typed FInstr code.  A build ends by
+// decoding every instruction to the handler run() switches on (vm.h
+// Handler): a same-plane op's specialized handler fixes its planes, its
+// operator and the OpCounts field it bumps, so the loop makes one flat
+// dispatch per instruction; FusedProgram::dispatch is the census.  The
+// bit-equality contract lives on TypedFusedExec; tests/test_fused.cc pins
+// superinstruction selection and every refusal reason.
 
 #include <cstdint>
 #include <map>
@@ -136,7 +139,7 @@ struct CopyRunArgs {
 };
 
 struct NativeFireArgs {
-  int actor{-1};
+  int actor{-1};  // the graph's actor id: its native state and name
   std::int32_t in_edge{-1}, out_edge{-1};
   bool in_real{false}, out_real{false};
   // Static per-firing counts, exactly as the per-actor executor adds them.
@@ -153,9 +156,10 @@ struct LinearKernelArgs {
   ir::LinearRows rows;
 };
 
-// One laid-out actor.  A program's actor slots are the graph's actor ids in
-// a whole-graph trace; a one-actor trace has the one slot 0.  SetActor,
-// FireLoop and LinearKernelArgs::actor name slots.
+// One laid-out actor.  A trace's actor slots number its actors in id order:
+// the graph's actor ids in a whole-graph trace, the one slot 0 in a
+// one-actor trace.  SetActor, FireLoop and LinearKernelArgs::actor name
+// slots.
 struct FusedActorMeta {
   std::string name;
   CompiledFilterP filter;  // state slots to bind; null without a template
@@ -184,11 +188,11 @@ struct FusedProgram {
   std::vector<NativeFireArgs> nats;
   std::vector<LinearKernelArgs> kernels;
   std::vector<FusedActorMeta> actors;  // by slot
-  std::vector<FusedEdgeMeta> edges;    // by edge id; empty in a one-actor trace
+  std::vector<FusedEdgeMeta> edges;    // by edge id; empty when none lowered
   // Flat array-slot names (bounds errors, disassembly), indexed by
   // actors[i].array_base + slot.
   std::vector<std::string> array_names;
-  int eliminated_channels{0};  // internal edges lowered to trace buffers
+  int eliminated_channels{0};  // edges lowered to trace buffers
   // Static superinstruction selection: trace-instruction instances by stable
   // name (mac-loop, sum-loop, copy-run, dup-run, linear-kernel).  Absent
   // name == 0.
@@ -211,36 +215,31 @@ struct FusedProgram {
 
 using FusedProgramP = std::shared_ptr<const FusedProgram>;
 
-// Build the fused trace for one steady-state iteration.  `runs` is the
-// steady-state firing sequence (sched::Schedule::steady_runs); `carry`/
-// `traffic` are the per-edge sizing from analysis::channel_bounds (its
-// post_init and traffic; carry < 0 marks a boundary edge).  `typed[i]` is actor i's typed work program, or
-// null with `why[i]` the reason compile_filter or typed_compile gave.
+// Build the trace of `runs` (see the file comment): the actors they name,
+// laid out in id order, and each run's firings, where a count of 0 stands
+// for the count each TypedFusedExec::fire call passes.  An edge whose two
+// ends are laid out becomes a trace buffer sized by `carry`/`traffic`
+// (analysis::channel_bounds' post_init and traffic); the caller needs them
+// only when some edge is.  `typed[i]` is actor i's typed work program, or
+// null with `why[i]` the reason compile_filter or typed_compile gave (read
+// only then, so a caller whose laid-out filters are all typed passes none).
 // Returns nullptr with `reason` filled when some construct cannot be traced
-// -- among them the per-filter refusals above -- and the caller runs
-// per-actor instead.
-FusedProgramP build_fused(const FlatGraph& g, const std::vector<FiringRun>& runs,
+// -- among them the per-filter refusals above -- and the caller runs those
+// actors another way (per-actor, or on the tree interpreter).
+FusedProgramP build_trace(const FlatGraph& g, const std::vector<FiringRun>& runs,
                           const std::vector<std::int64_t>& carry,
                           const std::vector<std::int64_t>& traffic,
                           const std::vector<TypedFilterP>& typed,
                           const std::vector<std::string>& why,
                           std::string* reason = nullptr);
 
-// Build filter `actor`'s one-actor trace (see the file comment) from
-// `typed[actor]`.  Returns nullptr with `reason` filled when it cannot be
-// traced (a channel op without its tape), and the actor fires on the tree
-// interpreter instead.
-FusedProgramP build_actor(const FlatGraph& g, int actor,
-                          const std::vector<TypedFilterP>& typed,
-                          std::string* reason = nullptr);
-
 // A trace bound to storage: the FilterStates of its actor slots
 // (`states[i]` is slot i's), the per-edge tape tables its boundary ops read
 // (an executor's, so a tape retargeted to an SPSC ring between calls is read
-// there), the executor's Channels (a whole-graph trace lowers its internal
-// edges from them, and a kernel pushes straight into one its out tape still
-// is), and for a whole-graph trace the native filters' states.  Usage per
-// public call:
+// there), the executor's Channels (a trace lowers its internal edges from
+// them, and a kernel pushes straight into one its out tape still is), and,
+// by actor id, the native filters' states for a trace that fires one.
+// Usage per public call:
 //
 //   if (fx.activate()) {           // mirror state into the planes, lower
 //     fx.run_iteration(counts);    //   internal channels to buffers
@@ -345,7 +344,7 @@ class alignas(64) TypedFusedExec {
 // bound FilterState is current only outside them.
 class FilterExec {
  public:
-  // Null when typed_compile or build_actor refuses `filter` (a filter node
+  // Null when typed_compile or build_trace refuses `filter` (a filter node
   // whose work `base` is, specialized against `state`'s current tags).
   static std::unique_ptr<FilterExec> make(const ir::NodeP& filter,
                                           const CompiledFilterP& base,

@@ -42,9 +42,9 @@
 //
 // Each filter is typed once, by compile.cc::typed_compile.  fused.cc
 // rebases its result -- mode bytes, resolved count tags, plane templates and
-// state classes -- into traces that TypedFusedExec runs (fused.h): the
-// actor's one-actor trace (build_actor), which the per-actor engines fire,
-// and the whole steady-state trace (build_fused).  analysis/typeflow.h
+// state classes -- into the traces build_trace makes and TypedFusedExec
+// runs (fused.h): the actor's one-actor trace, which the per-actor engines
+// fire, and the whole steady-state trace.  analysis/typeflow.h
 // lifts the per-actor results to a whole-graph view with channel content
 // tags.
 

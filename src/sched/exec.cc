@@ -84,16 +84,18 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph,
     chans_.push_back(std::move(ch));
   }
 
-  engine_ = resolve_engine(opts_.engine != Engine::Auto ? opts_.engine
-                                                        : prog.engine);
+  // TypedMode::Off runs every AST filter on the tree: the tree engine.
+  engine_ = opts_.typed == TypedMode::Off
+                ? Engine::Tree
+                : resolve_engine(opts_.engine != Engine::Auto ? opts_.engine
+                                                              : prog.engine);
   if (resolve_trace(opts_.trace)) {
     rec_ = std::make_unique<obs::Recorder>();
     rec_->attach_actors(g_.actors.size());
     tb_ = rec_->thread_buffer(0);
   }
 
-  typed_on_ = opts_.typed == TypedMode::On;
-  const bool compiled = typed_on_ && engine_ != Engine::Tree;
+  const bool compiled = engine_ == Engine::Fused;
   const std::size_t n = g_.actors.size();
   fstate_.resize(n);
   nstate_.resize(n);
@@ -117,8 +119,9 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph,
                                            &typed_refusal_[i]);
         if (typed_[i]) {
           typed_refusal_[i].clear();
-          actor_trace_[i] = runtime::build_actor(g_, static_cast<int>(i),
-                                                 typed_, &typed_refusal_[i]);
+          actor_trace_[i] = runtime::build_trace(
+              g_, {{static_cast<int>(i), 0}}, {}, {}, typed_, typed_refusal_,
+              &typed_refusal_[i]);
         }
       }
     } else if (a.kind == FlatActor::Kind::Native) {
@@ -131,17 +134,15 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph,
   // per-actor on the one-actor traces built above.
   if (engine_ == Engine::Fused && whole_graph) {
     if (opts_.message_sink) {
-      // Teleport delivery wants per-firing granularity (and build_fused
+      // Teleport delivery wants per-firing granularity (and build_trace
       // only proves the *absence* of sends per filter, not per sink).
       fused_refusal_ = "message-sink-attached";
     } else if (tb_ != nullptr) {
       fused_refusal_ = "tracing-enabled";
-    } else if (!typed_on_) {
-      fused_refusal_ = "typed-off";  // no typed programs to fuse
     } else {
       // The trace buffers' sizes: the post-init level carried across
       // iterations and each edge's per-iteration traffic.
-      fprog_ = runtime::build_fused(g_, sched_.steady_runs, bounds_.post_init,
+      fprog_ = runtime::build_trace(g_, sched_.steady_runs, bounds_.post_init,
                                     bounds_.traffic, typed_, typed_refusal_,
                                     &fused_refusal_);
       if (fprog_) {
@@ -228,16 +229,24 @@ void Executor::fire(int actor) {
             tb_);
 }
 
-void Executor::fire_native(const FlatActor& a, ir::NativeState* state,
-                           ir::InTape& in, ir::OutTape& out,
-                           runtime::OpCounts* counts) {
-  a.node->native.work(state, in, out);
-  if (counts) {
-    // Native filters declare their per-firing cost statically.
-    counts->flops += static_cast<std::int64_t>(a.node->native.cost_flops);
-    counts->int_ops += static_cast<std::int64_t>(a.node->native.cost_ops -
-                                                 a.node->native.cost_flops);
-    counts->channel += a.pop_rate() + a.push_rate();
+void Executor::fire_work(const FlatActor& a, runtime::TypedFusedExec* x,
+                         runtime::FilterState& state, ir::NativeState* native,
+                         ir::InTape& in, ir::OutTape& out,
+                         runtime::OpCounts* counts,
+                         const runtime::MessageSink* sink) {
+  if (x != nullptr) {
+    x->fire(counts, 1);
+  } else if (a.kind == FlatActor::Kind::Native) {
+    a.node->native.work(native, in, out);
+    if (counts) {
+      // Native filters declare their per-firing cost statically.
+      counts->flops += static_cast<std::int64_t>(a.node->native.cost_flops);
+      counts->int_ops += static_cast<std::int64_t>(a.node->native.cost_ops -
+                                                   a.node->native.cost_flops);
+      counts->channel += a.pop_rate() + a.push_rate();
+    }
+  } else {
+    Interp::run_work(a.node->filter, state, in, out, counts, sink);
   }
 }
 
@@ -290,29 +299,17 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
   const auto out_tape = [&](int eid) -> ir::OutTape* {
     return eid < 0 ? &g_null_out : out_tape_[static_cast<std::size_t>(eid)];
   };
-  // A filter's (AST or native) single input and output edge.
-  const int in0 = a.in_edges.empty() ? -1 : a.in_edges[0];
-  const int out0 = a.out_edges.empty() ? -1 : a.out_edges[0];
-
   const std::int64_t t0 = tb != nullptr ? trace_begin(tb, actor) : 0;
-  const runtime::TypedFusedExec* measured = nullptr;
+  runtime::TypedFusedExec* measured = nullptr;
   switch (a.kind) {
-    case FlatActor::Kind::Filter: {
-      // Typed filters have no Send statements (compile_filter refuses
-      // them), so the sink only matters on the tree.
-      if (runtime::TypedFusedExec* x = active_fx(ai)) {
-        x->fire(counts, 1);
-        measured = x;
-      } else {
-        Interp::run_work(a.node->filter, fstate_[ai], *in_tape(in0),
-                         *out_tape(out0), counts,
-                         opts_.message_sink ? &opts_.message_sink : nullptr);
-      }
-      break;
-    }
+    case FlatActor::Kind::Filter:
     case FlatActor::Kind::Native:
-      fire_native(a, nstate_[ai].get(), *in_tape(in0), *out_tape(out0),
-                  counts);
+      // A filter's (AST or native) single input and output edge.
+      measured = active_fx(ai);
+      fire_work(a, measured, fstate_[ai], nstate_[ai].get(),
+                *in_tape(a.in_edges.empty() ? -1 : a.in_edges[0]),
+                *out_tape(a.out_edges.empty() ? -1 : a.out_edges[0]), counts,
+                opts_.message_sink ? &opts_.message_sink : nullptr);
       break;
     case FlatActor::Kind::Splitter: {
       ir::InTape& in = *in_tape(a.in_edges[0]);
@@ -419,13 +416,20 @@ void Executor::run_init() { run_init(counts_or_null()); }
 void Executor::run_init(runtime::OpCounts* counts) {
   if (init_done_) return;
   const Bind bind(*this);
-  if (tb_ != nullptr) {
-    tb_->emit(rec_->now_ns(), obs::EventKind::Phase,
-              static_cast<std::int32_t>(obs::PhaseId::Init));
-  }
+  mark_phase(obs::PhaseId::Init);
   ensure_input_for(sched_.input_for_init);
   run_epoch(sched_.init_fires, counts);
   init_done_ = true;
+}
+
+void Executor::mark_phase(obs::PhaseId id) {
+  if (tb_ == nullptr) return;
+  if (id == obs::PhaseId::Steady) {
+    if (steady_marked_) return;
+    steady_marked_ = true;
+  }
+  tb_->emit(rec_->now_ns(), obs::EventKind::Phase,
+            static_cast<std::int32_t>(id));
 }
 
 void Executor::start_steady_state() {
@@ -436,11 +440,7 @@ void Executor::start_steady_state() {
 
 std::vector<double> Executor::run_steady(int n) {
   run_init();
-  if (tb_ != nullptr && !steady_marked_ && n > 0) {
-    tb_->emit(rec_->now_ns(), obs::EventKind::Phase,
-              static_cast<std::int32_t>(obs::PhaseId::Steady));
-    steady_marked_ = true;
-  }
+  if (n > 0) mark_phase(obs::PhaseId::Steady);
   // Fused fast path: one flat dual-plane trace per steady state.  activate()
   // lowers the internal channels to trace buffers for the whole batch of
   // iterations.  It refuses when manual fire() calls left the graph
@@ -459,12 +459,16 @@ std::vector<double> Executor::run_steady(int n) {
     }
     return take_output();
   }
+  run_steady_epochs(n);
+  return take_output();
+}
+
+void Executor::run_steady_epochs(int n) {
   const Bind bind(*this);
   for (int i = 0; i < n; ++i) {
     start_steady_state();
     run_epoch(sched_.reps, counts_or_null());
   }
-  return take_output();
 }
 
 std::vector<double> Executor::take_output() {
@@ -494,7 +498,7 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
     m.fused_channels = fprog_->eliminated_channels;
     m.fused_super.assign(fprog_->super.begin(), fprog_->super.end());
   }
-  if (typed_on_) {
+  if (engine_ == Engine::Fused) {
     m.typed_actors = 0;
     m.typed_regs = 0;
     for (std::size_t i = 0; i < actor_trace_.size(); ++i) {
@@ -533,7 +537,7 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
     if (actor_trace_[i]) {
       a.typed_status = "typed";
       a.typed_regs = typed_[i]->work.typed_regs;
-    } else if (typed_on_ && !typed_refusal_[i].empty()) {
+    } else if (!typed_refusal_[i].empty()) {
       a.typed_status = typed_refusal_[i];
     }
     m.actors.push_back(std::move(a));
@@ -564,7 +568,7 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
 
   // Channel content tags from the executor's own specialization results:
   // typed actors contribute their inferred push tag, everything else Double.
-  if (typed_on_) {
+  if (engine_ == Engine::Fused) {
     std::vector<runtime::Tag> push(g_.actors.size(), runtime::Tag::Double);
     for (std::size_t i = 0; i < g_.actors.size(); ++i) {
       if (actor_trace_[i]) push[i] = typed_[i]->work.push_tag;

@@ -13,7 +13,7 @@
 //   * records cumulative push/pop counters per channel (n(t), p(t)).
 //
 // Every typed filter actor fires through its one-actor trace
-// (runtime/fused.h build_actor): a template actor's run is SetActor, its
+// (runtime/fused.h build_trace): a template actor's run is SetActor, its
 // template and a FireLoop, a linear node's is one LinearKernel instruction,
 // and either way fire_run(actor, n) is one dispatch.  The trace is built
 // once, at construction; its TypedFusedExec and state planes are made at
@@ -24,7 +24,9 @@
 // workers -- and writes it back when the call returns; an actor
 // whose state tags drifted from its typed classes fires on the tree
 // interpreter for that call.  Everything else (tree-engine actors, natives,
-// splitters, joiners) fires through fire_into's own cases.
+// splitters, joiners) fires through fire_into's own cases; a filter's or a
+// native's one firing is fire_work, which the threaded runtime's split
+// lanes call too, on their own tapes and state.
 //
 // It is also the per-actor execution core of the threaded runtime: a
 // ThreadedExecutor (sched/texec.h) owns one Executor, runs init and the
@@ -75,8 +77,8 @@ bool resolve_trace(TraceMode mode);
 // The compiled value plane: On (the default) runs AST filters on the typed
 // engines wherever the typeflow analysis (runtime/typed.h) proves it safe,
 // falling back per actor to the tree interpreter and per program to
-// per-actor execution; Off runs every AST filter on the tree interpreter
-// and refuses the fused trace as "typed-off".
+// per-actor execution; Off runs every AST filter on the tree interpreter:
+// the executor resolves it to Engine::Tree.
 enum class TypedMode { Off, On };
 
 // Resolve the threaded runtime's stall-abort threshold in milliseconds:
@@ -161,7 +163,8 @@ class Executor {
   void run_handler(int actor, const std::string& method,
                    const std::vector<ir::Value>& args);
 
-  // The engine actually driving this graph (Auto already resolved), and
+  // The engine actually driving this graph (Auto already resolved, and
+  // TypedMode::Off resolved to Tree), and
   // whether a given AST filter actor fires through its one-actor trace
   // (otherwise it runs on the tree interpreter).
   [[nodiscard]] Engine engine() const { return engine_; }
@@ -171,9 +174,9 @@ class Executor {
   // The stable reason an AST filter actor runs on the tree interpreter under
   // a compiled engine: compile_filter's (e.g. "teleport-send"),
   // typed_compile's ("has-handlers", "mixed-register", "mixed-state:<slot>")
-  // or build_actor's.
-  // "" when it runs compiled, or was never a candidate (non-filter, tree
-  // engine, or TypedMode::Off).
+  // or build_trace's.
+  // "" when it runs compiled, or was never a candidate (non-filter or tree
+  // engine).
   [[nodiscard]] const std::string& typed_refusal(int actor) const {
     return typed_refusal_[static_cast<std::size_t>(actor)];
   }
@@ -182,7 +185,7 @@ class Executor {
     const auto ai = static_cast<std::size_t>(actor);
     return actor_trace_[ai] ? typed_[ai].get() : nullptr;
   }
-  // The actor's one-actor trace (runtime/fused.h build_actor), or null when
+  // The actor's one-actor trace (runtime/fused.h build_trace), or null when
   // it runs on the tree interpreter.
   [[nodiscard]] const runtime::FusedProgram* actor_trace(int actor) const {
     return actor_trace_[static_cast<std::size_t>(actor)].get();
@@ -200,9 +203,8 @@ class Executor {
   // was refused -- in which case fused_refusal() carries the stable
   // kebab-case reason and steady states run per-actor instead.  The
   // executor's own reasons are message-sink-attached and tracing-enabled
-  // (observers that want per-firing granularity), typed-off (no typed
-  // programs to build the trace from); build_fused
-  // adds the per-filter ones (runtime/fused.h).  sched/describe.h renders
+  // (observers that want per-firing granularity); build_trace adds the
+  // per-filter ones (runtime/fused.h).  sched/describe.h renders
   // all of it for streamc --report.
   [[nodiscard]] const runtime::FusedProgram* fused_program() const {
     return fprog_ ? fprog_.get() : nullptr;
@@ -308,10 +310,15 @@ class Executor {
   // when the actor is traced, has none yet, and is inside the current Bind.
   // Null: the actor fires on the tree interpreter.
   runtime::TypedFusedExec* active_fx(std::size_t actor);
-  // A native actor's one firing on the given tapes, with its static counts.
-  static void fire_native(const runtime::FlatActor& a, ir::NativeState* state,
-                          ir::InTape& in, ir::OutTape& out,
-                          runtime::OpCounts* counts);
+  // One firing of filter or native actor `a` on the tapes and state given
+  // -- the executor's, or a split lane's: through `x`, its active one-actor
+  // trace, when there is one, else natively (with its static counts) or on
+  // the tree interpreter, which alone delivers Sends to `sink`.
+  static void fire_work(
+      const runtime::FlatActor& a, runtime::TypedFusedExec* x,
+      runtime::FilterState& state, ir::NativeState* native, ir::InTape& in,
+      ir::OutTape& out, runtime::OpCounts* counts,
+      const runtime::MessageSink* sink);
   // Per-firing tracing around one firing of `actor`: trace_begin emits
   // FireBegin and returns its time; trace_end emits the firing's pop/push
   // batches (`measured`'s, else the static rates) and FireEnd, and records
@@ -325,6 +332,12 @@ class Executor {
   void run_epoch(const std::vector<std::int64_t>& quota,
                  runtime::OpCounts* counts);
   void run_init(runtime::OpCounts* counts);
+  // `n` steady states as data-driven epochs inside one Bind: run_steady
+  // without the whole-graph trace, and the threaded runtime's calls that
+  // run sequentially.
+  void run_steady_epochs(int n);
+  // Emit a Phase event when tracing; Steady only the first time.
+  void mark_phase(obs::PhaseId id);
   // Count one more steady state and top up the input feed for it.
   void start_steady_state();
   void ensure_input_for(std::int64_t items_needed);
@@ -345,13 +358,12 @@ class Executor {
   std::vector<ir::OutTape*> out_tape_;
   std::vector<runtime::FilterState> fstate_;
   std::vector<std::unique_ptr<ir::NativeState>> nstate_;
-  // Per actor, its typed program, its one-actor trace (build_actor's; null
+  // Per actor, its typed program, its one-actor trace (build_trace's; null
   // when the actor runs on the tree), that trace's executor bound to its
   // fstate_ entry and the tape tables -- made on first use inside a Bind
   // (active_fx), so fstate_ entries must never be reseated; actors that
   // only ever run in the whole-graph trace never make one -- and the
   // per-actor refusal reasons.
-  bool typed_on_{false};
   std::vector<runtime::TypedFilterP> typed_;
   std::vector<runtime::FusedProgramP> actor_trace_;
   std::vector<std::unique_ptr<runtime::TypedFusedExec>> fx_;

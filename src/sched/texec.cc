@@ -825,14 +825,6 @@ void ThreadedExecutor::stop_pool() noexcept {
 
 // ---- the lone stateless actor's split -----------------------------------------
 
-void ThreadedExecutor::run_sequential(int n) {
-  const Executor::Bind bind(*exec_);
-  for (int i = 0; i < n; ++i) {
-    exec_->start_steady_state();
-    exec_->run_epoch(schedule().reps, exec_->counts_or_null());
-  }
-}
-
 void ThreadedExecutor::run_split(int n) {
   const runtime::FlatGraph& g = graph();
   const Schedule& sched = schedule();
@@ -848,7 +840,7 @@ void ThreadedExecutor::run_split(int n) {
   // message at the same firing, with the same partial progress.
   if (in != nullptr &&
       static_cast<std::int64_t>(in->size()) < fires * pop + a.peek_extra) {
-    run_sequential(n);
+    exec_->run_steady_epochs(n);
     return;
   }
 
@@ -904,7 +896,7 @@ void ThreadedExecutor::run_split(int n) {
   for (const auto& l : lanes_) {
     if (l->failed ||
         (in != nullptr && static_cast<std::int64_t>(l->in.base()) != l->hi * pop)) {
-      run_sequential(n);
+      exec_->run_steady_epochs(n);
       return;
     }
   }
@@ -940,17 +932,12 @@ void ThreadedExecutor::run_lane(int w) noexcept {
     if (x != nullptr && tb == nullptr) {
       x->fire(counts, l.hi - l.lo);
     } else {
-      // One firing at a time: the code fire_into runs for this actor, on
-      // the lane's tapes and state.
+      // One firing at a time, as fire_into fires the actor, on the lane's
+      // tapes and state.
       for (std::int64_t k = l.lo; k < l.hi; ++k) {
         const std::int64_t t0 = tb != nullptr ? exec_->trace_begin(tb, 0) : 0;
-        if (x != nullptr) {
-          x->fire(counts, 1);
-        } else if (a.kind == FlatActor::Kind::Native) {
-          Executor::fire_native(a, l.native.get(), in, out, counts);
-        } else {
-          runtime::Interp::run_work(a.node->filter, l.state, in, out, counts);
-        }
+        Executor::fire_work(a, x, l.state, l.native.get(), in, out, counts,
+                            nullptr);
         if (tb != nullptr) exec_->trace_end(tb, 0, t0, x, &l.stats);
       }
     }
@@ -968,38 +955,27 @@ std::vector<double> ThreadedExecutor::run_steady(int n) {
   if (!report_.threaded) return exec_->run_steady(n);
   run_init();
   if (split_ > 0) {
-    obs::ThreadBuffer* const tb = exec_->trace_buffer();
-    if (tb != nullptr && !exec_->steady_marked_ && n > 0) {
-      tb->emit(rec()->now_ns(), obs::EventKind::Phase,
-               static_cast<std::int32_t>(obs::PhaseId::Steady));
-      exec_->steady_marked_ = true;
+    if (n > 0) {
+      exec_->mark_phase(obs::PhaseId::Steady);
+      run_split(n);
     }
-    if (n > 0) run_split(n);
     return take_output();
   }
   // The typed actors' state lives in their traces' planes from here until
   // the workers have joined.
   const Executor::Bind bind(*exec_);
-  obs::ThreadBuffer* const tb = exec_->trace_buffer();
   int remaining = n;
   if (!partitioned_ && remaining > 0) {
     // Calibration: one sequential steady state to measure per-actor work,
     // then freeze the partition and migrate cross-thread edges.
-    if (tb != nullptr) {
-      tb->emit(rec()->now_ns(), obs::EventKind::Phase,
-               static_cast<std::int32_t>(obs::PhaseId::Calibration));
-    }
+    exec_->mark_phase(obs::PhaseId::Calibration);
     exec_->start_steady_state();
     exec_->run_epoch(schedule().reps, epoch_counts());
     --remaining;
     partition_and_migrate();
   }
   if (remaining > 0) {
-    if (tb != nullptr && !exec_->steady_marked_) {
-      tb->emit(rec()->now_ns(), obs::EventKind::Phase,
-               static_cast<std::int32_t>(obs::PhaseId::Steady));
-      exec_->steady_marked_ = true;
-    }
+    exec_->mark_phase(obs::PhaseId::Steady);
     run_threaded(remaining);
     // With the workers joined, every high-water counter is quiescent;
     // debug and observability builds re-verify the static bounds held.

@@ -8,11 +8,13 @@
 //
 // Execution model:
 //   * Every ThreadedExecutor owns one sequential Executor, its per-actor
-//     execution core: channels, filter state, the one-actor traces, init
-//     functions, the input feed, firing tallies, and the one per-actor
-//     firing routine all live there.  On the threaded path it is built
-//     without the whole-graph trace (inherently single-threaded); on a
-//     fallback it runs the program as is.
+//     execution core: channels, filter state, the one-actor traces
+//     (runtime::build_trace of one actor), init functions, the input feed,
+//     firing tallies, the per-actor firing routines (fire_run, fire_into
+//     and a filter's one firing, fire_work) and the sequential steady
+//     state (run_steady_epochs) all live there.  On the threaded path it is
+//     built without the whole-graph trace (inherently single-threaded); on
+//     a fallback it runs the program as is.
 //   * Initialization and the first steady state run sequentially on the
 //     embedded Executor; the first steady state doubles as a calibration run
 //     that measures each actor's cycle weight (runtime::OpCounts::weighted --
@@ -68,14 +70,18 @@
 //     through a read-only view starting at its first firing's items (the
 //     peek windows overlap; nobody pops the channel during the run), writes
 //     its own output buffer, and fires with its own state: its own
-//     one-actor trace over the actor's typed program, its own native state
-//     clone, or its own copy of the state for the tree interpreter.  The
+//     TypedFusedExec over the actor's one-actor trace, its own native state
+//     clone, or its own copy of the state for the tree interpreter.  A
+//     share's trace runs all its firings in one dispatch; otherwise (and
+//     while tracing) the lane fires through Executor::fire_work, the
+//     routine the sequential executor fires the actor with.  The
 //     calling thread then appends the outputs in worker order, pops the
 //     F * pop input items, and adds the firings and OpCounts, so every
 //     firing runs the code it runs sequentially and outputs, OpCounts and
 //     channel counters stay bit-equal.  A call whose input is short, or
 //     whose shares fault or pop other than the declared rate, runs again on
-//     the embedded executor, which gives the sequential result or message.
+//     the embedded executor (run_steady_epochs), which gives the sequential
+//     result or message.
 //     ThreadedReport::split is the number of workers sharing the actor.
 //   * Deadlock freedom: induction over (step, topo position).  The earliest
 //     unfinished firing's data waits point only at strictly smaller
@@ -260,8 +266,6 @@ class ThreadedExecutor {
   struct Lane;
   void run_split(int n);
   void run_lane(int w) noexcept;
-  // The call on the embedded executor, one steady state at a time.
-  void run_sequential(int n);
   void wait_ready(int actor, std::int64_t chunk, obs::ThreadBuffer* tb,
                   std::int64_t* wait_ns);
   void stage_input(std::int64_t last_iter, std::int64_t chunk);

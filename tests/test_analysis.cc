@@ -9,7 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <random>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/analyze.h"
 #include "analysis/constprop.h"
@@ -63,6 +68,55 @@ TEST(IntervalOps, ShlConstThatCanOverflowIsTop) {
   EXPECT_EQ(iv_shl_const(Interval::range(3, 5), 0), Interval::range(3, 5));
   EXPECT_EQ(iv_shl_const(Interval::exact(Interval::kMax), 0),
             Interval::exact(Interval::kMax));
+}
+
+// Every arithmetic interval op must contain what the runtime computes at
+// every pair of points its operands cover, wrapping included: random
+// intervals, with endpoints drawn often from near the int64 extremes, and
+// random points inside them.
+TEST(IntervalOps, ArithmeticContainsTheRuntimeResult) {
+  std::mt19937_64 rng(31);
+  const std::int64_t two62 = std::int64_t{1} << 62;
+  const std::int64_t ends[] = {Interval::kMin,     Interval::kMin + 1,
+                               -two62,             -1000,
+                               -1,                 0,
+                               1,                  1000,
+                               two62,              Interval::kMax - 1,
+                               Interval::kMax};
+  const auto endpoint = [&]() -> std::int64_t {
+    return rng() % 2 ? ends[rng() % std::size(ends)]
+                     : static_cast<std::int64_t>(rng());
+  };
+  const auto point = [&](const Interval& iv) -> std::int64_t {
+    if (rng() % 3 == 0) return iv.lo;
+    if (rng() % 2 == 0) return iv.hi;
+    const std::uint64_t span = static_cast<std::uint64_t>(iv.hi) -
+                               static_cast<std::uint64_t>(iv.lo);
+    const std::uint64_t off = span == UINT64_MAX ? rng() : rng() % (span + 1);
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(iv.lo) + off);
+  };
+  using ir::BinOp;
+  using ir::UnOp;
+  for (int k = 0; k < 20000; ++k) {
+    const std::int64_t a = endpoint(), b = endpoint();
+    const std::int64_t c = endpoint(), d = endpoint();
+    const Interval X = Interval::range(std::min(a, b), std::max(a, b));
+    const Interval Y = Interval::range(std::min(c, d), std::max(c, d));
+    const Value x(point(X)), y(point(Y));
+    const std::string at = X.str() + ", " + Y.str() + " at " +
+                           std::to_string(x.as_int()) + ", " +
+                           std::to_string(y.as_int());
+    ASSERT_TRUE(iv_add(X, Y).contains(
+        runtime::apply_bin(BinOp::Add, x, y).as_int())) << "add " << at;
+    ASSERT_TRUE(iv_sub(X, Y).contains(
+        runtime::apply_bin(BinOp::Sub, x, y).as_int())) << "sub " << at;
+    ASSERT_TRUE(iv_mul(X, Y).contains(
+        runtime::apply_bin(BinOp::Mul, x, y).as_int())) << "mul " << at;
+    ASSERT_TRUE(iv_neg(X).contains(runtime::apply_un(UnOp::Neg, x).as_int()))
+        << "neg " << at;
+    ASSERT_TRUE(iv_abs(X).contains(runtime::apply_un(UnOp::Abs, x).as_int()))
+        << "abs " << at;
+  }
 }
 
 TEST(Bounds, RejectsPeekBeyondWindow) {
@@ -135,7 +189,7 @@ TEST(Bounds, AcceptsNestedLoopMatrixAccess) {
 
 // Regression: a circular state index `count = (count + 1) % n` must be
 // proven to stay in [0, n-1] across firings (the inter-firing fixpoint
-// widens it to [0, +inf] first; narrowing brings it back).
+// widens it to [0, 2^62] first; narrowing brings it back).
 TEST(Bounds, AcceptsModularStateIndex) {
   const int n = 8;
   const auto spec = filter("osc")

@@ -297,6 +297,29 @@ TEST(FusedRefusal, TeleportSendingFilterRefuses) {
   EXPECT_EQ(ex.fused_refusal(), "teleport-send:monitor");
 }
 
+// A filter that sends only in init still fuses: init runs once, on the tree
+// interpreter, at construction and with no message sink, before any trace
+// exists, so the whole-graph trace never meets the send.
+TEST(FusedExecution, InitSendingFilterFusesAndMatchesTree) {
+  const auto mk = [] {
+    auto herald = filter("herald")
+                      .rates(1, 1, 1)
+                      .scalar("gain", ir::Value(1.0))
+                      .init(seq({ir::send("p", "hello", {c(2.0).e}, 0, 0),
+                                 let("gain", c(2.5))}))
+                      .work(seq({push_(pop_() * v("gain"))}))
+                      .node();
+    return make_pipeline("p", {tiny_src("s"), herald});
+  };
+  auto fused = make_fused(mk());
+  ASSERT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
+  sched::ExecOptions topt;
+  topt.engine = sched::Engine::Tree;
+  sched::Executor tree(mk(), topt);
+  expect_same_output(fused.run_steady(4), tree.run_steady(4));
+  expect_same_state(tree, fused);
+}
+
 // Run `f` after a source on the fused engine and on the tree interpreter:
 // the trace must refuse with `reason`, and the per-actor run must match the
 // tree in outputs, state, OpCounts and channel counters.

@@ -76,6 +76,45 @@ TEST(ChannelCounts, ShiftCountsAreTakenModSixtyFour) {
   EXPECT_FALSE(check(filter("narrow").rates(1, 1, 1).work(w).node()).empty());
 }
 
+// Constants evaluate as the tree evaluates them: Values through the
+// operator table, with as_int() or truthy() applied only where the runtime
+// applies it.  Truncating each float leaf first would take the other
+// branch, run the loop zero times, or read a shorter window.
+TEST(ChannelCounts, FloatConditionIsTruthy) {
+  // if (0.5) push(pop()) else push(0)
+  const StmtP w = seq({if_(c(0.5), push_(pop_()), push_(c(0.0)))});
+  const ChannelCounts cc = count_channel_ops(w);
+  EXPECT_TRUE(cc.static_counts);
+  EXPECT_EQ(cc.pops, 1);
+  EXPECT_EQ(cc.pushes, 1);
+}
+
+TEST(ChannelCounts, FloatLoopBoundIsSummedBeforeTruncation) {
+  // for (i = 0; i < 0.5 + 0.5; i++) push(pop())
+  const StmtP w = seq({for_("i", ci(0), c(0.5) + c(0.5), push_(pop_()))});
+  const ChannelCounts cc = count_channel_ops(w);
+  EXPECT_TRUE(cc.static_counts);
+  EXPECT_EQ(cc.pops, 1);
+  EXPECT_EQ(cc.pushes, 1);
+}
+
+TEST(ChannelCounts, MixedComparisonPromotesToFloat) {
+  // if (1 < 1.5) push(pop()) else push(0)
+  const StmtP w = seq({if_(ci(1) < c(1.5), push_(pop_()), push_(c(0.0)))});
+  const ChannelCounts cc = count_channel_ops(w);
+  EXPECT_TRUE(cc.static_counts);
+  EXPECT_EQ(cc.pops, 1);
+}
+
+TEST(ChannelCounts, FloatPeekOffsetIsSummedBeforeTruncation) {
+  // push(peek(1.5 + 1.5)); pop(1) reads offset 3: a window of 4.
+  const StmtP w = seq({push_(peek_(c(1.5) + c(1.5))), discard(1)});
+  const ChannelCounts cc = count_channel_ops(w);
+  EXPECT_EQ(cc.max_peek, 4);
+  EXPECT_FALSE(check(filter("short").rates(3, 1, 1).work(w).node()).empty());
+  EXPECT_TRUE(check(filter("long").rates(4, 1, 1).work(w).node()).empty());
+}
+
 TEST(ChannelCounts, BranchesMustAgree) {
   // if (x > 0) push(1) -- unbalanced against the empty else.
   const StmtP bad = seq({if_(v("x") > c(0.0), push_(c(1.0)))});

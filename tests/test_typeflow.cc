@@ -259,11 +259,16 @@ TEST(TypedSpecialize, FirFusedTraceGoesTyped) {
   EXPECT_TRUE(double_plane);
 }
 
+// TypedMode::Off is the tree engine, whatever engine was asked for: no
+// whole-graph trace (and no refusal: none was attempted), no one-actor
+// traces.
 TEST(TypedSpecialize, TypedOffDisablesBothLayers) {
   auto ex = make_exec(apps::make_app("FIR"), sched::Engine::Fused,
                       sched::TypedMode::Off);
+  EXPECT_EQ(ex.engine(), sched::Engine::Tree);
   EXPECT_EQ(ex.fused_program(), nullptr);
-  EXPECT_EQ(ex.fused_refusal(), "typed-off");
+  EXPECT_EQ(ex.fused_refusal(), "");
+  EXPECT_EQ(ex.metrics_snapshot().engine, "tree");
   const auto& g = ex.graph();
   for (std::size_t i = 0; i < g.actors.size(); ++i) {
     EXPECT_FALSE(ex.actor_uses_vm(static_cast<int>(i)));

@@ -436,7 +436,8 @@ std::string expect_actor_matches_tree(const ir::FilterSpec& spec,
   EXPECT_NE(typed, nullptr) << spec.name << " refused";
   if (!typed) return "";
   const runtime::FlatGraph g = runtime::flatten(ir::make_filter(spec));
-  const runtime::FusedProgramP prog = runtime::build_actor(g, 0, {typed});
+  const runtime::FusedProgramP prog =
+      runtime::build_trace(g, {{0, 0}}, {}, {}, {typed}, {});
   EXPECT_NE(prog, nullptr) << spec.name;
   if (!prog) return "";
   note_handlers(*prog, seen);

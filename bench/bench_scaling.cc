@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
                                        opts);
       const std::int64_t items =
           source_items_per_steady(tex.graph(), tex.schedule());
-      tex.run_steady(warm);  // init + calibration + first threaded steps
+      tex.run_steady(warm);  // init + placement plan + first threaded steps
       const double rate = steadies_per_sec(tex, batch, min_ms, max_batches) *
                           static_cast<double>(items);
       const auto& rep = tex.report();

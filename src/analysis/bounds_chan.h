@@ -7,7 +7,7 @@
 //
 //   * in_order[e] -- peak occupancy when firings are data-driven in the
 //     global topological order (the sequential executors, and the threaded
-//     runtime's init + calibration epochs).  This is the scheduler's own
+//     runtime's init epoch).  This is the scheduler's own
 //     sweep, sched::Schedule::buffer_bound: the init epoch plus two steady
 //     states simulated firing for firing as the executors' run_epoch loop
 //     fires them, so on in-order runs the observed high-water mark matches
@@ -102,7 +102,7 @@ struct ChannelBounds {
     return post_init[e] + batch * traffic[e];
   }
   // Bound for an edge that stays on a plain Channel in the threaded runtime:
-  // in-order during init + calibration, batched single-appearance afterwards.
+  // in-order during init, batched single-appearance afterwards.
   [[nodiscard]] std::int64_t channel_bound(std::size_t e,
                                            std::int64_t batch = 1) const {
     const std::int64_t ss = steady_single_batched(e, batch);

@@ -1,5 +1,6 @@
 #include "ir/validate.h"
 
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -47,6 +48,8 @@ std::optional<Value> const_eval(const ExprP& e, const Env& env) {
   }
 }
 
+bool touches_channels(const StmtP& s);
+
 // Stateful walker tracking pops/pushes performed so far in one work
 // invocation, plus the farthest input-window index touched.
 class ChannelCounter {
@@ -84,8 +87,28 @@ class ChannelCounter {
           static_ = false;
           return;
         }
-        const std::int64_t end = hi->as_int(), step = st->as_int();
-        for (std::int64_t i = lo->as_int(); i < end; i += step) {
+        const std::int64_t first = lo->as_int(), end = hi->as_int(),
+                           step = st->as_int();
+        if (first < end) {
+          // The last induction value, in unsigned arithmetic (it lies in
+          // [first, end), so the wrapped result is exact).  Stepping past
+          // it must not overflow int64.
+          const auto ustep = static_cast<std::uint64_t>(step);
+          const std::uint64_t span = static_cast<std::uint64_t>(end) -
+                                     static_cast<std::uint64_t>(first);
+          const auto last = static_cast<std::int64_t>(
+              static_cast<std::uint64_t>(first) + (span - 1) / ustep * ustep);
+          std::int64_t past = 0;
+          if (__builtin_add_overflow(last, step, &past)) {
+            static_ = false;
+            return;
+          }
+          if (!touches_channels(s->body) && static_body(s->body, s->name)) {
+            env_.erase(s->name);
+            break;
+          }
+        }
+        for (std::int64_t i = first; i < end; i += step) {
           env_[s->name] = i;
           stmt(s->body);
           if (!static_) break;
@@ -147,6 +170,19 @@ class ChannelCounter {
     }
   }
 
+  // Whether walking a body that touches no channel stays static with the
+  // induction variable `var` unbound.  Binding it only lets more bounds and
+  // conditions evaluate, so then every iteration's walk stays static too,
+  // and adds no counts: the loop need not be unrolled.
+  [[nodiscard]] bool static_body(const StmtP& body,
+                                 const std::string& var) const {
+    ChannelCounter probe;
+    probe.env_ = env_;
+    probe.env_.erase(var);
+    probe.stmt(body);
+    return probe.static_;
+  }
+
   [[nodiscard]] ChannelCounts result() const {
     ChannelCounts r;
     r.pops = pops_;
@@ -165,8 +201,6 @@ class ChannelCounter {
   bool static_{true};
   bool dynamic_peek_{false};
 };
-
-bool touches_channels(const StmtP& s);
 
 bool expr_touches_channels(const ExprP& e) {
   if (!e) return false;
@@ -188,7 +222,7 @@ bool touches_channels(const StmtP& s) {
     default:
       if (expr_touches_channels(s->index) || expr_touches_channels(s->value) ||
           expr_touches_channels(s->cond) || expr_touches_channels(s->lo) ||
-          expr_touches_channels(s->hi))
+          expr_touches_channels(s->hi) || expr_touches_channels(s->step))
         return true;
       for (const auto& a : s->args)
         if (expr_touches_channels(a)) return true;

@@ -12,8 +12,10 @@
 // fissed, or simply new).
 //
 // This lives in obs -- the leaf library every layer links -- because the
-// consumers span sched, parallel, linear, and opt, and linear already links
-// sched (the reverse edge would be circular).
+// consumers span sched, parallel, linear, and opt, and the metrics snapshot
+// (obs/metrics.h) reports it too.  sched reads it through linear's
+// calibrated_ops_per_firing: sched links linear, which links only the SDF
+// solver (sit_schedule) below sched.
 //
 // Process-wide state: one active model, empty (source "static") by default.
 // The first query consults SIT_COST=FILE once; streamc --cost and tests

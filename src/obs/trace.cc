@@ -29,7 +29,6 @@ const char* to_string(WaitKind k) {
 const char* to_string(PhaseId p) {
   switch (p) {
     case PhaseId::Init: return "init";
-    case PhaseId::Calibration: return "calibration";
     case PhaseId::Steady: return "steady";
   }
   return "?";

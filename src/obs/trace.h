@@ -60,7 +60,7 @@ const char* to_string(EventKind k);
 enum class WaitKind : std::int64_t { Input = 0, Space = 1, Window = 2 };
 const char* to_string(WaitKind k);
 
-enum class PhaseId : std::int32_t { Init = 0, Calibration = 1, Steady = 2 };
+enum class PhaseId : std::int32_t { Init = 0, Steady = 1 };
 const char* to_string(PhaseId p);
 
 struct TraceEvent {

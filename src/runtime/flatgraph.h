@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "ir/graph.h"
+#include "runtime/opcounts.h"
 
 namespace sit::runtime {
 
@@ -61,6 +62,18 @@ struct FlatActor {
   [[nodiscard]] int pop_rate() const { return in_rate.empty() ? 0 : in_rate[0]; }
   [[nodiscard]] int push_rate() const { return out_rate.empty() ? 0 : out_rate[0]; }
 };
+
+// The counts one firing of native actor `a` adds on every engine: its
+// declared cost (cost_flops flops, the rest of cost_ops integer ops) and
+// its declared channel traffic.
+inline OpCounts native_firing_counts(const FlatActor& a) {
+  OpCounts c;
+  c.flops = static_cast<std::int64_t>(a.node->native.cost_flops);
+  c.int_ops = static_cast<std::int64_t>(a.node->native.cost_ops -
+                                        a.node->native.cost_flops);
+  c.channel = a.pop_rate() + a.push_rate();
+  return c;
+}
 
 struct FlatEdge {
   int src{-1};       // actor id, -1 = external program input

@@ -388,10 +388,7 @@ class TraceBuilder {
     nf.out_edge = a.out_edges.empty() ? -1 : a.out_edges[0];
     nf.in_real = nf.in_edge >= 0 && !edge_internal(nf.in_edge);
     nf.out_real = nf.out_edge >= 0 && !edge_internal(nf.out_edge);
-    nf.flops = static_cast<std::int64_t>(a.node->native.cost_flops);
-    nf.int_ops = static_cast<std::int64_t>(a.node->native.cost_ops -
-                                           a.node->native.cost_flops);
-    nf.channel = a.pop_rate() + a.push_rate();
+    nf.counts = native_firing_counts(a);
     if (prog_->nats.size() >= 0xFFFF) fail("args-table overflow");
     FInstr I{};
     I.op = FOp::NativeFire;
@@ -1650,11 +1647,7 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
         if (N.out_edge >= 0) out = N.out_real ? tout(N.out_edge) : &bout;
         a.node->native.work(nstates_[static_cast<std::size_t>(N.actor)].get(),
                             *in, *out);
-        if constexpr (kCount) {
-          cur->flops += N.flops;
-          cur->int_ops += N.int_ops;
-          cur->channel += N.channel;
-        }
+        if constexpr (kCount) *cur += N.counts;
         ++pc;
         break;
       }

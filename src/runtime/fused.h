@@ -142,8 +142,8 @@ struct NativeFireArgs {
   int actor{-1};  // the graph's actor id: its native state and name
   std::int32_t in_edge{-1}, out_edge{-1};
   bool in_real{false}, out_real{false};
-  // Static per-firing counts, exactly as the per-actor executor adds them.
-  std::int64_t flops{0}, int_ops{0}, channel{0};
+  // Static per-firing counts (native_firing_counts).
+  OpCounts counts;
 };
 
 struct LinearKernelArgs {

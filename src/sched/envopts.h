@@ -12,7 +12,7 @@
 //   SIT_THREADS   integer >= 1           ThreadedExecutor workers (default 1)
 //   SIT_BATCH     integer >= 1 | "auto"  steady iterations per pipeline step
 //                                        (default auto: sized from per-edge
-//                                        traffic + measured cost, clamped to
+//                                        traffic + planned cost, clamped to
 //                                        the static max_batch)
 //   SIT_TRACE     "1" | "on" | "true"    event tracing + timing (default off)
 //   SIT_STALL_MS  integer ms             threaded stall-abort (default 120000)

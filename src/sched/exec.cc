@@ -40,7 +40,7 @@ int resolve_stall_ms(int requested) {
 
 int resolve_batch(int requested) {
   if (requested == 0) requested = env_batch();
-  if (requested < 0) return -1;  // auto, resolved at partition time
+  if (requested < 0) return -1;  // auto, resolved when placement is planned
   return requested < 1 ? 1 : requested;
 }
 
@@ -238,13 +238,7 @@ void Executor::fire_work(const FlatActor& a, runtime::TypedFusedExec* x,
     x->fire(counts, 1);
   } else if (a.kind == FlatActor::Kind::Native) {
     a.node->native.work(native, in, out);
-    if (counts) {
-      // Native filters declare their per-firing cost statically.
-      counts->flops += static_cast<std::int64_t>(a.node->native.cost_flops);
-      counts->int_ops += static_cast<std::int64_t>(a.node->native.cost_ops -
-                                                   a.node->native.cost_flops);
-      counts->channel += a.pop_rate() + a.push_rate();
-    }
+    if (counts) *counts += runtime::native_firing_counts(a);
   } else {
     Interp::run_work(a.node->filter, state, in, out, counts, sink);
   }
@@ -387,8 +381,8 @@ void Executor::run_handler(int actor, const std::string& method,
   Interp::run_handler(a.node->filter, fstate_[ai], method, args);
 }
 
-void Executor::run_epoch(const std::vector<std::int64_t>& quota_in,
-                         runtime::OpCounts* counts) {
+void Executor::run_epoch(const std::vector<std::int64_t>& quota_in) {
+  runtime::OpCounts* const counts = counts_or_null();
   std::vector<std::int64_t> quota = quota_in;
   bool progress = true;
   while (progress) {
@@ -411,14 +405,12 @@ void Executor::run_epoch(const std::vector<std::int64_t>& quota_in,
   }
 }
 
-void Executor::run_init() { run_init(counts_or_null()); }
-
-void Executor::run_init(runtime::OpCounts* counts) {
+void Executor::run_init() {
   if (init_done_) return;
   const Bind bind(*this);
   mark_phase(obs::PhaseId::Init);
   ensure_input_for(sched_.input_for_init);
-  run_epoch(sched_.init_fires, counts);
+  run_epoch(sched_.init_fires);
   init_done_ = true;
 }
 
@@ -467,7 +459,7 @@ void Executor::run_steady_epochs(int n) {
   const Bind bind(*this);
   for (int i = 0; i < n; ++i) {
     start_steady_state();
-    run_epoch(sched_.reps, counts_or_null());
+    run_epoch(sched_.reps);
   }
 }
 
@@ -524,12 +516,11 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
       a.wall_ns = fs.wall_ns;
       a.max_ns = fs.max_ns;
       a.hist.assign(fs.hist.begin(), fs.hist.end());
-      // With op counting off this executor has no calibration epoch (only
-      // the threaded runtime runs one), which used to leave calib_cycles at
-      // zero and made sequential profiles useless for calibration.  Measured
-      // wall time is the better cost anyway: surface it (ns-as-cycles) so
-      // the partitioners' cost column and streamprof --calibrate both work
-      // under the sequential engines.
+      // With op counting off this executor tallies nothing, which used to
+      // leave calib_cycles at zero and made sequential profiles useless for
+      // calibration.  Measured wall time is the better cost anyway: surface
+      // it (ns-as-cycles) so the partitioners' cost column and streamprof
+      // --calibrate both work under the sequential engines.
       if (a.calib_cycles <= 0 && fs.wall_ns > 0) {
         a.calib_cycles = static_cast<double>(fs.wall_ns);
       }

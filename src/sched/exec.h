@@ -29,8 +29,8 @@
 // lanes call too, on their own tapes and state.
 //
 // It is also the per-actor execution core of the threaded runtime: a
-// ThreadedExecutor (sched/texec.h) owns one Executor, runs init and the
-// calibration epoch on it, and has its workers fire actors through it after
+// ThreadedExecutor (sched/texec.h) owns one Executor, runs the init epoch on
+// it, and has its workers fire every steady state's actors through it after
 // pointing each cross-worker edge's tape at an SPSC ring.
 
 #include <functional>
@@ -89,8 +89,8 @@ int resolve_stall_ms(int requested);
 // Resolve a requested steady-iteration batch factor: 0 = consult SIT_BATCH
 // (whose default is auto), -1 = auto, values >= 1 pass through.  Returns -1
 // (auto) or a count >= 1.  Auto is resolved per program inside the
-// ThreadedExecutor at partition time, where per-edge traffic, measured actor
-// cost, and the static max_batch are known.
+// ThreadedExecutor when it plans the placement, where per-edge traffic, the
+// actors' planned weights, and the static max_batch are known.
 int resolve_batch(int requested);
 
 struct ExecOptions {
@@ -254,7 +254,7 @@ class Executor {
 
  private:
   // The threaded runtime drives this executor through the hooks below
-  // (retarget, fire_into, run_epoch and run_init with a counts array, the
+  // (retarget, fire_run and fire_work, the sequential steady state, the
   // input feed) and reads its tallies and progress counters directly.
   friend class ThreadedExecutor;
 
@@ -327,14 +327,11 @@ class Executor {
   void trace_end(obs::ThreadBuffer* tb, int actor, std::int64_t t0,
                  const runtime::TypedFusedExec* measured,
                  obs::FiringStats* stats) const;
-  // Data-driven sweeps in schedule order until every actor fired its quota;
-  // `counts` is a per-actor array to tally into (null = no counting).
-  void run_epoch(const std::vector<std::int64_t>& quota,
-                 runtime::OpCounts* counts);
-  void run_init(runtime::OpCounts* counts);
+  // Data-driven sweeps in schedule order until every actor fired its quota.
+  void run_epoch(const std::vector<std::int64_t>& quota);
   // `n` steady states as data-driven epochs inside one Bind: run_steady
-  // without the whole-graph trace, and the threaded runtime's calls that
-  // run sequentially.
+  // without the whole-graph trace, and the split calls the threaded runtime
+  // reruns sequentially.
   void run_steady_epochs(int n);
   // Emit a Phase event when tracing; Steady only the first time.
   void mark_phase(obs::PhaseId id);

@@ -11,8 +11,8 @@
 
 #include "analysis/analyze.h"
 #include "ir/filter.h"
+#include "linear/cost.h"
 #include "machine/machine.h"
-#include "obs/costmodel.h"
 #include "obs/trace.h"
 
 namespace sit::sched {
@@ -221,6 +221,14 @@ const char* to_string(FallbackReason r) {
   return "?";
 }
 
+double firing_weight(const FlatActor& a) {
+  if (a.is_filter()) return linear::calibrated_ops_per_firing(*a.node, a.name);
+  OpCounts c;
+  for (const int r : a.in_rate) c.channel += r;
+  for (const int r : a.out_rate) c.channel += r;
+  return c.weighted();
+}
+
 std::string ThreadedReport::to_string() const {
   if (!threaded) {
     std::string s = std::string("sequential fallback=") +
@@ -291,7 +299,12 @@ ThreadedExecutor::ThreadedExecutor(CompiledProgram prog, ExecOptions opts)
   }
   stall_ms_ = resolve_stall_ms(opts_.stall_ms);
   rings_.resize(graph().edges.size());
-  calib_.resize(graph().actors.size());
+  // What a snapshot reads before plan(): no weights, every actor on worker
+  // 0, and each split worker running the lone actor.
+  cost_.assign(graph().actors.size(), 0.0);
+  owner_.assign(graph().actors.size(), 0);
+  plan_.assign(static_cast<std::size_t>(threads_),
+               split_ > 0 ? std::vector<int>{0} : std::vector<int>{});
   if (rec() != nullptr) rec()->attach_workers(static_cast<std::size_t>(threads_));
 }
 
@@ -392,78 +405,55 @@ void ThreadedExecutor::set_input_generator(
   exec_->set_input_generator(std::move(gen));
 }
 
-OpCounts* ThreadedExecutor::epoch_counts() {
-  return opts_.count_ops ? exec_->ops_.data() : calib_.data();
-}
-
-const std::vector<OpCounts>& ThreadedExecutor::calibration() const {
-  return opts_.count_ops ? exec_->ops_ : calib_;
-}
-
 void ThreadedExecutor::run_init() {
-  if (report_.threaded) {
-    exec_->run_init(epoch_counts());
-  } else {
-    exec_->run_init();
-  }
+  if (exec_->init_done_) return;
+  exec_->run_init();
+  if (report_.threaded) plan();
 }
 
-// ---- partitioning -----------------------------------------------------------
+// ---- planning ---------------------------------------------------------------
 
-void ThreadedExecutor::partition_and_migrate() {
+void ThreadedExecutor::plan() {
   const runtime::FlatGraph& g = graph();
   const Schedule& sched = schedule();
-  const std::vector<OpCounts>& calib = calibration();
   const std::size_t n = g.actors.size();
-  std::vector<double> cost(n, 0.0);
-  // Per-epoch actor cost for LPT: a calibrated model's measured weight
-  // (cycles per firing, scaled by this epoch's firing count) takes
-  // precedence over the in-process calibration epoch -- a corpus profile
-  // averages many more firings than the single epoch measured here.  Actors
-  // the profile does not cover keep the calibration-epoch cost.
-  const obs::CostModel& cmodel = obs::cost_model();
+  // One steady state's static cost per actor; the init epoch adds nothing.
   for (std::size_t i = 0; i < n; ++i) {
-    double measured = 0.0;
-    if (cmodel.calibrated() &&
-        cmodel.measured_cycles_per_fire(g.actors[i].name, &measured)) {
-      cost[i] = measured * static_cast<double>(sched.reps[i]);
-    } else {
-      cost[i] = calib[i].weighted();
-    }
+    cost_[i] = static_cast<double>(sched.reps[i]) * firing_weight(g.actors[i]);
   }
+  if (split_ > 0) return;
 
   // Longest-processing-time greedy: heaviest actor to the least loaded
   // worker.  Classic 4/3-approximate makespan balancing.
   std::vector<std::size_t> by_cost(n);
   std::iota(by_cost.begin(), by_cost.end(), std::size_t{0});
   std::sort(by_cost.begin(), by_cost.end(), [&](std::size_t x, std::size_t y) {
-    return cost[x] > cost[y];
+    return cost_[x] > cost_[y];
   });
   std::vector<double> load(static_cast<std::size_t>(threads_), 0.0);
-  owner_.assign(n, 0);
   for (std::size_t i : by_cost) {
     const auto b = static_cast<std::size_t>(
         std::min_element(load.begin(), load.end()) - load.begin());
     owner_[i] = static_cast<int>(b);
-    load[b] += cost[i];
+    load[b] += cost_[i];
   }
 
   // Affinity pass: an actor that costs a rounding error of the balance
   // target buys nothing by sitting on its "own" worker but costs a ring
   // crossing per neighbor.  Glue such actors to their heaviest neighbor.
-  const double total = std::accumulate(cost.begin(), cost.end(), 0.0);
+  const double total = std::accumulate(cost_.begin(), cost_.end(), 0.0);
   const double feather = 0.01 * total / static_cast<double>(threads_);
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (cost[i] > feather) continue;
+      if (cost_[i] > feather) continue;
       int best = -1;
       double best_cost = -1.0;
       for (const auto& e : g.edges) {
         int nb = -1;
         if (e.src == static_cast<int>(i)) nb = e.dst;
         if (e.dst == static_cast<int>(i)) nb = e.src;
-        if (nb >= 0 && cost[static_cast<std::size_t>(nb)] > best_cost) {
-          best_cost = cost[static_cast<std::size_t>(nb)];
+        if (nb >= 0 && cost_[static_cast<std::size_t>(nb)] > best_cost) {
+          best_cost = cost_[static_cast<std::size_t>(nb)];
           best = nb;
         }
       }
@@ -495,10 +485,11 @@ void ThreadedExecutor::partition_and_migrate() {
 
   // Freeze the batch factor for this placement (explicit request or auto
   // heuristic, both clamped to the static max_batch) before sizing storage.
-  batch_ = resolve_partition_batch(cost);
+  batch_ = resolve_partition_batch();
 
   // Migrate cross-thread edges from Channel to SPSC rings in deferred
-  // (bulk-publication) mode, sized to the exact static occupancy bound:
+  // (bulk-publication) mode, carrying the post-init items over, sized to
+  // the exact static occupancy bound:
   // post-init level plus (window + 1) steps of batch * traffic -- the
   // producer of step s may run while the slowest consumer has completed
   // only step s - 1 - kWindow, so at most window + 1 steps of production
@@ -530,8 +521,6 @@ void ThreadedExecutor::partition_and_migrate() {
 
   // Per-worker progress counters for the sliding window, counting completed
   // pipeline steps (batches), not raw iterations.
-  steps_run_ = 0;
-  completed_.clear();
   for (int w = 0; w < threads_; ++w) {
     auto c = std::make_unique<PaddedCounter>();
     c->v.store(0, std::memory_order_relaxed);
@@ -551,8 +540,7 @@ void ThreadedExecutor::partition_and_migrate() {
     machine::PlacedActor p;
     p.name = g.actors[i].name;
     p.core = owner_[i];
-    p.compute_cycles = cost[i];
-    p.flops = static_cast<double>(calib[i].flops);
+    p.compute_cycles = cost_[i];
     pa.push_back(std::move(p));
   }
   std::vector<machine::PlacedEdge> pe;
@@ -578,12 +566,9 @@ void ThreadedExecutor::partition_and_migrate() {
   report_.predicted_speedup =
       par.cycles_per_steady > 0 ? seq.cycles_per_steady / par.cycles_per_steady
                                 : 0.0;
-
-  partitioned_ = true;
 }
 
-int ThreadedExecutor::resolve_partition_batch(
-    const std::vector<double>& cost) const {
+int ThreadedExecutor::resolve_partition_batch() const {
   std::int64_t b = resolve_batch(opts_.batch);
   if (b < 0) {
     // Auto: amortize each ring publish and each window advance.  Both
@@ -608,8 +593,7 @@ int ThreadedExecutor::resolve_partition_batch(
     if (min_traffic == 0) {
       b = 1;
     } else {
-      const double total =
-          std::accumulate(cost.begin(), cost.end(), 0.0);
+      const double total = std::accumulate(cost_.begin(), cost_.end(), 0.0);
       const double per_worker =
           std::max(1.0, total / static_cast<double>(threads_));
       const std::int64_t b_items =
@@ -691,7 +675,7 @@ void ThreadedExecutor::worker(int w, std::int64_t first,
                               std::int64_t last) noexcept {
   // Each worker owns one thread buffer and one WorkerStats slot (worker 0
   // runs on the main thread and shares the embedded executor's buffer with
-  // the sequential epochs, which never run concurrently with workers).
+  // the init epoch, which never runs concurrently with workers).
   obs::Recorder* const rec = this->rec();
   obs::ThreadBuffer* tb = nullptr;
   std::int64_t t_start = 0;
@@ -954,33 +938,21 @@ void ThreadedExecutor::run_lane(int w) noexcept {
 std::vector<double> ThreadedExecutor::run_steady(int n) {
   if (!report_.threaded) return exec_->run_steady(n);
   run_init();
+  if (n <= 0) return take_output();
+  exec_->mark_phase(obs::PhaseId::Steady);
   if (split_ > 0) {
-    if (n > 0) {
-      exec_->mark_phase(obs::PhaseId::Steady);
-      run_split(n);
-    }
+    run_split(n);
     return take_output();
   }
-  // The typed actors' state lives in their traces' planes from here until
-  // the workers have joined.
-  const Executor::Bind bind(*exec_);
-  int remaining = n;
-  if (!partitioned_ && remaining > 0) {
-    // Calibration: one sequential steady state to measure per-actor work,
-    // then freeze the partition and migrate cross-thread edges.
-    exec_->mark_phase(obs::PhaseId::Calibration);
-    exec_->start_steady_state();
-    exec_->run_epoch(schedule().reps, epoch_counts());
-    --remaining;
-    partition_and_migrate();
+  {
+    // The typed actors' state lives in their traces' planes until the
+    // workers have joined.
+    const Executor::Bind bind(*exec_);
+    run_threaded(n);
   }
-  if (remaining > 0) {
-    exec_->mark_phase(obs::PhaseId::Steady);
-    run_threaded(remaining);
-    // With the workers joined, every high-water counter is quiescent;
-    // debug and observability builds re-verify the static bounds held.
-    if (kDebugBuild || obs::kCompiledIn) check_bounds();
-  }
+  // With the workers joined, every high-water counter is quiescent; debug
+  // and observability builds re-verify the static bounds held.
+  if (kDebugBuild || obs::kCompiledIn) check_bounds();
   return take_output();
 }
 
@@ -1035,12 +1007,10 @@ obs::MetricsSnapshot ThreadedExecutor::metrics_snapshot() const {
   m.batch = batch_;
   m.threaded = true;
   m.predicted_speedup = report_.predicted_speedup;
-  const std::vector<OpCounts>& calib = calibration();
   for (std::size_t i = 0; i < m.actors.size(); ++i) {
-    // The partitioners' cost: calibration cycles whether or not per-firing
-    // counting stayed on afterwards.
-    m.actors[i].calib_cycles = calib[i].weighted();
-    m.actors[i].worker = partitioned_ ? owner_[i] : 0;
+    // The planner's weight, whether or not per-firing counting is on.
+    m.actors[i].calib_cycles = cost_[i];
+    m.actors[i].worker = owner_[i];
   }
   for (std::size_t e = 0; e < m.edges.size(); ++e) {
     obs::EdgeSnapshot& s = m.edges[e];
@@ -1060,9 +1030,7 @@ obs::MetricsSnapshot ThreadedExecutor::metrics_snapshot() const {
   for (int w = 0; w < threads_; ++w) {
     obs::WorkerSnapshot ws;
     ws.id = w;
-    ws.actors = partitioned_
-                    ? static_cast<int>(plan_[static_cast<std::size_t>(w)].size())
-                    : split_ > 0 ? 1 : 0;
+    ws.actors = static_cast<int>(plan_[static_cast<std::size_t>(w)].size());
     if (rec() != nullptr &&
         static_cast<std::size_t>(w) < rec()->all_worker_stats().size()) {
       const obs::WorkerStats& st =

@@ -15,17 +15,17 @@
 //     state (run_steady_epochs) all live there.  On the threaded path it is
 //     built without the whole-graph trace (inherently single-threaded); on
 //     a fallback it runs the program as is.
-//   * Initialization and the first steady state run sequentially on the
-//     embedded Executor; the first steady state doubles as a calibration run
-//     that measures each actor's cycle weight (runtime::OpCounts::weighted --
-//     the same cost table the machine model uses).
-//   * Actors are then partitioned by longest-processing-time greedy
-//     balancing over the measured weights, with an affinity pass that glues
-//     featherweight actors (splitters, sinks, gains) to their heaviest
-//     neighbor so trivial actors do not buy a ring crossing.
+//   * Initialization runs sequentially on the embedded Executor, and
+//     run_init then plans the placement once, weighing each actor at one
+//     steady state's static cost: reps * firing_weight (below).  Every
+//     steady iteration, the first call's included, runs on the workers.
+//   * Actors are partitioned by longest-processing-time greedy balancing
+//     over those weights, with an affinity pass that glues featherweight
+//     actors (splitters, sinks, gains) to their heaviest neighbor so
+//     trivial actors do not buy a ring crossing.
 //   * Steady iterations are grouped into *batches* of B iterations (the
 //     batch factor: ExecOptions::batch / SIT_BATCH, auto-sized by default
-//     from per-edge traffic, measured cost, and the static max_batch).  One
+//     from per-edge traffic, planned cost, and the static max_batch).  One
 //     pipeline step runs a whole batch: every worker executes its slice in
 //     the *global* topological order, firing each actor reps * B times
 //     consecutively.  With this single-appearance discipline, a firing's
@@ -48,7 +48,7 @@
 //     It loops the embedded Executor's one firing routine for every other
 //     actor (and for every actor while tracing, so per-firing events stay
 //     per firing).  run_steady keeps the typed actors' state in their
-//     traces' planes from before the calibration epoch until the workers
+//     traces' planes for the whole call, until the workers
 //     join.  ThreadedReport::kernels counts the kernel actors.  A
 //     sliding step window (kPipelineWindow) caps how far any worker runs
 //     ahead, which bounds ring occupancy so each ring is sized once to the
@@ -154,8 +154,15 @@ enum class FallbackReason {
 // "interleaved-firings".
 const char* to_string(FallbackReason r);
 
-// How a ThreadedExecutor decided to run; owner/ring/speedup fields are
-// populated once the partition is frozen (after the first steady state).
+// The placement planner's weight of one firing of `a`, in the machine
+// model's cycles: a filter's or native's linear::calibrated_ops_per_firing
+// (measured where the active cost profile covers the actor, the static
+// estimate otherwise), and a splitter's or joiner's channel traffic as
+// Executor::fire tallies it (the sum of its rates, at the channel weight).
+double firing_weight(const runtime::FlatActor& a);
+
+// How a ThreadedExecutor decided to run; owner/ring/batch/speedup fields
+// are populated once the placement is planned (at the end of run_init).
 struct ThreadedReport {
   bool threaded{false};
   int threads{1};               // workers actually used
@@ -196,9 +203,10 @@ class ThreadedExecutor {
   void feed_input(const std::vector<double>& items);
   void set_input_generator(std::function<double(std::int64_t)> gen);
 
+  // The init epoch, then (threaded) the placement plan; idempotent.
   void run_init();
-  // Run `n` steady states (init + calibration happen on first demand);
-  // returns the items pushed to the program output.
+  // Run `n` steady states (init happens on first demand); returns the items
+  // pushed to the program output.
   std::vector<double> run_steady(int n);
   std::vector<double> take_output();
 
@@ -231,25 +239,23 @@ class ThreadedExecutor {
   [[nodiscard]] obs::Recorder* recorder() noexcept {
     return exec_->recorder();
   }
-  // Quiescent snapshot (only call between run_* calls).  Reuses the
-  // calibration costs as per-actor cycle weights and attributes each actor
-  // to its owning worker.
+  // Quiescent snapshot (only call between run_* calls).  Reports the
+  // planned weights (reps * firing_weight, 0 before run_init) as per-actor
+  // cycle weights and attributes each actor to its owning worker.
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
 
  private:
   FallbackReason refusal_reason(const runtime::FlatGraph& g,
                                 const analysis::ChannelBounds& bounds,
                                 std::string* detail) const;
-  // Per-actor tallies for the sequential epochs: the embedded executor's
-  // ops when count_ops is on, calib_ otherwise.
-  runtime::OpCounts* epoch_counts();
-  [[nodiscard]] const std::vector<runtime::OpCounts>& calibration() const;
   [[nodiscard]] obs::Recorder* rec() const { return exec_->rec_.get(); }
-  void partition_and_migrate();
+  // Weigh the actors and, unless split, place them, size the batch and the
+  // rings and fill the report: once, after the init epoch.
+  void plan();
   // Resolve the batch factor for this placement: explicit requests clamp to
-  // the static max_batch; auto sizes from cross-edge traffic, measured cost,
-  // and a ring-memory cap.
-  int resolve_partition_batch(const std::vector<double>& cost) const;
+  // the static max_batch; auto sizes from cross-edge traffic, the planned
+  // weights, and a ring-memory cap.
+  int resolve_partition_batch() const;
   void run_threaded(int iters);
   void worker(int w, std::int64_t first, std::int64_t last) noexcept;
 
@@ -280,17 +286,16 @@ class ThreadedExecutor {
 
   // Rings replacing the cross-worker edges' channels (null elsewhere).
   std::vector<std::unique_ptr<runtime::SpscRing>> rings_;
-  std::vector<runtime::OpCounts> calib_;  // weights when count_ops is off
 
   // Stall detector (resolved from ExecOptions / SIT_STALL_MS at
   // construction; < 0 = never abort).
   int stall_ms_{120000};
 
-  // Frozen after the calibration steady state.
-  bool partitioned_{false};
+  // Frozen by plan().
   int threads_{1};
   int batch_{1};                 // steady iterations per pipeline step
   std::int64_t steps_run_{0};    // pipeline steps completed across run_* calls
+  std::vector<double> cost_;              // actor -> reps * firing_weight
   std::vector<int> owner_;                // actor -> worker
   std::vector<std::vector<int>> plan_;    // worker -> actors, global topo order
   int input_owner_{-1};

@@ -1,6 +1,10 @@
 // Tests for the work-function AST, builder DSL, graph construction, and the
 // semantic checker (the appendix rules of the paper).
 
+#include <chrono>
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "ir/ast.h"
@@ -128,6 +132,51 @@ TEST(ChannelCounts, BranchesMustAgree) {
   EXPECT_EQ(cc.pops, 1);
 }
 
+// A loop whose body touches no channel adds no counts, so the counter
+// checks its bounds and does not unroll it: 2^40 trips cost no more than one.
+TEST(ChannelCounts, ChannelFreeLoopsAreNotUnrolled) {
+  // for (i = 0; i < 1 << 40; i++) x = i;  push(pop());
+  const StmtP w = seq({for_("i", ci(0), ci(1) << ci(40), let("x", v("i"))),
+                       push_(pop_())});
+  const auto t0 = std::chrono::steady_clock::now();
+  const ChannelCounts cc = count_channel_ops(w);
+  EXPECT_TRUE(check(filter("long").rates(1, 1, 1).work(w).node()).empty());
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_TRUE(cc.static_counts);
+  EXPECT_EQ(cc.pops, 1);
+  EXPECT_EQ(cc.pushes, 1);
+  EXPECT_EQ(cc.max_peek, 1);
+  EXPECT_LT(took, std::chrono::seconds(1));
+}
+
+// A channel-free body still has its nested loops' bounds checked: here the
+// inner bound is a state variable, so the counts stay non-static.
+TEST(ChannelCounts, ChannelFreeLoopsKeepTheirNestedVerdicts) {
+  const StmtP w = seq({for_("i", ci(0), ci(1) << ci(40),
+                            for_("j", ci(0), v("n"), let("x", v("j")))),
+                       push_(pop_())});
+  EXPECT_FALSE(count_channel_ops(w).static_counts);
+}
+
+// An induction step past the last trip that would overflow int64 makes the
+// counts non-static, whether or not the body touches a channel.
+TEST(ChannelCounts, OverflowingInductionStepIsNotStatic) {
+  const E big = ci(std::numeric_limits<std::int64_t>::max());
+  const E step = ci(1) << ci(62);
+  EXPECT_FALSE(count_channel_ops(seq({for_loop_step("i", ci(0), big, step,
+                                                    push_(pop_()))}))
+                   .static_counts);
+  EXPECT_FALSE(count_channel_ops(seq({for_loop_step("i", ci(0), big, step,
+                                                    let("x", v("i"))),
+                                      push_(pop_())}))
+                   .static_counts);
+  // Trips 0 and 2^61 step on to 2^62, which fits.
+  const ChannelCounts ok = count_channel_ops(seq(
+      {for_loop_step("i", ci(0), ci(1) << ci(62), ci(1) << ci(61), push_(pop_()))}));
+  EXPECT_TRUE(ok.static_counts);
+  EXPECT_EQ(ok.pushes, 2);
+}
+
 NodeP simple_filter(const std::string& name, int peek, int pp, int ps) {
   std::vector<StmtP> body;
   for (int i = 0; i < ps; ++i) body.push_back(push_(peek_(peek - 1)));
@@ -157,6 +206,30 @@ TEST(Validate, RejectsChannelOpsInInit) {
                .work(seq({push_(pop_())}))
                .node();
   EXPECT_FALSE(check(f).empty());
+}
+
+// A loop's step is read like its bounds: a pop there is a channel access.
+TEST(Validate, RejectsChannelOpsInLoopStep) {
+  const StmtP step_pops =
+      for_loop_step("i", ci(0), ci(2), pop_(), let("x", v("i")));
+  const auto in_init = check(filter("bad_init")
+                                 .rates(1, 1, 1)
+                                 .init(step_pops)
+                                 .work(seq({push_(pop_())}))
+                                 .node());
+  ASSERT_FALSE(in_init.empty());
+  EXPECT_NE(in_init[0].message.find("init function may not touch channels"),
+            std::string::npos)
+      << in_init[0].message;
+  const auto in_handler = check(filter("bad_handler")
+                                    .rates(1, 1, 1)
+                                    .handler("go", {}, step_pops)
+                                    .work(seq({push_(pop_())}))
+                                    .node());
+  ASSERT_FALSE(in_handler.empty());
+  EXPECT_NE(in_handler[0].message.find("may not touch channels"),
+            std::string::npos)
+      << in_handler[0].message;
 }
 
 TEST(Validate, RejectsDuplicateInstance) {

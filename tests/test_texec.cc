@@ -26,7 +26,9 @@
 #include "apps/common.h"
 #include "apps/radio.h"
 #include "ir/dsl.h"
+#include "linear/cost.h"
 #include "linear/linear_rep.h"
+#include "obs/costmodel.h"
 #include "opt/compile.h"
 #include "parallel/transforms.h"
 #include "runtime/spsc.h"
@@ -101,7 +103,8 @@ void expect_same_counts(const OpCounts& a, const OpCounts& b,
 
 // Run the same graph under the sequential Executor and a ThreadedExecutor
 // (two run_steady calls, so the threaded path is re-entered after the first
-// calibration + partition) and hold every observable equal.  `batch` is the
+// call's init, placement plan and steady states) and hold every observable
+// equal.  `batch` is the
 // iteration-batching factor: 0 defers to SIT_BATCH, -1 forces the auto
 // heuristic, >= 1 is explicit.
 void expect_matches(const std::string& what,
@@ -871,9 +874,9 @@ TEST(TexecPool, DestructsWithParkedOrFailedWorkers) {
 
 // A consumer whose input ring stays empty for longer than stall_ms aborts
 // the call with the stall detector's message, and the executor still tears
-// down.  The producer's second firing (its first on a worker, after the
-// calibration steady state) holds it back for a second: long enough for the
-// detector's clock on a loaded host.
+// down.  The producer's second firing (on a worker, as every steady firing
+// is) holds it back for a second: long enough for the detector's clock on a
+// loaded host.
 TEST(TexecPool, StallDetectorFiresOnAStarvedRing) {
   const auto stage = [](const std::string& name, bool slow) {
     ir::NativeFilter nf;
@@ -908,6 +911,114 @@ TEST(TexecPool, StallDetectorFiresOnAStarvedRing) {
         << e.what();
   }
   EXPECT_EQ(tex.report().threads, 2);
+}
+
+// ---- placement planning -----------------------------------------------------
+
+sched::CompiledProgram compiled_app(const std::string& app, opt::OptLevel level) {
+  opt::CompileOptions copts;
+  copts.level = level;
+  return opt::compile(apps::make_app(app), copts);
+}
+
+// One splitter or joiner firing's channel traffic: the sum of its rates at
+// the channel weight.
+double traffic_weight(const runtime::FlatActor& a) {
+  OpCounts c;
+  for (const int r : a.in_rate) c.channel += r;
+  for (const int r : a.out_rate) c.channel += r;
+  return c.weighted();
+}
+
+// With no cost profile loaded, each actor weighs one steady state of its
+// static cost: reps times a filter's or native's calibrated_ops_per_firing
+// (the static estimate) or a splitter's or joiner's traffic.  The init
+// epoch adds nothing.
+TEST(TexecPlan, WeightsAreOneSteadyState) {
+  obs::reset_cost_model();
+  ASSERT_FALSE(obs::cost_model().calibrated());
+  sched::ExecOptions topt;
+  topt.threads = 4;
+  topt.engine = sched::Engine::Fused;
+  sched::ThreadedExecutor tex(compiled_app("Vocoder", opt::OptLevel::O2), topt);
+  tex.run_steady(3);
+  ASSERT_TRUE(tex.report().threaded) << tex.report().fallback_reason;
+  const obs::MetricsSnapshot m = tex.metrics_snapshot();
+  const runtime::FlatGraph& g = tex.graph();
+  ASSERT_EQ(m.actors.size(), g.actors.size());
+  for (std::size_t i = 0; i < g.actors.size(); ++i) {
+    const runtime::FlatActor& a = g.actors[i];
+    const double per_firing =
+        a.is_filter() ? linear::calibrated_ops_per_firing(*a.node, a.name)
+                      : traffic_weight(a);
+    EXPECT_EQ(m.actors[i].calib_cycles,
+              static_cast<double>(tex.schedule().reps[i]) * per_firing)
+        << a.name;
+  }
+}
+
+// Every steady iteration runs on the workers, the first call's included.
+TEST(TexecPlan, FirstCallRunsOnTheWorkers) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  sched::ExecOptions topt;
+  topt.threads = 4;
+  topt.trace = sched::TraceMode::On;
+  sched::ThreadedExecutor tex(sched::lower(pool_pipeline()), topt);
+  tex.set_input_generator(split_input);
+  tex.run_steady(4);
+  ASSERT_TRUE(tex.report().threaded) << tex.report().fallback_reason;
+  ASSERT_EQ(tex.report().split, 0);
+  const obs::MetricsSnapshot m = tex.metrics_snapshot();
+  ASSERT_EQ(m.workers.size(), static_cast<std::size_t>(tex.report().threads));
+  for (const obs::WorkerSnapshot& w : m.workers) {
+    EXPECT_EQ(w.iters, 4) << "worker " << w.id;
+  }
+}
+
+// The planner's splitter and joiner weights are what the executor tallies:
+// one Executor::fire of each adds exactly firing_weight cycles.
+TEST(TexecPlan, SplitterAndJoinerWeightsMatchTheExecutorTallies) {
+  int checked = 0;
+  for (const auto& info : apps::all_apps()) {
+    for (const opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O2}) {
+      SCOPED_TRACE(info.name + (level == opt::OptLevel::O0 ? " -O0" : " -O2"));
+      sched::Executor ex(compiled_app(info.name, level), {});
+      const runtime::FlatGraph& g = ex.graph();
+      const sched::Schedule& s = ex.schedule();
+      if (g.input_edge >= 0) {
+        std::vector<double> items(
+            static_cast<std::size_t>(s.input_for_init + s.input_per_steady));
+        for (std::size_t i = 0; i < items.size(); ++i) {
+          items[i] = split_input(static_cast<std::int64_t>(i));
+        }
+        ex.feed_input(items);
+      }
+      ex.run_init();
+      // One steady state, fired data-driven one firing at a time.
+      std::vector<std::int64_t> left = s.reps;
+      for (bool progress = true; progress;) {
+        progress = false;
+        for (const int actor : s.order) {
+          const auto ai = static_cast<std::size_t>(actor);
+          while (left[ai] > 0 && ex.can_fire(actor)) {
+            const double before = ex.actor_ops()[ai].weighted();
+            ex.fire(actor);
+            const runtime::FlatActor& a = g.actors[ai];
+            if (!a.is_filter()) {
+              EXPECT_EQ(sched::firing_weight(a),
+                        ex.actor_ops()[ai].weighted() - before)
+                  << a.name;
+              ++checked;
+            }
+            --left[ai];
+            progress = true;
+          }
+        }
+      }
+      EXPECT_EQ(left, std::vector<std::int64_t>(left.size(), 0));
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 // ---- the SPSC ring itself ---------------------------------------------------

@@ -33,6 +33,7 @@ std::string MetricsSnapshot::to_json() const {
   o << "  \"predicted_speedup\": " << predicted_speedup << ",\n";
   if (fused_channels >= 0) {
     o << "  \"fused_channels\": " << fused_channels << ",\n";
+    o << "  \"fused_pass\": " << fused_pass << ",\n";
     o << "  \"fused_super\": {";
     for (std::size_t i = 0; i < fused_super.size(); ++i) {
       o << "\"" << escape(fused_super[i].first)

@@ -15,6 +15,11 @@ using ir::Value;
 
 namespace {
 
+// The lowered-buffer growth one pass may add, in items over all of a
+// trace's lowered edges: a trace whose runs scale runs up to this many items
+// of lowered traffic per pass (FusedProgram::max_pass).
+constexpr std::int64_t kPassItemBudget = 4096;
+
 // Build refusals unwind through this; build_trace catches and reports.
 struct BuildFail {
   std::string reason;
@@ -182,6 +187,13 @@ Handler decode(const FInstr& I) {
   fail("unknown opcode");
 }
 
+// Whether trace instruction `I` carries a run's back-edge: a FireLoop, or a
+// SetActor that took one over (jump = the run's first template instruction,
+// edge = its firings per steady state, b = its slot).
+bool loops_back(const FInstr& I) {
+  return I.op == FOp::FireLoop || (I.op == FOp::SetActor && I.jump >= 0);
+}
+
 // ---- builder ----------------------------------------------------------------
 
 // Builds the trace of `runs` over the actors they name.
@@ -204,15 +216,18 @@ class TraceBuilder {
     const std::size_t n = g_.actors.size();
     if (n > 0xFFFF) fail("actor-id overflow");
     std::vector<bool> laid_out(n, false);
+    bool repeats = false;  // some actor has two runs
     for (const FiringRun& run : runs_) {
       if (run.actor < 0 || static_cast<std::size_t>(run.actor) >= n ||
-          run.count < 0) {
+          run.count < 1) {
         fail("malformed firing run");
       }
       if (run.count > INT32_MAX) fail("firing-count overflow");
+      repeats = repeats || laid_out[static_cast<std::size_t>(run.actor)];
       laid_out[static_cast<std::size_t>(run.actor)] = true;
     }
     lower_edges(laid_out);
+    size_pass(repeats);
     layout_actors(laid_out);
     for (const FiringRun& run : runs_) emit_run(run);
     prog_->code.push_back(FInstr{});  // Halt
@@ -244,6 +259,21 @@ class TraceBuilder {
       prog_->edges[e] = {true, carry_[e], traffic_[e]};
       ++prog_->eliminated_channels;
     }
+  }
+
+  // M, the steady states one pass may run: 1 when the runs do not scale
+  // (an actor in two runs, or a lowered back edge), else as many as keep
+  // the lowered buffers' growth within the item budget.
+  void size_pass(bool repeats) {
+    std::int64_t traffic = 0;
+    for (std::size_t e = 0; e < prog_->edges.size(); ++e) {
+      if (!prog_->edges[e].internal) continue;
+      if (g_.edges[e].back_edge) return;
+      traffic += prog_->edges[e].traffic;
+    }
+    if (repeats) return;
+    prog_->max_pass = std::max<std::int64_t>(
+        1, kPassItemBudget / std::max<std::int64_t>(1, traffic));
   }
 
   // Give each laid-out actor, in id order, its slot and its slice of the
@@ -318,12 +348,14 @@ class TraceBuilder {
   }
 
   // One firing run: SetActor (which also loads the first firing's register
-  // template), the actor's firing template once, and for more than one
-  // firing (or a per-call count) a FireLoop back-edge that reloads the
-  // template and re-enters it.  A splitter/joiner firing that collapses to a
-  // single copy-run instead moves the whole run's items in that one
-  // instruction, and a linear kernel's run is its one LinearKernel
-  // instruction.
+  // template), the actor's firing template once, and -- unless the run is
+  // one firing in a trace that never scales -- a FireLoop back-edge that
+  // reloads the template and re-enters it.  A splitter/joiner firing that
+  // collapses to a single copy-run instead moves the whole run's items in
+  // that one instruction, and a linear kernel's run is its one LinearKernel
+  // instruction.  A FireLoop followed by the next run's SetActor is merged
+  // into it (set_actor), so a run costs no more instructions than its
+  // inlined firing would.
   void emit_run(const FiringRun& run) {
     const FlatActor& a = g_.actors[static_cast<std::size_t>(run.actor)];
     if (const auto k = kernel_of_.find(run.actor); k != kernel_of_.end()) {
@@ -339,7 +371,7 @@ class TraceBuilder {
     FInstr set{};
     set.op = FOp::SetActor;
     set.a = slot_[static_cast<std::size_t>(run.actor)];
-    prog_->code.push_back(set);
+    set_actor(set);
 
     const std::size_t body = prog_->code.size();
     switch (a.kind) {
@@ -352,20 +384,38 @@ class TraceBuilder {
       case FlatActor::Kind::Splitter:
       case FlatActor::Kind::Joiner:
         emit_sj_firing(run.actor);
-        if (run.count > 0 && prog_->code.size() == body + 1 &&
+        if (prog_->code.size() == body + 1 &&
             prog_->code.back().op == FOp::CopyRun) {
-          prog_->copies[prog_->code.back().a].n *= run.count;
+          CopyRunArgs& C = prog_->copies[prog_->code.back().a];
+          C.n *= run.count;
+          C.whole_run = true;
           return;
         }
         break;
     }
-    if (run.count == 1) return;
+    if (run.count == 1 && prog_->max_pass == 1) return;
     FInstr loop{};
     loop.op = FOp::FireLoop;
     loop.a = set.a;
     loop.jump = static_cast<std::int32_t>(body);
     loop.edge = static_cast<std::int32_t>(run.count);
     prog_->code.push_back(loop);
+  }
+
+  // Append SetActor `set`.  When the trace so far ends in a FireLoop, `set`
+  // takes its place and its back-edge (jump, edge, and the looping slot in
+  // `b`): run() checks the back-edge first, and a template jump to the end
+  // of its firing still lands on the check.
+  void set_actor(FInstr set) {
+    std::vector<FInstr>& code = prog_->code;
+    if (code.empty() || code.back().op != FOp::FireLoop) {
+      code.push_back(set);
+      return;
+    }
+    set.b = code.back().a;
+    set.jump = code.back().jump;
+    set.edge = code.back().edge;
+    code.back() = set;
   }
 
   // The peepholed template of a filter, translated once per actor (a
@@ -722,13 +772,13 @@ class TraceBuilder {
     prog_->code.push_back(I);
   }
 
-  // Instances per iteration: an instruction inside a firing loop counts once
-  // per firing.
+  // Instances per steady state: an instruction inside a firing loop counts
+  // once per firing.
   void count_super() {
     const std::vector<FInstr>& code = prog_->code;
     std::vector<std::int64_t> times(code.size(), 1);
     for (std::size_t pc = 0; pc < code.size(); ++pc) {
-      if (code[pc].op != FOp::FireLoop) continue;
+      if (!loops_back(code[pc])) continue;
       for (auto k = static_cast<std::size_t>(code[pc].jump); k < pc; ++k) {
         times[k] = code[pc].edge;
       }
@@ -854,8 +904,12 @@ std::string FusedProgram::disassemble() const {
                " b=" + std::to_string(I.b);
         break;
     }
+    if (I.op == FOp::SetActor && loops_back(I)) {
+      out += " ; after fireloop " + actors[I.b].name + " x" +
+             std::to_string(I.edge);
+    }
     if (I.jump >= 0) out += " ->" + std::to_string(I.jump);
-    if (I.edge >= 0 && I.op != FOp::FireLoop) {
+    if (I.edge >= 0 && !loops_back(I)) {
       out += " edge=" + std::to_string(I.edge);
     }
     out += "\n";
@@ -973,7 +1027,8 @@ TypedFusedExec::TypedFusedExec(
   for (std::size_t e = 0; e < base.edges.size(); ++e) {
     const FusedEdgeMeta& m = base.edges[e];
     if (m.internal) {
-      ebuf_[e].buf.resize(static_cast<std::size_t>(m.carry + m.traffic));
+      ebuf_[e].buf.resize(
+          static_cast<std::size_t>(m.carry + base.max_pass * m.traffic));
     }
   }
 }
@@ -1055,6 +1110,9 @@ bool TypedFusedExec::activate() {
   return true;
 }
 
+// Every pass starts from rd = 0 and wr = carry, so after a finished pass
+// this returns the carried items and advances nothing, and after a fault it
+// returns the items the pass left live and counts the ones it moved.
 void TypedFusedExec::deactivate() {
   if (!active_) return;
   const FusedProgram& base = *prog_;
@@ -1062,36 +1120,39 @@ void TypedFusedExec::deactivate() {
     const FusedEdgeMeta& m = base.edges[e];
     if (!m.internal) continue;
     EdgeState& s = ebuf_[e];
-    chans_[e]->restore_items(s.buf.data(), static_cast<std::size_t>(m.carry));
+    chans_[e]->advance_counters(
+        static_cast<std::int64_t>(s.wr) - m.carry,
+        static_cast<std::int64_t>(s.rd));
+    chans_[e]->restore_items(s.buf.data() + s.rd, s.wr - s.rd);
     s.rd = s.wr = 0;
   }
   sync_state_out();
   active_ = false;
 }
 
-void TypedFusedExec::fire(OpCounts* counts, std::int64_t n) {
+void TypedFusedExec::fire(OpCounts* counts, std::int64_t m) {
   if (!active_) throw std::logic_error("TypedFusedExec run before activate()");
-  if (n <= 0) return;
-  if (counts != nullptr) {
-    run<true>(counts, n);
-  } else {
-    run<false>(nullptr, n);
+  if (m <= 0) return;
+  if (m > prog_->max_pass && !ebuf_.empty()) {
+    throw std::logic_error("fused trace pass of " + std::to_string(m) +
+                           " steady states exceeds its buffers");
   }
+  if (counts != nullptr) {
+    run<true>(counts, m);
+  } else {
+    run<false>(nullptr, m);
+  }
+  finish_pass(m);
 }
 
-void TypedFusedExec::run_iteration(OpCounts* actor_counts) {
-  fire(actor_counts, 1);  // a whole-graph trace stores its run counts
-  finish_iteration();
-}
-
-void TypedFusedExec::finish_iteration() {
+void TypedFusedExec::finish_pass(std::int64_t mult) {
   const FusedProgram& base = *prog_;
   for (std::size_t e = 0; e < base.edges.size(); ++e) {
     const FusedEdgeMeta& m = base.edges[e];
     if (!m.internal) continue;
     EdgeState& s = ebuf_[e];
     const auto carry = static_cast<std::size_t>(m.carry);
-    const auto traffic = static_cast<std::size_t>(m.traffic);
+    const auto traffic = static_cast<std::size_t>(mult * m.traffic);
     if (s.rd != traffic || s.wr != carry + traffic) {
       throw std::logic_error("fused trace left channel " + std::to_string(e) +
                              " at an unexpected level");
@@ -1108,10 +1169,10 @@ void TypedFusedExec::finish_iteration() {
 }
 
 void TypedFusedExec::run_linear(const LinearKernelArgs& K,
-                                OpCounts* actor_counts, std::int64_t firings) {
+                                OpCounts* actor_counts, std::int64_t m) {
   OpCounts* const counts =
       actor_counts != nullptr ? &actor_counts[K.actor] : nullptr;
-  const std::int64_t n = K.firings > 0 ? K.firings : firings;
+  const std::int64_t n = K.firings * m;
   EdgeState dummy;
   BufIn bin(K.in_edge >= 0 && !K.in_real ? ebuf_[K.in_edge] : dummy);
   ir::InTape& in = K.in_edge < 0 ? g_null_in
@@ -1134,7 +1195,7 @@ void TypedFusedExec::run_linear(const LinearKernelArgs& K,
 }
 
 template <bool kCount>
-void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
+void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t m) {
   const FusedProgram& base = *prog_;
   double* const dr = dregs_.data();
   std::int64_t* const ir_ = iregs_.data();
@@ -1164,6 +1225,18 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
     std::copy_n(iinit + meta->reg_base, nr, ir_ + meta->reg_base);
     pops = 0;
     pushes = 0;
+  };
+  // A back-edge (a FireLoop's, or the one a SetActor took over): true, after
+  // reloading and jumping back, while its run has firings left.
+  const auto loop_back = [&](const FInstr& I) {
+    if (I.jump < 0) return false;
+    if (++firing < I.edge * m) {
+      reload();
+      pc = I.jump;
+      return true;
+    }
+    firing = 0;
+    return false;
   };
 
   const auto tpop = [&](std::int32_t e) {
@@ -1471,6 +1544,7 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
         ++pc;
         break;
       case Handler::SetActor:
+        if (loop_back(I)) break;
         meta = &base.actors[I.a];
         window = meta->peek_window;
         if constexpr (kCount) cur = &actor_counts[I.a];
@@ -1478,13 +1552,7 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
         ++pc;
         break;
       case Handler::FireLoop:
-        if (++firing < (I.edge != 0 ? I.edge : firings)) {
-          reload();
-          pc = I.jump;
-        } else {
-          firing = 0;
-          ++pc;
-        }
+        if (!loop_back(I)) ++pc;
         break;
       case Handler::MacLoop: {
         const MacLoopArgs& M = base.macs[I.a];
@@ -1595,15 +1663,16 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
       }
       case Handler::CopyRun: {
         const CopyRunArgs& C = base.copies[I.a];
+        const std::int64_t items = C.whole_run ? C.n * m : C.n;
         if constexpr (kCount) {
-          cur->channel += C.n * (1 + static_cast<std::int64_t>(C.dst.size()));
+          cur->channel += items * (1 + static_cast<std::int64_t>(C.dst.size()));
         }
-        if (C.n > 0) {
+        if (items > 0) {
           double last = 0.0;
           if (!C.src_real && C.dst.size() == 1 && C.dst_real[0] == 0) {
             EdgeState& si = ebuf[C.src];
             EdgeState& so = ebuf[C.dst[0]];
-            const auto n = static_cast<std::size_t>(C.n);
+            const auto n = static_cast<std::size_t>(items);
             if (si.rd + n > si.wr) {
               throw std::runtime_error("pop from empty channel");
             }
@@ -1616,7 +1685,7 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
             so.wr += n;
             last = so.buf[so.wr - 1];
           } else {
-            for (std::int64_t k = 0; k < C.n; ++k) {
+            for (std::int64_t k = 0; k < items; ++k) {
               const double v =
                   C.src_real ? tin(C.src)->pop_item() : tpop(C.src);
               for (std::size_t d = 0; d < C.dst.size(); ++d) {
@@ -1653,7 +1722,7 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t firings) {
       }
       case Handler::LinearKernel: {
         const LinearKernelArgs& K = base.kernels[I.a];
-        run_linear(K, actor_counts, firings);
+        run_linear(K, actor_counts, m);
         pops = K.rows.pop;
         pushes = K.rows.push;
         ++pc;
@@ -1681,7 +1750,7 @@ std::unique_ptr<FilterExec> FilterExec::make(const ir::NodeP& filter,
   fx->node_ = filter;
   fx->g_ = flatten(filter);
   FusedProgramP prog =
-      build_trace(fx->g_, {FiringRun{0, 0}}, {}, {}, {std::move(typed)}, {});
+      build_trace(fx->g_, {FiringRun{0, 1}}, {}, {}, {std::move(typed)}, {});
   if (!prog) return nullptr;
   fx->in_.assign(fx->g_.edges.size(), nullptr);
   fx->out_.assign(fx->g_.edges.size(), nullptr);

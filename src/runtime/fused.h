@@ -22,14 +22,33 @@
 //                         into the flat program-wide files, channel ops bound
 //                         to the actor's edges: TPeek/TPop/TPush on a trace
 //                         buffer, RPeek/RPop/RPush on a boundary ring
-//   FireLoop a, n         (n != 1 only) reload the template and jump back to
-//                         the template for the next firing, n times in all;
-//                         n = 0 stands for the count each call passes
+//   FireLoop a, n         reload the template and jump back to the template
+//                         for the next firing, n x m times in all (omitted
+//                         when n = 1 and the trace never scales, M = 1);
+//                         the next run's SetActor takes over the FireLoop
+//                         before it, so looping a run adds no instruction
+//                         over inlining its one firing
 //
 // So the trace holds each template once per run: its length is set by the
 // number of runs (one per actor on a single-appearance schedule), not by the
 // repetition counts.  The back-edge doubles as the per-firing register
 // reset, so a firing dispatches its template plus that one instruction.
+//
+// Pass multiplier.  Every run count in a trace is per steady state, and
+// each TypedFusedExec::fire call runs the whole trace once with every run
+// scaled by its multiplier m: the FireLoop limit, a linear kernel's firings
+// and a collapsed copy-run's items are multiplied by m at run time, and the
+// end of the call expects, compacts and counts m steady states' traffic on
+// every lowered edge.  So one call -- one pass -- runs m steady states and
+// pays the dispatch into the trace, each run's SetActor and each edge's
+// compaction once.  Scaling a steady state's runs is only sound when every
+// actor appears in one run and no lowered edge is a feedback back edge
+// (its consumer runs before its producer, on the initial items alone);
+// otherwise the trace's bound M (FusedProgram::max_pass) is 1.  Else M is
+// the largest m whose m x (traffic per steady state, summed over the
+// lowered edges) stays within kPassItemBudget (fused.cc) items; the buffers
+// are sized carry + M x traffic.  A one-actor trace lowers no edge, so its
+// multiplier is simply the firings each fire() asks for.
 //
 // A linear node's run is a single instruction instead (no SetActor, no
 // template, no registers):
@@ -74,18 +93,19 @@
 //
 // A splitter/joiner run whose firing collapses to one copy-run/dup-run stays
 // one instruction moving the whole run's items, with no firing loop.
-// Superinstruction counts (FusedProgram::super) are per iteration: an
+// Superinstruction counts (FusedProgram::super) are per steady state: an
 // instance inside a firing loop counts once per firing.
 //
 // The executors call it with two sets today.  The whole graph's steady
 // state lays out every actor, so a slot is the actor's id.  One actor's
-// single run of count 0 is its one-actor trace -- SetActor, its template and
-// a FireLoop, or its one LinearKernel instruction, with the firing count
-// passed to each TypedFusedExec::fire call.  It lowers no edge and keeps no
-// per-edge table, and needs no other filter typed.  sched::Executor fires
-// every typed actor through one (a refused whole trace, run_init, fire(),
-// the threaded workers), and FilterExec fires a lone filter outside any
-// executor.
+// single run of one firing is its one-actor trace -- SetActor, its template
+// and a FireLoop, or its one LinearKernel instruction, with the firing count
+// each TypedFusedExec::fire call passes as its multiplier.  It lowers no
+// edge and keeps no per-edge table, and needs no other filter typed.  A
+// lone splitter or joiner run collapses to one copy-run as in any trace.
+// sched::Executor fires every typed actor through one (a refused whole
+// trace, run_init, fire(), the threaded workers), and FilterExec fires a
+// lone filter outside any executor.
 //
 // TypedFusedExec (below) runs any trace on the dual value plane; its run()
 // is the only loop that dispatches typed FInstr code.  A build ends by
@@ -136,6 +156,9 @@ struct CopyRunArgs {
   std::vector<std::uint8_t> dst_real;
   std::int64_t n{0};               // items moved
   std::uint16_t reg{0};            // scratch register (holds the last item)
+  // A whole run collapsed to this one instruction: `n` is the run's items
+  // per steady state, moved n x m-fold in a pass of multiplier m.
+  bool whole_run{false};
 };
 
 struct NativeFireArgs {
@@ -150,8 +173,7 @@ struct LinearKernelArgs {
   int actor{-1};  // the program's actor slot: OpCounts attribution
   std::int32_t in_edge{-1}, out_edge{-1};  // -1: the filter has no such tape
   bool in_real{false}, out_real{false};
-  // The run's firings, all in one dispatch (0 in a one-actor trace: the
-  // count each fire() call passes).
+  // The run's firings per steady state, all the pass's in one dispatch.
   std::int64_t firings{0};
   ir::LinearRows rows;
 };
@@ -177,6 +199,9 @@ struct FusedEdgeMeta {
 struct FusedProgram {
   const FlatGraph* graph{nullptr};  // non-owning; must outlive the program
   std::vector<FiringRun> runs;      // the steady-state firing sequence
+  // M: the largest pass multiplier fire() accepts -- the steady states one
+  // pass runs at most (see the file comment).  1 when the runs do not scale.
+  std::int64_t max_pass{1};
   std::vector<FInstr> code;         // typed: mode bytes set, no ByResult
   // The two register planes' templates and the state slots' classes: each
   // actor's typed program's, at its reg_base / scalar_base / array_base.
@@ -216,9 +241,9 @@ struct FusedProgram {
 using FusedProgramP = std::shared_ptr<const FusedProgram>;
 
 // Build the trace of `runs` (see the file comment): the actors they name,
-// laid out in id order, and each run's firings, where a count of 0 stands
-// for the count each TypedFusedExec::fire call passes.  An edge whose two
-// ends are laid out becomes a trace buffer sized by `carry`/`traffic`
+// laid out in id order, and each run's firings per steady state (at least
+// one).  An edge whose two ends are laid out becomes a trace buffer sized by
+// `carry`/`traffic`
 // (analysis::channel_bounds' post_init and traffic); the caller needs them
 // only when some edge is.  `typed[i]` is actor i's typed work program, or
 // null with `why[i]` the reason compile_filter or typed_compile gave (read
@@ -242,8 +267,8 @@ FusedProgramP build_trace(const FlatGraph& g, const std::vector<FiringRun>& runs
 // Usage per public call:
 //
 //   if (fx.activate()) {           // mirror state into the planes, lower
-//     fx.run_iteration(counts);    //   internal channels to buffers
-//     ... or, one-actor: fx.fire(counts, n);
+//     fx.fire(counts, m);          //   internal channels to buffers; one
+//     ...                          //   pass of m steady states per call
 //     fx.deactivate();             // write state back, restore channels
 //   }
 //
@@ -256,9 +281,15 @@ FusedProgramP build_trace(const FlatGraph& g, const std::vector<FiringRun>& runs
 // On success it mirrors every filter state scalar/array into raw plane
 // storage until deactivate() writes it back, which is what lets the
 // mac-loop run as `for (i) acc += src[i] * coef[i]` over raw double spans.
-// run_iteration executes one whole steady state, advances every lowered
-// channel's cumulative counters by its traffic, and compacts each buffer's
-// carried items back to the front.
+// fire(counts, m) runs one pass of m steady states (m firings of a
+// one-actor trace), advances every lowered channel's cumulative counters by
+// m x its traffic, and compacts each buffer's carried items back to the
+// front.  A fault thrown out of a pass leaves the trace active with the
+// firings up to the fault done; deactivate() then returns each lowered
+// edge's live items to its Channel and advances its counters by the items
+// the pass actually moved, so the graph is left exactly where the faulting
+// firing left it, and activate() refuses until it is back at its carry
+// levels.
 //
 // Bit-equality contract: for any admissible program, running the trace
 // produces outputs, per-actor FilterState, per-actor OpCounts, and per-edge
@@ -267,7 +298,7 @@ FusedProgramP build_trace(const FlatGraph& g, const std::vector<FiringRun>& runs
 // the cost class the tree tallies, both read off eval_ops.h's operator
 // table);
 // channel-counter preservation is by bulk advance (each lowered edge's
-// n(t)/p(t) advance by `traffic` once per iteration, which equals the sum of
+// n(t)/p(t) advance by m x `traffic` once per pass, which equals the sum of
 // the per-item increments per-actor firing makes).  Only Channel high-water
 // marks differ (a lowered channel never observes intermediate occupancy).
 // tests/test_pipeline_diff.cc holds the contract across all apps x all
@@ -287,11 +318,10 @@ class alignas(64) TypedFusedExec {
 
   bool activate();
   void deactivate();
-  // A whole-graph trace: one steady state, tallied per actor slot into
-  // actor_counts[] (null: no counting).
-  void run_iteration(OpCounts* actor_counts);
-  // A one-actor trace: `n` firings in one dispatch, tallied into *counts.
-  void fire(OpCounts* counts, std::int64_t n);
+  // One pass: the trace with every run scaled by `m` -- m steady states of
+  // a whole-graph trace (m <= program().max_pass), m firings of a one-actor
+  // trace -- tallied per actor slot into counts[] (null: no counting).
+  void fire(OpCounts* counts, std::int64_t m);
   [[nodiscard]] bool active() const { return active_; }
   [[nodiscard]] const FusedProgram& program() const { return *prog_; }
   // Items a one-actor trace's last firing popped and pushed, as measured
@@ -300,15 +330,15 @@ class alignas(64) TypedFusedExec {
   [[nodiscard]] std::int64_t pushed() const { return pushed_; }
 
  private:
-  // The dispatch loop.  `firings` is a one-actor trace's per-call count.
+  // The dispatch loop, every run count scaled by the multiplier `m`.
   template <bool kCount>
-  void run(OpCounts* actor_counts, std::int64_t firings);
+  void run(OpCounts* actor_counts, std::int64_t m);
   // One LinearKernel instruction: out of line, so traces without one keep
-  // the dispatch loop's code unchanged.  `actor_counts` is run's argument.
+  // the dispatch loop's code unchanged.  `actor_counts` and `m` are run's.
   [[gnu::noinline]] void run_linear(const LinearKernelArgs& K,
-                                    OpCounts* actor_counts,
-                                    std::int64_t firings);
-  void finish_iteration();
+                                    OpCounts* actor_counts, std::int64_t m);
+  // Check, compact and count a finished pass of m steady states.
+  void finish_pass(std::int64_t m);
   bool sync_state_in();   // Value -> planes; false on a class/tag mismatch
   void sync_state_out();  // planes -> Value
 

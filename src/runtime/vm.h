@@ -68,9 +68,9 @@ enum class FOp : std::uint8_t {
   SetActor,  // a = actor slot: OpCounts attribution + peek window, and load
              // the actor's register template
   FireLoop,  // a = actor slot, jump = first template instruction, edge =
-             // firings in the run (0: the per-call count): reload the
-             // template and jump back until the run's last firing, then fall
-             // through
+             // firings in the run per steady state (times the pass
+             // multiplier): reload the template and jump back until the
+             // run's last firing, then fall through
   // Superinstructions (fused traces; `a` indexes the matching args table).
   MacLoop,       // mac-loop / sum-loop
   CopyRun,       // copy-run / dup-run

@@ -16,7 +16,8 @@ std::string describe_fusion(const Executor& ex) {
   out += "  admissible: " + std::to_string(fp->eliminated_channels) +
          " channel(s) lowered to trace buffers, " +
          std::to_string(fp->code.size()) + " trace instruction(s), " +
-         std::to_string(fp->runs.size()) + " firing run(s)\n";
+         std::to_string(fp->runs.size()) + " firing run(s), " +
+         std::to_string(fp->max_pass) + " steady state(s) per pass\n";
   // The decode census: how many trace instructions run on a generic
   // handler (runtime::Handler), and which.
   out += "  dispatch: " + std::to_string(fp->generic_count()) + " of " +

@@ -1,5 +1,7 @@
 #include "sched/exec.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -120,7 +122,7 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph,
         if (typed_[i]) {
           typed_refusal_[i].clear();
           actor_trace_[i] = runtime::build_trace(
-              g_, {{static_cast<int>(i), 0}}, {}, {}, typed_, typed_refusal_,
+              g_, {{static_cast<int>(i), 1}}, {}, {}, typed_, typed_refusal_,
               &typed_refusal_[i]);
         }
       }
@@ -430,25 +432,46 @@ void Executor::start_steady_state() {
                    steady_run_ * sched_.input_per_steady);
 }
 
+std::int64_t Executor::steady_states_fed() const {
+  if (g_.input_edge < 0 || sched_.input_per_steady <= 0) return INT64_MAX;
+  const auto in = static_cast<std::size_t>(g_.input_edge);
+  const FlatActor& a = g_.actors[static_cast<std::size_t>(g_.edges[in].dst)];
+  const std::int64_t window = a.is_filter() ? a.peek_extra : 0;
+  const auto held = static_cast<std::int64_t>(chans_[in]->size());
+  return (held - window) / sched_.input_per_steady;
+}
+
 std::vector<double> Executor::run_steady(int n) {
   run_init();
   if (n > 0) mark_phase(obs::PhaseId::Steady);
-  // Fused fast path: one flat dual-plane trace per steady state.  activate()
-  // lowers the internal channels to trace buffers for the whole batch of
-  // iterations.  It refuses when manual fire() calls left the graph
-  // mid-iteration or a handler retagged some state; the batch then runs
+  // Fused fast path: the whole-graph trace, one pass of m steady states per
+  // fire().  activate() lowers the internal channels to trace buffers for the
+  // whole call.  It refuses when manual fire() calls or a fault left the
+  // graph mid-iteration or a handler retagged some state; the call then runs
   // per-actor (the graph re-synchronizes at the next iteration boundary, so
-  // a later call may fuse again).
+  // a later call may fuse again).  A pass never runs more steady states than
+  // the fed input holds, so a short input faults in the same firing, with
+  // the same counts, as steady states run one at a time.
   if (tfexec_ && n > 0 && tfexec_->activate()) {
     runtime::OpCounts* counts = counts_or_null();
-    for (int i = 0; i < n; ++i) {
-      start_steady_state();
-      tfexec_->run_iteration(counts);
+    try {
+      for (std::int64_t done = 0; done < n;) {
+        std::int64_t m = std::min<std::int64_t>(fprog_->max_pass, n - done);
+        ensure_input_for(sched_.input_for_init +
+                         (steady_run_ + m) * sched_.input_per_steady);
+        m = std::clamp<std::int64_t>(steady_states_fed(), 1, m);
+        steady_run_ += m;
+        tfexec_->fire(counts, m);
+        for (std::size_t a = 0; a < fired_.size(); ++a) {
+          fired_[a] += m * sched_.reps[a];
+        }
+        done += m;
+      }
+    } catch (...) {
+      tfexec_->deactivate();  // the graph as the faulting firing left it
+      throw;
     }
     tfexec_->deactivate();
-    for (std::size_t a = 0; a < fired_.size(); ++a) {
-      fired_[a] += n * sched_.reps[a];
-    }
     return take_output();
   }
   run_steady_epochs(n);
@@ -488,6 +511,7 @@ obs::MetricsSnapshot Executor::metrics_snapshot() const {
   }
   if (tfexec_) {
     m.fused_channels = fprog_->eliminated_channels;
+    m.fused_pass = fprog_->max_pass;
     m.fused_super.assign(fprog_->super.begin(), fprog_->super.end());
   }
   if (engine_ == Engine::Fused) {

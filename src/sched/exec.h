@@ -337,6 +337,10 @@ class Executor {
   void mark_phase(obs::PhaseId id);
   // Count one more steady state and top up the input feed for it.
   void start_steady_state();
+  // The whole steady states the external input channel holds now (INT64_MAX
+  // for a program without one): the items past its consumer's peek window,
+  // in steady states' worth.
+  [[nodiscard]] std::int64_t steady_states_fed() const;
   void ensure_input_for(std::int64_t items_needed);
   [[nodiscard]] runtime::OpCounts* counts_or_null() {
     return opts_.count_ops ? ops_.data() : nullptr;
@@ -369,8 +373,9 @@ class Executor {
   // one).
   std::size_t bind_lo_{0}, bind_hi_{0};
   // Fused steady-state trace (null when there is none: fused_program())
-  // and its executor: run_steady runs a batch on it when activation
-  // succeeds, and per-actor otherwise.
+  // and its executor: run_steady runs a call on it, in passes of up to
+  // fprog_->max_pass steady states, when activation succeeds, and per-actor
+  // otherwise.
   runtime::FusedProgramP fprog_;
   std::string fused_refusal_;
   std::unique_ptr<runtime::TypedFusedExec> tfexec_;

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "opt/compile.h"
 #include "runtime/fused.h"
 #include "runtime/spsc.h"
+#include "sched/describe.h"
 #include "sched/exec.h"
 #include "sched/schedule.h"
 #include "sched/texec.h"
@@ -1019,6 +1021,178 @@ TEST(EngineFaults, ShortInputToASplitActorThrowsTheSequentialMessage) {
     EXPECT_EQ(tex.firings(), tree.firings());
     EXPECT_EQ(tex.take_output(), out);
     EXPECT_EQ(tex.edge_popped(0), tree.channel(0).total_popped());
+  }
+}
+
+// A fault inside a pass of the whole-graph trace unwinds it: the planes
+// are written back, each lowered edge's live items return to its Channel
+// with its counters advanced by the items moved, and the next call, which
+// finds the graph off its carry levels, runs per-actor and throws the
+// program's own fault.  Run one steady state per call, the fault leaves the
+// state and counters the tree's fault leaves; run five per call, the second
+// call still throws the program's message.
+NodeP faulting_window(const std::string& name) {
+  return filter(name)
+      .rates(2, 1, 1)
+      .iscalar("n", 0)
+      .array_init("w", {Value{0.5}, Value{0.25}, Value{0.125}, Value{0.0625}})
+      .work(seq({push_(peek_(1) + at("w", v("n"))), discard(1),
+                 let("n", v("n") + ci(1))}))
+      .node();
+}
+
+TEST(EngineFaults, AFaultUnwindsTheWholeGraphTrace) {
+  const NodeP root =
+      make_pipeline("p", {tiny_src("s"), faulting_window("f"), tiny_snk("k")});
+  const std::string want = "array index out of bounds: w[4]";
+  const auto fault = [](sched::Executor& ex, int n) -> std::string {
+    try {
+      ex.run_steady(n);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  sched::ExecOptions topts;
+  topts.engine = sched::Engine::Tree;
+  sched::Executor tree(lower_ungated(root), topts);
+  sched::Executor fused(lower_ungated(root), fused_options());
+  ASSERT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
+  ASSERT_GT(fused.fused_program()->max_pass, 5);
+  for (int call = 0; call < 4; ++call) {
+    EXPECT_EQ(fault(tree, 1), "");
+    EXPECT_EQ(fault(fused, 1), "");
+  }
+  EXPECT_EQ(fault(tree, 1), want);
+  EXPECT_EQ(fault(fused, 1), want);
+  const int f = actor_id(tree.graph(), "f");
+  EXPECT_EQ(fused.filter_state(f).scalars.at("n").as_int(), 4);
+  for (std::size_t a = 0; a < tree.graph().actors.size(); ++a) {
+    const int ai = static_cast<int>(a);
+    EXPECT_EQ(fused.actor_ops()[a].weighted(), tree.actor_ops()[a].weighted());
+    for (const auto& [name, val] : tree.filter_state(ai).scalars) {
+      EXPECT_EQ(fused.filter_state(ai).scalars.at(name).as_double(),
+                val.as_double())
+          << name;
+    }
+  }
+  for (std::size_t e = 0; e < tree.graph().edges.size(); ++e) {
+    const int ei = static_cast<int>(e);
+    EXPECT_EQ(pushed(fused, ei), pushed(tree, ei)) << "edge " << e;
+    EXPECT_EQ(popped(fused, ei), popped(tree, ei)) << "edge " << e;
+    EXPECT_EQ(fused.channel(ei).size(), tree.channel(ei).size()) << "edge " << e;
+  }
+  EXPECT_EQ(fault(tree, 1), want);
+  EXPECT_EQ(fault(fused, 1), want);
+
+  // Five steady states in one pass: the source fires five times (after its
+  // init firing; its seed starts at 1) before the window faults on its
+  // fifth firing.
+  sched::Executor five(lower_ungated(root), fused_options());
+  EXPECT_EQ(fault(five, 5), want);
+  EXPECT_EQ(five.filter_state(f).scalars.at("n").as_int(), 4);
+  EXPECT_EQ(five.filter_state(actor_id(five.graph(), "s"))
+                .scalars.at("seed")
+                .as_int(),
+            7);
+  EXPECT_EQ(fault(five, 5), want);
+}
+
+// A whole-graph pass never runs more steady states than the fed input
+// holds: a short input faults in the firing, with the message and the
+// OpCounts, that one steady state per call meets.
+TEST(EngineFaults, ShortInputToTheWholeGraphTraceFaultsAsOneStatePerCall) {
+  const NodeP half = filter("half")
+                         .rates(3, 2, 1)
+                         .work(seq({push_(peek_(ci(2)) * c(0.5)), discard(2)}))
+                         .node();
+  for (const NodeP& root :
+       {half, make_pipeline("p", {half, pass_through("post")})}) {
+    SCOPED_TRACE(root->name);
+    // Nine items: four steady states fit, the fifth of six starves.
+    const auto run = [&](const std::vector<int>& calls, std::string* fault,
+                         std::vector<double>* out) {
+      auto ex = std::make_unique<sched::Executor>(lower_ungated(root),
+                                                  fused_options());
+      EXPECT_NE(ex->fused_program(), nullptr) << ex->fused_refusal();
+      EXPECT_GT(ex->fused_program()->max_pass, 6);
+      ex->feed_input(std::vector<double>(9, 1.0));
+      try {
+        for (const int n : calls) {
+          const std::vector<double> got = ex->run_steady(n);
+          out->insert(out->end(), got.begin(), got.end());
+        }
+      } catch (const std::runtime_error& e) {
+        *fault = e.what();
+      }
+      const std::vector<double> rest = ex->take_output();
+      out->insert(out->end(), rest.begin(), rest.end());
+      return ex;
+    };
+    std::string one, six;
+    std::vector<double> one_out, six_out;
+    const auto by_one = run({1, 1, 1, 1, 1, 1}, &one, &one_out);
+    const auto at_once = run({6}, &six, &six_out);
+    EXPECT_EQ(one, "peek(2) beyond channel contents (1)");
+    EXPECT_EQ(six, one);
+    EXPECT_EQ(six_out, one_out);
+    EXPECT_EQ(one_out.size(), 4U);
+    for (std::size_t a = 0; a < by_one->actor_ops().size(); ++a) {
+      const runtime::OpCounts& want = by_one->actor_ops()[a];
+      const runtime::OpCounts& got = at_once->actor_ops()[a];
+      EXPECT_EQ(got.int_ops, want.int_ops) << "actor " << a;
+      EXPECT_EQ(got.flops, want.flops) << "actor " << a;
+      EXPECT_EQ(got.mem, want.mem) << "actor " << a;
+      EXPECT_EQ(got.channel, want.channel) << "actor " << a;
+    }
+    EXPECT_EQ(popped(*at_once, 0), popped(*by_one, 0));
+  }
+}
+
+// A feedback loop whose delay covers a whole steady state has a
+// single-appearance schedule, but its back edge's consumer runs on the
+// initial items alone, so its trace runs one steady state per pass.
+TEST(FusedFeedback, SingleAppearanceLoopRunsOneSteadyStatePerPass) {
+  auto body = filter("mix")
+                  .rates(2, 2, 2)
+                  .work(seq({let("x", pop_()), let("e", pop_()),
+                             let("y", v("x") + v("e") * c(0.75)),
+                             push_(v("y")), push_(v("y") - c(1.0))}))
+                  .node();
+  auto loop = make_feedback("fb", roundrobin_join({1, 1}), body,
+                            roundrobin_split({1, 1}), pass_through("back"),
+                            /*delay=*/1, {0.25});
+  const sched::CompiledProgram prog =
+      sched::lower(make_pipeline("p", {tiny_src("s"), loop}));
+  ASSERT_TRUE(analysis::channel_bounds(prog.flat, prog.schedule)
+                  .single_appearance);
+  sched::Executor fused(prog, fused_options());
+  ASSERT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
+  EXPECT_EQ(fused.fused_program()->max_pass, 1);
+  EXPECT_EQ(fused.metrics_snapshot().fused_pass, 1);
+  sched::ExecOptions topts;
+  topts.engine = sched::Engine::Tree;
+  sched::Executor tree(prog, topts);
+  for (const int n : {1, 4, 9}) {
+    expect_same_output(fused.run_steady(n), tree.run_steady(n));
+    expect_same_state(tree, fused);
+  }
+}
+
+// The pass bound is reported: the metrics snapshot and streamc --report's
+// fusion line carry FusedProgram::max_pass.
+TEST(FusedMetrics, ReportsTheSteadyStatesPerPass) {
+  for (const char* app : {"Vocoder", "DtoA"}) {
+    auto ex = make_fused(apps::make_app(app));
+    const runtime::FusedProgram* fp = ex.fused_program();
+    ASSERT_NE(fp, nullptr) << ex.fused_refusal();
+    EXPECT_EQ(std::string(app) == "DtoA", fp->max_pass == 1) << app;
+    EXPECT_EQ(ex.metrics_snapshot().fused_pass, fp->max_pass) << app;
+    EXPECT_NE(sched::describe_compiled(ex).find(
+                  ", " + std::to_string(fp->max_pass) +
+                  " steady state(s) per pass\n"),
+              std::string::npos)
+        << app;
   }
 }
 

@@ -559,7 +559,9 @@ std::string decisions_of(const apps::AppInfo& app, OptLevel level) {
 // price candidates in closed form and to memoize structural costs; both are
 // pure speedups, so every decision, cost, graph and output must still match
 // it.  Only its trace_len values have moved since: linear nodes became one
-// linear-kernel instruction each.  On a mismatch the actual dump is written
+// linear-kernel instruction each, and a trace that runs several steady
+// states per pass loops its one-firing runs too, with each back-edge merged
+// into the next run's SetActor.  On a mismatch the actual dump is written
 // to opt_decisions.actual.txt in the working directory.
 TEST(SelectionIdentity, DecisionsGraphsAndCountsMatchExpectation) {
   std::string actual;

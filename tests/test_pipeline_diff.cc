@@ -227,6 +227,110 @@ std::string case_name(const ::testing::TestParamInfo<LevelCase>& info) {
 INSTANTIATE_TEST_SUITE_P(AllApps, EngineDiffP,
                          ::testing::ValuesIn(engine_cases()), case_name);
 
+// ---- 1b. pass boundaries ------------------------------------------------------
+//
+// The whole-graph trace runs up to M steady states per pass
+// (FusedProgram::max_pass).  Calls of 1, M-1, M, M+1 and 2M+3 steady states,
+// and a mixed sequence on a second pair of executors, put pass boundaries at
+// every offset; after every call the outputs, per-actor OpCounts, filter
+// state and every edge's push/pop counters must equal the tree
+// interpreter's: bit-equal at -O0, numbers within 1e-9 of the tree's at -O2.
+
+// |got - want| within `tol` of max(1, |want|), or bit-equal when tol is 0.
+void expect_close(double want, double got, double tol, const std::string& what) {
+  if (tol == 0.0) {
+    EXPECT_EQ(want, got) << what;
+  } else {
+    EXPECT_NEAR(want, got, tol * std::max(1.0, std::fabs(want))) << what;
+  }
+}
+
+void expect_matches_tree(sched::Executor& tree, sched::Executor& fused,
+                         double tol, const std::string& call) {
+  const auto& g = tree.graph();
+  for (std::size_t a = 0; a < g.actors.size(); ++a) {
+    const std::string at = call + " actor " + g.actors[a].name;
+    const auto& to = tree.actor_ops()[a];
+    const auto& fo = fused.actor_ops()[a];
+    EXPECT_EQ(to.int_ops, fo.int_ops) << at;
+    EXPECT_EQ(to.flops, fo.flops) << at;
+    EXPECT_EQ(to.divs, fo.divs) << at;
+    EXPECT_EQ(to.trans, fo.trans) << at;
+    EXPECT_EQ(to.mem, fo.mem) << at;
+    EXPECT_EQ(to.channel, fo.channel) << at;
+    const auto& ts = tree.filter_state(static_cast<int>(a));
+    const auto& fs = fused.filter_state(static_cast<int>(a));
+    for (const auto& [name, val] : ts.scalars) {
+      EXPECT_EQ(val.is_int(), fs.scalars.at(name).is_int()) << at << name;
+      expect_close(val.as_double(), fs.scalars.at(name).as_double(), tol,
+                   at + " scalar " + name);
+    }
+    for (const auto& [name, arr] : ts.arrays) {
+      const auto& farr = fs.arrays.at(name);
+      ASSERT_EQ(arr.size(), farr.size()) << at << " array " << name;
+      for (std::size_t i = 0; i < arr.size(); ++i) {
+        expect_close(arr[i].as_double(), farr[i].as_double(), tol,
+                     at + " " + name + "[" + std::to_string(i) + "]");
+      }
+    }
+  }
+  for (std::size_t e = 0; e < g.edges.size(); ++e) {
+    const int ei = static_cast<int>(e);
+    EXPECT_EQ(tree.channel(ei).total_pushed(), fused.channel(ei).total_pushed())
+        << call << " edge " << e;
+    EXPECT_EQ(tree.channel(ei).total_popped(), fused.channel(ei).total_popped())
+        << call << " edge " << e;
+  }
+  EXPECT_EQ(tree.firings(), fused.firings()) << call;
+}
+
+class PassDiffP : public ::testing::TestWithParam<LevelCase> {};
+
+TEST_P(PassDiffP, PassBoundariesMatchTheTree) {
+  const sched::CompiledProgram prog =
+      compile_level(GetParam().app, GetParam().level);
+  const double tol = GetParam().level == OptLevel::O0 ? 0.0 : 1e-9;
+  sched::ExecOptions topt;
+  topt.engine = sched::Engine::Tree;
+  sched::ExecOptions fopt;
+  fopt.engine = sched::Engine::Fused;
+  fopt.trace = sched::TraceMode::Off;
+  const auto run_calls = [&](const std::vector<int>& calls) {
+    sched::Executor tree(prog, topt);
+    sched::Executor fused(prog, fopt);
+    ASSERT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
+    for (const int n : calls) {
+      const std::string call = "run_steady(" + std::to_string(n) + ")";
+      const std::vector<double> want = tree.run_steady(n);
+      const std::vector<double> got = fused.run_steady(n);
+      ASSERT_EQ(want.size(), got.size()) << call;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        expect_close(want[i], got[i], tol, call + " item " + std::to_string(i));
+      }
+      expect_matches_tree(tree, fused, tol, call);
+    }
+  };
+  const sched::Executor probe(prog, fopt);
+  ASSERT_NE(probe.fused_program(), nullptr) << probe.fused_refusal();
+  const auto m = static_cast<int>(probe.fused_program()->max_pass);
+  if (std::string(GetParam().app) == "DtoA") EXPECT_EQ(m, 1);
+  run_calls({1, m - 1, m, m + 1, 2 * m + 3});
+  run_calls({m + 1, 2, 2 * m + 3, 1, m, m - 1, 3});
+}
+
+std::vector<LevelCase> pass_cases() {
+  std::vector<LevelCase> cases;
+  for (const auto& info : apps::all_apps()) {
+    for (OptLevel level : {OptLevel::O0, OptLevel::O2}) {
+      cases.push_back({info.name.c_str(), level});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllApps, PassDiffP, ::testing::ValuesIn(pass_cases()),
+                         case_name);
+
 // ---- 2. levels are numerically equivalent -----------------------------------
 
 class LevelDiffP : public ::testing::TestWithParam<const char*> {};

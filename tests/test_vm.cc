@@ -437,7 +437,7 @@ std::string expect_actor_matches_tree(const ir::FilterSpec& spec,
   if (!typed) return "";
   const runtime::FlatGraph g = runtime::flatten(ir::make_filter(spec));
   const runtime::FusedProgramP prog =
-      runtime::build_trace(g, {{0, 0}}, {}, {}, {typed}, {});
+      runtime::build_trace(g, {{0, 1}}, {}, {}, {typed}, {});
   EXPECT_NE(prog, nullptr) << spec.name;
   if (!prog) return "";
   note_handlers(*prog, seen);

@@ -119,6 +119,12 @@ bool check_structure(const FlatGraph& g, std::vector<Diagnostic>& out) {
       if (a.in_rate[p] < 0) {
         out.push_back(verr("V-STRUCT", a.name, "negative input rate"));
       }
+      if (e == -1 && a.in_rate[p] > 0) {
+        out.push_back(verr("V-STRUCT", a.name,
+                           "input port " + std::to_string(p) +
+                               " consumes items but has no edge"));
+        ports_ok = false;
+      }
     }
     for (std::size_t p = 0; p < a.out_edges.size(); ++p) {
       const int e = a.out_edges[p];
@@ -133,6 +139,12 @@ bool check_structure(const FlatGraph& g, std::vector<Diagnostic>& out) {
       }
       if (a.out_rate[p] < 0) {
         out.push_back(verr("V-STRUCT", a.name, "negative output rate"));
+      }
+      if (e == -1 && a.out_rate[p] > 0) {
+        out.push_back(verr("V-STRUCT", a.name,
+                           "output port " + std::to_string(p) +
+                               " produces items but has no edge"));
+        ports_ok = false;
       }
     }
     if (!ports_ok) continue;

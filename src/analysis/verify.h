@@ -13,9 +13,10 @@
 //
 //   V-STRUCT  structural well-formedness of the flat graph: edge/actor
 //             cross-references and port tables agree, rate arrays match the
-//             port counts, rates are non-negative, filters have at most one
-//             input and one output, at most one external input/output edge
-//             and the FlatGraph fields point at them.
+//             port counts, every positive-rate port has an edge (only a
+//             zero-rate port may hold -1), rates are non-negative, filters
+//             have at most one input and one output, at most one external
+//             input/output edge and the FlatGraph fields point at them.
 //   V-SJ      splitjoin weight sums: a round-robin splitter consumes exactly
 //             the sum of its branch weights per firing (joiner dually), and
 //             a duplicate splitter is 1 -> 1 per branch.

@@ -41,8 +41,11 @@ struct FlatActor {
   ir::SJKind sj{ir::SJKind::RoundRobin};
   std::vector<int> weights;
 
-  // Edge ids, in port order.  Filters have exactly one of each (or zero at
-  // the graph boundary for pure sources/sinks).
+  // Edge ids, in port order, one per entry of in_rate / out_rate.  Every
+  // port with a positive rate has an edge; only a zero-rate port (a
+  // splitjoin's zero-weight branch) may hold -1.  Filters have exactly one
+  // of each (or zero for pure sources/sinks).  flatten() makes this hold
+  // and V-STRUCT (analysis/verify.h) checks it.
   std::vector<int> in_edges;
   std::vector<int> out_edges;
 

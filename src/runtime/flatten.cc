@@ -54,7 +54,13 @@ class Lowering {
   }
 
  private:
+  // The port invariant every consumer of the flat graph trusts: an actor
+  // has one edge slot per rate entry, and new_edge fills every slot whose
+  // rate is positive (the splitjoin and feedback checks below refuse the
+  // programs where it would not); only a zero-rate port may stay -1.
   int new_actor(FlatActor a) {
+    a.in_edges.assign(a.in_rate.size(), -1);
+    a.out_edges.assign(a.out_rate.size(), -1);
     g_.actors.push_back(std::move(a));
     return static_cast<int>(g_.actors.size()) - 1;
   }
@@ -71,14 +77,12 @@ class Lowering {
     const int id = static_cast<int>(g_.edges.size());
     g_.edges.push_back(std::move(e));
     if (src >= 0) {
-      auto& ports = g_.actors[static_cast<std::size_t>(src)].out_edges;
-      if (static_cast<int>(ports.size()) <= sport) ports.resize(static_cast<std::size_t>(sport) + 1, -1);
-      ports[static_cast<std::size_t>(sport)] = id;
+      g_.actors[static_cast<std::size_t>(src)].out_edges.at(
+          static_cast<std::size_t>(sport)) = id;
     }
     if (dst >= 0) {
-      auto& ports = g_.actors[static_cast<std::size_t>(dst)].in_edges;
-      if (static_cast<int>(ports.size()) <= dport) ports.resize(static_cast<std::size_t>(dport) + 1, -1);
-      ports[static_cast<std::size_t>(dport)] = id;
+      g_.actors[static_cast<std::size_t>(dst)].in_edges.at(
+          static_cast<std::size_t>(dport)) = id;
     }
     return id;
   }

@@ -153,9 +153,8 @@ Handler decode(const FInstr& I) {
       return ad ? Handler::JmpIfFalseD : Handler::JmpIfFalseI;
     case FOp::JmpIfTrue:
       return ad ? Handler::JmpIfTrueD : Handler::JmpIfTrueI;
-    // The compiler coerces a loop's counter, bound and step to int and
-    // tallies only int ops.  (A dangling splitter branch's channel tally
-    // would refuse the trace, but flatten() admits no dangling branch.)
+    // The compiler coerces a loop's counter, bound and step to int, and a
+    // tally is always int ops.
     case FOp::JmpIfGe:
       if (ad || bd) fail("double loop bound");
       return Handler::JmpIfGeII;
@@ -165,9 +164,7 @@ Handler decode(const FInstr& I) {
     case FOp::ForInc:
       if (ad || dd) fail("double loop counter");
       return Handler::ForIncII;
-    case FOp::Tally:
-      if (I.count != CountTag::IntOp) fail("tally without an int count");
-      return Handler::TallyInt;
+    case FOp::Tally: return Handler::TallyInt;
     case FOp::RPeek: return Handler::RPeek;
     case FOp::RPop: return Handler::RPop;
     case FOp::RPopN: return Handler::RPopN;
@@ -659,107 +656,44 @@ class TraceBuilder {
 
   // ---- splitter / joiner synthesis ------------------------------------------
 
-  // One firing, with counting identical to Executor::fire: a round-robin
-  // splitter counts 2 per item even on a dangling branch; a duplicate
-  // splitter counts 1 + fan-out per firing; a joiner skips dangling inputs
-  // entirely.  Runs of identical item moves become copy-run/dup-run
-  // superinstructions (emit_run scales a lone one by the run's firings).
+  // One firing, with counting identical to Executor::fire_into: a
+  // round-robin splitter or joiner moves each branch's weight as one
+  // copy-run (2 per item), a duplicate splitter its item to every branch as
+  // one dup-run (1 + fan-out per firing).  flatten() gives every
+  // positive-rate port an edge (flatgraph.h), so every item moved is
+  // routed; emit_run scales a lone copy-run by the run's firings.
   void emit_sj_firing(int actor) {
     const auto ai = static_cast<std::size_t>(actor);
     const FlatActor& a = g_.actors[ai];
     const auto reg =
         static_cast<std::uint16_t>(prog_->actors[slot_[ai]].reg_base);
-    if (a.kind == FlatActor::Kind::Splitter) {
-      const int in_e = a.in_edges.empty() ? -1 : a.in_edges[0];
-      if (in_e < 0) fail("splitter without an input edge in '" + a.name + "'");
-      if (a.sj == ir::SJKind::Duplicate) {
-        CopyRunArgs C;
-        C.src = in_e;
-        C.src_real = !edge_internal(in_e);
-        C.n = 1;
-        C.reg = reg;
-        int dangling = 0;
-        for (const int eid : a.out_edges) {
-          if (eid >= 0) {
-            C.dst.push_back(eid);
-            C.dst_real.push_back(edge_internal(eid) ? 0 : 1);
-          } else {
-            ++dangling;
-          }
-        }
-        if (dangling == 0 && !C.dst.empty()) {
-          append_copy(std::move(C));
-        } else {
-          emit_raw_move(in_e, reg, C.dst, /*extra_channel=*/dangling);
-        }
-      } else {
-        for (std::size_t p = 0; p < a.out_rate.size(); ++p) {
-          const int w = a.out_rate[p];
-          if (w <= 0) continue;
-          const int eid = p < a.out_edges.size() ? a.out_edges[p] : -1;
-          if (eid >= 0) {
-            CopyRunArgs C;
-            C.src = in_e;
-            C.src_real = !edge_internal(in_e);
-            C.dst.push_back(eid);
-            C.dst_real.push_back(edge_internal(eid) ? 0 : 1);
-            C.n = w;
-            C.reg = reg;
-            append_copy(std::move(C));
-          } else {  // dangling branch: counted, not routed
-            for (int k = 0; k < w; ++k) emit_raw_move(in_e, reg, {}, 1);
-          }
-        }
+    const auto copy = [&](int src, std::vector<std::int32_t> dst,
+                          std::int64_t n) {
+      CopyRunArgs C;
+      C.src = src;
+      C.src_real = !edge_internal(src);
+      for (const std::int32_t d : dst) {
+        C.dst_real.push_back(edge_internal(d) ? 0 : 1);
       }
-    } else {  // Joiner
-      const int out_e = a.out_edges.empty() ? -1 : a.out_edges[0];
-      if (out_e < 0) fail("joiner without an output edge in '" + a.name + "'");
+      C.dst = std::move(dst);
+      C.n = n;
+      C.reg = reg;
+      append_copy(std::move(C));
+    };
+    if (a.kind == FlatActor::Kind::Joiner) {
       for (std::size_t p = 0; p < a.in_rate.size(); ++p) {
-        const int w = a.in_rate[p];
-        if (w <= 0) continue;
-        const int eid = p < a.in_edges.size() ? a.in_edges[p] : -1;
-        if (eid < 0) continue;  // Executor skips dangling inputs, uncounted
-        CopyRunArgs C;
-        C.src = eid;
-        C.src_real = !edge_internal(eid);
-        C.dst.push_back(out_e);
-        C.dst_real.push_back(edge_internal(out_e) ? 0 : 1);
-        C.n = w;
-        C.reg = reg;
-        append_copy(std::move(C));
+        if (a.in_rate[p] > 0) {
+          copy(a.in_edges[p], {a.out_edges[0]}, a.in_rate[p]);
+        }
       }
-    }
-  }
-
-  // pop src -> push each dst, plus `extra_channel` counted-but-unrouted items
-  // (a dangling splitter branch still counts its channel traffic).  The item
-  // is a Double, so both ops are typed onto the double plane.
-  void emit_raw_move(int src, std::uint16_t reg,
-                     const std::vector<std::int32_t>& dst, int extra_channel) {
-    FInstr pop{};
-    pop.op = edge_internal(src) ? FOp::TPop : FOp::RPop;
-    pop.count = CountTag::Channel;
-    pop.mode = kModeDD;
-    pop.dst = reg;
-    pop.edge = src;
-    prog_->code.push_back(pop);
-    for (const std::int32_t d : dst) {
-      FInstr push{};
-      push.op = edge_internal(d) ? FOp::TPush : FOp::RPush;
-      push.count = CountTag::Channel;
-      push.mode = kModeDD;
-      push.dst = reg;
-      push.edge = d;
-      prog_->code.push_back(push);
-    }
-    while (extra_channel > 0) {
-      const int chunk = extra_channel > 255 ? 255 : extra_channel;
-      FInstr tally{};
-      tally.op = FOp::Tally;
-      tally.sub = static_cast<std::uint8_t>(chunk);
-      tally.count = CountTag::Channel;
-      prog_->code.push_back(tally);
-      extra_channel -= chunk;
+    } else if (a.sj == ir::SJKind::Duplicate) {
+      copy(a.in_edges[0], a.out_edges, 1);
+    } else {
+      for (std::size_t p = 0; p < a.out_rate.size(); ++p) {
+        if (a.out_rate[p] > 0) {
+          copy(a.in_edges[0], {a.out_edges[p]}, a.out_rate[p]);
+        }
+      }
     }
   }
 
@@ -1210,7 +1144,6 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t m) {
   const FusedActorMeta* meta = nullptr;
   std::int64_t window = 0;
   std::int64_t pops = 0;    // this firing's, for the peek window
-  std::int64_t pushes = 0;  // this firing's, to its boundary tape
   std::int64_t firing = 0;  // completed firings of the current run's loop
   std::int32_t pc = 0;
 
@@ -1224,7 +1157,6 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t m) {
     std::copy_n(dinit + meta->reg_base, nr, dr + meta->reg_base);
     std::copy_n(iinit + meta->reg_base, nr, ir_ + meta->reg_base);
     pops = 0;
-    pushes = 0;
   };
   // A back-edge (a FireLoop's, or the one a SetActor took over): true, after
   // reloading and jumping back, while its run has firings left.
@@ -1505,7 +1437,6 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t m) {
       }
       case Handler::RPush:
         if constexpr (kCount) ++cur->channel;
-        ++pushes;
         tout(I.edge)->push_item((I.mode & kModeDD) != 0
                                     ? dr[I.dst]
                                     : static_cast<double>(ir_[I.dst]));
@@ -1720,17 +1651,11 @@ void TypedFusedExec::run(OpCounts* actor_counts, std::int64_t m) {
         ++pc;
         break;
       }
-      case Handler::LinearKernel: {
-        const LinearKernelArgs& K = base.kernels[I.a];
-        run_linear(K, actor_counts, m);
-        pops = K.rows.pop;
-        pushes = K.rows.push;
+      case Handler::LinearKernel:
+        run_linear(base.kernels[I.a], actor_counts, m);
         ++pc;
         break;
-      }
       case Handler::Halt:
-        popped_ = pops;
-        pushed_ = pushes;
         return;
       default:
         throw std::logic_error("typed fused dispatch: unexpected handler");

@@ -56,10 +56,12 @@
 //   LinearKernel k        all n firings of the actor as one CSR mat-vec per
 //                         firing over the peek window (linear-kernel below)
 //
-// Splitters/joiners are synthesized as explicit pop/push templates and
-// native filters as NativeFire calls through tape adapters, so any graph the
-// per-actor executor runs (modulo the refusals below and the executor's
-// own, sched/exec.h fused_refusal) can fuse.
+// A splitter's or joiner's firing is synthesized as copy-run/dup-run
+// superinstructions, one per branch with a positive weight (flatten() gives
+// each such branch an edge, flatgraph.h), and a native filter's as a
+// NativeFire call through tape adapters, so any graph the per-actor
+// executor runs (modulo the refusals below and the executor's own,
+// sched/exec.h fused_refusal) can fuse.
 //
 // Every filter is typed once: build_trace copies the per-actor typed
 // programs the executor already made (typed_compile), with their plane
@@ -324,10 +326,6 @@ class alignas(64) TypedFusedExec {
   void fire(OpCounts* counts, std::int64_t m);
   [[nodiscard]] bool active() const { return active_; }
   [[nodiscard]] const FusedProgram& program() const { return *prog_; }
-  // Items a one-actor trace's last firing popped and pushed, as measured
-  // (traced firings report them).
-  [[nodiscard]] std::int64_t popped() const { return popped_; }
-  [[nodiscard]] std::int64_t pushed() const { return pushed_; }
 
  private:
   // The dispatch loop, every run count scaled by the multiplier `m`.
@@ -363,7 +361,6 @@ class alignas(64) TypedFusedExec {
   std::span<const std::unique_ptr<Channel>> chans_;
   std::span<const std::unique_ptr<ir::NativeState>> nstates_;
   std::vector<EdgeState> ebuf_;
-  std::int64_t popped_{0}, pushed_{0};
   bool active_{false};
 };
 

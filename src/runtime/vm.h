@@ -57,8 +57,7 @@ enum class FOp : std::uint8_t {
   JmpIfGe,      // if (r[a].as_int() >= r[b].as_int()) pc = jump  (loop test)
   CheckStep,    // throw unless r[a].as_int() > 0   (for-loop step guard)
   ForInc,       // r[dst] = int(r[dst] + r[a])      (loop induction, no count)
-  Tally,        // counts->(field selected by `count`) += sub
-                // (If/Cond/LAnd/LOr/For costs, dangling splitter traffic)
+  Tally,        // counts->int_ops += sub (If/Cond/LAnd/LOr/For costs)
   // Boundary channel ops: r[dst] = peek(r[a]) / r[dst] = pop() / discard
   // r[a] items / push(r[dst]) on edge `edge`'s tape (-1 before binding).
   RPeek, RPop, RPopN, RPush,
@@ -93,9 +92,9 @@ const char* op_name(FOp op);
 // run the tree's Value kernels (eval_ops.h apply_bin/apply_un); the rest are
 // the boundary ring ops and the double-index/double-offset forms.  Loop
 // bookkeeping and tallies have only their int form (the compiler coerces a
-// loop's counter, bound and step to int and tallies only int ops; a trace
-// build refuses anything else), and the structural and superinstruction
-// opcodes have one handler each.
+// loop's counter, bound and step to int, a trace build refuses anything
+// else, and a tally is always int ops), and the structural and
+// superinstruction opcodes have one handler each.
 #define SIT_HANDLERS(X)                                                       \
   X(Halt, "halt", false) X(Jmp, "jmp", false)                                 \
   X(SetActor, "setactor", false) X(FireLoop, "fireloop", false)               \

@@ -65,16 +65,11 @@ Executor::Executor(ir::NodeP root, ExecOptions opts)
     : Executor(lower(std::move(root)), std::move(opts)) {}
 
 Executor::Executor(CompiledProgram prog, ExecOptions opts)
-    : Executor(std::move(prog), std::move(opts), true) {}
-
-Executor::Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph,
-                   std::optional<analysis::ChannelBounds> bounds)
     : root_(prog.graph),
       opts_(std::move(opts)),
       g_(std::move(prog.flat)),
       sched_(std::move(prog.schedule)),
-      bounds_(bounds ? std::move(*bounds)
-                     : analysis::channel_bounds(g_, sched_)),
+      bounds_(analysis::channel_bounds(g_, sched_)),
       pipeline_(std::move(prog.pipeline)),
       passes_(std::move(prog.passes)) {
   chans_.reserve(g_.edges.size());
@@ -134,7 +129,7 @@ Executor::Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph,
   // Build the whole-iteration trace from the typed programs above, or
   // record why not.  A refusal is whole-program: steady states then run
   // per-actor on the one-actor traces built above.
-  if (engine_ == Engine::Fused && whole_graph) {
+  if (engine_ == Engine::Fused) {
     if (opts_.message_sink) {
       // Teleport delivery wants per-firing granularity (and build_trace
       // only proves the *absence* of sends per filter, not per sink).
@@ -247,9 +242,8 @@ void Executor::fire_work(const FlatActor& a, runtime::TypedFusedExec* x,
 }
 
 // Tracing: one branch when disabled; two clock reads plus a handful of
-// buffer appends per firing when enabled.  Typed filters report the channel
-// batches their trace measured; everything else reports the static SDF
-// rates.
+// buffer appends per firing when enabled.  Every firing reports its declared
+// SDF rates, which the validator holds each work function to.
 std::int64_t Executor::trace_begin(obs::ThreadBuffer* tb, int actor) const {
   const std::int64_t t0 = rec_->now_ns();
   tb->emit(t0, obs::EventKind::FireBegin, actor);
@@ -257,28 +251,17 @@ std::int64_t Executor::trace_begin(obs::ThreadBuffer* tb, int actor) const {
 }
 
 void Executor::trace_end(obs::ThreadBuffer* tb, int actor, std::int64_t t0,
-                         const runtime::TypedFusedExec* measured,
                          obs::FiringStats* stats) const {
   const FlatActor& a = g_.actors[static_cast<std::size_t>(actor)];
   const std::int64_t t1 = rec_->now_ns();
-  if (measured != nullptr) {
-    if (measured->popped() > 0) {
-      tb->emit(t1, obs::EventKind::PopBatch, a.in_edges[0], measured->popped());
+  for (std::size_t p = 0; p < a.in_rate.size(); ++p) {
+    if (a.in_rate[p] > 0) {
+      tb->emit(t1, obs::EventKind::PopBatch, a.in_edges[p], a.in_rate[p]);
     }
-    if (measured->pushed() > 0) {
-      tb->emit(t1, obs::EventKind::PushBatch, a.out_edges[0],
-               measured->pushed());
-    }
-  } else {
-    for (std::size_t p = 0; p < a.in_edges.size(); ++p) {
-      if (a.in_edges[p] >= 0 && a.in_rate[p] > 0) {
-        tb->emit(t1, obs::EventKind::PopBatch, a.in_edges[p], a.in_rate[p]);
-      }
-    }
-    for (std::size_t p = 0; p < a.out_edges.size(); ++p) {
-      if (a.out_edges[p] >= 0 && a.out_rate[p] > 0) {
-        tb->emit(t1, obs::EventKind::PushBatch, a.out_edges[p], a.out_rate[p]);
-      }
+  }
+  for (std::size_t p = 0; p < a.out_rate.size(); ++p) {
+    if (a.out_rate[p] > 0) {
+      tb->emit(t1, obs::EventKind::PushBatch, a.out_edges[p], a.out_rate[p]);
     }
   }
   tb->emit(t1, obs::EventKind::FireEnd, actor);
@@ -289,38 +272,36 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
                          obs::ThreadBuffer* tb) {
   const auto ai = static_cast<std::size_t>(actor);
   const FlatActor& a = g_.actors[ai];
-  const auto in_tape = [&](int eid) -> ir::InTape* {
-    return eid < 0 ? &g_null_in : in_tape_[static_cast<std::size_t>(eid)];
+  // flatten() gives every positive-rate port an edge (flatgraph.h), so only
+  // a pure source's or sink's missing tape needs a stand-in.
+  const auto in_tape = [&](std::size_t p) -> ir::InTape& {
+    return *in_tape_[static_cast<std::size_t>(a.in_edges[p])];
   };
-  const auto out_tape = [&](int eid) -> ir::OutTape* {
-    return eid < 0 ? &g_null_out : out_tape_[static_cast<std::size_t>(eid)];
+  const auto out_tape = [&](std::size_t p) -> ir::OutTape& {
+    return *out_tape_[static_cast<std::size_t>(a.out_edges[p])];
   };
   const std::int64_t t0 = tb != nullptr ? trace_begin(tb, actor) : 0;
-  runtime::TypedFusedExec* measured = nullptr;
   switch (a.kind) {
     case FlatActor::Kind::Filter:
     case FlatActor::Kind::Native:
       // A filter's (AST or native) single input and output edge.
-      measured = active_fx(ai);
-      fire_work(a, measured, fstate_[ai], nstate_[ai].get(),
-                *in_tape(a.in_edges.empty() ? -1 : a.in_edges[0]),
-                *out_tape(a.out_edges.empty() ? -1 : a.out_edges[0]), counts,
+      fire_work(a, active_fx(ai), fstate_[ai], nstate_[ai].get(),
+                a.in_edges.empty() ? g_null_in : in_tape(0),
+                a.out_edges.empty() ? g_null_out : out_tape(0), counts,
                 opts_.message_sink ? &opts_.message_sink : nullptr);
       break;
     case FlatActor::Kind::Splitter: {
-      ir::InTape& in = *in_tape(a.in_edges[0]);
+      ir::InTape& in = in_tape(0);
       if (a.sj == ir::SJKind::Duplicate) {
         const double v = in.pop_item();
-        for (int eid : a.out_edges) {
-          if (eid >= 0) out_tape(eid)->push_item(v);
+        for (std::size_t p = 0; p < a.out_edges.size(); ++p) {
+          out_tape(p).push_item(v);
         }
         if (counts) counts->channel += 1 + static_cast<std::int64_t>(a.out_edges.size());
       } else {
         for (std::size_t p = 0; p < a.out_rate.size(); ++p) {
           for (int k = 0; k < a.out_rate[p]; ++k) {
-            const double v = in.pop_item();
-            const int eid = p < a.out_edges.size() ? a.out_edges[p] : -1;
-            if (eid >= 0) out_tape(eid)->push_item(v);
+            out_tape(p).push_item(in.pop_item());
             if (counts) counts->channel += 2;
           }
         }
@@ -328,12 +309,10 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
       break;
     }
     case FlatActor::Kind::Joiner: {
-      ir::OutTape& out = *out_tape(a.out_edges[0]);
+      ir::OutTape& out = out_tape(0);
       for (std::size_t p = 0; p < a.in_rate.size(); ++p) {
         for (int k = 0; k < a.in_rate[p]; ++k) {
-          const int eid = p < a.in_edges.size() ? a.in_edges[p] : -1;
-          if (eid < 0) continue;
-          out.push_item(in_tape(eid)->pop_item());
+          out.push_item(in_tape(p).pop_item());
           if (counts) counts->channel += 2;
         }
       }
@@ -342,7 +321,7 @@ void Executor::fire_into(int actor, runtime::OpCounts* counts,
   }
   ++fired_[ai];
   note_high_water(a);
-  if (tb != nullptr) trace_end(tb, actor, t0, measured, &rec_->actor_stats(actor));
+  if (tb != nullptr) trace_end(tb, actor, t0, &rec_->actor_stats(actor));
 }
 
 void Executor::fire_run(int actor, std::int64_t n, runtime::OpCounts* counts,
@@ -450,31 +429,31 @@ std::vector<double> Executor::run_steady(int n) {
   // graph mid-iteration or a handler retagged some state; the call then runs
   // per-actor (the graph re-synchronizes at the next iteration boundary, so
   // a later call may fuse again).  A pass never runs more steady states than
-  // the fed input holds, so a short input faults in the same firing, with
-  // the same counts, as steady states run one at a time.
+  // the fed input holds; the steady states a short input cannot cover run
+  // per-actor, so they fault with the per-actor message, firings and counts.
   if (tfexec_ && n > 0 && tfexec_->activate()) {
     runtime::OpCounts* counts = counts_or_null();
     try {
-      for (std::int64_t done = 0; done < n;) {
-        std::int64_t m = std::min<std::int64_t>(fprog_->max_pass, n - done);
+      while (n > 0) {
+        std::int64_t m = std::min<std::int64_t>(fprog_->max_pass, n);
         ensure_input_for(sched_.input_for_init +
                          (steady_run_ + m) * sched_.input_per_steady);
-        m = std::clamp<std::int64_t>(steady_states_fed(), 1, m);
+        m = std::min(m, steady_states_fed());
+        if (m < 1) break;
         steady_run_ += m;
         tfexec_->fire(counts, m);
         for (std::size_t a = 0; a < fired_.size(); ++a) {
           fired_[a] += m * sched_.reps[a];
         }
-        done += m;
+        n -= static_cast<int>(m);
       }
     } catch (...) {
       tfexec_->deactivate();  // the graph as the faulting firing left it
       throw;
     }
     tfexec_->deactivate();
-    return take_output();
   }
-  run_steady_epochs(n);
+  if (n > 0) run_steady_epochs(n);
   return take_output();
 }
 

@@ -29,13 +29,13 @@
 // lanes call too, on their own tapes and state.
 //
 // It is also the per-actor execution core of the threaded runtime: a
-// ThreadedExecutor (sched/texec.h) owns one Executor, runs the init epoch on
-// it, and has its workers fire every steady state's actors through it after
-// pointing each cross-worker edge's tape at an SPSC ring.
+// ThreadedExecutor (sched/texec.h) owns one Executor, built the public way,
+// runs the init epoch on it, and has its workers fire every steady state's
+// actors through it after pointing each cross-worker edge's tape at an SPSC
+// ring; the whole-graph trace is built but never runs there.
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "analysis/bounds_chan.h"
@@ -199,13 +199,13 @@ class Executor {
 
   // Whole-graph trace introspection.  fused_program() is the
   // whole-iteration typed trace run_steady executes, or null when there is
-  // none: on the tree engine, under the threaded runtime, or when fusion
-  // was refused -- in which case fused_refusal() carries the stable
-  // kebab-case reason and steady states run per-actor instead.  The
-  // executor's own reasons are message-sink-attached and tracing-enabled
-  // (observers that want per-firing granularity); build_trace adds the
-  // per-filter ones (runtime/fused.h).  sched/describe.h renders
-  // all of it for streamc --report.
+  // none: on the tree engine, or when fusion was refused -- in which case
+  // fused_refusal() carries the stable kebab-case reason and steady states
+  // run per-actor instead.  The executor's own reasons are
+  // message-sink-attached and tracing-enabled (observers that want
+  // per-firing granularity); build_trace adds the per-filter ones
+  // (runtime/fused.h).  sched/describe.h renders all of it for streamc
+  // --report.
   [[nodiscard]] const runtime::FusedProgram* fused_program() const {
     return fprog_ ? fprog_.get() : nullptr;
   }
@@ -253,17 +253,11 @@ class Executor {
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
 
  private:
-  // The threaded runtime drives this executor through the hooks below
-  // (retarget, fire_run and fire_work, the sequential steady state, the
-  // input feed) and reads its tallies and progress counters directly.
+  // The threaded runtime embeds a public-form executor and drives it
+  // through the hooks below (retarget, fire_run and fire_work, the
+  // per-firing tracing, the sequential steady state, the input feed); it
+  // reads the tallies, progress counters and one-actor traces directly.
   friend class ThreadedExecutor;
-
-  // The threaded runtime's form.  whole_graph false builds the same
-  // executor without the whole-graph trace, which its workers never run.
-  // `bounds`, when given, are the program's channel bounds the caller
-  // already computed; otherwise the executor computes them.
-  Executor(CompiledProgram prog, ExecOptions opts, bool whole_graph,
-           std::optional<analysis::ChannelBounds> bounds = std::nullopt);
 
   // Point edge `edge`'s tapes at an SPSC ring.  The edge's Channel stays
   // owned (and drained); high-water notes and metrics_snapshot skip it from
@@ -321,17 +315,16 @@ class Executor {
       const runtime::MessageSink* sink);
   // Per-firing tracing around one firing of `actor`: trace_begin emits
   // FireBegin and returns its time; trace_end emits the firing's pop/push
-  // batches (`measured`'s, else the static rates) and FireEnd, and records
-  // the firing's time into *stats.
+  // batches at its declared rates and FireEnd, and records the firing's
+  // time into *stats.
   std::int64_t trace_begin(obs::ThreadBuffer* tb, int actor) const;
   void trace_end(obs::ThreadBuffer* tb, int actor, std::int64_t t0,
-                 const runtime::TypedFusedExec* measured,
                  obs::FiringStats* stats) const;
   // Data-driven sweeps in schedule order until every actor fired its quota.
   void run_epoch(const std::vector<std::int64_t>& quota);
   // `n` steady states as data-driven epochs inside one Bind: run_steady
-  // without the whole-graph trace, and the split calls the threaded runtime
-  // reruns sequentially.
+  // without the whole-graph trace (or past the steady states its input
+  // holds), and the split calls the threaded runtime reruns sequentially.
   void run_steady_epochs(int n);
   // Emit a Phase event when tracing; Steady only the first time.
   void mark_phase(obs::PhaseId id);

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -252,9 +251,13 @@ ThreadedExecutor::ThreadedExecutor(CompiledProgram prog, ExecOptions opts)
     : opts_(std::move(opts)) {
   const int requested =
       resolve_threads(opts_.threads != 0 ? opts_.threads : prog.threads);
+  // One executor either way: a fallback runs the program on it as is, and
+  // the threaded path fires its actors per-actor (the whole-graph trace it
+  // builds is inherently single-threaded and never runs here).  Its static
+  // channel bounds feed the eligibility checks.
+  exec_ = std::make_unique<Executor>(std::move(prog), opts_);
   FallbackReason fb = FallbackReason::None;
   std::string detail;
-  std::optional<analysis::ChannelBounds> bounds;
   if (requested <= 1) {
     fb = FallbackReason::OneThread;
     detail = "one thread requested";
@@ -262,24 +265,15 @@ ThreadedExecutor::ThreadedExecutor(CompiledProgram prog, ExecOptions opts)
     fb = FallbackReason::MessageSink;
     detail = "teleport message sink attached";
   } else {
-    // The artifact is already analyzed/flattened/scheduled; compute the
-    // static channel bounds once (the embedded executor keeps them) and run
-    // the threaded-eligibility checks.
-    bounds = analysis::channel_bounds(prog.flat, prog.schedule);
-    fb = refusal_reason(prog.flat, *bounds, &detail);
+    fb = refusal_reason(graph(), bounds(), &detail);
   }
   if (fb != FallbackReason::None) {
     report_.threaded = false;
     report_.threads = 1;
     report_.fallback = fb;
     report_.fallback_reason = detail;
-    exec_.reset(new Executor(std::move(prog), opts_, true, std::move(bounds)));
     return;
   }
-  // Workers fire per-actor, on the one-actor traces: the whole-graph trace
-  // is inherently single-threaded, so it is not built (the fallback
-  // executor above does fuse).
-  exec_.reset(new Executor(std::move(prog), opts_, false, std::move(bounds)));
 
   // A lone (stateless: refusal_reason) actor's firings are split across
   // all the requested workers; otherwise a worker per actor at most.
@@ -922,7 +916,7 @@ void ThreadedExecutor::run_lane(int w) noexcept {
         const std::int64_t t0 = tb != nullptr ? exec_->trace_begin(tb, 0) : 0;
         Executor::fire_work(a, x, l.state, l.native.get(), in, out, counts,
                             nullptr);
-        if (tb != nullptr) exec_->trace_end(tb, 0, t0, x, &l.stats);
+        if (tb != nullptr) exec_->trace_end(tb, 0, t0, &l.stats);
       }
     }
   } catch (...) {
@@ -1002,7 +996,12 @@ obs::MetricsSnapshot ThreadedExecutor::metrics_snapshot() const {
 
   // The embedded executor filled in everything per-actor (engine, firings,
   // ops, typed tables, timings, edge names and content tags); overwrite only
-  // what the threaded runtime owns.
+  // what the threaded runtime owns.  No whole-graph trace runs here.
+  m.fallback = "none";
+  m.fallback_detail.clear();
+  m.fused_channels = -1;
+  m.fused_pass = -1;
+  m.fused_super.clear();
   m.threads = threads_;
   m.batch = batch_;
   m.threaded = true;

@@ -12,9 +12,11 @@
 //     (runtime::build_trace of one actor), init functions, the input feed,
 //     firing tallies, the per-actor firing routines (fire_run, fire_into
 //     and a filter's one firing, fire_work) and the sequential steady
-//     state (run_steady_epochs) all live there.  On the threaded path it is
-//     built without the whole-graph trace (inherently single-threaded); on
-//     a fallback it runs the program as is.
+//     state (run_steady_epochs) all live there.  It is built the public
+//     way, Executor(prog, opts), once per program: a fallback runs the
+//     program on it as is, and the threaded path never runs its
+//     whole-graph trace (inherently single-threaded), which the threaded
+//     metrics snapshot does not report.
 //   * Initialization runs sequentially on the embedded Executor, and
 //     run_init then plans the placement once, weighing each actor at one
 //     steady state's static cost: reps * firing_weight (below).  Every

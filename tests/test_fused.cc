@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "analysis/bounds_chan.h"
+#include "analysis/verify.h"
 #include "apps/apps.h"
 #include "ir/dsl.h"
 #include "linear/linear_rep.h"
@@ -768,6 +769,55 @@ NodeP pass_through(const std::string& name) {
   return filter(name).rates(1, 1, 1).work(seq({push_(pop_())})).node();
 }
 
+// A splitjoin whose trailing branch takes nothing from the splitter: a
+// round-robin (1, 0) splitter feeds a pass-through branch, and the second
+// branch is a source.  The splitter's second port has rate 0 and no edge,
+// which the flat graph's port invariant allows; every checker accepts the
+// program and every engine runs it bit-equal to the tree.
+TEST(FusedExecution, TrailingZeroWeightBranchVerifiesAndMatchesTheTree) {
+  const auto mk = [] {
+    return make_pipeline(
+        "zw", {tiny_src("s"),
+               make_splitjoin("sj", roundrobin_split({1, 0}),
+                              roundrobin_join({1, 1}),
+                              {pass_through("a"), tiny_src("t")}),
+               pass_through("post")});
+  };
+  const auto ds = analysis::verify_graph(mk());
+  EXPECT_FALSE(analysis::has_errors(ds)) << analysis::render(ds);
+  const runtime::FlatGraph g = runtime::flatten(mk());
+  const runtime::FlatActor& split = g.actors[static_cast<std::size_t>(
+      actor_id(g, "sj.split"))];
+  EXPECT_EQ(split.out_rate, (std::vector<int>{1, 0}));
+  ASSERT_EQ(split.out_edges.size(), 2U);
+  EXPECT_EQ(split.out_edges[1], -1);
+  for (const opt::OptLevel level :
+       {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2}) {
+    opt::CompileOptions copts;
+    copts.level = level;
+    copts.pass.verify_each = opt::VerifyMode::Each;
+    EXPECT_NO_THROW(opt::compile(mk(), copts))
+        << "O" << static_cast<int>(level);
+  }
+
+  sched::ExecOptions topts;
+  topts.engine = sched::Engine::Tree;
+  sched::Executor tree(mk(), topts);
+  sched::Executor fused(mk(), fused_options());
+  ASSERT_NE(fused.fused_program(), nullptr) << fused.fused_refusal();
+  sched::ExecOptions xopts = fused_options();
+  xopts.threads = 4;
+  sched::ThreadedExecutor tex(mk(), xopts);
+  ASSERT_TRUE(tex.report().threaded) << tex.report().to_string();
+  for (const int n : {1, 5, 3}) {
+    const std::vector<double> want = tree.run_steady(n);
+    expect_same_output(fused.run_steady(n), want);
+    expect_same_output(tex.run_steady(n), want);
+  }
+  expect_same_state(tree, fused);
+  expect_same_state(tree, tex);
+}
+
 TEST(FusedExecution, StateAcrossCallBoundariesMatchesTheTree) {
   const auto mk = [] {
     return make_pipeline("p", {tiny_src("s"), accumulator("acc"),
@@ -1099,23 +1149,24 @@ TEST(EngineFaults, AFaultUnwindsTheWholeGraphTrace) {
 }
 
 // A whole-graph pass never runs more steady states than the fed input
-// holds: a short input faults in the firing, with the message and the
-// OpCounts, that one steady state per call meets.
+// holds, and the steady states a short input cannot cover run per-actor:
+// one call of six faults as six calls of one do, and both as the tree --
+// the same message, outputs, firings, OpCounts and channel counters.
 TEST(EngineFaults, ShortInputToTheWholeGraphTraceFaultsAsOneStatePerCall) {
   const NodeP half = filter("half")
                          .rates(3, 2, 1)
                          .work(seq({push_(peek_(ci(2)) * c(0.5)), discard(2)}))
                          .node();
+  sched::ExecOptions topts;
+  topts.engine = sched::Engine::Tree;
   for (const NodeP& root :
        {half, make_pipeline("p", {half, pass_through("post")})}) {
     SCOPED_TRACE(root->name);
     // Nine items: four steady states fit, the fifth of six starves.
-    const auto run = [&](const std::vector<int>& calls, std::string* fault,
+    const auto run = [&](const sched::ExecOptions& opts,
+                         const std::vector<int>& calls, std::string* fault,
                          std::vector<double>* out) {
-      auto ex = std::make_unique<sched::Executor>(lower_ungated(root),
-                                                  fused_options());
-      EXPECT_NE(ex->fused_program(), nullptr) << ex->fused_refusal();
-      EXPECT_GT(ex->fused_program()->max_pass, 6);
+      auto ex = std::make_unique<sched::Executor>(lower_ungated(root), opts);
       ex->feed_input(std::vector<double>(9, 1.0));
       try {
         for (const int n : calls) {
@@ -1129,23 +1180,24 @@ TEST(EngineFaults, ShortInputToTheWholeGraphTraceFaultsAsOneStatePerCall) {
       out->insert(out->end(), rest.begin(), rest.end());
       return ex;
     };
-    std::string one, six;
-    std::vector<double> one_out, six_out;
-    const auto by_one = run({1, 1, 1, 1, 1, 1}, &one, &one_out);
-    const auto at_once = run({6}, &six, &six_out);
-    EXPECT_EQ(one, "peek(2) beyond channel contents (1)");
-    EXPECT_EQ(six, one);
-    EXPECT_EQ(six_out, one_out);
-    EXPECT_EQ(one_out.size(), 4U);
-    for (std::size_t a = 0; a < by_one->actor_ops().size(); ++a) {
-      const runtime::OpCounts& want = by_one->actor_ops()[a];
-      const runtime::OpCounts& got = at_once->actor_ops()[a];
-      EXPECT_EQ(got.int_ops, want.int_ops) << "actor " << a;
-      EXPECT_EQ(got.flops, want.flops) << "actor " << a;
-      EXPECT_EQ(got.mem, want.mem) << "actor " << a;
-      EXPECT_EQ(got.channel, want.channel) << "actor " << a;
+    std::string want;
+    std::vector<double> want_out;
+    const auto tree = run(topts, {6}, &want, &want_out);
+    EXPECT_EQ(want, "runtime deadlock: actor 'half' starved with 1 firings "
+                    "remaining");
+    EXPECT_EQ(want_out.size(), 4U);
+    for (const std::vector<int>& calls :
+         {std::vector<int>{1, 1, 1, 1, 1, 1}, std::vector<int>{6}}) {
+      SCOPED_TRACE(calls.size());
+      std::string fault;
+      std::vector<double> out;
+      const auto fused = run(fused_options(), calls, &fault, &out);
+      ASSERT_NE(fused->fused_program(), nullptr) << fused->fused_refusal();
+      EXPECT_GT(fused->fused_program()->max_pass, 6);
+      EXPECT_EQ(fault, want);
+      EXPECT_EQ(out, want_out);
+      expect_same_state(*tree, *fused);
     }
-    EXPECT_EQ(popped(*at_once, 0), popped(*by_one, 0));
   }
 }
 

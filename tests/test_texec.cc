@@ -345,8 +345,8 @@ TEST(TexecReport, PartitionCoversEveryActor) {
 }
 
 // The compiled engine drives the workers through their one-actor traces and
-// builds no whole-graph trace for them, which is no refusal: the threaded
-// snapshot reads engine fused, fallback none and no fused statics.  The
+// runs no whole-graph trace, which is no refusal: the threaded snapshot
+// reads engine fused, fallback none and no fused statics.  The
 // one-thread fallback really runs the whole-graph trace.
 TEST(TexecReport, EngineIsTheOneDrivingTheWorkers) {
   for (const std::string app : {"FIR", "Vocoder"}) {
@@ -367,6 +367,8 @@ TEST(TexecReport, EngineIsTheOneDrivingTheWorkers) {
         EXPECT_EQ(m.fallback, "none");
         EXPECT_EQ(m.fallback_detail, "");
         EXPECT_EQ(m.fused_channels, -1);
+        EXPECT_EQ(m.fused_pass, -1);
+        EXPECT_TRUE(m.fused_super.empty());
       } else {
         EXPECT_EQ(m.fallback, "one-thread");
         EXPECT_GT(m.fused_channels, 0);
@@ -706,6 +708,62 @@ TEST(TexecSplit, RateLyingActorStillMatchesTheTree) {
     EXPECT_EQ(tree.firings(), tex.firings()) << call;
     expect_same_counts(tree.actor_ops()[0], tex.actor_ops()[0], call);
     EXPECT_EQ(tree.channel(0).total_popped(), tex.edge_popped(0)) << call;
+  }
+}
+
+// A split call whose fed input holds fewer firings than it asks for runs
+// on the embedded executor instead, whose epochs fault where the tree's do:
+// the same message, outputs, firings, OpCounts and counters.
+TEST(TexecSplit, ShortInputRerunsAsTheTree) {
+  const std::pair<std::string, std::function<sched::CompiledProgram()>>
+      bodies[] = {{"FIR", [] { return o2_body("FIR"); }},
+                  {"FilterBank", [] { return o2_body("FilterBank"); }},
+                  {"kernel", [] { return sched::lower(peeking_kernel()); }}};
+  const auto fault = [](auto& ex, int n) -> std::string {
+    try {
+      ex.run_steady(n);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (const auto& [name, make] : bodies) {
+    const sched::CompiledProgram prog = make();
+    const sched::Schedule& s = prog.schedule;
+    // Five and a half steady states' input: a call of 3 runs split, and
+    // the next call, of 4, starves in its third steady state.
+    std::vector<double> in(static_cast<std::size_t>(
+        s.input_for_init + 5 * s.input_per_steady + s.input_per_steady / 2));
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      in[i] = split_input(static_cast<std::int64_t>(i));
+    }
+    for (const int threads : {2, 4}) {
+      const std::string what = name + " @" + std::to_string(threads);
+      sched::ExecOptions topt;
+      topt.engine = sched::Engine::Tree;
+      topt.threads = 1;
+      sched::Executor tree(prog, topt);
+      sched::ExecOptions sopt;
+      sopt.engine = sched::Engine::Fused;
+      sopt.threads = threads;
+      sched::ThreadedExecutor tex(prog, sopt);
+      ASSERT_EQ(tex.report().split, threads) << what;
+      tree.feed_input(in);
+      tex.feed_input(in);
+      expect_bit_equal(tree.run_steady(3), tex.run_steady(3), what);
+      const std::string want = fault(tree, 4);
+      EXPECT_NE(want.find("starved"), std::string::npos)
+          << what << ": " << want;
+      EXPECT_EQ(fault(tex, 4), want) << what;
+      expect_bit_equal(tree.take_output(), tex.take_output(), what);
+      EXPECT_EQ(tree.firings(), tex.firings()) << what;
+      expect_same_counts(tree.actor_ops()[0], tex.actor_ops()[0], what);
+      for (std::size_t e = 0; e < tree.graph().edges.size(); ++e) {
+        const int ei = static_cast<int>(e);
+        EXPECT_EQ(tree.channel(ei).total_pushed(), tex.edge_pushed(ei)) << what;
+        EXPECT_EQ(tree.channel(ei).total_popped(), tex.edge_popped(ei)) << what;
+      }
+    }
   }
 }
 

@@ -94,6 +94,30 @@ TEST(Verify, NegativeRateIsStructError) {
   EXPECT_TRUE(has_code(ds, "V-STRUCT")) << analysis::render(ds);
 }
 
+// Only a zero-rate port may lack an edge: a filter output port that pushes
+// items but names no edge is a V-STRUCT error of its own (the edge that
+// still points at the port is reported too).
+TEST(Verify, EdgelessPositiveRatePortIsStructError) {
+  runtime::FlatGraph g = runtime::flatten(apps::make_app("FIR"));
+  bool corrupted = false;
+  for (auto& a : g.actors) {
+    if (a.is_filter() && a.push_rate() > 0) {
+      a.out_edges[0] = -1;
+      corrupted = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(corrupted) << "FIR has no pushing filter?";
+  const auto ds = analysis::verify_flat(g);
+  bool named = false;
+  for (const auto& d : ds) {
+    named = named || (d.code == "V-STRUCT" &&
+                      d.message.find("produces items but has no edge") !=
+                          std::string::npos);
+  }
+  EXPECT_TRUE(named) << analysis::render(ds);
+}
+
 TEST(Verify, DuplicateSplitterBranchWeightIsSplitjoinError) {
   runtime::FlatGraph g = runtime::flatten(apps::make_app("FilterBank"));
   bool corrupted = false;
